@@ -67,7 +67,6 @@ from .moments import (
 from .specpoly import (
     ConvolutionMatrix,
     IntPolynomial,
-    charpoly_exact,
     convolution_matrix,
     divides,
     evaluate_at_integer,
@@ -92,7 +91,6 @@ __all__ = [
     "IntPolynomial",
     "ConvolutionMatrix",
     "convolution_matrix",
-    "charpoly_exact",
     "spectral_polynomial",
     "divides",
     "evaluate_at_integer",

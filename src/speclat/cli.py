@@ -42,6 +42,7 @@ from .moments import (
     product_exponents,
     series_coefficients,
 )
+from .primes import is_prime
 from .specpoly import (
     DEFAULT_SIZE_LIMIT,
     divides,
@@ -74,6 +75,24 @@ DEFAULTS = {
                "tol": 1e-3, "resolution": 128, "hilbert": True, "hilbert_tol": 1e-10},
     "padic": {"p": None, "nu": 1, "z_values": None},
 }
+
+# least allowed value of integer parameters, per command; padic's p must be prime
+MINIMA = {"bn": {"N": 1}, "moments": {"k_max": 0}, "walks": {"N": 1}, "spectrum": {"N": 1},
+          "padic": {"p": 2, "nu": 1}}
+
+
+def _check_ranges(command: str, params: dict):
+    if command == "padic" and params["p"] is None:
+        raise ConfigError("padic requires a prime p")
+    for key, least in MINIMA.get(command, {}).items():
+        try:
+            value = int(params[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{command} {key} must be an integer, got {params[key]!r}") from None
+        if value < least:
+            raise ConfigError(f"{command} {key} must be >= {least}, got {value}")
+        if key == "p" and not is_prime(value):
+            raise ConfigError(f"padic p must be a prime, got {value}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +129,7 @@ class JobConfig:
         for key, value in overrides.items():
             if value is not None:
                 params[key] = value
+        _check_ranges(command, params)
         return JobConfig(
             ps, command, params, fmt=args.format, cache_dir=args.cache_dir, out=args.out
         )
@@ -294,8 +314,6 @@ def _run_mahler(ps: WeightedPointSet, params: dict) -> dict:
 
 
 def _run_padic(ps: WeightedPointSet, params: dict) -> dict:
-    if params["p"] is None:
-        raise ConfigError("padic requires a prime p")
     p, nu = int(params["p"]), int(params["nu"])
     z_values = params["z_values"]
     if z_values is None:

@@ -46,15 +46,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_below(start: int) -> Iterator[int]:
-    """Yield primes < start in descending order."""
-    n = start - 1 if start % 2 == 0 else start - 2
-    if start > 3 >= n:
-        n = 3
-    while n >= 2:
+def primes_below(start: int, N: int = 1) -> Iterator[int]:
+    """Yield primes p < start with p = 1 (mod N) in descending order.  For
+    N > 1 these are the primes whose field F_p holds the N-th roots of unity."""
+    step = N if N % 2 == 0 else 2 * N  # odd p = 1 (mod N)
+    n = start - 1 - (start - 2) % step
+    while n > 2:
         if is_prime(n):
             yield n
-        n -= 2 if n > 3 else 1
+        n -= step
+    if N == 1 and start > 2:
+        yield 2
+
+
+def root_of_unity(N: int, p: int) -> int:
+    """An element of exact multiplicative order N modulo a prime p = 1 (mod N)."""
+    if (p - 1) % N:
+        raise ValueError(f"{p} is not 1 mod {N}")
+    factors = [q for q in range(2, N + 1) if N % q == 0 and is_prime(q)]
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // N, p)
+        if all(pow(omega, N // q, p) != 1 for q in factors):
+            return omega
+    return 1  # N = 1 (or p = 2)
 
 
 def sieve(limit: int) -> list[int]:

@@ -1,26 +1,35 @@
 """Exact spectral polynomials of the torsion-level convolution operators.
 
-For torsion level N the diffraction polynomial acts by convolution on the
-N^n-dimensional group algebra of the quotient lattice; its matrix in the
-residue basis is an integer circulant-like matrix whose eigenvalues are the
-polynomial's values at the N-torsion characters.  The characteristic
-polynomial of that matrix is therefore the monic integer polynomial with
-one root per character, and it is computed exactly here:
+For torsion level N the spectral polynomial b_N is the monic integer
+polynomial of degree N^n with one root W(chi) for each N-torsion
+character chi of the difference lattice.  It is computed here without
+any matrix, from the characters themselves:
 
-* reduce the matrix modulo a batch of word-sized primes,
-* compute each modular characteristic polynomial by Hessenberg reduction,
-* reconstruct the integer coefficients by CRT against the a priori bound
-  binom(m, j) * rho**j, where rho is the largest absolute row sum (for the
-  convolution matrix rho equals the squared total weight, the top of the
-  spectrum).
+* take primes p = 1 (mod N), descending below 2**62; F_p then holds an
+  element omega of exact order N, and the characters are
+  k -> omega**(e.k) on the folded exponents e, so W(chi_k) mod p is a sum
+  of powers of omega;
+* multiply out b_N mod p as the product of (z - W(chi_k)) over all k,
+  evaluating each exactly equal group of characters once;
+* lift the residues by CRT until the prime product exceeds twice a
+  certified coefficient bound.
 
-The reconstruction is certified: the prime product strictly exceeds twice
-the bound, so the result does not depend on which primes were used.
+The bound comes from the sign of the roots.  Every point a differs from a
+fixed point a0 by a lattice vector, so
+W(chi) = |sum_a c_a chi(a - a0)|**2 >= 0, and the roots have mean c0, the
+constant term of W folded mod N.  Maclaurin's inequality for nonnegative
+reals (Hardy, Littlewood and Polya, Inequalities, 2.22) then bounds the
+coefficient of z**(N^n - j) by binom(N^n, j) * c0**j.  The result does not
+depend on which primes were used.
+
+The convolution matrix of the folded polynomial is kept for the walk/trace
+bridge: its eigenvalues are the same character values.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +38,7 @@ import numpy as np
 from . import primes
 from .errors import SingularLevel, SizeLimit
 from .lattice import LatticeBasis, WeightedPointSet, difference_lattice
-from .laurent import LaurentPoly, diffraction_polynomial, fold_mod_N
+from .laurent import LaurentPoly, constant_term, diffraction_polynomial, fold_mod_N
 
 DEFAULT_SIZE_LIMIT = 10_000
 
@@ -62,12 +71,6 @@ class IntPolynomial:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
-
-    def __pow__(self, k: int) -> "IntPolynomial":
-        result = IntPolynomial((1,))
-        for _ in range(k):
-            result = result * self
-        return result
 
     @staticmethod
     def from_roots(roots: Sequence[int]) -> "IntPolynomial":
@@ -157,101 +160,66 @@ def convolution_matrix(
     return ConvolutionMatrix(N, n, tuple(rows))
 
 
-# -- modular characteristic polynomial ----------------------------------------
+# -- exact spectral polynomial by split primes ----------------------------------
 
 
-def _charpoly_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
-    """Characteristic polynomial mod p via Hessenberg reduction."""
-    m = len(rows)
-    h = [[x % p for x in row] for row in rows]
-    for k in range(m - 2):
-        pivot = next((i for i in range(k + 1, m) if h[i][k]), None)
-        if pivot is None:
-            continue
-        if pivot != k + 1:
-            h[k + 1], h[pivot] = h[pivot], h[k + 1]
-            for row in h:
-                row[k + 1], row[pivot] = row[pivot], row[k + 1]
-        inv = pow(h[k + 1][k], -1, p)
-        for i in range(k + 2, m):
-            f = h[i][k] * inv % p
-            if f:
-                hi, hk1 = h[i], h[k + 1]
-                for j in range(k, m):
-                    hi[j] = (hi[j] - f * hk1[j]) % p
-                for row in h:
-                    row[k + 1] = (row[k + 1] + f * row[i]) % p
-    # characteristic polynomials of the leading principal blocks
-    polys: list[list[int]] = [[1]]
-    for k in range(1, m + 1):
-        prev = polys[k - 1]
-        cur = [0] + prev  # x * prev
-        a = h[k - 1][k - 1]
-        for i in range(k):
-            cur[i] = (cur[i] - a * prev[i]) % p
-        prod = 1
-        for i in range(k - 2, -1, -1):
-            prod = prod * h[i + 1][i] % p
-            if prod == 0:
-                break
-            coef = h[i][k - 1] * prod % p
-            if coef:
-                pi = polys[i]
-                for j in range(len(pi)):
-                    cur[j] = (cur[j] - coef * pi[j]) % p
-        polys.append(cur)
-    return polys[m]
+def _character_rows(folded: LaurentPoly, N: int) -> Counter:
+    """W at each N-torsion character k as the sparse row ((r, A_r), ...),
+    A_r the sum of the c_e with e.k = r (mod N): W(chi_k) = sum_r A_r
+    omega**r for omega of exact order N.  Counted by multiplicity; equal
+    rows are equal values modulo every prime."""
+    terms = folded.sorted_terms()
+    rows: Counter = Counter()
+    for k in itertools.product(range(N), repeat=folded.dimension):
+        row: dict[int, int] = {}
+        for e, c in terms:
+            r = sum(x * y for x, y in zip(e, k)) % N
+            row[r] = row.get(r, 0) + c
+        rows[tuple(sorted(row.items()))] += 1
+    return rows
 
 
-def _coefficient_bound(rows: Sequence[Sequence[int]]) -> int:
-    """Bound on |coefficient j| of the characteristic polynomial: each is a
-    sum of binom(m, j) principal minors, each at most rho**j in absolute
-    value for rho the maximal absolute row sum."""
-    m = len(rows)
-    rho = max((sum(abs(x) for x in row) for row in rows), default=0)
-    best = 1
-    term = 1
+def _maclaurin_bound(m: int, c0: int) -> int:
+    """max_j binom(m, j) * c0**j: bounds |coefficient| of every monic
+    degree-m polynomial whose m roots are nonnegative with mean c0."""
+    best = term = 1
     for j in range(1, m + 1):
-        term = term * (m - j + 1) // j  # binom(m, j), exact when updated in order
-        bound = term * rho**j
-        if bound > best:
-            best = bound
+        term = term * (m - j + 1) * c0 // j  # binom(m, j) * c0**j, exact in order
+        best = max(best, term)
     return best
 
 
-def charpoly_exact(matrix, prime_start: int = 2**62) -> IntPolynomial:
-    """Exact monic characteristic polynomial of a square integer matrix.
-
-    Accepts a ConvolutionMatrix or any sequence of integer rows.  Residues
-    are computed modulo descending word-sized primes until their product
-    exceeds twice the coefficient bound, then lifted symmetrically.
-    """
-    rows = matrix.rows if isinstance(matrix, ConvolutionMatrix) else matrix
-    m = len(rows)
-    if any(len(r) != m for r in rows):
-        raise ValueError("matrix must be square")
-    need = 2 * _coefficient_bound(rows) + 1
-    residues: list[list[int]] = []
-    used: list[int] = []
-    product = 1
-    for p in primes.primes_below(prime_start):
-        residues.append(_charpoly_mod(rows, p))
-        used.append(p)
-        product *= p
-        if product > need:
-            break
-    coeffs = []
-    for j in range(m + 1):
-        x, mod = 0, 1
-        for res, p in zip(residues, used):
-            # incremental CRT
-            t = (res[j] - x) * pow(mod, -1, p) % p
-            x += mod * t
-            mod *= p
-        if x > mod // 2:
-            x -= mod
-        coeffs.append(x)
-    return IntPolynomial(tuple(coeffs))
+def _split_prime_lift(
+    folded: LaurentPoly, N: int, prime_start: int = 2**62
+) -> IntPolynomial:
+    """prod over the N-torsion characters chi of (z - W(chi)), exactly: the
+    product of linear factors modulo primes p = 1 (mod N) descending below
+    ``prime_start``, lifted by CRT to the symmetric residues."""
+    m = N**folded.dimension
+    rows = _character_rows(folded, N)
+    # The roots are nonnegative: every point a differs from a fixed point a0
+    # by a lattice vector, so W(chi) = sum_{a,b} c_a c_b chi(a - a0)
+    # conj(chi(b - a0)) = |sum_a c_a chi(a - a0)|**2 >= 0.  Their mean is
+    # trace / m = c0, the folded constant term, so Maclaurin's inequality
+    # e_j / binom(m, j) <= (e_1 / m)**j bounds the coefficient e_j of
+    # z**(m - j) by binom(m, j) * c0**j.
+    need = 2 * _maclaurin_bound(m, constant_term(folded)) + 1
+    lifted, mod = [0] * (m + 1), 1
+    for p in primes.primes_below(prime_start, N):
+        omega = primes.root_of_unity(N, p)
+        powers = [pow(omega, r, p) for r in range(N)]
+        poly = [1]  # low degree first
+        for row, mult in rows.items():
+            v = sum(a * powers[r] for r, a in row) % p
+            for _ in range(mult):
+                poly = [(a - v * b) % p for a, b in zip([0] + poly, poly + [0])]
+        # incremental CRT
+        inv = pow(mod, -1, p)
+        lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, poly)]
+        mod *= p
+        if mod > need:
+            return IntPolynomial(tuple(x - mod if x > mod // 2 else x for x in lifted))
+    raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
 
 
 def spectral_polynomial(
@@ -264,11 +232,12 @@ def spectral_polynomial(
     the diffraction polynomial at all N-torsion characters."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    size = N**ps.dimension
+    if size > size_limit:
+        raise SizeLimit(f"{size} torsion characters exceed cap {size_limit}")
     if basis is None:
         basis = difference_lattice(ps)
-    w = diffraction_polynomial(ps, basis)
-    matrix = convolution_matrix(fold_mod_N(w, N), N, size_limit)
-    return charpoly_exact(matrix)
+    return _split_prime_lift(fold_mod_N(diffraction_polynomial(ps, basis), N), N)
 
 
 # -- floating-point character evaluation ---------------------------------------

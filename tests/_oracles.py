@@ -5,12 +5,15 @@ These stay deliberately separate from the package code paths they check.
 
 from fractions import Fraction
 
+from speclat.primes import primes_below
+from speclat.specpoly import IntPolynomial
+
 
 def berkowitz_charpoly(rows):
     """Division-free characteristic polynomial over Z (Berkowitz algorithm).
 
     Returns coefficients low degree first, monic.  O(m^4); fine for the
-    matrix sizes the oracle is used on (<= 16).
+    matrix sizes the oracle is used on (<= 36).
     """
     m = len(rows)
     assert all(len(r) == m for r in rows)
@@ -35,6 +38,103 @@ def berkowitz_charpoly(rows):
         vec = new
     vec.reverse()
     return tuple(vec)
+
+
+# -- characteristic polynomial by Hessenberg reduction and CRT -----------------
+
+
+def _charpoly_mod(rows, p):
+    """Characteristic polynomial mod p via Hessenberg reduction."""
+    m = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for k in range(m - 2):
+        pivot = next((i for i in range(k + 1, m) if h[i][k]), None)
+        if pivot is None:
+            continue
+        if pivot != k + 1:
+            h[k + 1], h[pivot] = h[pivot], h[k + 1]
+            for row in h:
+                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+        inv = pow(h[k + 1][k], -1, p)
+        for i in range(k + 2, m):
+            f = h[i][k] * inv % p
+            if f:
+                hi, hk1 = h[i], h[k + 1]
+                for j in range(k, m):
+                    hi[j] = (hi[j] - f * hk1[j]) % p
+                for row in h:
+                    row[k + 1] = (row[k + 1] + f * row[i]) % p
+    # characteristic polynomials of the leading principal blocks
+    polys: list[list[int]] = [[1]]
+    for k in range(1, m + 1):
+        prev = polys[k - 1]
+        cur = [0] + prev  # x * prev
+        a = h[k - 1][k - 1]
+        for i in range(k):
+            cur[i] = (cur[i] - a * prev[i]) % p
+        prod = 1
+        for i in range(k - 2, -1, -1):
+            prod = prod * h[i + 1][i] % p
+            if prod == 0:
+                break
+            coef = h[i][k - 1] * prod % p
+            if coef:
+                pi = polys[i]
+                for j in range(len(pi)):
+                    cur[j] = (cur[j] - coef * pi[j]) % p
+        polys.append(cur)
+    return polys[m]
+
+
+def _coefficient_bound(rows):
+    """Bound on |coefficient j| of the characteristic polynomial: each is a
+    sum of binom(m, j) principal minors, each at most rho**j in absolute
+    value for rho the maximal absolute row sum."""
+    m = len(rows)
+    rho = max((sum(abs(x) for x in row) for row in rows), default=0)
+    best = 1
+    term = 1
+    for j in range(1, m + 1):
+        term = term * (m - j + 1) // j  # binom(m, j), exact when updated in order
+        bound = term * rho**j
+        if bound > best:
+            best = bound
+    return best
+
+
+def charpoly_exact(matrix, prime_start=2**62):
+    """Exact monic characteristic polynomial of a square integer matrix.
+
+    Accepts a ConvolutionMatrix or any sequence of integer rows.  Residues
+    are computed modulo descending word-sized primes until their product
+    exceeds twice the coefficient bound, then lifted symmetrically.
+    """
+    rows = getattr(matrix, "rows", matrix)
+    m = len(rows)
+    if any(len(r) != m for r in rows):
+        raise ValueError("matrix must be square")
+    need = 2 * _coefficient_bound(rows) + 1
+    residues: list[list[int]] = []
+    used: list[int] = []
+    product = 1
+    for p in primes_below(prime_start):
+        residues.append(_charpoly_mod(rows, p))
+        used.append(p)
+        product *= p
+        if product > need:
+            break
+    coeffs = []
+    for j in range(m + 1):
+        x, mod = 0, 1
+        for res, p in zip(residues, used):
+            # incremental CRT
+            t = (res[j] - x) * pow(mod, -1, p) % p
+            x += mod * t
+            mod *= p
+        if x > mod // 2:
+            x -= mod
+        coeffs.append(x)
+    return IntPolynomial(tuple(coeffs))
 
 
 def charpoly_from_eigen_product(values, z):

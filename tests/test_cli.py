@@ -213,6 +213,33 @@ def test_unknown_parameter_exit_2(tmp_path):
     assert main(["bn", "--config", write_cfg(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bn", "--N", "0"],
+        ["walks", "--N", "0"],
+        ["spectrum", "--N", "0"],
+        ["padic", "--p", "8"],
+        ["padic", "--p", "1"],
+        ["padic", "--nu", "0"],
+        ["moments", "--k-max", "-1"],
+    ],
+)
+def test_out_of_range_parameter_exit_2(tmp_path, capsys, argv):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["padic"] = {"p": 5}
+    code = main(argv[:1] + ["--config", write_cfg(tmp_path, cfg)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("speclat: config error: ")
+    assert "Traceback" not in err
+
+
+def test_padic_without_prime_exit_2(tmp_path, capsys):
+    assert main(["padic", "--config", write_cfg(tmp_path, HONEYCOMB_CFG)]) == 2
+    assert "requires a prime p" in capsys.readouterr().err
+
+
 def test_resource_cap_exit_3(tmp_path):
     cfg = dict(HONEYCOMB_CFG)
     cfg["bn"] = {"N": 101}

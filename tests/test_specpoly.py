@@ -1,15 +1,19 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from speclat import primes
 from speclat.errors import SingularLevel, SizeLimit
 from speclat.lattice import LatticeBasis, difference_lattice
-from speclat.laurent import diffraction_polynomial, fold_mod_N
+from speclat.laurent import constant_term, diffraction_polynomial, fold_mod_N
+from speclat.moments import moment_sequence_N
 from speclat.specpoly import (
     IntPolynomial,
+    _maclaurin_bound,
+    _split_prime_lift,
     character_values,
-    charpoly_exact,
     convolution_matrix,
     divides,
     evaluate_at_integer,
@@ -18,7 +22,7 @@ from speclat.specpoly import (
     spectral_polynomial,
 )
 
-from _oracles import berkowitz_charpoly
+from _oracles import berkowitz_charpoly, charpoly_exact
 from conftest import random_point_set
 
 
@@ -63,7 +67,7 @@ def test_size_limit(honeycomb):
         convolution_matrix(folded(honeycomb, 7), 7, size_limit=10)
 
 
-# -- exact characteristic polynomials ------------------------------------------
+# -- exact characteristic polynomials (Hessenberg oracle) -----------------------
 
 
 def test_charpoly_1x1():
@@ -89,12 +93,83 @@ def test_charpoly_matches_berkowitz(seed):
     assert charpoly_exact(rows).coefficients == berkowitz_charpoly(rows)
 
 
+# -- split primes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 9, 12, 17])
+def test_split_primes_and_roots_of_unity(N):
+    found = list(itertools.islice(primes.primes_below(2**62, N), 4))
+    found += list(itertools.islice(primes.primes_below(2**20, N), 4))
+    assert len(found) == 8
+    for p in found:
+        assert primes.is_prime(p) and (p - 1) % N == 0
+        omega = primes.root_of_unity(N, p)
+        assert pow(omega, N, p) == 1
+        assert all(pow(omega, d, p) != 1 for d in range(1, N))
+    assert found[:4] == sorted(found[:4], reverse=True)
+    assert all(p < 2**62 for p in found[:4])
+
+
+def test_split_primes_small_start():
+    assert list(primes.primes_below(12)) == [11, 7, 5, 3, 2]
+    assert list(primes.primes_below(30, 4)) == [29, 17, 13, 5]
+    with pytest.raises(ValueError):
+        primes.root_of_unity(4, 7)
+
+
 def test_charpoly_prime_set_independence(honeycomb):
-    m = convolution_matrix(folded(honeycomb, 3), 3)
-    a = charpoly_exact(m)
-    b = charpoly_exact(m, prime_start=2**61)
-    c = charpoly_exact(m, prime_start=2**31)
-    assert a == b == c
+    f = folded(honeycomb, 3)
+    a = _split_prime_lift(f, 3)
+    b = _split_prime_lift(f, 3, prime_start=2**61)
+    c = _split_prime_lift(f, 3, prime_start=2**31)
+    assert a == b == c == spectral_polynomial(honeycomb, 3)
+
+
+def _newton_power_sums(p: IntPolynomial, K: int) -> list[int]:
+    """p_1..p_K of the roots of a monic polynomial, by Newton's identities."""
+    m = p.degree
+    e = [(-1) ** j * p.coefficients[m - j] for j in range(m + 1)]
+    sums = []
+    for k in range(1, K + 1):
+        acc = (-1) ** (k - 1) * k * e[k] if k <= m else 0
+        for i in range(1, k):
+            if i <= m:
+                acc += (-1) ** (i - 1) * e[i] * sums[k - i - 1]
+        sums.append(acc)
+    return sums
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_split_prime_matches_berkowitz(seed):
+    rng = random.Random(700 + seed)
+    n = 1 + seed % 3
+    ps = random_point_set(rng, dimension=n)
+    top = {1: 12, 2: 6, 3: 3}[n]
+    N = top if seed % 2 == 0 else rng.randint(1, top)
+    f = folded(ps, N)
+    p = spectral_polynomial(ps, N)
+    assert p.is_monic and p.degree == N**n
+    assert p.coefficients == berkowitz_charpoly(convolution_matrix(f, N).rows)
+    bound = _maclaurin_bound(N**n, constant_term(f))
+    assert max(abs(c) for c in p.coefficients) <= bound
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    level = moment_sequence_N(w, 6, N).values[1:]
+    assert _newton_power_sums(p, 6) == [N**n * v for v in level]
+
+
+def test_maclaurin_bound_is_tight_for_equal_roots():
+    # all roots equal to the mean: the bound is the largest coefficient
+    for m, c0 in ((4, 3), (7, 2), (36, 9)):
+        p = IntPolynomial.from_roots([c0] * m)
+        assert _maclaurin_bound(m, c0) == max(abs(c) for c in p.coefficients)
+    assert _maclaurin_bound(1, 9) == 9
+    assert _maclaurin_bound(3, 0) == 1
+
+
+def test_spectral_size_limit(honeycomb):
+    with pytest.raises(SizeLimit):
+        spectral_polynomial(honeycomb, 4, size_limit=15)
+    assert spectral_polynomial(honeycomb, 4, size_limit=16).degree == 16
 
 
 # -- spectral polynomials -------------------------------------------------------
