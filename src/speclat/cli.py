@@ -81,9 +81,21 @@ MINIMA = {"bn": {"N": 1}, "moments": {"k_max": 0}, "walks": {"N": 1}, "spectrum"
           "padic": {"p": 2, "nu": 1}}
 
 
-def _check_ranges(command: str, params: dict):
+def _check_ranges(command: str, params: dict, ps: WeightedPointSet):
     if command == "padic" and params["p"] is None:
         raise ConfigError("padic requires a prime p")
+    if command == "mahler" and params["z"] is not None:
+        try:
+            z = abs(float(params["z"]))
+        except (TypeError, ValueError):
+            raise ConfigError(f"mahler z must be a number, got {params['z']!r}") from None
+        # the moment series converge only outside the spectrum [0, C^2]
+        C2 = ps.total_weight**2
+        if ("moment-series" in params["methods"] or params["hilbert"]) and z <= C2:
+            raise ConfigError(
+                f"mahler moment-series and hilbert need |z| > total_weight^2 = {C2}, "
+                f"got z = {params['z']}"
+            )
     for key, least in MINIMA.get(command, {}).items():
         try:
             value = int(params[key])
@@ -129,7 +141,7 @@ class JobConfig:
         for key, value in overrides.items():
             if value is not None:
                 params[key] = value
-        _check_ranges(command, params)
+        _check_ranges(command, params, ps)
         return JobConfig(
             ps, command, params, fmt=args.format, cache_dir=args.cache_dir, out=args.out
         )

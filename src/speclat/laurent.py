@@ -5,8 +5,10 @@ coefficients are arbitrary-precision integers.  The central object is the
 squared-diffraction polynomial of a weighted point set: the sum of
 c_a * c_b over all ordered point pairs, attached to the lattice coordinates
 of a - b.  Folding exponents modulo N turns multiplication into convolution
-on the N-fold torsion quotient, which is how all the finite spectra are
-computed.
+on the N-fold torsion quotient, which is how all the finite spectra and the
+level-N moments are computed.  Exact moments need no fold: the powers are
+expanded on boxes that grow from the origin, and only half of them are
+needed, since CT(g*h) = sum_v g_v * h_{-v}.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ class LaurentPoly:
     def coefficient_sum(self) -> int:
         """Value at the all-ones point."""
         return sum(self.terms.values())
-
-    def max_abs_exponent(self) -> int:
-        return max((abs(x) for e in self.terms for x in e), default=0)
 
     def is_palindromic(self) -> bool:
         return all(
@@ -115,104 +114,107 @@ def fold_mod_N(f: LaurentPoly, N: int) -> LaurentPoly:
     return LaurentPoly(f.dimension, out)
 
 
-def power(f: LaurentPoly, k: int, fold: int | None = None) -> LaurentPoly:
-    """k-th power; with ``fold=N`` the result is folded mod N and the fold is
-    applied between multiplications to bound intermediate sparsity."""
+def power(f: LaurentPoly, k: int) -> LaurentPoly:
+    """k-th power by repeated squaring."""
     if k < 0:
         raise ValueError("negative power of a Laurent polynomial not supported")
-    if fold is None:
-        result = one(f.dimension)
-        square = f
-        e = k
-        while e:
-            if e & 1:
-                result = multiply(result, square)
-            e >>= 1
-            if e:
-                square = multiply(square, square)
-        return result
-    if k == 0:
-        return fold_mod_N(one(f.dimension), fold)
-    dense = folded_power_dense(f, k, fold)
-    return _sparse_from_dense(dense, f.dimension, fold)
+    result = one(f.dimension)
+    square = f
+    e = k
+    while e:
+        if e & 1:
+            result = multiply(result, square)
+        e >>= 1
+        if e:
+            square = multiply(square, square)
+    return result
 
 
-# -- dense folded engine -----------------------------------------------------
+# -- moment sweeps --------------------------------------------------------------
 #
-# A polynomial folded mod N is an n-dimensional cyclic array of coefficients.
-# Multiplying by a sparse polynomial is then a handful of np.roll shifts.
-# With dtype=object the entries are Python ints, so this stays exact; a
-# coefficient modulus small enough for int64 switches to machine integers.
-
-# products stay below 2**30 and sums far from int64 overflow
-_INT64_MOD_LIMIT = 32768
+# Powers of f are dense coefficient arrays, exact with dtype=object (Python
+# ints) or int64 under a small coefficient modulus; multiplying by f is one
+# shifted add per term.  m_{2j+1} = CT(f^j * f^(j+1)) and
+# m_{2j+2} = CT(f^(j+1) * f^(j+1)), so m_0..m_K need f^0 .. f^ceil(K/2).
 
 
-def _fold_setup(f: LaurentPoly, N: int, coeff_mod: int | None):
-    kernel_poly = fold_mod_N(f, N)
-    use_int64 = coeff_mod is not None and 1 < coeff_mod <= _INT64_MOD_LIMIT
-    dtype = np.int64 if use_int64 else object
-    kernel = [
-        (e, c if coeff_mod is None else c % coeff_mod)
-        for e, c in kernel_poly.sorted_terms()
-    ]
-    acc = np.zeros((N,) * f.dimension, dtype=dtype)
-    for e, c in kernel:
-        acc[e] = c
-    return kernel, acc
-
-
-def _sparse_from_dense(arr: np.ndarray, dimension: int, N: int) -> LaurentPoly:
-    terms = {}
-    for idx in itertools.product(range(N), repeat=dimension):
-        c = int(arr[idx])
-        if c:
-            terms[idx] = c
-    return LaurentPoly(dimension, terms)
-
-
-def _roll_multiply(acc: np.ndarray, kernel, coeff_mod: int | None) -> np.ndarray:
-    axes = tuple(range(acc.ndim))
-    out = np.zeros_like(acc)
-    for e, c in kernel:
-        if c == 0:
-            continue
-        shifted = np.roll(acc, e, axis=axes)
-        out += shifted if c == 1 else shifted * c
+def _kernel(f: LaurentPoly, coeff_mod: int | None):
+    # residues below 2**15: products stay below 2**30, and a sum of them
+    # reaches 2**63 only over 2**33 cells
+    dtype = np.int64 if coeff_mod is not None and 1 < coeff_mod <= 2**15 else object
+    terms = f.sorted_terms()
     if coeff_mod is not None:
-        out %= coeff_mod
-    return out
+        terms = [(e, c % coeff_mod) for e, c in terms if c % coeff_mod]
+    return terms, dtype
 
 
-def folded_power_dense(
-    f: LaurentPoly, k: int, N: int, coeff_mod: int | None = None
-) -> np.ndarray:
-    """Dense coefficient array of (f**k) folded mod N.
+def _half_power_moments(K: int, unit: np.ndarray, step, pair, coeff_mod: int | None) -> list[int]:
+    """m_0..m_K (mod ``coeff_mod``) from f^0 = ``unit`` and f^(j+1) =
+    ``step(f^j, j)``, where ``pair(g, a, h, b)`` is CT(g*h) for g = f^a,
+    h = f^b and a <= b."""
+    out = [pair(unit, 0, unit, 0)]
+    prev = unit
+    for j in range((K + 1) // 2):
+        cur = step(prev, j)
+        if coeff_mod is not None:
+            cur %= coeff_mod
+        out.append(pair(prev, j, cur, j + 1))
+        if 2 * j + 2 <= K:
+            out.append(pair(cur, j + 1, cur, j + 1))
+        prev = cur
+    return out if coeff_mod is None else [m % coeff_mod for m in out]
 
-    Iterated multiplication by the folded kernel of f: cost is about
-    k * N**n * (number of terms of f).  With ``coeff_mod`` all coefficients
-    are reduced modulo it at every step (exact modular arithmetic, used for
-    congruence checks where the full integers are not needed).
+
+def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int | None = None) -> list[int]:
+    """Exact constant terms of f**k for k = 0..K (reduced mod ``coeff_mod``).
+
+    f^j lives on the box -j*r .. j*r, r the largest |exponent| per axis
+    (the bounding box of f^j when f is palindromic): index i stands for
+    exponent i - j*r.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    kernel, acc = _fold_setup(f, N, coeff_mod)
-    for _ in range(k - 1):
-        acc = _roll_multiply(acc, kernel, coeff_mod)
-    return acc
+    kernel, dtype = _kernel(f, coeff_mod)
+    n = f.dimension
+    r = [max((abs(e[i]) for e, _ in kernel), default=0) for i in range(n)]
+
+    def step(prev, j):
+        cur = np.zeros(tuple(2 * (j + 1) * ri + 1 for ri in r), dtype=dtype)
+        for e, c in kernel:
+            window = cur[tuple(slice(x + ri, x + ri + m) for x, ri, m in zip(e, r, prev.shape))]
+            window += prev if c == 1 else prev * c
+        return cur
+
+    def pair(g, a, h, b):
+        # for a <= b: h_{-v} on g's box is the reversed central part of h
+        centre = tuple(slice((b - a) * ri, (b + a) * ri + 1) for ri in r)
+        return int((g * h[centre][(slice(None, None, -1),) * n]).sum())
+
+    return _half_power_moments(K, np.ones((1,) * n, dtype=dtype), step, pair, coeff_mod)
 
 
 def folded_power_sweep(
     f: LaurentPoly, K: int, N: int, coeff_mod: int | None = None
 ) -> list[int]:
-    """Constant-residue coefficients of f**k folded mod N, for k = 0..K."""
-    origin = (0,) * f.dimension
-    out = [1 if coeff_mod is None else 1 % coeff_mod]
-    if K == 0:
-        return out
-    kernel, acc = _fold_setup(f, N, coeff_mod)
-    out.append(int(acc[origin]))
-    for _ in range(K - 1):
-        acc = _roll_multiply(acc, kernel, coeff_mod)
-        out.append(int(acc[origin]))
-    return out
+    """Constant-residue coefficients of f**k folded mod N, for k = 0..K.
+
+    The folded powers are cyclic N^n arrays; multiplying by f is one
+    np.roll per term of the folded kernel, and the residue-0 coefficient of
+    A*B is sum_r A_r * B_{-r mod N}.
+    """
+    kernel, dtype = _kernel(fold_mod_N(f, N), coeff_mod)
+    axes = tuple(range(f.dimension))
+    unit = np.zeros((N,) * f.dimension, dtype=dtype)
+    unit[(0,) * f.dimension] = 1
+
+    def step(prev, j):
+        cur = np.zeros_like(prev)
+        for e, c in kernel:
+            shifted = np.roll(prev, e, axis=axes)
+            cur += shifted if c == 1 else shifted * c
+        return cur
+
+    def pair(g, a, h, b):
+        # h[-r mod N] along every axis: reverse, then shift index 0 back home
+        reflected = np.roll(h[(slice(None, None, -1),) * h.ndim], 1, axis=axes)
+        return int((g * reflected).sum())
+
+    return _half_power_moments(K, unit, step, pair, coeff_mod)

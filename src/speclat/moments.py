@@ -2,11 +2,12 @@
 
 The k-th moment of a diffraction polynomial is the constant term of its
 k-th power; the level-N moment is the constant-residue coefficient of the
-k-th power folded mod N.  Folding early is also how the exact moments are
-computed: once N exceeds k times the largest exponent entry, no nonzero
-exponent of the k-th power can fold onto the origin, so the folded
-constant term IS the exact constant term.  That turns the k-th power of an
-n-variable polynomial into k convolutions on a fixed torus.
+k-th power folded mod N.  Both are read from half the powers: with
+CT(g*h) = sum_v g_v * h_{-v}, m_{2j+1} pairs f^j with f^(j+1) and m_{2j+2}
+pairs f^(j+1) with itself, so m_0..m_K take ceil(K/2) products.  Exact
+powers live on unfolded boxes about the origin, which grow by the largest
+exponent of f per side at each product; level-N powers live on the N^n
+torus.
 
 Everything in this module is exact: Python integers and Fractions only.
 """
@@ -20,7 +21,7 @@ from typing import Sequence
 from . import primes
 from .catalog import chebyshev_point_set
 from .errors import IntegralityViolation
-from .laurent import LaurentPoly, folded_power_dense, folded_power_sweep
+from .laurent import LaurentPoly, _moment_sweep, folded_power_sweep
 from .specpoly import IntPolynomial, evaluate_at_integer, spectral_polynomial
 
 Recurrence = Sequence[tuple[int, Sequence[int]]]
@@ -48,25 +49,16 @@ class MomentSequence:
         return len(self.values)
 
 
-def _stable_modulus(f: LaurentPoly, k: int) -> int:
-    # smallest fold that provably leaves the constant term of f**k alone
-    return k * f.max_abs_exponent() + 1
-
-
 def moment(f: LaurentPoly, k: int) -> int:
     """Constant term of f**k (k >= 0)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return 1
-    N = _stable_modulus(f, k)
-    return int(folded_power_dense(f, k, N)[(0,) * f.dimension])
+    return _moment_sweep(f, k)[k]
 
 
 def moment_sequence(f: LaurentPoly, K: int) -> MomentSequence:
-    """Exact moments m_0..m_K in one folded sweep."""
-    N = _stable_modulus(f, max(K, 1))
-    return MomentSequence(tuple(folded_power_sweep(f, K, N)), "constant-term")
+    """Exact moments m_0..m_K from the powers f^0 .. f^ceil(K/2)."""
+    return MomentSequence(tuple(_moment_sweep(f, K)), "constant-term")
 
 
 def moment_N(f: LaurentPoly, k: int, N: int) -> int:
@@ -75,9 +67,7 @@ def moment_N(f: LaurentPoly, k: int, N: int) -> int:
     power)."""
     if k < 0 or N < 1:
         raise ValueError("need k >= 0 and N >= 1")
-    if k == 0:
-        return 1
-    return int(folded_power_dense(f, k, N)[(0,) * f.dimension])
+    return folded_power_sweep(f, k, N)[k]
 
 
 def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> MomentSequence:
@@ -91,7 +81,7 @@ def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
 
     Guaranteed by the Frobenius congruence on the coefficients, so False
     signals an implementation bug, not bad input.  Both moments are
-    computed modulo p^(alpha+1); that commutes with powers and folds.
+    computed modulo p^(alpha+1); that commutes with products.
     """
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -102,8 +92,7 @@ def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
     modulus = p ** (alpha + 1)
     hi = k * p ** (alpha + 1)
     lo = k * p**alpha
-    N = _stable_modulus(f, hi)
-    vals = folded_power_sweep(f, hi, N, coeff_mod=modulus)
+    vals = _moment_sweep(f, hi, coeff_mod=modulus)
     return vals[hi] == vals[lo]
 
 
@@ -114,21 +103,18 @@ def series_coefficients(moments) -> list[int]:
     """Integer coefficients A_1..A_{K-1} of the expansion of
     (1/z) * exp(sum m_k/k z^-k) as 1/z + sum A_k z^-k-1.
 
-    Newton's recurrence k*A_k = sum_{j<=k} m_j A_{k-j} keeps everything
-    rational; integrality is guaranteed and enforced.
+    Newton's recurrence k*A_k = sum_{j<=k} m_j A_{k-j} runs in integers;
+    integrality is guaranteed and enforced at each division by k.
     """
     m = _moment_values(moments)
     K = len(m) - 1
-    exp: list[Fraction] = [Fraction(1)]
-    out: list[int] = []
+    A = [1]
     for k in range(1, K):
-        s = sum(Fraction(m[j]) * exp[k - j] for j in range(1, k + 1))
-        ek = s / k
-        exp.append(ek)
-        if ek.denominator != 1:
-            raise IntegralityViolation(f"A_{k} = {ek} is not an integer")
-        out.append(int(ek))
-    return out
+        s = sum(m[j] * A[k - j] for j in range(1, k + 1))
+        if s % k:
+            raise IntegralityViolation(f"A_{k} = {Fraction(s, k)} is not an integer")
+        A.append(s // k)
+    return A[1:]
 
 
 def product_exponents(moments) -> list[int]:

@@ -3,8 +3,12 @@
 These stay deliberately separate from the package code paths they check.
 """
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
+
+from speclat.laurent import LaurentPoly, fold_mod_N, one
 from speclat.primes import primes_below
 from speclat.specpoly import IntPolynomial
 
@@ -135,6 +139,85 @@ def charpoly_exact(matrix, prime_start=2**62):
             x -= mod
         coeffs.append(x)
     return IntPolynomial(tuple(coeffs))
+
+
+# -- moments by K products on the full fold torus ------------------------------
+#
+# A polynomial folded mod N is an n-dimensional cyclic array of coefficients;
+# multiplying by f is one np.roll per folded term.  Folding mod
+# k*max|exponent| + 1 leaves the constant term of f**k alone, so the origin
+# of the k-th folded power is the exact k-th moment.
+
+
+def _stable_modulus(f, k):
+    return k * max((abs(x) for e in f.terms for x in e), default=0) + 1
+
+
+def _fold_setup(f, N, coeff_mod):
+    use_int64 = coeff_mod is not None and 1 < coeff_mod <= 32768
+    kernel = [
+        (e, c if coeff_mod is None else c % coeff_mod)
+        for e, c in fold_mod_N(f, N).sorted_terms()
+    ]
+    acc = np.zeros((N,) * f.dimension, dtype=np.int64 if use_int64 else object)
+    for e, c in kernel:
+        acc[e] = c
+    return kernel, acc
+
+
+def _roll_multiply(acc, kernel, coeff_mod):
+    axes = tuple(range(acc.ndim))
+    out = np.zeros_like(acc)
+    for e, c in kernel:
+        if c:
+            out += np.roll(acc, e, axis=axes) * c
+    if coeff_mod is not None:
+        out %= coeff_mod
+    return out
+
+
+def folded_power_dense(f, k, N, coeff_mod=None):
+    """Dense coefficient array of (f**k) folded mod N, by k - 1 products."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    kernel, acc = _fold_setup(f, N, coeff_mod)
+    for _ in range(k - 1):
+        acc = _roll_multiply(acc, kernel, coeff_mod)
+    return acc
+
+
+def _sparse_from_dense(arr, dimension, N):
+    terms = {}
+    for idx in itertools.product(range(N), repeat=dimension):
+        c = int(arr[idx])
+        if c:
+            terms[idx] = c
+    return LaurentPoly(dimension, terms)
+
+
+def folded_power(f, k, N):
+    """f**k folded mod N, as a sparse polynomial."""
+    if k == 0:
+        return fold_mod_N(one(f.dimension), N)
+    return _sparse_from_dense(folded_power_dense(f, k, N), f.dimension, N)
+
+
+def folded_moment_sweep(f, K, N, coeff_mod=None):
+    """Origin coefficients of f**k folded mod N, k = 0..K, one product each."""
+    out = [1 if coeff_mod is None else 1 % coeff_mod]
+    if K == 0:
+        return out
+    kernel, acc = _fold_setup(f, N, coeff_mod)
+    out.append(int(acc[(0,) * f.dimension]))
+    for _ in range(K - 1):
+        acc = _roll_multiply(acc, kernel, coeff_mod)
+        out.append(int(acc[(0,) * f.dimension]))
+    return out
+
+
+def exact_moment_sweep(f, K, coeff_mod=None):
+    """Exact m_0..m_K (mod coeff_mod) on the torus that no power wraps."""
+    return folded_moment_sweep(f, K, _stable_modulus(f, max(K, 1)), coeff_mod)
 
 
 def charpoly_from_eigen_product(values, z):

@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from speclat.lattice import WeightedPointSet, difference_lattice
+
+# same examples on every run, no example database, no wall-clock deadline
+settings.register_profile("speclat", derandomize=True, database=None, deadline=None)
+settings.load_profile("speclat")
 
 
 @pytest.fixture

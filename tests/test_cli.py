@@ -235,6 +235,24 @@ def test_out_of_range_parameter_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"z": 5.0, "methods": ["moment-series"], "hilbert": False},
+        {"z": 9.0, "methods": ["limit"]},  # hilbert defaults to true
+    ],
+)
+def test_mahler_series_inside_spectrum_exit_2(tmp_path, capsys, block):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["mahler"] = block
+    code = main(["mahler", "--config", write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("speclat: config error: ")
+    assert "total_weight^2 = 9" in err
+    assert "Traceback" not in err
+
+
 def test_padic_without_prime_exit_2(tmp_path, capsys):
     assert main(["padic", "--config", write_cfg(tmp_path, HONEYCOMB_CFG)]) == 2
     assert "requires a prime p" in capsys.readouterr().err

@@ -1,11 +1,20 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclat.errors import IntegralityViolation
 from speclat.lattice import difference_lattice
-from speclat.laurent import constant_term, diffraction_polynomial, power
+from speclat.laurent import (
+    LaurentPoly,
+    _moment_sweep,
+    constant_term,
+    diffraction_polynomial,
+    power,
+)
 from speclat.moments import (
     MomentSequence,
     chebyshev_generating_check,
@@ -20,6 +29,9 @@ from speclat.moments import (
     verify_recurrence,
 )
 from speclat.specpoly import convolution_matrix, spectral_polynomial
+
+from _oracles import exact_moment_sweep, folded_moment_sweep
+from conftest import random_point_set
 
 HONEYCOMB_RECURRENCE = (
     (-1, (0, 0, 9)),  # 9 k^2 m_{k-1}
@@ -125,6 +137,79 @@ def test_trace_cross_check(w_honey, w_cheb):
                 ]
                 tr = sum(acc[i][i] for i in range(size))
                 assert tr == N**n * moment_N(w, k, N)
+
+
+# -- property sweep against the full-torus oracle ---------------------------------
+
+
+def check_against_full_torus(f: LaurentPoly, K: int):
+    """Every moment entry point agrees with K products on the full fold
+    torus; the MomentSequence wrappers only where the moments are >= 0."""
+    positive = all(c > 0 for c in f.terms.values())
+    exact = exact_moment_sweep(f, K)
+    assert [moment(f, k) for k in range(K + 1)] == exact
+    if positive:
+        assert list(moment_sequence(f, K).values) == exact
+    for mod in (9, 2**61 - 1):  # int64 and object residues
+        assert _moment_sweep(f, K, coeff_mod=mod) == [m % mod for m in exact]
+    for N in (1, 2, 3, 5):
+        level = folded_moment_sweep(f, K, N)
+        assert [moment_N(f, k, N) for k in range(K + 1)] == level
+        if positive:
+            assert list(moment_sequence_N(f, K, N).values) == level
+    for p, k, alpha in ((2, 1, 0), (3, 1, 0), (2, 1, 1)):
+        lo, hi = k * p**alpha, k * p ** (alpha + 1)
+        ref = exact_moment_sweep(f, hi, coeff_mod=p ** (alpha + 1))
+        assert check_congruence(f, p, k, alpha) == (ref[hi] == ref[lo])
+
+
+def random_laurent(rng: random.Random, n: int, shape: str) -> LaurentPoly:
+    span = 3 if n < 3 else 2
+    if shape == "constant":
+        return LaurentPoly(n, {(0,) * n: rng.randint(1, 3)})
+    if shape == "monomial":
+        e = tuple(rng.randint(-span, span) for _ in range(n))
+        return LaurentPoly(n, {e: rng.choice([-2, 1, 3])})
+    # one-sided support misses the origin, so no power but f^0 reaches it
+    least = 1 if shape == "one-sided" else -span
+    coefficients = [1, 2, 3] if rng.random() < 0.5 else [-3, -2, -1, 1, 2, 3]
+    return LaurentPoly(n, {
+        tuple(rng.randint(least, span) for _ in range(n)): rng.choice(coefficients)
+        for _ in range(rng.randint(2, 5))
+    })
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_moments_match_full_torus_random(seed):
+    rng = random.Random(3000 + seed)
+    n = 1 + seed % 3
+    f = random_laurent(rng, n, ("general", "constant", "monomial", "one-sided")[seed // 3 % 4])
+    check_against_full_torus(f, rng.randint(0, 12))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_moments_match_full_torus_diffraction(seed):
+    rng = random.Random(4000 + seed)
+    n = 1 + seed % 3
+    ps = random_point_set(rng, dimension=n)
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    check_against_full_torus(w, rng.randint(0, 12 if n < 3 else 6))
+
+
+@st.composite
+def moment_cases(draw):
+    n = draw(st.integers(1, 3))
+    span = 3 if n < 3 else 2
+    exponent = st.tuples(*[st.integers(-span, span)] * n)
+    coefficient = st.integers(-3, 3).filter(bool)
+    terms = draw(st.dictionaries(exponent, coefficient, min_size=1, max_size=5))
+    return LaurentPoly(n, terms), draw(st.integers(0, 12 if n < 3 else 8))
+
+
+@settings(max_examples=50)
+@given(moment_cases())
+def test_moments_match_full_torus_property(case):
+    check_against_full_torus(*case)
 
 
 # -- congruences ----------------------------------------------------------------
