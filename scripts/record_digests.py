@@ -1,0 +1,88 @@
+"""sha256 digests of CLI records, for byte-identity checks across versions.
+
+    PYTHONPATH=src python3 scripts/record_digests.py [--seeds 0 1 2] > digests.txt
+
+Runs ``speclat.cli.main`` in process on
+
+* the README example config: ``walks``, ``spectrum`` and ``mahler``, each as
+  JSON and as CSV, and ``walks`` with ``export_graph`` on;
+* the benchmark's ``torus-float`` and ``cli-cache`` jobs (``perfbench/gen.py``)
+  for each seed, each run cold and then warm on an empty cache directory;
+
+and prints one ``label digest`` line per record.  Run it against two
+checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import gen  # noqa: E402  (perfbench/gen.py)
+from speclat import cli  # noqa: E402
+
+README_COMMANDS = ("walks", "spectrum", "mahler")
+BENCH_WORKLOADS = ("torus-float", "cli-cache")
+
+
+def readme_config() -> dict:
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = re.search(r"```json\n(.*?)```", fh.read(), re.S)
+    return json.loads(block.group(1))
+
+
+def record(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"exit={code}\n" + out.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as work:
+        cfg = readme_config()
+        cfg_path = os.path.join(work, "readme.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        for command in README_COMMANDS:
+            for fmt in ("json", "csv"):
+                text = record([command, "--config", cfg_path, "--format", fmt])
+                print(f"readme/{command}/{fmt} {digest(text)}")
+        cfg["walks"]["export_graph"] = True
+        graph_path = os.path.join(work, "readme-graph.json")
+        with open(graph_path, "w") as fh:
+            json.dump(cfg, fh)
+        print(f"readme/walks-graph/json {digest(record(['walks', '--config', graph_path]))}")
+        for workload in BENCH_WORKLOADS:
+            for seed in args.seeds:
+                manifest = gen.write_inputs(os.path.join(work, f"{workload}-{seed}"), workload, seed)
+                for i, job in enumerate(manifest["jobs"]):
+                    cache = os.path.join(work, "cache", f"{workload}-{seed}-{i}")
+                    cold = record(job["argv"] + ["--cache-dir", cache])
+                    warm = record(job["argv"] + ["--cache-dir", cache])
+                    if warm != cold:
+                        print(f"{workload}/{seed}/{job['label']} cold and warm records differ")
+                        return 1
+                    print(f"{workload}/{seed}/{job['label']} {digest(cold)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

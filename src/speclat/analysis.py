@@ -27,6 +27,7 @@ from .specpoly import character_values
 
 DEFAULT_FLOAT_CAP = 10**7
 DEFAULT_SERIES_CAP = 1024
+MAHLER_METHODS = ("limit", "moment-series", "torus-quadrature")
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,11 @@ def spectrum(
     C2 = ps.total_weight**2
     tol = 1e-6 * C2 if tolerance is None else tolerance
     vals = np.sort(_values(ps, N).ravel())
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            chunk = vals[start:i]
-            clusters.append((float(chunk.mean()), len(chunk)))
-            start = i
+    bounds = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), len(vals)]
+    clusters = [
+        (float(vals[i:j].mean() if j - i > 1 else vals[i]), j - i)
+        for i, j in zip(bounds, bounds[1:])
+    ]
     gaps = [
         clusters[i + 1][0] - clusters[i][0] for i in range(len(clusters) - 1)
     ]

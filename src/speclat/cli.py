@@ -28,11 +28,18 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import diffraction_field, empirical_cdf, hilbert_transform, mahler_measure, spectrum
+from .analysis import (
+    MAHLER_METHODS,
+    diffraction_field,
+    empirical_cdf,
+    hilbert_transform,
+    mahler_measure,
+    spectrum,
+)
 from .arith import valuation_inequality_check
 from .catalog import BUILTIN_POINT_SETS
 from .errors import ConfigError, ResourceLimit, SpeclatError
-from .graph import based_walk_weight_sum, build_graph, walk_series_check
+from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
 from .lattice import WeightedPointSet, difference_lattice
 from .laurent import diffraction_polynomial
 from .moments import (
@@ -71,7 +78,7 @@ DEFAULTS = {
     "moments": {"k_max": 8, "levels": [], "congruences": [], "series": True},
     "walks": {"N": 2, "k_max": 3, "series_z": None, "series_K": 3, "export_graph": False},
     "spectrum": {"N": 4, "grid": None, "cdf_at": [], "tolerance": None},
-    "mahler": {"z": None, "methods": ["limit", "moment-series", "torus-quadrature"],
+    "mahler": {"z": None, "methods": list(MAHLER_METHODS),
                "tol": 1e-3, "resolution": 128, "hilbert": True, "hilbert_tol": 1e-10},
     "padic": {"p": None, "nu": 1, "z_values": None},
 }
@@ -84,18 +91,24 @@ MINIMA = {"bn": {"N": 1}, "moments": {"k_max": 0}, "walks": {"N": 1}, "spectrum"
 def _check_ranges(command: str, params: dict, ps: WeightedPointSet):
     if command == "padic" and params["p"] is None:
         raise ConfigError("padic requires a prime p")
-    if command == "mahler" and params["z"] is not None:
-        try:
-            z = abs(float(params["z"]))
-        except (TypeError, ValueError):
-            raise ConfigError(f"mahler z must be a number, got {params['z']!r}") from None
-        # the moment series converge only outside the spectrum [0, C^2]
-        C2 = ps.total_weight**2
-        if ("moment-series" in params["methods"] or params["hilbert"]) and z <= C2:
+    if command == "mahler":
+        methods = params["methods"]
+        if not isinstance(methods, list) or any(m not in MAHLER_METHODS for m in methods):
             raise ConfigError(
-                f"mahler moment-series and hilbert need |z| > total_weight^2 = {C2}, "
-                f"got z = {params['z']}"
+                f"mahler methods must be a list of {list(MAHLER_METHODS)}, got {methods!r}"
             )
+        if params["z"] is not None:
+            try:
+                z = abs(float(params["z"]))
+            except (TypeError, ValueError):
+                raise ConfigError(f"mahler z must be a number, got {params['z']!r}") from None
+            # the moment series converge only outside the spectrum [0, C^2]
+            C2 = ps.total_weight**2
+            if ("moment-series" in methods or params["hilbert"]) and z <= C2:
+                raise ConfigError(
+                    f"mahler moment-series and hilbert need |z| > total_weight^2 = {C2}, "
+                    f"got z = {params['z']}"
+                )
     for key, least in MINIMA.get(command, {}).items():
         try:
             value = int(params[key])
@@ -246,6 +259,9 @@ def _run_moments(ps: WeightedPointSet, params: dict) -> dict:
 
 def _run_walks(ps: WeightedPointSet, params: dict) -> dict:
     N, kmax = int(params["N"]), int(params["k_max"])
+    # the job's longest enumeration, over (points)^2 type pairs, before any work
+    kmost = max(kmax, int(params["series_K"]) if params["series_z"] is not None else 0)
+    check_walk_cap(len(ps.points) ** 2, kmost)
     G = build_graph(ps, difference_lattice(ps), N)
     totals = {k: based_walk_weight_sum(G, k) for k in range(1, kmax + 1)}
     payload = {

@@ -2,11 +2,15 @@
 
 Black vertices are the residues of the difference lattice mod N; white
 vertices are the (single) folded coset of the point set.  Each black vertex
-sends one typed edge per point, weighted by that point's weight.  A closed
-walk alternates black-to-white and white-to-black steps, so a walk of
-length 2k is a sequence of k type pairs whose difference sum folds to zero;
-enumerating those pairs literally (no matrix shortcut) provides the
-independent count that the convolution traces are checked against.
+sends one typed edge per point, weighted by that point's weight; the edge
+list is generated on access, since only the adjacency export reads it.  A
+closed walk alternates black-to-white and white-to-black steps, so a walk
+of length 2k is a sequence of k type pairs whose difference sum folds to
+zero.  Those sequences are enumerated literally (no matrix, torus or
+convolution shortcut), so they provide the independent count that the
+convolution traces are checked against: numpy holds the folded
+displacements and weight products of all suffixes (up to 2^16 of them),
+and each prefix tests them all at once.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CosetViolation, ExplosionGuard
 from .lattice import (
@@ -27,6 +33,7 @@ from .moments import poly_log_series
 from .specpoly import spectral_polynomial
 
 DEFAULT_WALK_CAP = 10**8
+SUFFIX_ROWS = 2**16  # most type sequences held in one suffix table
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,15 @@ class TorusBipartiteGraph:
     dimension: int
     points: tuple[tuple[tuple[int, ...], int], ...]
     pair_deltas: tuple[tuple[tuple[int, ...], int], ...]
-    edges: tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]
+
+    @property
+    def edges(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
+        """(black, white, type, weight) for every typed edge."""
+        return tuple(
+            (v, tuple((x + y) % self.N for x, y in zip(v, off)), t, c)
+            for v in _residues(self.dimension, self.N)
+            for t, (off, c) in enumerate(self.points)
+        )
 
     @property
     def black_count(self) -> int:
@@ -94,7 +109,6 @@ def build_graph(
         raise ValueError("N must be >= 1")
     if not disjointness_check(ps, basis):
         raise CosetViolation("point set meets its difference lattice")
-    n = ps.dimension
     anchor = ps.points[0][0]
     # offsets of each point against the anchor, in lattice coordinates
     offsets = []
@@ -105,14 +119,26 @@ def build_graph(
     for (a, ca), (b, cb) in itertools.product(ps.points, repeat=2):
         diff = tuple(x - y for x, y in zip(a, b))
         pair_deltas.append((to_lattice_coords(diff, basis), ca * cb))
-    edges = []
-    for v in _residues(n, N):
-        for t, (off, c) in enumerate(offsets):
-            w = tuple((x + y) % N for x, y in zip(v, off))
-            edges.append((v, w, t, c))
-    return TorusBipartiteGraph(
-        N, n, tuple(offsets), tuple(pair_deltas), tuple(edges)
-    )
+    return TorusBipartiteGraph(N, ps.dimension, tuple(offsets), tuple(pair_deltas))
+
+
+def check_walk_cap(npairs: int, k: int, cap: int = DEFAULT_WALK_CAP) -> None:
+    """Raise ExplosionGuard when the npairs**k type sequences of walks of
+    length 2k exceed the cap."""
+    if npairs**k > cap:
+        raise ExplosionGuard(f"{npairs}**{k} type sequences exceed the cap {cap}")
+
+
+def _sequence_table(deltas: np.ndarray, weights: np.ndarray, length: int, N: int):
+    """Folded displacement sums (one column per sequence, one row per
+    axis) and weight products of every type-pair sequence of the given
+    length; ``deltas`` holds one column per type pair."""
+    disp = np.zeros((deltas.shape[0], 1), dtype=np.int64)
+    prod = np.ones(1, dtype=weights.dtype)
+    for _ in range(length):
+        disp = ((disp[:, :, None] + deltas[:, None, :]) % N).reshape(deltas.shape[0], -1)
+        prod = (prod[:, None] * weights[None, :]).reshape(-1)
+    return disp, prod
 
 
 def based_walk_weight_sum(
@@ -122,26 +148,32 @@ def based_walk_weight_sum(
 
     Literal enumeration over all k-sequences of (out-type, back-type)
     pairs; a sequence closes iff its folded displacement sum vanishes.
-    Translation invariance contributes the factor of N^n start vertices.
+    Each sequence is a prefix of k - s pairs and a suffix of s pairs, with
+    s as large as P^s <= 2^16 allows (P the number of type pairs): every
+    prefix tests the whole suffix table at once, closing exactly with the
+    suffixes whose displacement is minus its own.  Weights are int64
+    while the weight total of all P^k sequences fits, Python integers
+    above.  Translation invariance contributes the factor of N^n start
+    vertices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     npairs = len(G.pair_deltas)
-    if npairs**k > cap:
-        raise ExplosionGuard(
-            f"{npairs}**{k} type sequences exceed the cap {cap}"
-        )
+    check_walk_cap(npairs, k, cap)
     N, n = G.N, G.dimension
-    zero = (0,) * n
+    deltas = np.array([[d[j] % N for d, _ in G.pair_deltas] for j in range(n)], dtype=np.int64)
+    # every partial total is at most the weight total of all P^k sequences
+    fits_int64 = sum(w for _, w in G.pair_deltas) ** k < 2**63
+    weights = np.array([w for _, w in G.pair_deltas], dtype=np.int64 if fits_int64 else object)
+    s = 1
+    while s < k and npairs ** (s + 1) <= SUFFIX_ROWS:
+        s += 1
+    tail_disp, tail_prod = _sequence_table(deltas, weights, s, N)
+    head_disp, head_prod = _sequence_table(deltas, weights, k - s, N)
     total = 0
-    for seq in itertools.product(G.pair_deltas, repeat=k):
-        disp = zero
-        weight = 1
-        for delta, w in seq:
-            disp = tuple((x + y) % N for x, y in zip(disp, delta))
-            weight *= w
-        if disp == zero:
-            total += weight
+    for want, weight in zip(-head_disp.T % N, head_prod):
+        closed = (tail_disp == want[:, None]).all(axis=0)
+        total += int(weight) * int(tail_prod[closed].sum())
     return total * N**n
 
 

@@ -244,22 +244,25 @@ def spectral_polynomial(
 
 
 def character_values(f: LaurentPoly, N: int) -> np.ndarray:
-    """Values of f at all N-torsion characters, as a real (N,)*n array.
+    """Real part of f at all N-torsion characters, as an (N,)*n array.
 
-    Uses one root-of-unity table per axis; the value at the trivial
-    character (index all zeros) is the exact coefficient sum.  Only
-    meaningful for palindromic f (real values); the real part is returned.
+    Only meaningful for palindromic f (real values).  Each term c x^e adds
+    c * cos(2 pi (e.k) / N) at character k, read from one table of the
+    real parts of exp(2 pi i r / N); e.k comes from per-axis ranges
+    broadcast against each other.  The sum runs in float64 in term order,
+    so it equals, bit for bit, the real part of the same sum taken in
+    complex arithmetic.  The value at the trivial character (index all
+    zeros) is the exact coefficient sum.
     """
     n = f.dimension
-    table = np.exp(2j * np.pi * np.arange(N) / N)
-    grids = np.indices((N,) * n)
-    acc = np.zeros((N,) * n, dtype=complex)
+    # cos at every residue of a phase sum, which stays below n * N
+    table = np.tile(np.exp(2j * np.pi * np.arange(N) / N).real, n)
+    axes = [np.arange(N).reshape((N,) + (1,) * (n - 1 - j)) for j in range(n)]
+    acc = np.zeros((N,) * n)
     for e, c in f.sorted_terms():
-        phase = np.zeros((N,) * n, dtype=np.int64)
-        for j, ej in enumerate(e):
-            phase += ej * grids[j]
-        acc += c * table[phase % N]
-    return acc.real
+        phase = sum((ej * ax) % N for ej, ax in zip(e, axes))
+        acc += c * table[phase]
+    return acc
 
 
 def spectral_log_value(

@@ -248,3 +248,52 @@ def series_multiply(a, b, K):
             for j, bj in enumerate(b[: K + 1 - i]):
                 out[i + j] += Fraction(ai) * Fraction(bj)
     return out
+
+
+# -- per-item loops of the torus-float kernels ---------------------------------
+
+
+def tuple_walk_weight_sum(G, k):
+    """Based closed-walk weight total of length 2k, one type sequence at a
+    time: a sequence of (out-type, back-type) pairs closes iff its folded
+    displacement sum vanishes; N^n start vertices."""
+    N, n = G.N, G.dimension
+    zero = (0,) * n
+    total = 0
+    for seq in itertools.product(G.pair_deltas, repeat=k):
+        disp = zero
+        weight = 1
+        for delta, w in seq:
+            disp = tuple((x + y) % N for x, y in zip(disp, delta))
+            weight *= w
+        if disp == zero:
+            total += weight
+    return total * N**n
+
+
+def complex_character_values(f, N):
+    """Real part of f at all N-torsion characters, summed in complex
+    arithmetic over full index grids, one term at a time."""
+    n = f.dimension
+    table = np.exp(2j * np.pi * np.arange(N) / N)
+    grids = np.indices((N,) * n)
+    acc = np.zeros((N,) * n, dtype=complex)
+    for e, c in f.sorted_terms():
+        phase = np.zeros((N,) * n, dtype=np.int64)
+        for j, ej in enumerate(e):
+            phase += ej * grids[j]
+        acc += c * table[phase % N]
+    return acc.real
+
+
+def loop_clusters(vals, tol):
+    """Maximal runs of sorted values with gaps <= tol, as (mean, size), one
+    value at a time."""
+    clusters = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > tol:
+            chunk = vals[start:i]
+            clusters.append((float(chunk.mean()), len(chunk)))
+            start = i
+    return tuple(clusters)

@@ -253,6 +253,41 @@ def test_mahler_series_inside_spectrum_exit_2(tmp_path, capsys, block):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "methods", [["bogus"], ["limit", "Limit"], "limit", [["limit"]], 3]
+)
+def test_mahler_unknown_method_exit_2(tmp_path, capsys, methods):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["mahler"] = {"z": 12.0, "methods": methods}
+    code = main(["mahler", "--config", write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("speclat: config error: mahler methods must be a list of")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "block, argv",
+    [
+        ({"N": 3}, ["--k-max", "20"]),  # 9**20 type sequences
+        ({"N": 2, "k_max": 2, "series_z": 10, "series_K": 9}, []),  # 9**9 in the series
+    ],
+)
+def test_walk_cap_checked_before_enumeration(tmp_path, capsys, monkeypatch, block, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walks enumerated past the job's cap")
+
+    monkeypatch.setattr("speclat.cli.based_walk_weight_sum", refuse)
+    monkeypatch.setattr("speclat.cli.walk_series_check", refuse)
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["walks"] = block
+    code = main(["walks", "--config", write_cfg(tmp_path, cfg)] + argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("speclat: resource cap: ")
+    assert "exceed the cap 100000000" in err
+
+
 def test_padic_without_prime_exit_2(tmp_path, capsys):
     assert main(["padic", "--config", write_cfg(tmp_path, HONEYCOMB_CFG)]) == 2
     assert "requires a prime p" in capsys.readouterr().err
