@@ -76,26 +76,34 @@ def spectrum(
     tolerance: float | None = None,
     float_cap: int = DEFAULT_FLOAT_CAP,
 ) -> SpectrumHistogram:
-    """All N^n character values, sorted and clustered."""
+    """All N^n character values, sorted and clustered.
+
+    A cluster's level is the mean of its values, bit for bit what
+    ``ndarray.mean`` gives on the cluster: the clusters of each size L are
+    gathered into one (count, L) block and averaged as ``block.sum(axis=1)
+    / L``, which reduces every contiguous row with numpy's pairwise sum,
+    the same order ``mean`` uses.  A singleton keeps its value.
+    """
     n = ps.dimension
     if N**n > float_cap:
         raise SizeLimit(f"{N**n} character values exceed cap {float_cap}")
     C2 = ps.total_weight**2
     tol = 1e-6 * C2 if tolerance is None else tolerance
     vals = np.sort(_values(ps, N).ravel())
-    bounds = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), len(vals)]
-    clusters = [
-        (float(vals[i:j].mean() if j - i > 1 else vals[i]), j - i)
-        for i, j in zip(bounds, bounds[1:])
-    ]
-    gaps = [
-        clusters[i + 1][0] - clusters[i][0] for i in range(len(clusters) - 1)
-    ]
-    min_gap = min(gaps) if gaps else math.inf
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > tol])
+    sizes = np.diff(np.r_[starts, len(vals)])
+    means = vals[starts]
+    # bincount, not np.unique: unique imports numpy.ma, which costs every
+    # short CLI job its memory
+    for size in np.flatnonzero(np.bincount(sizes)):
+        if size > 1:
+            rows = sizes == size
+            means[rows] = vals[starts[rows, None] + np.arange(size)].sum(axis=1) / size
+    min_gap = float(np.diff(means).min()) if len(means) > 1 else math.inf
     return SpectrumHistogram(
         N=N,
         values=vals,
-        clusters=tuple(clusters),
+        clusters=tuple(zip(means.tolist(), sizes.tolist())),
         support=(float(vals[0]), float(vals[-1])),
         tolerance=tol,
         min_gap=min_gap,

@@ -27,6 +27,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .analysis import (
     MAHLER_METHODS,
@@ -84,8 +85,8 @@ DEFAULTS = {
 }
 
 # least allowed value of integer parameters, per command; padic's p must be prime
-MINIMA = {"bn": {"N": 1}, "moments": {"k_max": 0}, "walks": {"N": 1}, "spectrum": {"N": 1},
-          "padic": {"p": 2, "nu": 1}}
+MINIMA = {"bn": {"N": 1}, "moments": {"k_max": 0}, "walks": {"N": 1, "k_max": 0, "series_K": 0},
+          "spectrum": {"N": 1}, "padic": {"p": 2, "nu": 1}}
 
 
 def _check_ranges(command: str, params: dict, ps: WeightedPointSet):
@@ -109,6 +110,18 @@ def _check_ranges(command: str, params: dict, ps: WeightedPointSet):
                     f"mahler moment-series and hilbert need |z| > total_weight^2 = {C2}, "
                     f"got z = {params['z']}"
                 )
+    if command == "walks" and params["series_z"] is not None:
+        # the log expansion the walks are checked against converges only above the spectrum
+        C2 = ps.total_weight**2
+        try:
+            above = int(params["series_z"]) > C2
+        except (TypeError, ValueError):
+            above = False
+        if not above:
+            raise ConfigError(
+                f"walks series_z must be an integer > total_weight^2 = {C2}, "
+                f"got {params['series_z']!r}"
+            )
     for key, least in MINIMA.get(command, {}).items():
         try:
             value = int(params[key])
@@ -301,9 +314,12 @@ def _run_spectrum(ps: WeightedPointSet, params: dict) -> dict:
         grid = diffraction_field(ps, m)
         values = None
         if m**ps.dimension <= 10_000:
+            # ravel's C order is the order itertools.product walks the grid in
             values = [
-                {"t": [int(i) for i in idx], "value": float(grid[idx])}
-                for idx in itertools.product(range(m), repeat=ps.dimension)
+                {"t": list(idx), "value": value}
+                for idx, value in zip(
+                    itertools.product(range(m), repeat=ps.dimension), grid.ravel().tolist()
+                )
             ]
         payload["grid"] = {
             "resolution": m,
@@ -416,8 +432,44 @@ def _csv_rows(command: str, payload: dict):
 # -- record plumbing ---------------------------------------------------------------
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
+    trees with string keys (any other key raises TypeError).  json has no C
+    encoder for indented output, and its pure-Python one is a chain of
+    generators; this builds each container's text in one join.  ``pad`` is
+    the newline and indentation that ``obj``'s lines continue from."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, float):  # np.float64 too, written as float.__repr__ writes it
+        text = float.__repr__(obj)
+        return _JSON_NONFINITE.get(text, text)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _json_string(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _record_text(record: ResultRecord) -> str:
-    return json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(record.to_dict()) + "\n"
 
 
 def _atomic_write(path: str, text: str):

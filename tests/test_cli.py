@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from speclat.cli import ResultRecord, main
+from speclat.cli import ResultRecord, _json_text, _record_text, main
 
 
 def test_record_round_trip():
@@ -288,6 +291,24 @@ def test_walk_cap_checked_before_enumeration(tmp_path, capsys, monkeypatch, bloc
     assert "exceed the cap 100000000" in err
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"series_z": 5},  # inside the spectrum [0, 9]: the log expansion diverges
+        {"k_max": "x"},
+        {"series_z": 10, "series_K": "y"},
+    ],
+)
+def test_walks_bad_input_exit_2(tmp_path, capsys, block):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["walks"] = block
+    code = main(["walks", "--config", write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("speclat: config error: walks ")
+    assert "Traceback" not in err
+
+
 def test_padic_without_prime_exit_2(tmp_path, capsys):
     assert main(["padic", "--config", write_cfg(tmp_path, HONEYCOMB_CFG)]) == 2
     assert "requires a prime p" in capsys.readouterr().err
@@ -314,3 +335,39 @@ def test_verify_chebyshev(tmp_path, capsys):
     assert len(payload["results"]) == 10
     err = capsys.readouterr().err
     assert "PASS c02-cheb-values-at-6" in err
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200),
+    st.integers(-(2**200), -(2**64)),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats().map(np.float64),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_trees)
+def test_record_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    record = ResultRecord("spectrum", "abc123", {"tree": tree})
+    assert _record_text(record) == json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("leaf", [{1, 2}, object()])
+def test_record_writer_rejects_non_json(leaf):
+    with pytest.raises(TypeError):
+        _json_text({"payload": [1.5, leaf]})

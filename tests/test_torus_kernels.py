@@ -98,3 +98,20 @@ def graph_sets(draw):
 def test_torus_kernels_match_loops_property(case):
     ps, N, suffix_rows = case
     check_kernels(ps, N, suffix_rows)
+
+
+HONEYCOMB = WeightedPointSet(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)))
+CUBE = WeightedPointSet(3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)))
+
+
+@pytest.mark.parametrize("ps, N", [(HONEYCOMB, 384), (CUBE, 48)], ids=["honeycomb-384", "cube-48"])
+def test_spectrum_means_bitwise_at_large_clusters(ps, N):
+    # clusters above 128 values, where numpy's pairwise sum splits into blocks
+    hist = spectrum(ps, N)
+    reference = loop_clusters(hist.values, hist.tolerance)
+    assert max(size for _, size in reference) > 128
+    assert [(mean.hex(), size) for mean, size in hist.clusters] == [
+        (mean.hex(), size) for mean, size in reference
+    ]
+    gaps = [b[0] - a[0] for a, b in zip(reference, reference[1:])]
+    assert hist.min_gap.hex() == min(gaps).hex()
