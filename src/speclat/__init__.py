@@ -35,13 +35,13 @@ from .arith import (
     vp,
 )
 from .catalog import builtin_point_set, chebyshev_point_set, honeycomb_point_set
-from .graph import TorusBipartiteGraph, WalkSum, based_walk_weight_sum, build_graph, walk_series_check
+from .context import SpectralContext
+from .graph import TorusBipartiteGraph, based_walk_weight_sum, build_graph, walk_series_check
 from .lattice import (
     LatticeBasis,
     WeightedPointSet,
     difference_lattice,
     disjointness_check,
-    quotient_enumeration,
     to_lattice_coords,
 )
 from .laurent import (
@@ -49,15 +49,11 @@ from .laurent import (
     constant_term,
     diffraction_polynomial,
     fold_mod_N,
-    multiply,
-    power,
 )
 from .moments import (
     MomentSequence,
     check_congruence,
     chebyshev_generating_check,
-    moment,
-    moment_N,
     moment_sequence,
     moment_sequence_N,
     product_exponents,
@@ -79,13 +75,11 @@ __all__ = [
     "WeightedPointSet",
     "LatticeBasis",
     "difference_lattice",
+    "SpectralContext",
     "to_lattice_coords",
     "disjointness_check",
-    "quotient_enumeration",
     "LaurentPoly",
     "diffraction_polynomial",
-    "multiply",
-    "power",
     "constant_term",
     "fold_mod_N",
     "IntPolynomial",
@@ -97,8 +91,6 @@ __all__ = [
     "integer_root_multiplicity",
     "spectral_log_value",
     "MomentSequence",
-    "moment",
-    "moment_N",
     "moment_sequence",
     "moment_sequence_N",
     "check_congruence",
@@ -107,7 +99,6 @@ __all__ = [
     "verify_recurrence",
     "chebyshev_generating_check",
     "TorusBipartiteGraph",
-    "WalkSum",
     "build_graph",
     "based_walk_weight_sum",
     "walk_series_check",

@@ -3,8 +3,9 @@
 Everything here is double precision by design: spectrum histograms over
 the torsion characters, the diffraction intensity on a grid, the Hilbert
 transform of the level-density measure, and the Mahler-measure limit of
-the spectral polynomials.  Exact counterparts (moments, polynomials) live
-in the other modules and are used as inputs, never recomputed here.
+the spectral polynomials.  Each function reads a SpectralContext: W from
+it, and the exact moments the series routes need, so a job that asks for
+several readings builds W once and sweeps the moments once.
 
 The torus log-average, the stabilized polynomial limit and the moment
 series are three independent numerical routes to the same Mahler measure;
@@ -19,10 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .context import SpectralContext
 from .errors import SizeLimit, SpectrumProximity
-from .lattice import LatticeBasis, WeightedPointSet, difference_lattice
-from .laurent import diffraction_polynomial
-from .moments import moment_sequence
 from .specpoly import character_values
 
 DEFAULT_FLOAT_CAP = 10**7
@@ -55,23 +54,16 @@ class SpectrumHistogram:
         return 0
 
 
-def _values(ps: WeightedPointSet, N: int, basis: LatticeBasis | None = None):
-    if basis is None:
-        basis = difference_lattice(ps)
-    w = diffraction_polynomial(ps, basis)
-    return character_values(w, N)
-
-
-def diffraction_field(ps: WeightedPointSet, resolution: int) -> np.ndarray:
+def diffraction_field(ctx: SpectralContext, resolution: int) -> np.ndarray:
     """Squared diffraction intensity on the uniform resolution^n grid of the
     fundamental domain (lattice coordinates)."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    return _values(ps, resolution)
+    return character_values(ctx.w, resolution)
 
 
 def spectrum(
-    ps: WeightedPointSet,
+    ctx: SpectralContext,
     N: int,
     tolerance: float | None = None,
     float_cap: int = DEFAULT_FLOAT_CAP,
@@ -84,12 +76,12 @@ def spectrum(
     / L``, which reduces every contiguous row with numpy's pairwise sum,
     the same order ``mean`` uses.  A singleton keeps its value.
     """
-    n = ps.dimension
+    n = ctx.dimension
     if N**n > float_cap:
         raise SizeLimit(f"{N**n} character values exceed cap {float_cap}")
-    C2 = ps.total_weight**2
+    C2 = ctx.ps.total_weight**2
     tol = 1e-6 * C2 if tolerance is None else tolerance
-    vals = np.sort(_values(ps, N).ravel())
+    vals = np.sort(character_values(ctx.w, N).ravel())
     starts = np.flatnonzero(np.r_[True, np.diff(vals) > tol])
     sizes = np.diff(np.r_[starts, len(vals)])
     means = vals[starts]
@@ -119,7 +111,7 @@ def empirical_cdf(hist: SpectrumHistogram, r: float) -> Fraction:
 # -- Hilbert transform ----------------------------------------------------------
 
 
-def _series_length(ratio: float, scale: float, tol: float, cap: int) -> int:
+def _series_length(ratio: float, scale: float, tol: float, cap: float) -> int:
     # smallest K with ratio^(K+1) / scale < tol
     if not 0 < ratio < 1:
         raise ValueError("series method needs |z| above the spectrum top")
@@ -132,8 +124,32 @@ def _series_length(ratio: float, scale: float, tol: float, cap: int) -> int:
     return K
 
 
+def _hilbert_length(C2: int, z: complex, tol: float, cap: float = math.inf) -> int:
+    return _series_length(C2 / abs(z), abs(z) - C2, tol, cap)
+
+
+def _mahler_length(C2: int, z: complex, tol: float, cap: float = math.inf) -> int:
+    return _series_length(C2 / abs(z), 1 - C2 / abs(z), tol / 10, cap)
+
+
+def sweep_series_moments(
+    ctx: SpectralContext, z: complex, mahler_tol: float | None, hilbert_tol: float | None
+) -> None:
+    """Sweep the moments once, to the longer of the series that the
+    moment-series routes of mahler_measure and hilbert_transform will read
+    at these tolerances (None: that route is not taken) with the default
+    series cap.  A length over the cap is left for the route to refuse."""
+    C2 = ctx.ps.total_weight**2
+    K = max(
+        _mahler_length(C2, z, mahler_tol) if mahler_tol is not None else 0,
+        _hilbert_length(C2, z, hilbert_tol) if hilbert_tol is not None else 0,
+    )
+    if 0 < K <= DEFAULT_SERIES_CAP:
+        ctx.moment_sequence(K)
+
+
 def hilbert_transform(
-    ps: WeightedPointSet,
+    ctx: SpectralContext,
     z: complex,
     method: str = "moment-series",
     tol: float = 1e-10,
@@ -146,12 +162,10 @@ def hilbert_transform(
     tol (requires |z| > total_weight^2).  spectrum-average: average of
     1/(z - value) over the characters, level doubled until stable.
     """
-    C2 = ps.total_weight**2
+    C2 = ctx.ps.total_weight**2
     if method == "moment-series":
-        ratio = C2 / abs(z)
-        K = _series_length(ratio, abs(z) - C2, tol, series_cap)
-        w = diffraction_polynomial(ps, difference_lattice(ps))
-        m = moment_sequence(w, K)
+        K = _hilbert_length(C2, z, tol, series_cap)
+        m = ctx.moment_sequence(K)
         # sum m_k / z^(k+1) as (m_k / C2^k) * (C2/z)^k / z: both factors
         # stay bounded however large the integer moments get
         zinv = 1 / complex(z)
@@ -167,8 +181,8 @@ def hilbert_transform(
     if method == "spectrum-average":
         prev = None
         N = 16
-        while N ** ps.dimension <= float_cap:
-            vals = _values(ps, N).ravel()
+        while N**ctx.dimension <= float_cap:
+            vals = character_values(ctx.w, N).ravel()
             cur = complex(np.mean(1.0 / (complex(z) - vals)))
             if prev is not None and abs(cur - prev) < tol:
                 return cur
@@ -188,8 +202,8 @@ class MahlerResult:
     method: str
 
 
-def _log_average(ps, N, z, tol_abs, basis=None) -> float:
-    vals = _values(ps, N, basis).ravel()
+def _log_average(ctx: SpectralContext, N, z, tol_abs) -> float:
+    vals = character_values(ctx.w, N).ravel()
     diffs = np.abs(complex(z) - vals)
     if diffs.min() < tol_abs:
         raise SpectrumProximity(
@@ -199,7 +213,7 @@ def _log_average(ps, N, z, tol_abs, basis=None) -> float:
 
 
 def mahler_measure(
-    ps: WeightedPointSet,
+    ctx: SpectralContext,
     z: complex,
     method: str = "limit",
     tol: float = 1e-3,
@@ -216,14 +230,13 @@ def mahler_measure(
     at the given resolution, with the half-resolution difference as the
     error estimate.
     """
-    C2 = ps.total_weight**2
+    C2 = ctx.ps.total_weight**2
     proximity = 1e-6 * C2
     if method == "limit":
-        basis = difference_lattice(ps)
         prev = None
         N = 16
-        while N ** ps.dimension <= float_cap:
-            cur = math.exp(-_log_average(ps, N, z, proximity, basis))
+        while N**ctx.dimension <= float_cap:
+            cur = math.exp(-_log_average(ctx, N, z, proximity))
             if prev is not None and abs(cur - prev) < tol:
                 return MahlerResult(cur, abs(cur - prev), method)
             prev = cur
@@ -231,9 +244,8 @@ def mahler_measure(
         raise SizeLimit("limit method did not stabilize within the float cap")
     if method == "moment-series":
         ratio = C2 / abs(z)
-        K = _series_length(ratio, (1 - ratio), tol / 10, series_cap)
-        w = diffraction_polynomial(ps, difference_lattice(ps))
-        m = moment_sequence(w, K)
+        K = _mahler_length(C2, z, tol, series_cap)
+        m = ctx.moment_sequence(K)
         zinv = 1 / complex(z)
         base = C2 * zinv
         acc = 0j
@@ -247,7 +259,7 @@ def mahler_measure(
         tail = ratio ** (K + 1) / ((K + 1) * (1 - ratio))
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":
-        coarse = math.exp(-_log_average(ps, max(resolution // 2, 2), z, proximity))
-        fine = math.exp(-_log_average(ps, resolution, z, proximity))
+        coarse = math.exp(-_log_average(ctx, max(resolution // 2, 2), z, proximity))
+        fine = math.exp(-_log_average(ctx, resolution, z, proximity))
         return MahlerResult(fine, abs(fine - coarse), method)
     raise ValueError(f"unknown method {method!r}")

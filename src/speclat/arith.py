@@ -19,9 +19,8 @@ from functools import lru_cache
 
 from . import primes
 from .errors import SizeLimit
-from .lattice import WeightedPointSet, difference_lattice
-from .laurent import diffraction_polynomial
-from .specpoly import DEFAULT_SIZE_LIMIT, evaluate_at_integer, spectral_polynomial
+from .context import SpectralContext
+from .specpoly import DEFAULT_SIZE_LIMIT, evaluate_at_integer
 
 DEFAULT_POINT_CAP = 10**7
 _TRIAL_LIMIT = 10**6
@@ -48,16 +47,6 @@ class FactoredInteger:
     sign: int
     factors: dict[int, int]
     cofactor: int = 1
-
-    def reconstruct(self) -> int:
-        x = self.sign * self.cofactor
-        for p, e in self.factors.items():
-            x *= p**e
-        return x
-
-    @property
-    def complete(self) -> bool:
-        return self.cofactor == 1
 
 
 @lru_cache(maxsize=1)
@@ -265,7 +254,7 @@ class PrimePowerField:
 
 
 def count_points(
-    ps: WeightedPointSet,
+    ps: SpectralContext,
     z: int,
     p: int,
     nu: int = 1,
@@ -276,15 +265,15 @@ def count_points(
 
     Coordinates follow the lattice basis; the count is basis independent
     because any two bases differ by a unimodular monomial substitution.
+    ``ps`` is the point set's context; the benchmark's span counters read
+    the argument by that name.
     """
     n = ps.dimension
     field = PrimePowerField(p, nu)
     g_order = field.order - 1
     if g_order**n > cap:
         raise SizeLimit(f"(p^nu - 1)^n = {g_order**n} exceeds cap {cap}")
-    basis = difference_lattice(ps)
-    w = diffraction_polynomial(ps, basis)
-    terms = [(e, c % p) for e, c in w.sorted_terms() if c % p]
+    terms = [(e, c % p) for e, c in ps.w.sorted_terms() if c % p]
     gen = field.generator()
     table = [field.one]
     for _ in range(g_order - 1):
@@ -302,7 +291,7 @@ def count_points(
 
 
 def valuation_inequality_check(
-    ps: WeightedPointSet,
+    ctx: SpectralContext,
     z: int,
     p: int,
     nu: int = 1,
@@ -314,7 +303,7 @@ def valuation_inequality_check(
     An infinite valuation (value 0) counts as holding.
     """
     N = p**nu - 1
-    poly = spectral_polynomial(ps, N, size_limit=size_limit)
+    poly = ctx.spectral_polynomial(N, size_limit)
     lhs = vp(evaluate_at_integer(poly, z), p)
-    rhs = count_points(ps, z, p, nu, cap)
+    rhs = count_points(ctx, z, p, nu, cap)
     return lhs, rhs, lhs >= rhs

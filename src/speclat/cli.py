@@ -5,10 +5,17 @@
     speclat verify <chebyshev|honeycomb>
 
 The config file carries the point set and one parameter block per
-command; command-line flags override scalar parameters.  Results are
-deterministic, content-addressed by a hash of the effective config, and
-cached as JSON when a cache directory is given.  Big integers are
-serialized as decimal strings.
+command; command-line flags override scalar parameters.  ``COMMANDS`` is
+the one table of the commands: for each, its parameters (a kind, a
+default and, for a scalar a flag may override, the flag's type), its
+runner and its CSV table.  Every parameter is checked against its kind
+before the config is hashed and is kept exactly as given, so one job has
+one hash.  A job runs on one SpectralContext, which builds the lattice, W
+and each b_N once.  Results are deterministic, content-addressed by a
+hash of the effective config, and cached as JSON when a cache directory
+is given; the cache file name carries ``ALGORITHM``, so no record of a
+superseded algorithm is served.  Big integers are serialized as decimal
+strings.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 resource cap exceeded.
@@ -22,12 +29,14 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import Callable, NamedTuple
 
 from .analysis import (
     MAHLER_METHODS,
@@ -36,108 +45,32 @@ from .analysis import (
     hilbert_transform,
     mahler_measure,
     spectrum,
+    sweep_series_moments,
 )
 from .arith import valuation_inequality_check
 from .catalog import BUILTIN_POINT_SETS
+from .context import SpectralContext
 from .errors import ConfigError, ResourceLimit, SpeclatError
 from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
-from .lattice import WeightedPointSet, difference_lattice
-from .laurent import diffraction_polynomial
-from .moments import (
-    check_congruence,
-    moment_sequence,
-    moment_sequence_N,
-    product_exponents,
-    series_coefficients,
-)
+from .lattice import WeightedPointSet, _is_int
+from .moments import check_congruence, moment_sequence_N, product_exponents, series_coefficients
 from .primes import is_prime
-from .specpoly import (
-    DEFAULT_SIZE_LIMIT,
-    divides,
-    evaluate_at_integer,
-    integer_root_multiplicity,
-    spectral_polynomial,
-)
+from .specpoly import DEFAULT_SIZE_LIMIT, divides, evaluate_at_integer, integer_root_multiplicity
 from .verify import run_suite
 
 SCHEMA = "speclat-result/1"
 
-COMMANDS = ("bn", "moments", "walks", "spectrum", "mahler", "padic")
-
-# scalar parameters a flag may override, per command
-OVERRIDABLE = {
-    "bn": {"N": int, "size_limit": int},
-    "moments": {"k_max": int},
-    "walks": {"N": int, "k_max": int, "series_z": int, "series_K": int},
-    "spectrum": {"N": int, "grid": int, "tolerance": float},
-    "mahler": {"z": float, "tol": float, "resolution": int},
-    "padic": {"p": int, "nu": int},
-}
-
-DEFAULTS = {
-    "bn": {"N": 1, "size_limit": DEFAULT_SIZE_LIMIT, "levels": [], "divisor_checks": [], "evaluate_at": []},
-    "moments": {"k_max": 8, "levels": [], "congruences": [], "series": True},
-    "walks": {"N": 2, "k_max": 3, "series_z": None, "series_K": 3, "export_graph": False},
-    "spectrum": {"N": 4, "grid": None, "cdf_at": [], "tolerance": None},
-    "mahler": {"z": None, "methods": list(MAHLER_METHODS),
-               "tol": 1e-3, "resolution": 128, "hilbert": True, "hilbert_tol": 1e-10},
-    "padic": {"p": None, "nu": 1, "z_values": None},
-}
-
-# least allowed value of integer parameters, per command; padic's p must be prime
-MINIMA = {"bn": {"N": 1}, "moments": {"k_max": 0}, "walks": {"N": 1, "k_max": 0, "series_K": 0},
-          "spectrum": {"N": 1}, "padic": {"p": 2, "nu": 1}}
-
-
-def _check_ranges(command: str, params: dict, ps: WeightedPointSet):
-    if command == "padic" and params["p"] is None:
-        raise ConfigError("padic requires a prime p")
-    if command == "mahler":
-        methods = params["methods"]
-        if not isinstance(methods, list) or any(m not in MAHLER_METHODS for m in methods):
-            raise ConfigError(
-                f"mahler methods must be a list of {list(MAHLER_METHODS)}, got {methods!r}"
-            )
-        if params["z"] is not None:
-            try:
-                z = abs(float(params["z"]))
-            except (TypeError, ValueError):
-                raise ConfigError(f"mahler z must be a number, got {params['z']!r}") from None
-            # the moment series converge only outside the spectrum [0, C^2]
-            C2 = ps.total_weight**2
-            if ("moment-series" in methods or params["hilbert"]) and z <= C2:
-                raise ConfigError(
-                    f"mahler moment-series and hilbert need |z| > total_weight^2 = {C2}, "
-                    f"got z = {params['z']}"
-                )
-    if command == "walks" and params["series_z"] is not None:
-        # the log expansion the walks are checked against converges only above the spectrum
-        C2 = ps.total_weight**2
-        try:
-            above = int(params["series_z"]) > C2
-        except (TypeError, ValueError):
-            above = False
-        if not above:
-            raise ConfigError(
-                f"walks series_z must be an integer > total_weight^2 = {C2}, "
-                f"got {params['series_z']!r}"
-            )
-    for key, least in MINIMA.get(command, {}).items():
-        try:
-            value = int(params[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{command} {key} must be an integer, got {params[key]!r}") from None
-        if value < least:
-            raise ConfigError(f"{command} {key} must be >= {least}, got {value}")
-        if key == "p" and not is_prime(value):
-            raise ConfigError(f"padic p must be a prime, got {value}")
+# Names the algorithms behind the records.  Change it with any change that
+# can alter a record: cache entries written under another tag are never read.
+ALGORITHM = "alg1"
 
 
 @dataclass(frozen=True)
 class JobConfig:
     """One validated job: point set, command, effective parameters, output
-    options.  Construction validates the point set and rejects unknown
-    parameters, so dispatch never sees a malformed job."""
+    options.  Construction validates the point set, rejects unknown
+    parameters and checks every parameter against its kind, so dispatch
+    never sees a malformed job."""
 
     point_set: WeightedPointSet
     command: str
@@ -154,20 +87,25 @@ class JobConfig:
             dim = cfg["dimension"]
             points = tuple((tuple(p["a"]), p.get("c", 1)) for p in cfg["points"])
             ps = WeightedPointSet(dim, points)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid point set: {exc}") from exc
-        params = dict(DEFAULTS[command])
+        spec = COMMANDS[command]
         block = cfg.get(command, {})
         if not isinstance(block, dict):
             raise ConfigError(f"config block {command!r} must be an object")
-        unknown = set(block) - set(params)
+        unknown = set(block) - set(spec.params)
         if unknown:
             raise ConfigError(f"unknown {command} parameters: {sorted(unknown)}")
+        params = {key: param.default for key, param in spec.params.items()}
         params.update(block)
-        for key, value in overrides.items():
-            if value is not None:
-                params[key] = value
-        _check_ranges(command, params, ps)
+        params.update((key, value) for key, value in overrides.items() if value is not None)
+        for key, (kind, default, _) in spec.params.items():
+            value = params[key]
+            if not kind.ok(value):
+                if value is None and default is None:
+                    raise ConfigError(f"{command} requires {kind.what} {key}")
+                raise ConfigError(f"{command} {key} must be {kind.what}, got {value!r}")
+        spec.check(params, ps.total_weight**2)
         return JobConfig(
             ps, command, params, fmt=args.format, cache_dir=args.cache_dir, out=args.out
         )
@@ -183,7 +121,6 @@ class JobConfig:
                 "params": self.params,
             },
             sort_keys=True,
-            default=str,
         )
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
@@ -216,51 +153,99 @@ class ResultRecord:
         )
 
 
+# -- parameter kinds --------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """What a parameter value must be: ``ok`` tests it, ``what`` names it."""
+
+    what: str
+    ok: Callable[[object], bool]
+
+
+def _int(least: int) -> Kind:
+    return Kind(f"an integer >= {least}", lambda v: _is_int(v) and v >= least)
+
+
+def _optional(kind: Kind) -> Kind:
+    return Kind(f"null or {kind.what}", lambda v: v is None or kind.ok(v))
+
+
+def _list(kind: Kind) -> Kind:
+    return Kind(f"a list, each item {kind.what}",
+                lambda v: isinstance(v, list) and all(map(kind.ok, v)))
+
+
+def _row(*kinds: Kind) -> Kind:
+    return Kind(
+        f"[{', '.join(k.what for k in kinds)}]",
+        lambda v: isinstance(v, list) and len(v) == len(kinds)
+        and all(k.ok(x) for k, x in zip(kinds, v)),
+    )
+
+
+INT = Kind("an integer", _is_int)
+LEVEL = _int(1)
+COUNT = _int(0)
+PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
+BOOL = Kind("true or false", lambda v: isinstance(v, bool))
+NUMBER = Kind("a finite number", lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v))
+POSITIVE = Kind("a number > 0", lambda v: NUMBER.ok(v) and v > 0)
+NONNEGATIVE = Kind("a number >= 0", lambda v: NUMBER.ok(v) and v >= 0)
+METHODS = Kind(f"a list of {list(MAHLER_METHODS)}",
+               lambda v: isinstance(v, list) and all(m in MAHLER_METHODS for m in v))
+
+
+class Param(NamedTuple):
+    """A kind, a default (None with a kind that refuses None: required) and
+    the type of the flag that overrides the parameter, if any."""
+
+    kind: Kind
+    default: object = None
+    flag: type | None = None
+
+
 # -- payload builders -----------------------------------------------------------
 
 
-def _run_bn(ps: WeightedPointSet, params: dict) -> dict:
-    N = int(params["N"])
-    poly = spectral_polynomial(ps, N, size_limit=int(params["size_limit"]))
-    payload = {
+def _run_bn(ctx: SpectralContext, params: dict) -> dict:
+    N, size_limit = params["N"], params["size_limit"]
+    poly = ctx.spectral_polynomial(N, size_limit)
+    return {
         "N": N,
         "degree": poly.degree,
         "coefficients": [str(c) for c in poly.coefficients],
         "level_multiplicities": {
-            str(r): integer_root_multiplicity(poly, int(r)) for r in params["levels"]
+            str(r): integer_root_multiplicity(poly, r) for r in params["levels"]
         },
-        "divisor_checks": [],
-        "evaluations": [],
-    }
-    for np_, n_ in params["divisor_checks"]:
-        payload["divisor_checks"].append(
+        "divisor_checks": [
             {
-                "divisor_level": np_,
-                "level": n_,
+                "divisor_level": d,
+                "level": n,
                 "divides": divides(
-                    spectral_polynomial(ps, int(np_), size_limit=int(params["size_limit"])),
-                    spectral_polynomial(ps, int(n_), size_limit=int(params["size_limit"])),
+                    ctx.spectral_polynomial(d, size_limit), ctx.spectral_polynomial(n, size_limit)
                 ),
             }
-        )
-    for z in params["evaluate_at"]:
-        payload["evaluations"].append({"z": int(z), "value": str(evaluate_at_integer(poly, int(z)))})
-    return payload
+            for d, n in params["divisor_checks"]
+        ],
+        "evaluations": [
+            {"z": z, "value": str(evaluate_at_integer(poly, z))} for z in params["evaluate_at"]
+        ],
+    }
 
 
-def _run_moments(ps: WeightedPointSet, params: dict) -> dict:
-    K = int(params["k_max"])
-    w = diffraction_polynomial(ps, difference_lattice(ps))
-    seq = moment_sequence(w, K)
+def _run_moments(ctx: SpectralContext, params: dict) -> dict:
+    K = params["k_max"]
+    seq = ctx.moment_sequence(K)
     payload = {
         "k_max": K,
         "moments": [str(v) for v in seq.values],
         "level_moments": {
-            str(N): [str(v) for v in moment_sequence_N(w, K, int(N)).values]
+            str(N): [str(v) for v in moment_sequence_N(ctx.w, K, N).values]
             for N in params["levels"]
         },
         "congruences": [
-            {"p": p, "k": k, "alpha": a, "holds": check_congruence(w, int(p), int(k), int(a))}
+            {"p": p, "k": k, "alpha": a, "holds": check_congruence(ctx.w, p, k, a)}
             for p, k, a in params["congruences"]
         ],
     }
@@ -270,33 +255,28 @@ def _run_moments(ps: WeightedPointSet, params: dict) -> dict:
     return payload
 
 
-def _run_walks(ps: WeightedPointSet, params: dict) -> dict:
-    N, kmax = int(params["N"]), int(params["k_max"])
+def _run_walks(ctx: SpectralContext, params: dict) -> dict:
+    N, kmax, z, K = params["N"], params["k_max"], params["series_z"], params["series_K"]
     # the job's longest enumeration, over (points)^2 type pairs, before any work
-    kmost = max(kmax, int(params["series_K"]) if params["series_z"] is not None else 0)
-    check_walk_cap(len(ps.points) ** 2, kmost)
-    G = build_graph(ps, difference_lattice(ps), N)
-    totals = {k: based_walk_weight_sum(G, k) for k in range(1, kmax + 1)}
+    check_walk_cap(len(ctx.ps.points) ** 2, max(kmax, K if z is not None else 0))
+    G = build_graph(ctx.ps, ctx.basis, N)
+    totals = [based_walk_weight_sum(G, k) for k in range(1, kmax + 1)]
     payload = {
         "N": N,
         "k_max": kmax,
-        "walk_totals": [str(totals[k]) for k in range(1, kmax + 1)],
-        "per_class": [str(Fraction(totals[k], k)) for k in range(1, kmax + 1)],
+        "walk_totals": [str(t) for t in totals],
+        "per_class": [str(Fraction(t, k)) for k, t in enumerate(totals, 1)],
     }
-    if params["series_z"] is not None:
-        payload["series_check"] = {
-            "z": int(params["series_z"]),
-            "K": int(params["series_K"]),
-            "ok": walk_series_check(ps, N, int(params["series_z"]), int(params["series_K"])),
-        }
+    if z is not None:
+        payload["series_check"] = {"z": z, "K": K, "ok": walk_series_check(ctx, N, z, K)}
     if params["export_graph"]:
         payload["graph"] = G.adjacency()
     return payload
 
 
-def _run_spectrum(ps: WeightedPointSet, params: dict) -> dict:
-    N = int(params["N"])
-    hist = spectrum(ps, N, tolerance=params["tolerance"])
+def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
+    N = params["N"]
+    hist = spectrum(ctx, N, tolerance=params["tolerance"])
     payload = {
         "N": N,
         "levels": [[v, m] for v, m in hist.clusters],
@@ -309,17 +289,16 @@ def _run_spectrum(ps: WeightedPointSet, params: dict) -> dict:
             for r in params["cdf_at"]
         ],
     }
-    if params["grid"] is not None:
-        m = int(params["grid"])
-        grid = diffraction_field(ps, m)
+    m = params["grid"]
+    if m is not None:
+        grid = diffraction_field(ctx, m)
+        n = ctx.dimension
         values = None
-        if m**ps.dimension <= 10_000:
+        if m**n <= 10_000:
             # ravel's C order is the order itertools.product walks the grid in
             values = [
                 {"t": list(idx), "value": value}
-                for idx, value in zip(
-                    itertools.product(range(m), repeat=ps.dimension), grid.ravel().tolist()
-                )
+                for idx, value in zip(itertools.product(range(m), repeat=n), grid.ravel().tolist())
             ]
         payload["grid"] = {
             "resolution": m,
@@ -330,25 +309,28 @@ def _run_spectrum(ps: WeightedPointSet, params: dict) -> dict:
     return payload
 
 
-def _run_mahler(ps: WeightedPointSet, params: dict) -> dict:
-    if params["z"] is None:
-        raise ConfigError("mahler requires a z value")
-    z = params["z"]
+def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
+    z, methods, tol = params["z"], params["methods"], params["tol"]
+    # the two moment series read one sweep, to the longer of them
+    sweep_series_moments(
+        ctx,
+        z,
+        tol if "moment-series" in methods else None,
+        params["hilbert_tol"] if params["hilbert"] else None,
+    )
     results = {}
-    for method in params["methods"]:
-        res = mahler_measure(
-            ps, z, method=method, tol=float(params["tol"]), resolution=int(params["resolution"])
-        )
+    for method in methods:
+        res = mahler_measure(ctx, z, method=method, tol=tol, resolution=params["resolution"])
         results[method] = {"value": res.value, "error": res.error}
     deltas = {}
-    methods = list(results)
-    for i, a in enumerate(methods):
-        for b in methods[i + 1 :]:
+    names = list(results)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
             deltas[f"{a}|{b}"] = abs(results[a]["value"] - results[b]["value"])
     payload = {"z": z, "mahler": results, "deltas": deltas}
     if params["hilbert"]:
-        hs = hilbert_transform(ps, z, method="moment-series", tol=float(params["hilbert_tol"]))
-        ha = hilbert_transform(ps, z, method="spectrum-average", tol=float(params["hilbert_tol"]))
+        hs = hilbert_transform(ctx, z, method="moment-series", tol=params["hilbert_tol"])
+        ha = hilbert_transform(ctx, z, method="spectrum-average", tol=params["hilbert_tol"])
         payload["hilbert"] = {
             "moment-series": [hs.real, hs.imag],
             "spectrum-average": [ha.real, ha.imag],
@@ -357,76 +339,135 @@ def _run_mahler(ps: WeightedPointSet, params: dict) -> dict:
     return payload
 
 
-def _run_padic(ps: WeightedPointSet, params: dict) -> dict:
-    p, nu = int(params["p"]), int(params["nu"])
-    z_values = params["z_values"]
-    if z_values is None:
-        z_values = list(range(p))
+def _run_padic(ctx: SpectralContext, params: dict) -> dict:
+    p, nu, z_values = params["p"], params["nu"], params["z_values"]
     rows = []
-    for z in z_values:
-        lhs, rhs, holds = valuation_inequality_check(ps, int(z), p, nu)
+    for z in range(p) if z_values is None else z_values:
+        lhs, rhs, holds = valuation_inequality_check(ctx, z, p, nu)
         rows.append(
-            {
-                "z": int(z),
-                "valuation": "inf" if lhs == float("inf") else int(lhs),
-                "count": rhs,
-                "holds": holds,
-            }
+            {"z": z, "valuation": "inf" if lhs == float("inf") else lhs, "count": rhs, "holds": holds}
         )
     return {"p": p, "nu": nu, "rows": rows}
 
 
-RUNNERS = {
-    "bn": _run_bn,
-    "moments": _run_moments,
-    "walks": _run_walks,
-    "spectrum": _run_spectrum,
-    "mahler": _run_mahler,
-    "padic": _run_padic,
+def _spectrum_csv(payload: dict) -> list[tuple]:
+    grid = payload.get("grid")
+    if grid and grid.get("values"):
+        n = len(grid["values"][0]["t"])
+        return [
+            tuple(f"t{i}" for i in range(n)) + ("value",),
+            *(tuple(row["t"]) + (row["value"],) for row in grid["values"]),
+        ]
+    return [("level", "multiplicity"), *map(tuple, payload["levels"])]
+
+
+def _dict_rows(field: str, header: tuple) -> Callable[[dict], list[tuple]]:
+    """CSV table of the dicts in payload[field], one column per header key."""
+    return lambda payload: [header, *(tuple(r[h] for h in header) for r in payload[field])]
+
+
+_verify_csv = _dict_rows("results", ("criterion", "passed", "detail"))
+
+
+def _mahler_above_spectrum(params: dict, C2: int):
+    # the moment series converge only outside the spectrum [0, C^2]
+    if ("moment-series" in params["methods"] or params["hilbert"]) and abs(params["z"]) <= C2:
+        raise ConfigError(
+            f"mahler moment-series and hilbert need |z| > total_weight^2 = {C2}, "
+            f"got z = {params['z']}"
+        )
+
+
+def _walks_above_spectrum(params: dict, C2: int):
+    # the log expansion the walks are checked against converges only above the spectrum
+    z = params["series_z"]
+    if z is not None and z <= C2:
+        raise ConfigError(f"walks series_z must be an integer > total_weight^2 = {C2}, got {z!r}")
+
+
+class Command(NamedTuple):
+    """Parameters, payload builder, CSV table (header row first) and a check
+    of the parameters against total_weight^2."""
+
+    params: dict[str, Param]
+    run: Callable[[SpectralContext, dict], dict]
+    csv: Callable[[dict], list[tuple]]
+    check: Callable[[dict, int], None] = lambda params, C2: None
+
+
+COMMANDS = {
+    "bn": Command(
+        {
+            "N": Param(LEVEL, 1, int),
+            "size_limit": Param(LEVEL, DEFAULT_SIZE_LIMIT, int),
+            "levels": Param(_list(INT), []),
+            "divisor_checks": Param(_list(_row(LEVEL, LEVEL)), []),
+            "evaluate_at": Param(_list(INT), []),
+        },
+        _run_bn,
+        lambda payload: [("index", "coefficient"), *enumerate(payload["coefficients"])],
+    ),
+    "moments": Command(
+        {
+            "k_max": Param(COUNT, 8, int),
+            "levels": Param(_list(LEVEL), []),
+            "congruences": Param(_list(_row(PRIME, COUNT, COUNT)), []),
+            "series": Param(BOOL, True),
+        },
+        _run_moments,
+        lambda payload: [("k", "moment"), *enumerate(payload["moments"])],
+    ),
+    "walks": Command(
+        {
+            "N": Param(LEVEL, 2, int),
+            "k_max": Param(COUNT, 3, int),
+            "series_z": Param(_optional(INT), None, int),
+            "series_K": Param(COUNT, 3, int),
+            "export_graph": Param(BOOL, False),
+        },
+        _run_walks,
+        lambda payload: [
+            ("k", "based_total", "per_class"),
+            *((k, *row) for k, row in enumerate(zip(payload["walk_totals"], payload["per_class"]), 1)),
+        ],
+        _walks_above_spectrum,
+    ),
+    "spectrum": Command(
+        {
+            "N": Param(LEVEL, 4, int),
+            "grid": Param(_optional(_int(2)), None, int),
+            "cdf_at": Param(_list(NUMBER), []),
+            "tolerance": Param(_optional(NONNEGATIVE), None, float),
+        },
+        _run_spectrum,
+        _spectrum_csv,
+    ),
+    "mahler": Command(
+        {
+            "z": Param(NUMBER, None, float),
+            "methods": Param(METHODS, list(MAHLER_METHODS)),
+            "tol": Param(POSITIVE, 1e-3, float),
+            "resolution": Param(_int(2), 128, int),
+            "hilbert": Param(BOOL, True),
+            "hilbert_tol": Param(POSITIVE, 1e-10),
+        },
+        _run_mahler,
+        lambda payload: [
+            ("method", "value", "error"),
+            *((m, r["value"], r["error"]) for m, r in payload["mahler"].items()),
+        ],
+        _mahler_above_spectrum,
+    ),
+    "padic": Command(
+        {
+            "p": Param(PRIME, None, int),
+            "nu": Param(LEVEL, 1, int),
+            "z_values": Param(_optional(_list(INT))),
+        },
+        _run_padic,
+        _dict_rows("rows", ("z", "valuation", "count", "holds")),
+    ),
 }
-
-
-# -- CSV flattening ---------------------------------------------------------------
-
-
-def _csv_rows(command: str, payload: dict):
-    if command == "bn":
-        yield ("index", "coefficient")
-        for i, c in enumerate(payload["coefficients"]):
-            yield (i, c)
-    elif command == "moments":
-        yield ("k", "moment")
-        for k, v in enumerate(payload["moments"]):
-            yield (k, v)
-    elif command == "walks":
-        yield ("k", "based_total", "per_class")
-        for k, (t, pc) in enumerate(zip(payload["walk_totals"], payload["per_class"]), 1):
-            yield (k, t, pc)
-    elif command == "spectrum":
-        grid = payload.get("grid")
-        if grid and grid.get("values"):
-            n = len(grid["values"][0]["t"])
-            yield tuple(f"t{i}" for i in range(n)) + ("value",)
-            for row in grid["values"]:
-                yield tuple(row["t"]) + (row["value"],)
-        else:
-            yield ("level", "multiplicity")
-            for v, m in payload["levels"]:
-                yield (v, m)
-    elif command == "mahler":
-        yield ("method", "value", "error")
-        for method, res in payload["mahler"].items():
-            yield (method, res["value"], res["error"])
-    elif command == "padic":
-        yield ("z", "valuation", "count", "holds")
-        for row in payload["rows"]:
-            yield (row["z"], row["valuation"], row["count"], row["holds"])
-    elif command == "verify":
-        yield ("criterion", "passed", "detail")
-        for row in payload["results"]:
-            yield (row["criterion"], row["passed"], row["detail"])
-    else:  # pragma: no cover
-        raise ValueError(command)
 
 
 # -- record plumbing ---------------------------------------------------------------
@@ -486,7 +527,7 @@ def _atomic_write(path: str, text: str):
 
 
 def _cache_path(cache_dir: str, command: str, cfg_hash: str) -> str:
-    return os.path.join(cache_dir, f"{command}-{cfg_hash}.json")
+    return os.path.join(cache_dir, f"{command}-{ALGORITHM}-{cfg_hash}.json")
 
 
 def _cached_record(cache_dir: str | None, command: str, cfg_hash: str):
@@ -518,10 +559,9 @@ def _emit(record: ResultRecord, out: str | None, fmt: str):
     if fmt == "json":
         text = _record_text(record)
     else:
+        table = COMMANDS[record.command].csv if record.command in COMMANDS else _verify_csv
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in _csv_rows(record.command, record.payload):
-            writer.writerow(row)
+        csv.writer(buf).writerows(table(record.payload))
         text = buf.getvalue()
     if out:
         _atomic_write(out, text)
@@ -544,8 +584,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="json", choices=("json", "csv"))
         p.add_argument("--cache-dir", default=None)
-        for key, typ in OVERRIDABLE[command].items():
-            p.add_argument(f"--{key.replace('_', '-')}", dest=f"ov_{key}", type=typ, default=None)
+        for key, param in COMMANDS[command].params.items():
+            if param.flag:
+                p.add_argument(
+                    f"--{key.replace('_', '-')}", dest=f"ov_{key}", type=param.flag, default=None
+                )
     v = sub.add_parser("verify")
     v.add_argument("example", choices=sorted(BUILTIN_POINT_SETS))
     v.add_argument("--out", default=None)
@@ -575,7 +618,9 @@ def main(argv=None) -> int:
 
     try:
         overrides = {
-            key: getattr(args, f"ov_{key}") for key in OVERRIDABLE[args.command]
+            key: getattr(args, f"ov_{key}")
+            for key, param in COMMANDS[args.command].params.items()
+            if param.flag
         }
         job = JobConfig.from_file(args.config, args.command, overrides, args)
     except (OSError, json.JSONDecodeError) as exc:
@@ -589,14 +634,11 @@ def main(argv=None) -> int:
         cfg_hash = job.hash()
         record = _cached_record(job.cache_dir, job.command, cfg_hash)
         if record is None:
-            payload = RUNNERS[job.command](job.point_set, job.params)
+            payload = COMMANDS[job.command].run(SpectralContext(job.point_set), job.params)
             record = ResultRecord(job.command, cfg_hash, payload)
             _store_record(job.cache_dir, record)
         _emit(record, job.out, job.fmt)
         return 0
-    except ConfigError as exc:
-        print(f"speclat: config error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimit as exc:
         print(f"speclat: resource cap: {exc}", file=sys.stderr)
         return 3

@@ -21,16 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .context import SpectralContext
 from .errors import CosetViolation, ExplosionGuard
-from .lattice import (
-    LatticeBasis,
-    WeightedPointSet,
-    difference_lattice,
-    disjointness_check,
-    to_lattice_coords,
-)
+from .lattice import LatticeBasis, WeightedPointSet, disjointness_check, to_lattice_coords
 from .moments import poly_log_series
-from .specpoly import spectral_polynomial
 
 DEFAULT_WALK_CAP = 10**8
 SUFFIX_ROWS = 2**16  # most type sequences held in one suffix table
@@ -56,14 +50,6 @@ class TorusBipartiteGraph:
             for t, (off, c) in enumerate(self.points)
         )
 
-    @property
-    def black_count(self) -> int:
-        return self.N**self.dimension
-
-    @property
-    def white_count(self) -> int:
-        return self.N**self.dimension
-
     def adjacency(self) -> dict:
         """JSON-ready adjacency description for external visualization."""
         return {
@@ -81,19 +67,6 @@ class TorusBipartiteGraph:
                 for b, w, t, c in self.edges
             ],
         }
-
-
-@dataclass(frozen=True)
-class WalkSum:
-    """Based closed-walk weight total at half-length k, and the per-walk
-    (rotation class) total, an exact rational."""
-
-    k: int
-    based_total: int
-
-    @property
-    def per_class(self) -> Fraction:
-        return Fraction(self.based_total, self.k)
 
 
 def _residues(n: int, N: int):
@@ -178,7 +151,7 @@ def based_walk_weight_sum(
 
 
 def walk_series_check(
-    ps: WeightedPointSet, N: int, z: int, K: int, cap: int = DEFAULT_WALK_CAP
+    ctx: SpectralContext, N: int, z: int, K: int, cap: int = DEFAULT_WALK_CAP
 ) -> bool:
     """Closed walks reproduce the log expansion of the spectral polynomial.
 
@@ -187,11 +160,11 @@ def walk_series_check(
     order k <= K.  Both sides exact rationals; z only gates the usual
     convergence region.
     """
-    C = ps.total_weight
+    C = ctx.ps.total_weight
     if z <= C * C:
         raise ValueError(f"z must exceed the spectrum top {C * C}")
-    G = build_graph(ps, difference_lattice(ps), N)
-    p = spectral_polynomial(ps, N)
+    G = build_graph(ctx.ps, ctx.basis, N)
+    p = ctx.spectral_polynomial(N)
     logs = poly_log_series(p, K)
     for k in range(1, K + 1):
         walks = based_walk_weight_sum(G, k, cap)

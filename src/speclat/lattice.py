@@ -20,6 +20,10 @@ from .errors import NotInLattice, RankDeficient
 Vector = tuple[int, ...]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class WeightedPointSet:
     """Distinct points of Z^n with positive integer weights.
@@ -33,14 +37,17 @@ class WeightedPointSet:
 
     def __post_init__(self):
         n = self.dimension
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        pts = tuple((tuple(int(x) for x in a), int(c)) for a, c in self.points)
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
+        pts = tuple((tuple(a), c) for a, c in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("need at least 2 points")
         seen = set()
         for a, c in pts:
+            # a float or a bool is refused, never truncated to another point set
+            if not all(map(_is_int, a)) or not _is_int(c):
+                raise ValueError(f"point {a} with weight {c!r} is not integral")
             if len(a) != n:
                 raise ValueError(f"point {a} does not have dimension {n}")
             if c < 1:
@@ -206,10 +213,3 @@ def disjointness_check(ps: WeightedPointSet, basis: LatticeBasis) -> bool:
         return False
     return True
 
-
-def quotient_enumeration(basis: LatticeBasis, N: int) -> list[Vector]:
-    """Representatives of the N-fold quotient of the lattice, as lattice
-    coordinates in [0,N)^n, in lexicographic order (N^n of them)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return [t for t in itertools.product(range(N), repeat=basis.dimension)]

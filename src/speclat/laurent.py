@@ -42,18 +42,6 @@ class LaurentPoly:
                 clean[e] = c
         object.__setattr__(self, "terms", clean)
 
-    def coefficient(self, exponent) -> int:
-        return self.terms.get(tuple(exponent), 0)
-
-    def coefficient_sum(self) -> int:
-        """Value at the all-ones point."""
-        return sum(self.terms.values())
-
-    def is_palindromic(self) -> bool:
-        return all(
-            self.terms.get(tuple(-x for x in e)) == c for e, c in self.terms.items()
-        )
-
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         return sorted(self.terms.items())
 
@@ -66,10 +54,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash((self.dimension, tuple(self.sorted_terms())))
-
-
-def one(dimension: int) -> LaurentPoly:
-    return LaurentPoly(dimension, {(0,) * dimension: 1})
 
 
 def diffraction_polynomial(ps: WeightedPointSet, basis: LatticeBasis) -> LaurentPoly:
@@ -87,18 +71,6 @@ def diffraction_polynomial(ps: WeightedPointSet, basis: LatticeBasis) -> Laurent
     return LaurentPoly(ps.dimension, terms)
 
 
-def multiply(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact product."""
-    if f.dimension != g.dimension:
-        raise ValueError("dimension mismatch")
-    out: dict[Exponent, int] = {}
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            e = tuple(x + y for x, y in zip(ef, eg))
-            out[e] = out.get(e, 0) + cf * cg
-    return LaurentPoly(f.dimension, out)
-
-
 def constant_term(f: LaurentPoly) -> int:
     return f.terms.get((0,) * f.dimension, 0)
 
@@ -112,22 +84,6 @@ def fold_mod_N(f: LaurentPoly, N: int) -> LaurentPoly:
         r = tuple(x % N for x in e)
         out[r] = out.get(r, 0) + c
     return LaurentPoly(f.dimension, out)
-
-
-def power(f: LaurentPoly, k: int) -> LaurentPoly:
-    """k-th power by repeated squaring."""
-    if k < 0:
-        raise ValueError("negative power of a Laurent polynomial not supported")
-    result = one(f.dimension)
-    square = f
-    e = k
-    while e:
-        if e & 1:
-            result = multiply(result, square)
-        e >>= 1
-        if e:
-            square = multiply(square, square)
-    return result
 
 
 # -- moment sweeps --------------------------------------------------------------

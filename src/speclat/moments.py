@@ -21,7 +21,8 @@ from typing import Sequence
 from . import primes
 from .catalog import chebyshev_point_set
 from .errors import IntegralityViolation
-from .laurent import LaurentPoly, _moment_sweep, folded_power_sweep
+from .lattice import difference_lattice
+from .laurent import LaurentPoly, _moment_sweep, diffraction_polynomial, folded_power_sweep
 from .specpoly import IntPolynomial, evaluate_at_integer, spectral_polynomial
 
 Recurrence = Sequence[tuple[int, Sequence[int]]]
@@ -49,28 +50,15 @@ class MomentSequence:
         return len(self.values)
 
 
-def moment(f: LaurentPoly, k: int) -> int:
-    """Constant term of f**k (k >= 0)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _moment_sweep(f, k)[k]
-
-
 def moment_sequence(f: LaurentPoly, K: int) -> MomentSequence:
     """Exact moments m_0..m_K from the powers f^0 .. f^ceil(K/2)."""
     return MomentSequence(tuple(_moment_sweep(f, K)), "constant-term")
 
 
-def moment_N(f: LaurentPoly, k: int, N: int) -> int:
-    """Level-N moment: the average of the k-th power of the character values,
-    an integer by construction (constant-residue coefficient of the folded
-    power)."""
-    if k < 0 or N < 1:
-        raise ValueError("need k >= 0 and N >= 1")
-    return folded_power_sweep(f, k, N)[k]
-
-
 def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> MomentSequence:
+    """Level-N moments m_0..m_K: the averages of the powers of the character
+    values, integers by construction (constant-residue coefficients of the
+    folded powers)."""
     return MomentSequence(
         tuple(folded_power_sweep(f, K, N)), f"folded mod {N}"
     )
@@ -196,8 +184,9 @@ def chebyshev_generating_check(z: int, K: int) -> bool:
     divided by the level, are the coefficients of
     -log(1 - (z - 4) T / (1 - T)^2), checked through order K exactly."""
     ps = chebyshev_point_set()
+    w = diffraction_polynomial(ps, difference_lattice(ps))
     lhs = [
-        Fraction(evaluate_at_integer(spectral_polynomial(ps, N), z), N)
+        Fraction(evaluate_at_integer(spectral_polynomial(w, N), z), N)
         for N in range(1, K + 1)
     ]
     # u(T) = (z-4) T / (1-T)^2, truncated

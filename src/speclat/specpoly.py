@@ -37,8 +37,7 @@ import numpy as np
 
 from . import primes
 from .errors import SingularLevel, SizeLimit
-from .lattice import LatticeBasis, WeightedPointSet, difference_lattice
-from .laurent import LaurentPoly, constant_term, diffraction_polynomial, fold_mod_N
+from .laurent import LaurentPoly, constant_term, fold_mod_N
 
 DEFAULT_SIZE_LIMIT = 10_000
 
@@ -136,9 +135,6 @@ class ConvolutionMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.size))
-
 
 def convolution_matrix(
     folded: LaurentPoly, N: int, size_limit: int = DEFAULT_SIZE_LIMIT
@@ -223,21 +219,18 @@ def _split_prime_lift(
 
 
 def spectral_polynomial(
-    ps: WeightedPointSet,
-    N: int,
-    basis: LatticeBasis | None = None,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
+    w: LaurentPoly, N: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> IntPolynomial:
     """Monic integer polynomial of degree N^n whose roots are the values of
-    the diffraction polynomial at all N-torsion characters."""
+    the diffraction polynomial w at all N-torsion characters.  w must be a
+    diffraction polynomial: the certified bound rests on its nonnegative
+    character values."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    size = N**ps.dimension
+    size = N**w.dimension
     if size > size_limit:
         raise SizeLimit(f"{size} torsion characters exceed cap {size_limit}")
-    if basis is None:
-        basis = difference_lattice(ps)
-    return _split_prime_lift(fold_mod_N(diffraction_polynomial(ps, basis), N), N)
+    return _split_prime_lift(fold_mod_N(w, N), N)
 
 
 # -- floating-point character evaluation ---------------------------------------
@@ -265,18 +258,13 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     return acc
 
 
-def spectral_log_value(
-    ps: WeightedPointSet, N: int, z: complex, basis: LatticeBasis | None = None
-) -> tuple[float, float]:
+def spectral_log_value(w: LaurentPoly, N: int, z: complex) -> tuple[float, float]:
     """(log magnitude, argument) of the product of (z - value) over all
-    N-torsion character values, in double precision.
+    N-torsion character values of w, in double precision.
 
     No size cap: the cost is N^n character evaluations, not a dense
     matrix.  Raises SingularLevel when a factor underflows to zero.
     """
-    if basis is None:
-        basis = difference_lattice(ps)
-    w = diffraction_polynomial(ps, basis)
     values = character_values(w, N).ravel()
     diffs = complex(z) - values
     mags = np.abs(diffs)

@@ -1,8 +1,9 @@
 """Built-in verification suite for the two worked examples.
 
-Each criterion is a function returning a CheckResult; the registry maps
-criteria to the example they exercise so the CLI can run one example's
-suite and the acceptance tests can run everything.  Expected values are
+Each criterion is a function of one example's SpectralContext returning a
+CheckResult; the registry maps criteria to the example they exercise so
+the CLI can run one example's suite on one context and the acceptance
+tests can run everything.  Expected values are
 frozen here: the printed value table, the factored level-6 polynomial, the
 finite-field count row, and the closed forms of the line example.
 """
@@ -15,16 +16,13 @@ from typing import Callable
 
 from .analysis import hilbert_transform, mahler_measure, spectrum
 from .arith import count_points, valuation_inequality_check, vp
-from .catalog import chebyshev_point_set, honeycomb_point_set
+from .catalog import builtin_point_set
+from .context import SpectralContext
 from .graph import based_walk_weight_sum, build_graph
-from .lattice import difference_lattice
-from .laurent import diffraction_polynomial
 from .moments import (
     chebyshev_generating_check,
     check_congruence,
-    moment,
-    moment_N,
-    moment_sequence,
+    moment_sequence_N,
     product_exponents,
     series_coefficients,
     verify_recurrence,
@@ -36,7 +34,6 @@ from .specpoly import (
     evaluate_at_integer,
     integer_root_multiplicity,
     spectral_log_value,
-    spectral_polynomial,
 )
 
 CHEB_VALUES_AT_6 = [
@@ -79,18 +76,15 @@ def _matrix_power_traces(rows, kmax: int) -> list[int]:
 # -- criteria -------------------------------------------------------------------
 
 
-def check_honeycomb_level6() -> CheckResult:
-    p = spectral_polynomial(honeycomb_point_set(), 6)
+def check_honeycomb_level6(ctx: SpectralContext) -> CheckResult:
+    p = ctx.spectral_polynomial(6)
     expected = IntPolynomial.from_roots(HONEYCOMB_LEVEL6_ROOTS)
     ok = p == expected and p.degree == 36
     return _result("c01-honeycomb-level6-polynomial", ok, "coefficient-exact, degree 36")
 
 
-def check_cheb_value_table() -> CheckResult:
-    ps = chebyshev_point_set()
-    got = [
-        evaluate_at_integer(spectral_polynomial(ps, N), 6) for N in range(1, 18)
-    ]
+def check_cheb_value_table(ctx: SpectralContext) -> CheckResult:
+    got = [evaluate_at_integer(ctx.spectral_polynomial(N), 6) for N in range(1, 18)]
     return _result(
         "c02-cheb-values-at-6",
         got == CHEB_VALUES_AT_6,
@@ -98,23 +92,19 @@ def check_cheb_value_table() -> CheckResult:
     )
 
 
-def check_cheb_shifted_recurrence() -> CheckResult:
-    ps = chebyshev_point_set()
-    s = [None] + [
-        evaluate_at_integer(spectral_polynomial(ps, N), 6) + 2 for N in range(1, 41)
-    ]
+def check_cheb_shifted_recurrence(ctx: SpectralContext) -> CheckResult:
+    s = [None] + [evaluate_at_integer(ctx.spectral_polynomial(N), 6) + 2 for N in range(1, 41)]
     ok = all(s[N + 1] == 4 * s[N] - s[N - 1] for N in range(2, 40))
     return _result("c03-cheb-shifted-recurrence", ok, "s(N+1) = 4 s(N) - s(N-1), N <= 40")
 
 
-def check_cheb_generating_series() -> CheckResult:
+def check_cheb_generating_series(ctx: SpectralContext) -> CheckResult:
     ok = chebyshev_generating_check(6, 17)
     return _result("c04-cheb-generating-series", ok, "orders 1..17 over exact rationals")
 
 
-def check_honeycomb_moments() -> CheckResult:
-    w = diffraction_polynomial(honeycomb_point_set(), difference_lattice(honeycomb_point_set()))
-    seq = moment_sequence(w, 41)
+def check_honeycomb_moments(ctx: SpectralContext) -> CheckResult:
+    seq = ctx.moment_sequence(41)
     formula_ok = all(
         seq[k] == sum(math.comb(k, j) ** 2 * math.comb(2 * j, j) for j in range(k + 1))
         for k in range(42)
@@ -127,24 +117,21 @@ def check_honeycomb_moments() -> CheckResult:
     )
 
 
-def check_honeycomb_moment_stability() -> CheckResult:
-    ps = honeycomb_point_set()
-    w = diffraction_polynomial(ps, difference_lattice(ps))
+def check_honeycomb_moment_stability(ctx: SpectralContext) -> CheckResult:
+    exact = ctx.moment_sequence(8)
     ok = True
-    for k in range(9):
-        mk = moment(w, k)
-        for N in range(1, 9):
-            mkN = moment_N(w, k, N)
-            ok = ok and mkN >= mk >= 0
+    for N in range(1, 9):
+        level = moment_sequence_N(ctx.w, 8, N)
+        for k in range(9):
+            ok = ok and level[k] >= exact[k] >= 0
             if N > k:
-                ok = ok and mkN == mk
+                ok = ok and level[k] == exact[k]
     return _result("c06-honeycomb-moment-stability", ok, "k <= 8, N <= 8")
 
 
-def _check_congruences(name: str, ps) -> CheckResult:
-    w = diffraction_polynomial(ps, difference_lattice(ps))
+def _check_congruences(name: str, ctx: SpectralContext) -> CheckResult:
     ok = all(
-        check_congruence(w, p, k, alpha)
+        check_congruence(ctx.w, p, k, alpha)
         for p in (2, 3, 5)
         for k in range(5)
         for alpha in (0, 1)
@@ -152,8 +139,8 @@ def _check_congruences(name: str, ps) -> CheckResult:
     return _result(f"c07-congruences-{name}", ok, "p in {2,3,5}, k <= 4, alpha <= 1")
 
 
-def _check_divisibility(name: str, ps) -> CheckResult:
-    polys = {N: spectral_polynomial(ps, N) for N in range(1, 9)}
+def _check_divisibility(name: str, ctx: SpectralContext) -> CheckResult:
+    polys = {N: ctx.spectral_polynomial(N) for N in range(1, 9)}
     ok = all(
         divides(polys[Np], polys[N])
         for N in range(1, 9)
@@ -163,41 +150,37 @@ def _check_divisibility(name: str, ps) -> CheckResult:
     return _result(f"c08-divisibility-{name}", ok, "all divisor pairs N' | N <= 8")
 
 
-def _check_walk_bridge(name: str, ps, nmax: int, kmax: int) -> CheckResult:
-    basis = difference_lattice(ps)
-    w = diffraction_polynomial(ps, basis)
-    n = ps.dimension
+def _check_walk_bridge(name: str, ctx: SpectralContext, nmax: int, kmax: int) -> CheckResult:
+    n = ctx.dimension
     ok = True
     for N in range(1, nmax + 1):
-        G = build_graph(ps, basis, N)
-        traces = _matrix_power_traces(convolution_matrix(w, N).rows, kmax)
+        G = build_graph(ctx.ps, ctx.basis, N)
+        traces = _matrix_power_traces(convolution_matrix(ctx.w, N).rows, kmax)
+        level = moment_sequence_N(ctx.w, kmax, N)
         for k in range(1, kmax + 1):
             walks = based_walk_weight_sum(G, k)
-            ok = ok and walks == traces[k - 1] == N**n * moment_N(w, k, N)
+            ok = ok and walks == traces[k - 1] == N**n * level[k]
     return _result(
         f"c09-walk-bridge-{name}", ok, f"walks = traces = level moments, N <= {nmax}, k <= {kmax}"
     )
 
 
-def check_honeycomb_padic() -> CheckResult:
-    ps = honeycomb_point_set()
-    row = [count_points(ps, z, 7, 1) for z in range(7)]
+def check_honeycomb_padic(ctx: SpectralContext) -> CheckResult:
+    row = [count_points(ctx, z, 7, 1) for z in range(7)]
     ok = row == F7_COUNT_ROW
     for z in range(7):
-        lhs, rhs, holds = valuation_inequality_check(ps, z, 7, 1)
+        lhs, rhs, holds = valuation_inequality_check(ctx, z, 7, 1)
         ok = ok and holds
-    lhs, rhs, holds = valuation_inequality_check(ps, 53, 7, 1)
+    lhs, rhs, holds = valuation_inequality_check(ctx, 53, 7, 1)
     ok = ok and (lhs, rhs, holds) == (12, 6, True)
     return _result(
         "c10-honeycomb-padic", ok, f"count row {row}, valuation at 53 = {lhs} > {rhs}"
     )
 
 
-def check_cheb_padic_pattern() -> CheckResult:
-    ps = chebyshev_point_set()
-
+def check_cheb_padic_pattern(ctx: SpectralContext) -> CheckResult:
     def val(N, p):
-        return vp(evaluate_at_integer(spectral_polynomial(ps, N), 6), p)
+        return vp(evaluate_at_integer(ctx.spectral_polynomial(N), 6), p)
 
     ok = True
     for p in (2, 3, 5, 7, 11, 13, 17):
@@ -214,13 +197,12 @@ def check_cheb_padic_pattern() -> CheckResult:
     )
 
 
-def check_cheb_mahler_limit() -> CheckResult:
-    ps = chebyshev_point_set()
+def check_cheb_mahler_limit(ctx: SpectralContext) -> CheckResult:
     target = 2 - math.sqrt(3)
     ok = True
     worst = 0.0
     for N in range(20, 41):
-        logmag, _ = spectral_log_value(ps, N, 6)
+        logmag, _ = spectral_log_value(ctx.w, N, 6)
         q = math.exp(-logmag / N)
         worst = max(worst, abs(q - target))
         ok = ok and abs(q - target) < 1e-3
@@ -229,25 +211,23 @@ def check_cheb_mahler_limit() -> CheckResult:
     )
 
 
-def check_honeycomb_mahler_routes() -> CheckResult:
-    ps = honeycomb_point_set()
-    limit = mahler_measure(ps, 10, method="limit", tol=1e-5)
-    series = mahler_measure(ps, 10, method="moment-series", tol=1e-4)
+def check_honeycomb_mahler_routes(ctx: SpectralContext) -> CheckResult:
+    limit = mahler_measure(ctx, 10, method="limit", tol=1e-5)
+    series = mahler_measure(ctx, 10, method="moment-series", tol=1e-4)
     delta = abs(limit.value - series.value)
     return _result(
         "c12-honeycomb-mahler-routes", delta < 1e-4, f"route delta {delta:.2e} at z = 10"
     )
 
 
-def check_cheb_hilbert() -> CheckResult:
-    h = hilbert_transform(chebyshev_point_set(), 6, tol=1e-10)
+def check_cheb_hilbert(ctx: SpectralContext) -> CheckResult:
+    h = hilbert_transform(ctx, 6, tol=1e-10)
     err = abs(h - 1 / math.sqrt(12))
     return _result("c13-cheb-hilbert", err < 1e-8, f"|H(6) - 12^-1/2| = {err:.2e}")
 
 
-def _check_series_integrality(name: str, ps) -> CheckResult:
-    w = diffraction_polynomial(ps, difference_lattice(ps))
-    seq = moment_sequence(w, 31)
+def _check_series_integrality(name: str, ctx: SpectralContext) -> CheckResult:
+    seq = ctx.moment_sequence(31)
     try:
         A = series_coefficients(seq)
         b = product_exponents(seq)
@@ -257,16 +237,15 @@ def _check_series_integrality(name: str, ps) -> CheckResult:
     return _result(f"c14-series-integrality-{name}", ok, "A_k, b_k integral, k <= 30")
 
 
-def check_honeycomb_multiplicities() -> CheckResult:
-    ps = honeycomb_point_set()
+def check_honeycomb_multiplicities(ctx: SpectralContext) -> CheckResult:
     ok = True
     for N in range(1, 9):
-        hist = spectrum(ps, N)
+        hist = spectrum(ctx, N)
         if hist.ambiguous:
             return _result(
                 "c15-honeycomb-multiplicities", False, f"ambiguous clustering at N={N}"
             )
-        poly = spectral_polynomial(ps, N)
+        poly = ctx.spectral_polynomial(N)
         for value, mult in hist.clusters:
             level = round(value)
             if abs(value - level) < hist.tolerance:
@@ -289,10 +268,9 @@ def check_honeycomb_multiplicities() -> CheckResult:
     return _result("c15-honeycomb-multiplicities", ok, "symmetry pattern, N <= 8")
 
 
-def check_honeycomb_cross_validation() -> CheckResult:
-    ps = honeycomb_point_set()
-    hist = spectrum(ps, 6)
-    poly = spectral_polynomial(ps, 6)
+def check_honeycomb_cross_validation(ctx: SpectralContext) -> CheckResult:
+    hist = spectrum(ctx, 6)
+    poly = ctx.spectral_polynomial(6)
     ok = len(hist.clusters) == 6
     for value, mult in hist.clusters:
         level = round(value)
@@ -303,42 +281,38 @@ def check_honeycomb_cross_validation() -> CheckResult:
     )
 
 
-# (criterion id, example it exercises, check function)
-CRITERIA: list[tuple[str, str, Callable[[], CheckResult]]] = [
+# (criterion id, example it exercises, check function of that example's context)
+CRITERIA: list[tuple[str, str, Callable[[SpectralContext], CheckResult]]] = [
     ("c01-honeycomb-level6-polynomial", "honeycomb", check_honeycomb_level6),
     ("c02-cheb-values-at-6", "chebyshev", check_cheb_value_table),
     ("c03-cheb-shifted-recurrence", "chebyshev", check_cheb_shifted_recurrence),
     ("c04-cheb-generating-series", "chebyshev", check_cheb_generating_series),
     ("c05-honeycomb-moments", "honeycomb", check_honeycomb_moments),
     ("c06-honeycomb-moment-stability", "honeycomb", check_honeycomb_moment_stability),
-    ("c07-congruences-chebyshev", "chebyshev",
-     lambda: _check_congruences("chebyshev", chebyshev_point_set())),
-    ("c07-congruences-honeycomb", "honeycomb",
-     lambda: _check_congruences("honeycomb", honeycomb_point_set())),
-    ("c08-divisibility-chebyshev", "chebyshev",
-     lambda: _check_divisibility("chebyshev", chebyshev_point_set())),
-    ("c08-divisibility-honeycomb", "honeycomb",
-     lambda: _check_divisibility("honeycomb", honeycomb_point_set())),
+    ("c07-congruences-chebyshev", "chebyshev", lambda ctx: _check_congruences("chebyshev", ctx)),
+    ("c07-congruences-honeycomb", "honeycomb", lambda ctx: _check_congruences("honeycomb", ctx)),
+    ("c08-divisibility-chebyshev", "chebyshev", lambda ctx: _check_divisibility("chebyshev", ctx)),
+    ("c08-divisibility-honeycomb", "honeycomb", lambda ctx: _check_divisibility("honeycomb", ctx)),
     ("c09-walk-bridge-chebyshev", "chebyshev",
-     lambda: _check_walk_bridge("chebyshev", chebyshev_point_set(), 4, 6)),
+     lambda ctx: _check_walk_bridge("chebyshev", ctx, 4, 6)),
     ("c09-walk-bridge-honeycomb", "honeycomb",
-     lambda: _check_walk_bridge("honeycomb", honeycomb_point_set(), 3, 5)),
+     lambda ctx: _check_walk_bridge("honeycomb", ctx, 3, 5)),
     ("c10-honeycomb-padic", "honeycomb", check_honeycomb_padic),
     ("c11-cheb-padic-pattern", "chebyshev", check_cheb_padic_pattern),
     ("c12-cheb-mahler-limit", "chebyshev", check_cheb_mahler_limit),
     ("c12-honeycomb-mahler-routes", "honeycomb", check_honeycomb_mahler_routes),
     ("c13-cheb-hilbert", "chebyshev", check_cheb_hilbert),
     ("c14-series-integrality-chebyshev", "chebyshev",
-     lambda: _check_series_integrality("chebyshev", chebyshev_point_set())),
+     lambda ctx: _check_series_integrality("chebyshev", ctx)),
     ("c14-series-integrality-honeycomb", "honeycomb",
-     lambda: _check_series_integrality("honeycomb", honeycomb_point_set())),
+     lambda ctx: _check_series_integrality("honeycomb", ctx)),
     ("c15-honeycomb-multiplicities", "honeycomb", check_honeycomb_multiplicities),
     ("c16-honeycomb-cross-validation", "honeycomb", check_honeycomb_cross_validation),
 ]
 
 
 def run_suite(example: str) -> list[CheckResult]:
-    """All checks for one built-in example, in criterion order."""
-    if example not in ("chebyshev", "honeycomb"):
-        raise ValueError(f"unknown example {example!r}")
-    return [fn() for cid, tag, fn in CRITERIA if tag == example]
+    """All checks for one built-in example, in criterion order, on one
+    context of the example."""
+    ctx = SpectralContext(builtin_point_set(example))
+    return [fn(ctx) for cid, tag, fn in CRITERIA if tag == example]

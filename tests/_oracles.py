@@ -8,9 +8,46 @@ from fractions import Fraction
 
 import numpy as np
 
-from speclat.laurent import LaurentPoly, fold_mod_N, one
+from speclat.laurent import LaurentPoly, fold_mod_N
 from speclat.primes import primes_below
 from speclat.specpoly import IntPolynomial
+
+
+# -- sparse Laurent arithmetic ----------------------------------------------------
+
+
+def one(dimension):
+    return LaurentPoly(dimension, {(0,) * dimension: 1})
+
+
+def multiply(f, g):
+    """Exact product, term by term."""
+    if f.dimension != g.dimension:
+        raise ValueError("dimension mismatch")
+    out = {}
+    for ef, cf in f.terms.items():
+        for eg, cg in g.terms.items():
+            e = tuple(x + y for x, y in zip(ef, eg))
+            out[e] = out.get(e, 0) + cf * cg
+    return LaurentPoly(f.dimension, out)
+
+
+def power(f, k):
+    """k-th power by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative power of a Laurent polynomial not supported")
+    result, square = one(f.dimension), f
+    while k:
+        if k & 1:
+            result = multiply(result, square)
+        k >>= 1
+        if k:
+            square = multiply(square, square)
+    return result
+
+
+def is_palindromic(f):
+    return all(f.terms.get(tuple(-x for x in e)) == c for e, c in f.terms.items())
 
 
 def berkowitz_charpoly(rows):

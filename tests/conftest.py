@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import settings
 
+from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet, difference_lattice
+from speclat.laurent import diffraction_polynomial
 
 # same examples on every run, no example database, no wall-clock deadline
 settings.register_profile("speclat", derandomize=True, database=None, deadline=None)
@@ -18,6 +20,26 @@ def honeycomb():
 @pytest.fixture
 def chebyshev():
     return WeightedPointSet(1, (((-1,), 1), ((1,), 1)))
+
+
+@pytest.fixture
+def honeycomb_ctx(honeycomb):
+    return SpectralContext(honeycomb)
+
+
+@pytest.fixture
+def cheb_ctx(chebyshev):
+    return SpectralContext(chebyshev)
+
+
+@pytest.fixture
+def w_honey(honeycomb):
+    return diffraction_polynomial(honeycomb, difference_lattice(honeycomb))
+
+
+@pytest.fixture
+def w_cheb(chebyshev):
+    return diffraction_polynomial(chebyshev, difference_lattice(chebyshev))
 
 
 def random_point_set(rng: random.Random, dimension=None) -> WeightedPointSet:

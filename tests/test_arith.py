@@ -11,9 +11,10 @@ from speclat.arith import (
     valuation_inequality_check,
     vp,
 )
+from speclat.context import SpectralContext
 from speclat.errors import SizeLimit
 from speclat.lattice import WeightedPointSet
-from speclat.specpoly import evaluate_at_integer, spectral_polynomial
+from speclat.specpoly import evaluate_at_integer
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
 
@@ -27,15 +28,15 @@ def test_vp_examples():
         vp(10, 6)
 
 
-def test_vp_of_spectral_value(honeycomb):
-    v = evaluate_at_integer(spectral_polynomial(honeycomb, 6), 53)
+def test_vp_of_spectral_value(honeycomb_ctx):
+    v = evaluate_at_integer(honeycomb_ctx.spectral_polynomial(6), 53)
     assert vp(v, 7) == 12
 
 
 def test_factorize_examples():
     f = factorize(140450)
     assert f.factors == {2: 1, 5: 2, 53: 2}
-    assert f.complete and f.sign == 1
+    assert f.cofactor == 1 and f.sign == 1
     assert factorize(1) == FactoredInteger(1, {})
     assert factorize(12).factors == {2: 2, 3: 1}
     assert factorize(-45).sign == -1
@@ -43,9 +44,9 @@ def test_factorize_examples():
         factorize(0)
 
 
-def test_factorize_spectral_value(chebyshev):
+def test_factorize_spectral_value(cheb_ctx):
     # level 9 value at 6 appears in the printed series as 140450
-    assert evaluate_at_integer(spectral_polynomial(chebyshev, 9), 6) == 140450
+    assert evaluate_at_integer(cheb_ctx.spectral_polynomial(9), 6) == 140450
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -53,8 +54,8 @@ def test_factorize_roundtrip(seed):
     rng = random.Random(seed)
     x = rng.randrange(2, 10**12)
     f = factorize(x)
-    assert f.complete
-    assert f.reconstruct() == x
+    assert f.cofactor == 1
+    assert f.sign * math.prod(p**e for p, e in f.factors.items()) == x
     assert all(e >= 1 for e in f.factors.values())
 
 
@@ -92,27 +93,27 @@ def test_field_modulus_deterministic():
 # -- point counts -----------------------------------------------------------------
 
 
-def test_honeycomb_f7_table(honeycomb):
-    row = [count_points(honeycomb, z, 7, 1) for z in range(7)]
+def test_honeycomb_f7_table(honeycomb_ctx):
+    row = [count_points(honeycomb_ctx, z, 7, 1) for z in range(7)]
     assert row == F7_COUNT_ROW
 
 
-def test_count_total_is_group_size(honeycomb):
-    assert sum(count_points(honeycomb, z, 7, 1) for z in range(7)) == 36
+def test_count_total_is_group_size(honeycomb_ctx):
+    assert sum(count_points(honeycomb_ctx, z, 7, 1) for z in range(7)) == 36
 
 
-def test_count_at_top_value(honeycomb, chebyshev):
+def test_count_at_top_value(honeycomb_ctx, cheb_ctx):
     # the all-ones point always maps to total_weight^2
-    assert count_points(honeycomb, 9, 11, 1) >= 1
-    assert count_points(chebyshev, 4, 13, 1) >= 1
+    assert count_points(honeycomb_ctx, 9, 11, 1) >= 1
+    assert count_points(cheb_ctx, 4, 13, 1) >= 1
 
 
-def test_count_basis_invariance_via_extension(honeycomb):
+def test_count_basis_invariance_via_extension(honeycomb_ctx):
     # same count whether z is reduced or not
-    assert count_points(honeycomb, 53, 7, 1) == count_points(honeycomb, 4, 7, 1) == 6
+    assert count_points(honeycomb_ctx, 53, 7, 1) == count_points(honeycomb_ctx, 4, 7, 1) == 6
 
 
-def test_count_extension_field(chebyshev):
+def test_count_extension_field(cheb_ctx):
     # over the 9-element field: W(u) = (u+1)^2/u = z has solutions counted
     # against a direct enumeration using a second power table convention
     field = PrimePowerField(3, 2)
@@ -125,44 +126,44 @@ def test_count_extension_field(chebyshev):
         counts[val] = counts.get(val, 0) + 1
     for z in range(3):
         expect = counts.get(field.embed(z), 0)
-        assert count_points(chebyshev, z, 3, 2) == expect
+        assert count_points(cheb_ctx, z, 3, 2) == expect
 
 
 def test_count_cap():
-    ps = WeightedPointSet(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)))
+    ctx = SpectralContext(WeightedPointSet(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))))
     with pytest.raises(SizeLimit):
-        count_points(ps, 1, 11, 1, cap=50)
+        count_points(ctx, 1, 11, 1, cap=50)
 
 
 # -- valuation inequality -----------------------------------------------------------
 
 
-def test_inequality_strict_example(honeycomb):
-    lhs, rhs, holds = valuation_inequality_check(honeycomb, 53, 7, 1)
+def test_inequality_strict_example(honeycomb_ctx):
+    lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, 53, 7, 1)
     assert (lhs, rhs, holds) == (12, 6, True)
 
 
-def test_inequality_z2(honeycomb):
-    lhs, rhs, holds = valuation_inequality_check(honeycomb, 2, 7, 1)
+def test_inequality_z2(honeycomb_ctx):
+    lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, 2, 7, 1)
     assert rhs == 1 and lhs >= 1 and holds
 
 
-def test_inequality_all_residues(honeycomb):
+def test_inequality_all_residues(honeycomb_ctx):
     for z in range(7):
-        lhs, rhs, holds = valuation_inequality_check(honeycomb, z, 7, 1)
+        lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, z, 7, 1)
         assert holds
         assert rhs == F7_COUNT_ROW[z]
 
 
-def test_inequality_infinite_valuation(honeycomb):
-    lhs, rhs, holds = valuation_inequality_check(honeycomb, 0, 7, 1)
+def test_inequality_infinite_valuation(honeycomb_ctx):
+    lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, 0, 7, 1)
     assert lhs == math.inf and holds
 
 
-def test_cheb_divisibility_pattern(chebyshev):
+def test_cheb_divisibility_pattern(cheb_ctx):
     # p = 13 = 12+1: the level-12 value at 6 is divisible by 13^2;
     # p = 5: not divisible by 5 at level 4
-    v13 = evaluate_at_integer(spectral_polynomial(chebyshev, 12), 6)
+    v13 = evaluate_at_integer(cheb_ctx.spectral_polynomial(12), 6)
     assert vp(v13, 13) >= 2
-    v5 = evaluate_at_integer(spectral_polynomial(chebyshev, 4), 6)
+    v5 = evaluate_at_integer(cheb_ctx.spectral_polynomial(4), 6)
     assert vp(v5, 5) == 0

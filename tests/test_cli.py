@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -371,3 +372,136 @@ def test_record_writer_matches_json_dumps(tree):
 def test_record_writer_rejects_non_json(leaf):
     with pytest.raises(TypeError):
         _json_text({"payload": [1.5, leaf]})
+
+
+# -- strict parameters ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("bn", {"levels": ["x"]}),
+        ("bn", {"divisor_checks": [[2]]}),
+        ("bn", {"evaluate_at": "abc"}),
+        ("bn", {"size_limit": 2.5}),
+        ("moments", {"congruences": [[4, 1, 0]]}),  # 4 is not prime
+        ("moments", {"levels": [0]}),
+        ("moments", {"k_max": 3.7}),
+        ("moments", {"k_max": "3"}),
+        ("moments", {"k_max": True}),
+        ("moments", {"series": "no"}),
+        ("spectrum", {"cdf_at": ["x"]}),
+        ("spectrum", {"grid": 1}),
+        ("spectrum", {"tolerance": -1}),
+        ("mahler", {"z": 12.0, "resolution": 1}),
+        ("mahler", {"z": None}),
+        ("padic", {"p": 7, "z_values": ["a"]}),
+        ("walks", {"export_graph": "yes"}),
+    ],
+)
+def test_malformed_parameter_exit_2_before_hashing(tmp_path, capsys, monkeypatch, command, block):
+    def refuse(self):
+        raise AssertionError("a malformed config was hashed")
+
+    monkeypatch.setattr("speclat.cli.JobConfig.hash", refuse)
+    cfg = dict(HONEYCOMB_CFG)
+    cfg[command] = block
+    code = main([command, "--config", write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"speclat: config error: {command} ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "point", [{"a": [1.5, 0], "c": 1}, {"a": [1, 0], "c": 1.5}, {"a": [1, 0], "c": True}]
+)
+def test_non_integer_point_set_exit_2(tmp_path, capsys, point):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["points"] = [point] + HONEYCOMB_CFG["points"][1:]
+    code = main(["bn", "--config", write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("speclat: config error: invalid point set: ")
+    assert "Traceback" not in err
+
+
+def test_number_kept_as_given(tmp_path):
+    # 10 and 10.0 are both valid z and stay distinct in the record
+    hashes = []
+    for z in (10, 10.0):
+        cfg = dict(HONEYCOMB_CFG)
+        cfg["mahler"] = {"z": z, "methods": ["limit"], "hilbert": False}
+        code, out = run(tmp_path, cfg, ["mahler", "--config", write_cfg(tmp_path, cfg)])
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert record["payload"]["z"] == z and type(record["payload"]["z"]) is type(z)
+        hashes.append(record["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
+# -- cache tags -------------------------------------------------------------------
+
+
+def test_cache_entry_of_another_algorithm_is_recomputed(tmp_path, monkeypatch):
+    cfg = dict(CHEB_CFG)
+    cfg["bn"] = {"N": 2}
+    cfg_path = write_cfg(tmp_path, cfg)
+    cache = tmp_path / "cache"
+    argv = ["bn", "--config", cfg_path, "--cache-dir", str(cache), "--out"]
+    with monkeypatch.context() as m:
+        m.setattr("speclat.cli.ALGORITHM", "superseded")
+        assert main(argv + [str(tmp_path / "old.json")]) == 0
+    (stale,) = cache.glob("bn-*.json")
+    record = json.loads(stale.read_text())
+    record["payload"]["degree"] = 999  # a valid record the current algorithm never wrote
+    stale.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    out = tmp_path / "new.json"
+    assert main(argv + [str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["degree"] == 2
+    assert len(list(cache.glob("bn-*.json"))) == 2
+
+
+# -- one context per job ------------------------------------------------------------
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, rebound wherever a speclat module binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "speclat" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, lifts, sweeps",
+    [
+        ("bn", 3, 0),  # levels 6, 2 and 3
+        ("moments", 0, 2),  # the moments, and one sweep mod 2 for the congruence
+        ("walks", 1, 0),
+        ("spectrum", 0, 0),
+        ("mahler", 0, 1),  # one sweep serves both moment series
+        ("padic", 1, 0),  # b_6 for all eight z values
+    ],
+)
+def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, lifts, sweeps):
+    from speclat import laurent, lattice, specpoly
+
+    from test_golden_records import README_CONFIG
+
+    lattices = count_calls(monkeypatch, lattice, "difference_lattice")
+    lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
+    swept = count_calls(monkeypatch, laurent, "_moment_sweep")
+    assert main([command, "--config", write_cfg(tmp_path, README_CONFIG),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(lattices) == 1
+    assert len(lifted) == lifts
+    assert len({N for _, N in lifted}) == lifts
+    assert len(swept) == sweeps

@@ -1,12 +1,14 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from speclat.errors import CosetViolation, ExplosionGuard
-from speclat.graph import WalkSum, based_walk_weight_sum, build_graph, walk_series_check
+from speclat.cli import main
+from speclat.graph import based_walk_weight_sum, build_graph, walk_series_check
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import diffraction_polynomial
-from speclat.moments import moment_N
+from speclat.moments import moment_sequence_N
 from speclat.specpoly import convolution_matrix
 
 
@@ -16,14 +18,14 @@ def graph_of(ps, N):
 
 def test_honeycomb_level3_counts(honeycomb):
     G = graph_of(honeycomb, 3)
-    assert G.black_count == 9
-    assert G.white_count == 9
+    adj = G.adjacency()
+    assert len(adj["black"]) == len(adj["white"]) == 9
     assert len(G.edges) == 27
 
 
 def test_honeycomb_level1(honeycomb):
     G = graph_of(honeycomb, 1)
-    assert G.black_count == 1
+    assert G.adjacency()["black"] == [[0, 0]]
     assert len(G.edges) == 3
     # three parallel typed edges on the same vertex pair
     assert {(e[0], e[1]) for e in G.edges} == {((0, 0), (0, 0))}
@@ -81,7 +83,7 @@ def test_walk_sum_matches_trace_and_moments(honeycomb, chebyshev):
                 ]
                 walks = based_walk_weight_sum(G, k)
                 assert walks == sum(acc[i][i] for i in range(size))
-                assert walks == N**n * moment_N(w, k, N)
+                assert walks == N**n * moment_sequence_N(w, k, N)[k]
 
 
 def test_walks_invariant_under_relabeling(honeycomb):
@@ -105,28 +107,39 @@ def test_explosion_guard(honeycomb):
         based_walk_weight_sum(G, 5, cap=1000)
 
 
-def test_per_class_weight(honeycomb):
+def test_per_class_weight(honeycomb, tmp_path):
+    # the walks record's per-class totals are the based totals over k
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dimension": 2,
+        "points": [{"a": list(a), "c": c} for a, c in honeycomb.points],
+        "walks": {"N": 2, "k_max": 3},
+    }))
+    out = tmp_path / "out.json"
+    assert main(["walks", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
     G = graph_of(honeycomb, 2)
-    total = based_walk_weight_sum(G, 3)
-    ws = WalkSum(3, total)
-    assert ws.per_class == Fraction(total, 3)
+    for k in (1, 2, 3):
+        total = based_walk_weight_sum(G, k)
+        assert payload["walk_totals"][k - 1] == str(total)
+        assert payload["per_class"][k - 1] == str(Fraction(total, k))
 
 
-def test_walk_series_honeycomb(honeycomb):
-    assert walk_series_check(honeycomb, 2, 10, 4)
+def test_walk_series_honeycomb(honeycomb_ctx):
+    assert walk_series_check(honeycomb_ctx, 2, 10, 4)
 
 
-def test_walk_series_cheb(chebyshev):
-    assert walk_series_check(chebyshev, 3, 6, 5)
+def test_walk_series_cheb(cheb_ctx):
+    assert walk_series_check(cheb_ctx, 3, 6, 5)
 
 
-def test_walk_series_order_one_is_trace(chebyshev):
-    assert walk_series_check(chebyshev, 4, 17, 1)
+def test_walk_series_order_one_is_trace(cheb_ctx):
+    assert walk_series_check(cheb_ctx, 4, 17, 1)
 
 
-def test_walk_series_needs_large_z(honeycomb):
+def test_walk_series_needs_large_z(honeycomb_ctx):
     with pytest.raises(ValueError):
-        walk_series_check(honeycomb, 2, 9, 2)
+        walk_series_check(honeycomb_ctx, 2, 9, 2)
 
 
 def test_adjacency_export(honeycomb):

@@ -4,16 +4,35 @@ import random
 import pytest
 
 from speclat.errors import NotInLattice, RankDeficient
+from speclat.graph import build_graph
 from speclat.lattice import (
     LatticeBasis,
     WeightedPointSet,
     difference_lattice,
     disjointness_check,
-    quotient_enumeration,
     to_lattice_coords,
 )
 
 from conftest import random_point_set
+
+
+@pytest.mark.parametrize(
+    "dimension, points",
+    [
+        (2, (((1.5, 0), 1), ((0, 1), 1))),  # float coordinate
+        (2, (((1.0, 0), 1), ((0, 1), 1))),  # integral float coordinate
+        (2, (((True, 0), 1), ((0, 1), 1))),  # bool coordinate
+        (2, (((1, 0), 1.5), ((0, 1), 1))),  # float weight
+        (2, (((1, 0), True), ((0, 1), 1))),  # bool weight
+        (2, ((("1", 0), 1), ((0, 1), 1))),  # string coordinate
+        (2.0, (((1, 0), 1), ((0, 1), 1))),  # float dimension
+        (True, (((1,), 1), ((0,), 1))),  # bool dimension
+    ],
+)
+def test_point_set_rejects_non_integers(dimension, points):
+    # refused, never truncated to a different point set
+    with pytest.raises(ValueError):
+        WeightedPointSet(dimension, points)
 
 
 def test_point_set_validation():
@@ -94,13 +113,17 @@ def test_disjointness(honeycomb, chebyshev):
 
 
 def test_quotient_enumeration(honeycomb):
+    # the quotient graph lists the residues of the lattice mod N in
+    # lexicographic order, each once
     basis = difference_lattice(honeycomb)
-    assert quotient_enumeration(basis, 1) == [(0, 0)]
-    assert quotient_enumeration(basis, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    reps = quotient_enumeration(basis, 6)
-    assert len(reps) == 36
-    assert len(set(reps)) == 36
-    assert reps == sorted(reps)
+
+    def reps(N):
+        return [tuple(v) for v in build_graph(honeycomb, basis, N).adjacency()["black"]]
+
+    assert reps(1) == [(0, 0)]
+    assert reps(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(reps(6)) == len(set(reps(6))) == 36
+    assert reps(6) == sorted(reps(6))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -13,14 +13,12 @@ from speclat.laurent import (
     _moment_sweep,
     constant_term,
     diffraction_polynomial,
-    power,
+    folded_power_sweep,
 )
 from speclat.moments import (
     MomentSequence,
     chebyshev_generating_check,
     check_congruence,
-    moment,
-    moment_N,
     moment_sequence,
     moment_sequence_N,
     poly_log_series,
@@ -30,7 +28,7 @@ from speclat.moments import (
 )
 from speclat.specpoly import convolution_matrix, spectral_polynomial
 
-from _oracles import exact_moment_sweep, folded_moment_sweep
+from _oracles import exact_moment_sweep, folded_moment_sweep, power
 from conftest import random_point_set
 
 HONEYCOMB_RECURRENCE = (
@@ -38,16 +36,6 @@ HONEYCOMB_RECURRENCE = (
     (0, (-3, -10, -10)),  # -(10k^2+10k+3) m_k
     (1, (1, 2, 1)),  # (k+1)^2 m_{k+1}
 )
-
-
-@pytest.fixture
-def w_cheb(chebyshev):
-    return diffraction_polynomial(chebyshev, difference_lattice(chebyshev))
-
-
-@pytest.fixture
-def w_honey(honeycomb):
-    return diffraction_polynomial(honeycomb, difference_lattice(honeycomb))
 
 
 def honeycomb_moment_formula(k):
@@ -63,25 +51,25 @@ def cheb_moment_N_formula(k, N):
 
 def test_cheb_moments_are_central_binomials(w_cheb):
     for k in range(9):
-        assert moment(w_cheb, k) == math.comb(2 * k, k)
-    assert moment(w_cheb, 3) == 20
+        assert moment_sequence(w_cheb, k)[k] == math.comb(2 * k, k)
+    assert moment_sequence(w_cheb, 3)[3] == 20
 
 
 def test_honeycomb_moments(w_honey):
-    assert [moment(w_honey, k) for k in (1, 2, 3)] == [3, 15, 93]
+    assert [moment_sequence(w_honey, k)[k] for k in (1, 2, 3)] == [3, 15, 93]
     for k in range(13):
-        assert moment(w_honey, k) == honeycomb_moment_formula(k)
+        assert moment_sequence(w_honey, k)[k] == honeycomb_moment_formula(k)
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_moment_agrees_with_unfolded_power(w_honey, k):
-    assert moment(w_honey, k) == constant_term(power(w_honey, k))
+    assert moment_sequence(w_honey, k)[k] == constant_term(power(w_honey, k))
 
 
 def test_moment_sequence_matches_single(w_honey):
     seq = moment_sequence(w_honey, 10)
     assert seq.source == "constant-term"
-    assert list(seq.values) == [moment(w_honey, k) for k in range(11)]
+    assert list(seq.values) == [moment_sequence(w_honey, k)[k] for k in range(11)]
 
 
 def test_moments_basis_independent(honeycomb, w_honey):
@@ -91,29 +79,29 @@ def test_moments_basis_independent(honeycomb, w_honey):
     for rows in (((2, 1), (1, 2)), ((2, 1), (-1, -2))):
         w_alt = diffraction_polynomial(honeycomb, LatticeBasis(2, rows))
         for k in range(7):
-            assert moment(w_alt, k) == moment(w_honey, k)
+            assert moment_sequence(w_alt, k)[k] == moment_sequence(w_honey, k)[k]
         for N in (2, 3, 5):
-            assert moment_N(w_alt, 4, N) == moment_N(w_honey, 4, N)
+            assert moment_sequence_N(w_alt, 4, N)[4] == moment_sequence_N(w_honey, 4, N)[4]
 
 
 def test_moment_N_level_one(w_honey, w_cheb):
     for k in range(5):
-        assert moment_N(w_honey, k, 1) == 9**k
-        assert moment_N(w_cheb, k, 1) == 4**k
+        assert moment_sequence_N(w_honey, k, 1)[k] == 9**k
+        assert moment_sequence_N(w_cheb, k, 1)[k] == 4**k
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
 def test_cheb_moment_N_formula(w_cheb, N, k):
-    assert moment_N(w_cheb, k, N) == cheb_moment_N_formula(k, N)
+    assert moment_sequence_N(w_cheb, k, N)[k] == cheb_moment_N_formula(k, N)
 
 
 def test_honeycomb_moment_stability(w_honey):
     # equality as soon as N exceeds k, and domination always
     for k in range(9):
-        mk = moment(w_honey, k)
+        mk = moment_sequence(w_honey, k)[k]
         for N in range(1, 9):
-            mkN = moment_N(w_honey, k, N)
+            mkN = moment_sequence_N(w_honey, k, N)[k]
             assert mkN >= mk >= 0
             if N > k:
                 assert mkN == mk
@@ -136,7 +124,7 @@ def test_trace_cross_check(w_honey, w_cheb):
                     for i in range(size)
                 ]
                 tr = sum(acc[i][i] for i in range(size))
-                assert tr == N**n * moment_N(w, k, N)
+                assert tr == N**n * moment_sequence_N(w, k, N)[k]
 
 
 # -- property sweep against the full-torus oracle ---------------------------------
@@ -147,14 +135,14 @@ def check_against_full_torus(f: LaurentPoly, K: int):
     torus; the MomentSequence wrappers only where the moments are >= 0."""
     positive = all(c > 0 for c in f.terms.values())
     exact = exact_moment_sweep(f, K)
-    assert [moment(f, k) for k in range(K + 1)] == exact
+    assert [_moment_sweep(f, k)[k] for k in range(K + 1)] == exact
     if positive:
         assert list(moment_sequence(f, K).values) == exact
     for mod in (9, 2**61 - 1):  # int64 and object residues
         assert _moment_sweep(f, K, coeff_mod=mod) == [m % mod for m in exact]
     for N in (1, 2, 3, 5):
         level = folded_moment_sweep(f, K, N)
-        assert [moment_N(f, k, N) for k in range(K + 1)] == level
+        assert [folded_power_sweep(f, k, N)[k] for k in range(K + 1)] == level
         if positive:
             assert list(moment_sequence_N(f, K, N).values) == level
     for p, k, alpha in ((2, 1, 0), (3, 1, 0), (2, 1, 1)):
@@ -329,14 +317,14 @@ def test_chebyshev_generating_series():
     assert chebyshev_generating_check(4, 4)
 
 
-def test_poly_log_matches_level_moments(w_honey, honeycomb):
+def test_poly_log_matches_level_moments(w_honey):
     # coefficients of log(p(z)/z^deg) are -N^n m_k^(N) / k
     for N in (1, 2, 3):
-        p = spectral_polynomial(honeycomb, N)
+        p = spectral_polynomial(w_honey, N)
         K = 6
         logs = poly_log_series(p, K)
         for k in range(1, K + 1):
-            assert logs[k - 1] == Fraction(-(N**2) * moment_N(w_honey, k, N), k)
+            assert logs[k - 1] == Fraction(-(N**2) * moment_sequence_N(w_honey, k, N)[k], k)
 
 
 def test_truncated_expansion_rate(w_honey):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from speclat import graph
 from speclat.analysis import spectrum
+from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import diffraction_polynomial
@@ -49,7 +50,7 @@ def check_kernels(ps: WeightedPointSet, N: int, suffix_rows: int, tolerance=None
     assert np.array_equal(values, reference)
     assert np.array_equal(np.signbit(values), np.signbit(reference))
 
-    hist = spectrum(ps, N, tolerance=tolerance)
+    hist = spectrum(SpectralContext(ps), N, tolerance=tolerance)
     assert hist.clusters == loop_clusters(np.sort(reference.ravel()), hist.tolerance)
 
 
@@ -107,7 +108,7 @@ CUBE = WeightedPointSet(3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1
 @pytest.mark.parametrize("ps, N", [(HONEYCOMB, 384), (CUBE, 48)], ids=["honeycomb-384", "cube-48"])
 def test_spectrum_means_bitwise_at_large_clusters(ps, N):
     # clusters above 128 values, where numpy's pairwise sum splits into blocks
-    hist = spectrum(ps, N)
+    hist = spectrum(SpectralContext(ps), N)
     reference = loop_clusters(hist.values, hist.tolerance)
     assert max(size for _, size in reference) > 128
     assert [(mean.hex(), size) for mean, size in hist.clusters] == [
