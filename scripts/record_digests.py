@@ -6,8 +6,11 @@ Runs ``speclat.cli.main`` in process on
 
 * the README example config: ``walks``, ``spectrum`` and ``mahler``, each as
   JSON and as CSV, and ``walks`` with ``export_graph`` on;
-* the benchmark's ``torus-float`` and ``cli-cache`` jobs (``perfbench/gen.py``)
-  for each seed, each run cold and then warm on an empty cache directory;
+* every benchmark workload's jobs (``perfbench/gen.py``) for each seed:
+  ``exact-bn`` (big-integer coefficient strings), ``moment-series`` (moment
+  lists), ``torus-float`` (spectra and grids) and ``cli-cache`` (every command,
+  as JSON and as CSV), each run cold and then warm on an empty cache
+  directory;
 
 and prints one ``label digest`` line per record.  Run it against two
 checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
@@ -32,7 +35,7 @@ import gen  # noqa: E402  (perfbench/gen.py)
 from speclat import cli  # noqa: E402
 
 README_COMMANDS = ("walks", "spectrum", "mahler")
-BENCH_WORKLOADS = ("torus-float", "cli-cache")
+BENCH_WORKLOADS = tuple(gen.WORKLOADS)
 
 
 def readme_config() -> dict:

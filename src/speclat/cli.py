@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -50,7 +52,7 @@ from .analysis import (
 from .arith import valuation_inequality_check
 from .catalog import BUILTIN_POINT_SETS
 from .context import SpectralContext
-from .errors import ConfigError, ResourceLimit, SpeclatError
+from .errors import ConfigError, CosetViolation, RankDeficient, ResourceLimit, SpeclatError
 from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
 from .lattice import WeightedPointSet, _is_int
 from .moments import check_congruence, moment_sequence_N, product_exponents, series_coefficients
@@ -474,14 +476,21 @@ COMMANDS = {
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BOOL = {True: "true", False: "false"}
 
 
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
-    trees with string keys (any other key raises TypeError).  json has no C
-    encoder for indented output, and its pure-Python one is a chain of
-    generators; this builds each container's text in one join.  ``pad`` is
-    the newline and indentation that ``obj``'s lines continue from."""
+    trees with string keys (any other key raises TypeError).  ``pad`` is the
+    newline and indentation that ``obj``'s lines continue from.
+
+    The stdlib has no C encoder for indented output, and its pure-Python
+    one makes several generator steps per node; a spectrum record holds
+    tens of thousands of nodes.  So a list is written by the shape of its
+    items (``_column``): scalars of one type by one C-level ``map`` of that
+    type's repr, equal-length lists or dicts with one key set a column at a
+    time.  Only other lists are written item by item.
+    """
     if obj is None:
         return "null"
     if obj is True:
@@ -499,14 +508,60 @@ def _json_text(obj, pad: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_text(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        return "[" + inner + ("," + inner).join(_column(obj, inner)) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _column(values, pad: str):
+    """The texts of ``values``, each at ``pad``: a lazy iterable, consumed
+    once, so no column's texts outlive the containers they fill."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        (kind,) = kinds
+        if issubclass(kind, str):
+            return map(_json_string, values)
+        if kind is bool:
+            return map(_JSON_BOOL.__getitem__, values)
+        if issubclass(kind, int):
+            return map(int.__repr__, values)
+        if issubclass(kind, float) and all(map(math.isfinite, values)):
+            return map(float.__repr__, values)
+        if kind is type(None):
+            return itertools.repeat("null", len(values))
+        if issubclass(kind, (list, tuple)):
+            widths = set(map(len, values))
+            if len(widths) == 1:
+                return _rows("[", [""] * widths.pop(), "]", zip(*values), len(values), pad)
+        elif issubclass(kind, dict):
+            keysets = set(map(tuple, values))  # each dict's keys, in insertion order
+            if len(set(map(frozenset, keysets))) == 1:
+                keys = sorted(keysets.pop())
+                labels = [_json_string(k) + ": " for k in keys]
+                columns = (list(map(operator.itemgetter(k), values)) for k in keys)
+                return _rows("{", labels, "}", columns, len(values), pad)
+    return map(_json_text, values, itertools.repeat(pad))
+
+
+def _rows(open_: str, labels: list[str], close: str, columns, count: int, pad: str):
+    """The texts of ``count`` containers of one shape, at ``pad``: field i
+    is ``labels[i]`` (a dict key, or nothing for a list) followed by the
+    i-th of ``columns``.  Each column is written by ``_column``; each
+    container is then one join of its fields' texts between fixed
+    separators, which bake in the brackets, labels and indentation."""
+    if not labels:
+        return itertools.repeat(open_ + close, count)
+    inner = pad + "  "
+    pieces = []
+    for label, column in zip(labels, columns):
+        pieces.append(itertools.repeat(("," if pieces else open_) + inner + label))
+        pieces.append(_column(column, inner))
+    pieces.append(itertools.repeat(pad + close))
+    return map("".join, zip(*pieces))
 
 
 def _record_text(record: ResultRecord) -> str:
@@ -547,22 +602,26 @@ def _cached_record(cache_dir: str | None, command: str, cfg_hash: str):
     return record
 
 
-def _store_record(cache_dir: str | None, record: ResultRecord):
+def _store_record(cache_dir: str | None, record: ResultRecord) -> str | None:
+    """Write the record to the cache, if any, and return its text."""
     if not cache_dir:
-        return
+        return None
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, record.command, record.config_hash)
-    _atomic_write(path, _record_text(record))
+    text = _record_text(record)
+    _atomic_write(path, text)
+    return text
 
 
-def _emit(record: ResultRecord, out: str | None, fmt: str):
-    if fmt == "json":
-        text = _record_text(record)
-    else:
+def _emit(record: ResultRecord, out: str | None, fmt: str, text: str | None = None):
+    """Write the record as ``fmt``; ``text``, if given, is its JSON text."""
+    if fmt != "json":
         table = COMMANDS[record.command].csv if record.command in COMMANDS else _verify_csv
         buf = io.StringIO()
         csv.writer(buf).writerows(table(record.payload))
         text = buf.getvalue()
+    elif text is None:
+        text = _record_text(record)
     if out:
         _atomic_write(out, text)
     else:
@@ -572,7 +631,10 @@ def _emit(record: ResultRecord, out: str | None, fmt: str):
 # -- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call: each ``add_argument``
+    builds a help formatter, about 2 ms for the whole table."""
     parser = argparse.ArgumentParser(
         prog="speclat",
         description="exact spectral invariants of weighted lattice point sets",
@@ -633,12 +695,17 @@ def main(argv=None) -> int:
     try:
         cfg_hash = job.hash()
         record = _cached_record(job.cache_dir, job.command, cfg_hash)
+        text = None
         if record is None:
             payload = COMMANDS[job.command].run(SpectralContext(job.point_set), job.params)
             record = ResultRecord(job.command, cfg_hash, payload)
-            _store_record(job.cache_dir, record)
-        _emit(record, job.out, job.fmt)
+            text = _store_record(job.cache_dir, record)
+        _emit(record, job.out, job.fmt, text)
         return 0
+    except (RankDeficient, CosetViolation) as exc:
+        # found only once the lattice is built, but a fault of the point set
+        print(f"speclat: config error: invalid point set for {job.command}: {exc}", file=sys.stderr)
+        return 2
     except ResourceLimit as exc:
         print(f"speclat: resource cap: {exc}", file=sys.stderr)
         return 3

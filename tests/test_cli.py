@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speclat.cli import ResultRecord, _json_text, _record_text, main
+from speclat.cli import COMMANDS, ResultRecord, _build_parser, _json_text, _record_text, main
+from speclat.context import SpectralContext
+from speclat.lattice import WeightedPointSet
 
 
 def test_record_round_trip():
@@ -350,12 +352,65 @@ json_leaves = st.one_of(
     st.text(),
     st.text(st.characters(max_codepoint=0x1F)),
 )
+# keys holding format, brace and control characters
+json_keys = st.one_of(
+    st.text(),
+    st.sampled_from(["%", "%s", "%%", "%(a)s", "{", "}", "{%s}", "a%d{}"]),
+    st.text(st.characters(max_codepoint=0x1F)),
+)
+# what one column of a uniform list holds: scalars of one type, finite floats
+# with the odd non-finite or -0.0, mixed leaves, or any subtree
+uniform_scalars = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.one_of(st.integers(-(2**200), 2**200), st.integers(2**64, 2**70)),
+    st.booleans(),
+    st.none(),
+    st.text(),
+])
+
+
+def columns(kids):
+    """Strategies, one per column."""
+    return st.one_of(uniform_scalars, st.just(json_leaves), st.just(kids))
+
+
+def uniform_rows(kids):
+    """Lists of equal-length lists (or tuples, or both), column by column."""
+    return st.lists(columns(kids), max_size=4).flatmap(
+        lambda cols: st.tuples(
+            st.lists(st.tuples(*cols), max_size=6),
+            st.sampled_from(["list", "tuple", "both"]),
+        ).map(lambda drawn: [
+            list(row) if drawn[1] == "list" or (drawn[1] == "both" and i % 2) else row
+            for i, row in enumerate(drawn[0])
+        ])
+    )
+
+
+def uniform_dicts(kids):
+    """Lists of dicts with one key set, every other one in reverse key order."""
+    return st.dictionaries(json_keys, columns(kids), max_size=4).flatmap(
+        lambda spec: st.lists(st.fixed_dictionaries(spec), max_size=6).map(
+            lambda rows: [dict(reversed(r.items())) if i % 2 else r for i, r in enumerate(rows)]
+        )
+    )
+
+
 json_trees = st.recursive(
     json_leaves,
     lambda kids: st.one_of(
         st.lists(kids, max_size=5),
         st.lists(kids, max_size=3).map(tuple),
         st.dictionaries(st.text(), kids, max_size=5),
+        uniform_scalars.flatmap(lambda s: st.lists(s, max_size=8)),
+        uniform_rows(kids),
+        uniform_dicts(kids),
+        st.lists(st.lists(kids, max_size=3), max_size=4),  # ragged
+        st.lists(st.dictionaries(json_keys, kids, max_size=3), max_size=4),  # differing keys
     ),
     max_leaves=40,
 )
@@ -372,6 +427,39 @@ def test_record_writer_matches_json_dumps(tree):
 def test_record_writer_rejects_non_json(leaf):
     with pytest.raises(TypeError):
         _json_text({"payload": [1.5, leaf]})
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        [[1.5, {1, 2}], [2.5, {3}]],  # a bad leaf in a column of equal-length lists
+        [{"a": [0, object()]}, {"a": [1, object()]}],
+        [{"a": {"b": [{1: 2}]}}, {"a": {"b": [{1: 3}]}}],  # int keys, one key set
+        [{"a": {"b": {1: 2}}}, {"a": {"b": {3: 4}}}],  # int keys, differing key sets
+        [{"a": 1, 2: 3}, {"a": 4, 2: 5}],  # mixed keys at the column's own level
+        [np.int64(3), np.int64(4)],
+    ],
+)
+def test_record_writer_rejects_non_json_in_uniform_column(tree):
+    with pytest.raises(TypeError):
+        _json_text({"payload": tree})
+
+
+@pytest.mark.parametrize(
+    "dimension, points, params",
+    [
+        (2, HONEYCOMB_CFG["points"], {"N": 384, "grid": 64, "cdf_at": [1.0]}),
+        (3, [{"a": a, "c": 1} for a in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1])],
+         {"N": 48, "grid": 16, "cdf_at": [4.0]}),
+    ],
+)
+def test_spectrum_record_matches_json_dumps(dimension, points, params):
+    ps = WeightedPointSet(dimension, [(p["a"], p["c"]) for p in points])
+    spec = COMMANDS["spectrum"]
+    payload = spec.run(SpectralContext(ps), {key: p.default for key, p in spec.params.items()} | params)
+    assert len(payload["levels"]) > 1000 and len(payload["grid"]["values"]) == 4096
+    record = ResultRecord("spectrum", "abc123", payload)
+    assert _record_text(record) == json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 # -- strict parameters ------------------------------------------------------------
@@ -505,3 +593,88 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, li
     assert len(lifted) == lifts
     assert len({N for _, N in lifted}) == lifts
     assert len(swept) == sweeps
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def test_parser_built_once_and_overrides_do_not_leak(tmp_path):
+    cfg = dict(CHEB_CFG)
+    cfg["bn"] = {"N": 3}
+    cfg_path = write_cfg(tmp_path, cfg)
+    levels = []
+    for argv in (["--N", "5"], []):
+        code, out = run(tmp_path, cfg, ["bn", "--config", cfg_path] + argv)
+        assert code == 0
+        levels.append(json.loads(out.read_text())["payload"]["N"])
+    assert levels == [5, 3]
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS, "verify"])
+def test_help_text_equals_a_fresh_parser(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    texts = []
+    for parse in (main, _build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: speclat")
+
+
+# -- one serialisation per job ---------------------------------------------------------
+
+
+def test_cache_miss_serialises_record_once(tmp_path, monkeypatch):
+    texts = count_calls(monkeypatch, sys.modules["speclat.cli"], "_record_text")
+    cfg = dict(CHEB_CFG)
+    cfg["bn"] = {"N": 4}
+    cache = tmp_path / "cache"
+    code, out = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg),
+                                    "--cache-dir", str(cache)])
+    assert code == 0
+    assert len(texts) == 1
+    (cached,) = cache.glob("bn-*.json")
+    assert cached.read_bytes() == out.read_bytes()
+
+
+# -- point sets that fail once their lattice is built ----------------------------------
+
+RANK_DEFICIENT_CFG = {"dimension": 2, "points": [{"a": [1, 1], "c": 1}, {"a": [2, 2], "c": 1}]}
+MEETS_LATTICE_CFG = {
+    "dimension": 2,
+    "points": [{"a": [0, 0], "c": 1}, {"a": [1, 0], "c": 1}, {"a": [0, 1], "c": 1}],
+}
+BLOCKS = {"mahler": {"z": 12.0}, "padic": {"p": 5}}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_rank_deficient_point_set_exit_2(tmp_path, capsys, command):
+    cfg = dict(RANK_DEFICIENT_CFG)
+    cfg[command] = BLOCKS.get(command, {})
+    cache = tmp_path / "cache"
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(cache)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("speclat: config error: invalid point set for ")
+    assert "Traceback" not in err
+    assert not list(cache.glob("*.json"))
+
+
+def test_walks_on_point_set_meeting_its_lattice_exit_2(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cfg_path = write_cfg(tmp_path, MEETS_LATTICE_CFG)
+    code = main(["walks", "--config", cfg_path, "--cache-dir", str(cache)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("speclat: config error: invalid point set for walks: ")
+    assert "meets its difference lattice" in err
+    assert not list(cache.glob("*.json"))
+    # the other commands have no use for the bipartite graph
+    code, out = run(tmp_path, MEETS_LATTICE_CFG,
+                    ["bn", "--config", cfg_path, "--cache-dir", str(cache)])
+    assert code == 0
+    assert json.loads(out.read_text())["payload"]["N"] == 1
+    assert len(list(cache.glob("bn-*.json"))) == 1
