@@ -41,6 +41,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, NamedTuple
 
 from .analysis import (
+    DEFAULT_SERIES_CAP,
     MAHLER_METHODS,
     diffraction_field,
     empirical_cdf,
@@ -52,7 +53,8 @@ from .analysis import (
 from .arith import valuation_inequality_check
 from .catalog import BUILTIN_POINT_SETS
 from .context import SpectralContext
-from .errors import ConfigError, CosetViolation, RankDeficient, ResourceLimit, SpeclatError
+from .errors import ConfigError, CosetViolation, RankDeficient, ResourceLimit, SizeLimit
+from .errors import SpeclatError
 from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
 from .lattice import WeightedPointSet, _is_int
 from .moments import check_congruence, moment_sequence_N, product_exponents, series_coefficients
@@ -238,6 +240,11 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
 
 def _run_moments(ctx: SpectralContext, params: dict) -> dict:
     K = params["k_max"]
+    # the job's longest sweep, before any work (as p >= 2, a power past the
+    # cap's bit length is past the cap)
+    cap = DEFAULT_SERIES_CAP
+    if max([K, *(k * p ** min(a + 1, cap.bit_length()) for p, k, a in params["congruences"])]) > cap:
+        raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
     seq = ctx.moment_sequence(K)
     payload = {
         "k_max": K,

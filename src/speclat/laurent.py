@@ -6,9 +6,9 @@ squared-diffraction polynomial of a weighted point set: the sum of
 c_a * c_b over all ordered point pairs, attached to the lattice coordinates
 of a - b.  Folding exponents modulo N turns multiplication into convolution
 on the N-fold torsion quotient, which is how all the finite spectra and the
-level-N moments are computed.  Exact moments need no fold: the powers are
-expanded on boxes that grow from the origin, and only half of them are
-needed, since CT(g*h) = sum_v g_v * h_{-v}.
+level-N moments are computed.  Exact moments need no fold: half the powers,
+as CT(g*h) = sum_v g_v * h_{-v}, on boxes about the origin in tight
+unimodular coordinates, and half of each box when f is palindromic.
 """
 
 from __future__ import annotations
@@ -121,28 +121,64 @@ def _half_power_moments(K: int, unit: np.ndarray, step, pair, coeff_mod: int | N
     return out if coeff_mod is None else [m % coeff_mod for m in out]
 
 
+def _tight_coordinates(exponents: np.ndarray) -> np.ndarray:
+    """Unimodular U shrinking the reach max_e |u_i·e| of each row u_i over
+    the rows e of ``exponents``: from the identity, replace u_i by
+    u_i ± u_j, the largest drop first, while some replacement lowers it."""
+    n = exponents.shape[1]
+    U = np.eye(n, dtype=np.int64)
+    while True:
+        Y = exponents @ U.T
+        moved = np.stack([Y[:, :, None] + Y[:, None, :], Y[:, :, None] - Y[:, None, :]])
+        gain = np.abs(Y).max(axis=0, initial=0)[:, None] - np.abs(moved).max(axis=1, initial=0)
+        gain[:, range(n), range(n)] = 0  # [sign, i, j]
+        s, i, j = np.unravel_index(gain.argmax(), gain.shape)
+        if gain[s, i, j] <= 0:
+            return U
+        U[i] += (1 - 2 * s) * U[j]
+
+
 def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int | None = None) -> list[int]:
     """Exact constant terms of f**k for k = 0..K (reduced mod ``coeff_mod``).
 
-    f^j lives on the box -j*r .. j*r, r the largest |exponent| per axis
-    (the bounding box of f^j when f is palindromic): index i stands for
-    exponent i - j*r.
+    In the coordinates U·e of ``_tight_coordinates`` (U unimodular, so no
+    constant term changes) f^j lives on the box -j*r .. j*r, r the largest
+    |exponent| per axis: index i stands for exponent i - j*r.  A palindromic
+    f has powers with g_v = g_{-v}: ``step`` fills the rows from the centre
+    of axis 0 up and mirrors them below it, and CT(g*h) = sum_v g_v * h_v is
+    twice the rows above the centre plus the centre row.
     """
     kernel, dtype = _kernel(f, coeff_mod)
     n = f.dimension
-    r = [max((abs(e[i]) for e, _ in kernel), default=0) for i in range(n)]
+    exponents = np.array([e for e, _ in kernel], dtype=np.int64).reshape(-1, n)
+    exponents = exponents @ _tight_coordinates(exponents).T
+    kernel = [(tuple(e), c) for e, (_, c) in zip(exponents.tolist(), kernel)]
+    r = np.abs(exponents).max(axis=0, initial=0).tolist()
+    half = set(kernel) == {(tuple(-x for x in e), c) for e, c in kernel}
+    flip = (slice(None, None, -1),) * n
 
     def step(prev, j):
         cur = np.zeros(tuple(2 * (j + 1) * ri + 1 for ri in r), dtype=dtype)
+        centre = (j + 1) * r[0] if half else 0  # the rows below it are mirrored in
         for e, c in kernel:
-            window = cur[tuple(slice(x + ri, x + ri + m) for x, ri, m in zip(e, r, prev.shape))]
-            window += prev if c == 1 else prev * c
+            # cur[i] += c * prev[i - e - r], from row `centre` on
+            at = [x + ri for x, ri in zip(e, r)]
+            skip = max(centre - at[0], 0)
+            at[0] += skip
+            src = prev[skip:]
+            window = cur[tuple(slice(x, x + m) for x, m in zip(at, src.shape))]
+            window += src if c == 1 else src * c
+        if half:
+            cur[:centre] = cur[centre + 1 :][flip]
         return cur
 
     def pair(g, a, h, b):
-        # for a <= b: h_{-v} on g's box is the reversed central part of h
-        centre = tuple(slice((b - a) * ri, (b + a) * ri + 1) for ri in r)
-        return int((g * h[centre][(slice(None, None, -1),) * n]).sum())
+        # for a <= b: the central part of h lies on g's box
+        h = h[tuple(slice((b - a) * ri, (b + a) * ri + 1) for ri in r)]
+        if not half:
+            return int((g * h[flip]).sum())
+        top = g[a * r[0] :] * h[a * r[0] :]
+        return 2 * int(top[1:].sum()) + int(top[:1].sum())
 
     return _half_power_moments(K, np.ones((1,) * n, dtype=dtype), step, pair, coeff_mod)
 

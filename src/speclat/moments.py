@@ -6,8 +6,9 @@ k-th power folded mod N.  Both are read from half the powers: with
 CT(g*h) = sum_v g_v * h_{-v}, m_{2j+1} pairs f^j with f^(j+1) and m_{2j+2}
 pairs f^(j+1) with itself, so m_0..m_K take ceil(K/2) products.  Exact
 powers live on unfolded boxes about the origin, which grow by the largest
-exponent of f per side at each product; level-N powers live on the N^n
-torus.
+exponent of f per side at each product (in unimodular coordinates that
+keep it small), and only half of each box is filled when f is palindromic,
+as every W is; level-N powers live on the N^n torus.
 
 Everything in this module is exact: Python integers and Fractions only.
 """

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -292,6 +293,47 @@ def test_walk_cap_checked_before_enumeration(tmp_path, capsys, monkeypatch, bloc
     assert code == 3
     assert err.startswith("speclat: resource cap: ")
     assert "exceed the cap 100000000" in err
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"k_max": 100_000},
+        {"k_max": 4, "congruences": [[997, 1, 3]]},  # a sweep to 997**4
+        {"k_max": 4, "congruences": [[2, 1, 10]]},  # 2**11 = 2048, just past the cap
+        {"k_max": 4, "congruences": [[3, 1, 10**9]]},  # a power too large to form
+    ],
+)
+def test_moments_cap_checked_before_any_sweep(tmp_path, capsys, monkeypatch, block):
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments swept past the job's cap")
+
+    monkeypatch.setattr("speclat.cli.SpectralContext.moment_sequence", refuse)
+    monkeypatch.setattr("speclat.cli.check_congruence", refuse)
+    monkeypatch.setattr("speclat.cli.moment_sequence_N", refuse)
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["moments"] = block
+    cache = tmp_path / "cache"
+    start = time.perf_counter()
+    code = main(["moments", "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(cache)])
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("speclat: resource cap: moments need a sweep past k = 1024")
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_moments_cap_admits_sweeps_up_to_it(tmp_path, monkeypatch):
+    swept = []
+    monkeypatch.setattr(
+        "speclat.cli.check_congruence", lambda w, p, k, a: swept.append((p, k, a)) or True
+    )
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["moments"] = {"k_max": 2, "congruences": [[2, 1, 9], [2, 0, 10**9]], "series": False}
+    code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert swept == [(2, 1, 9), (2, 0, 10**9)]
+    assert json.loads(out.read_text())["payload"]["moments"] == ["1", "3", "15"]
 
 
 @pytest.mark.parametrize(

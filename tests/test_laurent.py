@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
-from speclat.lattice import LatticeBasis, difference_lattice
+from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice
 from speclat.laurent import (
     LaurentPoly,
+    _tight_coordinates,
     constant_term,
     diffraction_polynomial,
     fold_mod_N,
@@ -143,3 +145,22 @@ def test_folded_power_sweep_central_binomials(w_cheb):
 
     vals = folded_power_sweep(w_cheb, 6, 13)
     assert vals == [math.comb(2 * k, k) for k in range(7)]
+
+
+@pytest.mark.parametrize(
+    "dimension, points",
+    [
+        (1, [((-1,), 1), ((1,), 1)]),  # chebyshev
+        (2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)]),  # honeycomb
+        (2, [((-2, -2), 1), ((-1, 0), 2), ((0, -1), 1), ((1, 1), 3)]),
+        (3, [((0, 2, -2), 1), ((1, 0, 1), 1), ((1, 2, 0), 1), ((2, 2, 0), 1)]),
+    ],
+)
+def test_tight_coordinates_reach_one(dimension, points):
+    # the moment sweep's box grows by the reach per axis and per power
+    ps = WeightedPointSet(dimension, tuple(points))
+    exponents = np.array(list(diffraction_polynomial(ps, difference_lattice(ps)).terms))
+    U = _tight_coordinates(exponents)
+    assert U.dtype.kind == "i"
+    assert round(abs(np.linalg.det(U))) == 1
+    assert np.abs(exponents @ U.T).max(axis=0).tolist() == [1] * dimension

@@ -3,11 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat.errors import IntegralityViolation
-from speclat.lattice import difference_lattice
+from speclat.errors import IntegralityViolation, RankDeficient
+from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import (
     LaurentPoly,
     _moment_sweep,
@@ -28,7 +28,7 @@ from speclat.moments import (
 )
 from speclat.specpoly import convolution_matrix, spectral_polynomial
 
-from _oracles import exact_moment_sweep, folded_moment_sweep, power
+from _oracles import exact_moment_sweep, folded_moment_sweep, is_palindromic, power
 from conftest import random_point_set
 
 HONEYCOMB_RECURRENCE = (
@@ -198,6 +198,53 @@ def moment_cases(draw):
 @given(moment_cases())
 def test_moments_match_full_torus_property(case):
     check_against_full_torus(*case)
+
+
+@st.composite
+def palindromic_cases(draw):
+    """A palindromic f, which the sweep reads on half of each power's box:
+    the diffraction polynomial of a random weighted point set, or a random
+    Laurent polynomial plus its reflection (negative coefficients too)."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(0, 12 if n < 3 else 8))
+    if draw(st.booleans()):
+        box = 2 if n < 3 else 1
+        points = draw(st.lists(
+            st.tuples(*[st.integers(-box, box)] * n), min_size=n + 1, max_size=4, unique=True
+        ))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+        ps = WeightedPointSet(n, tuple(zip(points, weights)))
+        try:
+            basis = difference_lattice(ps)
+        except RankDeficient:
+            assume(False)
+        return diffraction_polynomial(ps, basis), K
+    span = 3 if n < 3 else 2
+    exponent = st.tuples(*[st.integers(-span, span)] * n)
+    terms = draw(st.dictionaries(exponent, st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    symmetric: dict = {}
+    for e, c in terms.items():
+        for v in (e, tuple(-x for x in e)):
+            symmetric[v] = symmetric.get(v, 0) + c
+    return LaurentPoly(n, symmetric), K
+
+
+@settings(max_examples=60)
+@given(palindromic_cases())
+def test_half_box_sweep_matches_full_torus(case):
+    assert is_palindromic(case[0])
+    check_against_full_torus(*case)
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_level_moments_above_wrap_are_exact(seed):
+    # no power up to f^K wraps on the N-torus, so the two sweeps agree
+    rng = random.Random(5000 + seed)
+    n = 1 + seed % 3
+    w = diffraction_polynomial(ps := random_point_set(rng, dimension=n), difference_lattice(ps))
+    K = rng.randint(1, 10 if n < 3 else 3)
+    N = 2 * K * max(abs(x) for e in w.terms for x in e) + 1
+    assert moment_sequence_N(w, K, N).values == moment_sequence(w, K).values
 
 
 # -- congruences ----------------------------------------------------------------
