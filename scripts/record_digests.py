@@ -6,6 +6,7 @@ Runs ``speclat.cli.main`` in process on
 
 * the README example config: ``walks``, ``spectrum`` and ``mahler``, each as
   JSON and as CSV, and ``walks`` with ``export_graph`` on;
+* ``verify`` on each built-in example, as JSON and as CSV;
 * every benchmark workload's jobs (``perfbench/gen.py``) for each seed:
   ``exact-bn`` (big-integer coefficient strings), ``moment-series`` (moment
   lists), ``torus-float`` (spectra and grids) and ``cli-cache`` (every command,
@@ -33,6 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import gen  # noqa: E402  (perfbench/gen.py)
 from speclat import cli  # noqa: E402
+from speclat.catalog import BUILTIN_POINT_SETS  # noqa: E402
 
 README_COMMANDS = ("walks", "spectrum", "mahler")
 BENCH_WORKLOADS = tuple(gen.WORKLOADS)
@@ -73,6 +75,10 @@ def main() -> int:
         with open(graph_path, "w") as fh:
             json.dump(cfg, fh)
         print(f"readme/walks-graph/json {digest(record(['walks', '--config', graph_path]))}")
+        for example in sorted(BUILTIN_POINT_SETS):
+            for fmt in ("json", "csv"):
+                text = record(["verify", example, "--format", fmt])
+                print(f"verify/{example}/{fmt} {digest(text)}")
         for workload in BENCH_WORKLOADS:
             for seed in args.seeds:
                 manifest = gen.write_inputs(os.path.join(work, f"{workload}-{seed}"), workload, seed)

@@ -13,6 +13,7 @@ package computes, in exact arithmetic where the quantities are integral:
 
 and, in floating point, spectrum histograms, Hilbert transforms and
 Mahler-measure limits.  See the cli module for the command-line surface.
+The names imported below are the public API.
 """
 
 __version__ = "0.1.0"
@@ -71,51 +72,3 @@ from .specpoly import (
     spectral_polynomial,
 )
 
-__all__ = [
-    "WeightedPointSet",
-    "LatticeBasis",
-    "difference_lattice",
-    "SpectralContext",
-    "to_lattice_coords",
-    "disjointness_check",
-    "LaurentPoly",
-    "diffraction_polynomial",
-    "constant_term",
-    "fold_mod_N",
-    "IntPolynomial",
-    "ConvolutionMatrix",
-    "convolution_matrix",
-    "spectral_polynomial",
-    "divides",
-    "evaluate_at_integer",
-    "integer_root_multiplicity",
-    "spectral_log_value",
-    "MomentSequence",
-    "moment_sequence",
-    "moment_sequence_N",
-    "check_congruence",
-    "series_coefficients",
-    "product_exponents",
-    "verify_recurrence",
-    "chebyshev_generating_check",
-    "TorusBipartiteGraph",
-    "build_graph",
-    "based_walk_weight_sum",
-    "walk_series_check",
-    "vp",
-    "factorize",
-    "FactoredInteger",
-    "PrimePowerField",
-    "count_points",
-    "valuation_inequality_check",
-    "SpectrumHistogram",
-    "MahlerResult",
-    "diffraction_field",
-    "spectrum",
-    "empirical_cdf",
-    "hilbert_transform",
-    "mahler_measure",
-    "chebyshev_point_set",
-    "honeycomb_point_set",
-    "builtin_point_set",
-]

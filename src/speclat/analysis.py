@@ -22,9 +22,8 @@ import numpy as np
 
 from .context import SpectralContext
 from .errors import SizeLimit, SpectrumProximity
-from .specpoly import character_values
+from .specpoly import DEFAULT_FLOAT_CAP, character_values
 
-DEFAULT_FLOAT_CAP = 10**7
 DEFAULT_SERIES_CAP = 1024
 MAHLER_METHODS = ("limit", "moment-series", "torus-quadrature")
 
@@ -62,12 +61,7 @@ def diffraction_field(ctx: SpectralContext, resolution: int) -> np.ndarray:
     return character_values(ctx.w, resolution)
 
 
-def spectrum(
-    ctx: SpectralContext,
-    N: int,
-    tolerance: float | None = None,
-    float_cap: int = DEFAULT_FLOAT_CAP,
-) -> SpectrumHistogram:
+def spectrum(ctx: SpectralContext, N: int, tolerance: float | None = None) -> SpectrumHistogram:
     """All N^n character values, sorted and clustered.
 
     A cluster's level is the mean of its values, bit for bit what
@@ -76,9 +70,6 @@ def spectrum(
     / L``, which reduces every contiguous row with numpy's pairwise sum,
     the same order ``mean`` uses.  A singleton keeps its value.
     """
-    n = ctx.dimension
-    if N**n > float_cap:
-        raise SizeLimit(f"{N**n} character values exceed cap {float_cap}")
     C2 = ctx.ps.total_weight**2
     tol = 1e-6 * C2 if tolerance is None else tolerance
     vals = np.sort(character_values(ctx.w, N).ravel())
@@ -153,8 +144,6 @@ def hilbert_transform(
     z: complex,
     method: str = "moment-series",
     tol: float = 1e-10,
-    float_cap: int = DEFAULT_FLOAT_CAP,
-    series_cap: int = DEFAULT_SERIES_CAP,
 ) -> complex:
     """Stieltjes transform of the level density at z.
 
@@ -164,7 +153,7 @@ def hilbert_transform(
     """
     C2 = ctx.ps.total_weight**2
     if method == "moment-series":
-        K = _hilbert_length(C2, z, tol, series_cap)
+        K = _hilbert_length(C2, z, tol, DEFAULT_SERIES_CAP)
         m = ctx.moment_sequence(K)
         # sum m_k / z^(k+1) as (m_k / C2^k) * (C2/z)^k / z: both factors
         # stay bounded however large the integer moments get
@@ -181,7 +170,7 @@ def hilbert_transform(
     if method == "spectrum-average":
         prev = None
         N = 16
-        while N**ctx.dimension <= float_cap:
+        while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
             vals = character_values(ctx.w, N).ravel()
             cur = complex(np.mean(1.0 / (complex(z) - vals)))
             if prev is not None and abs(cur - prev) < tol:
@@ -218,8 +207,6 @@ def mahler_measure(
     method: str = "limit",
     tol: float = 1e-3,
     resolution: int = 128,
-    float_cap: int = DEFAULT_FLOAT_CAP,
-    series_cap: int = DEFAULT_SERIES_CAP,
 ) -> MahlerResult:
     """exp(-average of log|z - value|) over the full torus, three ways.
 
@@ -235,7 +222,7 @@ def mahler_measure(
     if method == "limit":
         prev = None
         N = 16
-        while N**ctx.dimension <= float_cap:
+        while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
             cur = math.exp(-_log_average(ctx, N, z, proximity))
             if prev is not None and abs(cur - prev) < tol:
                 return MahlerResult(cur, abs(cur - prev), method)
@@ -244,7 +231,7 @@ def mahler_measure(
         raise SizeLimit("limit method did not stabilize within the float cap")
     if method == "moment-series":
         ratio = C2 / abs(z)
-        K = _mahler_length(C2, z, tol, series_cap)
+        K = _mahler_length(C2, z, tol, DEFAULT_SERIES_CAP)
         m = ctx.moment_sequence(K)
         zinv = 1 / complex(z)
         base = C2 * zinv
@@ -259,7 +246,8 @@ def mahler_measure(
         tail = ratio ** (K + 1) / ((K + 1) * (1 - ratio))
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":
-        coarse = math.exp(-_log_average(ctx, max(resolution // 2, 2), z, proximity))
+        # the fine grid first: it meets the float cap before any grid is swept
         fine = math.exp(-_log_average(ctx, resolution, z, proximity))
+        coarse = math.exp(-_log_average(ctx, max(resolution // 2, 2), z, proximity))
         return MahlerResult(fine, abs(fine - coarse), method)
     raise ValueError(f"unknown method {method!r}")

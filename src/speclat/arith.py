@@ -20,10 +20,11 @@ from functools import lru_cache
 from . import primes
 from .errors import SizeLimit
 from .context import SpectralContext
-from .specpoly import DEFAULT_SIZE_LIMIT, evaluate_at_integer
+from .specpoly import evaluate_at_integer
 
 DEFAULT_POINT_CAP = 10**7
 _TRIAL_LIMIT = 10**6
+_RHO_ROUNDS = 64
 
 
 def vp(x: int, p: int) -> int | float:
@@ -84,7 +85,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             return g
 
 
-def factorize(x: int, rho_rounds: int = 64) -> FactoredInteger:
+def factorize(x: int) -> FactoredInteger:
     """Trial division to 10^6 followed by Pollard rho; numbers up to desk
     scale (~10^40) factor completely, anything stubborn is left as a
     flagged cofactor."""
@@ -102,7 +103,7 @@ def factorize(x: int, rho_rounds: int = 64) -> FactoredInteger:
     cofactor = 1
     stack = [n] if n > 1 else []
     rng = random.Random(abs(x))
-    budget = rho_rounds
+    budget = _RHO_ROUNDS
     while stack:
         m = stack.pop()
         if m == 1:
@@ -253,13 +254,7 @@ class PrimePowerField:
         raise RuntimeError("no generator found (impossible for a field)")
 
 
-def count_points(
-    ps: SpectralContext,
-    z: int,
-    p: int,
-    nu: int = 1,
-    cap: int = DEFAULT_POINT_CAP,
-) -> int:
+def count_points(ps: SpectralContext, z: int, p: int, nu: int = 1) -> int:
     """Number of tuples of nonzero field elements where the diffraction
     polynomial takes the value z in the p^nu-element field.
 
@@ -271,8 +266,8 @@ def count_points(
     n = ps.dimension
     field = PrimePowerField(p, nu)
     g_order = field.order - 1
-    if g_order**n > cap:
-        raise SizeLimit(f"(p^nu - 1)^n = {g_order**n} exceeds cap {cap}")
+    if g_order**n > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"(p^nu - 1)^n = {g_order**n} exceeds cap {DEFAULT_POINT_CAP}")
     terms = [(e, c % p) for e, c in ps.w.sorted_terms() if c % p]
     gen = field.generator()
     table = [field.one]
@@ -291,19 +286,14 @@ def count_points(
 
 
 def valuation_inequality_check(
-    ctx: SpectralContext,
-    z: int,
-    p: int,
-    nu: int = 1,
-    size_limit: int = DEFAULT_SIZE_LIMIT,
-    cap: int = DEFAULT_POINT_CAP,
+    ctx: SpectralContext, z: int, p: int, nu: int = 1
 ) -> tuple[int | float, int, bool]:
     """(vp of the level-(p^nu - 1) spectral value at z, point count, holds).
 
     An infinite valuation (value 0) counts as holding.
     """
     N = p**nu - 1
-    poly = ctx.spectral_polynomial(N, size_limit)
+    poly = ctx.spectral_polynomial(N)
     lhs = vp(evaluate_at_integer(poly, z), p)
-    rhs = count_points(ctx, z, p, nu, cap)
+    rhs = count_points(ctx, z, p, nu)
     return lhs, rhs, lhs >= rhs

@@ -13,9 +13,10 @@ before the config is hashed and is kept exactly as given, so one job has
 one hash.  A job runs on one SpectralContext, which builds the lattice, W
 and each b_N once.  Results are deterministic, content-addressed by a
 hash of the effective config, and cached as JSON when a cache directory
-is given; the cache file name carries ``ALGORITHM``, so no record of a
-superseded algorithm is served.  Big integers are serialized as decimal
-strings.
+is given; a hit serves the cached text as it is, and the cache file name
+carries ``ALGORITHM``, so no record of a superseded algorithm is served.
+A record is the plain dict of ``RECORD_KEYS``.  Big integers are
+serialized as decimal strings.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 resource cap exceeded.
@@ -59,10 +60,12 @@ from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_seri
 from .lattice import WeightedPointSet, _is_int
 from .moments import check_congruence, moment_sequence_N, product_exponents, series_coefficients
 from .primes import is_prime
-from .specpoly import DEFAULT_SIZE_LIMIT, divides, evaluate_at_integer, integer_root_multiplicity
+from .specpoly import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT, divides, evaluate_at_integer
+from .specpoly import integer_root_multiplicity
 from .verify import run_suite
 
 SCHEMA = "speclat-result/1"
+RECORD_KEYS = {"schema", "command", "config_hash", "payload"}
 
 # Names the algorithms behind the records.  Change it with any change that
 # can alter a record: cache entries written under another tag are never read.
@@ -71,20 +74,17 @@ ALGORITHM = "alg1"
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One validated job: point set, command, effective parameters, output
-    options.  Construction validates the point set, rejects unknown
-    parameters and checks every parameter against its kind, so dispatch
-    never sees a malformed job."""
+    """One validated job: point set, command and effective parameters.
+    Construction validates the point set, rejects unknown parameters and
+    checks every parameter against its kind, so dispatch never sees a
+    malformed job."""
 
     point_set: WeightedPointSet
     command: str
     params: dict
-    fmt: str = "json"
-    cache_dir: str | None = None
-    out: str | None = None
 
     @staticmethod
-    def from_file(path: str, command: str, overrides: dict, args) -> "JobConfig":
+    def from_file(path: str, command: str, overrides: dict) -> "JobConfig":
         with open(path) as fh:
             cfg = json.load(fh)
         try:
@@ -110,9 +110,7 @@ class JobConfig:
                     raise ConfigError(f"{command} requires {kind.what} {key}")
                 raise ConfigError(f"{command} {key} must be {kind.what}, got {value!r}")
         spec.check(params, ps.total_weight**2)
-        return JobConfig(
-            ps, command, params, fmt=args.format, cache_dir=args.cache_dir, out=args.out
-        )
+        return JobConfig(ps, command, params)
 
     def hash(self) -> str:
         canonical = json.dumps(
@@ -127,34 +125,6 @@ class JobConfig:
             sort_keys=True,
         )
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """Versioned, content-addressed result; round-trips losslessly through
-    JSON (big integers travel as decimal strings inside the payload)."""
-
-    command: str
-    config_hash: str
-    payload: dict
-    schema: str = SCHEMA
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "payload": self.payload,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ResultRecord":
-        return ResultRecord(
-            command=d["command"],
-            config_hash=d["config_hash"],
-            payload=d["payload"],
-            schema=d["schema"],
-        )
 
 
 # -- parameter kinds --------------------------------------------------------------
@@ -245,6 +215,12 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
     cap = DEFAULT_SERIES_CAP
     if max([K, *(k * p ** min(a + 1, cap.bit_length()) for p, k, a in params["congruences"])]) > cap:
         raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
+    # a level sweep fills max(1, ceil(K/2)) arrays of N^n cells
+    cells = max((N**ctx.dimension * max(1, -(-K // 2)) for N in params["levels"]), default=0)
+    if cells > DEFAULT_FLOAT_CAP:
+        raise SizeLimit(
+            f"moments levels need {cells} cells, past the float cap {DEFAULT_FLOAT_CAP}"
+        )
     seq = ctx.moment_sequence(K)
     payload = {
         "k_max": K,
@@ -571,8 +547,8 @@ def _rows(open_: str, labels: list[str], close: str, columns, count: int, pad: s
     return map("".join, zip(*pieces))
 
 
-def _record_text(record: ResultRecord) -> str:
-    return _json_text(record.to_dict()) + "\n"
+def _record_text(record: dict) -> str:
+    return _json_text(record) + "\n"
 
 
 def _atomic_write(path: str, text: str):
@@ -593,39 +569,40 @@ def _cache_path(cache_dir: str, command: str, cfg_hash: str) -> str:
 
 
 def _cached_record(cache_dir: str | None, command: str, cfg_hash: str):
+    """(record, the file's text) of the cached record, or None: a missing,
+    corrupt or stale entry is recomputed."""
     if not cache_dir:
         return None
-    path = _cache_path(cache_dir, command, cfg_hash)
-    if not os.path.exists(path):
-        return None
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-        record = ResultRecord.from_dict(raw)
-    except (OSError, json.JSONDecodeError, KeyError):
+        with open(_cache_path(cache_dir, command, cfg_hash)) as fh:
+            text = fh.read()
+        record = json.loads(text)
+    except (OSError, ValueError):  # ValueError: undecodable bytes or not JSON
         return None
-    if record.schema != SCHEMA or record.config_hash != cfg_hash:
-        return None  # stale or corrupt; recompute
-    return record
+    if not (isinstance(record, dict) and RECORD_KEYS <= record.keys()):
+        return None
+    if record["schema"] != SCHEMA or record["config_hash"] != cfg_hash:
+        return None
+    return record, text
 
 
-def _store_record(cache_dir: str | None, record: ResultRecord) -> str | None:
+def _store_record(cache_dir: str | None, record: dict) -> str | None:
     """Write the record to the cache, if any, and return its text."""
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, record.command, record.config_hash)
     text = _record_text(record)
-    _atomic_write(path, text)
+    _atomic_write(_cache_path(cache_dir, record["command"], record["config_hash"]), text)
     return text
 
 
-def _emit(record: ResultRecord, out: str | None, fmt: str, text: str | None = None):
+def _emit(record: dict, out: str | None, fmt: str, text: str | None = None):
     """Write the record as ``fmt``; ``text``, if given, is its JSON text."""
     if fmt != "json":
-        table = COMMANDS[record.command].csv if record.command in COMMANDS else _verify_csv
+        command = record["command"]
+        table = COMMANDS[command].csv if command in COMMANDS else _verify_csv
         buf = io.StringIO()
-        csv.writer(buf).writerows(table(record.payload))
+        csv.writer(buf).writerows(table(record["payload"]))
         text = buf.getvalue()
     elif text is None:
         text = _record_text(record)
@@ -679,7 +656,8 @@ def main(argv=None) -> int:
             ],
             "passed": all(r.passed for r in results),
         }
-        record = ResultRecord("verify", args.example, payload)
+        record = {"schema": SCHEMA, "command": "verify", "config_hash": args.example,
+                  "payload": payload}
         _emit(record, args.out, args.format)
         for r in results:
             print(("PASS " if r.passed else "FAIL ") + r.criterion, file=sys.stderr)
@@ -691,7 +669,7 @@ def main(argv=None) -> int:
             for key, param in COMMANDS[args.command].params.items()
             if param.flag
         }
-        job = JobConfig.from_file(args.config, args.command, overrides, args)
+        job = JobConfig.from_file(args.config, args.command, overrides)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"speclat: cannot read config: {exc}", file=sys.stderr)
         return 2
@@ -701,13 +679,13 @@ def main(argv=None) -> int:
 
     try:
         cfg_hash = job.hash()
-        record = _cached_record(job.cache_dir, job.command, cfg_hash)
-        text = None
+        record, text = _cached_record(args.cache_dir, job.command, cfg_hash) or (None, None)
         if record is None:
             payload = COMMANDS[job.command].run(SpectralContext(job.point_set), job.params)
-            record = ResultRecord(job.command, cfg_hash, payload)
-            text = _store_record(job.cache_dir, record)
-        _emit(record, job.out, job.fmt, text)
+            record = {"schema": SCHEMA, "command": job.command, "config_hash": cfg_hash,
+                      "payload": payload}
+            text = _store_record(args.cache_dir, record)
+        _emit(record, args.out, args.format, text)
         return 0
     except (RankDeficient, CosetViolation) as exc:
         # found only once the lattice is built, but a fault of the point set

@@ -95,11 +95,11 @@ def build_graph(
     return TorusBipartiteGraph(N, ps.dimension, tuple(offsets), tuple(pair_deltas))
 
 
-def check_walk_cap(npairs: int, k: int, cap: int = DEFAULT_WALK_CAP) -> None:
+def check_walk_cap(npairs: int, k: int) -> None:
     """Raise ExplosionGuard when the npairs**k type sequences of walks of
-    length 2k exceed the cap."""
-    if npairs**k > cap:
-        raise ExplosionGuard(f"{npairs}**{k} type sequences exceed the cap {cap}")
+    length 2k exceed ``DEFAULT_WALK_CAP``."""
+    if npairs**k > DEFAULT_WALK_CAP:
+        raise ExplosionGuard(f"{npairs}**{k} type sequences exceed the cap {DEFAULT_WALK_CAP}")
 
 
 def _sequence_table(deltas: np.ndarray, weights: np.ndarray, length: int, N: int):
@@ -114,9 +114,7 @@ def _sequence_table(deltas: np.ndarray, weights: np.ndarray, length: int, N: int
     return disp, prod
 
 
-def based_walk_weight_sum(
-    G: TorusBipartiteGraph, k: int, cap: int = DEFAULT_WALK_CAP
-) -> int:
+def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
     """Total weight of based closed walks of length 2k, all start vertices.
 
     Literal enumeration over all k-sequences of (out-type, back-type)
@@ -132,7 +130,7 @@ def based_walk_weight_sum(
     if k < 1:
         raise ValueError("k must be >= 1")
     npairs = len(G.pair_deltas)
-    check_walk_cap(npairs, k, cap)
+    check_walk_cap(npairs, k)
     N, n = G.N, G.dimension
     deltas = np.array([[d[j] % N for d, _ in G.pair_deltas] for j in range(n)], dtype=np.int64)
     # every partial total is at most the weight total of all P^k sequences
@@ -150,9 +148,7 @@ def based_walk_weight_sum(
     return total * N**n
 
 
-def walk_series_check(
-    ctx: SpectralContext, N: int, z: int, K: int, cap: int = DEFAULT_WALK_CAP
-) -> bool:
+def walk_series_check(ctx: SpectralContext, N: int, z: int, K: int) -> bool:
     """Closed walks reproduce the log expansion of the spectral polynomial.
 
     Left side: the formal log of p(z)/z^deg for the exact level-N
@@ -167,7 +163,7 @@ def walk_series_check(
     p = ctx.spectral_polynomial(N)
     logs = poly_log_series(p, K)
     for k in range(1, K + 1):
-        walks = based_walk_weight_sum(G, k, cap)
+        walks = based_walk_weight_sum(G, k)
         if logs[k - 1] != Fraction(-walks, k):
             return False
     return True

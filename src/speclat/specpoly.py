@@ -40,6 +40,7 @@ from .errors import SingularLevel, SizeLimit
 from .laurent import LaurentPoly, constant_term, fold_mod_N
 
 DEFAULT_SIZE_LIMIT = 10_000
+DEFAULT_FLOAT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,12 @@ class ConvolutionMatrix:
         return len(self.rows)
 
 
-def convolution_matrix(
-    folded: LaurentPoly, N: int, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> ConvolutionMatrix:
+def convolution_matrix(folded: LaurentPoly, N: int) -> ConvolutionMatrix:
     """Entry (i, j) is the folded coefficient at residue rep_j - rep_i."""
     n = folded.dimension
     size = N**n
-    if size > size_limit:
-        raise SizeLimit(f"matrix size {size} exceeds cap {size_limit}")
+    if size > DEFAULT_SIZE_LIMIT:
+        raise SizeLimit(f"matrix size {size} exceeds cap {DEFAULT_SIZE_LIMIT}")
     reps = list(itertools.product(range(N), repeat=n))
     coeffs = fold_mod_N(folded, N).terms
     rows = []
@@ -245,9 +244,12 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     broadcast against each other.  The sum runs in float64 in term order,
     so it equals, bit for bit, the real part of the same sum taken in
     complex arithmetic.  The value at the trivial character (index all
-    zeros) is the exact coefficient sum.
+    zeros) is the exact coefficient sum.  Raises SizeLimit, before any
+    work, when the N^n values exceed ``DEFAULT_FLOAT_CAP``.
     """
     n = f.dimension
+    if N**n > DEFAULT_FLOAT_CAP:
+        raise SizeLimit(f"{N**n} character values exceed cap {DEFAULT_FLOAT_CAP}")
     # cos at every residue of a phase sum, which stays below n * N
     table = np.tile(np.exp(2j * np.pi * np.arange(N) / N).real, n)
     axes = [np.arange(N).reshape((N,) + (1,) * (n - 1 - j)) for j in range(n)]
@@ -262,8 +264,9 @@ def spectral_log_value(w: LaurentPoly, N: int, z: complex) -> tuple[float, float
     """(log magnitude, argument) of the product of (z - value) over all
     N-torsion character values of w, in double precision.
 
-    No size cap: the cost is N^n character evaluations, not a dense
-    matrix.  Raises SingularLevel when a factor underflows to zero.
+    Held to the float cap of ``character_values``: the cost is N^n
+    character evaluations, not a dense matrix.  Raises SingularLevel when
+    a factor underflows to zero.
     """
     values = character_values(w, N).ravel()
     diffs = complex(z) - values

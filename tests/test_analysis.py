@@ -91,9 +91,10 @@ def test_spectrum_ambiguity_flag(honeycomb_ctx):
     assert hist.ambiguous
 
 
-def test_spectrum_cap(honeycomb_ctx):
+def test_spectrum_cap(honeycomb_ctx, monkeypatch):
+    monkeypatch.setattr("speclat.specpoly.DEFAULT_FLOAT_CAP", 100)
     with pytest.raises(SizeLimit):
-        spectrum(honeycomb_ctx, 100, float_cap=100)
+        spectrum(honeycomb_ctx, 100)
 
 
 def test_cdf(honeycomb_ctx):
@@ -139,9 +140,10 @@ def test_hilbert_methods_agree(honeycomb_ctx):
     assert abs(a - b) < 1e-8
 
 
-def test_hilbert_rejects_small_z(cheb_ctx):
+def test_hilbert_rejects_small_z(cheb_ctx, monkeypatch):
+    monkeypatch.setattr("speclat.analysis.DEFAULT_SERIES_CAP", 64)
     with pytest.raises(SizeLimit):
-        hilbert_transform(cheb_ctx, 4.000001, series_cap=64)
+        hilbert_transform(cheb_ctx, 4.000001)
     with pytest.raises(ValueError):
         hilbert_transform(cheb_ctx, 3, method="moment-series")
 
@@ -184,16 +186,17 @@ def test_mahler_routes_agree_honeycomb(honeycomb_ctx):
     assert abs(limit.value - quad.value) < 1e-5
 
 
-def test_series_with_huge_moments():
+def test_series_with_huge_moments(monkeypatch):
     # heavy weights push the integer moments past float range (6561^k
     # overflows float64 at k = 81); the scaled summation must not care
     from speclat.lattice import WeightedPointSet
 
+    monkeypatch.setattr("speclat.analysis.DEFAULT_SERIES_CAP", 2048)
     ps = SpectralContext(WeightedPointSet(1, (((-1,), 40), ((1,), 41))))
-    h = hilbert_transform(ps, 9000.0, tol=1e-16, series_cap=2048)
+    h = hilbert_transform(ps, 9000.0, tol=1e-16)
     ha = hilbert_transform(ps, 9000.0, method="spectrum-average", tol=1e-13)
     assert abs(h - ha) < 1e-12
-    q = mahler_measure(ps, 9000.0, method="moment-series", tol=1e-12, series_cap=2048)
+    q = mahler_measure(ps, 9000.0, method="moment-series", tol=1e-12)
     lim = mahler_measure(ps, 9000.0, method="limit", tol=1e-10)
     assert abs(q.value - lim.value) < 1e-12 * q.value
 

@@ -129,10 +129,11 @@ def test_count_extension_field(cheb_ctx):
         assert count_points(cheb_ctx, z, 3, 2) == expect
 
 
-def test_count_cap():
+def test_count_cap(monkeypatch):
+    monkeypatch.setattr("speclat.arith.DEFAULT_POINT_CAP", 50)
     ctx = SpectralContext(WeightedPointSet(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))))
     with pytest.raises(SizeLimit):
-        count_points(ctx, 1, 11, 1, cap=50)
+        count_points(ctx, 1, 11, 1)
 
 
 # -- valuation inequality -----------------------------------------------------------

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speclat.cli import COMMANDS, ResultRecord, _build_parser, _json_text, _record_text, main
+from speclat.cli import SCHEMA, COMMANDS, _build_parser, _json_text, _record_text, main
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
 
 
+def record_of(command, config_hash, payload):
+    return {"schema": SCHEMA, "command": command, "config_hash": config_hash, "payload": payload}
+
+
 def test_record_round_trip():
-    record = ResultRecord("bn", "abc123", {"degree": 4, "coefficients": ["1", "-9"]})
-    again = ResultRecord.from_dict(json.loads(json.dumps(record.to_dict())))
-    assert again == record
+    record = record_of("bn", "abc123", {"degree": 4, "coefficients": ["1", "-9"]})
+    assert json.loads(_record_text(record)) == record
 
 HONEYCOMB_CFG = {
     "dimension": 2,
@@ -185,6 +188,19 @@ def test_cache_hit_skips_recompute(tmp_path):
     assert json.loads(out2.read_text())["payload"]["degree"] == 999
 
 
+# cache file contents, or edits of the cached record, that must be
+# recomputed and rewritten
+CORRUPTIONS = {
+    "not-json": b"{ not json",
+    "not-utf-8": b"\xff\xfe not utf-8",
+    "not-an-object": b"[]",
+    "no-payload": lambda r: {k: v for k, v in r.items() if k != "payload"},
+    "no-command": lambda r: {k: v for k, v in r.items() if k != "command"},
+    "other-schema": lambda r: r | {"schema": "speclat-result/0"},
+    "other-config-hash": lambda r: r | {"config_hash": "0" * 32},
+}
+
+
 def test_cache_corruption_recovers(tmp_path):
     cfg = dict(CHEB_CFG)
     cfg["bn"] = {"N": 3}
@@ -193,11 +209,36 @@ def test_cache_corruption_recovers(tmp_path):
     out1 = tmp_path / "a.json"
     assert main(["bn", "--config", cfg_path, "--cache-dir", str(cache), "--out", str(out1)]) == 0
     cached = list(cache.glob("bn-*.json"))[0]
-    cached.write_text("{ not json")
-    out2 = tmp_path / "b.json"
-    assert main(["bn", "--config", cfg_path, "--cache-dir", str(cache), "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert json.loads(cached.read_text())["schema"] == "speclat-result/1"
+    argv = ["bn", "--config", cfg_path, "--cache-dir", str(cache), "--out"]
+    for name, corrupt in CORRUPTIONS.items():
+        if not isinstance(corrupt, bytes):
+            corrupt = json.dumps(corrupt(json.loads(out1.read_text()))).encode()
+        cached.write_bytes(corrupt)
+        out2 = tmp_path / f"{name}.json"
+        assert main(argv + [str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes(), name
+        assert json.loads(cached.read_text())["schema"] == "speclat-result/1"
+        assert cached.read_bytes() == out1.read_bytes(), name
+
+
+def test_cache_hit_serves_the_stored_text(tmp_path, monkeypatch):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["spectrum"] = {"N": 6, "grid": 4, "cdf_at": [3.0]}
+    argv = ["spectrum", "--config", write_cfg(tmp_path, cfg)]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    cold = {}
+    for fmt, extra in (("json", cache), ("csv", [])):  # the CSV from a computed payload
+        code, out = run(tmp_path, cfg, argv + extra + ["--format", fmt], name=f"cold.{fmt}")
+        assert code == 0
+        cold[fmt] = out.read_bytes()
+    cli = sys.modules["speclat.cli"]
+    written = count_calls(monkeypatch, cli, "_record_text")
+    serialised = count_calls(monkeypatch, cli, "_json_text")
+    for fmt in ("json", "csv"):
+        code, out = run(tmp_path, cfg, argv + cache + ["--format", fmt], name=f"warm.{fmt}")
+        assert code == 0
+        assert out.read_bytes() == cold[fmt]
+    assert written == [] and serialised == []
 
 
 def test_bad_config_exit_2(tmp_path):
@@ -321,6 +362,53 @@ def test_moments_cap_checked_before_any_sweep(tmp_path, capsys, monkeypatch, blo
     assert code == 3
     assert err.startswith("speclat: resource cap: moments need a sweep past k = 1024")
     assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.fixture
+def small_float_cap(monkeypatch):
+    """DEFAULT_FLOAT_CAP at 1000, wherever a speclat module binds it."""
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "speclat" and hasattr(mod, "DEFAULT_FLOAT_CAP"):
+            monkeypatch.setattr(mod, "DEFAULT_FLOAT_CAP", 1000)
+
+
+@pytest.mark.parametrize(
+    "command, block, message",
+    [
+        ("spectrum", {"N": 4, "grid": 32}, "1024 character values exceed cap 1000"),
+        ("mahler", {"z": 12.0, "methods": ["torus-quadrature"], "hilbert": False,
+                    "resolution": 32}, "1024 character values exceed cap 1000"),
+        ("moments", {"k_max": 8, "levels": [3, 16]},  # 16^2 cells, 4 sweep steps
+         "moments levels need 1024 cells, past the float cap 1000"),
+        ("moments", {"k_max": 0, "levels": [32]},  # the unit array alone
+         "moments levels need 1024 cells, past the float cap 1000"),
+    ],
+    ids=["spectrum-grid", "mahler-resolution", "moments-levels", "moments-levels-k0"],
+)
+def test_float_cap_checked_before_any_sweep(
+    tmp_path, capsys, monkeypatch, small_float_cap, command, block, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept past the float cap")
+
+    monkeypatch.setattr("speclat.cli.moment_sequence_N", refuse)
+    monkeypatch.setattr("speclat.cli.SpectralContext.moment_sequence", refuse)
+    cfg = dict(HONEYCOMB_CFG)
+    cfg[command] = block
+    cache = tmp_path / "cache"
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(cache)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"speclat: resource cap: {message}\n"
+    assert not list(cache.glob("*.json"))
+
+
+def test_moments_levels_cap_admits_levels_up_to_it(tmp_path, small_float_cap):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["moments"] = {"k_max": 8, "levels": [15], "series": False}  # 15^2 cells, 4 steps
+    code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert len(json.loads(out.read_text())["payload"]["level_moments"]["15"]) == 9
 
 
 def test_moments_cap_admits_sweeps_up_to_it(tmp_path, monkeypatch):
@@ -461,8 +549,8 @@ json_trees = st.recursive(
 @given(json_trees)
 def test_record_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
-    record = ResultRecord("spectrum", "abc123", {"tree": tree})
-    assert _record_text(record) == json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+    record = record_of("spectrum", "abc123", {"tree": tree})
+    assert _record_text(record) == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("leaf", [{1, 2}, object()])
@@ -500,8 +588,8 @@ def test_spectrum_record_matches_json_dumps(dimension, points, params):
     spec = COMMANDS["spectrum"]
     payload = spec.run(SpectralContext(ps), {key: p.default for key, p in spec.params.items()} | params)
     assert len(payload["levels"]) > 1000 and len(payload["grid"]["values"]) == 4096
-    record = ResultRecord("spectrum", "abc123", payload)
-    assert _record_text(record) == json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n"
+    record = record_of("spectrum", "abc123", payload)
+    assert _record_text(record) == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 # -- strict parameters ------------------------------------------------------------

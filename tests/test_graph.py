@@ -101,10 +101,11 @@ def test_weighted_walks():
     assert based_walk_weight_sum(G, 1) == 2 * 13
 
 
-def test_explosion_guard(honeycomb):
+def test_explosion_guard(honeycomb, monkeypatch):
+    monkeypatch.setattr("speclat.graph.DEFAULT_WALK_CAP", 1000)
     G = graph_of(honeycomb, 2)
     with pytest.raises(ExplosionGuard):
-        based_walk_weight_sum(G, 5, cap=1000)
+        based_walk_weight_sum(G, 5)
 
 
 def test_per_class_weight(honeycomb, tmp_path):

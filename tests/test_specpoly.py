@@ -65,9 +65,10 @@ def test_matrix_trace_identity(honeycomb):
         assert sum(m.rows[i][i] for i in range(m.size)) == N**2 * f.terms[(0, 0)]
 
 
-def test_size_limit(honeycomb):
+def test_size_limit(honeycomb, monkeypatch):
+    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 10)
     with pytest.raises(SizeLimit):
-        convolution_matrix(folded(honeycomb, 7), 7, size_limit=10)
+        convolution_matrix(folded(honeycomb, 7), 7)
 
 
 # -- exact characteristic polynomials (Hessenberg oracle) -----------------------
