@@ -12,6 +12,11 @@ Runs ``speclat.cli.main`` in process on
   lists), ``torus-float`` (spectra and grids) and ``cli-cache`` (every command,
   as JSON and as CSV), each run cold and then warm on an empty cache
   directory;
+* larger jobs than the workloads hold (``LARGE_JOBS``): honeycomb ``bn`` at
+  N = 20 with ``levels`` and a divisor check, honeycomb ``padic`` at p = 31
+  over every residue and at p = 11 at large z (point values for one job,
+  Horner on b_10 for the other), and ``padic`` over the 9-element field on
+  the generated weighted set of each seed (built-in sets run once);
 
 and prints one ``label digest`` line per record.  Run it against two
 checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
@@ -38,6 +43,15 @@ from speclat.catalog import BUILTIN_POINT_SETS  # noqa: E402
 
 README_COMMANDS = ("walks", "spectrum", "mahler")
 BENCH_WORKLOADS = tuple(gen.WORKLOADS)
+LARGE_JOBS = (
+    ("bn-honeycomb-20", "honeycomb", "bn",
+     {"N": 20, "levels": [0, 1, 3, 4, 9], "divisor_checks": [[10, 20]]}),
+    ("padic-honeycomb-31", "honeycomb", "padic", {"p": 31}),
+    ("padic-weighted-3-2", "weighted", "padic", {"p": 3, "nu": 2}),
+    # large z on each side of the choice between point values and Horner on b_10
+    ("padic-honeycomb-11-values", "honeycomb", "padic", {"p": 11, "z_values": [10**4, -(10**4)]}),
+    ("padic-honeycomb-11-horner", "honeycomb", "padic", {"p": 11, "z_values": [53, 10**6]}),
+)
 
 
 def readme_config() -> dict:
@@ -90,6 +104,15 @@ def main() -> int:
                         print(f"{workload}/{seed}/{job['label']} cold and warm records differ")
                         return 1
                     print(f"{workload}/{seed}/{job['label']} {digest(cold)}")
+        for seed in args.seeds:
+            for label, set_name, command, block in LARGE_JOBS:
+                if set_name in gen.BUILTIN and seed != args.seeds[0]:
+                    continue
+                n = (gen.BUILTIN.get(set_name) or gen.TEMPLATES[set_name])[0]
+                path = os.path.join(work, f"large-{seed}-{label}.json")
+                with open(path, "w") as fh:
+                    json.dump(gen._config(gen.generate(set_name, seed), n, command, block), fh)
+                print(f"large/{seed}/{label} {digest(record([command, '--config', path]))}")
     return 0
 
 

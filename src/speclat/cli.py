@@ -326,12 +326,11 @@ def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
 
 def _run_padic(ctx: SpectralContext, params: dict) -> dict:
     p, nu, z_values = params["p"], params["nu"], params["z_values"]
-    rows = []
-    for z in range(p) if z_values is None else z_values:
-        lhs, rhs, holds = valuation_inequality_check(ctx, z, p, nu)
-        rows.append(
-            {"z": z, "valuation": "inf" if lhs == float("inf") else lhs, "count": rhs, "holds": holds}
-        )
+    zs = range(p) if z_values is None else z_values
+    rows = [
+        {"z": z, "valuation": "inf" if lhs == float("inf") else lhs, "count": rhs, "holds": holds}
+        for z, (lhs, rhs, holds) in zip(zs, valuation_inequality_check(ctx, zs, p, nu))
+    ]
     return {"p": p, "nu": nu, "rows": rows}
 
 

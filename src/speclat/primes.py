@@ -1,19 +1,19 @@
 """Primality testing and prime generation helpers.
 
-Deterministic Miller-Rabin for anything below 3.3e24 (which covers the
-64-bit moduli used for CRT reconstruction); a fixed extra witness set is
-used above that, which is ample at desk scale.
+Miller-Rabin with witness sets proven deterministic: Sinclair's seven bases
+below 2**64 (the CRT moduli), the primes 2..41 below 3.3e24 (Sorenson and
+Webster, Math. Comp. 2017; the primes 2..37 suffice only below 3.18e23),
+and fixed extra witnesses above that, which is ample at desk scale.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
-# Deterministic witness set for n < 3,317,044,064,679,887,385,961,981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_MR_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
@@ -28,12 +28,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    witnesses = _MR_WITNESSES
-    if n >= _MR_DET_BOUND:
-        # extra fixed witnesses; composites surviving all of these do not
-        # occur at the sizes this package handles
-        witnesses = _MR_WITNESSES + (41, 43, 47, 53, 59, 61, 67, 71)
-    for a in witnesses:
+    wide = _SMALL_PRIMES[:13] if n < _MR_DET_BOUND else _SMALL_PRIMES + (53, 59, 61, 67, 71)
+    for a in _MR_WITNESSES_64 if n < 2**64 else wide:
+        if a % n == 0:  # proves nothing
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -82,4 +80,4 @@ def sieve(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
         p += 1
-    return [i for i, f in enumerate(flags) if f]
+    return list(itertools.compress(range(limit + 1), flags))

@@ -1,26 +1,35 @@
 """Exact spectral polynomials of the torsion-level convolution operators.
 
 For torsion level N the spectral polynomial b_N is the monic integer
-polynomial of degree N^n with one root W(chi) for each N-torsion
-character chi of the difference lattice.  It is computed here without
-any matrix, from the characters themselves:
+polynomial of degree m = N^n with one root W(chi) for each N-torsion
+character chi of the difference lattice.  One pass per level computes it
+without any matrix: characters with the same row W(chi_k) = sum_r A_r
+omega**r (A_r the sum of the c_e with e.k = r mod N) are counted once;
+for primes p = 1 (mod N) descending below 2**62, whose F_p holds an omega
+of exact order N, each distinct row gives one value v; the residues of
+b_N are lifted by CRT until the prime product exceeds twice a certified
+bound.  The polynomial reader multiplies the leaves (z - v)**mult, each
+expanded by the binomial theorem, in a balanced product tree (von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 10), each node one
+big-integer product of Kronecker-packed coefficients (ibid. 8.4): a slot
+sums at most L = min(len a, len b) products of residues, so slots of s
+bytes with 2**(8 s) > L (p - 1)**2 never carry (under 124 + bitlen(m)
+bits for p < 2**62).  The point-value reader gives b_N(z) at integers z
+as the product over the rows of (z - v)**mult mod p, building no b_N.  Its
+bound grows with |z|, the coefficient bound does not, and per prime a tree
+costs 2 to 30 point-value passes (honeycomb and cube, m = 36 to 1000); so
+values whose bound has over bitlen(m) times the bits of the coefficient
+bound are read from b_N by Horner instead.
 
-* take primes p = 1 (mod N), descending below 2**62; F_p then holds an
-  element omega of exact order N, and the characters are
-  k -> omega**(e.k) on the folded exponents e, so W(chi_k) mod p is a sum
-  of powers of omega;
-* multiply out b_N mod p as the product of (z - W(chi_k)) over all k,
-  evaluating each exactly equal group of characters once;
-* lift the residues by CRT until the prime product exceeds twice a
-  certified coefficient bound.
-
-The bound comes from the sign of the roots.  Every point a differs from a
+The bounds come from the sign of the roots.  Every point a differs from a
 fixed point a0 by a lattice vector, so
 W(chi) = |sum_a c_a chi(a - a0)|**2 >= 0, and the roots have mean c0, the
 constant term of W folded mod N.  Maclaurin's inequality for nonnegative
-reals (Hardy, Littlewood and Polya, Inequalities, 2.22) then bounds the
-coefficient of z**(N^n - j) by binom(N^n, j) * c0**j.  The result does not
-depend on which primes were used.
+reals (Hardy, Littlewood and Polya, Inequalities, 2.22) then bounds their
+elementary symmetric functions, e_j <= binom(m, j) c0**j; so the
+coefficient of z**(m - j), +-e_j, is bounded, and so is a value:
+|b_N(z)| <= sum_j e_j |z|**(m - j) <= (|z| + c0)**m.  Neither result
+depends on which primes were used.
 
 The convolution matrix of the folded polynomial is kept for the walk/trace
 bridge: its eigenvalues are the same character values.
@@ -29,6 +38,7 @@ bridge: its eigenvalues are the same character values.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,6 +51,7 @@ from .laurent import LaurentPoly, constant_term, fold_mod_N
 
 DEFAULT_SIZE_LIMIT = 10_000
 DEFAULT_FLOAT_CAP = 10**7
+_CHAR_BLOCK = 2**16  # characters per step of the row count
 
 
 @dataclass(frozen=True)
@@ -63,21 +74,12 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return self.coefficients[-1] == 1
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(tuple(out))
-
     @staticmethod
     def from_roots(roots: Sequence[int]) -> "IntPolynomial":
-        p = IntPolynomial((1,))
+        coeffs = [1]
         for r in roots:
-            p = p * IntPolynomial((-r, 1))
-        return p
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        return IntPolynomial(tuple(coeffs))
 
 
 def evaluate_at_integer(p: IntPolynomial, z: int) -> int:
@@ -162,15 +164,21 @@ def _character_rows(folded: LaurentPoly, N: int) -> Counter:
     """W at each N-torsion character k as the sparse row ((r, A_r), ...),
     A_r the sum of the c_e with e.k = r (mod N): W(chi_k) = sum_r A_r
     omega**r for omega of exact order N.  Counted by multiplicity; equal
-    rows are equal values modulo every prime."""
-    terms = folded.sorted_terms()
+    rows are equal values modulo every prime.  The characters, in blocks
+    of ``_CHAR_BLOCK``, are counted by their tuple of per-term phases
+    e.k mod N; only the distinct tuples are merged into rows."""
+    terms, shape, m = folded.sorted_terms(), (N,) * folded.dimension, N**folded.dimension
+    exps = np.array([e for e, _ in terms], dtype=np.int64)
+    phases: Counter = Counter()
+    for start in range(0, m, _CHAR_BLOCK):
+        chars = np.array(np.unravel_index(np.arange(start, min(start + _CHAR_BLOCK, m)), shape))
+        phases.update(map(tuple, ((exps @ chars) % N).T.tolist()))
     rows: Counter = Counter()
-    for k in itertools.product(range(N), repeat=folded.dimension):
+    for key, mult in phases.items():
         row: dict[int, int] = {}
-        for e, c in terms:
-            r = sum(x * y for x, y in zip(e, k)) % N
+        for r, (_, c) in zip(key, terms):
             row[r] = row.get(r, 0) + c
-        rows[tuple(sorted(row.items()))] += 1
+        rows[tuple(sorted(row.items()))] += mult
     return rows
 
 
@@ -184,37 +192,87 @@ def _maclaurin_bound(m: int, c0: int) -> int:
     return best
 
 
+def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b mod p for coefficient lists (low degree first) with entries in
+    [0, p), as one big-integer product: each list is packed into slots of s
+    bytes, where 2**(8 s) exceeds the largest slot sum
+    min(len a, len b) * (p - 1)**2, so no slot carries into the next."""
+    s = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    x, y = (int.from_bytes(b"".join([c.to_bytes(s, "little") for c in u]), "little") for u in (a, b))
+    out = (x * y).to_bytes((len(a) + len(b) - 1) * s, "little")
+    return [int.from_bytes(out[i : i + s], "little") % p for i in range(0, len(out), s)]
+
+
+def _tree_product(polys: list[list[int]], p: int) -> list[int]:
+    """Product of the polynomials mod p in a balanced tree, pairing neighbours."""
+    while len(polys) > 1:
+        pairs = zip(polys[::2], polys[1::2])
+        polys = [_mul_mod(a, b, p) for a, b in pairs] + polys[len(polys) & ~1 :]
+    return polys[0]
+
+
+def _power_leaf(v: int, binom: list[int], p: int) -> list[int]:
+    """(z - v)**mult mod p by the binomial theorem; binom[k] = binom(mult, k)."""
+    pw = itertools.accumulate(binom[1:], lambda x, _: x * -v % p, initial=1)  # (-v)**j
+    return [b * x % p for b, x in zip(binom, reversed(list(pw)))]
+
+
+def _point_values(values: list[int], mults, zs: tuple[int, ...], p: int) -> list[int]:
+    """prod_rows (z - v)**mult mod p at each z, one power per multiplicity."""
+    by_mult: dict[int, list[int]] = {}
+    for v, mult in zip(values, mults):
+        by_mult.setdefault(mult, []).append(v)
+    return [
+        math.prod(pow(math.prod([z - v for v in vs]) % p, k, p) for k, vs in by_mult.items()) % p
+        for z in zs
+    ]
+
+
 def _split_prime_lift(
-    folded: LaurentPoly, N: int, prime_start: int = 2**62
-) -> IntPolynomial:
-    """prod over the N-torsion characters chi of (z - W(chi)), exactly: the
-    product of linear factors modulo primes p = 1 (mod N) descending below
-    ``prime_start``, lifted by CRT to the symmetric residues."""
+    folded: LaurentPoly, N: int, prime_start: int = 2**62, zs: tuple[int, ...] | None = None
+) -> IntPolynomial | tuple[int, ...]:
+    """prod over the N-torsion characters chi of (z - W(chi)), exactly:
+    the polynomial (``zs`` None) or its value at each integer in ``zs``,
+    computed modulo primes p = 1 (mod N) descending below ``prime_start``
+    and lifted by CRT past the bounds of the module docstring, by the
+    reader the module docstring chooses."""
     m = N**folded.dimension
     rows = _character_rows(folded, N)
-    # The roots are nonnegative: every point a differs from a fixed point a0
-    # by a lattice vector, so W(chi) = sum_{a,b} c_a c_b chi(a - a0)
-    # conj(chi(b - a0)) = |sum_a c_a chi(a - a0)|**2 >= 0.  Their mean is
-    # trace / m = c0, the folded constant term, so Maclaurin's inequality
-    # e_j / binom(m, j) <= (e_1 / m)**j bounds the coefficient e_j of
-    # z**(m - j) by binom(m, j) * c0**j.
-    need = 2 * _maclaurin_bound(m, constant_term(folded)) + 1
-    lifted, mod = [0] * (m + 1), 1
+    c0 = constant_term(folded)
+    need = 2 * _maclaurin_bound(m, c0) + 1
+    tree = zs is None
+    if not tree:
+        need_values = 2 * (max(map(abs, zs), default=0) + c0) ** m + 1
+        tree = need_values.bit_length() > need.bit_length() * m.bit_length()
+        need = need if tree else need_values
+    binoms = [[math.comb(mult, k) for k in range(mult + 1)] for mult in rows.values()]
+    lifted, mod = [0] * (m + 1 if tree else len(zs)), 1
     for p in primes.primes_below(prime_start, N):
         omega = primes.root_of_unity(N, p)
         powers = [pow(omega, r, p) for r in range(N)]
-        poly = [1]  # low degree first
-        for row, mult in rows.items():
-            v = sum(a * powers[r] for r, a in row) % p
-            for _ in range(mult):
-                poly = [(a - v * b) % p for a, b in zip([0] + poly, poly + [0])]
+        values = [sum(a * powers[r] for r, a in row) % p for row in rows]
+        if tree:
+            residues = _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
+        else:
+            residues = _point_values(values, rows.values(), zs, p)
         # incremental CRT
         inv = pow(mod, -1, p)
-        lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, poly)]
+        lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, residues)]
         mod *= p
         if mod > need:
-            return IntPolynomial(tuple(x - mod if x > mod // 2 else x for x in lifted))
+            lifted = tuple(x - mod if x > mod // 2 else x for x in lifted)
+            if zs is None or not tree:
+                return IntPolynomial(lifted) if tree else lifted
+            return tuple(evaluate_at_integer(IntPolynomial(lifted), z) for z in zs)
     raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
+
+
+def _folded_level(w: LaurentPoly, N: int, size_limit: int) -> LaurentPoly:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N**w.dimension > size_limit:
+        raise SizeLimit(f"{N**w.dimension} torsion characters exceed cap {size_limit}")
+    return fold_mod_N(w, N)
 
 
 def spectral_polynomial(
@@ -224,12 +282,14 @@ def spectral_polynomial(
     the diffraction polynomial w at all N-torsion characters.  w must be a
     diffraction polynomial: the certified bound rests on its nonnegative
     character values."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    size = N**w.dimension
-    if size > size_limit:
-        raise SizeLimit(f"{size} torsion characters exceed cap {size_limit}")
-    return _split_prime_lift(fold_mod_N(w, N), N)
+    return _split_prime_lift(_folded_level(w, N, size_limit), N)
+
+
+def spectral_values(w: LaurentPoly, N: int, zs: Sequence[int]) -> tuple[int, ...]:
+    """b_N(z) for each integer z in ``zs``, from the split primes of
+    ``spectral_polynomial`` and the same bounds, held to
+    ``DEFAULT_SIZE_LIMIT``."""
+    return _split_prime_lift(_folded_level(w, N, DEFAULT_SIZE_LIMIT), N, zs=tuple(zs))
 
 
 # -- floating-point character evaluation ---------------------------------------

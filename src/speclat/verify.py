@@ -168,11 +168,8 @@ def _check_walk_bridge(name: str, ctx: SpectralContext, nmax: int, kmax: int) ->
 def check_honeycomb_padic(ctx: SpectralContext) -> CheckResult:
     row = [count_points(ctx, z, 7, 1) for z in range(7)]
     ok = row == F7_COUNT_ROW
-    for z in range(7):
-        lhs, rhs, holds = valuation_inequality_check(ctx, z, 7, 1)
-        ok = ok and holds
-    lhs, rhs, holds = valuation_inequality_check(ctx, 53, 7, 1)
-    ok = ok and (lhs, rhs, holds) == (12, 6, True)
+    *residues, (lhs, rhs, holds) = valuation_inequality_check(ctx, [*range(7), 53], 7, 1)
+    ok = ok and all(h for _, _, h in residues) and (lhs, rhs, holds) == (12, 6, True)
     return _result(
         "c10-honeycomb-padic", ok, f"count row {row}, valuation at 53 = {lhs} > {rhs}"
     )

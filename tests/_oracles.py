@@ -4,13 +4,15 @@ These stay deliberately separate from the package code paths they check.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from speclat.laurent import LaurentPoly, fold_mod_N
-from speclat.primes import primes_below
-from speclat.specpoly import IntPolynomial
+from speclat.arith import PrimePowerField
+from speclat.laurent import LaurentPoly, constant_term, fold_mod_N
+from speclat.primes import primes_below, root_of_unity
+from speclat.specpoly import IntPolynomial, _maclaurin_bound
 
 
 # -- sparse Laurent arithmetic ----------------------------------------------------
@@ -178,6 +180,47 @@ def charpoly_exact(matrix, prime_start=2**62):
     return IntPolynomial(tuple(coeffs))
 
 
+# -- spectral polynomial one linear factor at a time ---------------------------
+
+
+def loop_character_rows(folded, N):
+    """W at each N-torsion character k as the sparse row ((r, A_r), ...),
+    one character at a time, counted by multiplicity."""
+    terms = folded.sorted_terms()
+    rows = Counter()
+    for k in itertools.product(range(N), repeat=folded.dimension):
+        row = {}
+        for e, c in terms:
+            r = sum(x * y for x, y in zip(e, k)) % N
+            row[r] = row.get(r, 0) + c
+        rows[tuple(sorted(row.items()))] += 1
+    return rows
+
+
+def linear_factor_lift(folded, N, prime_start=2**62):
+    """prod over the N-torsion characters of (z - W(chi)): modulo each
+    split prime, one linear factor (z - v) at a time, then lifted by CRT
+    past twice the Maclaurin bound.  O(m**2) per prime."""
+    m = N**folded.dimension
+    rows = loop_character_rows(folded, N)
+    need = 2 * _maclaurin_bound(m, constant_term(folded)) + 1
+    lifted, mod = [0] * (m + 1), 1
+    for p in primes_below(prime_start, N):
+        omega = root_of_unity(N, p)
+        powers = [pow(omega, r, p) for r in range(N)]
+        poly = [1]  # low degree first
+        for row, mult in rows.items():
+            v = sum(a * powers[r] for r, a in row) % p
+            for _ in range(mult):
+                poly = [(a - v * b) % p for a, b in zip([0] + poly, poly + [0])]
+        inv = pow(mod, -1, p)
+        lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, poly)]
+        mod *= p
+        if mod > need:
+            return IntPolynomial(tuple(x - mod if x > mod // 2 else x for x in lifted))
+    raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
+
+
 # -- moments by K products on the full fold torus ------------------------------
 #
 # A polynomial folded mod N is an n-dimensional cyclic array of coefficients;
@@ -334,3 +377,56 @@ def loop_clusters(vals, tol):
             clusters.append((float(chunk.mean()), len(chunk)))
             start = i
     return tuple(clusters)
+
+
+# -- number theory ----------------------------------------------------------------
+
+
+def tuple_count_points(ctx, z, p, nu=1):
+    """Points of W = z on the torus over the p^nu-element field, one index
+    tuple at a time in field arithmetic."""
+    n = ctx.dimension
+    field = PrimePowerField(p, nu)
+    g_order = field.order - 1
+    terms = [(e, c % p) for e, c in ctx.w.sorted_terms() if c % p]
+    gen = field.generator()
+    table = [field.one]
+    for _ in range(g_order - 1):
+        table.append(field.mul(table[-1], gen))
+    target = field.embed(z)
+    count = 0
+    for idx in itertools.product(range(g_order), repeat=n):
+        acc = field.zero
+        for e, c in terms:
+            k = sum(ej * ij for ej, ij in zip(e, idx)) % g_order
+            acc = tuple((x + c * y) % p for x, y in zip(acc, table[k]))
+        if acc == target:
+            count += 1
+    return count
+
+
+def miller_rabin_twelve(n):
+    """Miller-Rabin to the twelve prime bases 2..37: deterministic below
+    318665857834031151167461 (Sorenson and Webster)."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if any(n % a == 0 for a in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

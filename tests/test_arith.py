@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from speclat import arith, primes
 from speclat.arith import (
     FactoredInteger,
     PrimePowerField,
@@ -12,9 +15,11 @@ from speclat.arith import (
     vp,
 )
 from speclat.context import SpectralContext
-from speclat.errors import SizeLimit
+from speclat.errors import CosetViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet
 from speclat.specpoly import evaluate_at_integer
+
+from _oracles import miller_rabin_twelve, tuple_count_points
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
 
@@ -122,7 +127,7 @@ def test_count_extension_field(cheb_ctx):
     for i in range(8):
         u = field.pow(g, i)
         uinv = field.pow(g, (8 - i) % 8)
-        val = field.add(field.add(u, uinv), field.embed(2))
+        val = tuple((x + y + e) % 3 for x, y, e in zip(u, uinv, field.embed(2)))
         counts[val] = counts.get(val, 0) + 1
     for z in range(3):
         expect = counts.get(field.embed(z), 0)
@@ -136,28 +141,89 @@ def test_count_cap(monkeypatch):
         count_points(ctx, 1, 11, 1)
 
 
+@st.composite
+def count_cases(draw):
+    """A point set in 1-3 dimensions and a field of p^nu elements, p <= 13
+    and nu <= 3, whose torus the tuple oracle can walk."""
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * n), min_size=n + 1, max_size=4, unique=True
+    ))
+    weights = draw(st.lists(st.integers(1, 13), min_size=len(points), max_size=len(points)))
+    try:
+        ctx = SpectralContext(WeightedPointSet(n, tuple(zip(points, weights))))
+    except (RankDeficient, CosetViolation):
+        assume(False)
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    nu = draw(st.integers(1, 3))
+    assume((p**nu - 1) ** n <= 1000)
+    return ctx, p, nu
+
+
+@settings(max_examples=30)
+@given(count_cases(), st.sampled_from([1, 7, 2**16]))
+def test_count_points_matches_tuple_oracle(case, block):
+    ctx, p, nu = case
+    zs = [*range(p), -1, p + 2]
+    original = arith._POINT_BLOCK
+    arith._POINT_BLOCK = block
+    try:
+        counts = [count_points(ctx, z, p, nu) for z in zs]
+    finally:
+        arith._POINT_BLOCK = original
+    assert counts == [tuple_count_points(ctx, z, p, nu) for z in zs]
+    assert sum(counts[:p]) <= (p**nu - 1) ** ctx.dimension
+
+
+# -- primality ------------------------------------------------------------------------
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    spsp_37 = 318665857834031151167461  # = 399165290221 * 798330580441
+    assert spsp_37 == 399165290221 * 798330580441
+    assert miller_rabin_twelve(spsp_37)  # fools the twelve prime bases 2..37
+    for n in (spsp_37, 3825123056546413051, 3317044064679887385961981, 2**64 + 1):
+        assert not primes.is_prime(n)
+    assert 399165290221 in factorize(7 * spsp_37).factors
+
+
+def test_is_prime_matches_sieve():
+    small = set(primes.sieve(2 * 10**5))
+    assert [n for n in range(2 * 10**5 + 1) if primes.is_prime(n)] == sorted(small)
+
+
+def test_is_prime_matches_twelve_bases_below_2_62():
+    rng = random.Random(62)
+    for _ in range(20_000):
+        n = rng.getrandbits(62) | 1
+        assert primes.is_prime(n) == miller_rabin_twelve(n)
+    for n in (2**61 - 1, 2**62 - 57, 2**64 - 59, 2**89 - 1):
+        assert primes.is_prime(n)
+
+
 # -- valuation inequality -----------------------------------------------------------
 
 
 def test_inequality_strict_example(honeycomb_ctx):
-    lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, 53, 7, 1)
+    [(lhs, rhs, holds)] = valuation_inequality_check(honeycomb_ctx, [53], 7, 1)
     assert (lhs, rhs, holds) == (12, 6, True)
 
 
 def test_inequality_z2(honeycomb_ctx):
-    lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, 2, 7, 1)
+    [(lhs, rhs, holds)] = valuation_inequality_check(honeycomb_ctx, [2], 7, 1)
     assert rhs == 1 and lhs >= 1 and holds
 
 
 def test_inequality_all_residues(honeycomb_ctx):
-    for z in range(7):
-        lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, z, 7, 1)
+    rows = valuation_inequality_check(honeycomb_ctx, range(7), 7, 1)
+    assert len(rows) == 7
+    for z, (lhs, rhs, holds) in enumerate(rows):
         assert holds
         assert rhs == F7_COUNT_ROW[z]
 
 
 def test_inequality_infinite_valuation(honeycomb_ctx):
-    lhs, rhs, holds = valuation_inequality_check(honeycomb_ctx, 0, 7, 1)
+    [(lhs, rhs, holds)] = valuation_inequality_check(honeycomb_ctx, [0], 7, 1)
     assert lhs == math.inf and holds
 
 

@@ -271,6 +271,7 @@ def test_unknown_parameter_exit_2(tmp_path):
         ["padic", "--p", "1"],
         ["padic", "--nu", "0"],
         ["moments", "--k-max", "-1"],
+        ["padic", "--p", "318665857834031151167461"],  # a strong pseudoprime to 2..37
     ],
 )
 def test_out_of_range_parameter_exit_2(tmp_path, capsys, argv):
@@ -723,6 +724,37 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, li
     assert len(lifted) == lifts
     assert len({N for _, N in lifted}) == lifts
     assert len(swept) == sweeps
+
+
+def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
+    from speclat import specpoly
+
+    from test_golden_records import README_CONFIG
+
+    built = []
+    original = specpoly.IntPolynomial.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(specpoly.IntPolynomial, "__post_init__", counted)
+    lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
+    cfg = dict(HONEYCOMB_CFG, padic={"p": 31})
+    code, out = run(tmp_path, cfg, ["padic", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0 and len(json.loads(out.read_text())["payload"]["rows"]) == 31
+    assert main(["padic", "--config", write_cfg(tmp_path, README_CONFIG, "readme.json"),
+                 "--out", str(tmp_path / "readme-out.json")]) == 0
+    assert [N for _, N in lifted] == [30, 6]
+    assert built == []
+
+
+def test_padic_size_check_only_when_values_are_asked(tmp_path):
+    # b_102 has 102^2 characters, past the cap: refused only when a value is asked
+    for z_values, code in (([], 0), ([0], 3)):
+        cfg = dict(HONEYCOMB_CFG, padic={"p": 103, "z_values": z_values})
+        assert main(["padic", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out.json")]) == code
 
 
 # -- one parser per process ----------------------------------------------------------

@@ -3,15 +3,20 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from speclat import primes
-from speclat.errors import SingularLevel, SizeLimit
-from speclat.lattice import LatticeBasis, difference_lattice
+from speclat import primes, specpoly
+from speclat.arith import vp
+from speclat.errors import CosetViolation, RankDeficient, SingularLevel, SizeLimit
+from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice
 from speclat.laurent import constant_term, diffraction_polynomial, fold_mod_N
 from speclat.moments import moment_sequence_N
 from speclat.specpoly import (
     IntPolynomial,
+    _character_rows,
     _maclaurin_bound,
+    _mul_mod,
     _split_prime_lift,
     character_values,
     convolution_matrix,
@@ -20,9 +25,10 @@ from speclat.specpoly import (
     integer_root_multiplicity,
     spectral_log_value,
     spectral_polynomial,
+    spectral_values,
 )
 
-from _oracles import berkowitz_charpoly, charpoly_exact
+from _oracles import berkowitz_charpoly, charpoly_exact, linear_factor_lift, loop_character_rows
 from conftest import random_point_set
 
 
@@ -170,10 +176,130 @@ def test_maclaurin_bound_is_tight_for_equal_roots():
     assert _maclaurin_bound(3, 0) == 1
 
 
-def test_spectral_size_limit(w_honey):
+# -- the split-prime engine: product tree and point values ---------------------
+
+PRIME_STARTS = (2**62, 2**61, 2**31)
+
+
+@st.composite
+def engine_cases(draw):
+    """A diffraction polynomial in 1-3 dimensions, a level small enough for
+    Berkowitz, and where the descending prime search starts."""
+    n = draw(st.integers(1, 3))
+    box = 2 if n < 3 else 1
+    points = draw(st.lists(
+        st.tuples(*[st.integers(-box, box)] * n), min_size=n + 1, max_size=4, unique=True
+    ))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    ps = WeightedPointSet(n, tuple(zip(points, weights)))
+    try:
+        w = w_of(ps)
+    except (RankDeficient, CosetViolation):
+        assume(False)
+    N = draw(st.integers(1, {1: 16, 2: 5, 3: 3}[n]))
+    return w, N, draw(st.sampled_from(PRIME_STARTS))
+
+
+@settings(max_examples=60)
+@given(engine_cases())
+def test_tree_matches_linear_factors_and_berkowitz(case):
+    w, N, start = case
+    f = fold_mod_N(w, N)
+    tree = _split_prime_lift(f, N, start)
+    assert tree == linear_factor_lift(f, N, start)
+    assert tree.coefficients == berkowitz_charpoly(convolution_matrix(f, N).rows)
+
+
+@settings(max_examples=60)
+@given(engine_cases(), st.lists(st.integers(-10**12, 10**12), max_size=4))
+def test_point_values_match_horner(case, extra):
+    w, N, start = case
+    f = fold_mod_N(w, N)
+    poly = _split_prime_lift(f, N, start)
+    C2 = sum(w.terms.values())
+    # small and large z apart, so that each reader gets its share of cases
+    for zs in ((0, -1, -C2, C2, C2 + 1, *range(C2 + 1)), (10**6, -(10**9), *extra)):
+        values = _split_prime_lift(f, N, start, zs=zs)
+        assert values == tuple(evaluate_at_integer(poly, z) for z in zs)
+        for z, v in zip(zs, values):
+            assert abs(v) <= (abs(z) + constant_term(f)) ** poly.degree
+
+
+@pytest.mark.parametrize(
+    "N, zs, reader",
+    [
+        # need bits: values 2 (|z| + c0)**m + 1, tree bitlen(m) times 2 B + 1
+        (10, (0, 10, -10), "_point_values"),
+        (10, (10**4,), "_point_values"),  # 1330 value bits, under 7 * 198
+        (10, (10**5,), "_tree_product"),  # 1662 value bits, over 7 * 198
+        (10, (0, 1, -(10**6)), "_tree_product"),  # one large z takes all
+        (4, (53,), "_point_values"),  # 94 value bits, under 5 * 31
+        (4, (10**3,), "_tree_product"),  # 161 value bits, over 5 * 31
+        (1, (0, 1), "_point_values"),  # 5 bits on both sides, c0 = 9
+        (1, (9,), "_tree_product"),
+    ],
+)
+def test_reader_follows_bound_size(w_honey, monkeypatch, N, zs, reader):
+    poly = spectral_polynomial(w_honey, N)
+    calls = []
+    for name in ("_point_values", "_tree_product"):
+        original = getattr(specpoly, name)
+        counted = lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a)
+        monkeypatch.setattr(specpoly, name, counted)
+    assert spectral_values(w_honey, N, zs) == tuple(evaluate_at_integer(poly, z) for z in zs)
+    assert set(calls) == {reader}
+
+
+def test_rows_with_multiplicity_and_level_values(w_honey):
+    f = fold_mod_N(w_honey, 6)
+    rows = _character_rows(f, 6)
+    assert rows == loop_character_rows(f, 6)
+    assert sum(rows.values()) == 36 and max(rows.values()) > 1
+    poly = _split_prime_lift(f, 6)
+    assert poly == linear_factor_lift(f, 6)
+    # at the spectrum levels the value is exactly 0: valuation inf
+    levels = (0, 1, 3, 4, 7, 9)
+    assert spectral_values(w_honey, 6, levels) == (0,) * 6
+    assert all(vp(v, 7) == math.inf for v in spectral_values(w_honey, 6, levels))
+    assert spectral_values(w_honey, 6, [2, 53]) == tuple(
+        evaluate_at_integer(poly, z) for z in (2, 53)
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_character_rows_match_loop(seed, monkeypatch):
+    rng = random.Random(900 + seed)
+    ps = random_point_set(rng, dimension=1 + seed % 3)
+    N = rng.randint(1, 7)
+    if seed % 2:
+        monkeypatch.setattr("speclat.specpoly._CHAR_BLOCK", rng.randint(1, 20))
+    f = fold_mod_N(w_of(ps), N)
+    assert _character_rows(f, N) == loop_character_rows(f, N)
+
+
+@pytest.mark.parametrize("start", [2**62, 2**31, 2**8])
+def test_packed_product_with_largest_slot_sums(start):
+    # every coefficient p - 1 makes the middle slot sum exactly
+    # min(len a, len b) * (p - 1)**2, the largest the slot width allows
+    p = next(primes.primes_below(start))
+    for la, lb in ((1, 1), (1, 9), (2, 3), (16, 17), (40, 40), (129, 64), (300, 257)):
+        a, b = [p - 1] * la, [p - 1] * lb
+        expect = [0] * (la + lb - 1)
+        for i in range(la):
+            for j in range(lb):
+                expect[i + j] += a[i] * b[j]
+        assert _mul_mod(a, b, p) == [x % p for x in expect]
+
+
+def test_spectral_size_limit(w_honey, monkeypatch):
     with pytest.raises(SizeLimit):
         spectral_polynomial(w_honey, 4, size_limit=15)
     assert spectral_polynomial(w_honey, 4, size_limit=16).degree == 16
+    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 15)
+    with pytest.raises(SizeLimit):
+        spectral_values(w_honey, 4, [0])
+    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 16)
+    assert spectral_values(w_honey, 4, [0]) == (spectral_polynomial(w_honey, 4).coefficients[0],)
 
 
 # -- spectral polynomials -------------------------------------------------------
