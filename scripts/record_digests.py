@@ -15,8 +15,10 @@ Runs ``speclat.cli.main`` in process on
 * larger jobs than the workloads hold (``LARGE_JOBS``): honeycomb ``bn`` at
   N = 20 with ``levels`` and a divisor check, honeycomb ``padic`` at p = 31
   over every residue and at p = 11 at large z (point values for one job,
-  Horner on b_10 for the other), and ``padic`` over the 9-element field on
-  the generated weighted set of each seed (built-in sets run once);
+  Horner on b_10 for the other), ``padic`` over the 9-element field on
+  the generated weighted set of each seed, ``mahler`` torus quadrature at
+  the odd resolution 255 on that set and at 2048 on the honeycomb, and
+  ``spectrum`` at N = 64 on the generated cube (built-in sets run once);
 
 and prints one ``label digest`` line per record.  Run it against two
 checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
@@ -51,6 +53,12 @@ LARGE_JOBS = (
     # large z on each side of the choice between point values and Horner on b_10
     ("padic-honeycomb-11-values", "honeycomb", "padic", {"p": 11, "z_values": [10**4, -(10**4)]}),
     ("padic-honeycomb-11-horner", "honeycomb", "padic", {"p": 11, "z_values": [53, 10**6]}),
+    # an odd resolution computes the half grid afresh; 2048 runs over many value blocks
+    ("mahler-weighted-odd", "weighted", "mahler",
+     {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 255, "hilbert": False}),
+    ("mahler-honeycomb-2048", "honeycomb", "mahler",
+     {"z": 12.0, "methods": ["torus-quadrature"], "resolution": 2048, "hilbert": False}),
+    ("spectrum-cube-64", "cube", "spectrum", {"N": 64}),
 )
 
 

@@ -191,9 +191,8 @@ class MahlerResult:
     method: str
 
 
-def _log_average(ctx: SpectralContext, N, z, tol_abs) -> float:
-    vals = character_values(ctx.w, N).ravel()
-    diffs = np.abs(complex(z) - vals)
+def _log_average(vals: np.ndarray, z, tol_abs) -> float:
+    diffs = np.abs(z - vals)  # real z: |complex(z) - v| = hypot(z - v, 0), the same bits
     if diffs.min() < tol_abs:
         raise SpectrumProximity(
             f"{z} is within {tol_abs} of an observed spectrum value"
@@ -215,7 +214,9 @@ def mahler_measure(
     |exp(sum m_k/k z^-k) / z| with the tail bounded below tol (needs
     |z| > total_weight^2).  torus-quadrature: one uniform grid log-average
     at the given resolution, with the half-resolution difference as the
-    error estimate.
+    error estimate.  At an even resolution R > 2 the half grid is every
+    other point of the fine one, bit for bit: 2 pi (2 k) / R and
+    2 pi k / (R / 2) are the same double, a power-of-two scaling apart.
     """
     C2 = ctx.ps.total_weight**2
     proximity = 1e-6 * C2
@@ -223,7 +224,7 @@ def mahler_measure(
         prev = None
         N = 16
         while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
-            cur = math.exp(-_log_average(ctx, N, z, proximity))
+            cur = math.exp(-_log_average(character_values(ctx.w, N), z, proximity))
             if prev is not None and abs(cur - prev) < tol:
                 return MahlerResult(cur, abs(cur - prev), method)
             prev = cur
@@ -246,8 +247,12 @@ def mahler_measure(
         tail = ratio ** (K + 1) / ((K + 1) * (1 - ratio))
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":
-        # the fine grid first: it meets the float cap before any grid is swept
-        fine = math.exp(-_log_average(ctx, resolution, z, proximity))
-        coarse = math.exp(-_log_average(ctx, max(resolution // 2, 2), z, proximity))
+        grid = character_values(ctx.w, resolution)  # meets the float cap before any sweep
+        fine = math.exp(-_log_average(grid, z, proximity))
+        if resolution % 2 or resolution == 2:
+            grid = character_values(ctx.w, max(resolution // 2, 2))
+        else:
+            grid = grid[(slice(None, None, 2),) * ctx.dimension]
+        coarse = math.exp(-_log_average(grid, z, proximity))
         return MahlerResult(fine, abs(fine - coarse), method)
     raise ValueError(f"unknown method {method!r}")

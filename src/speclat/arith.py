@@ -53,9 +53,7 @@ class FactoredInteger:
     cofactor: int = 1
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> list[int]:
-    return primes.sieve(_TRIAL_LIMIT)
+_trial_primes = lru_cache(maxsize=16)(primes.sieve)
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:
@@ -89,15 +87,15 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
 
 
 def factorize(x: int) -> FactoredInteger:
-    """Trial division to 10^6 followed by Pollard rho; numbers up to desk
-    scale (~10^40) factor completely, anything stubborn is left as a
-    flagged cofactor."""
+    """Trial division to min(sqrt |x|, 10^6) followed by Pollard rho;
+    numbers up to desk scale (~10^40) factor completely, anything stubborn
+    is left as a flagged cofactor."""
     if x == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if x < 0 else 1
     n = abs(x)
     factors: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _trial_primes(min(math.isqrt(n), _TRIAL_LIMIT)):
         if p * p > n:
             break
         while n % p == 0:

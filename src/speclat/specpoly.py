@@ -52,6 +52,7 @@ from .laurent import LaurentPoly, constant_term, fold_mod_N
 DEFAULT_SIZE_LIMIT = 10_000
 DEFAULT_FLOAT_CAP = 10**7
 _CHAR_BLOCK = 2**16  # characters per step of the row count
+_VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
 
 
 @dataclass(frozen=True)
@@ -298,25 +299,36 @@ def spectral_values(w: LaurentPoly, N: int, zs: Sequence[int]) -> tuple[int, ...
 def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     """Real part of f at all N-torsion characters, as an (N,)*n array.
 
-    Only meaningful for palindromic f (real values).  Each term c x^e adds
-    c * cos(2 pi (e.k) / N) at character k, read from one table of the
-    real parts of exp(2 pi i r / N); e.k comes from per-axis ranges
-    broadcast against each other.  The sum runs in float64 in term order,
-    so it equals, bit for bit, the real part of the same sum taken in
-    complex arithmetic.  The value at the trivial character (index all
-    zeros) is the exact coefficient sum.  Raises SizeLimit, before any
-    work, when the N^n values exceed ``DEFAULT_FLOAT_CAP``.
+    Only meaningful for palindromic f (real values).  Term c x^e adds
+    c cos(2 pi (e.k mod N) / N), cos the real part of exp(2 pi i r / N).  With
+    each e_i reduced to |e_i| <= N/2, its values on rows r0 .. r0 + R - 1 are
+    one view, strides e_i, from offset s + (e_0 r0 mod N), of the row
+    T_c[j] = c cos(2 pi (j - s) / N), 0 <= j < N + 2 s, that the terms with
+    this c share: no view moves over s = reach_0 (R - 1) + sum_{i>0} reach_i
+    (N - 1) entries (reach_i the largest |e_i|; R N^(n-1) and R reach_0 stay
+    within ``_VALUE_BLOCK``).  c cos(r) has the same bits wherever r is read,
+    and each value is summed from 0 in term order: bit for bit the real part
+    of the sum in complex arithmetic, and the exact coefficient sum at the
+    trivial character (index all zeros).  Raises SizeLimit, before any work,
+    when the N^n values exceed ``DEFAULT_FLOAT_CAP``.
     """
     n = f.dimension
     if N**n > DEFAULT_FLOAT_CAP:
         raise SizeLimit(f"{N**n} character values exceed cap {DEFAULT_FLOAT_CAP}")
-    # cos at every residue of a phase sum, which stays below n * N
-    table = np.tile(np.exp(2j * np.pi * np.arange(N) / N).real, n)
-    axes = [np.arange(N).reshape((N,) + (1,) * (n - 1 - j)) for j in range(n)]
+    exps, coeffs = zip(*f.sorted_terms())
+    exps = [[(x + N // 2) % N - N // 2 for x in e] for e in exps]
+    reach = [max(map(abs, axis)) for axis in zip(*exps)]
+    rows = max(1, min(N, _VALUE_BLOCK // N ** (n - 1), _VALUE_BLOCK // (reach[0] or 1)))
+    span = reach[0] * (rows - 1) + sum(reach[1:]) * (N - 1)
+    table = {c: i for i, c in enumerate(dict.fromkeys(coeffs))}
+    cos = np.exp(2j * np.pi * np.arange(N) / N).real[np.arange(-span, N + span) % N]
+    scaled = np.array(list(table), float)[:, None] * cos
     acc = np.zeros((N,) * n)
-    for e, c in f.sorted_terms():
-        phase = sum((ej * ax) % N for ej, ax in zip(e, axes))
-        acc += c * table[phase]
+    for r0 in range(0, N, rows):
+        block = acc[r0 : r0 + rows]
+        for e, c in zip(exps, coeffs):
+            offset = 8 * ((N + 2 * span) * table[c] + span + e[0] * r0 % N)
+            block += np.ndarray(block.shape, float, scaled, offset, [8 * x for x in e])
     return acc
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -68,6 +69,49 @@ def test_factorize_semiprime_beyond_trial_range():
     p, q = 1_000_003, 1_000_033
     f = factorize(p * q)
     assert f.factors == {p: 1, q: 1}
+
+
+def test_factorize_matches_smallest_factor_sieve():
+    limit = 10**5
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(2, limit + 1):
+        expected, m = {}, n
+        while m > 1:
+            expected[spf[m]] = expected.get(spf[m], 0) + 1
+            m //= spf[m]
+        f = factorize(n)
+        assert (f.factors, f.cofactor) == (expected, 1), n
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {1_000_003: 2},
+        {1_000_003: 1, 1_000_033: 1, 1_000_037: 1},
+        {2: 3, 3: 1, 1_000_039: 1, 1_000_081: 1},
+        {7: 1, 999_983: 1, 1_000_099: 2},
+        {2_147_483_647: 1, 1_000_003: 1},
+    ],
+)
+def test_factorize_products_of_primes_above_trial_range(factors):
+    f = factorize(-math.prod(p**e for p, e in factors.items()))
+    assert (f.sign, f.factors, f.cofactor) == (-1, factors, 1)
+
+
+def test_factorize_sieves_only_to_the_root():
+    arith._trial_primes.cache_clear()
+    try:
+        with mock.patch.object(arith, "_trial_primes", wraps=arith._trial_primes) as sieve:
+            assert factorize(30).factors == {2: 1, 3: 1, 5: 1}
+        assert sieve.call_args_list == [mock.call(5)]
+        assert arith._trial_primes.cache_info().currsize == 1
+    finally:
+        arith._trial_primes.cache_clear()
 
 
 # -- finite fields ----------------------------------------------------------------

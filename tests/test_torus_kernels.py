@@ -3,10 +3,14 @@
 Walk enumeration, character values and spectrum clustering are checked on
 random weighted point sets in dimensions 1-3, some with weights >= 10^6 so
 that the walk totals overflow int64 and take the Python-integer path.  The
-suffix table is shrunk in some cases so that the prefix loop runs too.
+suffix table is shrunk in some cases so that the prefix loop runs too, and
+the character-value block is shrunk to one row or a few so that the sum
+runs over many blocks.
 """
 
+import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,14 +18,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat import graph
-from speclat.analysis import spectrum
+from speclat import graph, specpoly
+from speclat.analysis import _log_average, mahler_measure, spectrum
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient
 from speclat.lattice import WeightedPointSet, difference_lattice
-from speclat.laurent import diffraction_polynomial
+from speclat.laurent import LaurentPoly, diffraction_polynomial
 from speclat.moments import moment_sequence_N
-from speclat.specpoly import character_values
+from speclat.specpoly import character_values, integer_root_multiplicity
 
 from _oracles import complex_character_values, loop_clusters, tuple_walk_weight_sum
 
@@ -116,3 +120,144 @@ def test_spectrum_means_bitwise_at_large_clusters(ps, N):
     ]
     gaps = [b[0] - a[0] for a, b in zip(reference, reference[1:])]
     assert hist.min_gap.hex() == min(gaps).hex()
+
+
+# -- character values over many blocks ------------------------------------------------
+
+
+def check_values(w: LaurentPoly, N: int, rows: int | None = None):
+    """character_values against the complex oracle, bit for bit, with the
+    value block shrunk to ``rows`` rows of the first axis (None: as is)."""
+    block = specpoly._VALUE_BLOCK if rows is None else rows * N ** (w.dimension - 1)
+    with mock.patch.object(specpoly, "_VALUE_BLOCK", block):
+        values = character_values(w, N)
+    reference = complex_character_values(w, N)
+    assert values.shape == (N,) * w.dimension
+    assert np.array_equal(values, reference)
+    assert np.array_equal(np.signbit(values), np.signbit(reference))
+
+
+def palindromic(n: int, half: dict) -> LaurentPoly:
+    terms = {(0,) * n: 5}
+    for e, c in half.items():
+        terms[e] = terms[tuple(-x for x in e)] = c
+    return LaurentPoly(n, terms)
+
+
+W_HONEYCOMB = diffraction_polynomial(HONEYCOMB, difference_lattice(HONEYCOMB))
+W_CUBE = diffraction_polynomial(CUBE, difference_lattice(CUBE))
+VALUE_CASES = {
+    "honeycomb-384": (W_HONEYCOMB, 384),
+    "cube-48": (W_CUBE, 48),
+    "honeycomb-1": (W_HONEYCOMB, 1),
+    "honeycomb-2": (W_HONEYCOMB, 2),
+    "cube-1": (W_CUBE, 1),
+    "cube-2": (W_CUBE, 2),
+    # last exponents of 2 and 3, both signs
+    "last-2-3": (palindromic(2, {(1, -3): 2, (2, 2): 1, (-1, -2): 3, (0, 3): 1}), 20),
+    "last-2-3-3d": (palindromic(3, {(1, 0, -3): 1, (0, 1, 2): 2, (1, -1, -2): 1}), 7),
+    # weights of 2^40: coefficients far past 2^53
+    "weights-2^40": (palindromic(2, {(1, 0): 2**40, (1, -1): 2**80 + 1, (0, 2): 3}), 30),
+    # exponents past N / 2, and a first-axis reach that shortens the block
+    "wide-1d": (palindromic(1, {(1,): 1, (999,): 2, (1000,): 1}), 300),
+    "wide-1d-small-N": (palindromic(1, {(1,): 1, (999,): 2, (1000,): 1}), 7),
+    "wide-2d": (palindromic(2, {(40, 3): 1, (1, 0): 2, (-3, 41): 1}), 64),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["1-row", "3-rows", "default"])
+@pytest.mark.parametrize("case", VALUE_CASES)
+def test_character_values_over_blocks(case, rows):
+    check_values(*VALUE_CASES[case], rows)
+
+
+@pytest.mark.parametrize(
+    "w, N",
+    [
+        # were a block the whole row, a view would span 10^7 entries of its
+        # table (over 300 MB in all)
+        (palindromic(1, {(1,): 1, (999,): 2, (1000,): 1}), 10**4),
+        # unreduced, the second exponent would span 10^7 entries
+        (palindromic(2, {(1, 0): 1, (0, 10**5 + 1): 2}), 100),
+    ],
+    ids=["long-first-axis", "past-N"],
+)
+def test_wide_exponents_keep_tables_small(w, N):
+    tracemalloc.start()
+    try:
+        values = character_values(w, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23
+    assert np.array_equal(values, complex_character_values(w, N))
+
+
+@st.composite
+def value_cases(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-6, 6)] * n)
+    coeffs = st.one_of(st.integers(1, 3), st.sampled_from(BIG_WEIGHTS))
+    half = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5))
+    N = draw(st.integers(1, MAX_LEVEL[n]))
+    return palindromic(n, half), N, draw(st.sampled_from([1, 2, 3, None]))
+
+
+@settings(max_examples=60)
+@given(value_cases())
+def test_character_values_over_blocks_property(case):
+    check_values(*case)
+
+
+# -- the half grid of the torus quadrature ---------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_half_grid_is_every_other_point(seed):
+    ps = random_graph_set(random.Random(seed), big=seed % 2 == 0)
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    every_other = (slice(None, None, 2),) * ps.dimension
+    for R in range(2, 65, 2):
+        fine, half = character_values(w, R), character_values(w, R // 2)
+        assert np.array_equal(fine[every_other], half)
+        assert np.array_equal(np.signbit(fine[every_other]), np.signbit(half))
+
+
+def fresh_log_average(ctx, N, z):
+    return float(np.mean(np.log(np.abs(complex(z) - character_values(ctx.w, N).ravel()))))
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 9, 16, 33, 64])
+@pytest.mark.parametrize("seed", range(3))
+def test_torus_quadrature_matches_fresh_grids(seed, resolution):
+    ctx = SpectralContext(random_graph_set(random.Random(seed), big=False))
+    C2 = ctx.ps.total_weight**2
+    for z in (C2 + 1.5, -2, 3 * C2):
+        res = mahler_measure(ctx, z, "torus-quadrature", resolution=resolution)
+        fine = math.exp(-fresh_log_average(ctx, resolution, z))
+        coarse = math.exp(-fresh_log_average(ctx, max(resolution // 2, 2), z))
+        assert (res.value, res.error) == (fine, abs(fine - coarse))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_log_average_real_z_matches_complex_form(seed):
+    rng = random.Random(seed)
+    ps = random_graph_set(rng, big=True)
+    vals = character_values(diffraction_polynomial(ps, difference_lattice(ps)), 6)
+    for z in (0.3, -3, 7.25, rng.uniform(-1e6, 1e6), 1.5 * ps.total_weight**2):
+        expected = float(np.mean(np.log(np.abs(complex(z) - vals.ravel()))))
+        assert _log_average(vals, z, 0.0) == expected
+
+
+# -- float clusters against exact root multiplicities ------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_clusters_match_exact_multiplicities(seed):
+    rng = random.Random(seed)
+    ctx = SpectralContext(random_graph_set(rng, big=False))
+    N = rng.randint(2, {1: 12, 2: 6, 3: 3}[ctx.dimension])
+    hist = spectrum(ctx, N)
+    poly = ctx.spectral_polynomial(N)
+    for level in range(ctx.ps.total_weight**2 + 1):
+        assert hist.multiplicity_near(level) == integer_root_multiplicity(poly, level), level
