@@ -16,7 +16,9 @@ Runs ``speclat.cli.main`` in process on
   N = 20 with ``levels`` and a divisor check, honeycomb ``padic`` at p = 31
   over every residue and at p = 11 at large z (point values for one job,
   Horner on b_10 for the other), ``padic`` over the 9-element field on
-  the generated weighted set of each seed, ``mahler`` torus quadrature at
+  the generated weighted set of each seed, chebyshev ``padic`` over the
+  81-element field and honeycomb ``padic`` over the 64-element field, each
+  at small and large z, ``mahler`` torus quadrature at
   the odd resolution 255 on that set and at 2048 on the honeycomb, and
   ``spectrum`` at N = 64 on the generated cube (built-in sets run once);
 
@@ -54,6 +56,9 @@ LARGE_JOBS = (
     ("padic-honeycomb-11-values", "honeycomb", "padic", {"p": 11, "z_values": [10**4, -(10**4)]}),
     ("padic-honeycomb-11-horner", "honeycomb", "padic", {"p": 11, "z_values": [53, 10**6]}),
     # an odd resolution computes the half grid afresh; 2048 runs over many value blocks
+    # the Galois ring path: nu > 1 over every residue and at a large z
+    ("padic-chebyshev-3-4", "chebyshev", "padic", {"p": 3, "nu": 4, "z_values": [0, 1, 2, 10**6]}),
+    ("padic-honeycomb-2-6", "honeycomb", "padic", {"p": 2, "nu": 6, "z_values": [0, 1, 9, 10**6]}),
     ("mahler-weighted-odd", "weighted", "mahler",
      {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 255, "hilbert": False}),
     ("mahler-honeycomb-2048", "honeycomb", "mahler",

@@ -30,7 +30,6 @@ from .analysis import (
 from .arith import (
     FactoredInteger,
     PrimePowerField,
-    count_points,
     factorize,
     valuation_inequality_check,
     vp,

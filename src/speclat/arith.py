@@ -1,31 +1,30 @@
-"""Integer factorization, p-adic valuations, and point counts over finite
-fields.
+"""Integer factorization, p-adic valuations, finite fields, and the
+valuation inequality: for q = p^nu and N = q - 1, v_p(b_N(z)) at an integer
+z is at least the number of points on W = z in (F_q^*)^n, lattice basis.
 
-The valuation inequality tested here: for q = p^nu, the p-adic valuation of
-the level-(q-1) spectral polynomial at an integer z is at least the number
-of points on W = z over the q-element field, counted on the torus of
-nonzero coordinate tuples in the lattice basis.  Counting is brute force
-over the multiplicative group, enumerated as powers of a generator, so a
-monomial evaluation is a single index reduction mod q-1.
+Both sides come from one pass over the character rows of level N.  Let
+zeta, a root of unity of order N, be the Teichmueller lift of a generator g
+of F_q^* to GR(p^k, nu) = (Z/p^k)[x]/(F) (Serre, Local Fields, II 4-5); in
+the unramified ring W(F_q) the least v_p of the coefficients, v, is the
+valuation at one prime above p, and W(chi_k) = W(g^k) mod p.  So
+v_p(b_N(z)) = sum_rows mult v(z - W(chi)) >= sum of mult over v >= 1, the
+point count.  A nonzero alpha = z - W(chi) has conjugates of size at most
+|z| + C^2 (0 <= W <= C^2, the coefficient sum of W), so v(alpha) <=
+log_p |Norm alpha| < K when p^K > (|z| + C^2)^phi(N): alpha = 0 mod p^K
+proves alpha = 0, a valuation of inf.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import primes
+from . import primes, specpoly
 from .errors import SizeLimit
 from .context import SpectralContext
-from .specpoly import spectral_values
 
-DEFAULT_POINT_CAP = 10**7
-_POINT_BLOCK = 2**16  # tuples per step of the vectorised point count
 _TRIAL_LIMIT = 10**6
 _RHO_ROUNDS = 64
 
@@ -125,53 +124,43 @@ def factorize(x: int) -> FactoredInteger:
 
 
 def _poly_mul_mod(a, b, modulus, p):
-    """Product of coefficient tuples, reduced mod the monic modulus and p."""
+    """Product of coefficient tuples, reduced mod the monic modulus and the
+    integer p, prime or not; a coefficient is reduced mod p only where it
+    is read."""
     nu = len(modulus) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] += ai * bj
     for i in range(len(out) - 1, nu - 1, -1):
-        f = out[i]
+        f = out[i] % p
         if f:
-            out[i] = 0
             for j in range(nu):
-                out[i - nu + j] = (out[i - nu + j] - f * modulus[j]) % p
-    out = out[:nu]
+                out[i - nu + j] -= f * modulus[j]
+    out = [c % p for c in out[:nu]]
     return tuple(out + [0] * (nu - len(out)))
 
 
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-
-    def norm(c):
-        while c and c[-1] % p == 0:
-            c.pop()
-        return c
-
-    a, b = norm(a), norm(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            f = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] = (a[i + shift] - f * c) % p
-            a = norm(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
+def _poly_pow(base, e, modulus, m):
+    """base**e, reduced mod the monic modulus and the integer m."""
+    result = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            result = _poly_mul_mod(result, base, modulus, m)
+        base = _poly_mul_mod(base, base, modulus, m)
+        e >>= 1
+    return result
 
 
 class PrimePowerField:
-    """Arithmetic in the field with p^nu elements.
+    """Arithmetic in the field with p^nu elements, F_p[x]/(F).
 
-    The modulus is a random monic irreducible polynomial (deterministic
-    retry seeded by (p, nu)); irreducibility is certified by checking that
-    gcd(x^(p^i) - x, modulus) is trivial for every i up to nu/2.  Elements
-    are coefficient tuples of length nu.
+    F is primitive: the first random monic polynomial (deterministic retry
+    seeded by (p, nu)) modulo which x has multiplicative order p^nu - 1.
+    That certifies F irreducible, since modulo a reducible F fewer than
+    p^nu - 1 residues are units.  Elements are coefficient tuples of
+    length nu, and x generates the multiplicative group.
     """
 
     def __init__(self, p: int, nu: int):
@@ -182,42 +171,20 @@ class PrimePowerField:
         self.p = p
         self.nu = nu
         self.order = p**nu
-        self.modulus = self._find_modulus()
         self.zero = (0,) * nu
         self.one = self.embed(1)
+        self.modulus = self._find_modulus()
 
     def _find_modulus(self) -> tuple[int, ...]:
-        p, nu = self.p, self.nu
+        p, nu, g_order = self.p, self.nu, self.order - 1
         rng = random.Random(f"modulus:{p}:{nu}")
+        cofactors = [g_order // ell for ell in factorize(g_order).factors]
         while True:
-            coeffs = [rng.randrange(p) for _ in range(nu)] + [1]
-            if self._is_irreducible(tuple(coeffs)):
-                return tuple(coeffs)
-
-    def _is_irreducible(self, modulus) -> bool:
-        p, nu = self.p, self.nu
-        if nu == 1:
-            return True
-        x = (0, 1) + (0,) * (nu - 2)
-        frob = x
-        for _ in range(nu // 2):
-            frob = self._pow_raw(frob, p, modulus)
-            # gcd(x^(p^i) - x, modulus) must be a unit
-            diff = list(frob)
-            diff[1] = (diff[1] - 1) % p
-            g = _poly_gcd(diff, modulus, p)
-            if len(g) != 1:
-                return False
-        return True
-
-    def _pow_raw(self, base, e, modulus):
-        result = (1,) + (0,) * (self.nu - 1)
-        while e:
-            if e & 1:
-                result = _poly_mul_mod(result, base, modulus, self.p)
-            base = _poly_mul_mod(base, base, modulus, self.p)
-            e >>= 1
-        return result
+            modulus = tuple(rng.randrange(p) for _ in range(nu)) + (1,)
+            if _poly_pow((0, 1), g_order, modulus, p) == self.one and all(
+                _poly_pow((0, 1), e, modulus, p) != self.one for e in cofactors
+            ):
+                return modulus
 
     def embed(self, x: int) -> tuple[int, ...]:
         return (x % self.p,) + (0,) * (self.nu - 1)
@@ -226,65 +193,100 @@ class PrimePowerField:
         return _poly_mul_mod(a, b, self.modulus, self.p)
 
     def pow(self, a, e: int):
-        return self._pow_raw(a, e, self.modulus)
+        return _poly_pow(a, e, self.modulus, self.p)
 
     def generator(self) -> tuple[int, ...]:
-        """A generator of the multiplicative group, deterministic choice."""
-        g_order = self.order - 1
-        if g_order == 1:
-            return self.one
-        prime_divs = sorted(factorize(g_order).factors)
-        for t in itertools.product(range(self.p), repeat=self.nu):
-            cand = tuple(reversed(t))  # the field elements in counter order
-            if cand != self.zero and all(
-                self.pow(cand, g_order // ell) != self.one for ell in prime_divs
-            ):
-                return cand
-        raise RuntimeError("no generator found (impossible for a field)")
+        """x, a generator of the multiplicative group."""
+        return self.pow((0, 1), 1)
 
 
-def count_points(ps: SpectralContext, z: int, p: int, nu: int = 1) -> int:
-    """Number of tuples of nonzero field elements where the diffraction
-    polynomial takes the value z in the p^nu-element field.
+def _teichmuller(field: PrimePowerField, g, k: int):
+    """Yields (j, x) for j = 1, 2, 4, .., k, x the root of unity of order
+    q - 1 in GR(p^j, nu) that is g mod p: each Newton step
+    x <- x - x (x^(q-1) - 1) / (q - 1) doubles the precision."""
+    q, x, j = field.order, g, 1
+    yield j, x
+    while j < k:
+        j = min(2 * j, k)
+        m = field.p**j
+        e = _poly_pow(x, q - 1, field.modulus, m)
+        t = _poly_mul_mod(x, ((e[0] - 1) % m,) + e[1:], field.modulus, m)
+        x = tuple((a - pow(q - 1, -1, m) * b) % m for a, b in zip(x, t))
+        yield j, x
 
-    Coordinates follow the lattice basis; the count is basis independent
-    because any two bases differ by a unimodular monomial substitution.
-    ``ps`` is the point set's context; the benchmark's span counters read
-    the argument by that name.  Tuples are taken ``_POINT_BLOCK`` at a time.
-    """
-    n = ps.dimension
-    field = PrimePowerField(p, nu)
-    g_order = field.order - 1
-    total = g_order**n
-    if total > DEFAULT_POINT_CAP:
-        raise SizeLimit(f"(p^nu - 1)^n = {total} exceeds cap {DEFAULT_POINT_CAP}")
-    terms = [(e, c % p) for e, c in ps.w.sorted_terms() if c % p]
-    exps = np.array([e for e, _ in terms], dtype=np.int64).reshape(len(terms), n)
-    gen = field.generator()
-    table = [field.one]
-    for _ in range(g_order - 1):
-        table.append(field.mul(table[-1], gen))
-    powers = np.array(table, dtype=np.int64)  # row i is g**i: x**e at g**idx is row e.idx
-    target = np.array(field.embed(z), dtype=np.int64)
-    count = 0
-    for start in range(0, total, _POINT_BLOCK):
-        flat = np.arange(start, min(start + _POINT_BLOCK, total), dtype=np.int64)
-        phases = exps @ np.array(np.unravel_index(flat, (g_order,) * n)) % g_order
-        acc = np.zeros((len(flat), nu), dtype=np.int64)
-        for phase, (_, c) in zip(phases, terms):
-            acc = (acc + c * powers[phase]) % p
-        count += int((acc == target).all(axis=1).sum())
-    return count
+
+def _row_value(row, power, m: int) -> tuple[int, ...]:
+    """sum_r A_r zeta**r mod m for the row ((r, A_r), ...), power(r) = zeta**r."""
+    coeffs, cols = zip(*[(a, power(r)) for r, a in row])
+    return tuple(sum(a * c for a, c in zip(coeffs, col)) % m for col in zip(*cols))
+
+
+def _depth(z: int, v, p: int, k: int) -> int:
+    """v(z - v) for v in GR(p^k, nu), read as k when z = v mod p^k."""
+    return min(vp(math.gcd((z - v[0]) % p**k, *v[1:]), p), k)
+
+
+def _lift_precision(z: int, c2: int, N: int, p: int) -> int:
+    """The least K with p^K > (|z| + c2)^phi(N), compared as exact integers."""
+    phi = math.prod((ell - 1) * ell ** (e - 1) for ell, e in factorize(N).factors.items())
+    bound = (abs(z) + c2) ** phi
+    K = max(int(math.log(bound, p)) - 1, 1)  # an estimate from below
+    while p**K <= bound:
+        K += 1
+    return K
 
 
 def valuation_inequality_check(
     ctx: SpectralContext, zs, p: int, nu: int = 1
 ) -> list[tuple[int | float, int, bool]]:
-    """(vp of the level-(p^nu - 1) spectral value at z, point count, holds)
-    for each integer z in ``zs``, all values from one pass.
-
-    An infinite valuation (value 0) counts as holding.
-    """
-    values = spectral_values(ctx.w, p**nu - 1, zs) if zs else ()
-    pairs = [(vp(v, p), count_points(ctx, z, p, nu)) for z, v in zip(zs, values)]
-    return [(lhs, rhs, lhs >= rhs) for lhs, rhs in pairs]
+    """(v_p(b_N(z)), point count, holds), N = p^nu - 1, for each integer z in
+    ``zs``, from one pass over the character rows held to
+    ``specpoly.DEFAULT_SIZE_LIMIT`` before any work (none for an empty
+    ``zs``).  Each row is evaluated once at a precision p^k0 below 2^30; the
+    rows with z = W(chi) mod p^k0 again at doubling precision, up to the
+    p^K of the module docstring.  An infinite valuation (value 0) counts as
+    holding."""
+    zs = list(zs)
+    if not zs:
+        return []
+    n, cap = ctx.dimension, specpoly.DEFAULT_SIZE_LIMIT
+    # (p^nu - 1)^n >= 2^(n (nu (bitlen p - 1) - 1)): a huge nu is refused before p^nu is formed
+    if n * (nu * (p.bit_length() - 1) - 1) >= cap.bit_length():
+        raise SizeLimit(f"({p}^{nu} - 1)^{n} torsion characters exceed cap {cap}")
+    N = p**nu - 1
+    rows = specpoly._character_rows(specpoly._folded_level(ctx.w, N, cap), N)
+    field = PrimePowerField(p, nu)
+    g, F, k0 = field.generator(), field.modulus, 30 // p.bit_length()
+    *_, (_, zeta) = _teichmuller(field, g, k0)
+    powers = [field.one]
+    for _ in range(N - 1):
+        powers.append(_poly_mul_mod(powers[-1], zeta, F, p**k0))
+    buckets: dict[tuple[int, ...], list] = {}  # the rows by their value mod p
+    for row, mult in rows.items():
+        v = _row_value(row, powers.__getitem__, p**k0)
+        buckets.setdefault(tuple(c % p for c in v), []).append((v, row, mult))
+    out = []
+    for z in zs:
+        bucket = buckets.get(field.embed(z), [])
+        depths = [(_depth(z, v, p, k0), row, mult) for v, row, mult in bucket]
+        count = sum(mult for _, _, mult in depths)
+        val: int | float = sum(mult * d for d, _, mult in depths if d < k0)
+        deep = [(row, mult) for d, row, mult in depths if d == k0]
+        # z = W(chi) mod p^k0: doubling the precision up to p^K, where only
+        # W(chi) = z is left, until each valuation shows
+        K = _lift_precision(z, ctx.ps.total_weight**2, N, p) if deep else 0
+        for j, zeta_j in _teichmuller(field, g, K):
+            if not deep:
+                break
+            m, left = p**j, []
+            for row, mult in deep:
+                d = _depth(z, _row_value(row, lambda r: _poly_pow(zeta_j, r, F, m), m), p, j)
+                if d < j:
+                    val += mult * d
+                else:
+                    left.append((row, mult))
+            deep = left
+        if deep:
+            val = math.inf
+        out.append((val, count, val >= count))
+    return out

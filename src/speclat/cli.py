@@ -669,7 +669,7 @@ def main(argv=None) -> int:
             if param.flag
         }
         job = JobConfig.from_file(args.config, args.command, overrides)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not JSON, or an integer past int()'s digit limit
         print(f"speclat: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -8,28 +8,22 @@ omega**r (A_r the sum of the c_e with e.k = r mod N) are counted once;
 for primes p = 1 (mod N) descending below 2**62, whose F_p holds an omega
 of exact order N, each distinct row gives one value v; the residues of
 b_N are lifted by CRT until the prime product exceeds twice a certified
-bound.  The polynomial reader multiplies the leaves (z - v)**mult, each
-expanded by the binomial theorem, in a balanced product tree (von zur
-Gathen and Gerhard, Modern Computer Algebra, ch. 10), each node one
-big-integer product of Kronecker-packed coefficients (ibid. 8.4): a slot
-sums at most L = min(len a, len b) products of residues, so slots of s
-bytes with 2**(8 s) > L (p - 1)**2 never carry (under 124 + bitlen(m)
-bits for p < 2**62).  The point-value reader gives b_N(z) at integers z
-as the product over the rows of (z - v)**mult mod p, building no b_N.  Its
-bound grows with |z|, the coefficient bound does not, and per prime a tree
-costs 2 to 30 point-value passes (honeycomb and cube, m = 36 to 1000); so
-values whose bound has over bitlen(m) times the bits of the coefficient
-bound are read from b_N by Horner instead.
+bound.  Each prime multiplies the leaves (z - v)**mult, each expanded by
+the binomial theorem, in a balanced product tree (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 10), each node one big-integer
+product of Kronecker-packed coefficients (ibid. 8.4): a slot sums at most
+L = min(len a, len b) products of residues, so slots of s bytes with
+2**(8 s) > L (p - 1)**2 never carry (under 124 + bitlen(m) bits for
+p < 2**62).  The same character rows, read p-adically, give the `padic`
+valuations (see ``arith``).
 
-The bounds come from the sign of the roots.  Every point a differs from a
+The bound comes from the sign of the roots.  Every point a differs from a
 fixed point a0 by a lattice vector, so
 W(chi) = |sum_a c_a chi(a - a0)|**2 >= 0, and the roots have mean c0, the
 constant term of W folded mod N.  Maclaurin's inequality for nonnegative
 reals (Hardy, Littlewood and Polya, Inequalities, 2.22) then bounds their
-elementary symmetric functions, e_j <= binom(m, j) c0**j; so the
-coefficient of z**(m - j), +-e_j, is bounded, and so is a value:
-|b_N(z)| <= sum_j e_j |z|**(m - j) <= (|z| + c0)**m.  Neither result
-depends on which primes were used.
+elementary symmetric functions, e_j <= binom(m, j) c0**j, so the
+coefficient of z**(m - j), +-e_j, is bounded, whichever primes were used.
 
 The convolution matrix of the folded polynomial is kept for the walk/trace
 bridge: its eigenvalues are the same character values.
@@ -218,53 +212,26 @@ def _power_leaf(v: int, binom: list[int], p: int) -> list[int]:
     return [b * x % p for b, x in zip(binom, reversed(list(pw)))]
 
 
-def _point_values(values: list[int], mults, zs: tuple[int, ...], p: int) -> list[int]:
-    """prod_rows (z - v)**mult mod p at each z, one power per multiplicity."""
-    by_mult: dict[int, list[int]] = {}
-    for v, mult in zip(values, mults):
-        by_mult.setdefault(mult, []).append(v)
-    return [
-        math.prod(pow(math.prod([z - v for v in vs]) % p, k, p) for k, vs in by_mult.items()) % p
-        for z in zs
-    ]
-
-
-def _split_prime_lift(
-    folded: LaurentPoly, N: int, prime_start: int = 2**62, zs: tuple[int, ...] | None = None
-) -> IntPolynomial | tuple[int, ...]:
-    """prod over the N-torsion characters chi of (z - W(chi)), exactly:
-    the polynomial (``zs`` None) or its value at each integer in ``zs``,
+def _split_prime_lift(folded: LaurentPoly, N: int, prime_start: int = 2**62) -> IntPolynomial:
+    """prod over the N-torsion characters chi of (z - W(chi)), exactly,
     computed modulo primes p = 1 (mod N) descending below ``prime_start``
-    and lifted by CRT past the bounds of the module docstring, by the
-    reader the module docstring chooses."""
+    and lifted by CRT past the bound of the module docstring."""
     m = N**folded.dimension
     rows = _character_rows(folded, N)
-    c0 = constant_term(folded)
-    need = 2 * _maclaurin_bound(m, c0) + 1
-    tree = zs is None
-    if not tree:
-        need_values = 2 * (max(map(abs, zs), default=0) + c0) ** m + 1
-        tree = need_values.bit_length() > need.bit_length() * m.bit_length()
-        need = need if tree else need_values
+    need = 2 * _maclaurin_bound(m, constant_term(folded)) + 1
     binoms = [[math.comb(mult, k) for k in range(mult + 1)] for mult in rows.values()]
-    lifted, mod = [0] * (m + 1 if tree else len(zs)), 1
+    lifted, mod = [0] * (m + 1), 1
     for p in primes.primes_below(prime_start, N):
         omega = primes.root_of_unity(N, p)
         powers = [pow(omega, r, p) for r in range(N)]
         values = [sum(a * powers[r] for r, a in row) % p for row in rows]
-        if tree:
-            residues = _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
-        else:
-            residues = _point_values(values, rows.values(), zs, p)
+        residues = _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
         # incremental CRT
         inv = pow(mod, -1, p)
         lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, residues)]
         mod *= p
         if mod > need:
-            lifted = tuple(x - mod if x > mod // 2 else x for x in lifted)
-            if zs is None or not tree:
-                return IntPolynomial(lifted) if tree else lifted
-            return tuple(evaluate_at_integer(IntPolynomial(lifted), z) for z in zs)
+            return IntPolynomial(tuple(x - mod if x > mod // 2 else x for x in lifted))
     raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
 
 
@@ -272,7 +239,7 @@ def _folded_level(w: LaurentPoly, N: int, size_limit: int) -> LaurentPoly:
     if N < 1:
         raise ValueError("N must be >= 1")
     if N**w.dimension > size_limit:
-        raise SizeLimit(f"{N**w.dimension} torsion characters exceed cap {size_limit}")
+        raise SizeLimit(f"{N}^{w.dimension} torsion characters exceed cap {size_limit}")
     return fold_mod_N(w, N)
 
 
@@ -284,13 +251,6 @@ def spectral_polynomial(
     diffraction polynomial: the certified bound rests on its nonnegative
     character values."""
     return _split_prime_lift(_folded_level(w, N, size_limit), N)
-
-
-def spectral_values(w: LaurentPoly, N: int, zs: Sequence[int]) -> tuple[int, ...]:
-    """b_N(z) for each integer z in ``zs``, from the split primes of
-    ``spectral_polynomial`` and the same bounds, held to
-    ``DEFAULT_SIZE_LIMIT``."""
-    return _split_prime_lift(_folded_level(w, N, DEFAULT_SIZE_LIMIT), N, zs=tuple(zs))
 
 
 # -- floating-point character evaluation ---------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .analysis import hilbert_transform, mahler_measure, spectrum
-from .arith import count_points, valuation_inequality_check, vp
+from .arith import valuation_inequality_check, vp
 from .catalog import builtin_point_set
 from .context import SpectralContext
 from .graph import based_walk_weight_sum, build_graph
@@ -166,10 +166,9 @@ def _check_walk_bridge(name: str, ctx: SpectralContext, nmax: int, kmax: int) ->
 
 
 def check_honeycomb_padic(ctx: SpectralContext) -> CheckResult:
-    row = [count_points(ctx, z, 7, 1) for z in range(7)]
-    ok = row == F7_COUNT_ROW
     *residues, (lhs, rhs, holds) = valuation_inequality_check(ctx, [*range(7), 53], 7, 1)
-    ok = ok and all(h for _, _, h in residues) and (lhs, rhs, holds) == (12, 6, True)
+    row = [count for _, count, _ in residues]
+    ok = row == F7_COUNT_ROW and all(h for *_, h in residues) and (lhs, rhs, holds) == (12, 6, True)
     return _result(
         "c10-honeycomb-padic", ok, f"count row {row}, valuation at 53 = {lhs} > {rhs}"
     )

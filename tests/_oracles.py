@@ -4,6 +4,7 @@ These stay deliberately separate from the package code paths they check.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -218,6 +219,30 @@ def linear_factor_lift(folded, N, prime_start=2**62):
         mod *= p
         if mod > need:
             return IntPolynomial(tuple(x - mod if x > mod // 2 else x for x in lifted))
+    raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
+
+
+def crt_point_values(folded, N, zs, prime_start=2**62):
+    """b_N(z) at each integer z in ``zs`` with no b_N built: modulo each
+    split prime, the product over the character rows of (z - v)**mult,
+    lifted by CRT past 2 (|z| + c0)**m + 1 >= 2 |b_N(z)| + 1, c0 the mean
+    root, which bounds |b_N(z)| by Maclaurin's inequality."""
+    m = N**folded.dimension
+    rows = loop_character_rows(folded, N)
+    need = 2 * (max(map(abs, zs), default=0) + constant_term(folded)) ** m + 1
+    lifted, mod = [0] * len(zs), 1
+    for p in primes_below(prime_start, N):
+        omega = root_of_unity(N, p)
+        values = [sum(a * pow(omega, r, p) for r, a in row) % p for row in rows]
+        residues = [
+            math.prod(pow(z - v, mult, p) for v, mult in zip(values, rows.values())) % p
+            for z in zs
+        ]
+        inv = pow(mod, -1, p)
+        lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, residues)]
+        mod *= p
+        if mod > need:
+            return tuple(x - mod if x > mod // 2 else x for x in lifted)
     raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
 
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat import arith, primes
+from speclat import arith, primes, specpoly
 from speclat.arith import (
     FactoredInteger,
     PrimePowerField,
-    count_points,
     factorize,
     valuation_inequality_check,
     vp,
@@ -18,9 +17,10 @@ from speclat.arith import (
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet
-from speclat.specpoly import evaluate_at_integer
+from speclat.laurent import fold_mod_N
+from speclat.specpoly import character_values, evaluate_at_integer
 
-from _oracles import miller_rabin_twelve, tuple_count_points
+from _oracles import crt_point_values, miller_rabin_twelve, tuple_count_points
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
 
@@ -139,27 +139,45 @@ def test_field_modulus_deterministic():
     assert a.modulus == b.modulus
 
 
+def test_teichmuller_lift_is_the_root_of_unity_over_g():
+    for p, nu in ((2, 1), (2, 4), (3, 2), (5, 3), (13, 1)):
+        field = PrimePowerField(p, nu)
+        g = field.generator()
+        for k in (1, 2, 3, 9, 33, 100):
+            lifts = list(arith._teichmuller(field, g, k))
+            precisions = [j for j, _ in lifts]
+            assert precisions[0] == 1 and precisions[-1] == k
+            assert all(b == min(2 * a, k) for a, b in zip(precisions, precisions[1:]))
+            for j, x in lifts:
+                assert tuple(c % p for c in x) == g
+                assert arith._poly_pow(x, field.order - 1, field.modulus, p**j) == field.one
+
+
 # -- point counts -----------------------------------------------------------------
 
 
+def counts(ctx, zs, p, nu=1):
+    """The point-count column of the valuation inequality."""
+    return [count for _, count, _ in valuation_inequality_check(ctx, zs, p, nu)]
+
+
 def test_honeycomb_f7_table(honeycomb_ctx):
-    row = [count_points(honeycomb_ctx, z, 7, 1) for z in range(7)]
-    assert row == F7_COUNT_ROW
+    assert counts(honeycomb_ctx, range(7), 7) == F7_COUNT_ROW
 
 
 def test_count_total_is_group_size(honeycomb_ctx):
-    assert sum(count_points(honeycomb_ctx, z, 7, 1) for z in range(7)) == 36
+    assert sum(counts(honeycomb_ctx, range(7), 7)) == 36
 
 
 def test_count_at_top_value(honeycomb_ctx, cheb_ctx):
     # the all-ones point always maps to total_weight^2
-    assert count_points(honeycomb_ctx, 9, 11, 1) >= 1
-    assert count_points(cheb_ctx, 4, 13, 1) >= 1
+    assert counts(honeycomb_ctx, [9], 11)[0] >= 1
+    assert counts(cheb_ctx, [4], 13)[0] >= 1
 
 
 def test_count_basis_invariance_via_extension(honeycomb_ctx):
     # same count whether z is reduced or not
-    assert count_points(honeycomb_ctx, 53, 7, 1) == count_points(honeycomb_ctx, 4, 7, 1) == 6
+    assert counts(honeycomb_ctx, [53, 4], 7) == [6, 6]
 
 
 def test_count_extension_field(cheb_ctx):
@@ -167,28 +185,29 @@ def test_count_extension_field(cheb_ctx):
     # against a direct enumeration using a second power table convention
     field = PrimePowerField(3, 2)
     g = field.generator()
-    counts = {}
+    found = {}
     for i in range(8):
         u = field.pow(g, i)
         uinv = field.pow(g, (8 - i) % 8)
         val = tuple((x + y + e) % 3 for x, y, e in zip(u, uinv, field.embed(2)))
-        counts[val] = counts.get(val, 0) + 1
+        found[val] = found.get(val, 0) + 1
     for z in range(3):
-        expect = counts.get(field.embed(z), 0)
-        assert count_points(cheb_ctx, z, 3, 2) == expect
+        expect = found.get(field.embed(z), 0)
+        assert counts(cheb_ctx, [z], 3, 2) == [expect]
 
 
 def test_count_cap(monkeypatch):
-    monkeypatch.setattr("speclat.arith.DEFAULT_POINT_CAP", 50)
+    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 50)
     ctx = SpectralContext(WeightedPointSet(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))))
     with pytest.raises(SizeLimit):
-        count_points(ctx, 1, 11, 1)
+        valuation_inequality_check(ctx, [1], 11, 1)
 
 
 @st.composite
-def count_cases(draw):
+def count_cases(draw, max_tuples=1000):
     """A point set in 1-3 dimensions and a field of p^nu elements, p <= 13
-    and nu <= 3, whose torus the tuple oracle can walk."""
+    and nu <= 3, whose torus of at most ``max_tuples`` points the tuple
+    oracle can walk."""
     n = draw(st.integers(1, 3))
     points = draw(st.lists(
         st.tuples(*[st.integers(-2, 2)] * n), min_size=n + 1, max_size=4, unique=True
@@ -200,23 +219,24 @@ def count_cases(draw):
         assume(False)
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     nu = draw(st.integers(1, 3))
-    assume((p**nu - 1) ** n <= 1000)
+    assume((p**nu - 1) ** n <= max_tuples)
     return ctx, p, nu
 
 
 @settings(max_examples=30)
 @given(count_cases(), st.sampled_from([1, 7, 2**16]))
 def test_count_points_matches_tuple_oracle(case, block):
+    # the character rows, grouped ``block`` characters at a time, give the counts
     ctx, p, nu = case
     zs = [*range(p), -1, p + 2]
-    original = arith._POINT_BLOCK
-    arith._POINT_BLOCK = block
+    original = specpoly._CHAR_BLOCK
+    specpoly._CHAR_BLOCK = block
     try:
-        counts = [count_points(ctx, z, p, nu) for z in zs]
+        found = counts(ctx, zs, p, nu)
     finally:
-        arith._POINT_BLOCK = original
-    assert counts == [tuple_count_points(ctx, z, p, nu) for z in zs]
-    assert sum(counts[:p]) <= (p**nu - 1) ** ctx.dimension
+        specpoly._CHAR_BLOCK = original
+    assert found == [tuple_count_points(ctx, z, p, nu) for z in zs]
+    assert sum(found[:p]) <= (p**nu - 1) ** ctx.dimension
 
 
 # -- primality ------------------------------------------------------------------------
@@ -269,6 +289,58 @@ def test_inequality_all_residues(honeycomb_ctx):
 def test_inequality_infinite_valuation(honeycomb_ctx):
     [(lhs, rhs, holds)] = valuation_inequality_check(honeycomb_ctx, [0], 7, 1)
     assert lhs == math.inf and holds
+
+
+def _crt_valuations(ctx, zs, p, nu):
+    """v_p(b_N(z)), N = p^nu - 1, from the CRT point-value oracle, one large z at a time."""
+    N = p**nu - 1
+    f = fold_mod_N(ctx.w, N)
+    small = [z for z in zs if abs(z) <= 10**4]
+    values = dict(zip(small, crt_point_values(f, N, small)))
+    values.update((z, crt_point_values(f, N, [z])[0]) for z in zs if abs(z) > 10**4)
+    return [vp(values[z], p) for z in zs]
+
+
+@settings(max_examples=40)
+@given(
+    count_cases(max_tuples=64),
+    st.lists(st.integers(-(10**100), 10**100), max_size=2),
+    st.integers(1, 40),
+)
+def test_valuation_pass_matches_crt_and_tuple_oracles(case, extra, j):
+    ctx, p, nu = case
+    N = p**nu - 1
+    C2 = ctx.ps.total_weight**2
+    # spectrum levels: the integers the float character values sit on; C^2 is always one
+    vals = character_values(ctx.w, N).ravel()
+    levels = sorted({round(x) for x in vals if abs(x - round(x)) < 1e-9})
+    assert C2 in levels
+    zs = [*range(p), *levels, -1, -C2, C2 + p**j, *extra]
+    checked = valuation_inequality_check(ctx, zs, p, nu)
+    assert [v for v, _, _ in checked] == _crt_valuations(ctx, zs, p, nu)
+    assert [c for _, c, _ in checked] == [tuple_count_points(ctx, z, p, nu) for z in zs]
+    assert all(holds and v >= c for v, c, holds in checked)
+    assert checked[zs.index(C2)][0] == math.inf
+    # the trivial character leaves z - C^2 = p^j: a finite valuation of at least j
+    assert j <= checked[zs.index(C2 + p**j)][0] < math.inf
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_valuation_at_the_precision_edge(p, honeycomb_ctx, cheb_ctx):
+    # phi(p - 1) = 1, so the precision K is the least with p^K > |z| + C^2:
+    # at z = C^2 + p^j the trivial character leaves alpha = p^j, and
+    # K = j + 1 once p^j (p - 1) > 2 C^2; one p-adic digit less would read
+    # alpha as 0
+    for ctx in (cheb_ctx, honeycomb_ctx):
+        C2 = ctx.ps.total_weight**2
+        edge = 0
+        for j in range(1, 60):
+            z = C2 + p**j
+            [(v, _, _)] = valuation_inequality_check(ctx, [z], p, 1)
+            assert j <= v < math.inf
+            assert [v] == _crt_valuations(ctx, [z], p, 1)
+            edge += arith._lift_precision(z, C2, p - 1, p) == j + 1
+        assert edge > 40
 
 
 def test_cheb_divisibility_pattern(cheb_ctx):

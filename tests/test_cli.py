@@ -700,29 +700,31 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize(
-    "command, lifts, sweeps",
+    "command, levels, sweeps",
     [
-        ("bn", 3, 0),  # levels 6, 2 and 3
+        ("bn", 3, 0),  # b_6, b_2 and b_3
         ("moments", 0, 2),  # the moments, and one sweep mod 2 for the congruence
         ("walks", 1, 0),
         ("spectrum", 0, 0),
         ("mahler", 0, 1),  # one sweep serves both moment series
-        ("padic", 1, 0),  # b_6 for all eight z values
+        ("padic", 1, 0),  # the level-6 rows, read p-adically for all eight z values: no b_6
     ],
 )
-def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, lifts, sweeps):
+def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, levels, sweeps):
     from speclat import laurent, lattice, specpoly
 
     from test_golden_records import README_CONFIG
 
     lattices = count_calls(monkeypatch, lattice, "difference_lattice")
+    grouped = count_calls(monkeypatch, specpoly, "_character_rows")
     lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
     swept = count_calls(monkeypatch, laurent, "_moment_sweep")
     assert main([command, "--config", write_cfg(tmp_path, README_CONFIG),
                  "--out", str(tmp_path / "out.json")]) == 0
     assert len(lattices) == 1
-    assert len(lifted) == lifts
-    assert len({N for _, N in lifted}) == lifts
+    assert len(grouped) == levels
+    assert len({N for _, N in grouped}) == levels
+    assert len(lifted) == (0 if command == "padic" else levels)
     assert len(swept) == sweeps
 
 
@@ -739,14 +741,15 @@ def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
         original(self)
 
     monkeypatch.setattr(specpoly.IntPolynomial, "__post_init__", counted)
+    grouped = count_calls(monkeypatch, specpoly, "_character_rows")
     lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
     cfg = dict(HONEYCOMB_CFG, padic={"p": 31})
     code, out = run(tmp_path, cfg, ["padic", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0 and len(json.loads(out.read_text())["payload"]["rows"]) == 31
     assert main(["padic", "--config", write_cfg(tmp_path, README_CONFIG, "readme.json"),
                  "--out", str(tmp_path / "readme-out.json")]) == 0
-    assert [N for _, N in lifted] == [30, 6]
-    assert built == []
+    assert [N for _, N in grouped] == [30, 6]
+    assert lifted == [] and built == []
 
 
 def test_padic_size_check_only_when_values_are_asked(tmp_path):
@@ -755,6 +758,36 @@ def test_padic_size_check_only_when_values_are_asked(tmp_path):
         cfg = dict(HONEYCOMB_CFG, padic={"p": 103, "z_values": z_values})
         assert main(["padic", "--config", write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "out.json")]) == code
+
+
+@pytest.mark.parametrize("nu", [100_000, 30_000_000])
+def test_padic_huge_nu_exit_3_before_work(tmp_path, monkeypatch, capsys, nu):
+    # (2^nu - 1)^2 characters: refused from nu before 2^nu is formed
+    from speclat import arith
+
+    fields = count_calls(monkeypatch, arith, "PrimePowerField")
+    cfg = dict(HONEYCOMB_CFG, padic={"p": 2})
+    code, _ = run(tmp_path, cfg, ["padic", "--config", write_cfg(tmp_path, cfg), "--nu", str(nu)])
+    err = capsys.readouterr().err
+    assert code == 3 and fields == []
+    assert err == f"speclat: resource cap: (2^{nu} - 1)^2 torsion characters exceed cap 10000\n"
+
+
+def test_bn_huge_level_cap_message(tmp_path, capsys):
+    # N^2 has 4401 digits, past the digit limit of int-to-str: the message names N^2
+    cfg = dict(HONEYCOMB_CFG, bn={"N": 10**2200})
+    code, _ = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"speclat: resource cap: {10**2200}^2 torsion characters exceed cap 10000\n"
+
+
+def test_config_integer_past_digit_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(HONEYCOMB_CFG)[:-1] + ', "bn": {"N": 1' + "0" * 5000 + "}}")
+    assert main(["bn", "--config", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.startswith("speclat: cannot read config: ")
+    assert not (tmp_path / "out.json").exists()
 
 
 # -- one parser per process ----------------------------------------------------------

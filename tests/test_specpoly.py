@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat import primes, specpoly
-from speclat.arith import vp
+from speclat import primes
+from speclat.arith import valuation_inequality_check, vp
 from speclat.errors import CosetViolation, RankDeficient, SingularLevel, SizeLimit
 from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice
 from speclat.laurent import constant_term, diffraction_polynomial, fold_mod_N
@@ -25,10 +25,15 @@ from speclat.specpoly import (
     integer_root_multiplicity,
     spectral_log_value,
     spectral_polynomial,
-    spectral_values,
 )
 
-from _oracles import berkowitz_charpoly, charpoly_exact, linear_factor_lift, loop_character_rows
+from _oracles import (
+    berkowitz_charpoly,
+    charpoly_exact,
+    crt_point_values,
+    linear_factor_lift,
+    loop_character_rows,
+)
 from conftest import random_point_set
 
 
@@ -213,13 +218,13 @@ def test_tree_matches_linear_factors_and_berkowitz(case):
 @settings(max_examples=60)
 @given(engine_cases(), st.lists(st.integers(-10**12, 10**12), max_size=4))
 def test_point_values_match_horner(case, extra):
+    # the CRT point-value oracle, which the padic tests read, against Horner on the tree's b_N
     w, N, start = case
     f = fold_mod_N(w, N)
     poly = _split_prime_lift(f, N, start)
     C2 = sum(w.terms.values())
-    # small and large z apart, so that each reader gets its share of cases
     for zs in ((0, -1, -C2, C2, C2 + 1, *range(C2 + 1)), (10**6, -(10**9), *extra)):
-        values = _split_prime_lift(f, N, start, zs=zs)
+        values = crt_point_values(f, N, zs, start)
         assert values == tuple(evaluate_at_integer(poly, z) for z in zs)
         for z, v in zip(zs, values):
             assert abs(v) <= (abs(z) + constant_term(f)) ** poly.degree
@@ -228,29 +233,25 @@ def test_point_values_match_horner(case, extra):
 @pytest.mark.parametrize(
     "N, zs, reader",
     [
-        # need bits: values 2 (|z| + c0)**m + 1, tree bitlen(m) times 2 B + 1
+        # the reader of b_N(z) that earlier versions chose; padic now reads no b_N(z)
         (10, (0, 10, -10), "_point_values"),
-        (10, (10**4,), "_point_values"),  # 1330 value bits, under 7 * 198
-        (10, (10**5,), "_tree_product"),  # 1662 value bits, over 7 * 198
-        (10, (0, 1, -(10**6)), "_tree_product"),  # one large z takes all
-        (4, (53,), "_point_values"),  # 94 value bits, under 5 * 31
-        (4, (10**3,), "_tree_product"),  # 161 value bits, over 5 * 31
-        (1, (0, 1), "_point_values"),  # 5 bits on both sides, c0 = 9
+        (10, (10**4,), "_point_values"),
+        (10, (10**5,), "_tree_product"),
+        (10, (0, 1, -(10**6)), "_tree_product"),
+        (4, (53,), "_point_values"),
+        (4, (10**3,), "_tree_product"),
+        (1, (0, 1), "_point_values"),
         (1, (9,), "_tree_product"),
     ],
 )
-def test_reader_follows_bound_size(w_honey, monkeypatch, N, zs, reader):
+def test_reader_follows_bound_size(w_honey, honeycomb_ctx, N, zs, reader):
+    # N + 1 is prime: the padic pass at p = N + 1 gives v_p(b_N(z)) at each z
     poly = spectral_polynomial(w_honey, N)
-    calls = []
-    for name in ("_point_values", "_tree_product"):
-        original = getattr(specpoly, name)
-        counted = lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a)
-        monkeypatch.setattr(specpoly, name, counted)
-    assert spectral_values(w_honey, N, zs) == tuple(evaluate_at_integer(poly, z) for z in zs)
-    assert set(calls) == {reader}
+    checked = valuation_inequality_check(honeycomb_ctx, zs, N + 1, 1)
+    assert [v for v, _, _ in checked] == [vp(evaluate_at_integer(poly, z), N + 1) for z in zs]
 
 
-def test_rows_with_multiplicity_and_level_values(w_honey):
+def test_rows_with_multiplicity_and_level_values(w_honey, honeycomb_ctx):
     f = fold_mod_N(w_honey, 6)
     rows = _character_rows(f, 6)
     assert rows == loop_character_rows(f, 6)
@@ -259,11 +260,11 @@ def test_rows_with_multiplicity_and_level_values(w_honey):
     assert poly == linear_factor_lift(f, 6)
     # at the spectrum levels the value is exactly 0: valuation inf
     levels = (0, 1, 3, 4, 7, 9)
-    assert spectral_values(w_honey, 6, levels) == (0,) * 6
-    assert all(vp(v, 7) == math.inf for v in spectral_values(w_honey, 6, levels))
-    assert spectral_values(w_honey, 6, [2, 53]) == tuple(
-        evaluate_at_integer(poly, z) for z in (2, 53)
-    )
+    assert crt_point_values(f, 6, levels) == (0,) * 6
+    checked = valuation_inequality_check(honeycomb_ctx, [*levels, 2, 53], 7, 1)
+    assert [v for v, _, _ in checked] == [math.inf] * 6 + [
+        vp(evaluate_at_integer(poly, z), 7) for z in (2, 53)
+    ]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -291,15 +292,16 @@ def test_packed_product_with_largest_slot_sums(start):
         assert _mul_mod(a, b, p) == [x % p for x in expect]
 
 
-def test_spectral_size_limit(w_honey, monkeypatch):
+def test_spectral_size_limit(w_honey, honeycomb_ctx, monkeypatch):
     with pytest.raises(SizeLimit):
         spectral_polynomial(w_honey, 4, size_limit=15)
     assert spectral_polynomial(w_honey, 4, size_limit=16).degree == 16
     monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 15)
     with pytest.raises(SizeLimit):
-        spectral_values(w_honey, 4, [0])
+        valuation_inequality_check(honeycomb_ctx, [0], 5, 1)
     monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 16)
-    assert spectral_values(w_honey, 4, [0]) == (spectral_polynomial(w_honey, 4).coefficients[0],)
+    [(v, _, _)] = valuation_inequality_check(honeycomb_ctx, [0], 5, 1)
+    assert v == vp(spectral_polynomial(w_honey, 4).coefficients[0], 5)
 
 
 # -- spectral polynomials -------------------------------------------------------
