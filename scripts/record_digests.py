@@ -19,8 +19,10 @@ Runs ``speclat.cli.main`` in process on
   the generated weighted set of each seed, chebyshev ``padic`` over the
   81-element field and honeycomb ``padic`` over the 64-element field, each
   at small and large z, ``mahler`` torus quadrature at
-  the odd resolution 255 on that set and at 2048 on the honeycomb, and
-  ``spectrum`` at N = 64 on the generated cube (built-in sets run once);
+  the odd resolution 255 on that set, at 2048 on the honeycomb and at 2 on
+  the generated cube, ``spectrum`` at N = 64 on the generated cube, and
+  honeycomb ``mahler`` by a ``limit`` ladder of six rungs and by every
+  method with ``hilbert`` on (built-in sets run once);
 
 and prints one ``label digest`` line per record.  Run it against two
 checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
@@ -64,6 +66,14 @@ LARGE_JOBS = (
     ("mahler-honeycomb-2048", "honeycomb", "mahler",
      {"z": 12.0, "methods": ["torus-quadrature"], "resolution": 2048, "hilbert": False}),
     ("spectrum-cube-64", "cube", "spectrum", {"N": 64}),
+    # inside the spectrum the ladder climbs six rungs, 16 to 512
+    ("mahler-honeycomb-limit", "honeycomb", "mahler",
+     {"z": 4.1, "methods": ["limit"], "hilbert": False}),
+    # every method, and both Hilbert routes
+    ("mahler-honeycomb-hilbert", "honeycomb", "mahler", {"z": 12.0, "resolution": 256}),
+    # at R = 2 the half grid is the fine one, computed afresh
+    ("mahler-cube-2", "cube", "mahler",
+     {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 2, "hilbert": False}),
 )
 
 

@@ -139,6 +139,13 @@ def sweep_series_moments(
         ctx.moment_sequence(K)
 
 
+def _stieltjes_average(vals: np.ndarray, z) -> complex:
+    """Mean of 1/(z - v) over vals, in one complex buffer: the ufuncs and
+    order of ``np.mean(1.0 / (complex(z) - vals))``, so the same bits."""
+    buf = np.subtract(complex(z), vals)
+    return complex(np.mean(np.divide(1.0, buf, out=buf)))
+
+
 def hilbert_transform(
     ctx: SpectralContext,
     z: complex,
@@ -171,8 +178,7 @@ def hilbert_transform(
         prev = None
         N = 16
         while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
-            vals = character_values(ctx.w, N).ravel()
-            cur = complex(np.mean(1.0 / (complex(z) - vals)))
+            cur = _stieltjes_average(character_values(ctx.w, N).ravel(), z)
             if prev is not None and abs(cur - prev) < tol:
                 return cur
             prev = cur
@@ -191,13 +197,23 @@ class MahlerResult:
     method: str
 
 
-def _log_average(vals: np.ndarray, z, tol_abs) -> float:
-    diffs = np.abs(z - vals)  # real z: |complex(z) - v| = hypot(z - v, 0), the same bits
-    if diffs.min() < tol_abs:
+def _log_average(vals: np.ndarray, z, tol_abs, out: np.ndarray | None = None) -> float:
+    """Mean of log|z - v| over vals, reduced inside one float buffer: ``out``
+    (vals itself, when the caller has no further use for it) or a fresh
+    array.  The ufuncs and their order are those of
+    ``np.mean(np.log(np.abs(z - vals)))``, so the bits are too; a real z
+    gives |complex(z) - v| = hypot(z - v, 0), the same bits, with no complex
+    buffer, and a complex z takes one for z - vals."""
+    if np.iscomplexobj(z):
+        buf = np.abs(np.subtract(z, vals), out=out)
+    else:
+        buf = np.subtract(z, vals, out=out)
+        np.abs(buf, out=buf)
+    if buf.min() < tol_abs:
         raise SpectrumProximity(
             f"{z} is within {tol_abs} of an observed spectrum value"
         )
-    return float(np.mean(np.log(diffs)))
+    return float(np.mean(np.log(buf, out=buf)))
 
 
 def mahler_measure(
@@ -217,6 +233,12 @@ def mahler_measure(
     error estimate.  At an even resolution R > 2 the half grid is every
     other point of the fine one, bit for bit: 2 pi (2 k) / R and
     2 pi k / (R / 2) are the same double, a power-of-two scaling apart.
+
+    Each grid is reduced in its own memory: a ``limit`` rung and the fine
+    grid are consumed in place, after the coarse half, which takes a fresh
+    buffer of its own size (a copy of the every-other-point view, or the
+    fresh half grid at an odd resolution or R = 2).  A job holds one
+    float64 per point of its largest grid, plus the coarse half.
     """
     C2 = ctx.ps.total_weight**2
     proximity = 1e-6 * C2
@@ -224,7 +246,9 @@ def mahler_measure(
         prev = None
         N = 16
         while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
-            cur = math.exp(-_log_average(character_values(ctx.w, N), z, proximity))
+            vals = character_values(ctx.w, N)
+            cur = math.exp(-_log_average(vals, z, proximity, out=vals))
+            del vals  # the next rung is built without this one held
             if prev is not None and abs(cur - prev) < tol:
                 return MahlerResult(cur, abs(cur - prev), method)
             prev = cur
@@ -248,11 +272,11 @@ def mahler_measure(
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":
         grid = character_values(ctx.w, resolution)  # meets the float cap before any sweep
-        fine = math.exp(-_log_average(grid, z, proximity))
         if resolution % 2 or resolution == 2:
-            grid = character_values(ctx.w, max(resolution // 2, 2))
+            half = character_values(ctx.w, max(resolution // 2, 2))
+            coarse = _log_average(half, z, proximity, out=half)
         else:
-            grid = grid[(slice(None, None, 2),) * ctx.dimension]
-        coarse = math.exp(-_log_average(grid, z, proximity))
-        return MahlerResult(fine, abs(fine - coarse), method)
+            coarse = _log_average(grid[(slice(None, None, 2),) * ctx.dimension], z, proximity)
+        fine = math.exp(-_log_average(grid, z, proximity, out=grid))
+        return MahlerResult(fine, abs(fine - math.exp(-coarse)), method)
     raise ValueError(f"unknown method {method!r}")

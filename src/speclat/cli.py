@@ -56,7 +56,8 @@ from .catalog import BUILTIN_POINT_SETS
 from .context import SpectralContext
 from .errors import ConfigError, CosetViolation, RankDeficient, ResourceLimit, SizeLimit
 from .errors import SpeclatError
-from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
+from .graph import MAX_WALK_LEVEL, based_walk_weight_sum, build_graph, check_walk_cap
+from .graph import walk_series_check
 from .lattice import WeightedPointSet, _is_int
 from .moments import check_congruence, moment_sequence_N, product_exponents, series_coefficients
 from .primes import is_prime
@@ -160,6 +161,7 @@ def _row(*kinds: Kind) -> Kind:
 
 INT = Kind("an integer", _is_int)
 LEVEL = _int(1)
+WALK_LEVEL = Kind("an integer from 1 to 2^62", lambda v: LEVEL.ok(v) and v <= MAX_WALK_LEVEL)
 COUNT = _int(0)
 PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
@@ -216,10 +218,12 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
     if max([K, *(k * p ** min(a + 1, cap.bit_length()) for p, k, a in params["congruences"])]) > cap:
         raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
     # a level sweep fills max(1, ceil(K/2)) arrays of N^n cells
-    cells = max((N**ctx.dimension * max(1, -(-K // 2)) for N in params["levels"]), default=0)
-    if cells > DEFAULT_FLOAT_CAP:
+    steps, n = max(1, -(-K // 2)), ctx.dimension
+    N = max(params["levels"], default=0)
+    if N**n * steps > DEFAULT_FLOAT_CAP:
         raise SizeLimit(
-            f"moments levels need {cells} cells, past the float cap {DEFAULT_FLOAT_CAP}"
+            f"moments levels need {N}^{n} x {steps} cells, "
+            f"past the float cap {DEFAULT_FLOAT_CAP}"
         )
     seq = ctx.moment_sequence(K)
     payload = {
@@ -403,7 +407,7 @@ COMMANDS = {
     ),
     "walks": Command(
         {
-            "N": Param(LEVEL, 2, int),
+            "N": Param(WALK_LEVEL, 2, int),
             "k_max": Param(COUNT, 3, int),
             "series_z": Param(_optional(INT), None, int),
             "series_K": Param(COUNT, 3, int),

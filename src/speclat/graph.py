@@ -23,10 +23,11 @@ import numpy as np
 
 from .context import SpectralContext
 from .errors import CosetViolation, ExplosionGuard
-from .lattice import LatticeBasis, WeightedPointSet, disjointness_check, to_lattice_coords
+from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
 from .moments import poly_log_series
 
 DEFAULT_WALK_CAP = 10**8
+MAX_WALK_LEVEL = 2**62  # a residue plus a folded delta, both below N, stays in int64
 SUFFIX_ROWS = 2**16  # most type sequences held in one suffix table
 
 
@@ -78,21 +79,17 @@ def build_graph(
 ) -> TorusBipartiteGraph:
     """Quotient graph at level N; requires the point set to avoid its own
     difference lattice (otherwise black and white vertices collide)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= N <= MAX_WALK_LEVEL:
+        raise ValueError(f"N must be from 1 to 2^62, got {N}")
     if not disjointness_check(ps, basis):
         raise CosetViolation("point set meets its difference lattice")
-    anchor = ps.points[0][0]
-    # offsets of each point against the anchor, in lattice coordinates
-    offsets = []
-    for a, c in ps.points:
-        rel = tuple(x - y for x, y in zip(a, anchor))
-        offsets.append((to_lattice_coords(rel, basis), c))
-    pair_deltas = []
-    for (a, ca), (b, cb) in itertools.product(ps.points, repeat=2):
-        diff = tuple(x - y for x, y in zip(a, b))
-        pair_deltas.append((to_lattice_coords(diff, basis), ca * cb))
-    return TorusBipartiteGraph(N, ps.dimension, tuple(offsets), tuple(pair_deltas))
+    # offsets of each point against the first, in lattice coordinates
+    offsets = tuple(zip(anchored_coords(ps, basis), (c for _, c in ps.points)))
+    pair_deltas = tuple(
+        (tuple(x - y for x, y in zip(a, b)), ca * cb)
+        for (a, ca), (b, cb) in itertools.product(offsets, repeat=2)
+    )
+    return TorusBipartiteGraph(N, ps.dimension, offsets, pair_deltas)
 
 
 def check_walk_cap(npairs: int, k: int) -> None:

@@ -203,6 +203,16 @@ def to_lattice_coords(v: Sequence[int], basis: LatticeBasis) -> Vector:
     return tuple(coords)
 
 
+def anchored_coords(ps: WeightedPointSet, basis: LatticeBasis) -> list[Vector]:
+    """Lattice coordinates of a - a0 for each point a, a0 the first point:
+    one solve per point, and the coordinates of any difference a - b are
+    those of a - a0 minus those of b - a0."""
+    anchor = ps.points[0][0]
+    return [
+        to_lattice_coords(tuple(x - y for x, y in zip(a, anchor)), basis) for a, _ in ps.points
+    ]
+
+
 def disjointness_check(ps: WeightedPointSet, basis: LatticeBasis) -> bool:
     """True iff no point of the set lies in the difference lattice itself."""
     for a in ps.vectors():

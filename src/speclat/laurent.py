@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .lattice import LatticeBasis, WeightedPointSet, to_lattice_coords
+from .lattice import LatticeBasis, WeightedPointSet, anchored_coords
 
 Exponent = tuple[int, ...]
 
@@ -60,13 +60,14 @@ def diffraction_polynomial(ps: WeightedPointSet, basis: LatticeBasis) -> Laurent
     """Squared diffraction amplitude of the point set, written on the basis.
 
     Term for each ordered pair (a, b): coefficient c_a * c_b at the lattice
-    coordinates of a - b.  All coefficients are positive, the polynomial is
+    coordinates of a - b, the difference of the points' anchored
+    coordinates (one solve per point).  All coefficients are positive, the polynomial is
     palindromic, and its value at the all-ones point is total_weight**2.
     """
     terms: dict[Exponent, int] = {}
-    for (a, ca), (b, cb) in itertools.product(ps.points, repeat=2):
-        diff = tuple(x - y for x, y in zip(a, b))
-        e = to_lattice_coords(diff, basis)
+    weighted = zip(anchored_coords(ps, basis), (c for _, c in ps.points))
+    for (a, ca), (b, cb) in itertools.product(weighted, repeat=2):
+        e = tuple(x - y for x, y in zip(a, b))
         terms[e] = terms.get(e, 0) + ca * cb
     return LaurentPoly(ps.dimension, terms)
 

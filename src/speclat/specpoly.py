@@ -274,7 +274,7 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     """
     n = f.dimension
     if N**n > DEFAULT_FLOAT_CAP:
-        raise SizeLimit(f"{N**n} character values exceed cap {DEFAULT_FLOAT_CAP}")
+        raise SizeLimit(f"{N}^{n} character values exceed cap {DEFAULT_FLOAT_CAP}")
     exps, coeffs = zip(*f.sorted_terms())
     exps = [[(x + N // 2) % N - N // 2 for x in e] for e in exps]
     reach = [max(map(abs, axis)) for axis in zip(*exps)]
@@ -298,13 +298,15 @@ def spectral_log_value(w: LaurentPoly, N: int, z: complex) -> tuple[float, float
 
     Held to the float cap of ``character_values``: the cost is N^n
     character evaluations, not a dense matrix.  Raises SingularLevel when
-    a factor underflows to zero.
+    a factor underflows to zero.  The differences z - value take one complex
+    buffer; the magnitudes, their logs and the arguments (``np.angle``'s
+    arctan2 of the imaginary over the real parts) reuse the values' memory.
     """
     values = character_values(w, N).ravel()
-    diffs = complex(z) - values
-    mags = np.abs(diffs)
+    diffs = np.subtract(complex(z), values)
+    mags = np.abs(diffs, out=values)
     if mags.min() < 1e-300:
         raise SingularLevel(f"{z} is in or numerically touching the spectrum")
-    logmag = float(np.log(mags).sum())
-    arg = float(np.angle(diffs).sum())
+    logmag = float(np.log(mags, out=mags).sum())
+    arg = float(np.arctan2(diffs.imag, diffs.real, out=mags).sum())
     return logmag, arg

@@ -376,13 +376,13 @@ def small_float_cap(monkeypatch):
 @pytest.mark.parametrize(
     "command, block, message",
     [
-        ("spectrum", {"N": 4, "grid": 32}, "1024 character values exceed cap 1000"),
+        ("spectrum", {"N": 4, "grid": 32}, "32^2 character values exceed cap 1000"),
         ("mahler", {"z": 12.0, "methods": ["torus-quadrature"], "hilbert": False,
-                    "resolution": 32}, "1024 character values exceed cap 1000"),
+                    "resolution": 32}, "32^2 character values exceed cap 1000"),
         ("moments", {"k_max": 8, "levels": [3, 16]},  # 16^2 cells, 4 sweep steps
-         "moments levels need 1024 cells, past the float cap 1000"),
+         "moments levels need 16^2 x 4 cells, past the float cap 1000"),
         ("moments", {"k_max": 0, "levels": [32]},  # the unit array alone
-         "moments levels need 1024 cells, past the float cap 1000"),
+         "moments levels need 32^2 x 1 cells, past the float cap 1000"),
     ],
     ids=["spectrum-grid", "mahler-resolution", "moments-levels", "moments-levels-k0"],
 )
@@ -402,6 +402,46 @@ def test_float_cap_checked_before_any_sweep(
     assert code == 3
     assert err == f"speclat: resource cap: {message}\n"
     assert not list(cache.glob("*.json"))
+
+
+BIG = 10**2200  # N^2 has more digits than int() may print
+
+
+@pytest.mark.parametrize(
+    "command, block, code, message",
+    [
+        ("moments", {"levels": [BIG]},
+         3, f"resource cap: moments levels need {BIG}^2 x 4 cells, past the float cap 10000000"),
+        ("spectrum", {"N": BIG}, 3, f"resource cap: {BIG}^2 character values exceed cap 10000000"),
+        ("spectrum", {"grid": BIG},
+         3, f"resource cap: {BIG}^2 character values exceed cap 10000000"),
+        ("mahler", {"z": 12.0, "methods": ["torus-quadrature"], "hilbert": False,
+                    "resolution": BIG},
+         3, f"resource cap: {BIG}^2 character values exceed cap 10000000"),
+        ("walks", {"N": BIG},
+         2, f"config error: walks N must be an integer from 1 to 2^62, got {BIG}"),
+        ("walks", {"N": 2**62 + 1},
+         2, f"config error: walks N must be an integer from 1 to 2^62, got {2**62 + 1}"),
+    ],
+    ids=["moments-levels", "spectrum-N", "spectrum-grid", "mahler-resolution", "walks-N",
+         "walks-N-past-int64"],
+)
+def test_levels_past_the_digit_limit_exit_cleanly(tmp_path, capsys, command, block, code, message):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg[command] = block
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == code
+    assert capsys.readouterr().err == f"speclat: {message}\n"
+
+
+def test_walks_at_the_largest_level(tmp_path):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["walks"] = {"N": 2**62, "k_max": 2}
+    code, out = run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    # no displacement folds at so large a level: the based totals are N^2 times the
+    # closed type sequences, 3 and 15 of them
+    totals = json.loads(out.read_text())["payload"]["walk_totals"]
+    assert totals == [str(3 * 2**124), str(15 * 2**124)]
 
 
 def test_moments_levels_cap_admits_levels_up_to_it(tmp_path, small_float_cap):

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice
+from speclat.errors import CosetViolation
+from speclat.graph import build_graph
+from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice, to_lattice_coords
 from speclat.laurent import (
     LaurentPoly,
     _tight_coordinates,
@@ -72,6 +75,28 @@ def test_diffraction_polynomial_invariants(seed):
     assert is_palindromic(w)
     assert all(c > 0 for c in w.terms.values())
     assert constant_term(w) == sum(c * c for _, c in ps.points)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_anchored_coordinates_match_per_pair_solves(seed):
+    # one solve per point gives the terms, in insertion order, and the walk
+    # graph's type pairs that a solve per ordered pair gives
+    rng = random.Random(2000 + seed)
+    ps = random_point_set(rng, dimension=rng.choice([1, 2, 3]))
+    basis = difference_lattice(ps)
+    pairs = [
+        (to_lattice_coords(tuple(x - y for x, y in zip(a, b)), basis), ca * cb)
+        for (a, ca), (b, cb) in itertools.product(ps.points, repeat=2)
+    ]
+    terms = {}
+    for e, c in pairs:
+        terms[e] = terms.get(e, 0) + c
+    assert list(diffraction_polynomial(ps, basis).terms.items()) == list(terms.items())
+    try:
+        G = build_graph(ps, basis, 2)
+    except CosetViolation:
+        return
+    assert G.pair_deltas == tuple(pairs)
 
 
 def test_multiply_identity(w_honey):

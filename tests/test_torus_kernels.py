@@ -18,10 +18,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat import graph, specpoly
-from speclat.analysis import _log_average, mahler_measure, spectrum
+from speclat import analysis, graph, specpoly
+from speclat.analysis import _log_average, _stieltjes_average, mahler_measure, spectrum
 from speclat.context import SpectralContext
-from speclat.errors import CosetViolation, RankDeficient
+from speclat.errors import CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import LaurentPoly, diffraction_polynomial
 from speclat.moments import moment_sequence_N
@@ -84,12 +84,12 @@ def test_torus_kernels_match_loops_random(seed):
 
 
 @st.composite
-def graph_sets(draw):
+def graph_sets(draw, big=True):
     n = draw(st.integers(1, 3))
     points = draw(
         st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=2, max_size=4, unique=True)
     )
-    weight = st.one_of(st.integers(1, 3), st.sampled_from(BIG_WEIGHTS))
+    weight = st.one_of(st.integers(1, 3), st.sampled_from(BIG_WEIGHTS if big else (1,)))
     ps = WeightedPointSet(n, tuple((a, draw(weight)) for a in sorted(points)))
     try:
         graph.build_graph(ps, difference_lattice(ps), 1)
@@ -247,6 +247,100 @@ def test_log_average_real_z_matches_complex_form(seed):
     for z in (0.3, -3, 7.25, rng.uniform(-1e6, 1e6), 1.5 * ps.total_weight**2):
         expected = float(np.mean(np.log(np.abs(complex(z) - vals.ravel()))))
         assert _log_average(vals, z, 0.0) == expected
+
+
+# -- averages reduced in place ------------------------------------------------------------
+
+
+Z_VALUES = st.one_of(
+    st.integers(-50, 50),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60)
+@given(graph_sets(), Z_VALUES)
+def test_averages_in_place_are_bitwise_property(case, z):
+    ps, N, _ = case
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    vals = character_values(w, N)
+    assume(np.abs(complex(z) - vals).min() > 0)
+    expected = float(np.mean(np.log(np.abs(z - vals))))
+    kept = vals.copy()
+    assert _log_average(vals, z, 0.0) == expected
+    assert np.array_equal(vals, kept)
+    assert _log_average(vals, z, 0.0, out=vals) == expected
+    flat = kept.ravel()
+    assert _stieltjes_average(flat, z) == complex(np.mean(1.0 / (complex(z) - flat)))
+    diffs = complex(z) - flat
+    logs = (float(np.log(np.abs(diffs)).sum()), float(np.angle(diffs).sum()))
+    assert specpoly.spectral_log_value(w, N, z) == logs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_spectrum_average_matches_fresh_grids(seed):
+    ctx = SpectralContext(random_graph_set(random.Random(seed), big=False))
+    C2 = ctx.ps.total_weight**2
+    for z in (C2 + 0.5, 3 * C2, 0.5 + 1j):
+        prev, N = None, 16
+        while True:
+            vals = character_values(ctx.w, N).ravel()
+            cur = complex(np.mean(1.0 / (complex(z) - vals)))
+            if prev is not None and abs(cur - prev) < 1e-9:
+                break
+            prev, N = cur, 2 * N
+        assert analysis.hilbert_transform(ctx, z, "spectrum-average", tol=1e-9) == cur
+
+
+@settings(max_examples=40)
+@given(graph_sets(big=False))
+def test_quadrature_meets_a_value_held_only_by_the_fine_grid(case):
+    ps, N, _ = case
+    ctx = SpectralContext(ps)
+    R = 2 * max(N, 2)
+    proximity = 1e-6 * ps.total_weight**2
+    fine = character_values(ctx.w, R)
+    coarse = fine[(slice(None, None, 2),) * ps.dimension].ravel()
+    far = [v for v in fine.ravel().tolist() if np.abs(v - coarse).min() >= proximity]
+    assume(far)
+    with pytest.raises(SpectrumProximity) as caught:
+        mahler_measure(ctx, far[0], "torus-quadrature", resolution=R)
+    assert str(caught.value) == f"{far[0]} is within {proximity} of an observed spectrum value"
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("resolution", [512, 1024])
+def test_quadrature_holds_the_fine_grid_and_a_quarter(resolution):
+    ctx = SpectralContext(HONEYCOMB)
+    ctx.w  # W is built before tracing
+    peak = traced_peak(mahler_measure, ctx, 12.0, "torus-quadrature", resolution=resolution)
+    assert peak < 1.35 * 8 * resolution**2
+
+
+def test_limit_rung_holds_one_grid(monkeypatch):
+    ctx = SpectralContext(HONEYCOMB)
+    ctx.w  # W is built before tracing
+    monkeypatch.setattr(analysis, "DEFAULT_FLOAT_CAP", 2**20)  # rungs 16 to 1024
+    sizes = []
+
+    def recorded(w, N):
+        sizes.append(N**w.dimension)
+        return character_values(w, N)
+
+    monkeypatch.setattr(analysis, "character_values", recorded)
+    # tol 0: no two rungs agree, so the ladder climbs to the cap
+    peak = traced_peak(pytest.raises, SizeLimit, mahler_measure, ctx, 12.0, "limit", tol=0.0)
+    assert max(sizes) == 2**20
+    assert peak < 1.1 * 8 * max(sizes)
 
 
 # -- float clusters against exact root multiplicities ------------------------------------
