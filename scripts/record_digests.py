@@ -22,7 +22,11 @@ Runs ``speclat.cli.main`` in process on
   the odd resolution 255 on that set, at 2048 on the honeycomb and at 2 on
   the generated cube, ``spectrum`` at N = 64 on the generated cube, and
   honeycomb ``mahler`` by a ``limit`` ladder of six rungs and by every
-  method with ``hilbert`` on (built-in sets run once);
+  method with ``hilbert`` on, and the largest tables a record lists:
+  honeycomb ``spectrum`` at N = 100 with a grid of 100^2 = 10^4 values,
+  the largest grid listed, honeycomb ``walks`` with ``export_graph`` at
+  N = 100, the most vertices exported, and chebyshev ``padic`` at
+  p = 9973 over every residue (built-in sets run once);
 
 and prints one ``label digest`` line per record.  Run it against two
 checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
@@ -74,6 +78,10 @@ LARGE_JOBS = (
     # at R = 2 the half grid is the fine one, computed afresh
     ("mahler-cube-2", "cube", "mahler",
      {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 2, "hilbert": False}),
+    # tables at their caps: 10^4 grid values, 10^4 vertices per colour, 9973 rows
+    ("spectrum-honeycomb-100", "honeycomb", "spectrum", {"N": 100, "grid": 100}),
+    ("walks-honeycomb-graph-100", "honeycomb", "walks", {"N": 100, "export_graph": True}),
+    ("padic-chebyshev-9973", "chebyshev", "padic", {"p": 9973}),
 )
 
 

@@ -32,18 +32,24 @@ MAHLER_METHODS = ("limit", "moment-series", "torus-quadrature")
 class SpectrumHistogram:
     """Sorted character values at level N with clustered levels.
 
-    Clusters are maximal runs separated by gaps above the tolerance; the
-    histogram is flagged ambiguous when two clusters approach within ten
-    tolerances, rather than silently merging them.
+    Clusters are maximal runs separated by gaps above the tolerance, kept
+    as arrays of their means and sizes; the histogram is flagged ambiguous
+    when two clusters approach within ten tolerances, rather than silently
+    merging them.
     """
 
     N: int
     values: np.ndarray
-    clusters: tuple[tuple[float, int], ...]
+    means: np.ndarray
+    sizes: np.ndarray
     support: tuple[float, float]
     tolerance: float
     min_gap: float
     ambiguous: bool
+
+    @property
+    def clusters(self) -> tuple[tuple[float, int], ...]:
+        return tuple(zip(self.means.tolist(), self.sizes.tolist()))
 
     def multiplicity_near(self, level: float, tol: float | None = None) -> int:
         tol = self.tolerance if tol is None else tol
@@ -86,7 +92,8 @@ def spectrum(ctx: SpectralContext, N: int, tolerance: float | None = None) -> Sp
     return SpectrumHistogram(
         N=N,
         values=vals,
-        clusters=tuple(zip(means.tolist(), sizes.tolist())),
+        means=means,
+        sizes=sizes,
         support=(float(vals[0]), float(vals[-1])),
         tolerance=tol,
         min_gap=min_gap,
@@ -178,13 +185,24 @@ def hilbert_transform(
         prev = None
         N = 16
         while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
-            cur = _stieltjes_average(character_values(ctx.w, N).ravel(), z)
+            cur = ctx.stieltjes.get((z, N))
+            if cur is None:
+                cur = _stieltjes_average(character_values(ctx.w, N).ravel(), z)
             if prev is not None and abs(cur - prev) < tol:
                 return cur
             prev = cur
             N *= 2
         raise SizeLimit("spectrum average did not stabilize within the cap")
     raise ValueError(f"unknown method {method!r}")
+
+
+def _hilbert_reads(ctx: SpectralContext, z, N: int) -> bool:
+    """Whether the spectrum-average ladder ``ctx.hilbert`` announces reads rung
+    N at z: 16, 32, then each until two agree, told by the averages below N."""
+    s, (at, tol) = ctx.stieltjes, ctx.hilbert or (None, 0)
+    if at != z or N > 16 and (z, N // 2) not in s:
+        return False
+    return N <= 32 or not abs(s[z, N // 2] - s[z, N // 4]) < tol
 
 
 # -- Mahler measure ---------------------------------------------------------------
@@ -230,9 +248,11 @@ def mahler_measure(
     |exp(sum m_k/k z^-k) / z| with the tail bounded below tol (needs
     |z| > total_weight^2).  torus-quadrature: one uniform grid log-average
     at the given resolution, with the half-resolution difference as the
-    error estimate.  At an even resolution R > 2 the half grid is every
-    other point of the fine one, bit for bit: 2 pi (2 k) / R and
-    2 pi k / (R / 2) are the same double, a power-of-two scaling apart.
+    error estimate.  A ``limit`` rung that the Hilbert ladder announced in
+    ``ctx.hilbert`` reads leaves it its average.  At an even resolution
+    R > 2 the half grid is every other point of the fine one, bit for bit:
+    2 pi (2 k) / R and 2 pi k / (R / 2) are the same double, a power-of-two
+    scaling apart.
 
     Each grid is reduced in its own memory: a ``limit`` rung and the fine
     grid are consumed in place, after the coarse half, which takes a fresh
@@ -247,6 +267,8 @@ def mahler_measure(
         N = 16
         while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
             vals = character_values(ctx.w, N)
+            if _hilbert_reads(ctx, z, N):
+                ctx.stieltjes[z, N] = _stieltjes_average(vals.ravel(), z)
             cur = math.exp(-_log_average(vals, z, proximity, out=vals))
             del vals  # the next rung is built without this one held
             if prev is not None and abs(cur - prev) < tol:

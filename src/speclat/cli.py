@@ -41,6 +41,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .analysis import (
     DEFAULT_SERIES_CAP,
     MAHLER_METHODS,
@@ -63,6 +65,7 @@ from .moments import check_congruence, moment_sequence_N, product_exponents, ser
 from .primes import is_prime
 from .specpoly import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT, divides, evaluate_at_integer
 from .specpoly import integer_root_multiplicity
+from .table import Table, leaves
 from .verify import run_suite
 
 SCHEMA = "speclat-result/1"
@@ -248,6 +251,9 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
     N, kmax, z, K = params["N"], params["k_max"], params["series_z"], params["series_K"]
     # the job's longest enumeration, over (points)^2 type pairs, before any work
     check_walk_cap(len(ctx.ps.points) ** 2, max(kmax, K if z is not None else 0))
+    if params["export_graph"] and N**ctx.dimension > DEFAULT_SIZE_LIMIT:
+        raise SizeLimit(f"walks export_graph: {N}^{ctx.dimension} vertices per colour "
+                        f"exceed cap {DEFAULT_SIZE_LIMIT}")
     G = build_graph(ctx.ps, ctx.basis, N)
     totals = [based_walk_weight_sum(G, k) for k in range(1, kmax + 1)]
     payload = {
@@ -268,7 +274,7 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
     hist = spectrum(ctx, N, tolerance=params["tolerance"])
     payload = {
         "N": N,
-        "levels": [[v, m] for v, m in hist.clusters],
+        "levels": Table([..., ...], (hist.means.tolist(), hist.sizes.tolist())),
         "support": list(hist.support),
         "tolerance": hist.tolerance,
         "min_gap": None if hist.min_gap == float("inf") else hist.min_gap,
@@ -284,11 +290,9 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
         n = ctx.dimension
         values = None
         if m**n <= 10_000:
-            # ravel's C order is the order itertools.product walks the grid in
-            values = [
-                {"t": list(idx), "value": value}
-                for idx, value in zip(itertools.product(range(m), repeat=n), grid.ravel().tolist())
-            ]
+            # ravel's C order is the order np.indices lists the grid points in
+            t = np.indices(grid.shape).reshape(n, -1).tolist()
+            values = Table({"t": [...] * n, "value": ...}, (*t, grid.ravel().tolist()))
         payload["grid"] = {
             "resolution": m,
             "min": float(grid.min()),
@@ -307,6 +311,7 @@ def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
         tol if "moment-series" in methods else None,
         params["hilbert_tol"] if params["hilbert"] else None,
     )
+    ctx.hilbert = (z, params["hilbert_tol"]) if params["hilbert"] else None
     results = {}
     for method in methods:
         res = mahler_measure(ctx, z, method=method, tol=tol, resolution=params["resolution"])
@@ -331,30 +336,32 @@ def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
 def _run_padic(ctx: SpectralContext, params: dict) -> dict:
     p, nu, z_values = params["p"], params["nu"], params["z_values"]
     zs = range(p) if z_values is None else z_values
-    rows = [
-        {"z": z, "valuation": "inf" if lhs == float("inf") else lhs, "count": rhs, "holds": holds}
-        for z, (lhs, rhs, holds) in zip(zs, valuation_inequality_check(ctx, zs, p, nu))
-    ]
-    return {"p": p, "nu": nu, "rows": rows}
+    checks = valuation_inequality_check(ctx, zs, p, nu)
+    vals, counts, holds = zip(*checks) if checks else ((), (), ())
+    vals = ["inf" if v == math.inf else v for v in vals]
+    row = {"count": ..., "holds": ..., "valuation": ..., "z": ...}
+    return {"p": p, "nu": nu, "rows": Table(row, (counts, holds, vals, list(zs)))}
 
 
-def _spectrum_csv(payload: dict) -> list[tuple]:
+def _records(rows):
+    """Each row's leaves, from a table or from a record's decoded JSON."""
+    return zip(*rows.columns) if isinstance(rows, Table) else map(leaves, rows)
+
+
+def _reordered(field: str, header: tuple, order: tuple) -> Callable[[dict], list]:
+    """CSV table of payload[field]: header, then the leaves at ``order`` of each row."""
+    return lambda payload: [header, *map(operator.itemgetter(*order), _records(payload[field]))]
+
+
+def _spectrum_csv(payload: dict) -> list:
     grid = payload.get("grid")
-    if grid and grid.get("values"):
-        n = len(grid["values"][0]["t"])
-        return [
-            tuple(f"t{i}" for i in range(n)) + ("value",),
-            *(tuple(row["t"]) + (row["value"],) for row in grid["values"]),
-        ]
-    return [("level", "multiplicity"), *map(tuple, payload["levels"])]
+    if grid and grid["values"]:
+        rows = list(_records(grid["values"]))
+        return [(*(f"t{i}" for i in range(len(rows[0]) - 1)), "value"), *rows]
+    return [("level", "multiplicity"), *_records(payload["levels"])]
 
 
-def _dict_rows(field: str, header: tuple) -> Callable[[dict], list[tuple]]:
-    """CSV table of the dicts in payload[field], one column per header key."""
-    return lambda payload: [header, *(tuple(r[h] for h in header) for r in payload[field])]
-
-
-_verify_csv = _dict_rows("results", ("criterion", "passed", "detail"))
+_verify_csv = _reordered("results", ("criterion", "passed", "detail"), (0, 2, 1))
 
 
 def _mahler_above_spectrum(params: dict, C2: int):
@@ -453,7 +460,7 @@ COMMANDS = {
             "z_values": Param(_optional(_list(INT))),
         },
         _run_padic,
-        _dict_rows("rows", ("z", "valuation", "count", "holds")),
+        _reordered("rows", ("z", "valuation", "count", "holds"), (3, 2, 0, 1)),
     ),
 }
 
@@ -467,15 +474,16 @@ _JSON_BOOL = {True: "true", False: "false"}
 
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
-    trees with string keys (any other key raises TypeError).  ``pad`` is the
-    newline and indentation that ``obj``'s lines continue from.
+    trees with string keys (any other key raises TypeError), a ``Table``
+    written as the list of its rows.  ``pad`` is the newline and
+    indentation that ``obj``'s lines continue from.
 
     The stdlib has no C encoder for indented output, and its pure-Python
     one makes several generator steps per node; a spectrum record holds
-    tens of thousands of nodes.  So a list is written by the shape of its
-    items (``_column``): scalars of one type by one C-level ``map`` of that
-    type's repr, equal-length lists or dicts with one key set a column at a
-    time.  Only other lists are written item by item.
+    tens of thousands of nodes.  So its long lists are tables, each written
+    by one ``%`` call: the row's text, each slot ``%s``, once per row,
+    applied to the leaves.  A column of ints, or of finite floats, goes in
+    as it is; others, and lists of scalars, are written by ``_column``.
     """
     if obj is None:
         return "null"
@@ -491,6 +499,16 @@ def _json_text(obj, pad: str = "\n") -> str:
     if isinstance(obj, str):
         return _json_string(obj)
     inner = pad + "  "
+    if isinstance(obj, Table):
+        if not len(obj):
+            return "[]"
+        flat, w = [None] * (len(obj) * len(obj.columns)), len(obj.columns)
+        for j, column in enumerate(obj.columns):
+            kinds = set(map(type, column))
+            plain = kinds == {int} or kinds == {float} and all(map(math.isfinite, column))
+            flat[j::w] = column if plain else _column(column, inner)
+        rows = ("," + inner).join(itertools.repeat(_template(obj.row, inner), len(obj)))
+        return "[" + inner + rows % tuple(flat) + pad + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -503,9 +521,21 @@ def _json_text(obj, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _template(row, pad: str) -> str:
+    """A table's row at ``pad``: each slot ``%s``, each ``%`` of a key doubled."""
+    if row is ...:
+        return "%s"
+    inner = pad + "  "
+    if isinstance(row, dict):
+        keys = [_json_string(k).replace("%", "%%") + ": " + _template(row[k], inner)
+                for k in sorted(row)]
+        return "{" + inner + ("," + inner).join(keys) + pad + "}" if keys else "{}"
+    items = [_template(item, inner) for item in row]
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+
+
 def _column(values, pad: str):
-    """The texts of ``values``, each at ``pad``: a lazy iterable, consumed
-    once, so no column's texts outlive the containers they fill."""
+    """The texts of ``values``, each at ``pad``: a lazy iterable."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
         (kind,) = kinds
@@ -519,35 +549,7 @@ def _column(values, pad: str):
             return map(float.__repr__, values)
         if kind is type(None):
             return itertools.repeat("null", len(values))
-        if issubclass(kind, (list, tuple)):
-            widths = set(map(len, values))
-            if len(widths) == 1:
-                return _rows("[", [""] * widths.pop(), "]", zip(*values), len(values), pad)
-        elif issubclass(kind, dict):
-            keysets = set(map(tuple, values))  # each dict's keys, in insertion order
-            if len(set(map(frozenset, keysets))) == 1:
-                keys = sorted(keysets.pop())
-                labels = [_json_string(k) + ": " for k in keys]
-                columns = (list(map(operator.itemgetter(k), values)) for k in keys)
-                return _rows("{", labels, "}", columns, len(values), pad)
     return map(_json_text, values, itertools.repeat(pad))
-
-
-def _rows(open_: str, labels: list[str], close: str, columns, count: int, pad: str):
-    """The texts of ``count`` containers of one shape, at ``pad``: field i
-    is ``labels[i]`` (a dict key, or nothing for a list) followed by the
-    i-th of ``columns``.  Each column is written by ``_column``; each
-    container is then one join of its fields' texts between fixed
-    separators, which bake in the brackets, labels and indentation."""
-    if not labels:
-        return itertools.repeat(open_ + close, count)
-    inner = pad + "  "
-    pieces = []
-    for label, column in zip(labels, columns):
-        pieces.append(itertools.repeat(("," if pieces else open_) + inner + label))
-        pieces.append(_column(column, inner))
-    pieces.append(itertools.repeat(pad + close))
-    return map("".join, zip(*pieces))
 
 
 def _record_text(record: dict) -> str:

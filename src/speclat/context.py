@@ -27,6 +27,9 @@ class SpectralContext:
         self.w = diffraction_polynomial(ps, self.basis)
         self._polys: dict[int, IntPolynomial] = {}
         self._moments: tuple[int, ...] = ()
+        # (z, tol) of a Hilbert ladder to come; the averages a limit ladder took for it
+        self.hilbert: tuple | None = None
+        self.stieltjes: dict[tuple, complex] = {}
 
     @property
     def dimension(self) -> int:

@@ -2,8 +2,7 @@
 
 Black vertices are the residues of the difference lattice mod N; white
 vertices are the (single) folded coset of the point set.  Each black vertex
-sends one typed edge per point, weighted by that point's weight; the edge
-list is generated on access, since only the adjacency export reads it.  A
+sends one typed edge per point, weighted by that point's weight.  A
 closed walk alternates black-to-white and white-to-black steps, so a walk
 of length 2k is a sequence of k type pairs whose difference sum folds to
 zero.  Those sequences are enumerated literally (no matrix, torus or
@@ -25,6 +24,7 @@ from .context import SpectralContext
 from .errors import CosetViolation, ExplosionGuard
 from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
 from .moments import poly_log_series
+from .table import Table
 
 DEFAULT_WALK_CAP = 10**8
 MAX_WALK_LEVEL = 2**62  # a residue plus a folded delta, both below N, stays in int64
@@ -42,36 +42,21 @@ class TorusBipartiteGraph:
     points: tuple[tuple[tuple[int, ...], int], ...]
     pair_deltas: tuple[tuple[tuple[int, ...], int], ...]
 
-    @property
-    def edges(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]:
-        """(black, white, type, weight) for every typed edge."""
-        return tuple(
-            (v, tuple((x + y) % self.N for x, y in zip(v, off)), t, c)
-            for v in _residues(self.dimension, self.N)
-            for t, (off, c) in enumerate(self.points)
-        )
-
     def adjacency(self) -> dict:
-        """JSON-ready adjacency description for external visualization."""
-        return {
-            "N": self.N,
-            "dimension": self.dimension,
-            "black": [list(v) for v in _residues(self.dimension, self.N)],
-            "white": [list(v) for v in _residues(self.dimension, self.N)],
-            "edges": [
-                {
-                    "from": list(b),
-                    "to": list(w),
-                    "type": t,
-                    "weight": c,
-                }
-                for b, w, t, c in self.edges
-            ],
-        }
-
-
-def _residues(n: int, N: int):
-    return itertools.product(range(N), repeat=n)
+        """JSON-ready adjacency description for external visualization: tables
+        of the residues mod N and of the edges v -> v + offset_t, each v, each t."""
+        n, N, P = self.dimension, self.N, len(self.points)
+        black = np.indices((N,) * n).reshape(n, -1)
+        offsets = np.array([[x % N for x in off] for off, _ in self.points])
+        white = (black[:, :, None] + offsets.T[:, None, :]) % N  # axis, vertex, type
+        vertices = Table([...] * n, tuple(black.tolist()))
+        weights = [c for _, c in self.points]
+        edges = Table(
+            {"from": [...] * n, "to": [...] * n, "type": ..., "weight": ...},
+            (*np.repeat(black, P, axis=1).tolist(), *white.reshape(n, -1).tolist(),
+             list(range(P)) * N**n, weights * N**n),
+        )
+        return {"N": N, "dimension": n, "black": vertices, "white": vertices, "edges": edges}
 
 
 def build_graph(

@@ -1,0 +1,33 @@
+"""Tables: a record's long lists of JSON rows of one shape, held as the
+shape (one row with each leaf a ``...`` slot) and one column of JSON
+scalars per slot, slots in the order a row's text lists them (dict keys
+sorted).  The record writer formats a table with one ``%`` call."""
+
+from __future__ import annotations
+
+
+def leaves(row) -> list:
+    """A row's leaves, in the order its JSON text lists them."""
+    if isinstance(row, dict):
+        row = [row[key] for key in sorted(row)]
+    return [leaf for item in row for leaf in leaves(item)] if isinstance(row, list) else [row]
+
+
+def _fill(shape, it):
+    if isinstance(shape, dict):
+        return {key: _fill(shape[key], it) for key in sorted(shape)}
+    return [_fill(item, it) for item in shape] if isinstance(shape, list) else next(it)
+
+
+class Table:
+    """The rows of shape ``row`` whose slot j holds ``columns[j]``, a leaf per
+    row; iterating rebuilds them."""
+
+    def __init__(self, row: list | dict, columns: tuple[list, ...]):
+        self.row, self.columns = row, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return (_fill(self.row, iter(record)) for record in zip(*self.columns))

@@ -376,6 +376,20 @@ def tuple_walk_weight_sum(G, k):
     return total * N**n
 
 
+def loop_adjacency(G):
+    """The adjacency export as plain dicts and lists, one vertex and one
+    typed edge at a time: each black vertex v sends type t to v + offset_t
+    mod N, weighted c_t."""
+    residues = [list(v) for v in itertools.product(range(G.N), repeat=G.dimension)]
+    edges = [
+        {"from": v, "to": [(x + y) % G.N for x, y in zip(v, off)], "type": t, "weight": c}
+        for v in residues
+        for t, (off, c) in enumerate(G.points)
+    ]
+    return {"N": G.N, "dimension": G.dimension, "black": residues, "white": residues,
+            "edges": edges}
+
+
 def complex_character_values(f, N):
     """Real part of f at all N-torsion characters, summed in complex
     arithmetic over full index grids, one term at a time."""

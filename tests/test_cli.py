@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from speclat.cli import SCHEMA, COMMANDS, _build_parser, _json_text, _record_text, main
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
+from speclat.table import Table, leaves
 
 
 def record_of(command, config_hash, payload):
@@ -630,7 +631,77 @@ def test_spectrum_record_matches_json_dumps(dimension, points, params):
     payload = spec.run(SpectralContext(ps), {key: p.default for key, p in spec.params.items()} | params)
     assert len(payload["levels"]) > 1000 and len(payload["grid"]["values"]) == 4096
     record = record_of("spectrum", "abc123", payload)
-    assert _record_text(record) == json.dumps(record, sort_keys=True, indent=2) + "\n"
+    assert _record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
+
+
+def rows_of(tree):
+    """``tree`` with each table replaced by the list of its rows."""
+    if isinstance(tree, Table):
+        return list(tree)
+    if isinstance(tree, dict):
+        return {key: rows_of(value) for key, value in tree.items()}
+    return [rows_of(item) for item in tree] if isinstance(tree, list) else tree
+
+
+# a table's row: slots in lists and dicts of fixed width, some of them empty
+row_shapes = st.recursive(
+    st.sampled_from([..., [], {}]),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(json_keys, kids, max_size=3)),
+    max_leaves=6,
+).filter(lambda row: isinstance(row, (list, dict)) and ... in leaves(row))
+
+
+@st.composite
+def tables(draw):
+    """A table of 0, 1 or many rows, each slot's column of one scalar type or mixed."""
+    row = draw(row_shapes)
+    count = draw(st.sampled_from([0, 1, 2, 7, 60]))
+    columns = [
+        draw(st.lists(draw(st.one_of(uniform_scalars, st.just(json_leaves))),
+                      min_size=count, max_size=count))
+        for _ in leaves(row)
+    ]
+    return Table(row, tuple(columns))
+
+
+@given(tables(), st.integers(0, 3))
+def test_table_text_matches_json_dumps_of_its_rows(table, depth):
+    pad = "\n" + "  " * depth
+    rows = list(table)
+    assert len(rows) == len(table)
+    assert _json_text(table, pad) == json.dumps(rows, sort_keys=True, indent=2).replace("\n", pad)
+    # the CSV reads a table's records and a cached record's rows alike
+    assert list(zip(*table.columns)) == [tuple(leaves(row)) for row in rows]
+    record = record_of("spectrum", "abc123", {"rows": table})
+    assert _record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("spectrum", {"N": 6, "grid": 5, "cdf_at": [1.0]}),
+        ("spectrum", {"N": 6}),
+        ("walks", {"N": 3, "export_graph": True}),
+        ("padic", {"p": 7}),
+        ("padic", {"p": 7, "z_values": []}),
+    ],
+)
+def test_csv_of_computed_payload_equals_csv_of_cached_record(tmp_path, monkeypatch, command, block):
+    cfg = dict(HONEYCOMB_CFG, **{command: block})
+    argv = [command, "--config", write_cfg(tmp_path, cfg)]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    code, computed = run(tmp_path, cfg, argv + ["--format", "csv"], name="computed.csv")
+    assert code == 0
+    assert run(tmp_path, cfg, argv + cache, name="stored.json")[0] == 0
+
+    def recompute(ctx, params):
+        raise AssertionError("the cached record was not read")
+
+    cli = sys.modules["speclat.cli"]
+    monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]._replace(run=recompute))
+    code, cached = run(tmp_path, cfg, argv + cache + ["--format", "csv"], name="cached.csv")
+    assert code == 0 and cached.read_bytes() == computed.read_bytes()
 
 
 # -- strict parameters ------------------------------------------------------------
@@ -790,6 +861,46 @@ def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "readme-out.json")]) == 0
     assert [N for _, N in grouped] == [30, 6]
     assert lifted == [] and built == []
+
+
+def test_walks_export_graph_capped_before_any_work(tmp_path, monkeypatch, capsys):
+    from speclat import graph
+
+    built = count_calls(monkeypatch, graph, "build_graph")
+    cfg = dict(HONEYCOMB_CFG, walks={"N": 100, "k_max": 1, "export_graph": True})
+    code, out = run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0 and len(json.loads(out.read_text())["payload"]["graph"]["black"]) == 10**4
+    assert len(built) == 1
+    # 101^2 vertices per colour are past the cap of 10^4
+    capsys.readouterr()
+    cfg = dict(HONEYCOMB_CFG, walks={"N": 101, "k_max": 1, "export_graph": True})
+    code, out = run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)], "capped.json")
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert err.count("\n") == 1 and "101^2" in err
+    assert len(built) == 1
+    # without the export the level is uncapped
+    cfg = dict(HONEYCOMB_CFG, walks={"N": 101, "k_max": 1})
+    assert run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)])[0] == 0
+
+
+@pytest.mark.parametrize("hilbert, averaged", [(True, [16, 32]), (False, [])])
+def test_mahler_builds_each_rung_once(tmp_path, monkeypatch, hilbert, averaged):
+    from speclat import analysis
+
+    built, original = [], analysis.character_values
+
+    def recorded(w, N):
+        built.append(N)
+        return original(w, N)
+
+    monkeypatch.setattr(analysis, "character_values", recorded)
+    averages = count_calls(monkeypatch, analysis, "_stieltjes_average")
+    cfg = dict(HONEYCOMB_CFG, mahler={"z": 12.0, "hilbert": hilbert})
+    assert run(tmp_path, cfg, ["mahler", "--config", write_cfg(tmp_path, cfg)])[0] == 0
+    # the limit ladder's rungs 16 and 32 serve the Hilbert ladder too; 128 is the quadrature
+    assert built == [16, 32, 128]
+    assert [len(vals) for vals, _ in averages] == [N**2 for N in averaged]
 
 
 def test_padic_size_check_only_when_values_are_asked(tmp_path):

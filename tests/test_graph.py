@@ -16,27 +16,34 @@ def graph_of(ps, N):
     return build_graph(ps, difference_lattice(ps), N)
 
 
+def edges_of(G):
+    """(black, white, type, weight) of each exported edge."""
+    edges = G.adjacency()["edges"]
+    return [(tuple(e["from"]), tuple(e["to"]), e["type"], e["weight"]) for e in edges]
+
+
 def test_honeycomb_level3_counts(honeycomb):
     G = graph_of(honeycomb, 3)
     adj = G.adjacency()
     assert len(adj["black"]) == len(adj["white"]) == 9
-    assert len(G.edges) == 27
+    assert len(edges_of(G)) == 27
 
 
 def test_honeycomb_level1(honeycomb):
     G = graph_of(honeycomb, 1)
-    assert G.adjacency()["black"] == [[0, 0]]
-    assert len(G.edges) == 3
+    assert list(G.adjacency()["black"]) == [[0, 0]]
+    edges = edges_of(G)
+    assert len(edges) == 3
     # three parallel typed edges on the same vertex pair
-    assert {(e[0], e[1]) for e in G.edges} == {((0, 0), (0, 0))}
-    assert {e[2] for e in G.edges} == {0, 1, 2}
+    assert {(e[0], e[1]) for e in edges} == {((0, 0), (0, 0))}
+    assert {e[2] for e in edges} == {0, 1, 2}
 
 
 def test_degrees(honeycomb):
     G = graph_of(honeycomb, 2)
     out = {}
     inc = {}
-    for b, w, _, _ in G.edges:
+    for b, w, _, _ in edges_of(G):
         out[b] = out.get(b, 0) + 1
         inc[w] = inc.get(w, 0) + 1
     assert set(out.values()) == {3}
@@ -149,5 +156,5 @@ def test_adjacency_export(honeycomb):
     assert adj["N"] == 2
     assert len(adj["black"]) == 4
     assert len(adj["edges"]) == 12
-    e = adj["edges"][0]
+    e = next(iter(adj["edges"]))
     assert set(e) == {"from", "to", "type", "weight"}

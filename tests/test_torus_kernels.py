@@ -8,6 +8,7 @@ the character-value block is shrunk to one row or a few so that the sum
 runs over many blocks.
 """
 
+import json
 import math
 import random
 import tracemalloc
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from speclat import analysis, graph, specpoly
 from speclat.analysis import _log_average, _stieltjes_average, mahler_measure, spectrum
+from speclat.cli import _json_text
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet, difference_lattice
@@ -27,7 +29,7 @@ from speclat.laurent import LaurentPoly, diffraction_polynomial
 from speclat.moments import moment_sequence_N
 from speclat.specpoly import character_values, integer_root_multiplicity
 
-from _oracles import complex_character_values, loop_clusters, tuple_walk_weight_sum
+from _oracles import complex_character_values, loop_adjacency, loop_clusters, tuple_walk_weight_sum
 
 MAX_LEVEL = {1: 30, 2: 12, 3: 5}
 ORACLE_SEQUENCES = 4096  # most type sequences one oracle walk count enumerates
@@ -48,6 +50,8 @@ def check_kernels(ps: WeightedPointSet, N: int, suffix_rows: int, tolerance=None
             walks = graph.based_walk_weight_sum(G, k)
             assert walks == tuple_walk_weight_sum(G, k)
             assert walks == N**ps.dimension * level[k]
+    adjacency = json.dumps(loop_adjacency(G), sort_keys=True, indent=2)
+    assert _json_text(G.adjacency()) == adjacency
 
     values = character_values(w, N)
     reference = complex_character_values(w, N)
@@ -307,6 +311,51 @@ def test_quadrature_meets_a_value_held_only_by_the_fine_grid(case):
     with pytest.raises(SpectrumProximity) as caught:
         mahler_measure(ctx, far[0], "torus-quadrature", resolution=R)
     assert str(caught.value) == f"{far[0]} is within {proximity} of an observed spectrum value"
+
+
+def both_ladders(ctx, z, tol, hilbert_tol):
+    """The limit ladder's Mahler result, then the spectrum-average ladder's
+    Hilbert transform, each or the type of the error it raised."""
+    out = []
+    for method, fn, t in (("limit", mahler_measure, tol),
+                          ("spectrum-average", analysis.hilbert_transform, hilbert_tol)):
+        try:
+            out.append(fn(ctx, z, method, tol=t))
+        except (SizeLimit, SpectrumProximity) as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_limit_ladder_hands_its_rungs_to_the_hilbert_ladder(seed, monkeypatch):
+    ps = random_graph_set(random.Random(seed), big=False)
+    C2 = ps.total_weight**2
+    monkeypatch.setattr(analysis, "DEFAULT_FLOAT_CAP", 2**14)
+    built, averaged = [], []
+
+    def recorded(w, N):
+        built.append(N)
+        return character_values(w, N)
+
+    def average(vals, z):
+        averaged.append(len(vals))
+        return _stieltjes_average(vals, z)
+
+    monkeypatch.setattr(analysis, "character_values", recorded)
+    monkeypatch.setattr(analysis, "_stieltjes_average", average)
+    # z next to the top level C2 fails the limit ladder at its first rung
+    for z in (C2 + 0.5, 3 * C2, C2 + 1e-9):
+        # either ladder the longer, and both climbing to the cap
+        for tol, hilbert_tol in ((1e-3, 1e-12), (1e-12, 1e-3), (0.0, 0.0), (1e-3, 1e-3)):
+            del built[:], averaged[:]
+            expected = both_ladders(SpectralContext(ps), z, tol, hilbert_tol)
+            each, hilbert_rungs = sorted(set(built)), sorted(averaged)
+            ctx = SpectralContext(ps)
+            ctx.hilbert = (z, hilbert_tol)
+            del built[:], averaged[:]
+            assert both_ladders(ctx, z, tol, hilbert_tol) == expected
+            # each rung built once, and averaged only if the Hilbert ladder reads it
+            assert sorted(built) == each and sorted(averaged) == hilbert_rungs
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
