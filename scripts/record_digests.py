@@ -21,14 +21,18 @@ Runs ``speclat.cli.main`` in process on
   at small and large z, ``mahler`` torus quadrature at
   the odd resolution 255 on that set, at 2048 on the honeycomb and at 2 on
   the generated cube, ``spectrum`` at N = 64 on the generated cube, and
-  honeycomb ``mahler`` by a ``limit`` ladder of six rungs and by every
-  method with ``hilbert`` on, and the largest tables a record lists:
+  honeycomb ``mahler`` by a ``limit`` ladder of six rungs, by every
+  method with ``hilbert`` on, by a spectrum-average ladder that climbs past
+  the ``limit`` ladder, and two that fail: ``SpectrumProximity`` next to
+  the top level and ``SizeLimit`` from a ``limit`` ladder at the float cap;
+  and the largest tables a record lists:
   honeycomb ``spectrum`` at N = 100 with a grid of 100^2 = 10^4 values,
   the largest grid listed, honeycomb ``walks`` with ``export_graph`` at
   N = 100, the most vertices exported, and chebyshev ``padic`` at
   p = 9973 over every residue (built-in sets run once);
 
-and prints one ``label digest`` line per record.  Run it against two
+and prints one ``label digest`` line per record, digested with its exit
+code and its stderr, so error messages are compared too.  Run it against two
 checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
 """
 
@@ -78,6 +82,14 @@ LARGE_JOBS = (
     # at R = 2 the half grid is the fine one, computed afresh
     ("mahler-cube-2", "cube", "mahler",
      {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 2, "hilbert": False}),
+    # errors: z next to the top level 9, and a limit ladder that climbs to the float cap
+    ("mahler-honeycomb-proximity", "honeycomb", "mahler",
+     {"z": 9 + 1e-9, "methods": ["torus-quadrature", "limit"], "hilbert": False}),
+    ("mahler-honeycomb-limit-cap", "honeycomb", "mahler",
+     {"z": 4.1, "methods": ["limit"], "tol": 1e-300, "hilbert": False}),
+    # the spectrum-average ladder climbs to 64, past the limit ladder's 32
+    ("mahler-honeycomb-hilbert-ladder", "honeycomb", "mahler",
+     {"z": 9.5, "methods": ["limit"], "hilbert_tol": 1e-5}),
     # tables at their caps: 10^4 grid values, 10^4 vertices per colour, 9973 rows
     ("spectrum-honeycomb-100", "honeycomb", "spectrum", {"N": 100, "grid": 100}),
     ("walks-honeycomb-graph-100", "honeycomb", "walks", {"N": 100, "export_graph": True}),
@@ -92,10 +104,10 @@ def readme_config() -> dict:
 
 
 def record(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return f"exit={code}\n" + out.getvalue()
+    return f"exit={code}\n" + out.getvalue() + "\nstderr:\n" + err.getvalue()
 
 
 def digest(text: str) -> str:

@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 from .analysis import (
     MahlerResult,
     SpectrumHistogram,
-    diffraction_field,
     empirical_cdf,
     hilbert_transform,
     mahler_measure,
@@ -67,7 +66,6 @@ from .specpoly import (
     divides,
     evaluate_at_integer,
     integer_root_multiplicity,
-    spectral_log_value,
     spectral_polynomial,
 )
 

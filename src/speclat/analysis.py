@@ -1,11 +1,13 @@
 """Floating-point spectral analysis.
 
 Everything here is double precision by design: spectrum histograms over
-the torsion characters, the diffraction intensity on a grid, the Hilbert
-transform of the level-density measure, and the Mahler-measure limit of
-the spectral polynomials.  Each function reads a SpectralContext: W from
-it, and the exact moments the series routes need, so a job that asks for
-several readings builds W once and sweeps the moments once.
+the torsion characters, the Hilbert transform of the level-density
+measure, and the Mahler-measure limit of the spectral polynomials.  Each
+function reads a SpectralContext: W from it, and the exact moments the
+series routes need, so a job that asks for several readings builds W once
+and sweeps the moments once.  The Mahler ``limit`` and the Hilbert
+``spectrum-average`` routes climb one doubling ladder of fresh character
+grids, ``_ladder``, each with its own reading of a grid.
 
 The torus log-average, the stabilized polynomial limit and the moment
 series are three independent numerical routes to the same Mahler measure;
@@ -59,14 +61,6 @@ class SpectrumHistogram:
         return 0
 
 
-def diffraction_field(ctx: SpectralContext, resolution: int) -> np.ndarray:
-    """Squared diffraction intensity on the uniform resolution^n grid of the
-    fundamental domain (lattice coordinates)."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    return character_values(ctx.w, resolution)
-
-
 def spectrum(ctx: SpectralContext, N: int, tolerance: float | None = None) -> SpectrumHistogram:
     """All N^n character values, sorted and clustered.
 
@@ -104,6 +98,23 @@ def spectrum(ctx: SpectralContext, N: int, tolerance: float | None = None) -> Sp
 def empirical_cdf(hist: SpectrumHistogram, r: float) -> Fraction:
     """Fraction of stored values <= r, exact over the stored multiset."""
     return Fraction(int((hist.values <= r).sum()), len(hist.values))
+
+
+def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
+    """(reading, |difference|) at the first of the character grids
+    N = 16, 32, ... whose reading agrees within tol with the one before.
+    Each grid is fresh and handed to ``read``, which may consume it in
+    place; the next is built once ``read`` has let it go.  Raises
+    SizeLimit(failure) when N^n passes the float cap first."""
+    prev = None
+    N = 16
+    while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
+        cur = read(character_values(ctx.w, N))
+        if prev is not None and abs(cur - prev) < tol:
+            return cur, abs(cur - prev)
+        prev = cur
+        N *= 2
+    raise SizeLimit(failure)
 
 
 # -- Hilbert transform ----------------------------------------------------------
@@ -182,27 +193,9 @@ def hilbert_transform(
             c2pow *= C2
         return acc
     if method == "spectrum-average":
-        prev = None
-        N = 16
-        while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
-            cur = ctx.stieltjes.get((z, N))
-            if cur is None:
-                cur = _stieltjes_average(character_values(ctx.w, N).ravel(), z)
-            if prev is not None and abs(cur - prev) < tol:
-                return cur
-            prev = cur
-            N *= 2
-        raise SizeLimit("spectrum average did not stabilize within the cap")
+        average = lambda vals: _stieltjes_average(vals.ravel(), z)
+        return _ladder(ctx, average, tol, "spectrum average did not stabilize within the cap")[0]
     raise ValueError(f"unknown method {method!r}")
-
-
-def _hilbert_reads(ctx: SpectralContext, z, N: int) -> bool:
-    """Whether the spectrum-average ladder ``ctx.hilbert`` announces reads rung
-    N at z: 16, 32, then each until two agree, told by the averages below N."""
-    s, (at, tol) = ctx.stieltjes, ctx.hilbert or (None, 0)
-    if at != z or N > 16 and (z, N // 2) not in s:
-        return False
-    return N <= 32 or not abs(s[z, N // 2] - s[z, N // 4]) < tol
 
 
 # -- Mahler measure ---------------------------------------------------------------
@@ -243,16 +236,14 @@ def mahler_measure(
 ) -> MahlerResult:
     """exp(-average of log|z - value|) over the full torus, three ways.
 
-    limit: follow exp(-log avg at level N) along a doubling ladder until
+    limit: follow exp(-log avg at level N) along the doubling ladder until
     two successive estimates differ by less than tol.  moment-series:
     |exp(sum m_k/k z^-k) / z| with the tail bounded below tol (needs
     |z| > total_weight^2).  torus-quadrature: one uniform grid log-average
     at the given resolution, with the half-resolution difference as the
-    error estimate.  A ``limit`` rung that the Hilbert ladder announced in
-    ``ctx.hilbert`` reads leaves it its average.  At an even resolution
-    R > 2 the half grid is every other point of the fine one, bit for bit:
-    2 pi (2 k) / R and 2 pi k / (R / 2) are the same double, a power-of-two
-    scaling apart.
+    error estimate.  At an even resolution R > 2 the half grid is every
+    other point of the fine one, bit for bit: 2 pi (2 k) / R and
+    2 pi k / (R / 2) are the same double, a power-of-two scaling apart.
 
     Each grid is reduced in its own memory: a ``limit`` rung and the fine
     grid are consumed in place, after the coarse half, which takes a fresh
@@ -263,19 +254,9 @@ def mahler_measure(
     C2 = ctx.ps.total_weight**2
     proximity = 1e-6 * C2
     if method == "limit":
-        prev = None
-        N = 16
-        while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
-            vals = character_values(ctx.w, N)
-            if _hilbert_reads(ctx, z, N):
-                ctx.stieltjes[z, N] = _stieltjes_average(vals.ravel(), z)
-            cur = math.exp(-_log_average(vals, z, proximity, out=vals))
-            del vals  # the next rung is built without this one held
-            if prev is not None and abs(cur - prev) < tol:
-                return MahlerResult(cur, abs(cur - prev), method)
-            prev = cur
-            N *= 2
-        raise SizeLimit("limit method did not stabilize within the float cap")
+        estimate = lambda vals: math.exp(-_log_average(vals, z, proximity, out=vals))
+        failure = "limit method did not stabilize within the float cap"
+        return MahlerResult(*_ladder(ctx, estimate, tol, failure), method)
     if method == "moment-series":
         ratio = C2 / abs(z)
         K = _mahler_length(C2, z, tol, DEFAULT_SERIES_CAP)

@@ -46,7 +46,6 @@ import numpy as np
 from .analysis import (
     DEFAULT_SERIES_CAP,
     MAHLER_METHODS,
-    diffraction_field,
     empirical_cdf,
     hilbert_transform,
     mahler_measure,
@@ -63,8 +62,8 @@ from .graph import walk_series_check
 from .lattice import WeightedPointSet, _is_int
 from .moments import check_congruence, moment_sequence_N, product_exponents, series_coefficients
 from .primes import is_prime
-from .specpoly import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT, divides, evaluate_at_integer
-from .specpoly import integer_root_multiplicity
+from .specpoly import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT, character_values, divides
+from .specpoly import evaluate_at_integer, integer_root_multiplicity
 from .table import Table, leaves
 from .verify import run_suite
 
@@ -168,7 +167,9 @@ WALK_LEVEL = Kind("an integer from 1 to 2^62", lambda v: LEVEL.ok(v) and v <= MA
 COUNT = _int(0)
 PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
-NUMBER = Kind("a finite number", lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v))
+FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() overflows on
+NUMBER = Kind("a finite number", lambda v: _is_int(v) and abs(v) < FLOAT_OVERFLOW
+              or isinstance(v, float) and math.isfinite(v))
 POSITIVE = Kind("a number > 0", lambda v: NUMBER.ok(v) and v > 0)
 NONNEGATIVE = Kind("a number >= 0", lambda v: NUMBER.ok(v) and v >= 0)
 METHODS = Kind(f"a list of {list(MAHLER_METHODS)}",
@@ -286,7 +287,7 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
     }
     m = params["grid"]
     if m is not None:
-        grid = diffraction_field(ctx, m)
+        grid = character_values(ctx.w, m)
         n = ctx.dimension
         values = None
         if m**n <= 10_000:
@@ -311,7 +312,6 @@ def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
         tol if "moment-series" in methods else None,
         params["hilbert_tol"] if params["hilbert"] else None,
     )
-    ctx.hilbert = (z, params["hilbert_tol"]) if params["hilbert"] else None
     results = {}
     for method in methods:
         res = mahler_measure(ctx, z, method=method, tol=tol, resolution=params["resolution"])

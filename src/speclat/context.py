@@ -6,7 +6,9 @@ lattice.  A context builds the lattice basis and W once, and keeps each
 exact reading it is asked for: b_N per level, and the moments, swept once
 to the largest K asked for and sliced below it.  A context serves one job
 and nothing outlives it.  Float character values are recomputed on each
-call: holding them would cost memory for no exact gain.
+call, so the Mahler ``limit`` ladder and the Hilbert ``spectrum-average``
+ladder each build their own rungs: holding them would cost memory for no
+exact gain.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ class SpectralContext:
         self.w = diffraction_polynomial(ps, self.basis)
         self._polys: dict[int, IntPolynomial] = {}
         self._moments: tuple[int, ...] = ()
-        # (z, tol) of a Hilbert ladder to come; the averages a limit ladder took for it
-        self.hilbert: tuple | None = None
-        self.stieltjes: dict[tuple, complex] = {}
 
     @property
     def dimension(self) -> int:

@@ -35,10 +35,6 @@ class ExplosionGuard(ResourceLimit):
     """A brute-force walk enumeration would exceed the configured cap."""
 
 
-class SingularLevel(SpeclatError):
-    """A floating product hit a spectrum value exactly (log of ~0)."""
-
-
 class SpectrumProximity(SpeclatError):
     """The evaluation point is within tolerance of an observed spectrum value."""
 

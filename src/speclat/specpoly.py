@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import primes
-from .errors import SingularLevel, SizeLimit
+from .errors import SizeLimit
 from .laurent import LaurentPoly, constant_term, fold_mod_N
 
 DEFAULT_SIZE_LIMIT = 10_000
@@ -290,23 +290,3 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
             offset = 8 * ((N + 2 * span) * table[c] + span + e[0] * r0 % N)
             block += np.ndarray(block.shape, float, scaled, offset, [8 * x for x in e])
     return acc
-
-
-def spectral_log_value(w: LaurentPoly, N: int, z: complex) -> tuple[float, float]:
-    """(log magnitude, argument) of the product of (z - value) over all
-    N-torsion character values of w, in double precision.
-
-    Held to the float cap of ``character_values``: the cost is N^n
-    character evaluations, not a dense matrix.  Raises SingularLevel when
-    a factor underflows to zero.  The differences z - value take one complex
-    buffer; the magnitudes, their logs and the arguments (``np.angle``'s
-    arctan2 of the imaginary over the real parts) reuse the values' memory.
-    """
-    values = character_values(w, N).ravel()
-    diffs = np.subtract(complex(z), values)
-    mags = np.abs(diffs, out=values)
-    if mags.min() < 1e-300:
-        raise SingularLevel(f"{z} is in or numerically touching the spectrum")
-    logmag = float(np.log(mags, out=mags).sum())
-    arg = float(np.arctan2(diffs.imag, diffs.real, out=mags).sum())
-    return logmag, arg

@@ -17,8 +17,7 @@ from speclat.verify import CRITERIA
     ids=[cid for cid, _, _ in CRITERIA],
 )
 def test_criterion(cid, example, check):
-    result = check(SpectralContext(builtin_point_set(example)))
-    line = f"{'PASS' if result.passed else 'FAIL'} {result.criterion}: {result.detail}"
+    passed, detail = check(SpectralContext(builtin_point_set(example)))
+    line = f"{'PASS' if passed else 'FAIL'} {cid}: {detail}"
     print(line)
-    assert result.criterion == cid
-    assert result.passed, line
+    assert passed, line

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from speclat.analysis import (
-    diffraction_field,
     empirical_cdf,
     hilbert_transform,
     mahler_measure,
@@ -12,7 +11,7 @@ from speclat.analysis import (
 )
 from speclat.errors import SizeLimit, SpectrumProximity
 from speclat.context import SpectralContext
-from speclat.specpoly import integer_root_multiplicity
+from speclat.specpoly import character_values, integer_root_multiplicity
 
 
 def cluster_dict(hist, ndigits=6):
@@ -23,7 +22,7 @@ def cluster_dict(hist, ndigits=6):
 
 
 def test_field_extremes_honeycomb(honeycomb_ctx):
-    grid = diffraction_field(honeycomb_ctx, 12)
+    grid = character_values(honeycomb_ctx.w, 12)
     assert grid.shape == (12, 12)
     assert grid[0, 0] == 9.0
     assert grid.max() == 9.0
@@ -31,7 +30,7 @@ def test_field_extremes_honeycomb(honeycomb_ctx):
 
 
 def test_field_origin_cheb(cheb_ctx):
-    grid = diffraction_field(cheb_ctx, 8)
+    grid = character_values(cheb_ctx.w, 8)
     assert grid[0] == 4.0
     assert grid.min() >= -1e-12
 

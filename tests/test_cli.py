@@ -434,6 +434,45 @@ def test_levels_past_the_digit_limit_exit_cleanly(tmp_path, capsys, command, blo
     assert capsys.readouterr().err == f"speclat: {message}\n"
 
 
+FLOAT_EDGE = 2**1024 - 2**970  # the least integer that float() overflows on
+
+
+@pytest.mark.parametrize(
+    "command, block, key",
+    [
+        ("spectrum", {"cdf_at": [0.5, 10**400]}, "cdf_at"),
+        ("spectrum", {"cdf_at": [-FLOAT_EDGE]}, "cdf_at"),
+        ("mahler", {"z": 10**400}, "z"),
+        ("mahler", {"z": FLOAT_EDGE, "methods": ["moment-series"], "hilbert": False}, "z"),
+        ("mahler", {"z": 12, "tol": FLOAT_EDGE}, "tol"),
+    ],
+    ids=["spectrum-cdf", "spectrum-cdf-edge", "mahler-z", "mahler-series-z-edge", "mahler-tol"],
+)
+def test_integers_past_float_range_exit_2(tmp_path, capsys, command, block, key):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg[command] = block
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"speclat: config error: {command} {key} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("spectrum", {"cdf_at": [FLOAT_EDGE - 1, 1 - FLOAT_EDGE]}),
+        ("mahler", {"z": FLOAT_EDGE - 1, "methods": ["moment-series"], "hilbert": False}),
+    ],
+    ids=["spectrum-cdf", "mahler-series-z"],
+)
+def test_integers_just_inside_float_range_run(tmp_path, command, block):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg[command] = block
+    code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert json.loads(out.read_text())["payload"]
+
+
 def test_walks_at_the_largest_level(tmp_path):
     cfg = dict(HONEYCOMB_CFG)
     cfg["walks"] = {"N": 2**62, "k_max": 2}
@@ -898,8 +937,8 @@ def test_mahler_builds_each_rung_once(tmp_path, monkeypatch, hilbert, averaged):
     averages = count_calls(monkeypatch, analysis, "_stieltjes_average")
     cfg = dict(HONEYCOMB_CFG, mahler={"z": 12.0, "hilbert": hilbert})
     assert run(tmp_path, cfg, ["mahler", "--config", write_cfg(tmp_path, cfg)])[0] == 0
-    # the limit ladder's rungs 16 and 32 serve the Hilbert ladder too; 128 is the quadrature
-    assert built == [16, 32, 128]
+    # the limit ladder builds 16 and 32, the quadrature 128, the Hilbert ladder its own rungs
+    assert built == [16, 32, 128] + averaged
     assert [len(vals) for vals, _ in averages] == [N**2 for N in averaged]
 
 

@@ -277,9 +277,6 @@ def test_averages_in_place_are_bitwise_property(case, z):
     assert _log_average(vals, z, 0.0, out=vals) == expected
     flat = kept.ravel()
     assert _stieltjes_average(flat, z) == complex(np.mean(1.0 / (complex(z) - flat)))
-    diffs = complex(z) - flat
-    logs = (float(np.log(np.abs(diffs)).sum()), float(np.angle(diffs).sum()))
-    assert specpoly.spectral_log_value(w, N, z) == logs
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -313,49 +310,70 @@ def test_quadrature_meets_a_value_held_only_by_the_fine_grid(case):
     assert str(caught.value) == f"{far[0]} is within {proximity} of an observed spectrum value"
 
 
-def both_ladders(ctx, z, tol, hilbert_tol):
-    """The limit ladder's Mahler result, then the spectrum-average ladder's
-    Hilbert transform, each or the type of the error it raised."""
-    out = []
-    for method, fn, t in (("limit", mahler_measure, tol),
-                          ("spectrum-average", analysis.hilbert_transform, hilbert_tol)):
-        try:
-            out.append(fn(ctx, z, method, tol=t))
-        except (SizeLimit, SpectrumProximity) as exc:
-            out.append(type(exc))
-    return out
+def doubling_loop(ctx, reading, tol, failure, cap):
+    """The doubling ladder written out: a fresh grid at N = 16, 32, ... while
+    N^n <= cap, until two readings agree within tol: (reading, |difference|)."""
+    prev, N = None, 16
+    while N**ctx.dimension <= cap:
+        cur = reading(character_values(ctx.w, N))
+        if prev is not None and abs(cur - prev) < tol:
+            return cur, abs(cur - prev)
+        prev, N = cur, 2 * N
+    raise SizeLimit(failure)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_limit_ladder_hands_its_rungs_to_the_hilbert_ladder(seed, monkeypatch):
-    ps = random_graph_set(random.Random(seed), big=False)
-    C2 = ps.total_weight**2
-    monkeypatch.setattr(analysis, "DEFAULT_FLOAT_CAP", 2**14)
-    built, averaged = [], []
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (SizeLimit, SpectrumProximity) as exc:
+        return type(exc), str(exc)
 
-    def recorded(w, N):
-        built.append(N)
-        return character_values(w, N)
 
-    def average(vals, z):
-        averaged.append(len(vals))
-        return _stieltjes_average(vals, z)
+LIMIT_FAILURE = "limit method did not stabilize within the float cap"
+AVERAGE_FAILURE = "spectrum average did not stabilize within the cap"
 
-    monkeypatch.setattr(analysis, "character_values", recorded)
-    monkeypatch.setattr(analysis, "_stieltjes_average", average)
-    # z next to the top level C2 fails the limit ladder at its first rung
-    for z in (C2 + 0.5, 3 * C2, C2 + 1e-9):
-        # either ladder the longer, and both climbing to the cap
-        for tol, hilbert_tol in ((1e-3, 1e-12), (1e-12, 1e-3), (0.0, 0.0), (1e-3, 1e-3)):
-            del built[:], averaged[:]
-            expected = both_ladders(SpectralContext(ps), z, tol, hilbert_tol)
-            each, hilbert_rungs = sorted(set(built)), sorted(averaged)
-            ctx = SpectralContext(ps)
-            ctx.hilbert = (z, hilbert_tol)
-            del built[:], averaged[:]
-            assert both_ladders(ctx, z, tol, hilbert_tol) == expected
-            # each rung built once, and averaged only if the Hilbert ladder reads it
-            assert sorted(built) == each and sorted(averaged) == hilbert_rungs
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ladders_match_a_doubling_loop_over_fresh_grids(seed, monkeypatch):
+    ctx = SpectralContext(random_graph_set(random.Random(seed), big=False))
+    C2 = ctx.ps.total_weight**2
+    proximity = 1e-6 * C2
+    cap = 2**14
+    monkeypatch.setattr(analysis, "DEFAULT_FLOAT_CAP", cap)
+
+    def limit(z, tol):
+        res = mahler_measure(ctx, z, "limit", tol=tol)
+        return res.value, res.error
+
+    def average(z, tol):
+        return analysis.hilbert_transform(ctx, z, "spectrum-average", tol=tol)
+
+    def log_estimate(z):
+        def reading(vals):
+            gaps = np.abs(z - vals)
+            if gaps.min() < proximity:
+                raise SpectrumProximity(f"{z} is within {proximity} of an observed spectrum value")
+            return math.exp(-np.mean(np.log(gaps)))
+        return reading
+
+    def stieltjes(z):
+        return lambda vals: complex(np.mean(1.0 / (complex(z) - vals.ravel())))
+
+    # z next to the top level C2 fails the limit ladder at its first rung; tol 0
+    # climbs both ladders to the cap
+    for z in (C2 + 0.5, 3 * C2, C2 + 1e-9, 0.5 + 1j):
+        for tol in (1e-3, 1e-9, 0.0):
+            expected = outcome(doubling_loop, ctx, log_estimate(z), tol, LIMIT_FAILURE, cap)
+            assert outcome(limit, z, tol) == expected
+            expected = outcome(
+                lambda: doubling_loop(ctx, stieltjes(z), tol, AVERAGE_FAILURE, cap)[0]
+            )
+            assert outcome(average, z, tol) == expected
+    message = f"{C2 + 1e-9} is within {proximity} of an observed spectrum value"
+    assert outcome(limit, C2 + 1e-9, 1e-3) == (SpectrumProximity, message)
+    assert outcome(limit, 3 * C2, 0.0) == (SizeLimit, LIMIT_FAILURE)
+    assert outcome(average, 3 * C2, 0.0) == (SizeLimit, AVERAGE_FAILURE)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
