@@ -29,7 +29,11 @@ Runs ``speclat.cli.main`` in process on
   honeycomb ``spectrum`` at N = 100 with a grid of 100^2 = 10^4 values,
   the largest grid listed, honeycomb ``walks`` with ``export_graph`` at
   N = 100, the most vertices exported, and chebyshev ``padic`` at
-  p = 9973 over every residue (built-in sets run once);
+  p = 9973 over every residue; ``moments`` past the benchmark's sizes
+  (honeycomb to k = 200 with levels up to 60 and three congruences, the
+  generated cube to k = 30 at level 5, chebyshev to k = 400 at levels 7
+  and 401), a weighted moment-series ``mahler`` with ``hilbert``, and a
+  ``moments`` level past the float cap (exit 3) (built-in sets run once);
 
 and prints one ``label digest`` line per record, digested with its exit
 code and its stderr, so error messages are compared too.  Run it against two
@@ -94,6 +98,15 @@ LARGE_JOBS = (
     ("spectrum-honeycomb-100", "honeycomb", "spectrum", {"N": 100, "grid": 100}),
     ("walks-honeycomb-graph-100", "honeycomb", "walks", {"N": 100, "export_graph": True}),
     ("padic-chebyshev-9973", "chebyshev", "padic", {"p": 9973}),
+    # moments past the benchmark's sizes: exact, level and congruence lists
+    ("moments-honeycomb-200", "honeycomb", "moments",
+     {"k_max": 200, "levels": [1, 2, 3, 60], "congruences": [[2, 3, 4], [3, 1, 3], [7, 2, 1]]}),
+    ("moments-cube-30", "cube", "moments", {"k_max": 30, "levels": [5]}),
+    ("moments-chebyshev-400", "chebyshev", "moments", {"k_max": 400, "levels": [7, 401]}),
+    ("mahler-weighted-series-hilbert", "weighted", "mahler",
+     {"z": 60.0, "tol": 1e-4, "methods": ["moment-series"], "hilbert": True, "hilbert_tol": 1e-8}),
+    # 2000^2 x 5 cells pass the float cap: exit 3 before any work
+    ("moments-honeycomb-levels-cap", "honeycomb", "moments", {"k_max": 10, "levels": [2000]}),
 )
 
 

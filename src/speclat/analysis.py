@@ -5,7 +5,7 @@ the torsion characters, the Hilbert transform of the level-density
 measure, and the Mahler-measure limit of the spectral polynomials.  Each
 function reads a SpectralContext: W from it, and the exact moments the
 series routes need, so a job that asks for several readings builds W once
-and sweeps the moments once.  The Mahler ``limit`` and the Hilbert
+and reads the moments once.  The Mahler ``limit`` and the Hilbert
 ``spectrum-average`` routes climb one doubling ladder of fresh character
 grids, ``_ladder``, each with its own reading of a grid.
 
@@ -144,7 +144,7 @@ def _mahler_length(C2: int, z: complex, tol: float, cap: float = math.inf) -> in
 def sweep_series_moments(
     ctx: SpectralContext, z: complex, mahler_tol: float | None, hilbert_tol: float | None
 ) -> None:
-    """Sweep the moments once, to the longer of the series that the
+    """Read the moments once, to the longer of the series that the
     moment-series routes of mahler_measure and hilbert_transform will read
     at these tolerances (None: that route is not taken) with the default
     series cap.  A length over the cap is left for the route to refuse."""

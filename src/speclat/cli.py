@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -216,12 +217,12 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
 
 def _run_moments(ctx: SpectralContext, params: dict) -> dict:
     K = params["k_max"]
-    # the job's longest sweep, before any work (as p >= 2, a power past the
-    # cap's bit length is past the cap)
+    # the job's longest moment list or congruence sweep, before any work (as
+    # p >= 2, a power past the cap's bit length is past the cap)
     cap = DEFAULT_SERIES_CAP
     if max([K, *(k * p ** min(a + 1, cap.bit_length()) for p, k, a in params["congruences"])]) > cap:
         raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
-    # a level sweep fills max(1, ceil(K/2)) arrays of N^n cells
+    # the cells of the torus sweeps the level power sums replaced, so no exit code moved
     steps, n = max(1, -(-K // 2)), ctx.dimension
     N = max(params["levels"], default=0)
     if N**n * steps > DEFAULT_FLOAT_CAP:
@@ -305,7 +306,7 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
 
 def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
     z, methods, tol = params["z"], params["methods"], params["tol"]
-    # the two moment series read one sweep, to the longer of them
+    # the two moment series read one moment list, to the longer of them
     sweep_series_moments(
         ctx,
         z,
@@ -617,6 +618,18 @@ def _emit(record: dict, out: str | None, fmt: str, text: str | None = None):
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _unlimited_int_text():
+    """Lift Python's int-to-text digit limit (3.11+) for a record's integers."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    set_limit = sys.set_int_max_str_digits if limit else lambda _: None
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 # -- entry point -------------------------------------------------------------------
 
 
@@ -686,7 +699,8 @@ def main(argv=None) -> int:
         cfg_hash = job.hash()
         record, text = _cached_record(args.cache_dir, job.command, cfg_hash) or (None, None)
         if record is None:
-            payload = COMMANDS[job.command].run(SpectralContext(job.point_set), job.params)
+            with _unlimited_int_text():
+                payload = COMMANDS[job.command].run(SpectralContext(job.point_set), job.params)
             record = {"schema": SCHEMA, "command": job.command, "config_hash": cfg_hash,
                       "payload": payload}
             text = _store_record(args.cache_dir, record)

@@ -3,12 +3,12 @@ the exact invariants read from it.
 
 Every invariant speclat computes is a reading of W on the difference
 lattice.  A context builds the lattice basis and W once, and keeps each
-exact reading it is asked for: b_N per level, and the moments, swept once
-to the largest K asked for and sliced below it.  A context serves one job
-and nothing outlives it.  Float character values are recomputed on each
-call, so the Mahler ``limit`` ladder and the Hilbert ``spectrum-average``
-ladder each build their own rungs: holding them would cost memory for no
-exact gain.
+exact reading it is asked for: b_N per level, and the moments, read once
+as character power sums to the largest K asked for and sliced below it.
+A context serves one job and nothing outlives it.  Float character values
+are recomputed on each call, so the Mahler ``limit`` ladder and the
+Hilbert ``spectrum-average`` ladder each build their own rungs: holding
+them would cost memory for no exact gain.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class SpectralContext:
         return self._polys[N]
 
     def moment_sequence(self, K: int) -> MomentSequence:
-        """Exact moments m_0..m_K, sliced from the longest sweep so far."""
+        """Exact moments m_0..m_K, sliced from the longest list so far."""
         if len(self._moments) <= K:
             self._moments = moment_sequence(self.w, K).values
         return MomentSequence(self._moments[: K + 1], "constant-term")

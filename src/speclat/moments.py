@@ -1,20 +1,17 @@
 """Spectral moments and their exact series expansions.
 
-The k-th moment of a diffraction polynomial is the constant term of its
-k-th power; the level-N moment is the constant-residue coefficient of the
-k-th power folded mod N.  Both are read from half the powers: with
-CT(g*h) = sum_v g_v * h_{-v}, m_{2j+1} pairs f^j with f^(j+1) and m_{2j+2}
-pairs f^(j+1) with itself, so m_0..m_K take ceil(K/2) products.  Exact
-powers live on unfolded boxes about the origin, which grow by the largest
-exponent of f per side at each product (in unimodular coordinates that
-keep it small), and only half of each box is filled when f is palindromic,
-as every W is; level-N powers live on the N^n torus.
+The level-N moment m_k(N) is the mean of W(chi)**k over the N-torsion
+characters chi; m_k, the constant term of W**k, is that mean over the
+characters of Z_N1 x ... x Z_Nn, each N_i > k * reach_i (tight coordinates),
+where no nonzero exponent of W**k folds onto 0.  Both are character power
+sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1).
 
 Everything in this module is exact: Python integers and Fractions only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,8 +20,8 @@ from . import primes
 from .catalog import chebyshev_point_set
 from .errors import IntegralityViolation
 from .lattice import difference_lattice
-from .laurent import LaurentPoly, _moment_sweep, diffraction_polynomial, folded_power_sweep
-from .specpoly import IntPolynomial, evaluate_at_integer, spectral_polynomial
+from .laurent import LaurentPoly, _moment_sweep, _tight_form, diffraction_polynomial
+from .specpoly import IntPolynomial, _character_power_sums, evaluate_at_integer, spectral_polynomial
 
 Recurrence = Sequence[tuple[int, Sequence[int]]]
 
@@ -52,17 +49,22 @@ class MomentSequence:
 
 
 def moment_sequence(f: LaurentPoly, K: int) -> MomentSequence:
-    """Exact moments m_0..m_K from the powers f^0 .. f^ceil(K/2)."""
-    return MomentSequence(tuple(_moment_sweep(f, K)), "constant-term")
+    """Exact moments m_0..m_K: power sums over Z_N1 x ... x Z_Nn, N_i > K *
+    reach_i, all equal or, if fewer characters, each a multiple of the last."""
+    g = _tight_form(f)
+    reach = [max((abs(e[i]) for e in g.terms), default=0) for i in range(f.dimension)]
+    chain, N = [1] * len(reach), 1
+    for i in sorted(range(len(reach)), key=reach.__getitem__):
+        N = chain[i] = N * -(-(K * reach[i] + 1) // N)
+    shape = min(tuple(chain), (K * max(reach) + 1,) * len(reach), key=math.prod)
+    return MomentSequence(tuple(_character_power_sums(g, K, shape)), "constant-term")
 
 
 def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> MomentSequence:
     """Level-N moments m_0..m_K: the averages of the powers of the character
     values, integers by construction (constant-residue coefficients of the
     folded powers)."""
-    return MomentSequence(
-        tuple(folded_power_sweep(f, K, N)), f"folded mod {N}"
-    )
+    return MomentSequence(tuple(_character_power_sums(f, K, (N,) * f.dimension)), f"folded mod {N}")
 
 
 def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
@@ -81,7 +83,7 @@ def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
     modulus = p ** (alpha + 1)
     hi = k * p ** (alpha + 1)
     lo = k * p**alpha
-    vals = _moment_sweep(f, hi, coeff_mod=modulus)
+    vals = _moment_sweep(f, hi, modulus)
     return vals[hi] == vals[lo]
 
 

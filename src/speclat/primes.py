@@ -1,17 +1,19 @@
 """Primality testing and prime generation helpers.
 
-Miller-Rabin with witness sets proven deterministic: Sinclair's seven bases
-below 2**64 (the CRT moduli), the primes 2..41 below 3.3e24 (Sorenson and
-Webster, Math. Comp. 2017; the primes 2..37 suffice only below 3.18e23),
-and fixed extra witnesses above that, which is ample at desk scale.
+Miller-Rabin with witness sets proven deterministic: 2, 7, 61 below 4.76e9
+(Jaeschke 1993), Sinclair's seven bases below 2**64, the primes 2..41 below
+3.3e24 (Sorenson and Webster, Math. Comp. 2017; 2..37 suffice only below
+3.18e23), and fixed extra witnesses above that, ample at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _MR_WITNESSES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
 
@@ -20,16 +22,15 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below 3.3e24."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _PRIMORIAL) > 1:
+        return n in _SMALL_PRIMES
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     wide = _SMALL_PRIMES[:13] if n < _MR_DET_BOUND else _SMALL_PRIMES + (53, 59, 61, 67, 71)
-    for a in _MR_WITNESSES_64 if n < 2**64 else wide:
+    for a in (2, 7, 61) if n < 4_759_123_141 else _MR_WITNESSES_64 if n < 2**64 else wide:
         if a % n == 0:  # proves nothing
             continue
         x = pow(a, d, n)
@@ -61,10 +62,10 @@ def root_of_unity(N: int, p: int) -> int:
     """An element of exact multiplicative order N modulo a prime p = 1 (mod N)."""
     if (p - 1) % N:
         raise ValueError(f"{p} is not 1 mod {N}")
-    factors = [q for q in range(2, N + 1) if N % q == 0 and is_prime(q)]
+    divisors = {d for q in range(1, math.isqrt(N) + 1) if N % q == 0 for d in (q, N // q)}
     for g in range(2, p):
         omega = pow(g, (p - 1) // N, p)
-        if all(pow(omega, N // q, p) != 1 for q in factors):
+        if all(pow(omega, N // q, p) != 1 for q in divisors if is_prime(q)):
             return omega
     return 1  # N = 1 (or p = 2)
 

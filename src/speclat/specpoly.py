@@ -3,10 +3,11 @@
 For torsion level N the spectral polynomial b_N is the monic integer
 polynomial of degree m = N^n with one root W(chi) for each N-torsion
 character chi of the difference lattice.  One pass per level computes it
-without any matrix: characters with the same row W(chi_k) = sum_r A_r
-omega**r (A_r the sum of the c_e with e.k = r mod N) are counted once;
-for primes p = 1 (mod N) descending below 2**62, whose F_p holds an omega
-of exact order N, each distinct row gives one value v; the residues of
+without any matrix: characters with the same phases e.k mod N (up to order
+among equal coefficients c_e) are merged, and each distinct row W(chi_k) =
+sum_r A_r omega**r (A_r the sum of the c_e with e.k = r mod N) is counted
+once; for primes p = 1 (mod N) descending below 2**62, whose F_p holds an
+omega of exact order N, each distinct row gives one value v; the residues of
 b_N are lifted by CRT until the prime product exceeds twice a certified
 bound.  Each prime multiplies the leaves (z - v)**mult, each expanded by
 the binomial theorem, in a balanced product tree (von zur Gathen and
@@ -15,7 +16,8 @@ product of Kronecker-packed coefficients (ibid. 8.4): a slot sums at most
 L = min(len a, len b) products of residues, so slots of s bytes with
 2**(8 s) > L (p - 1)**2 never carry (under 124 + bitlen(m) bits for
 p < 2**62).  The same character rows, read p-adically, give the `padic`
-valuations (see ``arith``).
+valuations (see ``arith``); the same classes, modulo primes below 2**31,
+give every exact and level moment as a power sum.
 
 The bound comes from the sign of the roots.  Every point a differs from a
 fixed point a0 by a lattice vector, so
@@ -40,12 +42,12 @@ from typing import Sequence
 import numpy as np
 
 from . import primes
-from .errors import SizeLimit
+from .errors import IntegralityViolation, SizeLimit
 from .laurent import LaurentPoly, constant_term, fold_mod_N
 
 DEFAULT_SIZE_LIMIT = 10_000
 DEFAULT_FLOAT_CAP = 10**7
-_CHAR_BLOCK = 2**16  # characters per step of the row count
+_CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
 _VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
 
 
@@ -155,25 +157,39 @@ def convolution_matrix(folded: LaurentPoly, N: int) -> ConvolutionMatrix:
 # -- exact spectral polynomial by split primes ----------------------------------
 
 
+def _character_classes(f: LaurentPoly, shape: tuple[int, ...]):
+    """Characters k of Z_N1 x ... x Z_Nn (shape) as k_i N / N_i mod N = lcm(shape), in
+    blocks of ``_CHAR_BLOCK`` phases: c_t per term t, then per class of equal phases
+    e_t.k mod N (sorted within each c) a column of them and its size; one value each."""
+    N, m, n = math.lcm(*shape), math.prod(shape), f.dimension
+    terms = sorted(f.sorted_terms() or [((0,) * n, 0)], key=lambda t: t[1])  # f = 0: c = 0
+    exps = [np.array([e for e, _ in g]) for _, g in itertools.groupby(terms, lambda t: t[1])]
+    coeffs, scale = [c for _, c in terms], np.array([[N // d] for d in shape])
+    step, digits = _CHAR_BLOCK // len(coeffs) or 1, 63 // N.bit_length()
+    for start in range(0, m, step):
+        chars = np.array(np.unravel_index(np.arange(start, min(start + step, m)), shape)) * scale
+        phases = np.concatenate([np.sort(e @ chars % N, axis=0) for e in exps])
+        # sort, then run-length, by int64 keys that each read ``digits`` phases in base N
+        keys = [phases[j : j + digits] for j in range(0, len(phases), digits)]
+        keys = np.array([np.ravel_multi_index(d, (N,) * len(d)) for d in keys])
+        order = np.lexsort(keys)
+        keys = keys[:, order]
+        first = np.flatnonzero(np.concatenate([[True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)]))
+        yield coeffs, phases[:, order[first]], np.diff(first, append=len(order))
+
+
 def _character_rows(folded: LaurentPoly, N: int) -> Counter:
     """W at each N-torsion character k as the sparse row ((r, A_r), ...),
     A_r the sum of the c_e with e.k = r (mod N): W(chi_k) = sum_r A_r
     omega**r for omega of exact order N.  Counted by multiplicity; equal
-    rows are equal values modulo every prime.  The characters, in blocks
-    of ``_CHAR_BLOCK``, are counted by their tuple of per-term phases
-    e.k mod N; only the distinct tuples are merged into rows."""
-    terms, shape, m = folded.sorted_terms(), (N,) * folded.dimension, N**folded.dimension
-    exps = np.array([e for e, _ in terms], dtype=np.int64)
-    phases: Counter = Counter()
-    for start in range(0, m, _CHAR_BLOCK):
-        chars = np.array(np.unravel_index(np.arange(start, min(start + _CHAR_BLOCK, m)), shape))
-        phases.update(map(tuple, ((exps @ chars) % N).T.tolist()))
+    rows are equal values modulo every prime."""
     rows: Counter = Counter()
-    for key, mult in phases.items():
-        row: dict[int, int] = {}
-        for r, (_, c) in zip(key, terms):
-            row[r] = row.get(r, 0) + c
-        rows[tuple(sorted(row.items()))] += mult
+    for coeffs, phases, mult in _character_classes(folded, (N,) * folded.dimension):
+        for column, count in zip(phases.T.tolist(), mult.tolist()):
+            row: dict[int, int] = {}
+            for r, c in zip(column, coeffs):
+                row[r] = row.get(r, 0) + c
+            rows[tuple(sorted(row.items()))] += count
     return rows
 
 
@@ -212,27 +228,77 @@ def _power_leaf(v: int, binom: list[int], p: int) -> list[int]:
     return [b * x % p for b, x in zip(binom, reversed(list(pw)))]
 
 
+def _split_primes(N: int, need: int, start: int) -> list[int]:
+    """The fewest primes p = 1 (mod N) below ``start``, descending, whose product exceeds need."""
+    chosen: list[int] = []
+    for p in primes.primes_below(start, N):
+        chosen.append(p)
+        if math.prod(chosen) > need:
+            return chosen
+    raise ArithmeticError(f"primes 1 mod {N} below {start} exhausted")
+
+
+def _crt(residues, moduli: list[int]) -> list[int]:
+    """Each column's x, |x| < prod(moduli) / 2, from its residues r = x mod p: one row per p."""
+    lifted, mod = [], 1
+    for row, p in zip(residues, moduli):
+        inv = pow(mod, -1, p)
+        lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted or [0] * len(row), row)]
+        mod *= p
+    return [x - mod if x > mod // 2 else x for x in lifted]
+
+
 def _split_prime_lift(folded: LaurentPoly, N: int, prime_start: int = 2**62) -> IntPolynomial:
     """prod over the N-torsion characters chi of (z - W(chi)), exactly,
     computed modulo primes p = 1 (mod N) descending below ``prime_start``
     and lifted by CRT past the bound of the module docstring."""
-    m = N**folded.dimension
     rows = _character_rows(folded, N)
-    need = 2 * _maclaurin_bound(m, constant_term(folded)) + 1
+    need = 2 * _maclaurin_bound(N**folded.dimension, constant_term(folded)) + 1
     binoms = [[math.comb(mult, k) for k in range(mult + 1)] for mult in rows.values()]
-    lifted, mod = [0] * (m + 1), 1
-    for p in primes.primes_below(prime_start, N):
+
+    def residues(p: int) -> list[int]:
         omega = primes.root_of_unity(N, p)
         powers = [pow(omega, r, p) for r in range(N)]
         values = [sum(a * powers[r] for r, a in row) % p for row in rows]
-        residues = _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
-        # incremental CRT
-        inv = pow(mod, -1, p)
-        lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, residues)]
-        mod *= p
-        if mod > need:
-            return IntPolynomial(tuple(x - mod if x > mod // 2 else x for x in lifted))
-    raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
+        return _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
+
+    moduli = _split_primes(N, need, prime_start)
+    return IntPolynomial(tuple(_crt(map(residues, moduli), moduli)))
+
+
+def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]) -> list[int]:
+    """m^-1 sum_chi f(chi)**k, k = 0..K, over the m = prod(shape) characters of
+    ``_character_classes``: the constant-residue coefficients of f**k folded
+    mod shape (its constant terms when each N_i > k max|e_i|), exactly.  Modulo
+    primes p = 1 (mod lcm(shape)) below 2**31, rows of int64 arrays, a class
+    of value v adds w = mult * v**k, one step per k.  |f(chi)| <= S = sum |c_e|:
+    the CRT lifts past 2 m S^K; IntegralityViolation where m does not divide.
+    No int64 overflow, whatever the weights: c_e enters reduced mod p, a product
+    of two entries is below 2**62 (mult <= 2**20, p < 2**31), a sum of under 2**32
+    residues below 2**63, of w over 2**20 classes below 2**51."""
+    N, m = math.lcm(*shape), math.prod(shape)
+    folded = fold_mod_N(f, N)
+    moduli = _split_primes(N, 2 * m * max(1, sum(map(abs, folded.terms.values()))) ** K, 2**31)
+    p = np.array(moduli, dtype=np.int64)[:, None]
+    powers, omega = np.ones_like(p), np.array([[primes.root_of_unity(N, q)] for q in moduli])
+    while powers.shape[1] < N:  # omega**r for r < N, by doubling
+        powers = np.concatenate([powers, powers * (powers[:, -1:] * omega % p) % p], axis=1)
+    sums = np.zeros((len(moduli), K + 1), dtype=np.int64)
+    for coeffs, phases, mult in _character_classes(folded, shape):
+        residues = np.array([[c % q for c in coeffs] for q in moduli], dtype=np.int64)[:, :, None]
+        batch = _CHAR_BLOCK // phases.size or 1
+        for at in (slice(i, i + batch) for i in range(0, len(moduli), batch)):
+            q = p[at]
+            v = (residues[at] * powers[at][:, phases] % q[:, :, None]).sum(axis=1) % q
+            w = mult
+            for k in range(K + 1):
+                sums[at, k] += w.sum(axis=-1)
+                w = w * v % q
+            sums[at] %= q
+    lifted = _crt(sums.tolist(), moduli)
+    if any(s % m for s in lifted):
+        raise IntegralityViolation(f"power sums over {shape} are not all divisible by {m}")
+    return [s // m for s in lifted]
 
 
 def _folded_level(w: LaurentPoly, N: int, size_limit: int) -> LaurentPoly:

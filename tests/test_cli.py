@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from speclat.cli import SCHEMA, COMMANDS, _build_parser, _json_text, _record_text, main
+from speclat.cli import _unlimited_int_text
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
+from speclat.specpoly import evaluate_at_integer
 from speclat.table import Table, leaves
 
 
@@ -853,10 +855,10 @@ def count_calls(monkeypatch, module, name):
     "command, levels, sweeps",
     [
         ("bn", 3, 0),  # b_6, b_2 and b_3
-        ("moments", 0, 2),  # the moments, and one sweep mod 2 for the congruence
+        ("moments", 0, 3),  # the moments, the level-4 moments, a sweep mod 2 for the congruence
         ("walks", 1, 0),
         ("spectrum", 0, 0),
-        ("mahler", 0, 1),  # one sweep serves both moment series
+        ("mahler", 0, 1),  # one reading serves both moment series
         ("padic", 1, 0),  # the level-6 rows, read p-adically for all eight z values: no b_6
     ],
 )
@@ -868,6 +870,7 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     lattices = count_calls(monkeypatch, lattice, "difference_lattice")
     grouped = count_calls(monkeypatch, specpoly, "_character_rows")
     lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
+    summed = count_calls(monkeypatch, specpoly, "_character_power_sums")
     swept = count_calls(monkeypatch, laurent, "_moment_sweep")
     assert main([command, "--config", write_cfg(tmp_path, README_CONFIG),
                  "--out", str(tmp_path / "out.json")]) == 0
@@ -875,7 +878,7 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     assert len(grouped) == levels
     assert len({N for _, N in grouped}) == levels
     assert len(lifted) == (0 if command == "padic" else levels)
-    assert len(swept) == sweeps
+    assert len(summed) + len(swept) == sweeps
 
 
 def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
@@ -978,6 +981,34 @@ def test_config_integer_past_digit_limit_exit_2(tmp_path, capsys):
     assert main(["bn", "--config", str(path), "--out", str(tmp_path / "out.json")]) == 2
     assert capsys.readouterr().err.startswith("speclat: cannot read config: ")
     assert not (tmp_path / "out.json").exists()
+
+
+HEAVY_CFG = {"dimension": 1, "points": [{"a": [-1], "c": 10**300}, {"a": [1], "c": 1}]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_record_integers_past_digit_limit(tmp_path, fmt):
+    # b_10(10^100) has 10^4 digits; b_8 of a weight-10^300 set has a 4800-digit coefficient
+    before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if fmt == "json":
+        cfg = dict(HONEYCOMB_CFG, bn={"N": 10, "evaluate_at": [10**100]})
+    else:
+        cfg = dict(HEAVY_CFG, bn={"N": 8})
+    code, out = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg), "--format", fmt])
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == before
+    ps = WeightedPointSet(cfg["dimension"], tuple((tuple(p["a"]), p["c"]) for p in cfg["points"]))
+    poly = SpectralContext(ps).spectral_polynomial(cfg["bn"]["N"])
+    with _unlimited_int_text():
+        if fmt == "json":
+            value = json.loads(out.read_text())["payload"]["evaluations"][0]["value"]
+            assert value == str(evaluate_at_integer(poly, 10**100))
+            assert len(value) > 4300
+        else:
+            rows = out.read_text().splitlines()
+            coefficients = (f"{i},{c}" for i, c in enumerate(poly.coefficients))
+            assert rows == ["index,coefficient", *coefficients]
+            assert max(map(len, rows)) > 4300
 
 
 # -- one parser per process ----------------------------------------------------------

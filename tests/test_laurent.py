@@ -13,10 +13,17 @@ from speclat.laurent import (
     constant_term,
     diffraction_polynomial,
     fold_mod_N,
-    folded_power_sweep,
 )
 
-from _oracles import folded_power, folded_power_dense, is_palindromic, multiply, one, power
+from _oracles import (
+    folded_moment_sweep,
+    folded_power,
+    folded_power_dense,
+    is_palindromic,
+    multiply,
+    one,
+    power,
+)
 from conftest import random_point_set
 
 
@@ -165,10 +172,10 @@ def test_folded_power_dense_modular(w_cheb):
         assert int(exact[i]) % 5 == int(modular[i])
 
 
-def test_folded_power_sweep_central_binomials(w_cheb):
+def test_folded_moment_sweep_central_binomials(w_cheb):
     import math
 
-    vals = folded_power_sweep(w_cheb, 6, 13)
+    vals = folded_moment_sweep(w_cheb, 6, 13)
     assert vals == [math.comb(2 * k, k) for k in range(7)]
 
 

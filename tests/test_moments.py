@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from speclat.errors import IntegralityViolation, RankDeficient
 from speclat.lattice import WeightedPointSet, difference_lattice
-from speclat.laurent import (
-    LaurentPoly,
-    _moment_sweep,
-    constant_term,
-    diffraction_polynomial,
-    folded_power_sweep,
-)
+from speclat.laurent import LaurentPoly, _moment_sweep, constant_term, diffraction_polynomial
 from speclat.moments import (
     MomentSequence,
     chebyshev_generating_check,
@@ -26,7 +20,7 @@ from speclat.moments import (
     series_coefficients,
     verify_recurrence,
 )
-from speclat.specpoly import convolution_matrix, spectral_polynomial
+from speclat.specpoly import _character_power_sums, convolution_matrix, spectral_polynomial
 
 from _oracles import exact_moment_sweep, folded_moment_sweep, is_palindromic, power
 from conftest import random_point_set
@@ -135,14 +129,16 @@ def check_against_full_torus(f: LaurentPoly, K: int):
     torus; the MomentSequence wrappers only where the moments are >= 0."""
     positive = all(c > 0 for c in f.terms.values())
     exact = exact_moment_sweep(f, K)
-    assert [_moment_sweep(f, k)[k] for k in range(K + 1)] == exact
+    reach = max(abs(x) for e in f.terms for x in e)
+    assert _character_power_sums(f, K, (K * reach + 1,) * f.dimension) == exact
     if positive:
         assert list(moment_sequence(f, K).values) == exact
+    assert [_moment_sweep(f, k, 9)[k] for k in range(K + 1)] == [m % 9 for m in exact]
     for mod in (9, 2**61 - 1):  # int64 and object residues
         assert _moment_sweep(f, K, coeff_mod=mod) == [m % mod for m in exact]
     for N in (1, 2, 3, 5):
         level = folded_moment_sweep(f, K, N)
-        assert [folded_power_sweep(f, k, N)[k] for k in range(K + 1)] == level
+        assert _character_power_sums(f, K, (N,) * f.dimension) == level
         if positive:
             assert list(moment_sequence_N(f, K, N).values) == level
     for p, k, alpha in ((2, 1, 0), (3, 1, 0), (2, 1, 1)):
@@ -202,7 +198,7 @@ def test_moments_match_full_torus_property(case):
 
 @st.composite
 def palindromic_cases(draw):
-    """A palindromic f, which the sweep reads on half of each power's box:
+    """A palindromic f, whose character values are real, as every W's are:
     the diffraction polynomial of a random weighted point set, or a random
     Laurent polynomial plus its reflection (negative coefficients too)."""
     n = draw(st.integers(1, 3))

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from speclat import primes
 from speclat.arith import valuation_inequality_check, vp
 from speclat.analysis import _log_average
+from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit
 from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice
 from speclat.laurent import constant_term, diffraction_polynomial, fold_mod_N
-from speclat.moments import moment_sequence_N
+from speclat.moments import moment_sequence, moment_sequence_N
 from speclat.specpoly import (
     IntPolynomial,
+    _character_power_sums,
     _character_rows,
     _maclaurin_bound,
     _mul_mod,
@@ -31,6 +33,8 @@ from _oracles import (
     berkowitz_charpoly,
     charpoly_exact,
     crt_point_values,
+    exact_moment_sweep,
+    folded_moment_sweep,
     linear_factor_lift,
     loop_character_rows,
 )
@@ -350,6 +354,17 @@ def test_divides(w_honey):
     assert not divides(IntPolynomial((-1, 1)), IntPolynomial((0, 1)))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_divides_random(seed):
+    # b_N' | b_N for N' | N: the characters of order dividing N' are among those of order N
+    rng = random.Random(1800 + seed)
+    n = 1 + seed % 3
+    ctx = SpectralContext(random_point_set(rng, dimension=n))
+    for N in range(1, 9 if n < 3 else 5):
+        for d in (d for d in range(1, N) if N % d == 0):
+            assert divides(ctx.spectral_polynomial(d), ctx.spectral_polynomial(N))
+
+
 def test_sign_pattern_outside_spectrum(w_honey):
     p = spectral_polynomial(w_honey, 4)
     deg = p.degree
@@ -413,3 +428,48 @@ def test_log_value_matches_exact(w_honey):
         p = spectral_polynomial(w_honey, N)
         logmag = log_product(w_honey, N, z)
         assert abs(logmag - math.log(evaluate_at_integer(p, z))) < 1e-8
+
+
+# -- character power sums ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_character_power_sums_match_oracles(seed, monkeypatch):
+    # seeded random 1-, 2- and 3-D weighted sets: level sums against K products on the
+    # N-torus, and at N past K times the reach against the exact moments
+    rng = random.Random(1700 + seed)
+    n = 1 + seed % 3
+    w = w_of(random_point_set(rng, dimension=n))
+    K = rng.randint(0, 12 if n < 3 else 6)
+    if seed % 4 == 3:  # blocks of a few character classes, and of a few primes
+        monkeypatch.setattr("speclat.specpoly._CHAR_BLOCK", rng.randint(1, 40))
+    for N in (1, 2, 3, 5, 8):
+        assert _character_power_sums(w, K, (N,) * n) == folded_moment_sweep(w, K, N)
+    reach = [max(abs(e[i]) for e in w.terms) for i in range(n)]
+    exact = exact_moment_sweep(w, K)
+    assert _character_power_sums(w, K, tuple(K * r + 1 for r in reach)) == exact
+    assert moment_sequence(w, K).values == tuple(exact)
+
+
+def test_character_power_sums_past_int64_weights():
+    # W's coefficients pass 2**64; each enters the int64 arrays reduced mod p
+    ps = WeightedPointSet(2, (((0, 0), 2**40 + 3), ((1, 0), 2**33), ((0, 1), 5), ((1, 1), 1)))
+    w = w_of(ps)
+    assert max(w.terms.values()) > 2**64
+    for N in (1, 2, 3, 4):
+        assert moment_sequence_N(w, 6, N).values == tuple(folded_moment_sweep(w, 6, N))
+    assert moment_sequence(w, 8).values == tuple(exact_moment_sweep(w, 8))
+
+
+def test_exact_moments_on_unequal_reaches(monkeypatch):
+    # reaches 2 and 12 in tight coordinates: levels 13 and 13 * 6 = 78, 1014 characters, not 73^2
+    w = w_of(WeightedPointSet(2, (((0, 0), 1), ((1, 0), 2), ((0, 1), 1), ((12, 12), 3))))
+    shapes = []
+
+    def recorded(f, K, shape):
+        shapes.append(shape)
+        return _character_power_sums(f, K, shape)
+
+    monkeypatch.setattr("speclat.moments._character_power_sums", recorded)
+    assert moment_sequence(w, 6).values == tuple(exact_moment_sweep(w, 6))
+    assert shapes == [(13, 78)]
