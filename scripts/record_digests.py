@@ -34,6 +34,11 @@ Runs ``speclat.cli.main`` in process on
   generated cube to k = 30 at level 5, chebyshev to k = 400 at levels 7
   and 401), a weighted moment-series ``mahler`` with ``hilbert``, and a
   ``moments`` level past the float cap (exit 3) (built-in sets run once);
+* jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
+  speclat.cli``), the only way to reach the paths that serve a job before
+  numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
+  a config error, and honeycomb ``padic`` over every residue of the prime
+  2^61 - 1, past the cap (each run cold, then warm, on one cache directory);
 
 and prints one ``label digest`` line per record, digested with its exit
 code and its stderr, so error messages are compared too.  Run it against two
@@ -49,6 +54,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -108,6 +114,13 @@ LARGE_JOBS = (
     # 2000^2 x 5 cells pass the float cap: exit 3 before any work
     ("moments-honeycomb-levels-cap", "honeycomb", "moments", {"k_max": 10, "levels": [2000]}),
 )
+# (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
+FRESH_JOBS = (
+    ("bn-honeycomb-hit-json", "bn", {"N": 6, "levels": [0, 9]}, "json"),
+    ("bn-honeycomb-hit-csv", "bn", {"N": 6, "levels": [0, 9]}, "csv"),
+    ("bn-config-error", "bn", {"N": 0}, "json"),
+    ("padic-honeycomb-every-residue-cap", "padic", {"p": 2**61 - 1}, "json"),
+)
 
 
 def readme_config() -> dict:
@@ -121,6 +134,15 @@ def record(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return f"exit={code}\n" + out.getvalue() + "\nstderr:\n" + err.getvalue()
+
+
+def fresh_record(argv: list[str]) -> str:
+    """``record(argv)``, run as ``python -m speclat.cli`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "speclat.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return f"exit={done.returncode}\n" + done.stdout + "\nstderr:\n" + done.stderr
 
 
 def digest(text: str) -> str:
@@ -169,6 +191,17 @@ def main() -> int:
                 with open(path, "w") as fh:
                     json.dump(gen._config(gen.generate(set_name, seed), n, command, block), fh)
                 print(f"large/{seed}/{label} {digest(record([command, '--config', path]))}")
+        for label, command, block, fmt in FRESH_JOBS:
+            path = os.path.join(work, f"fresh-{label}.json")
+            with open(path, "w") as fh:
+                json.dump(gen._config(gen.generate("honeycomb", 0), 2, command, block), fh)
+            cache = os.path.join(work, "cache", f"fresh-{label}")
+            argv = [command, "--config", path, "--cache-dir", cache, "--format", fmt]
+            cold, warm = fresh_record(argv), fresh_record(argv)
+            if warm != cold:
+                print(f"fresh/{label} cold and warm records differ")
+                return 1
+            print(f"fresh/{label} {digest(warm)}")
     return 0
 
 

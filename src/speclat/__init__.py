@@ -13,59 +13,40 @@ package computes, in exact arithmetic where the quantities are integral:
 
 and, in floating point, spectrum histograms, Hilbert transforms and
 Mahler-measure limits.  See the cli module for the command-line surface.
-The names imported below are the public API.
+The names of ``__all__`` are the public API; each is imported from its
+module on first use (PEP 562), so importing the package loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    MahlerResult,
-    SpectrumHistogram,
-    empirical_cdf,
-    hilbert_transform,
-    mahler_measure,
-    spectrum,
-)
-from .arith import (
-    FactoredInteger,
-    PrimePowerField,
-    factorize,
-    valuation_inequality_check,
-    vp,
-)
-from .catalog import builtin_point_set, chebyshev_point_set, honeycomb_point_set
-from .context import SpectralContext
-from .graph import TorusBipartiteGraph, based_walk_weight_sum, build_graph, walk_series_check
-from .lattice import (
-    LatticeBasis,
-    WeightedPointSet,
-    difference_lattice,
-    disjointness_check,
-    to_lattice_coords,
-)
-from .laurent import (
-    LaurentPoly,
-    constant_term,
-    diffraction_polynomial,
-    fold_mod_N,
-)
-from .moments import (
-    MomentSequence,
-    check_congruence,
-    chebyshev_generating_check,
-    moment_sequence,
-    moment_sequence_N,
-    product_exponents,
-    series_coefficients,
-    verify_recurrence,
-)
-from .specpoly import (
-    ConvolutionMatrix,
-    IntPolynomial,
-    convolution_matrix,
-    divides,
-    evaluate_at_integer,
-    integer_root_multiplicity,
-    spectral_polynomial,
-)
+_MODULES = {
+    "analysis": "MahlerResult SpectrumHistogram empirical_cdf hilbert_transform mahler_measure "
+    "spectrum",
+    "arith": "FactoredInteger PrimePowerField factorize valuation_inequality_check vp",
+    "catalog": "builtin_point_set chebyshev_point_set honeycomb_point_set",
+    "context": "SpectralContext",
+    "graph": "TorusBipartiteGraph based_walk_weight_sum build_graph walk_series_check",
+    "lattice": "LatticeBasis WeightedPointSet difference_lattice disjointness_check "
+    "to_lattice_coords",
+    "laurent": "LaurentPoly constant_term diffraction_polynomial fold_mod_N",
+    "moments": "MomentSequence check_congruence chebyshev_generating_check moment_sequence "
+    "moment_sequence_N product_exponents series_coefficients verify_recurrence",
+    "specpoly": "ConvolutionMatrix IntPolynomial convolution_matrix divides evaluate_at_integer "
+    "integer_root_multiplicity spectral_polynomial",
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = sorted(_HOME)
 
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

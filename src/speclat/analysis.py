@@ -24,10 +24,8 @@ import numpy as np
 
 from .context import SpectralContext
 from .errors import SizeLimit, SpectrumProximity
-from .specpoly import DEFAULT_FLOAT_CAP, character_values
-
-DEFAULT_SERIES_CAP = 1024
-MAHLER_METHODS = ("limit", "moment-series", "torus-quadrature")
+from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP
+from .specpoly import character_values
 
 
 @dataclass(frozen=True)

@@ -245,8 +245,8 @@ def valuation_inequality_check(
     ``zs``).  Each row is evaluated once at a precision p^k0 below 2^30; the
     rows with z = W(chi) mod p^k0 again at doubling precision, up to the
     p^K of the module docstring.  An infinite valuation (value 0) counts as
-    holding."""
-    zs = list(zs)
+    holding.  ``zs`` is iterated once, after the cap: a ``range`` of every
+    residue is never held as a list."""
     if not zs:
         return []
     n, cap = ctx.dimension, specpoly.DEFAULT_SIZE_LIMIT

@@ -23,11 +23,11 @@ import numpy as np
 from .context import SpectralContext
 from .errors import CosetViolation, ExplosionGuard
 from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
+from .limits import MAX_WALK_LEVEL
 from .moments import poly_log_series
 from .table import Table
 
 DEFAULT_WALK_CAP = 10**8
-MAX_WALK_LEVEL = 2**62  # a residue plus a folded delta, both below N, stays in int64
 SUFFIX_ROWS = 2**16  # most type sequences held in one suffix table
 
 

@@ -1,0 +1,8 @@
+"""Caps and choices the command table reads, free of numpy, so the CLI
+can check a config and serve a cached record without loading it."""
+
+DEFAULT_SIZE_LIMIT = 10_000  # torsion characters of an exact b_N or padic level
+DEFAULT_FLOAT_CAP = 10**7  # character values of a float torus grid
+DEFAULT_SERIES_CAP = 1024  # longest moment list of a series or congruence sweep
+MAX_WALK_LEVEL = 2**62  # a residue plus a folded delta, both below N, stays in int64
+MAHLER_METHODS = ("limit", "moment-series", "torus-quadrature")

@@ -44,9 +44,8 @@ import numpy as np
 from . import primes
 from .errors import IntegralityViolation, SizeLimit
 from .laurent import LaurentPoly, constant_term, fold_mod_N
+from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT
 
-DEFAULT_SIZE_LIMIT = 10_000
-DEFAULT_FLOAT_CAP = 10**7
 _CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
 _VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
 
@@ -159,15 +158,24 @@ def convolution_matrix(folded: LaurentPoly, N: int) -> ConvolutionMatrix:
 
 def _character_classes(f: LaurentPoly, shape: tuple[int, ...]):
     """Characters k of Z_N1 x ... x Z_Nn (shape) as k_i N / N_i mod N = lcm(shape), in
-    blocks of ``_CHAR_BLOCK`` phases: c_t per term t, then per class of equal phases
-    e_t.k mod N (sorted within each c) a column of them and its size; one value each."""
+    blocks of at most ``_CHAR_BLOCK`` phases: c_t per term t, then per class of equal
+    phases e_t.k mod N (sorted within each c) a column of them and its size; one value
+    each.  A block holds a run of the k with k <= -k (C order; all have k_1 <= N_1 / 2)
+    and the negations of those with k < -k: for a palindromic f, as W is, k and -k
+    have the same sorted phases, so each pair is one class."""
     N, m, n = math.lcm(*shape), math.prod(shape), f.dimension
     terms = sorted(f.sorted_terms() or [((0,) * n, 0)], key=lambda t: t[1])  # f = 0: c = 0
     exps = [np.array([e for e, _ in g]) for _, g in itertools.groupby(terms, lambda t: t[1])]
-    coeffs, scale = [c for _, c in terms], np.array([[N // d] for d in shape])
-    step, digits = _CHAR_BLOCK // len(coeffs) or 1, 63 // N.bit_length()
-    for start in range(0, m, step):
-        chars = np.array(np.unravel_index(np.arange(start, min(start + step, m)), shape)) * scale
+    coeffs, sizes = [c for _, c in terms], np.array(shape)[:, None]
+    step, digits = max(_CHAR_BLOCK // len(coeffs) // 2, 1), 63 // N.bit_length()
+    stop = (shape[0] // 2 + 1) * (m // shape[0])  # past the last k <= -k
+    for start in range(0, stop, step):
+        index = np.arange(start, min(start + step, stop))
+        neg = np.ravel_multi_index(-np.array(np.unravel_index(index, shape)) % sizes, shape)
+        index = np.concatenate([index[index <= neg], neg[index < neg]])
+        if not index.size:  # a run of k > -k only
+            continue
+        chars = np.array(np.unravel_index(index, shape)) * (N // sizes)
         phases = np.concatenate([np.sort(e @ chars % N, axis=0) for e in exps])
         # sort, then run-length, by int64 keys that each read ``digits`` phases in base N
         keys = [phases[j : j + digits] for j in range(0, len(phases), digits)]

@@ -329,8 +329,8 @@ def test_walk_cap_checked_before_enumeration(tmp_path, capsys, monkeypatch, bloc
     def refuse(*args, **kwargs):
         raise AssertionError("walks enumerated past the job's cap")
 
-    monkeypatch.setattr("speclat.cli.based_walk_weight_sum", refuse)
-    monkeypatch.setattr("speclat.cli.walk_series_check", refuse)
+    monkeypatch.setattr("speclat.graph.based_walk_weight_sum", refuse)
+    monkeypatch.setattr("speclat.graph.walk_series_check", refuse)
     cfg = dict(HONEYCOMB_CFG)
     cfg["walks"] = block
     code = main(["walks", "--config", write_cfg(tmp_path, cfg)] + argv)
@@ -353,9 +353,9 @@ def test_moments_cap_checked_before_any_sweep(tmp_path, capsys, monkeypatch, blo
     def refuse(*args, **kwargs):
         raise AssertionError("moments swept past the job's cap")
 
-    monkeypatch.setattr("speclat.cli.SpectralContext.moment_sequence", refuse)
-    monkeypatch.setattr("speclat.cli.check_congruence", refuse)
-    monkeypatch.setattr("speclat.cli.moment_sequence_N", refuse)
+    monkeypatch.setattr("speclat.context.SpectralContext.moment_sequence", refuse)
+    monkeypatch.setattr("speclat.moments.check_congruence", refuse)
+    monkeypatch.setattr("speclat.moments.moment_sequence_N", refuse)
     cfg = dict(HONEYCOMB_CFG)
     cfg["moments"] = block
     cache = tmp_path / "cache"
@@ -395,8 +395,8 @@ def test_float_cap_checked_before_any_sweep(
     def refuse(*args, **kwargs):
         raise AssertionError("swept past the float cap")
 
-    monkeypatch.setattr("speclat.cli.moment_sequence_N", refuse)
-    monkeypatch.setattr("speclat.cli.SpectralContext.moment_sequence", refuse)
+    monkeypatch.setattr("speclat.moments.moment_sequence_N", refuse)
+    monkeypatch.setattr("speclat.context.SpectralContext.moment_sequence", refuse)
     cfg = dict(HONEYCOMB_CFG)
     cfg[command] = block
     cache = tmp_path / "cache"
@@ -497,7 +497,7 @@ def test_moments_levels_cap_admits_levels_up_to_it(tmp_path, small_float_cap):
 def test_moments_cap_admits_sweeps_up_to_it(tmp_path, monkeypatch):
     swept = []
     monkeypatch.setattr(
-        "speclat.cli.check_congruence", lambda w, p, k, a: swept.append((p, k, a)) or True
+        "speclat.moments.check_congruence", lambda w, p, k, a: swept.append((p, k, a)) or True
     )
     cfg = dict(HONEYCOMB_CFG)
     cfg["moments"] = {"k_max": 2, "congruences": [[2, 1, 9], [2, 0, 10**9]], "series": False}
@@ -964,6 +964,18 @@ def test_padic_huge_nu_exit_3_before_work(tmp_path, monkeypatch, capsys, nu):
     err = capsys.readouterr().err
     assert code == 3 and fields == []
     assert err == f"speclat: resource cap: (2^{nu} - 1)^2 torsion characters exceed cap 10000\n"
+
+
+@pytest.mark.parametrize("p", [2**25 - 39, 2**31 - 1, 2**61 - 1, 10**30 + 57])
+def test_padic_every_residue_of_a_large_prime_exit_3(tmp_path, capsys, p):
+    # no z_values: every residue mod p is asked for, refused before any is listed
+    cfg = dict(HONEYCOMB_CFG, padic={"p": p})
+    start = time.perf_counter()
+    code, _ = run(tmp_path, cfg, ["padic", "--config", write_cfg(tmp_path, cfg)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"speclat: resource cap: ({p}^1 - 1)^2 torsion characters exceed cap 10000\n")
 
 
 def test_bn_huge_level_cap_message(tmp_path, capsys):

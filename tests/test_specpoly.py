@@ -16,6 +16,7 @@ from speclat.laurent import constant_term, diffraction_polynomial, fold_mod_N
 from speclat.moments import moment_sequence, moment_sequence_N
 from speclat.specpoly import (
     IntPolynomial,
+    _character_classes,
     _character_power_sums,
     _character_rows,
     _maclaurin_bound,
@@ -473,3 +474,22 @@ def test_exact_moments_on_unequal_reaches(monkeypatch):
     monkeypatch.setattr("speclat.moments._character_power_sums", recorded)
     assert moment_sequence(w, 6).values == tuple(exact_moment_sweep(w, 6))
     assert shapes == [(13, 78)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_character_classes_pair_each_k_with_its_negation(seed, monkeypatch):
+    # in four or more blocks the power sums are those of one block, and each block
+    # merges every k with -k: at most (m + #{k = -k}) / 2 classes over all blocks
+    rng = random.Random(1800 + seed)
+    n = 1 + seed % 3
+    w = w_of(random_point_set(rng, dimension=n))
+    shape = tuple(rng.randint(*[(8, 40), (3, 12), (2, 6)][n - 1]) for _ in range(n))
+    m, K, f = math.prod(shape), rng.randint(1, 8), fold_mod_N(w, math.lcm(*shape))
+    one_block = _character_power_sums(w, K, shape)
+    monkeypatch.setattr("speclat.specpoly._CHAR_BLOCK", 2 * len(f.terms) * max(m // 10, 1))
+    blocks = list(_character_classes(f, shape))
+    assert len(blocks) >= 4
+    assert sum(int(mult.sum()) for _, _, mult in blocks) == m
+    self_negating = math.prod(2 if N % 2 == 0 else 1 for N in shape)
+    assert sum(phases.shape[1] for _, phases, _ in blocks) <= (m + self_negating) // 2
+    assert _character_power_sums(w, K, shape) == one_block
