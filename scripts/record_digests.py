@@ -32,8 +32,10 @@ Runs ``speclat.cli.main`` in process on
   p = 9973 over every residue; ``moments`` past the benchmark's sizes
   (honeycomb to k = 200 with levels up to 60 and three congruences, the
   generated cube to k = 30 at level 5, chebyshev to k = 400 at levels 7
-  and 401), a weighted moment-series ``mahler`` with ``hilbert``, and a
-  ``moments`` level past the float cap (exit 3) (built-in sets run once);
+  and 401), a weighted moment-series ``mahler`` with ``hilbert``, a
+  ``moments`` level past the float cap, and a honeycomb ``bn`` divisor
+  check and ``walks`` series check at a level past the b_N cap (these three
+  exit 3) (built-in sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
   numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
@@ -113,6 +115,9 @@ LARGE_JOBS = (
      {"z": 60.0, "tol": 1e-4, "methods": ["moment-series"], "hilbert": True, "hilbert_tol": 1e-8}),
     # 2000^2 x 5 cells pass the float cap: exit 3 before any work
     ("moments-honeycomb-levels-cap", "honeycomb", "moments", {"k_max": 10, "levels": [2000]}),
+    # a divisor check's level, and a walk series' level, past the b_N cap: exit 3
+    ("bn-honeycomb-divisor-cap", "honeycomb", "bn", {"N": 40, "divisor_checks": [[1, 101]]}),
+    ("walks-honeycomb-series-cap", "honeycomb", "walks", {"N": 101, "series_z": 10}),
 )
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

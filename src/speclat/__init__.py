@@ -31,10 +31,10 @@ _MODULES = {
     "lattice": "LatticeBasis WeightedPointSet difference_lattice disjointness_check "
     "to_lattice_coords",
     "laurent": "LaurentPoly constant_term diffraction_polynomial fold_mod_N",
-    "moments": "MomentSequence check_congruence chebyshev_generating_check moment_sequence "
-    "moment_sequence_N product_exponents series_coefficients verify_recurrence",
-    "specpoly": "ConvolutionMatrix IntPolynomial convolution_matrix divides evaluate_at_integer "
-    "integer_root_multiplicity spectral_polynomial",
+    "moments": "MomentSequence check_congruence moment_sequence moment_sequence_N "
+    "product_exponents series_coefficients verify_recurrence",
+    "specpoly": "IntPolynomial divides evaluate_at_integer integer_root_multiplicity "
+    "spectral_polynomial",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -24,6 +24,7 @@ from functools import lru_cache
 from . import primes, specpoly
 from .errors import SizeLimit
 from .context import SpectralContext
+from .laurent import fold_mod_N
 
 _TRIAL_LIMIT = 10**6
 _RHO_ROUNDS = 64
@@ -254,7 +255,8 @@ def valuation_inequality_check(
     if n * (nu * (p.bit_length() - 1) - 1) >= cap.bit_length():
         raise SizeLimit(f"({p}^{nu} - 1)^{n} torsion characters exceed cap {cap}")
     N = p**nu - 1
-    rows = specpoly._character_rows(specpoly._folded_level(ctx.w, N, cap), N)
+    specpoly.check_level(N, n, cap)
+    rows = specpoly._character_rows(fold_mod_N(ctx.w, N), N)
     field = PrimePowerField(p, nu)
     g, F, k0 = field.generator(), field.modulus, 30 // p.bit_length()
     *_, (_, zeta) = _teichmuller(field, g, k0)

@@ -178,9 +178,12 @@ class Param(NamedTuple):
 
 
 def _run_bn(ctx: SpectralContext, params: dict) -> dict:
-    from .specpoly import divides, evaluate_at_integer, integer_root_multiplicity
+    from .specpoly import check_level, divides, evaluate_at_integer, integer_root_multiplicity
 
     N, size_limit = params["N"], params["size_limit"]
+    # every level the job reads, in the order it reads them, before any b_N
+    for level in (N, *itertools.chain.from_iterable(params["divisor_checks"])):
+        check_level(level, ctx.dimension, size_limit)
     poly = ctx.spectral_polynomial(N, size_limit)
     return {
         "N": N,
@@ -243,6 +246,7 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
 
 def _run_walks(ctx: SpectralContext, params: dict) -> dict:
     from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
+    from .specpoly import check_level
 
     N, kmax, z, K = params["N"], params["k_max"], params["series_z"], params["series_K"]
     # the job's longest enumeration, over (points)^2 type pairs, before any work
@@ -250,7 +254,9 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
     if params["export_graph"] and N**ctx.dimension > DEFAULT_SIZE_LIMIT:
         raise SizeLimit(f"walks export_graph: {N}^{ctx.dimension} vertices per colour "
                         f"exceed cap {DEFAULT_SIZE_LIMIT}")
-    G = build_graph(ctx.ps, ctx.basis, N)
+    G = build_graph(ctx.ps, ctx.basis, N)  # a CosetViolation exits 2 before the level cap
+    if z is not None:  # the series check reads b_N
+        check_level(N, ctx.dimension, DEFAULT_SIZE_LIMIT)
     totals = [based_walk_weight_sum(G, k) for k in range(1, kmax + 1)]
     payload = {
         "N": N,

@@ -5,6 +5,7 @@ characters chi; m_k, the constant term of W**k, is that mean over the
 characters of Z_N1 x ... x Z_Nn, each N_i > k * reach_i (tight coordinates),
 where no nonzero exponent of W**k folds onto 0.  Both are character power
 sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1).
+``poly_log_series`` serves the walk and generating-series checks.
 
 Everything in this module is exact: Python integers and Fractions only.
 """
@@ -17,11 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import primes
-from .catalog import chebyshev_point_set
 from .errors import IntegralityViolation
-from .lattice import difference_lattice
-from .laurent import LaurentPoly, _moment_sweep, _tight_form, diffraction_polynomial
-from .specpoly import IntPolynomial, _character_power_sums, evaluate_at_integer, spectral_polynomial
+from .laurent import LaurentPoly, _moment_sweep, _tight_form
+from .specpoly import IntPolynomial, _character_power_sums
 
 Recurrence = Sequence[tuple[int, Sequence[int]]]
 
@@ -172,39 +171,3 @@ def poly_log_series(p: IntPolynomial, K: int) -> list[Fraction]:
         s = k * f[k] - sum(j * g[j] * f[k - j] for j in range(1, k))
         g.append(s / k)
     return g[1:]
-
-
-def _series_inverse(c: list[Fraction], K: int) -> list[Fraction]:
-    inv = [1 / c[0]]
-    for k in range(1, K + 1):
-        s = sum(c[j] * inv[k - j] for j in range(1, min(k, len(c) - 1) + 1))
-        inv.append(-s / c[0])
-    return inv
-
-
-def chebyshev_generating_check(z: int, K: int) -> bool:
-    """For the two-point line example: the spectral values at integer z,
-    divided by the level, are the coefficients of
-    -log(1 - (z - 4) T / (1 - T)^2), checked through order K exactly."""
-    ps = chebyshev_point_set()
-    w = diffraction_polynomial(ps, difference_lattice(ps))
-    lhs = [
-        Fraction(evaluate_at_integer(spectral_polynomial(w, N), z), N)
-        for N in range(1, K + 1)
-    ]
-    # u(T) = (z-4) T / (1-T)^2, truncated
-    inv_sq = _series_inverse([Fraction(1), Fraction(-2), Fraction(1)], K)
-    u = [Fraction(0)] + [Fraction(z - 4) * c for c in inv_sq[:K]]
-    # -log(1-u) = sum u^m / m
-    rhs = [Fraction(0)] * (K + 1)
-    upow = [Fraction(1)] + [Fraction(0)] * K
-    for m in range(1, K + 1):
-        nxt = [Fraction(0)] * (K + 1)
-        for i, a in enumerate(upow):
-            if a:
-                for j in range(1, min(K - i, K) + 1):
-                    nxt[i + j] += a * u[j]
-        upow = nxt
-        for i in range(K + 1):
-            rhs[i] += upow[i] / m
-    return lhs == rhs[1 : K + 1]

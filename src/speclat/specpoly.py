@@ -27,8 +27,8 @@ reals (Hardy, Littlewood and Polya, Inequalities, 2.22) then bounds their
 elementary symmetric functions, e_j <= binom(m, j) c0**j, so the
 coefficient of z**(m - j), +-e_j, is bounded, whichever primes were used.
 
-The convolution matrix of the folded polynomial is kept for the walk/trace
-bridge: its eigenvalues are the same character values.
+The walk/trace bridge of the verify suite builds its own small matrix of
+multiplication by W: its eigenvalues are the same character values.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT
 
 _CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
 _VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
+_PRIME_START = 2**62  # b_N's split primes descend from here
 
 
 @dataclass(frozen=True)
@@ -118,39 +119,6 @@ def integer_root_multiplicity(p: IntPolynomial, r: int) -> int:
         mult += 1
         coeffs = quot
     return mult
-
-
-@dataclass(frozen=True)
-class ConvolutionMatrix:
-    """Matrix of multiplication by a folded polynomial on the quotient
-    residues (lexicographic order).  Symmetric with constant row sum when
-    the polynomial is palindromic with positive coefficients."""
-
-    N: int
-    dimension: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-def convolution_matrix(folded: LaurentPoly, N: int) -> ConvolutionMatrix:
-    """Entry (i, j) is the folded coefficient at residue rep_j - rep_i."""
-    n = folded.dimension
-    size = N**n
-    if size > DEFAULT_SIZE_LIMIT:
-        raise SizeLimit(f"matrix size {size} exceeds cap {DEFAULT_SIZE_LIMIT}")
-    reps = list(itertools.product(range(N), repeat=n))
-    coeffs = fold_mod_N(folded, N).terms
-    rows = []
-    for vi in reps:
-        row = []
-        for vj in reps:
-            delta = tuple((x - y) % N for x, y in zip(vj, vi))
-            row.append(coeffs.get(delta, 0))
-        rows.append(tuple(row))
-    return ConvolutionMatrix(N, n, tuple(rows))
 
 
 # -- exact spectral polynomial by split primes ----------------------------------
@@ -256,9 +224,9 @@ def _crt(residues, moduli: list[int]) -> list[int]:
     return [x - mod if x > mod // 2 else x for x in lifted]
 
 
-def _split_prime_lift(folded: LaurentPoly, N: int, prime_start: int = 2**62) -> IntPolynomial:
+def _split_prime_lift(folded: LaurentPoly, N: int) -> IntPolynomial:
     """prod over the N-torsion characters chi of (z - W(chi)), exactly,
-    computed modulo primes p = 1 (mod N) descending below ``prime_start``
+    computed modulo primes p = 1 (mod N) descending below ``_PRIME_START``
     and lifted by CRT past the bound of the module docstring."""
     rows = _character_rows(folded, N)
     need = 2 * _maclaurin_bound(N**folded.dimension, constant_term(folded)) + 1
@@ -270,7 +238,7 @@ def _split_prime_lift(folded: LaurentPoly, N: int, prime_start: int = 2**62) -> 
         values = [sum(a * powers[r] for r, a in row) % p for row in rows]
         return _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
 
-    moduli = _split_primes(N, need, prime_start)
+    moduli = _split_primes(N, need, _PRIME_START)
     return IntPolynomial(tuple(_crt(map(residues, moduli), moduli)))
 
 
@@ -309,12 +277,12 @@ def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]) -> lis
     return [s // m for s in lifted]
 
 
-def _folded_level(w: LaurentPoly, N: int, size_limit: int) -> LaurentPoly:
+def check_level(N: int, n: int, size_limit: int) -> None:
+    """Raise unless level N >= 1 has at most ``size_limit`` torsion characters, N^n."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N**w.dimension > size_limit:
-        raise SizeLimit(f"{N}^{w.dimension} torsion characters exceed cap {size_limit}")
-    return fold_mod_N(w, N)
+    if N**n > size_limit:
+        raise SizeLimit(f"{N}^{n} torsion characters exceed cap {size_limit}")
 
 
 def spectral_polynomial(
@@ -324,7 +292,8 @@ def spectral_polynomial(
     the diffraction polynomial w at all N-torsion characters.  w must be a
     diffraction polynomial: the certified bound rests on its nonnegative
     character values."""
-    return _split_prime_lift(_folded_level(w, N, size_limit), N)
+    check_level(N, w.dimension, size_limit)
+    return _split_prime_lift(fold_mod_N(w, N), N)
 
 
 # -- floating-point character evaluation ---------------------------------------

@@ -84,6 +84,19 @@ def berkowitz_charpoly(rows):
     return tuple(vec)
 
 
+def convolution_matrix(f, N):
+    """Rows of the matrix of multiplication by f folded mod N on the
+    residues mod N (lexicographic order): entry (i, j) is the folded
+    coefficient at residue rep_j - rep_i.  Its eigenvalues are f at the
+    N-torsion characters."""
+    reps = list(itertools.product(range(N), repeat=f.dimension))
+    coeffs = fold_mod_N(f, N).terms
+    return tuple(
+        tuple(coeffs.get(tuple((x - y) % N for x, y in zip(vj, vi)), 0) for vj in reps)
+        for vi in reps
+    )
+
+
 # -- characteristic polynomial by Hessenberg reduction and CRT -----------------
 
 
@@ -146,14 +159,12 @@ def _coefficient_bound(rows):
     return best
 
 
-def charpoly_exact(matrix, prime_start=2**62):
-    """Exact monic characteristic polynomial of a square integer matrix.
-
-    Accepts a ConvolutionMatrix or any sequence of integer rows.  Residues
-    are computed modulo descending word-sized primes until their product
-    exceeds twice the coefficient bound, then lifted symmetrically.
+def charpoly_exact(rows, prime_start=2**62):
+    """Exact monic characteristic polynomial of a square integer matrix,
+    given as a sequence of integer rows.  Residues are computed modulo
+    descending word-sized primes until their product exceeds twice the
+    coefficient bound, then lifted symmetrically.
     """
-    rows = getattr(matrix, "rows", matrix)
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValueError("matrix must be square")

@@ -8,7 +8,9 @@ import pytest
 
 from speclat.catalog import builtin_point_set
 from speclat.context import SpectralContext
-from speclat.verify import CRITERIA
+from speclat.laurent import LaurentPoly, fold_mod_N
+from speclat.specpoly import IntPolynomial
+from speclat.verify import CRITERIA, _check_generating_series
 
 
 @pytest.mark.parametrize(
@@ -21,3 +23,41 @@ def test_criterion(cid, example, check):
     line = f"{'PASS' if passed else 'FAIL'} {cid}: {detail}"
     print(line)
     assert passed, line
+
+
+# -- mutations the rewritten criteria must catch ----------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 9, 17])
+def test_generating_series_fails_when_one_value_is_off_by_one(cheb_ctx, monkeypatch, N):
+    exact = cheb_ctx.spectral_polynomial
+
+    def off_by_one(level, *args):
+        # b_N(6) + 1: the constant coefficient moves by one
+        p = exact(level, *args)
+        return IntPolynomial((p.coefficients[0] + (level == N), *p.coefficients[1:]))
+
+    monkeypatch.setattr(cheb_ctx, "spectral_polynomial", off_by_one)
+    passed, _ = _check_generating_series(cheb_ctx, 6, 17)
+    assert not passed
+
+
+@pytest.mark.parametrize("example", ["chebyshev", "honeycomb"])
+@pytest.mark.parametrize("at", ["constant", "pair"])
+def test_walk_bridge_fails_on_a_matrix_of_a_perturbed_w(monkeypatch, example, at):
+    cid = f"c09-walk-bridge-{example}"
+    [check] = [check for c, _, check in CRITERIA if c == cid]
+
+    def perturbed(w, N):
+        # W + 1 at the origin, or W + x^e + x^-e at its largest residue e (the origin
+        # at N = 1): past N = 1 the second keeps the trace, so k >= 2 must catch it
+        f = fold_mod_N(w, N)
+        terms, zero = dict(f.terms), (0,) * f.dimension
+        e = zero if at == "constant" else max(terms)
+        for r in {e, tuple(-x % N for x in e)}:
+            terms[r] = terms.get(r, 0) + 1
+        return LaurentPoly(f.dimension, terms)
+
+    monkeypatch.setattr("speclat.verify.fold_mod_N", perturbed)
+    passed, _ = check(SpectralContext(builtin_point_set(example)))
+    assert not passed

@@ -987,6 +987,37 @@ def test_bn_huge_level_cap_message(tmp_path, capsys):
     assert err == f"speclat: resource cap: {10**2200}^2 torsion characters exceed cap 10000\n"
 
 
+# the first computation each job would reach: a b_N, or a walk total
+WORK = {"bn": "speclat.specpoly._split_prime_lift", "walks": "speclat.graph.based_walk_weight_sum"}
+
+
+@pytest.mark.parametrize(
+    "command, block, level",
+    [
+        # b_40 would take about a second before the divisor check's b_101 is refused
+        ("bn", {"N": 40, "divisor_checks": [[1, 101]]}, 101),
+        # levels are checked in the order the job reads them: N, then d and n of each pair
+        ("bn", {"N": 150, "divisor_checks": [[101, 150]]}, 150),
+        ("bn", {"N": 6, "divisor_checks": [[2, 6], [1, 202], [101, 6]]}, 202),
+        # the series check reads b_101, after every walk total is enumerated
+        ("walks", {"N": 101, "series_z": 10}, 101),
+    ],
+    ids=["bn-divisor", "bn-level", "bn-order", "walks-series"],
+)
+def test_every_level_capped_before_any_work(tmp_path, monkeypatch, capsys, command, block, level):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} worked before every level was checked")
+
+    monkeypatch.setattr(WORK[command], refuse)
+    cfg = dict(HONEYCOMB_CFG, **{command: block})
+    start = time.perf_counter()
+    code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"speclat: resource cap: {level}^2 torsion characters exceed cap 10000\n")
+
+
 def test_config_integer_past_digit_limit_exit_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(HONEYCOMB_CFG)[:-1] + ', "bn": {"N": 1' + "0" * 5000 + "}}")
@@ -1094,12 +1125,14 @@ def test_rank_deficient_point_set_exit_2(tmp_path, capsys, command):
 def test_walks_on_point_set_meeting_its_lattice_exit_2(tmp_path, capsys):
     cache = tmp_path / "cache"
     cfg_path = write_cfg(tmp_path, MEETS_LATTICE_CFG)
-    code = main(["walks", "--config", cfg_path, "--cache-dir", str(cache)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("speclat: config error: invalid point set for walks: ")
-    assert "meets its difference lattice" in err
-    assert not list(cache.glob("*.json"))
+    # a series level past the b_N cap is checked only once the graph is built
+    for argv in ([], ["--N", "101", "--series-z", "10"]):
+        code = main(["walks", "--config", cfg_path, "--cache-dir", str(cache)] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("speclat: config error: invalid point set for walks: ")
+        assert "meets its difference lattice" in err
+        assert not list(cache.glob("*.json"))
     # the other commands have no use for the bipartite graph
     code, out = run(tmp_path, MEETS_LATTICE_CFG,
                     ["bn", "--config", cfg_path, "--cache-dir", str(cache)])

@@ -11,7 +11,6 @@ from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import LaurentPoly, _moment_sweep, constant_term, diffraction_polynomial
 from speclat.moments import (
     MomentSequence,
-    chebyshev_generating_check,
     check_congruence,
     moment_sequence,
     moment_sequence_N,
@@ -20,9 +19,16 @@ from speclat.moments import (
     series_coefficients,
     verify_recurrence,
 )
-from speclat.specpoly import _character_power_sums, convolution_matrix, spectral_polynomial
+from speclat.specpoly import _character_power_sums, spectral_polynomial
+from speclat.verify import _check_generating_series
 
-from _oracles import exact_moment_sweep, folded_moment_sweep, is_palindromic, power
+from _oracles import (
+    convolution_matrix,
+    exact_moment_sweep,
+    folded_moment_sweep,
+    is_palindromic,
+    power,
+)
 from conftest import random_point_set
 
 HONEYCOMB_RECURRENCE = (
@@ -106,13 +112,13 @@ def test_trace_cross_check(w_honey, w_cheb):
     # matrix; matrix powers computed by plain integer matmul here
     for w, n in ((w_honey, 2), (w_cheb, 1)):
         for N in (1, 2, 3, 4):
-            m = convolution_matrix(w, N)
-            size = m.size
+            rows = convolution_matrix(w, N)
+            size = len(rows)
             acc = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
             for k in range(1, 7):
                 acc = [
                     [
-                        sum(acc[i][t] * m.rows[t][j] for t in range(size))
+                        sum(acc[i][t] * rows[t][j] for t in range(size))
                         for j in range(size)
                     ]
                     for i in range(size)
@@ -354,10 +360,10 @@ def test_recurrence_rejects_wrong_coefficients(w_honey):
 # -- generating series and formal logs ---------------------------------------------
 
 
-def test_chebyshev_generating_series():
-    assert chebyshev_generating_check(6, 10)
-    assert chebyshev_generating_check(5, 5)
-    assert chebyshev_generating_check(4, 4)
+def test_chebyshev_generating_series(cheb_ctx):
+    # -log(1 - (z - 4) T / (1 - T)^2) = -log(1 - (z - 2) T + T^2) + 2 log(1 - T)
+    for z, K in ((6, 10), (5, 5), (4, 4), (7, 12), (0, 9), (-3, 8), (100, 10)):
+        assert _check_generating_series(cheb_ctx, z, K)[0]
 
 
 def test_poly_log_matches_level_moments(w_honey):

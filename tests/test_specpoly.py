@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat import primes
+from speclat import primes, specpoly
 from speclat.arith import valuation_inequality_check, vp
 from speclat.analysis import _log_average
 from speclat.context import SpectralContext
@@ -23,7 +24,6 @@ from speclat.specpoly import (
     _mul_mod,
     _split_prime_lift,
     character_values,
-    convolution_matrix,
     divides,
     evaluate_at_integer,
     integer_root_multiplicity,
@@ -33,6 +33,7 @@ from speclat.specpoly import (
 from _oracles import (
     berkowitz_charpoly,
     charpoly_exact,
+    convolution_matrix,
     crt_point_values,
     exact_moment_sweep,
     folded_moment_sweep,
@@ -54,37 +55,29 @@ def folded(ps, N):
 
 
 def test_matrix_honeycomb_n1(honeycomb):
-    m = convolution_matrix(folded(honeycomb, 1), 1)
-    assert m.rows == ((9,),)
+    assert convolution_matrix(folded(honeycomb, 1), 1) == ((9,),)
 
 
 def test_matrix_cheb_n2(chebyshev):
-    m = convolution_matrix(folded(chebyshev, 2), 2)
-    assert m.rows == ((2, 2), (2, 2))
+    assert convolution_matrix(folded(chebyshev, 2), 2) == ((2, 2), (2, 2))
 
 
 def test_matrix_honeycomb_n2(honeycomb):
-    m = convolution_matrix(folded(honeycomb, 2), 2)
-    assert m.size == 4
+    rows = convolution_matrix(folded(honeycomb, 2), 2)
+    assert len(rows) == 4
     for i in range(4):
-        assert m.rows[i][i] == 3
-        assert sum(m.rows[i]) == 9
+        assert rows[i][i] == 3
+        assert sum(rows[i]) == 9
         for j in range(4):
-            assert m.rows[i][j] == m.rows[j][i]
-            assert m.rows[i][j] >= 0
+            assert rows[i][j] == rows[j][i]
+            assert rows[i][j] >= 0
 
 
 def test_matrix_trace_identity(honeycomb):
     for N in (2, 3, 4):
         f = folded(honeycomb, N)
-        m = convolution_matrix(f, N)
-        assert sum(m.rows[i][i] for i in range(m.size)) == N**2 * f.terms[(0, 0)]
-
-
-def test_size_limit(honeycomb, monkeypatch):
-    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 10)
-    with pytest.raises(SizeLimit):
-        convolution_matrix(folded(honeycomb, 7), 7)
+        rows = convolution_matrix(f, N)
+        assert sum(rows[i][i] for i in range(len(rows))) == N**2 * f.terms[(0, 0)]
 
 
 # -- exact characteristic polynomials (Hessenberg oracle) -----------------------
@@ -139,10 +132,11 @@ def test_split_primes_small_start():
 
 def test_charpoly_prime_set_independence(honeycomb):
     f = folded(honeycomb, 3)
-    a = _split_prime_lift(f, 3)
-    b = _split_prime_lift(f, 3, prime_start=2**61)
-    c = _split_prime_lift(f, 3, prime_start=2**31)
-    assert a == b == c == spectral_polynomial(w_of(honeycomb), 3)
+    lifts = []
+    for start in (2**62, 2**61, 2**31):
+        with mock.patch.object(specpoly, "_PRIME_START", start):
+            lifts.append(_split_prime_lift(f, 3))
+    assert lifts[0] == lifts[1] == lifts[2] == spectral_polynomial(w_of(honeycomb), 3)
 
 
 def _newton_power_sums(p: IntPolynomial, K: int) -> list[int]:
@@ -170,7 +164,7 @@ def test_split_prime_matches_berkowitz(seed):
     f = fold_mod_N(w, N)
     p = spectral_polynomial(w, N)
     assert p.is_monic and p.degree == N**n
-    assert p.coefficients == berkowitz_charpoly(convolution_matrix(f, N).rows)
+    assert p.coefficients == berkowitz_charpoly(convolution_matrix(f, N))
     bound = _maclaurin_bound(N**n, constant_term(f))
     assert max(abs(c) for c in p.coefficients) <= bound
     level = moment_sequence_N(w, 6, N).values[1:]
@@ -215,9 +209,10 @@ def engine_cases(draw):
 def test_tree_matches_linear_factors_and_berkowitz(case):
     w, N, start = case
     f = fold_mod_N(w, N)
-    tree = _split_prime_lift(f, N, start)
+    with mock.patch.object(specpoly, "_PRIME_START", start):
+        tree = _split_prime_lift(f, N)
     assert tree == linear_factor_lift(f, N, start)
-    assert tree.coefficients == berkowitz_charpoly(convolution_matrix(f, N).rows)
+    assert tree.coefficients == berkowitz_charpoly(convolution_matrix(f, N))
 
 
 @settings(max_examples=60)
@@ -226,7 +221,8 @@ def test_point_values_match_horner(case, extra):
     # the CRT point-value oracle, which the padic tests read, against Horner on the tree's b_N
     w, N, start = case
     f = fold_mod_N(w, N)
-    poly = _split_prime_lift(f, N, start)
+    with mock.patch.object(specpoly, "_PRIME_START", start):
+        poly = _split_prime_lift(f, N)
     C2 = sum(w.terms.values())
     for zs in ((0, -1, -C2, C2, C2 + 1, *range(C2 + 1)), (10**6, -(10**9), *extra)):
         values = crt_point_values(f, N, zs, start)
@@ -343,9 +339,9 @@ def test_honeycomb_value_53(w_honey):
 def test_trace_coefficient(honeycomb, chebyshev):
     for ps, N in ((honeycomb, 3), (chebyshev, 5)):
         f = folded(ps, N)
-        m = convolution_matrix(f, N)
-        p = charpoly_exact(m)
-        assert p.coefficients[p.degree - 1] == -sum(m.rows[i][i] for i in range(m.size))
+        rows = convolution_matrix(f, N)
+        p = charpoly_exact(rows)
+        assert p.coefficients[p.degree - 1] == -sum(rows[i][i] for i in range(len(rows)))
 
 
 def test_divides(w_honey):
