@@ -35,7 +35,11 @@ Runs ``speclat.cli.main`` in process on
   and 401), a weighted moment-series ``mahler`` with ``hilbert``, a
   ``moments`` level past the float cap, and a honeycomb ``bn`` divisor
   check and ``walks`` series check at a level past the b_N cap (these three
-  exit 3) (built-in sets run once);
+  exit 3); honeycomb ``walks`` series checks past ``k_max`` and with no walk
+  lengths; honeycomb ``spectrum`` with a grid past the float cap, and
+  ``mahler`` with a Hilbert series past the series cap and with a
+  quadrature resolution past the float cap (these three exit 3) (built-in
+  sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
   numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
@@ -118,6 +122,18 @@ LARGE_JOBS = (
     # a divisor check's level, and a walk series' level, past the b_N cap: exit 3
     ("bn-honeycomb-divisor-cap", "honeycomb", "bn", {"N": 40, "divisor_checks": [[1, 101]]}),
     ("walks-honeycomb-series-cap", "honeycomb", "walks", {"N": 101, "series_z": 10}),
+    # a walk series read past k_max, and one with no walk lengths at all
+    ("walks-honeycomb-series-past-k", "honeycomb", "walks",
+     {"N": 3, "k_max": 2, "series_z": 10, "series_K": 5}),
+    ("walks-honeycomb-series-empty", "honeycomb", "walks",
+     {"N": 3, "k_max": 0, "series_z": 10, "series_K": 0}),
+    # float grids and moment series past their caps: exit 3
+    ("spectrum-honeycomb-grid-cap", "honeycomb", "spectrum", {"N": 3000, "grid": 4000}),
+    ("mahler-honeycomb-series-cap", "honeycomb", "mahler",
+     {"z": 9.02, "methods": ["limit", "torus-quadrature"], "resolution": 3000,
+      "hilbert_tol": 1e-10}),
+    ("mahler-honeycomb-resolution-cap", "honeycomb", "mahler",
+     {"z": 12.0, "methods": ["limit", "torus-quadrature"], "resolution": 5000}),
 )
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

@@ -118,40 +118,38 @@ def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
 # -- Hilbert transform ----------------------------------------------------------
 
 
-def _series_length(ratio: float, scale: float, tol: float, cap: float) -> int:
-    # smallest K with ratio^(K+1) / scale < tol
+def _series_length(ratio: float, scale: float, tol: float) -> int:
+    # smallest K with ratio^(K+1) / scale < tol, held to the series cap
     if not 0 < ratio < 1:
         raise ValueError("series method needs |z| above the spectrum top")
     K = max(1, math.ceil(math.log(tol * scale) / math.log(ratio)) + 1)
-    if K > cap:
-        raise SizeLimit(
-            f"series needs {K} moments (cap {cap}); z is too close to the "
-            "spectrum top for the moment series"
-        )
+    if K > DEFAULT_SERIES_CAP:
+        raise SizeLimit(f"series needs {K} moments (cap {DEFAULT_SERIES_CAP}); z is too close "
+                        "to the spectrum top for the moment series")
     return K
 
 
-def _hilbert_length(C2: int, z: complex, tol: float, cap: float = math.inf) -> int:
-    return _series_length(C2 / abs(z), abs(z) - C2, tol, cap)
+def _hilbert_length(C2: int, z: complex, tol: float) -> int:
+    return _series_length(C2 / abs(z), abs(z) - C2, tol)
 
 
-def _mahler_length(C2: int, z: complex, tol: float, cap: float = math.inf) -> int:
-    return _series_length(C2 / abs(z), 1 - C2 / abs(z), tol / 10, cap)
+def _mahler_length(C2: int, z: complex, tol: float) -> int:
+    return _series_length(C2 / abs(z), 1 - C2 / abs(z), tol / 10)
 
 
 def sweep_series_moments(
     ctx: SpectralContext, z: complex, mahler_tol: float | None, hilbert_tol: float | None
 ) -> None:
-    """Read the moments once, to the longer of the series that the
-    moment-series routes of mahler_measure and hilbert_transform will read
-    at these tolerances (None: that route is not taken) with the default
-    series cap.  A length over the cap is left for the route to refuse."""
+    """Read the moments once, to the longer of the series that the moment-series
+    routes of mahler_measure and hilbert_transform will read at these tolerances
+    (None: that route is not taken).  Raises SizeLimit before any work when a
+    length passes ``DEFAULT_SERIES_CAP``, Mahler's checked first."""
     C2 = ctx.ps.total_weight**2
     K = max(
         _mahler_length(C2, z, mahler_tol) if mahler_tol is not None else 0,
         _hilbert_length(C2, z, hilbert_tol) if hilbert_tol is not None else 0,
     )
-    if 0 < K <= DEFAULT_SERIES_CAP:
+    if K:
         ctx.moment_sequence(K)
 
 
@@ -176,7 +174,7 @@ def hilbert_transform(
     """
     C2 = ctx.ps.total_weight**2
     if method == "moment-series":
-        K = _hilbert_length(C2, z, tol, DEFAULT_SERIES_CAP)
+        K = _hilbert_length(C2, z, tol)
         m = ctx.moment_sequence(K)
         # sum m_k / z^(k+1) as (m_k / C2^k) * (C2/z)^k / z: both factors
         # stay bounded however large the integer moments get
@@ -257,7 +255,7 @@ def mahler_measure(
         return MahlerResult(*_ladder(ctx, estimate, tol, failure), method)
     if method == "moment-series":
         ratio = C2 / abs(z)
-        K = _mahler_length(C2, z, tol, DEFAULT_SERIES_CAP)
+        K = _mahler_length(C2, z, tol)
         m = ctx.moment_sequence(K)
         zinv = 1 / complex(z)
         base = C2 * zinv

@@ -2,12 +2,13 @@
 valuation inequality: for q = p^nu and N = q - 1, v_p(b_N(z)) at an integer
 z is at least the number of points on W = z in (F_q^*)^n, lattice basis.
 
-Both sides come from one pass over the character rows of level N.  Let
-zeta, a root of unity of order N, be the Teichmueller lift of a generator g
-of F_q^* to GR(p^k, nu) = (Z/p^k)[x]/(F) (Serre, Local Fields, II 4-5); in
-the unramified ring W(F_q) the least v_p of the coefficients, v, is the
+Both sides come from one pass over the character classes of level N, one
+row each (``specpoly._character_rows``).  Let zeta, a root of unity of
+order N, be the Teichmueller lift of a generator g of F_q^* to
+GR(p^k, nu) = (Z/p^k)[x]/(F) (Serre, Local Fields, II 4-5); in the
+unramified ring W(F_q) the least v_p of the coefficients, v, is the
 valuation at one prime above p, and W(chi_k) = W(g^k) mod p.  So
-v_p(b_N(z)) = sum_rows mult v(z - W(chi)) >= sum of mult over v >= 1, the
+v_p(b_N(z)) = sum_classes mult v(z - W(chi)) >= sum of mult over v >= 1, the
 point count.  A nonzero alpha = z - W(chi) has conjugates of size at most
 |z| + C^2 (0 <= W <= C^2, the coefficient sum of W), so v(alpha) <=
 log_p |Norm alpha| < K when p^K > (|z| + C^2)^phi(N): alpha = 0 mod p^K
@@ -241,7 +242,7 @@ def valuation_inequality_check(
     ctx: SpectralContext, zs, p: int, nu: int = 1
 ) -> list[tuple[int | float, int, bool]]:
     """(v_p(b_N(z)), point count, holds), N = p^nu - 1, for each integer z in
-    ``zs``, from one pass over the character rows held to
+    ``zs``, from one pass over the character classes held to
     ``specpoly.DEFAULT_SIZE_LIMIT`` before any work (none for an empty
     ``zs``).  Each row is evaluated once at a precision p^k0 below 2^30; the
     rows with z = W(chi) mod p^k0 again at doubling precision, up to the
@@ -264,7 +265,7 @@ def valuation_inequality_check(
     for _ in range(N - 1):
         powers.append(_poly_mul_mod(powers[-1], zeta, F, p**k0))
     buckets: dict[tuple[int, ...], list] = {}  # the rows by their value mod p
-    for row, mult in rows.items():
+    for row, mult in rows:
         v = _row_value(row, powers.__getitem__, p**k0)
         buckets.setdefault(tuple(c % p for c in v), []).append((v, row, mult))
     out = []

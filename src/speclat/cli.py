@@ -248,24 +248,26 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
     from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
     from .specpoly import check_level
 
-    N, kmax, z, K = params["N"], params["k_max"], params["series_z"], params["series_K"]
+    N, kmax, z = params["N"], params["k_max"], params["series_z"]
+    K = params["series_K"] if z is not None else 0  # the walk lengths the series check reads
     # the job's longest enumeration, over (points)^2 type pairs, before any work
-    check_walk_cap(len(ctx.ps.points) ** 2, max(kmax, K if z is not None else 0))
+    check_walk_cap(len(ctx.ps.points) ** 2, max(kmax, K))
     if params["export_graph"] and N**ctx.dimension > DEFAULT_SIZE_LIMIT:
         raise SizeLimit(f"walks export_graph: {N}^{ctx.dimension} vertices per colour "
                         f"exceed cap {DEFAULT_SIZE_LIMIT}")
     G = build_graph(ctx.ps, ctx.basis, N)  # a CosetViolation exits 2 before the level cap
     if z is not None:  # the series check reads b_N
         check_level(N, ctx.dimension, DEFAULT_SIZE_LIMIT)
-    totals = [based_walk_weight_sum(G, k) for k in range(1, kmax + 1)]
+    totals = [based_walk_weight_sum(G, k) for k in range(1, max(kmax, K) + 1)]
     payload = {
         "N": N,
         "k_max": kmax,
-        "walk_totals": [str(t) for t in totals],
-        "per_class": [str(Fraction(t, k)) for k, t in enumerate(totals, 1)],
+        "walk_totals": [str(t) for t in totals[:kmax]],
+        "per_class": [str(Fraction(t, k)) for k, t in enumerate(totals[:kmax], 1)],
     }
     if z is not None:
-        payload["series_check"] = {"z": z, "K": K, "ok": walk_series_check(ctx, N, z, K)}
+        ok = walk_series_check(ctx.spectral_polynomial(N), totals[:K])
+        payload["series_check"] = {"z": z, "K": K, "ok": ok}
     if params["export_graph"]:
         payload["graph"] = G.adjacency()
     return payload
@@ -275,9 +277,11 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
     import numpy as np
 
     from .analysis import empirical_cdf, spectrum
-    from .specpoly import character_values
+    from .specpoly import character_values, check_grid
 
-    N = params["N"]
+    N, m = params["N"], params["grid"]
+    for level in filter(None, (N, m)):  # each float cap before any work
+        check_grid(level, ctx.dimension)
     hist = spectrum(ctx, N, tolerance=params["tolerance"])
     payload = {
         "N": N,
@@ -291,7 +295,6 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
             for r in params["cdf_at"]
         ],
     }
-    m = params["grid"]
     if m is not None:
         grid = character_values(ctx.w, m)
         n = ctx.dimension
@@ -311,9 +314,12 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
 
 def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
     from .analysis import hilbert_transform, mahler_measure, sweep_series_moments
+    from .specpoly import check_grid
 
     z, methods, tol = params["z"], params["methods"], params["tol"]
-    # the two moment series read one moment list, to the longer of them
+    # every cap before any work; the two moment series read one list, to the longer
+    if "torus-quadrature" in methods:
+        check_grid(params["resolution"], ctx.dimension)
     sweep_series_moments(
         ctx,
         z,

@@ -9,7 +9,8 @@ zero.  Those sequences are enumerated literally (no matrix, torus or
 convolution shortcut), so they provide the independent count that the
 convolution traces are checked against: numpy holds the folded
 displacements and weight products of all suffixes (up to 2^16 of them),
-and each prefix tests them all at once.
+and each prefix tests them all at once.  The log bridge compares totals
+already enumerated with the log expansion of a b_N already computed.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .context import SpectralContext
 from .errors import CosetViolation, ExplosionGuard
 from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
 from .limits import MAX_WALK_LEVEL
 from .moments import poly_log_series
+from .specpoly import IntPolynomial
 from .table import Table
 
 DEFAULT_WALK_CAP = 10**8
@@ -130,22 +131,9 @@ def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
     return total * N**n
 
 
-def walk_series_check(ctx: SpectralContext, N: int, z: int, K: int) -> bool:
-    """Closed walks reproduce the log expansion of the spectral polynomial.
-
-    Left side: the formal log of p(z)/z^deg for the exact level-N
-    polynomial, as a series in 1/z.  Right side: -(walk total)/k at each
-    order k <= K.  Both sides exact rationals; z only gates the usual
-    convergence region.
-    """
-    C = ctx.ps.total_weight
-    if z <= C * C:
-        raise ValueError(f"z must exceed the spectrum top {C * C}")
-    G = build_graph(ctx.ps, ctx.basis, N)
-    p = ctx.spectral_polynomial(N)
-    logs = poly_log_series(p, K)
-    for k in range(1, K + 1):
-        walks = based_walk_weight_sum(G, k)
-        if logs[k - 1] != Fraction(-walks, k):
-            return False
-    return True
+def walk_series_check(p: IntPolynomial, totals: list[int]) -> bool:
+    """Closed walks reproduce the log expansion of the spectral polynomial p:
+    -t_k / k, t_k the based walk total of length 2k, is g_k of the formal log of
+    p(z)/z^deg in 1/z, ``poly_log_series(p, K)``, at each k <= K = len(totals)."""
+    logs = poly_log_series(p, len(totals))
+    return all(g == Fraction(-t, k) for k, (g, t) in enumerate(zip(logs, totals), 1))

@@ -214,12 +214,11 @@ def anchored_coords(ps: WeightedPointSet, basis: LatticeBasis) -> list[Vector]:
 
 
 def disjointness_check(ps: WeightedPointSet, basis: LatticeBasis) -> bool:
-    """True iff no point of the set lies in the difference lattice itself."""
-    for a in ps.vectors():
-        try:
-            to_lattice_coords(a, basis)
-        except NotInLattice:
-            continue
-        return False
-    return True
+    """True iff no point of the set lies in its difference lattice L (the
+    ``basis``): each point lies in the coset a0 + L of the first, a0, so a0 decides."""
+    try:
+        to_lattice_coords(ps.points[0][0], basis)
+    except NotInLattice:
+        return True
+    return False
 

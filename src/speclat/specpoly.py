@@ -4,18 +4,18 @@ For torsion level N the spectral polynomial b_N is the monic integer
 polynomial of degree m = N^n with one root W(chi) for each N-torsion
 character chi of the difference lattice.  One pass per level computes it
 without any matrix: characters with the same phases e.k mod N (up to order
-among equal coefficients c_e) are merged, and each distinct row W(chi_k) =
-sum_r A_r omega**r (A_r the sum of the c_e with e.k = r mod N) is counted
-once; for primes p = 1 (mod N) descending below 2**62, whose F_p holds an
-omega of exact order N, each distinct row gives one value v; the residues of
+among equal coefficients c_e) form one class, read once as the row of its
+W(chi_k) = sum_e c_e omega**(e.k); for primes p = 1 (mod N) descending
+below 2**62, whose F_p holds an omega of exact order N, each class's row
+gives one value v, a leaf (z - v)**mult for the class size; the residues of
 b_N are lifted by CRT until the prime product exceeds twice a certified
-bound.  Each prime multiplies the leaves (z - v)**mult, each expanded by
-the binomial theorem, in a balanced product tree (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 10), each node one big-integer
-product of Kronecker-packed coefficients (ibid. 8.4): a slot sums at most
+bound.  Each prime multiplies the leaves, each expanded by the binomial
+theorem, in a balanced product tree (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 10), each node one big-integer product of
+Kronecker-packed coefficients (ibid. 8.4): a slot sums at most
 L = min(len a, len b) products of residues, so slots of s bytes with
 2**(8 s) > L (p - 1)**2 never carry (under 124 + bitlen(m) bits for
-p < 2**62).  The same character rows, read p-adically, give the `padic`
+p < 2**62).  The same class rows, read p-adically, give the `padic`
 valuations (see ``arith``); the same classes, modulo primes below 2**31,
 give every exact and level moment as a power sum.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,19 +153,16 @@ def _character_classes(f: LaurentPoly, shape: tuple[int, ...]):
         yield coeffs, phases[:, order[first]], np.diff(first, append=len(order))
 
 
-def _character_rows(folded: LaurentPoly, N: int) -> Counter:
-    """W at each N-torsion character k as the sparse row ((r, A_r), ...),
-    A_r the sum of the c_e with e.k = r (mod N): W(chi_k) = sum_r A_r
-    omega**r for omega of exact order N.  Counted by multiplicity; equal
-    rows are equal values modulo every prime."""
-    rows: Counter = Counter()
-    for coeffs, phases, mult in _character_classes(folded, (N,) * folded.dimension):
-        for column, count in zip(phases.T.tolist(), mult.tolist()):
-            row: dict[int, int] = {}
-            for r, c in zip(column, coeffs):
-                row[r] = row.get(r, 0) + c
-            rows[tuple(sorted(row.items()))] += count
-    return rows
+def _character_rows(folded: LaurentPoly, N: int) -> list:
+    """(row, size) for each class of ``_character_classes`` at level N: the row
+    ((r_t, c_t), ...) of one character k of the class, r_t = e_t.k mod N, so
+    W(chi_k) = sum_t c_t omega**r_t for omega of exact order N.  The characters
+    of a class share their row, hence their value modulo every prime."""
+    return [
+        (tuple(zip(column, coeffs)), count)
+        for coeffs, phases, mult in _character_classes(folded, (N,) * folded.dimension)
+        for column, count in zip(phases.T.tolist(), mult.tolist())
+    ]
 
 
 def _maclaurin_bound(m: int, c0: int) -> int:
@@ -230,12 +226,12 @@ def _split_prime_lift(folded: LaurentPoly, N: int) -> IntPolynomial:
     and lifted by CRT past the bound of the module docstring."""
     rows = _character_rows(folded, N)
     need = 2 * _maclaurin_bound(N**folded.dimension, constant_term(folded)) + 1
-    binoms = [[math.comb(mult, k) for k in range(mult + 1)] for mult in rows.values()]
+    binoms = [[math.comb(mult, k) for k in range(mult + 1)] for _, mult in rows]
 
     def residues(p: int) -> list[int]:
         omega = primes.root_of_unity(N, p)
         powers = [pow(omega, r, p) for r in range(N)]
-        values = [sum(a * powers[r] for r, a in row) % p for row in rows]
+        values = [sum(a * powers[r] for r, a in row) % p for row, _ in rows]
         return _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
 
     moduli = _split_primes(N, need, _PRIME_START)
@@ -299,6 +295,12 @@ def spectral_polynomial(
 # -- floating-point character evaluation ---------------------------------------
 
 
+def check_grid(N: int, n: int) -> None:
+    """Raise unless the float grid of level N has at most ``DEFAULT_FLOAT_CAP`` values, N^n."""
+    if N**n > DEFAULT_FLOAT_CAP:
+        raise SizeLimit(f"{N}^{n} character values exceed cap {DEFAULT_FLOAT_CAP}")
+
+
 def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     """Real part of f at all N-torsion characters, as an (N,)*n array.
 
@@ -316,8 +318,7 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     when the N^n values exceed ``DEFAULT_FLOAT_CAP``.
     """
     n = f.dimension
-    if N**n > DEFAULT_FLOAT_CAP:
-        raise SizeLimit(f"{N}^{n} character values exceed cap {DEFAULT_FLOAT_CAP}")
+    check_grid(N, n)
     exps, coeffs = zip(*f.sorted_terms())
     exps = [[(x + N // 2) % N - N // 2 for x in e] for e in exps]
     reach = [max(map(abs, axis)) for axis in zip(*exps)]

@@ -863,7 +863,7 @@ def count_calls(monkeypatch, module, name):
     ],
 )
 def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, levels, sweeps):
-    from speclat import laurent, lattice, specpoly
+    from speclat import graph, laurent, lattice, specpoly
 
     from test_golden_records import README_CONFIG
 
@@ -872,6 +872,8 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
     summed = count_calls(monkeypatch, specpoly, "_character_power_sums")
     swept = count_calls(monkeypatch, laurent, "_moment_sweep")
+    graphs = count_calls(monkeypatch, graph, "build_graph")
+    walked = count_calls(monkeypatch, graph, "based_walk_weight_sum")
     assert main([command, "--config", write_cfg(tmp_path, README_CONFIG),
                  "--out", str(tmp_path / "out.json")]) == 0
     assert len(lattices) == 1
@@ -879,6 +881,33 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     assert len({N for _, N in grouped}) == levels
     assert len(lifted) == (0 if command == "padic" else levels)
     assert len(summed) + len(swept) == sweeps
+    # walks: one graph, each length 2k, k <= max(k_max, series_K) = 4, enumerated once
+    assert len(graphs) == (command == "walks")
+    assert [k for _, k in walked] == ([1, 2, 3, 4] if command == "walks" else [])
+
+
+@pytest.mark.parametrize(
+    "block, K",
+    [
+        ({"N": 3, "k_max": 2, "series_z": 10, "series_K": 5}, 5),  # the series reads past k_max
+        ({"N": 3, "k_max": 5, "series_z": 10, "series_K": 2}, 5),
+        ({"N": 3, "k_max": 1, "series_K": 4}, 1),  # no series_z: series_K is not read
+        ({"N": 3, "k_max": 0, "series_z": 10, "series_K": 0}, 0),
+    ],
+    ids=["series-past-k-max", "k-max-past-series", "no-series", "no-lengths"],
+)
+def test_walks_enumerates_each_length_once(tmp_path, monkeypatch, block, K):
+    from speclat import graph
+
+    graphs = count_calls(monkeypatch, graph, "build_graph")
+    walked = count_calls(monkeypatch, graph, "based_walk_weight_sum")
+    cfg = dict(HONEYCOMB_CFG, walks=block)
+    code, out = run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    assert len(graphs) == 1 and [k for _, k in walked] == list(range(1, K + 1))
+    payload = json.loads(out.read_text())["payload"]
+    assert len(payload["walk_totals"]) == len(payload["per_class"]) == block["k_max"]
+    assert payload.get("series_check", {"ok": True})["ok"] is True
 
 
 def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
@@ -1016,6 +1045,35 @@ def test_every_level_capped_before_any_work(tmp_path, monkeypatch, capsys, comma
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err == (
         f"speclat: resource cap: {level}^2 torsion characters exceed cap 10000\n")
+
+
+@pytest.mark.parametrize(
+    "command, block, message",
+    [
+        # the 3000^2 spectrum would be computed before the grid is refused
+        ("spectrum", {"N": 3000, "grid": 4000}, "4000^2 character values exceed cap 10000000"),
+        # both routes would run before the Hilbert series is refused
+        ("mahler", {"z": 9.02, "methods": ["limit", "torus-quadrature"], "resolution": 3000,
+                    "hilbert_tol": 1e-10},
+         "series needs 12137 moments (cap 1024); z is too close to the spectrum top for the "
+         "moment series"),
+        # the limit ladder would climb before the quadrature grid is refused
+        ("mahler", {"z": 12.0, "methods": ["limit", "torus-quadrature"], "resolution": 5000},
+         "5000^2 character values exceed cap 10000000"),
+    ],
+    ids=["spectrum-grid", "mahler-series", "mahler-resolution"],
+)
+def test_every_float_cap_before_any_work(tmp_path, monkeypatch, capsys, command, block, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} worked before every cap was checked")
+
+    for work in ("analysis.spectrum", "analysis._ladder", "analysis.character_values",
+                 "specpoly.character_values", "context.SpectralContext.moment_sequence"):
+        monkeypatch.setattr(f"speclat.{work}", refuse)
+    cfg = dict(HONEYCOMB_CFG, **{command: block})
+    code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == f"speclat: resource cap: {message}\n"
 
 
 def test_config_integer_past_digit_limit_exit_2(tmp_path, capsys):

@@ -134,21 +134,32 @@ def test_per_class_weight(honeycomb, tmp_path):
         assert payload["per_class"][k - 1] == str(Fraction(total, k))
 
 
+def walk_totals(ctx, N, K):
+    G = build_graph(ctx.ps, ctx.basis, N)
+    return [based_walk_weight_sum(G, k) for k in range(1, K + 1)]
+
+
 def test_walk_series_honeycomb(honeycomb_ctx):
-    assert walk_series_check(honeycomb_ctx, 2, 10, 4)
+    assert walk_series_check(honeycomb_ctx.spectral_polynomial(2), walk_totals(honeycomb_ctx, 2, 4))
 
 
 def test_walk_series_cheb(cheb_ctx):
-    assert walk_series_check(cheb_ctx, 3, 6, 5)
+    assert walk_series_check(cheb_ctx.spectral_polynomial(3), walk_totals(cheb_ctx, 3, 5))
 
 
 def test_walk_series_order_one_is_trace(cheb_ctx):
-    assert walk_series_check(cheb_ctx, 4, 17, 1)
+    assert walk_series_check(cheb_ctx.spectral_polynomial(4), walk_totals(cheb_ctx, 4, 1))
 
 
-def test_walk_series_needs_large_z(honeycomb_ctx):
-    with pytest.raises(ValueError):
-        walk_series_check(honeycomb_ctx, 2, 9, 2)
+@pytest.mark.parametrize("N, K", [(2, 4), (3, 3)])
+def test_walk_series_fails_when_one_total_is_off_by_one(honeycomb_ctx, N, K):
+    p, totals = honeycomb_ctx.spectral_polynomial(N), walk_totals(honeycomb_ctx, N, K)
+    assert walk_series_check(p, totals) and walk_series_check(p, [])
+    for k in range(K):
+        for delta in (1, -1):
+            off = list(totals)
+            off[k] += delta
+            assert not walk_series_check(p, off)
 
 
 def test_adjacency_export(honeycomb):
