@@ -38,8 +38,9 @@ Runs ``speclat.cli.main`` in process on
   exit 3); honeycomb ``walks`` series checks past ``k_max`` and with no walk
   lengths; honeycomb ``spectrum`` with a grid past the float cap, and
   ``mahler`` with a Hilbert series past the series cap and with a
-  quadrature resolution past the float cap (these three exit 3) (built-in
-  sets run once);
+  quadrature resolution past the float cap (these three exit 3); honeycomb
+  ``bn`` at N = 20 with a repeated level and levels of 1001 digits, and
+  ``mahler`` with a repeated method (built-in sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
   numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
@@ -134,6 +135,11 @@ LARGE_JOBS = (
       "hilbert_tol": 1e-10}),
     ("mahler-honeycomb-resolution-cap", "honeycomb", "mahler",
      {"z": 12.0, "methods": ["limit", "torus-quadrature"], "resolution": 5000}),
+    # repeated values, each keyed once in the record, and levels that cannot be roots
+    ("bn-honeycomb-20-repeats", "honeycomb", "bn",
+     {"N": 20, "levels": [0, 1, 9, 9, 10**1000, -(10**1000)]}),
+    ("mahler-honeycomb-repeats", "honeycomb", "mahler",
+     {"z": 12.0, "methods": ["limit", "limit", "moment-series"], "hilbert": False}),
 )
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

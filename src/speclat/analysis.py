@@ -7,7 +7,7 @@ function reads a SpectralContext: W from it, and the exact moments the
 series routes need, so a job that asks for several readings builds W once
 and reads the moments once.  The Mahler ``limit`` and the Hilbert
 ``spectrum-average`` routes climb one doubling ladder of fresh character
-grids, ``_ladder``, each with its own reading of a grid.
+grids, ``_ladder``; their ``moment-series`` routes sum one ``_series_terms``.
 
 The torus log-average, the stabilized polynomial limit and the moment
 series are three independent numerical routes to the same Mahler measure;
@@ -16,6 +16,7 @@ the test suite checks them against each other and against closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,10 +52,9 @@ class SpectrumHistogram:
     def clusters(self) -> tuple[tuple[float, int], ...]:
         return tuple(zip(self.means.tolist(), self.sizes.tolist()))
 
-    def multiplicity_near(self, level: float, tol: float | None = None) -> int:
-        tol = self.tolerance if tol is None else tol
+    def multiplicity_near(self, level: float) -> int:
         for value, mult in self.clusters:
-            if abs(value - level) <= tol:
+            if abs(value - level) <= self.tolerance:
                 return mult
         return 0
 
@@ -153,6 +153,19 @@ def sweep_series_moments(
         ctx.moment_sequence(K)
 
 
+def _series_terms(ctx: SpectralContext, z: complex, K: int):
+    """(k, m_k / C2^k, (C2/z)^k), k = 0..K, the terms both moment series sum: each
+    factor stays bounded however large the integer moments get, m_k / C2^k in (0, 1]."""
+    C2 = ctx.ps.total_weight**2
+    m = ctx.moment_sequence(K)
+    base = C2 * (1 / complex(z))
+    scaled, c2pow = 1 + 0j, 1
+    for k in range(K + 1):
+        yield k, m[k] / c2pow, scaled
+        scaled *= base
+        c2pow *= C2
+
+
 def _stieltjes_average(vals: np.ndarray, z) -> complex:
     """Mean of 1/(z - v) over vals, in one complex buffer: the ufuncs and
     order of ``np.mean(1.0 / (complex(z) - vals))``, so the same bits."""
@@ -174,19 +187,10 @@ def hilbert_transform(
     """
     C2 = ctx.ps.total_weight**2
     if method == "moment-series":
-        K = _hilbert_length(C2, z, tol)
-        m = ctx.moment_sequence(K)
-        # sum m_k / z^(k+1) as (m_k / C2^k) * (C2/z)^k / z: both factors
-        # stay bounded however large the integer moments get
         zinv = 1 / complex(z)
-        base = C2 * zinv
         acc = 0j
-        scaled = 1 + 0j
-        c2pow = 1
-        for k in range(K + 1):
-            acc += float(Fraction(m[k], c2pow)) * scaled * zinv
-            scaled *= base
-            c2pow *= C2
+        for _, a, s in _series_terms(ctx, z, _hilbert_length(C2, z, tol)):
+            acc += a * s * zinv
         return acc
     if method == "spectrum-average":
         average = lambda vals: _stieltjes_average(vals.ravel(), z)
@@ -256,17 +260,10 @@ def mahler_measure(
     if method == "moment-series":
         ratio = C2 / abs(z)
         K = _mahler_length(C2, z, tol)
-        m = ctx.moment_sequence(K)
-        zinv = 1 / complex(z)
-        base = C2 * zinv
         acc = 0j
-        scaled = base  # (C2/z)^k, bounded; m_k/C2^k in (0,1]
-        c2pow = C2
-        for k in range(1, K + 1):
-            acc += float(Fraction(m[k], c2pow)) / k * scaled
-            scaled *= base
-            c2pow *= C2
-        value = abs(zinv * np.exp(acc))
+        for k, a, s in itertools.islice(_series_terms(ctx, z, K), 1, None):
+            acc += a / k * s
+        value = abs(1 / complex(z) * np.exp(acc))
         tail = ratio ** (K + 1) / ((K + 1) * (1 - ratio))
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":

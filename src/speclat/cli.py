@@ -190,7 +190,7 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
         "degree": poly.degree,
         "coefficients": [str(c) for c in poly.coefficients],
         "level_multiplicities": {
-            str(r): integer_root_multiplicity(poly, r) for r in params["levels"]
+            str(r): integer_root_multiplicity(poly, r) for r in dict.fromkeys(params["levels"])
         },
         "divisor_checks": [
             {
@@ -231,7 +231,7 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
         "moments": [str(v) for v in seq.values],
         "level_moments": {
             str(N): [str(v) for v in moment_sequence_N(ctx.w, K, N).values]
-            for N in params["levels"]
+            for N in dict.fromkeys(params["levels"])
         },
         "congruences": [
             {"p": p, "k": k, "alpha": a, "holds": check_congruence(ctx.w, p, k, a)}
@@ -327,14 +327,13 @@ def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
         params["hilbert_tol"] if params["hilbert"] else None,
     )
     results = {}
-    for method in methods:
+    for method in dict.fromkeys(methods):
         res = mahler_measure(ctx, z, method=method, tol=tol, resolution=params["resolution"])
         results[method] = {"value": res.value, "error": res.error}
-    deltas = {}
-    names = list(results)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            deltas[f"{a}|{b}"] = abs(results[a]["value"] - results[b]["value"])
+    deltas = {
+        f"{a}|{b}": abs(results[a]["value"] - results[b]["value"])
+        for a, b in itertools.combinations(results, 2)
+    }
     payload = {"z": z, "mahler": results, "deltas": deltas}
     if params["hilbert"]:
         hs = hilbert_transform(ctx, z, method="moment-series", tol=params["hilbert_tol"])
@@ -682,20 +681,12 @@ def main(argv=None) -> int:
     if args.command == "verify":
         from .verify import run_suite
 
-        results = run_suite(args.example)
-        payload = {
-            "example": args.example,
-            "results": [
-                {"criterion": r.criterion, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-            "passed": all(r.passed for r in results),
-        }
+        payload = run_suite(args.example)
         record = {"schema": SCHEMA, "command": "verify", "config_hash": args.example,
                   "payload": payload}
         _emit(record, args.out, args.format)
-        for r in results:
-            print(("PASS " if r.passed else "FAIL ") + r.criterion, file=sys.stderr)
+        for r in payload["results"]:
+            print(("PASS " if r["passed"] else "FAIL ") + r["criterion"], file=sys.stderr)
         return 0 if payload["passed"] else 1
 
     try:

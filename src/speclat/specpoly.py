@@ -103,20 +103,21 @@ def divides(p: IntPolynomial, q: IntPolynomial) -> bool:
 
 
 def integer_root_multiplicity(p: IntPolynomial, r: int) -> int:
-    """Largest m with (z - r)^m dividing p."""
-    coeffs = list(p.coefficients)
-    mult = 0
+    """Largest m with (z - r)^m dividing p; 0 at once when r != 0 does not
+    divide the lowest nonzero coefficient, as a root must."""
+    if r and next(filter(None, p.coefficients), 0) % r:
+        return 0
+    coeffs, mult = p.coefficients[::-1], 0  # high degree first
     while len(coeffs) >= 2:
-        # synthetic division by (z - r)
-        quot = [0] * (len(coeffs) - 1)
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = acc * r + coeffs[i]
-            quot[i - 1] = acc
-        if acc * r + coeffs[0] != 0:
+        # synthetic division by (z - r): the quotient, then the remainder p(r)
+        quot, acc = [], 0
+        for c in coeffs:
+            acc = acc * r + c
+            quot.append(acc)
+        if acc:
             break
         mult += 1
-        coeffs = quot
+        coeffs = quot[:-1]
     return mult
 
 

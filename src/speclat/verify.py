@@ -2,26 +2,26 @@
 
 Each criterion is a function of one example's SpectralContext returning
 (passed, detail); the registry names each criterion once and maps it to
-the example it exercises, so the CLI can run one example's suite on one
-context and the acceptance tests can run everything.  The criteria read
-only that context, which builds the lattice, W and each b_N once: the
-generating series checks the cached b_N against ``poly_log_series``, and
-the walk/trace bridge builds its own small matrix of multiplication by W.
-Expected values are frozen here: the printed value table, the factored
-level-6 polynomial, the finite-field count row, and the closed forms of
-the line example.
+the example it exercises, so ``run_suite`` runs one example's suite on one
+context into the CLI's ``verify`` payload, and the acceptance tests run
+everything.  The criteria read only that context, which builds the
+lattice, W and each b_N once: the generating series checks the cached b_N
+against ``poly_log_series``, c12 averages log|6 - W| with the Mahler
+routes' ``_log_average``, and the walk/trace bridge builds its own small
+matrix of multiplication by W.  Expected values are frozen here: the
+printed value table, the factored level-6 polynomial, the finite-field
+count row, and the closed forms of the line example.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .analysis import hilbert_transform, mahler_measure, spectrum
+from .analysis import _log_average, hilbert_transform, mahler_measure, spectrum
 from .arith import valuation_inequality_check, vp
 from .catalog import builtin_point_set
 from .context import SpectralContext
@@ -54,13 +54,6 @@ HONEYCOMB_RECURRENCE = (
     (0, (-3, -10, -10)),
     (1, (1, 2, 1)),
 )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: str
-    passed: bool
-    detail: str
 
 
 # -- criteria -------------------------------------------------------------------
@@ -170,28 +163,21 @@ def check_cheb_padic_pattern(ctx: SpectralContext) -> tuple[bool, str]:
     def val(N, p):
         return vp(evaluate_at_integer(ctx.spectral_polynomial(N), 6), p)
 
-    ok = True
-    for p in (2, 3, 5, 7, 11, 13, 17):
-        v = val(p - 1, p)
-        if p in (2, 3):
-            ok = ok and v == 1
-        elif p % 12 in (1, 11):
-            ok = ok and v >= 2
-        else:
-            ok = ok and v == 0
+    ok = all(
+        v == 1 if p in (2, 3) else v >= 2 if p % 12 in (1, 11) else v == 0
+        for p in (2, 3, 5, 7, 11, 13, 17)
+        for v in [val(p - 1, p)]
+    )
     ok = ok and val(24, 5) >= 2 and val(48, 7) >= 2
     return ok, "square divisibility iff p = +-1 mod 12, p <= 17"
 
 
 def check_cheb_mahler_limit(ctx: SpectralContext) -> tuple[bool, str]:
     target = 2 - math.sqrt(3)
-    ok = True
-    worst = 0.0
-    for N in range(20, 41):
-        q = math.exp(-np.mean(np.log(np.abs(6 - character_values(ctx.w, N)))))
-        worst = max(worst, abs(q - target))
-        ok = ok and abs(q - target) < 1e-3
-    return ok, f"|est - (2 - sqrt 3)| <= {worst:.2e} for N in 20..40"
+    errors = [abs(math.exp(-_log_average(character_values(ctx.w, N), 6, 0)) - target)
+              for N in range(20, 41)]
+    worst = max(errors)
+    return all(e < 1e-3 for e in errors), f"|est - (2 - sqrt 3)| <= {worst:.2e} for N in 20..40"
 
 
 def check_honeycomb_mahler_routes(ctx: SpectralContext) -> tuple[bool, str]:
@@ -284,13 +270,13 @@ CRITERIA: list[tuple[str, str, Callable[[SpectralContext], tuple[bool, str]]]] =
 ]
 
 
-def run_suite(example: str) -> list[CheckResult]:
-    """All checks for one built-in example, in criterion order, on one
-    context of the example."""
+def run_suite(example: str) -> dict:
+    """The ``verify`` payload of one built-in example: each of its criteria,
+    in order, run on one context of the example, and whether all passed."""
     ctx = SpectralContext(builtin_point_set(example))
     results = []
     for cid, tag, check in CRITERIA:
         if tag == example:
             passed, detail = check(ctx)
-            results.append(CheckResult(cid, bool(passed), detail))
-    return results
+            results.append({"criterion": cid, "passed": bool(passed), "detail": detail})
+    return {"example": example, "results": results, "passed": all(r["passed"] for r in results)}

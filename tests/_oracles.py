@@ -480,3 +480,42 @@ def miller_rabin_twelve(n):
         else:
             return False
     return True
+
+
+# -- the two moment series, each its own loop ---------------------------------------
+
+
+def hilbert_moment_series(ctx, z, K):
+    """sum m_k / z^(k+1), k = 0..K, as (m_k / C2^k) * (C2/z)^k / z."""
+    C2 = ctx.ps.total_weight**2
+    m = ctx.moment_sequence(K)
+    zinv = 1 / complex(z)
+    base = C2 * zinv
+    acc = 0j
+    scaled = 1 + 0j
+    c2pow = 1
+    for k in range(K + 1):
+        acc += float(Fraction(m[k], c2pow)) * scaled * zinv
+        scaled *= base
+        c2pow *= C2
+    return acc
+
+
+def mahler_moment_series(ctx, z, K):
+    """(value, error): |exp(sum m_k / k z^-k, k = 1..K) / z| and the geometric
+    tail bound, with m_k / z^k as (m_k / C2^k) * (C2/z)^k."""
+    C2 = ctx.ps.total_weight**2
+    ratio = C2 / abs(z)
+    m = ctx.moment_sequence(K)
+    zinv = 1 / complex(z)
+    base = C2 * zinv
+    acc = 0j
+    scaled = base
+    c2pow = C2
+    for k in range(1, K + 1):
+        acc += float(Fraction(m[k], c2pow)) / k * scaled
+        scaled *= base
+        c2pow *= C2
+    value = abs(zinv * np.exp(acc))
+    tail = ratio ** (K + 1) / ((K + 1) * (1 - ratio))
+    return float(value), float(value * tail)

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from speclat.analysis import (
+    _hilbert_length,
+    _mahler_length,
     empirical_cdf,
     hilbert_transform,
     mahler_measure,
@@ -11,7 +14,11 @@ from speclat.analysis import (
 )
 from speclat.errors import SizeLimit, SpectrumProximity
 from speclat.context import SpectralContext
+from speclat.lattice import WeightedPointSet
 from speclat.specpoly import character_values, integer_root_multiplicity
+
+from _oracles import hilbert_moment_series, mahler_moment_series
+from conftest import random_point_set
 
 
 def cluster_dict(hist, ndigits=6):
@@ -198,6 +205,28 @@ def test_series_with_huge_moments(monkeypatch):
     q = mahler_measure(ps, 9000.0, method="moment-series", tol=1e-12)
     lim = mahler_measure(ps, 9000.0, method="limit", tol=1e-10)
     assert abs(q.value - lim.value) < 1e-12 * q.value
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_moment_series_routes_equal_the_two_loops(seed):
+    # both routes sum one series; each equals its own loop bit for bit, at
+    # real z of both signs past C^2 and at a complex z
+    rng = random.Random(4000 + seed)
+    if seed:
+        ps = random_point_set(rng, dimension=rng.choice([1, 2, 3]))
+    else:
+        ps = WeightedPointSet(1, (((-1,), 40), ((1,), 41)))
+    ctx = SpectralContext(ps)
+    C2 = ps.total_weight**2
+    zs = (1.6 * C2, -1.7 * C2, complex(1.2 * C2, -1.3 * C2))
+    if not seed:  # series past k = 81, where 6561^k, and so m_k, overflows a float
+        zs += (1.1 * C2,)
+    for z in zs:
+        for tol in (1e-3, 1e-6):
+            h = hilbert_transform(ctx, z, method="moment-series", tol=tol)
+            assert h == hilbert_moment_series(ctx, z, _hilbert_length(C2, z, tol))
+            res = mahler_measure(ctx, z, method="moment-series", tol=tol)
+            assert (res.value, res.error) == mahler_moment_series(ctx, z, _mahler_length(C2, z, tol))
 
 
 def test_mahler_proximity(cheb_ctx):

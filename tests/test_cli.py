@@ -553,6 +553,18 @@ def test_verify_chebyshev(tmp_path, capsys):
     assert "PASS c02-cheb-values-at-6" in err
 
 
+@pytest.mark.parametrize("example", ["chebyshev", "honeycomb"])
+def test_verify_writes_the_suite_payload(tmp_path, capsys, example):
+    from speclat.verify import CRITERIA, run_suite
+
+    out = tmp_path / "verify.json"
+    assert main(["verify", example, "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == record_of("verify", example, run_suite(example))
+    # one line per criterion of the example, in registry order
+    expected = [f"PASS {cid}" for cid, tag, _ in CRITERIA if tag == example]
+    assert capsys.readouterr().err.splitlines() == expected
+
+
 json_leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -908,6 +920,33 @@ def test_walks_enumerates_each_length_once(tmp_path, monkeypatch, block, K):
     payload = json.loads(out.read_text())["payload"]
     assert len(payload["walk_totals"]) == len(payload["per_class"]) == block["k_max"]
     assert payload.get("series_check", {"ok": True})["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "command, block, repeated, module, name",
+    [
+        ("bn", {"N": 6, "levels": [9]}, "levels", "specpoly", "integer_root_multiplicity"),
+        ("moments", {"k_max": 4, "levels": [3]}, "levels", "specpoly", "_character_power_sums"),
+        ("mahler", {"z": 12.0, "methods": ["limit"], "hilbert": False}, "methods",
+         "analysis", "_ladder"),
+    ],
+)
+def test_a_repeated_value_is_computed_once(tmp_path, monkeypatch, command, block, repeated,
+                                           module, name):
+    import importlib
+
+    calls = count_calls(monkeypatch, importlib.import_module(f"speclat.{module}"), name)
+    payloads, counts = [], []
+    for values in (block[repeated], block[repeated] * 2):
+        cfg = dict(HONEYCOMB_CFG, **{command: dict(block, **{repeated: values})})
+        code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])
+        assert code == 0
+        payloads.append(json.loads(out.read_text())["payload"])
+        counts.append(len(calls))
+        calls.clear()
+    assert payloads[0] == payloads[1]
+    # moments: one power sum for m_0..m_4, then one for the level
+    assert counts == [1 + (command == "moments")] * 2
 
 
 def test_padic_builds_no_polynomial(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from unittest import mock
 
@@ -390,6 +391,26 @@ def test_root_multiplicities(w_honey):
     assert integer_root_multiplicity(b6, 0) == 2
     assert integer_root_multiplicity(b6, 1) == 15
     assert integer_root_multiplicity(b6, 5) == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_root_multiplicity_counts_the_roots(seed):
+    rng = random.Random(5000 + seed)
+    roots = [rng.randint(-6, 6) for _ in range(rng.randint(0, 10))]
+    roots += [0] * rng.randint(0, 2)
+    p = IntPolynomial.from_roots(roots)
+    for r in range(min(roots, default=0) - 3, max(roots, default=0) + 4):
+        assert integer_root_multiplicity(p, r) == roots.count(r)
+
+
+def test_root_multiplicity_answers_a_huge_level_at_once(w_honey):
+    # b_30 has 0 as a double root; any other integer root divides its lowest
+    # nonzero coefficient, and +-10^4000 does not.  Dividing b_30 by
+    # z - 10^4000 instead takes about 50 s.
+    b30 = spectral_polynomial(w_honey, 30)
+    start = time.perf_counter()
+    assert [integer_root_multiplicity(b30, r) for r in (10**4000, -(10**4000))] == [0, 0]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_basis_independence(honeycomb, w_honey):
