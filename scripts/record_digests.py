@@ -18,7 +18,9 @@ Runs ``speclat.cli.main`` in process on
   Horner on b_10 for the other), ``padic`` over the 9-element field on
   the generated weighted set of each seed, chebyshev ``padic`` over the
   81-element field and honeycomb ``padic`` over the 64-element field, each
-  at small and large z, ``mahler`` torus quadrature at
+  at small and large z, chebyshev ``padic`` over the fields of 2^13 and
+  2063 elements, whose N = 8191 and 2062 = 2 * 1031 have a prime factor
+  past trial division, ``mahler`` torus quadrature at
   the odd resolution 255 on that set, at 2048 on the honeycomb and at 2 on
   the generated cube, ``spectrum`` at N = 64 on the generated cube, and
   honeycomb ``mahler`` by a ``limit`` ladder of six rungs, by every
@@ -86,6 +88,9 @@ LARGE_JOBS = (
     # the Galois ring path: nu > 1 over every residue and at a large z
     ("padic-chebyshev-3-4", "chebyshev", "padic", {"p": 3, "nu": 4, "z_values": [0, 1, 2, 10**6]}),
     ("padic-honeycomb-2-6", "honeycomb", "padic", {"p": 2, "nu": 6, "z_values": [0, 1, 9, 10**6]}),
+    # the field modulus and the lift precision factor p^nu - 1: 8191 prime, 2062 = 2 * 1031
+    ("padic-chebyshev-2-13", "chebyshev", "padic", {"p": 2, "nu": 13, "z_values": [0, 1, 2, 5, 10**6]}),
+    ("padic-chebyshev-2063", "chebyshev", "padic", {"p": 2063, "z_values": [0, 1, 2, 5, 10**6]}),
     ("mahler-weighted-odd", "weighted", "mahler",
      {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 255, "hilbert": False}),
     ("mahler-honeycomb-2048", "honeycomb", "mahler",

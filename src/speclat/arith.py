@@ -1,4 +1,4 @@
-"""Integer factorization, p-adic valuations, finite fields, and the
+"""Factored integers, p-adic valuations, finite fields, and the
 valuation inequality: for q = p^nu and N = q - 1, v_p(b_N(z)) at an integer
 z is at least the number of points on W = z in (F_q^*)^n, lattice basis.
 
@@ -20,15 +20,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import primes, specpoly
 from .errors import SizeLimit
 from .context import SpectralContext
 from .laurent import fold_mod_N
-
-_TRIAL_LIMIT = 10**6
-_RHO_ROUNDS = 64
 
 
 def vp(x: int, p: int) -> int | float:
@@ -47,79 +43,15 @@ def vp(x: int, p: int) -> int | float:
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """sign * prod p^e * cofactor; cofactor 1 when fully factored."""
+    """sign * prod p^e, complete: every p is prime."""
 
     sign: int
     factors: dict[int, int]
-    cofactor: int = 1
-
-
-_trial_primes = lru_cache(maxsize=16)(primes.sieve)
-
-
-def _pollard_brent(n: int, rng: random.Random) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g, r, q = 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
 
 
 def factorize(x: int) -> FactoredInteger:
-    """Trial division to min(sqrt |x|, 10^6) followed by Pollard rho;
-    numbers up to desk scale (~10^40) factor completely, anything stubborn
-    is left as a flagged cofactor."""
-    if x == 0:
-        raise ValueError("cannot factor 0")
-    sign = -1 if x < 0 else 1
-    n = abs(x)
-    factors: dict[int, int] = {}
-    for p in _trial_primes(min(math.isqrt(n), _TRIAL_LIMIT)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    cofactor = 1
-    stack = [n] if n > 1 else []
-    rng = random.Random(abs(x))
-    budget = _RHO_ROUNDS
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if primes.is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        if budget <= 0:
-            cofactor *= m
-            continue
-        budget -= 1
-        d = _pollard_brent(m, rng)
-        stack.extend((d, m // d))
-    return FactoredInteger(sign, dict(sorted(factors.items())), cofactor)
+    """x = sign * prod p^e by ``primes.prime_factors``; x = 0 raises ValueError."""
+    return FactoredInteger(-1 if x < 0 else 1, primes.prime_factors(abs(x)))
 
 
 # -- finite fields --------------------------------------------------------------
@@ -180,11 +112,11 @@ class PrimePowerField:
     def _find_modulus(self) -> tuple[int, ...]:
         p, nu, g_order = self.p, self.nu, self.order - 1
         rng = random.Random(f"modulus:{p}:{nu}")
-        cofactors = [g_order // ell for ell in factorize(g_order).factors]
+        quotients = [g_order // ell for ell in primes.prime_factors(g_order)]
         while True:
             modulus = tuple(rng.randrange(p) for _ in range(nu)) + (1,)
             if _poly_pow((0, 1), g_order, modulus, p) == self.one and all(
-                _poly_pow((0, 1), e, modulus, p) != self.one for e in cofactors
+                _poly_pow((0, 1), e, modulus, p) != self.one for e in quotients
             ):
                 return modulus
 
@@ -230,7 +162,7 @@ def _depth(z: int, v, p: int, k: int) -> int:
 
 def _lift_precision(z: int, c2: int, N: int, p: int) -> int:
     """The least K with p^K > (|z| + c2)^phi(N), compared as exact integers."""
-    phi = math.prod((ell - 1) * ell ** (e - 1) for ell, e in factorize(N).factors.items())
+    phi = math.prod((ell - 1) * ell ** (e - 1) for ell, e in primes.prime_factors(N).items())
     bound = (abs(z) + c2) ** phi
     K = max(int(math.log(bound, p)) - 1, 1)  # an estimate from below
     while p**K <= bound:

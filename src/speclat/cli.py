@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .catalog import BUILTIN_POINT_SETS
 from .errors import ConfigError, CosetViolation, RankDeficient, ResourceLimit, SizeLimit
-from .errors import SpeclatError
+from .errors import SpeclatError, SpectrumProximity
 from .lattice import WeightedPointSet, _is_int
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
 from .limits import MAX_WALK_LEVEL
@@ -725,6 +725,9 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"speclat: resource cap: {exc}", file=sys.stderr)
         return 3
+    except SpectrumProximity as exc:  # a z on the spectrum is the config's, not a failed check
+        print(f"speclat: config error: {exc}", file=sys.stderr)
+        return 2
     except SpeclatError as exc:
         print(f"speclat: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
-"""Primality testing and prime generation helpers.
+"""Primality testing, prime generation, and ``prime_factors``, the one
+factorization, read by roots of unity, finite fields and ``arith.factorize``.
 
 Miller-Rabin with witness sets proven deterministic: 2, 7, 61 below 4.76e9
 (Jaeschke 1993), Sinclair's seven bases below 2**64, the primes 2..41 below
@@ -8,8 +9,8 @@ Miller-Rabin with witness sets proven deterministic: 2, 7, 61 below 4.76e9
 
 from __future__ import annotations
 
-import itertools
 import math
+import random
 from typing import Iterator
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -58,27 +59,51 @@ def primes_below(start: int, N: int = 1) -> Iterator[int]:
         yield 2
 
 
+def _rho(n: int, rng: random.Random) -> int:
+    """A nontrivial factor of an odd composite n: Pollard rho, Floyd's cycle."""
+    g = n
+    while g == n:
+        c, x = rng.randrange(1, n - 2), rng.randrange(n)  # c = 0, -2 are degenerate
+        y, g = x, 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+    return g
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: e}, ascending, with n = prod p^e for an integer n >= 1: trial
+    division by d < 2^10, alone enough below 2^20 (a composite left has two
+    factors >= 1031), then Pollard rho until each factor passes ``is_prime``."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    factors: dict[int, int] = {}
+    d = 2
+    while d < 1 << 10 and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    stack, rng = [n] if n > 1 else [], None
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            f = _rho(m, rng := rng or random.Random(n))  # made only if rho runs
+            stack += (f, m // f)
+    return dict(sorted(factors.items()))
+
+
 def root_of_unity(N: int, p: int) -> int:
     """An element of exact multiplicative order N modulo a prime p = 1 (mod N)."""
     if (p - 1) % N:
         raise ValueError(f"{p} is not 1 mod {N}")
-    divisors = {d for q in range(1, math.isqrt(N) + 1) if N % q == 0 for d in (q, N // q)}
+    quotients = [N // q for q in prime_factors(N)]
     for g in range(2, p):
         omega = pow(g, (p - 1) // N, p)
-        if all(pow(omega, N // q, p) != 1 for q in divisors if is_prime(q)):
+        if all(pow(omega, e, p) != 1 for e in quotients):
             return omega
     return 1  # N = 1 (or p = 2)
-
-
-def sieve(limit: int) -> list[int]:
-    """All primes <= limit by a plain Eratosthenes sieve."""
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= limit:
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        p += 1
-    return list(itertools.compress(range(limit + 1), flags))

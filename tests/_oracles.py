@@ -455,6 +455,20 @@ def tuple_count_points(ctx, z, p, nu=1):
     return count
 
 
+def sieve(limit):
+    """All primes <= limit by a plain Eratosthenes sieve."""
+    if limit < 2:
+        return []
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    p = 2
+    while p * p <= limit:
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+        p += 1
+    return list(itertools.compress(range(limit + 1), flags))
+
+
 def miller_rabin_twelve(n):
     """Miller-Rabin to the twelve prime bases 2..37: deterministic below
     318665857834031151167461 (Sorenson and Webster)."""

@@ -20,7 +20,7 @@ from speclat.lattice import WeightedPointSet
 from speclat.laurent import fold_mod_N
 from speclat.specpoly import character_values, evaluate_at_integer
 
-from _oracles import crt_point_values, miller_rabin_twelve, tuple_count_points
+from _oracles import crt_point_values, miller_rabin_twelve, sieve, tuple_count_points
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
 
@@ -41,8 +41,7 @@ def test_vp_of_spectral_value(honeycomb_ctx):
 
 def test_factorize_examples():
     f = factorize(140450)
-    assert f.factors == {2: 1, 5: 2, 53: 2}
-    assert f.cofactor == 1 and f.sign == 1
+    assert (f.sign, f.factors) == (1, {2: 1, 5: 2, 53: 2})
     assert factorize(1) == FactoredInteger(1, {})
     assert factorize(12).factors == {2: 2, 3: 1}
     assert factorize(-45).sign == -1
@@ -60,7 +59,7 @@ def test_factorize_roundtrip(seed):
     rng = random.Random(seed)
     x = rng.randrange(2, 10**12)
     f = factorize(x)
-    assert f.cofactor == 1
+    assert all(primes.is_prime(p) for p in f.factors)
     assert f.sign * math.prod(p**e for p, e in f.factors.items()) == x
     assert all(e >= 1 for e in f.factors.values())
 
@@ -72,6 +71,7 @@ def test_factorize_semiprime_beyond_trial_range():
 
 
 def test_factorize_matches_smallest_factor_sieve():
+    # trial division by d < 2^10 alone finishes every n < 2^20: rho must not run
     limit = 10**5
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
@@ -79,13 +79,14 @@ def test_factorize_matches_smallest_factor_sieve():
             for m in range(p * p, limit + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    for n in range(2, limit + 1):
-        expected, m = {}, n
-        while m > 1:
-            expected[spf[m]] = expected.get(spf[m], 0) + 1
-            m //= spf[m]
-        f = factorize(n)
-        assert (f.factors, f.cofactor) == (expected, 1), n
+    with mock.patch.object(primes, "_rho", side_effect=AssertionError("rho ran")):
+        for n in range(2, limit + 1):
+            expected, m = {}, n
+            while m > 1:
+                expected[spf[m]] = expected.get(spf[m], 0) + 1
+                m //= spf[m]
+            f = factorize(n)
+            assert (f.sign, f.factors) == (1, expected), n
 
 
 @pytest.mark.parametrize(
@@ -100,18 +101,22 @@ def test_factorize_matches_smallest_factor_sieve():
 )
 def test_factorize_products_of_primes_above_trial_range(factors):
     f = factorize(-math.prod(p**e for p, e in factors.items()))
-    assert (f.sign, f.factors, f.cofactor) == (-1, factors, 1)
+    assert (f.sign, f.factors) == (-1, factors)
 
 
-def test_factorize_sieves_only_to_the_root():
-    arith._trial_primes.cache_clear()
-    try:
-        with mock.patch.object(arith, "_trial_primes", wraps=arith._trial_primes) as sieve:
-            assert factorize(30).factors == {2: 1, 3: 1, 5: 1}
-        assert sieve.call_args_list == [mock.call(5)]
-        assert arith._trial_primes.cache_info().currsize == 1
-    finally:
-        arith._trial_primes.cache_clear()
+# primes on both sides of the trial bound 2^10, and powers of them
+_FACTOR_PRIMES = (2, 3, 5, 1013, 1019, 1021, 1031, 1033, 65537, 1_000_003)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, -1]),
+    st.dictionaries(st.sampled_from(_FACTOR_PRIMES), st.integers(1, 4), max_size=4),
+)
+def test_factorize_returns_the_sign_and_factors_it_was_built_from(sign, factors):
+    f = factorize(sign * math.prod(p**e for p, e in factors.items()))
+    assert (f.sign, f.factors) == (sign, factors)
+    assert list(f.factors) == sorted(f.factors)
 
 
 # -- finite fields ----------------------------------------------------------------
@@ -252,7 +257,7 @@ def test_is_prime_rejects_strong_pseudoprimes():
 
 
 def test_is_prime_matches_sieve():
-    small = set(primes.sieve(2 * 10**5))
+    small = set(sieve(2 * 10**5))
     assert [n for n in range(2 * 10**5 + 1) if primes.is_prime(n)] == sorted(small)
 
 

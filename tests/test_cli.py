@@ -305,6 +305,21 @@ def test_mahler_series_inside_spectrum_exit_2(tmp_path, capsys, block):
     assert "Traceback" not in err
 
 
+def test_mahler_on_an_observed_spectrum_value_exit_2(tmp_path, capsys):
+    # |x + y + 1/(xy)|^2 = |2i - 1|^2 = 5 at x = y = i, a spectrum value: a
+    # fault of the config (exit 2), not a failed check (exit 1)
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["mahler"] = {"z": 5.0, "methods": ["limit", "torus-quadrature"], "hilbert": False}
+    cache, out = tmp_path / "cache", tmp_path / "out.json"
+    argv = ["mahler", "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(cache)]
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "speclat: config error: 5.0 is within 9e-06 of an observed spectrum value\n"
+    assert not out.exists()
+    assert not list(cache.glob("*.json"))
+
+
 @pytest.mark.parametrize(
     "methods", [["bogus"], ["limit", "Limit"], "limit", [["limit"]], 3]
 )

@@ -123,7 +123,7 @@ def test_charpoly_matches_berkowitz(seed):
 # -- split primes ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 9, 12, 17])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 8, 9, 12, 17, 30, 64, 210, 2062])
 def test_split_primes_and_roots_of_unity(N):
     found = list(itertools.islice(primes.primes_below(2**62, N), 4))
     found += list(itertools.islice(primes.primes_below(2**20, N), 4))
@@ -142,6 +142,9 @@ def test_split_primes_small_start():
     assert list(primes.primes_below(30, 4)) == [29, 17, 13, 5]
     with pytest.raises(ValueError):
         primes.root_of_unity(4, 7)
+    # g = 2 gives -1 at p = 853669: only 2062's prime factor 1031, past trial division, rejects it
+    omega = primes.root_of_unity(2062, 853669)
+    assert pow(omega, 2, 853669) != 1 and pow(omega, 1031, 853669) != 1
 
 
 def test_charpoly_prime_set_independence(honeycomb):
