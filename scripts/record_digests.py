@@ -21,8 +21,8 @@ Runs ``speclat.cli.main`` in process on
   at small and large z, chebyshev ``padic`` over the fields of 2^13 and
   2063 elements, whose N = 8191 and 2062 = 2 * 1031 have a prime factor
   past trial division, ``mahler`` torus quadrature at
-  the odd resolution 255 on that set, at 2048 on the honeycomb and at 2 on
-  the generated cube, ``spectrum`` at N = 64 on the generated cube, and
+  the odd resolution 255 on that set, at 2048, 4 and 2 on the honeycomb and
+  at 2 on the generated cube, ``spectrum`` at N = 64 on the generated cube, and
   honeycomb ``mahler`` by a ``limit`` ladder of six rungs, by every
   method with ``hilbert`` on, by a spectrum-average ladder that climbs past
   the ``limit`` ladder, and two that fail: ``SpectrumProximity`` next to
@@ -84,13 +84,13 @@ LARGE_JOBS = (
     # large z on each side of the choice between point values and Horner on b_10
     ("padic-honeycomb-11-values", "honeycomb", "padic", {"p": 11, "z_values": [10**4, -(10**4)]}),
     ("padic-honeycomb-11-horner", "honeycomb", "padic", {"p": 11, "z_values": [53, 10**6]}),
-    # an odd resolution computes the half grid afresh; 2048 runs over many value blocks
     # the Galois ring path: nu > 1 over every residue and at a large z
     ("padic-chebyshev-3-4", "chebyshev", "padic", {"p": 3, "nu": 4, "z_values": [0, 1, 2, 10**6]}),
     ("padic-honeycomb-2-6", "honeycomb", "padic", {"p": 2, "nu": 6, "z_values": [0, 1, 9, 10**6]}),
     # the field modulus and the lift precision factor p^nu - 1: 8191 prime, 2062 = 2 * 1031
     ("padic-chebyshev-2-13", "chebyshev", "padic", {"p": 2, "nu": 13, "z_values": [0, 1, 2, 5, 10**6]}),
     ("padic-chebyshev-2063", "chebyshev", "padic", {"p": 2063, "z_values": [0, 1, 2, 5, 10**6]}),
+    # an odd resolution computes the half grid afresh; 2048 runs over many value blocks
     ("mahler-weighted-odd", "weighted", "mahler",
      {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 255, "hilbert": False}),
     ("mahler-honeycomb-2048", "honeycomb", "mahler",
@@ -101,9 +101,14 @@ LARGE_JOBS = (
      {"z": 4.1, "methods": ["limit"], "hilbert": False}),
     # every method, and both Hilbert routes
     ("mahler-honeycomb-hilbert", "honeycomb", "mahler", {"z": 12.0, "resolution": 256}),
-    # at R = 2 the half grid is the fine one, computed afresh
+    # at R = 2 the half grid is the level-1 grid, every other point of the fine one;
+    # at R = 4, the level-2 grid
     ("mahler-cube-2", "cube", "mahler",
      {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 2, "hilbert": False}),
+    ("mahler-honeycomb-2", "honeycomb", "mahler",
+     {"z": 12.0, "methods": ["torus-quadrature"], "resolution": 2, "hilbert": False}),
+    ("mahler-honeycomb-4", "honeycomb", "mahler",
+     {"z": 12.0, "methods": ["torus-quadrature"], "resolution": 4, "hilbert": False}),
     # errors: z next to the top level 9, and a limit ladder that climbs to the float cap
     ("mahler-honeycomb-proximity", "honeycomb", "mahler",
      {"z": 9 + 1e-9, "methods": ["torus-quadrature", "limit"], "hilbert": False}),

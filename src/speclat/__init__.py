@@ -24,14 +24,14 @@ __version__ = "0.1.0"
 _MODULES = {
     "analysis": "MahlerResult SpectrumHistogram empirical_cdf hilbert_transform mahler_measure "
     "spectrum",
-    "arith": "FactoredInteger PrimePowerField factorize valuation_inequality_check vp",
+    "arith": "FactoredInteger factorize primitive_modulus valuation_inequality_check vp",
     "catalog": "builtin_point_set chebyshev_point_set honeycomb_point_set",
     "context": "SpectralContext",
     "graph": "TorusBipartiteGraph based_walk_weight_sum build_graph walk_series_check",
     "lattice": "LatticeBasis WeightedPointSet difference_lattice disjointness_check "
     "to_lattice_coords",
     "laurent": "LaurentPoly constant_term diffraction_polynomial fold_mod_N",
-    "moments": "MomentSequence check_congruence moment_sequence moment_sequence_N "
+    "moments": "check_congruence moment_sequence moment_sequence_N "
     "product_exponents series_coefficients verify_recurrence",
     "specpoly": "IntPolynomial divides evaluate_at_integer integer_root_multiplicity "
     "spectral_polynomial",

@@ -74,8 +74,8 @@ def spectrum(ctx: SpectralContext, N: int, tolerance: float | None = None) -> Sp
     starts = np.flatnonzero(np.r_[True, np.diff(vals) > tol])
     sizes = np.diff(np.r_[starts, len(vals)])
     means = vals[starts]
-    # bincount, not np.unique: unique imports numpy.ma, which costs every
-    # short CLI job its memory
+    # bincount, not np.unique: a plain unique loads numpy.ma (``np.ma.is_masked``
+    # in numpy 2.4), which costs every short CLI job its memory
     for size in np.flatnonzero(np.bincount(sizes)):
         if size > 1:
             rows = sizes == size
@@ -241,14 +241,14 @@ def mahler_measure(
     |exp(sum m_k/k z^-k) / z| with the tail bounded below tol (needs
     |z| > total_weight^2).  torus-quadrature: one uniform grid log-average
     at the given resolution, with the half-resolution difference as the
-    error estimate.  At an even resolution R > 2 the half grid is every
-    other point of the fine one, bit for bit: 2 pi (2 k) / R and
-    2 pi k / (R / 2) are the same double, a power-of-two scaling apart.
+    error estimate.  At an even resolution R the half grid is every other
+    point of the fine one, bit for bit: 2 pi (2 k) / R and 2 pi k / (R / 2)
+    are the same double, a power-of-two scaling apart; at R = 2, the level-1 grid.
 
     Each grid is reduced in its own memory: a ``limit`` rung and the fine
     grid are consumed in place, after the coarse half, which takes a fresh
     buffer of its own size (a copy of the every-other-point view, or the
-    fresh half grid at an odd resolution or R = 2).  A job holds one
+    fresh half grid at an odd resolution).  A job holds one
     float64 per point of its largest grid, plus the coarse half.
     """
     C2 = ctx.ps.total_weight**2
@@ -268,8 +268,8 @@ def mahler_measure(
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":
         grid = character_values(ctx.w, resolution)  # meets the float cap before any sweep
-        if resolution % 2 or resolution == 2:
-            half = character_values(ctx.w, max(resolution // 2, 2))
+        if resolution % 2:
+            half = character_values(ctx.w, resolution // 2)
             coarse = _log_average(half, z, proximity, out=half)
         else:
             coarse = _log_average(grid[(slice(None, None, 2),) * ctx.dimension], z, proximity)

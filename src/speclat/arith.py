@@ -1,6 +1,8 @@
 """Factored integers, p-adic valuations, finite fields, and the
 valuation inequality: for q = p^nu and N = q - 1, v_p(b_N(z)) at an integer
 z is at least the number of points on W = z in (F_q^*)^n, lattice basis.
+F_q is its primitive modulus F: tuples mod (F, p) under ``_poly_mul_mod`` and
+``_poly_pow``, which the Galois rings GR(p^k, nu) use mod (F, p^k).
 
 Both sides come from one pass over the character classes of level N, one
 row each (``specpoly._character_rows``).  Let zeta, a root of unity of
@@ -31,14 +33,15 @@ def vp(x: int, p: int) -> int | float:
     """p-adic valuation; math.inf for x = 0."""
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if x == 0:
-        return math.inf
-    v = 0
-    x = abs(x)
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return math.inf if x == 0 else _count_factors(abs(x), p, math.inf)
+
+
+def _count_factors(x: int, p: int, cap: int | float) -> int:
+    """The factors of p in x, counted up to cap."""
+    d = 0
+    while d < cap and x % p == 0:
+        x, d = x // p, d + 1
+    return d
 
 
 @dataclass(frozen=True)
@@ -87,64 +90,40 @@ def _poly_pow(base, e, modulus, m):
     return result
 
 
-class PrimePowerField:
-    """Arithmetic in the field with p^nu elements, F_p[x]/(F).
+def primitive_modulus(p: int, nu: int) -> tuple[int, ...]:
+    """The monic F of degree nu with F_p[x]/(F) the field of p^nu elements.
 
     F is primitive: the first random monic polynomial (deterministic retry
     seeded by (p, nu)) modulo which x has multiplicative order p^nu - 1.
     That certifies F irreducible, since modulo a reducible F fewer than
-    p^nu - 1 residues are units.  Elements are coefficient tuples of
-    length nu, and x generates the multiplicative group.
+    p^nu - 1 residues are units, and x generates the multiplicative group.
     """
-
-    def __init__(self, p: int, nu: int):
-        if not primes.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if nu < 1:
-            raise ValueError("nu must be >= 1")
-        self.p = p
-        self.nu = nu
-        self.order = p**nu
-        self.zero = (0,) * nu
-        self.one = self.embed(1)
-        self.modulus = self._find_modulus()
-
-    def _find_modulus(self) -> tuple[int, ...]:
-        p, nu, g_order = self.p, self.nu, self.order - 1
-        rng = random.Random(f"modulus:{p}:{nu}")
-        quotients = [g_order // ell for ell in primes.prime_factors(g_order)]
-        while True:
-            modulus = tuple(rng.randrange(p) for _ in range(nu)) + (1,)
-            if _poly_pow((0, 1), g_order, modulus, p) == self.one and all(
-                _poly_pow((0, 1), e, modulus, p) != self.one for e in quotients
-            ):
-                return modulus
-
-    def embed(self, x: int) -> tuple[int, ...]:
-        return (x % self.p,) + (0,) * (self.nu - 1)
-
-    def mul(self, a, b):
-        return _poly_mul_mod(a, b, self.modulus, self.p)
-
-    def pow(self, a, e: int):
-        return _poly_pow(a, e, self.modulus, self.p)
-
-    def generator(self) -> tuple[int, ...]:
-        """x, a generator of the multiplicative group."""
-        return self.pow((0, 1), 1)
+    if not primes.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if nu < 1:
+        raise ValueError("nu must be >= 1")
+    g_order, one = p**nu - 1, (1,) + (0,) * (nu - 1)
+    rng = random.Random(f"modulus:{p}:{nu}")
+    quotients = [g_order // ell for ell in primes.prime_factors(g_order)]
+    while True:
+        F = tuple(rng.randrange(p) for _ in range(nu)) + (1,)
+        if _poly_pow((0, 1), g_order, F, p) == one and all(
+            _poly_pow((0, 1), e, F, p) != one for e in quotients
+        ):
+            return F
 
 
-def _teichmuller(field: PrimePowerField, g, k: int):
+def _teichmuller(F, p: int, g, k: int):
     """Yields (j, x) for j = 1, 2, 4, .., k, x the root of unity of order
-    q - 1 in GR(p^j, nu) that is g mod p: each Newton step
+    q - 1 in GR(p^j, nu) = (Z/p^j)[x]/(F) that is g mod p: each Newton step
     x <- x - x (x^(q-1) - 1) / (q - 1) doubles the precision."""
-    q, x, j = field.order, g, 1
+    q, x, j = p ** (len(F) - 1), g, 1
     yield j, x
     while j < k:
         j = min(2 * j, k)
-        m = field.p**j
-        e = _poly_pow(x, q - 1, field.modulus, m)
-        t = _poly_mul_mod(x, ((e[0] - 1) % m,) + e[1:], field.modulus, m)
+        m = p**j
+        e = _poly_pow(x, q - 1, F, m)
+        t = _poly_mul_mod(x, ((e[0] - 1) % m,) + e[1:], F, m)
         x = tuple((a - pow(q - 1, -1, m) * b) % m for a, b in zip(x, t))
         yield j, x
 
@@ -157,7 +136,7 @@ def _row_value(row, power, m: int) -> tuple[int, ...]:
 
 def _depth(z: int, v, p: int, k: int) -> int:
     """v(z - v) for v in GR(p^k, nu), read as k when z = v mod p^k."""
-    return min(vp(math.gcd((z - v[0]) % p**k, *v[1:]), p), k)
+    return _count_factors(math.gcd((z - v[0]) % p**k, *v[1:]), p, k)
 
 
 def _lift_precision(z: int, c2: int, N: int, p: int) -> int:
@@ -190,10 +169,10 @@ def valuation_inequality_check(
     N = p**nu - 1
     specpoly.check_level(N, n, cap)
     rows = specpoly._character_rows(fold_mod_N(ctx.w, N), N)
-    field = PrimePowerField(p, nu)
-    g, F, k0 = field.generator(), field.modulus, 30 // p.bit_length()
-    *_, (_, zeta) = _teichmuller(field, g, k0)
-    powers = [field.one]
+    F = primitive_modulus(p, nu)
+    g, k0 = _poly_pow((0, 1), 1, F, p), 30 // p.bit_length()
+    *_, (_, zeta) = _teichmuller(F, p, g, k0)
+    powers = [(1,) + (0,) * (nu - 1)]
     for _ in range(N - 1):
         powers.append(_poly_mul_mod(powers[-1], zeta, F, p**k0))
     buckets: dict[tuple[int, ...], list] = {}  # the rows by their value mod p
@@ -202,7 +181,7 @@ def valuation_inequality_check(
         buckets.setdefault(tuple(c % p for c in v), []).append((v, row, mult))
     out = []
     for z in zs:
-        bucket = buckets.get(field.embed(z), [])
+        bucket = buckets.get((z % p,) + (0,) * (nu - 1), [])
         depths = [(_depth(z, v, p, k0), row, mult) for v, row, mult in bucket]
         count = sum(mult for _, _, mult in depths)
         val: int | float = sum(mult * d for d, _, mult in depths if d < k0)
@@ -210,7 +189,7 @@ def valuation_inequality_check(
         # z = W(chi) mod p^k0: doubling the precision up to p^K, where only
         # W(chi) = z is left, until each valuation shows
         K = _lift_precision(z, ctx.ps.total_weight**2, N, p) if deep else 0
-        for j, zeta_j in _teichmuller(field, g, K):
+        for j, zeta_j in _teichmuller(F, p, g, K):
             if not deep:
                 break
             m, left = p**j, []

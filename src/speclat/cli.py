@@ -61,7 +61,7 @@ RECORD_KEYS = {"schema", "command", "config_hash", "payload"}
 
 # Names the algorithms behind the records.  Change it with any change that
 # can alter a record: cache entries written under another tag are never read.
-ALGORITHM = "alg1"
+ALGORITHM = "alg2"
 
 
 @dataclass(frozen=True)
@@ -228,9 +228,9 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
     seq = ctx.moment_sequence(K)
     payload = {
         "k_max": K,
-        "moments": [str(v) for v in seq.values],
+        "moments": [str(v) for v in seq],
         "level_moments": {
-            str(N): [str(v) for v in moment_sequence_N(ctx.w, K, N).values]
+            str(N): [str(v) for v in moment_sequence_N(ctx.w, K, N)]
             for N in dict.fromkeys(params["levels"])
         },
         "congruences": [

@@ -3,8 +3,8 @@ the exact invariants read from it.
 
 Every invariant speclat computes is a reading of W on the difference
 lattice.  A context builds the lattice basis and W once, and keeps each
-exact reading it is asked for: b_N per level, and the moments, read once
-as character power sums to the largest K asked for and sliced below it.
+exact reading it is asked for: b_N per level, and the moments, a tuple of
+integers read once as power sums to the largest K asked for, sliced below it.
 A context serves one job and nothing outlives it.  Float character values
 are recomputed on each call, so the Mahler ``limit`` ladder and the
 Hilbert ``spectrum-average`` ladder each build their own rungs: holding
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .lattice import WeightedPointSet, difference_lattice
 from .laurent import diffraction_polynomial
-from .moments import MomentSequence, moment_sequence
+from .moments import moment_sequence
 from .specpoly import DEFAULT_SIZE_LIMIT, IntPolynomial, spectral_polynomial
 
 
@@ -41,8 +41,8 @@ class SpectralContext:
             self._polys[N] = spectral_polynomial(self.w, N, size_limit)
         return self._polys[N]
 
-    def moment_sequence(self, K: int) -> MomentSequence:
-        """Exact moments m_0..m_K, sliced from the longest list so far."""
+    def moment_sequence(self, K: int) -> tuple[int, ...]:
+        """Exact moments m_0..m_K, sliced from the longest tuple so far."""
         if len(self._moments) <= K:
-            self._moments = moment_sequence(self.w, K).values
-        return MomentSequence(self._moments[: K + 1], "constant-term")
+            self._moments = moment_sequence(self.w, K)
+        return self._moments[: K + 1]

@@ -7,13 +7,13 @@ where no nonzero exponent of W**k folds onto 0.  Both are character power
 sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1).
 ``poly_log_series`` serves the walk and generating-series checks.
 
-Everything in this module is exact: Python integers and Fractions only.
+Everything in this module is exact: Python integers and Fractions only, and
+the moments are the tuples of integers the power sums give.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,29 +25,7 @@ from .specpoly import IntPolynomial, _character_power_sums
 Recurrence = Sequence[tuple[int, Sequence[int]]]
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """Moments m_0..m_K with a tag recording how they were obtained."""
-
-    values: tuple[int, ...]
-    source: str  # "constant-term" or "folded mod N"
-
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals or vals[0] != 1:
-            raise ValueError("moment sequence must start with m_0 = 1")
-        if any(v < 0 for v in vals):
-            raise ValueError("moments are nonnegative")
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def moment_sequence(f: LaurentPoly, K: int) -> MomentSequence:
+def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
     """Exact moments m_0..m_K: power sums over Z_N1 x ... x Z_Nn, N_i > K *
     reach_i, all equal or, if fewer characters, each a multiple of the last."""
     g = _tight_form(f)
@@ -56,14 +34,14 @@ def moment_sequence(f: LaurentPoly, K: int) -> MomentSequence:
     for i in sorted(range(len(reach)), key=reach.__getitem__):
         N = chain[i] = N * -(-(K * reach[i] + 1) // N)
     shape = min(tuple(chain), (K * max(reach) + 1,) * len(reach), key=math.prod)
-    return MomentSequence(tuple(_character_power_sums(g, K, shape)), "constant-term")
+    return tuple(_character_power_sums(g, K, shape))
 
 
-def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> MomentSequence:
+def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     """Level-N moments m_0..m_K: the averages of the powers of the character
     values, integers by construction (constant-residue coefficients of the
     folded powers)."""
-    return MomentSequence(tuple(_character_power_sums(f, K, (N,) * f.dimension)), f"folded mod {N}")
+    return tuple(_character_power_sums(f, K, (N,) * f.dimension))
 
 
 def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
@@ -123,8 +101,6 @@ def product_exponents(moments) -> list[int]:
 
 
 def _moment_values(moments) -> tuple[int, ...]:
-    if isinstance(moments, MomentSequence):
-        return moments.values
     vals = tuple(int(v) for v in moments)
     if not vals or vals[0] != 1:
         raise ValueError("moment list must start with m_0 = 1")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from speclat.arith import PrimePowerField
+from speclat.arith import _poly_mul_mod, _poly_pow, primitive_modulus
 from speclat.laurent import LaurentPoly, constant_term, fold_mod_N
 from speclat.primes import primes_below, root_of_unity
 from speclat.specpoly import IntPolynomial, _maclaurin_bound
@@ -436,17 +436,17 @@ def tuple_count_points(ctx, z, p, nu=1):
     """Points of W = z on the torus over the p^nu-element field, one index
     tuple at a time in field arithmetic."""
     n = ctx.dimension
-    field = PrimePowerField(p, nu)
-    g_order = field.order - 1
+    F = primitive_modulus(p, nu)
+    g_order = p**nu - 1
     terms = [(e, c % p) for e, c in ctx.w.sorted_terms() if c % p]
-    gen = field.generator()
-    table = [field.one]
+    gen = _poly_pow((0, 1), 1, F, p)
+    table = [(1,) + (0,) * (nu - 1)]
     for _ in range(g_order - 1):
-        table.append(field.mul(table[-1], gen))
-    target = field.embed(z)
+        table.append(_poly_mul_mod(table[-1], gen, F, p))
+    target = (z % p,) + (0,) * (nu - 1)
     count = 0
     for idx in itertools.product(range(g_order), repeat=n):
-        acc = field.zero
+        acc = (0,) * nu
         for e, c in terms:
             k = sum(ej * ij for ej, ij in zip(e, idx)) % g_order
             acc = tuple((x + c * y) % p for x, y in zip(acc, table[k]))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from speclat import arith, primes, specpoly
 from speclat.arith import (
     FactoredInteger,
-    PrimePowerField,
     factorize,
+    primitive_modulus,
     valuation_inequality_check,
     vp,
 )
@@ -124,38 +124,36 @@ def test_factorize_returns_the_sign_and_factors_it_was_built_from(sign, factors)
 
 @pytest.mark.parametrize("p,nu", [(2, 1), (7, 1), (3, 2), (5, 2), (2, 4)])
 def test_field_generator_order(p, nu):
-    field = PrimePowerField(p, nu)
-    q = p**nu
-    assert field.modulus[-1] == 1 and len(field.modulus) == nu + 1
-    g = field.generator()
+    F = primitive_modulus(p, nu)
+    q, one = p**nu, (1,) + (0,) * (nu - 1)
+    assert F[-1] == 1 and len(F) == nu + 1
+    g = arith._poly_pow((0, 1), 1, F, p)
     seen = {g}
     acc = g
     for _ in range(q - 2):
-        acc = field.mul(acc, g)
+        acc = arith._poly_mul_mod(acc, g, F, p)
         seen.add(acc)
-    assert acc == field.pow(g, q - 1) or q - 1 == 1
-    assert field.pow(g, q - 1) == field.one
+    assert acc == arith._poly_pow(g, q - 1, F, p) or q - 1 == 1
+    assert arith._poly_pow(g, q - 1, F, p) == one
     assert len(seen) == q - 1  # g really generates the whole group
 
 
 def test_field_modulus_deterministic():
-    a = PrimePowerField(5, 3)
-    b = PrimePowerField(5, 3)
-    assert a.modulus == b.modulus
+    assert primitive_modulus(5, 3) == primitive_modulus(5, 3)
 
 
 def test_teichmuller_lift_is_the_root_of_unity_over_g():
     for p, nu in ((2, 1), (2, 4), (3, 2), (5, 3), (13, 1)):
-        field = PrimePowerField(p, nu)
-        g = field.generator()
+        F = primitive_modulus(p, nu)
+        g = arith._poly_pow((0, 1), 1, F, p)
         for k in (1, 2, 3, 9, 33, 100):
-            lifts = list(arith._teichmuller(field, g, k))
+            lifts = list(arith._teichmuller(F, p, g, k))
             precisions = [j for j, _ in lifts]
             assert precisions[0] == 1 and precisions[-1] == k
             assert all(b == min(2 * a, k) for a, b in zip(precisions, precisions[1:]))
             for j, x in lifts:
                 assert tuple(c % p for c in x) == g
-                assert arith._poly_pow(x, field.order - 1, field.modulus, p**j) == field.one
+                assert arith._poly_pow(x, p**nu - 1, F, p**j) == (1,) + (0,) * (nu - 1)
 
 
 # -- point counts -----------------------------------------------------------------
@@ -188,16 +186,16 @@ def test_count_basis_invariance_via_extension(honeycomb_ctx):
 def test_count_extension_field(cheb_ctx):
     # over the 9-element field: W(u) = (u+1)^2/u = z has solutions counted
     # against a direct enumeration using a second power table convention
-    field = PrimePowerField(3, 2)
-    g = field.generator()
+    F = primitive_modulus(3, 2)
+    g = arith._poly_pow((0, 1), 1, F, 3)
     found = {}
     for i in range(8):
-        u = field.pow(g, i)
-        uinv = field.pow(g, (8 - i) % 8)
-        val = tuple((x + y + e) % 3 for x, y, e in zip(u, uinv, field.embed(2)))
+        u = arith._poly_pow(g, i, F, 3)
+        uinv = arith._poly_pow(g, (8 - i) % 8, F, 3)
+        val = tuple((x + y + e) % 3 for x, y, e in zip(u, uinv, (2, 0)))
         found[val] = found.get(val, 0) + 1
     for z in range(3):
-        expect = found.get(field.embed(z), 0)
+        expect = found.get((z, 0), 0)
         assert counts(cheb_ctx, [z], 3, 2) == [expect]
 
 
@@ -242,6 +240,49 @@ def test_count_points_matches_tuple_oracle(case, block):
         specpoly._CHAR_BLOCK = original
     assert found == [tuple_count_points(ctx, z, p, nu) for z in zs]
     assert sum(found[:p]) <= (p**nu - 1) ** ctx.dimension
+
+
+# -- Hasse-Weil: the smooth fibres of W = z are genus-1 curves ------------------------
+
+# (1 +- 2 +- 3)^2 and 0: the bad fibres of the weighted triangle
+WEIGHTED_TRIANGLE = (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))
+
+
+def frobenius_traces(ctx, p, bad):
+    """{z: [a_0, a_1, ...]} for each residue z mod p outside ``bad``, where
+    a_nu = p^nu - 5 - N_nu, N_nu the torus points of W = z over F_{p^nu}, for
+    every nu the size cap admits, and a_0 = 2."""
+    zs = [z for z in range(p) if z not in {b % p for b in bad}]
+    top = max(nu for nu in range(1, 20) if (p**nu - 1) ** 2 <= specpoly.DEFAULT_SIZE_LIMIT)
+    columns = [[p**nu - 5 - c for c in counts(ctx, zs, p, nu)] for nu in range(1, top + 1)]
+    return {z: [2, *a] for z, a in zip(zs, zip(*columns))}
+
+
+def check_hasse_weil(traces, p):
+    """A smooth fibre is a genus-1 curve that meets the toric boundary in 6
+    rational points: N_nu = p^nu - 5 - (alpha^nu + beta^nu), alpha beta = p,
+    so a_1^2 <= 4p and a_nu = a_1 a_(nu-1) - p a_(nu-2)."""
+    for z, a in traces.items():
+        assert a[1] ** 2 <= 4 * p, (p, z, a)
+        for nu in range(2, len(a)):
+            assert a[nu] == a[1] * a[nu - 1] - p * a[nu - 2], (p, z, a)
+
+
+@pytest.mark.parametrize("p, levels", [(3, 4), (5, 2), (7, 2), (11, 1), (13, 1)])
+def test_honeycomb_smooth_fibres_satisfy_hasse_weil(honeycomb_ctx, p, levels):
+    traces = frobenius_traces(honeycomb_ctx, p, (0, 1, 9))
+    assert traces and all(len(a) == levels + 1 for a in traces.values())
+    check_hasse_weil(traces, p)
+
+
+def test_weighted_triangle_smooth_fibres_satisfy_hasse_weil():
+    ctx = SpectralContext(WeightedPointSet(2, WEIGHTED_TRIANGLE))
+    smooth = 0
+    for p in (5, 7, 11, 13, 17, 19):
+        traces = frobenius_traces(ctx, p, (0, 4, 16, 36))
+        check_hasse_weil(traces, p)
+        smooth += len(traces)
+    assert smooth == 49
 
 
 # -- primality ------------------------------------------------------------------------

@@ -860,6 +860,30 @@ def test_cache_entry_of_another_algorithm_is_recomputed(tmp_path, monkeypatch):
     assert len(list(cache.glob("bn-*.json"))) == 2
 
 
+def test_quadrature_at_resolution_2_halves_to_level_1(tmp_path, monkeypatch):
+    # honeycomb W takes 9, 1, 1, 1 on the level-2 grid and 9 on the level-1 grid;
+    # an "alg1" cache entry (error 0.0: the level-2 grid read twice) is not served
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["mahler"] = {"z": 12.0, "methods": ["torus-quadrature"], "resolution": 2,
+                     "hilbert": False}
+    cache = tmp_path / "cache"
+    argv = ["mahler", "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(cache), "--out"]
+    with monkeypatch.context() as m:
+        m.setattr("speclat.cli.ALGORITHM", "alg1")
+        assert main(argv + [str(tmp_path / "old.json")]) == 0
+    (stale,) = cache.glob("mahler-alg1-*.json")
+    record = json.loads(stale.read_text())
+    record["payload"]["mahler"]["torus-quadrature"]["error"] = 0.0
+    stale.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    out = tmp_path / "new.json"
+    assert main(argv + [str(out)]) == 0
+    result = json.loads(out.read_text())["payload"]["mahler"]["torus-quadrature"]
+    fine = (3 * 11**3) ** -0.25
+    assert result["value"] == pytest.approx(fine, rel=1e-12)
+    assert result["error"] == pytest.approx(1 / 3 - fine, rel=1e-12)
+    assert result == {"value": 0.1257984159300823, "error": 0.207534917403251}
+
+
 # -- one context per job ------------------------------------------------------------
 
 
@@ -1041,7 +1065,7 @@ def test_padic_huge_nu_exit_3_before_work(tmp_path, monkeypatch, capsys, nu):
     # (2^nu - 1)^2 characters: refused from nu before 2^nu is formed
     from speclat import arith
 
-    fields = count_calls(monkeypatch, arith, "PrimePowerField")
+    fields = count_calls(monkeypatch, arith, "primitive_modulus")
     cfg = dict(HONEYCOMB_CFG, padic={"p": 2})
     code, _ = run(tmp_path, cfg, ["padic", "--config", write_cfg(tmp_path, cfg), "--nu", str(nu)])
     err = capsys.readouterr().err

@@ -10,7 +10,6 @@ from speclat.errors import IntegralityViolation, RankDeficient
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import LaurentPoly, _moment_sweep, constant_term, diffraction_polynomial
 from speclat.moments import (
-    MomentSequence,
     check_congruence,
     moment_sequence,
     moment_sequence_N,
@@ -68,8 +67,7 @@ def test_moment_agrees_with_unfolded_power(w_honey, k):
 
 def test_moment_sequence_matches_single(w_honey):
     seq = moment_sequence(w_honey, 10)
-    assert seq.source == "constant-term"
-    assert list(seq.values) == [moment_sequence(w_honey, k)[k] for k in range(11)]
+    assert list(seq) == [moment_sequence(w_honey, k)[k] for k in range(11)]
 
 
 def test_moments_basis_independent(honeycomb, w_honey):
@@ -132,21 +130,18 @@ def test_trace_cross_check(w_honey, w_cheb):
 
 def check_against_full_torus(f: LaurentPoly, K: int):
     """Every moment entry point agrees with K products on the full fold
-    torus; the MomentSequence wrappers only where the moments are >= 0."""
-    positive = all(c > 0 for c in f.terms.values())
+    torus, whatever the signs of the coefficients."""
     exact = exact_moment_sweep(f, K)
     reach = max(abs(x) for e in f.terms for x in e)
     assert _character_power_sums(f, K, (K * reach + 1,) * f.dimension) == exact
-    if positive:
-        assert list(moment_sequence(f, K).values) == exact
+    assert list(moment_sequence(f, K)) == exact
     assert [_moment_sweep(f, k, 9)[k] for k in range(K + 1)] == [m % 9 for m in exact]
     for mod in (9, 2**61 - 1):  # int64 and object residues
         assert _moment_sweep(f, K, coeff_mod=mod) == [m % mod for m in exact]
     for N in (1, 2, 3, 5):
         level = folded_moment_sweep(f, K, N)
         assert _character_power_sums(f, K, (N,) * f.dimension) == level
-        if positive:
-            assert list(moment_sequence_N(f, K, N).values) == level
+        assert list(moment_sequence_N(f, K, N)) == level
     for p, k, alpha in ((2, 1, 0), (3, 1, 0), (2, 1, 1)):
         lo, hi = k * p**alpha, k * p ** (alpha + 1)
         ref = exact_moment_sweep(f, hi, coeff_mod=p ** (alpha + 1))
@@ -246,7 +241,7 @@ def test_level_moments_above_wrap_are_exact(seed):
     w = diffraction_polynomial(ps := random_point_set(rng, dimension=n), difference_lattice(ps))
     K = rng.randint(1, 10 if n < 3 else 3)
     N = 2 * K * max(abs(x) for e in w.terms for x in e) + 1
-    assert moment_sequence_N(w, K, N).values == moment_sequence(w, K).values
+    assert moment_sequence_N(w, K, N) == moment_sequence(w, K)
 
 
 # -- congruences ----------------------------------------------------------------
@@ -339,7 +334,7 @@ def test_integrality_violation_raised():
 
 def test_moment_sequence_validation():
     with pytest.raises(ValueError):
-        MomentSequence((2, 3), "constant-term")
+        series_coefficients((2, 3))
 
 
 # -- recurrences -----------------------------------------------------------------
@@ -392,8 +387,8 @@ def test_truncated_expansion_rate(w_honey):
     exact = moment_sequence(w_honey, N + 1)
     level = moment_sequence_N(w_honey, N + 1, N)
     agree_to = N - 1  # m_k equal for k < N in this example
-    a_exact = exp_series(exact.values, agree_to)
-    a_level = exp_series(level.values, agree_to)
+    a_exact = exp_series(exact, agree_to)
+    a_level = exp_series(level, agree_to)
     assert a_exact == a_level
     assert a_exact == [
         Fraction(x) for x in series_coefficients(moment_sequence(w_honey, agree_to + 1))

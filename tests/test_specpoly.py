@@ -184,7 +184,7 @@ def test_split_prime_matches_berkowitz(seed):
     assert p.coefficients == berkowitz_charpoly(convolution_matrix(f, N))
     bound = _maclaurin_bound(N**n, constant_term(f))
     assert max(abs(c) for c in p.coefficients) <= bound
-    level = moment_sequence_N(w, 6, N).values[1:]
+    level = moment_sequence_N(w, 6, N)[1:]
     assert _newton_power_sums(p, 6) == [N**n * v for v in level]
 
 
@@ -482,7 +482,7 @@ def test_character_power_sums_match_oracles(seed, monkeypatch):
     reach = [max(abs(e[i]) for e in w.terms) for i in range(n)]
     exact = exact_moment_sweep(w, K)
     assert _character_power_sums(w, K, tuple(K * r + 1 for r in reach)) == exact
-    assert moment_sequence(w, K).values == tuple(exact)
+    assert moment_sequence(w, K) == tuple(exact)
 
 
 def test_character_power_sums_past_int64_weights():
@@ -491,8 +491,8 @@ def test_character_power_sums_past_int64_weights():
     w = w_of(ps)
     assert max(w.terms.values()) > 2**64
     for N in (1, 2, 3, 4):
-        assert moment_sequence_N(w, 6, N).values == tuple(folded_moment_sweep(w, 6, N))
-    assert moment_sequence(w, 8).values == tuple(exact_moment_sweep(w, 8))
+        assert moment_sequence_N(w, 6, N) == tuple(folded_moment_sweep(w, 6, N))
+    assert moment_sequence(w, 8) == tuple(exact_moment_sweep(w, 8))
 
 
 def test_exact_moments_on_unequal_reaches(monkeypatch):
@@ -505,7 +505,7 @@ def test_exact_moments_on_unequal_reaches(monkeypatch):
         return _character_power_sums(f, K, shape)
 
     monkeypatch.setattr("speclat.moments._character_power_sums", recorded)
-    assert moment_sequence(w, 6).values == tuple(exact_moment_sweep(w, 6))
+    assert moment_sequence(w, 6) == tuple(exact_moment_sweep(w, 6))
     assert shapes == [(13, 78)]
 
 
