@@ -42,7 +42,10 @@ Runs ``speclat.cli.main`` in process on
   ``mahler`` with a Hilbert series past the series cap and with a
   quadrature resolution past the float cap (these three exit 3); honeycomb
   ``bn`` at N = 20 with a repeated level and levels of 1001 digits, and
-  ``mahler`` with a repeated method (built-in sets run once);
+  ``mahler`` with a repeated method; ``bn`` on the generated weighted set at
+  N = 12 (character classes of sizes 1 and 2 only) and on the generated cube
+  at N = 6 (seven class sizes), and honeycomb ``bn`` at N = 30 with
+  ``levels``, ``evaluate_at`` and a divisor check (built-in sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
   numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
@@ -150,6 +153,13 @@ LARGE_JOBS = (
      {"N": 20, "levels": [0, 1, 9, 9, 10**1000, -(10**1000)]}),
     ("mahler-honeycomb-repeats", "honeycomb", "mahler",
      {"z": 12.0, "methods": ["limit", "limit", "moment-series"], "hilbert": False}),
+    # b_N = prod_j g_j**j over the class sizes j: sizes 1 and 2 only, seven sizes,
+    # and every reader of the g_j at a level past the benchmark's
+    ("bn-weighted-12", "weighted", "bn", {"N": 12}),
+    ("bn-cube-6", "cube", "bn", {"N": 6}),
+    ("bn-honeycomb-30", "honeycomb", "bn",
+     {"N": 30, "levels": [0, 1, 3, 4, 9], "divisor_checks": [[10, 30]],
+      "evaluate_at": [0, 53, -(10**6), 10**100]}),
 )
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

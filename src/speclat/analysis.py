@@ -267,6 +267,8 @@ def mahler_measure(
         tail = ratio ** (K + 1) / ((K + 1) * (1 - ratio))
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":
+        if resolution < 2:  # the half grid needs level resolution // 2 >= 1
+            raise ValueError("resolution must be >= 2")
         grid = character_values(ctx.w, resolution)  # meets the float cap before any sweep
         if resolution % 2:
             half = character_values(ctx.w, resolution // 2)

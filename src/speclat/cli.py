@@ -178,19 +178,19 @@ class Param(NamedTuple):
 
 
 def _run_bn(ctx: SpectralContext, params: dict) -> dict:
-    from .specpoly import check_level, divides, evaluate_at_integer, integer_root_multiplicity
+    from .specpoly import check_level, divides, factored_value, level_multiplicity
 
     N, size_limit = params["N"], params["size_limit"]
     # every level the job reads, in the order it reads them, before any b_N
     for level in (N, *itertools.chain.from_iterable(params["divisor_checks"])):
         check_level(level, ctx.dimension, size_limit)
-    poly = ctx.spectral_polynomial(N, size_limit)
+    b = ctx.spectral_factors(N, size_limit)
     return {
         "N": N,
-        "degree": poly.degree,
-        "coefficients": [str(c) for c in poly.coefficients],
+        "degree": b.degree,
+        "coefficients": b.coefficient_text,
         "level_multiplicities": {
-            str(r): integer_root_multiplicity(poly, r) for r in dict.fromkeys(params["levels"])
+            str(r): level_multiplicity(b, r) for r in dict.fromkeys(params["levels"])
         },
         "divisor_checks": [
             {
@@ -203,7 +203,7 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
             for d, n in params["divisor_checks"]
         ],
         "evaluations": [
-            {"z": z, "value": str(evaluate_at_integer(poly, z))} for z in params["evaluate_at"]
+            {"z": z, "value": str(factored_value(b, z))} for z in params["evaluate_at"]
         ],
     }
 

@@ -73,10 +73,20 @@ def _rho(n: int, rng: random.Random) -> int:
     return g
 
 
+def _root(m: int, k: int) -> int:
+    """The integer k-th root of m >= 1, rounded down: Newton's method from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def prime_factors(n: int) -> dict[int, int]:
     """{p: e}, ascending, with n = prod p^e for an integer n >= 1: trial
     division by d < 2^10, alone enough below 2^20 (a composite left has two
-    factors >= 1031), then Pollard rho until each factor passes ``is_prime``."""
+    factors >= 1031), then, for each factor that fails ``is_prime``, its
+    k-th root if it is a perfect k-th power (k <= log_1031 of it), else
+    Pollard rho, which would need about sqrt(p) steps to split p^k."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     factors: dict[int, int] = {}
@@ -91,6 +101,8 @@ def prime_factors(n: int) -> dict[int, int]:
         m = stack.pop()
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
+        elif k := next((k for k in range(2, m.bit_length() // 10 + 1) if _root(m, k) ** k == m), 0):
+            stack += [_root(m, k)] * k
         else:
             f = _rho(m, rng := rng or random.Random(n))  # made only if rho runs
             stack += (f, m // f)

@@ -3,29 +3,37 @@
 For torsion level N the spectral polynomial b_N is the monic integer
 polynomial of degree m = N^n with one root W(chi) for each N-torsion
 character chi of the difference lattice.  One pass per level computes it
-without any matrix: characters with the same phases e.k mod N (up to order
+without any matrix.  Characters with the same phases e.k mod N (up to order
 among equal coefficients c_e) form one class, read once as the row of its
-W(chi_k) = sum_e c_e omega**(e.k); for primes p = 1 (mod N) descending
-below 2**62, whose F_p holds an omega of exact order N, each class's row
-gives one value v, a leaf (z - v)**mult for the class size; the residues of
-b_N are lifted by CRT until the prime product exceeds twice a certified
-bound.  Each prime multiplies the leaves, each expanded by the binomial
-theorem, in a balanced product tree (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 10), each node one big-integer product of
+W(chi_k) = sum_e c_e omega**(e.k).  A unit a of Z_N maps the class of k onto
+that of a k, of the same size, and W(chi_k) onto its conjugate W(chi_ak), so
+g_j = prod_{|C| = j} (z - W(chi_C)) lies in Z[z] and b_N = prod_j g_j**j.
+Modulo primes p = 1 (mod N) below 2**62, whose F_p holds an omega of exact
+order N, each row gives one value v, a leaf z - v, and each g_j is the
+product of its leaves in a balanced tree (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 10) whose nodes are big-integer products of
 Kronecker-packed coefficients (ibid. 8.4): a slot sums at most
 L = min(len a, len b) products of residues, so slots of s bytes with
-2**(8 s) > L (p - 1)**2 never carry (under 124 + bitlen(m) bits for
-p < 2**62).  The same class rows, read p-adically, give the `padic`
-valuations (see ``arith``); the same classes, modulo primes below 2**31,
-give every exact and level moment as a power sum.
+2**(8 s) > L (p - 1)**2 never carry.  The same rows, read p-adically, give
+the `padic` valuations (see ``arith``); the same classes, modulo primes below
+2**31, give every exact and level moment as a power sum.
 
-The bound comes from the sign of the roots.  Every point a differs from a
-fixed point a0 by a lattice vector, so
-W(chi) = |sum_a c_a chi(a - a0)|**2 >= 0, and the roots have mean c0, the
-constant term of W folded mod N.  Maclaurin's inequality for nonnegative
-reals (Hardy, Littlewood and Polya, Inequalities, 2.22) then bounds their
-elementary symmetric functions, e_j <= binom(m, j) c0**j, so the
-coefficient of z**(m - j), +-e_j, is bounded, whichever primes were used.
+The bounds come from the sign of the roots.  Every point a differs from a
+fixed point a0 by a lattice vector, so W(chi) = |sum_a c_a chi(a - a0)|**2
+lies in [0, C**2], C the total weight, and the roots of b_N have mean c0,
+the constant term of W folded mod N.  Maclaurin's inequality (Hardy,
+Littlewood and Polya, Inequalities, 2.22) bounds their elementary symmetric
+functions, e_i <= binom(m, i) c0**i, and those of the d roots of a g_j by
+binom(d, i) C**(2 i).  Each g_j is lifted by CRT past 2**32 times twice its
+bound, so a g_j that is not integral (a class split across sizes) lifts
+outside it, with odds of about 2**-32, and raises IntegralityViolation.
+
+h_j(z) = +-g_j(-z) has nonnegative coefficients, and so has
+prod_j h_j**j = +-b_N(-z), each at most the bound on b_N.  Packed in base
+10**s, s one more than that bound's digits, the h_j multiply exactly in
+``decimal`` and carry into no slot: the digits of the product are b_N's
+coefficients, with alternating signs, and no integer is converted to text.
+b_N(z) is prod_j g_j(z)**j, evaluated the same way.
 
 The walk/trace bridge of the verify suite builds its own small matrix of
 multiplication by W: its eigenvalues are the same character values.
@@ -33,9 +41,12 @@ multiplication by W: its eigenvalues are the same character values.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +58,8 @@ from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT
 
 _CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
 _VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
-_PRIME_START = 2**62  # b_N's split primes descend from here
+_PRIME_START = 2**62  # the split primes of the g_j descend from here
+_MARGIN_BITS = 32  # modulus bits past twice each g_j's bound
 
 
 @dataclass(frozen=True)
@@ -155,20 +167,22 @@ def _character_classes(f: LaurentPoly, shape: tuple[int, ...]):
 
 
 def _character_rows(folded: LaurentPoly, N: int) -> list:
-    """(row, size) for each class of ``_character_classes`` at level N: the row
-    ((r_t, c_t), ...) of one character k of the class, r_t = e_t.k mod N, so
+    """(row, size) for each class of ``_character_classes`` at level N, merged
+    across blocks, so each is a whole class: the row ((r_t, c_t), ...) of one
+    character k of the class, r_t = e_t.k mod N, so
     W(chi_k) = sum_t c_t omega**r_t for omega of exact order N.  The characters
     of a class share their row, hence their value modulo every prime."""
-    return [
-        (tuple(zip(column, coeffs)), count)
-        for coeffs, phases, mult in _character_classes(folded, (N,) * folded.dimension)
-        for column, count in zip(phases.T.tolist(), mult.tolist())
-    ]
+    sizes: dict[tuple, int] = {}
+    for coeffs, phases, mult in _character_classes(folded, (N,) * folded.dimension):
+        for column, count in zip(map(tuple, phases.T.tolist()), mult.tolist()):
+            sizes[column] = sizes.get(column, 0) + count
+    return [(tuple(zip(column, coeffs)), count) for column, count in sizes.items()]
 
 
 def _maclaurin_bound(m: int, c0: int) -> int:
     """max_j binom(m, j) * c0**j: bounds |coefficient| of every monic
-    degree-m polynomial whose m roots are nonnegative with mean c0."""
+    degree-m polynomial whose m roots are nonnegative with mean (or
+    maximum) c0."""
     best = term = 1
     for j in range(1, m + 1):
         term = term * (m - j + 1) * c0 // j  # binom(m, j) * c0**j, exact in order
@@ -195,12 +209,6 @@ def _tree_product(polys: list[list[int]], p: int) -> list[int]:
     return polys[0]
 
 
-def _power_leaf(v: int, binom: list[int], p: int) -> list[int]:
-    """(z - v)**mult mod p by the binomial theorem; binom[k] = binom(mult, k)."""
-    pw = itertools.accumulate(binom[1:], lambda x, _: x * -v % p, initial=1)  # (-v)**j
-    return [b * x % p for b, x in zip(binom, reversed(list(pw)))]
-
-
 def _split_primes(N: int, need: int, start: int) -> list[int]:
     """The fewest primes p = 1 (mod N) below ``start``, descending, whose product exceeds need."""
     chosen: list[int] = []
@@ -221,22 +229,29 @@ def _crt(residues, moduli: list[int]) -> list[int]:
     return [x - mod if x > mod // 2 else x for x in lifted]
 
 
-def _split_prime_lift(folded: LaurentPoly, N: int) -> IntPolynomial:
-    """prod over the N-torsion characters chi of (z - W(chi)), exactly,
-    computed modulo primes p = 1 (mod N) descending below ``_PRIME_START``
-    and lifted by CRT past the bound of the module docstring."""
-    rows = _character_rows(folded, N)
-    need = 2 * _maclaurin_bound(N**folded.dimension, constant_term(folded)) + 1
-    binoms = [[math.comb(mult, k) for k in range(mult + 1)] for _, mult in rows]
-
-    def residues(p: int) -> list[int]:
+def _class_factor_lift(folded: LaurentPoly, N: int) -> "SpectralFactors":
+    """The g_j of the module docstring, each lifted by CRT over the fewest of
+    one list of split primes past 2**_MARGIN_BITS times twice its bound."""
+    top = sum(folded.terms.values())  # W at the trivial character, C**2: every root is in [0, top]
+    rows: dict[int, list] = {}
+    for row, size in _character_rows(folded, N):
+        rows.setdefault(size, []).append(row)
+    bounds = {j: _maclaurin_bound(len(rs), top) for j, rs in sorted(rows.items())}
+    needs = {j: (2 * b + 1) << _MARGIN_BITS for j, b in bounds.items()}
+    residues: dict[int, list] = {j: [] for j in bounds}
+    moduli, M = _split_primes(N, max(needs.values()), _PRIME_START), 1
+    for p in moduli:
         omega = primes.root_of_unity(N, p)
         powers = [pow(omega, r, p) for r in range(N)]
-        values = [sum(a * powers[r] for r, a in row) % p for row, _ in rows]
-        return _tree_product([_power_leaf(v, b, p) for v, b in zip(values, binoms)], p)
-
-    moduli = _split_primes(N, need, _PRIME_START)
-    return IntPolynomial(tuple(_crt(map(residues, moduli), moduli)))
+        for j in (j for j in bounds if M <= needs[j]):  # the g_j short of their need
+            leaves = [[-sum(a * powers[r] for r, a in row) % p, 1] for row in rows[j]]
+            residues[j].append(_tree_product(leaves, p))
+        M *= p
+    factors = {j: _crt(residues[j], moduli) for j in bounds}  # each over its own primes
+    if any(max(map(abs, g)) > bounds[j] for j, g in factors.items()):
+        raise IntegralityViolation(f"a g_j of b_{N} is not integral: a class is split")
+    bound = _maclaurin_bound(N**folded.dimension, constant_term(folded))
+    return SpectralFactors({j: IntPolynomial(tuple(g)) for j, g in factors.items()}, bound, top)
 
 
 def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]) -> list[int]:
@@ -282,22 +297,102 @@ def check_level(N: int, n: int, size_limit: int) -> None:
         raise SizeLimit(f"{N}^{n} torsion characters exceed cap {size_limit}")
 
 
+def _exact(digits: int) -> decimal.Context:
+    """A decimal context that holds integers of up to ``digits`` digits, and raises past them."""
+    return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
+def _packed_product(factors: dict[int, IntPolynomial], s: int, digits: int) -> str:
+    """The digits of prod_j h_j(10**s)**j, h_j(z) = +-g_j(-z), exact to ``digits`` digits."""
+    ctx, product = _exact(digits), Decimal(1)
+    try:
+        for j, g in sorted(factors.items(), key=lambda item: item[0] * item[1].degree):
+            d = g.degree
+            h = [c if (d - i) % 2 == 0 else -c for i, c in enumerate(g.coefficients)]
+            if min(h) < 0:
+                raise IntegralityViolation(f"g_{j} has a root below 0")
+            packed = Decimal("".join([str(Decimal(c)).zfill(s) for c in reversed(h)]))
+            product = ctx.multiply(product, ctx.power(packed, j))
+    except decimal.Inexact:
+        raise IntegralityViolation("b_N overflows its coefficient bound") from None
+    return str(product)
+
+
+@dataclass(frozen=True)
+class SpectralFactors:
+    """b_N = prod_j g_j**j: ``factors`` maps each class size j to g_j, whose
+    roots are the values of the classes of size j; ``bound`` bounds each
+    coefficient of b_N, ``top`` each root."""
+
+    factors: dict[int, IntPolynomial]
+    bound: int
+    top: int
+
+    @property
+    def degree(self) -> int:
+        return sum(j * g.degree for j, g in self.factors.items())
+
+    @functools.cached_property
+    def coefficient_text(self) -> list[str]:
+        """b_N's coefficients as decimal text, low degree first: the slots of
+        prod_j h_j(10**s)**j (module docstring), each with a zero guard digit."""
+        s, m = Decimal(self.bound).adjusted() + 2, self.degree
+        text = _packed_product(self.factors, s, s * m + 1)
+        if text[0] != "1" or len(text) != s * m + 1 or text[1::s].strip("0"):
+            raise IntegralityViolation("b_N overflows its coefficient bound")
+        digits = (text[at : at + s].lstrip("0") or "0" for at in range(s * m + 1 - s, 0, -s))
+        signed = [t if (m - i) % 2 == 0 or t == "0" else "-" + t for i, t in enumerate(digits)]
+        return signed + ["1"]
+
+    @functools.cached_property
+    def polynomial(self) -> IntPolynomial:
+        """b_N expanded, for the readers of its integer coefficients."""
+        # through Decimal: int() of text refuses past 4300 digits (Python 3.11+)
+        return IntPolynomial(tuple(int(Decimal(t)) for t in self.coefficient_text))
+
+
+def level_multiplicity(b: SpectralFactors, r: int) -> int:
+    """The multiplicity of the integer r as a root of b_N = prod_j g_j**j."""
+    return sum(j * integer_root_multiplicity(g, r) for j, g in b.factors.items())
+
+
+def factored_value(b: SpectralFactors, z: int) -> Decimal:
+    """b_N(z) = prod_j g_j(z)**j, exactly, by Horner in ``decimal``: each
+    Horner step and partial product is at most (|z| + 1 + top)**deg b_N."""
+    ctx = _exact(b.degree * (Decimal(abs(z) + 1 + b.top).adjusted() + 1) + 1)
+    Z, value = Decimal(z), Decimal(1)
+    for j, g in b.factors.items():
+        acc = Decimal(0)
+        for c in reversed(g.coefficients):
+            acc = ctx.fma(acc, Z, c)
+        value = ctx.multiply(value, ctx.power(acc, j))
+    return value if value else Decimal(0)  # not -0, from a negative times a zero factor
+
+
+def spectral_factors(
+    w: LaurentPoly, N: int, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> SpectralFactors:
+    """b_N, the monic integer polynomial of degree N^n whose roots are the
+    values of w at all N-torsion characters, as prod_j g_j**j.  w must be a
+    diffraction polynomial: the bounds rest on its nonnegative values."""
+    check_level(N, w.dimension, size_limit)
+    return _class_factor_lift(fold_mod_N(w, N), N)
+
+
 def spectral_polynomial(
     w: LaurentPoly, N: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> IntPolynomial:
-    """Monic integer polynomial of degree N^n whose roots are the values of
-    the diffraction polynomial w at all N-torsion characters.  w must be a
-    diffraction polynomial: the certified bound rests on its nonnegative
-    character values."""
-    check_level(N, w.dimension, size_limit)
-    return _split_prime_lift(fold_mod_N(w, N), N)
+    """b_N of ``spectral_factors``, expanded."""
+    return spectral_factors(w, N, size_limit).polynomial
 
 
 # -- floating-point character evaluation ---------------------------------------
 
 
 def check_grid(N: int, n: int) -> None:
-    """Raise unless the float grid of level N has at most ``DEFAULT_FLOAT_CAP`` values, N^n."""
+    """Raise unless the float grid of level N >= 1 has at most ``DEFAULT_FLOAT_CAP`` values, N^n."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if N**n > DEFAULT_FLOAT_CAP:
         raise SizeLimit(f"{N}^{n} character values exceed cap {DEFAULT_FLOAT_CAP}")
 

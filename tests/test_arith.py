@@ -104,6 +104,15 @@ def test_factorize_products_of_primes_above_trial_range(factors):
     assert (f.sign, f.factors) == (-1, factors)
 
 
+@pytest.mark.parametrize("p", [1_099_511_627_791, 2**61 - 1])  # past 2^40, and 2^61 - 1
+@pytest.mark.parametrize("k", [2, 3])
+def test_factorize_powers_of_a_large_prime_without_rho(p, k):
+    # rho would need about sqrt(p) steps to split p^k; its k-th root needs none
+    with mock.patch.object(primes, "_rho", side_effect=AssertionError("rho ran")):
+        assert factorize(p**k).factors == {p: k}
+        assert factorize(-12 * p**k * 1021**2).factors == {2: 2, 3: 1, 1021: 2, p: k}
+
+
 # primes on both sides of the trial bound 2^10, and powers of them
 _FACTOR_PRIMES = (2, 3, 5, 1013, 1019, 1021, 1031, 1033, 65537, 1_000_003)
 

@@ -920,7 +920,7 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
 
     lattices = count_calls(monkeypatch, lattice, "difference_lattice")
     grouped = count_calls(monkeypatch, specpoly, "_character_rows")
-    lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
+    lifted = count_calls(monkeypatch, specpoly, "_class_factor_lift")
     summed = count_calls(monkeypatch, specpoly, "_character_power_sums")
     swept = count_calls(monkeypatch, laurent, "_moment_sweep")
     graphs = count_calls(monkeypatch, graph, "build_graph")
@@ -964,7 +964,7 @@ def test_walks_enumerates_each_length_once(tmp_path, monkeypatch, block, K):
 @pytest.mark.parametrize(
     "command, block, repeated, module, name",
     [
-        ("bn", {"N": 6, "levels": [9]}, "levels", "specpoly", "integer_root_multiplicity"),
+        ("bn", {"N": 6, "levels": [9]}, "levels", "specpoly", "level_multiplicity"),
         ("moments", {"k_max": 4, "levels": [3]}, "levels", "specpoly", "_character_power_sums"),
         ("mahler", {"z": 12.0, "methods": ["limit"], "hilbert": False}, "methods",
          "analysis", "_ladder"),
@@ -1002,7 +1002,7 @@ def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(specpoly.IntPolynomial, "__post_init__", counted)
     grouped = count_calls(monkeypatch, specpoly, "_character_rows")
-    lifted = count_calls(monkeypatch, specpoly, "_split_prime_lift")
+    lifted = count_calls(monkeypatch, specpoly, "_class_factor_lift")
     cfg = dict(HONEYCOMB_CFG, padic={"p": 31})
     code, out = run(tmp_path, cfg, ["padic", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0 and len(json.loads(out.read_text())["payload"]["rows"]) == 31
@@ -1095,7 +1095,7 @@ def test_bn_huge_level_cap_message(tmp_path, capsys):
 
 
 # the first computation each job would reach: a b_N, or a walk total
-WORK = {"bn": "speclat.specpoly._split_prime_lift", "walks": "speclat.graph.based_walk_weight_sum"}
+WORK = {"bn": "speclat.specpoly._class_factor_lift", "walks": "speclat.graph.based_walk_weight_sum"}
 
 
 @pytest.mark.parametrize(
@@ -1188,6 +1188,18 @@ def test_record_integers_past_digit_limit(tmp_path, fmt):
             coefficients = (f"{i},{c}" for i, c in enumerate(poly.coefficients))
             assert rows == ["index,coefficient", *coefficients]
             assert max(map(len, rows)) > 4300
+
+
+def test_bn_value_at_a_huge_z_without_int_text(tmp_path):
+    # b_14(10^4000) has 784,000 digits; Horner and int-to-text on it once took 16 s.
+    # The trace of b_14 is 196 c0 = 588, so it begins with the digits of 10^4000 - 588.
+    cfg = dict(HONEYCOMB_CFG, bn={"N": 14, "evaluate_at": [10**4000]})
+    start = time.perf_counter()
+    code, out = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    value = json.loads(out.read_text())["payload"]["evaluations"][0]["value"]
+    assert len(value) == 784_000 and value.startswith("9" * 3997 + "412")
 
 
 # -- one parser per process ----------------------------------------------------------

@@ -13,7 +13,7 @@ from speclat import primes, specpoly
 from speclat.arith import valuation_inequality_check, vp
 from speclat.analysis import _log_average
 from speclat.context import SpectralContext
-from speclat.errors import CosetViolation, RankDeficient, SizeLimit
+from speclat.errors import CosetViolation, IntegralityViolation, RankDeficient, SizeLimit
 from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice
 from speclat.laurent import constant_term, diffraction_polynomial, fold_mod_N
 from speclat.moments import moment_sequence, moment_sequence_N
@@ -22,13 +22,16 @@ from speclat.specpoly import (
     _character_classes,
     _character_power_sums,
     _character_rows,
+    _class_factor_lift,
     _maclaurin_bound,
     _mul_mod,
-    _split_prime_lift,
     character_values,
     divides,
     evaluate_at_integer,
+    factored_value,
     integer_root_multiplicity,
+    level_multiplicity,
+    spectral_factors,
     spectral_polynomial,
 )
 
@@ -152,7 +155,7 @@ def test_charpoly_prime_set_independence(honeycomb):
     lifts = []
     for start in (2**62, 2**61, 2**31):
         with mock.patch.object(specpoly, "_PRIME_START", start):
-            lifts.append(_split_prime_lift(f, 3))
+            lifts.append(_class_factor_lift(f, 3).polynomial)
     assert lifts[0] == lifts[1] == lifts[2] == spectral_polynomial(w_of(honeycomb), 3)
 
 
@@ -227,7 +230,7 @@ def test_tree_matches_linear_factors_and_berkowitz(case):
     w, N, start = case
     f = fold_mod_N(w, N)
     with mock.patch.object(specpoly, "_PRIME_START", start):
-        tree = _split_prime_lift(f, N)
+        tree = _class_factor_lift(f, N).polynomial
     assert tree == linear_factor_lift(f, N, start)
     assert tree.coefficients == berkowitz_charpoly(convolution_matrix(f, N))
 
@@ -239,13 +242,87 @@ def test_point_values_match_horner(case, extra):
     w, N, start = case
     f = fold_mod_N(w, N)
     with mock.patch.object(specpoly, "_PRIME_START", start):
-        poly = _split_prime_lift(f, N)
+        poly = _class_factor_lift(f, N).polynomial
     C2 = sum(w.terms.values())
     for zs in ((0, -1, -C2, C2, C2 + 1, *range(C2 + 1)), (10**6, -(10**9), *extra)):
         values = crt_point_values(f, N, zs, start)
         assert values == tuple(evaluate_at_integer(poly, z) for z in zs)
         for z, v in zip(zs, values):
             assert abs(v) <= (abs(z) + constant_term(f)) ** poly.degree
+
+
+@st.composite
+def weighted_cases(draw, levels=None, tops=(1, 3, 60)):
+    """A diffraction polynomial of a weighted set in 1-3 dimensions (the keys of
+    ``levels``), weights up to one of ``tops``, and a level in ``levels[n]``.
+    Equal weights give W symmetries past k -> -k, so classes of more than two."""
+    levels = levels or {1: (1, 24), 2: (1, 6), 3: (1, 3)}
+    n = draw(st.sampled_from(sorted(levels)))
+    points = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * n), min_size=n + 1, max_size=5, unique=True
+    ))
+    top = draw(st.sampled_from(tops))
+    weights = draw(st.lists(st.integers(1, top), min_size=len(points), max_size=len(points)))
+    try:
+        w = w_of(WeightedPointSet(n, tuple(zip(points, weights))))
+    except (RankDeficient, CosetViolation):
+        assume(False)
+    return w, draw(st.integers(*levels[n]))
+
+
+@settings(max_examples=40)
+@given(weighted_cases())
+def test_class_factors_match_linear_factor_lift(case):
+    w, N = case
+    b = spectral_factors(w, N)
+    assert b.degree == N**w.dimension
+    assert b.polynomial == linear_factor_lift(fold_mod_N(w, N), N)
+    assert b.coefficient_text == [str(c) for c in b.polynomial.coefficients]
+
+
+@settings(max_examples=25)
+@given(weighted_cases({2: (5, 8)}, (1, 2)), st.sampled_from([2, 3, 5, 11]))
+def test_class_factors_match_linear_factor_lift_when_classes_span_blocks(case, run):
+    # blocks of ``run`` indices k and their negations, and classes past the pairs
+    # k, -k (near-equal weights) of irrational values (N >= 5): split across blocks,
+    # they would leave the g_j non-integral unless merged
+    w, N = case
+    f = fold_mod_N(w, N)
+    with mock.patch.object(specpoly, "_CHAR_BLOCK", 2 * len(f.terms) * run):
+        blocks = list(_character_classes(f, (N,) * f.dimension))
+        b = spectral_factors(w, N)
+    assert sum(int(mult.sum()) for *_, mult in blocks) == N**f.dimension
+    assert b.polynomial == linear_factor_lift(f, N)
+
+
+@pytest.mark.parametrize("N", [5, 7, 8])
+def test_a_class_split_across_sizes_is_refused(w_honey, monkeypatch, N):
+    # b_N = prod_j g_j**j still holds if a class of size j of irrational value is
+    # counted as sizes 1 and j - 1, but then g_1, g_(j-1) and g_j are not integral
+    f = fold_mod_N(w_honey, N)
+    rows = _character_rows(f, N)
+    value = lambda row: sum(c * math.cos(2 * math.pi * r / N) for r, c in row)
+    i = next(i for i, (row, size) in enumerate(rows)
+             if size > 2 and abs(value(row) - round(value(row))) > 1e-6)
+    row, size = rows[i]
+    split = rows[:i] + [(row, 1), (row, size - 1)] + rows[i + 1 :]
+    monkeypatch.setattr(specpoly, "_character_rows", lambda folded, level: split)
+    with pytest.raises(IntegralityViolation):
+        spectral_factors(w_honey, N).coefficient_text
+
+
+@settings(max_examples=30)
+@given(weighted_cases(), st.lists(st.integers(-10**9, 10**9), max_size=3))
+def test_factored_readers_match_the_expanded_polynomial(case, extra):
+    # levels and values read from the g_j against the expanded b_N
+    w, N = case
+    b = spectral_factors(w, N)
+    p = b.polynomial
+    C2 = sum(w.terms.values())
+    roots = {round(v) for v in character_values(w, N).ravel().tolist() if abs(v - round(v)) < 1e-6}
+    for z in (*roots, -1, 0, 1, 2, C2, C2 + 1, -C2, 10**100, -(10**100), *extra):
+        assert level_multiplicity(b, z) == integer_root_multiplicity(p, z)
+        assert str(factored_value(b, z)) == str(evaluate_at_integer(p, z))
 
 
 @pytest.mark.parametrize(
@@ -274,7 +351,7 @@ def test_rows_with_multiplicity_and_level_values(w_honey, honeycomb_ctx):
     rows = merged_rows(_character_rows(f, 6))
     assert rows == loop_character_rows(f, 6)
     assert sum(rows.values()) == 36 and max(rows.values()) > 1
-    poly = _split_prime_lift(f, 6)
+    poly = _class_factor_lift(f, 6).polynomial
     assert poly == linear_factor_lift(f, 6)
     # at the spectrum levels the value is exactly 0: valuation inf
     levels = (0, 1, 3, 4, 7, 9)
@@ -293,7 +370,9 @@ def test_character_rows_match_loop(seed, monkeypatch):
     if seed % 2:
         monkeypatch.setattr("speclat.specpoly._CHAR_BLOCK", rng.randint(1, 20))
     f = fold_mod_N(w_of(ps), N)
-    assert merged_rows(_character_rows(f, N)) == loop_character_rows(f, N)
+    rows = _character_rows(f, N)
+    assert merged_rows(rows) == loop_character_rows(f, N)
+    assert len({row for row, _ in rows}) == len(rows)  # each class once, whatever the blocks
 
 
 @pytest.mark.parametrize("start", [2**62, 2**31, 2**8])

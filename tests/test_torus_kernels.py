@@ -243,6 +243,23 @@ def test_torus_quadrature_matches_fresh_grids(seed, resolution):
         assert (res.value, res.error) == (fine, abs(fine - coarse))
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_float_grid_below_level_one_is_refused(N):
+    ctx = SpectralContext(random_graph_set(random.Random(0), big=False))
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        specpoly.check_grid(N, ctx.dimension)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        character_values(ctx.w, N)
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -1])
+def test_quadrature_below_resolution_two_is_refused(resolution):
+    # R = 1 would read the level-0 half grid
+    ctx = SpectralContext(random_graph_set(random.Random(0), big=False))
+    with pytest.raises(ValueError, match="resolution must be >= 2"):
+        mahler_measure(ctx, 100.0, "torus-quadrature", resolution=resolution)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_log_average_real_z_matches_complex_form(seed):
     rng = random.Random(seed)
