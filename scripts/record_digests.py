@@ -44,8 +44,11 @@ Runs ``speclat.cli.main`` in process on
   ``bn`` at N = 20 with a repeated level and levels of 1001 digits, and
   ``mahler`` with a repeated method; ``bn`` on the generated weighted set at
   N = 12 (character classes of sizes 1 and 2 only) and on the generated cube
-  at N = 6 (seven class sizes), and honeycomb ``bn`` at N = 30 with
-  ``levels``, ``evaluate_at`` and a divisor check (built-in sets run once);
+  at N = 6 (seven class sizes), honeycomb ``bn`` at N = 30 with
+  ``levels``, ``evaluate_at`` and a divisor check, and ``bn`` on the
+  generated weighted set at N = 20 with ``evaluate_at`` at -1 and 0 and a
+  true and a false divisor check, its coefficient slots sized from
+  |b_20(-1)| (built-in sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
   numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
@@ -160,6 +163,9 @@ LARGE_JOBS = (
     ("bn-honeycomb-30", "honeycomb", "bn",
      {"N": 30, "levels": [0, 1, 3, 4, 9], "divisor_checks": [[10, 30]],
       "evaluate_at": [0, 53, -(10**6), 10**100]}),
+    # coefficient slots sized from |b_N(-1)| on a weighted set past the benchmark's
+    ("bn-weighted-20", "weighted", "bn",
+     {"N": 20, "evaluate_at": [-1, 0], "divisor_checks": [[4, 20], [3, 20]]}),
 )
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

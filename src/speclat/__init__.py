@@ -24,17 +24,17 @@ __version__ = "0.1.0"
 _MODULES = {
     "analysis": "MahlerResult SpectrumHistogram empirical_cdf hilbert_transform mahler_measure "
     "spectrum",
-    "arith": "FactoredInteger factorize primitive_modulus valuation_inequality_check vp",
+    "arith": "primitive_modulus valuation_inequality_check vp",
     "catalog": "builtin_point_set chebyshev_point_set honeycomb_point_set",
     "context": "SpectralContext",
     "graph": "TorusBipartiteGraph based_walk_weight_sum build_graph walk_series_check",
     "lattice": "LatticeBasis WeightedPointSet difference_lattice disjointness_check "
     "to_lattice_coords",
-    "laurent": "LaurentPoly constant_term diffraction_polynomial fold_mod_N",
+    "laurent": "LaurentPoly diffraction_polynomial fold_mod_N",
     "moments": "check_congruence moment_sequence moment_sequence_N "
     "product_exponents series_coefficients verify_recurrence",
-    "specpoly": "IntPolynomial divides evaluate_at_integer integer_root_multiplicity "
-    "spectral_polynomial",
+    "specpoly": "SpectralFactors divides factored_value integer_root_multiplicity "
+    "level_multiplicity spectral_factors",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -1,6 +1,6 @@
-"""Factored integers, p-adic valuations, finite fields, and the
-valuation inequality: for q = p^nu and N = q - 1, v_p(b_N(z)) at an integer
-z is at least the number of points on W = z in (F_q^*)^n, lattice basis.
+"""p-adic valuations, finite fields, and the valuation inequality: for
+q = p^nu and N = q - 1, v_p(b_N(z)) at an integer z is at least the number
+of points on W = z in (F_q^*)^n, lattice basis.
 F_q is its primitive modulus F: tuples mod (F, p) under ``_poly_mul_mod`` and
 ``_poly_pow``, which the Galois rings GR(p^k, nu) use mod (F, p^k).
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import primes, specpoly
 from .errors import SizeLimit
@@ -42,19 +41,6 @@ def _count_factors(x: int, p: int, cap: int | float) -> int:
     while d < cap and x % p == 0:
         x, d = x // p, d + 1
     return d
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    """sign * prod p^e, complete: every p is prime."""
-
-    sign: int
-    factors: dict[int, int]
-
-
-def factorize(x: int) -> FactoredInteger:
-    """x = sign * prod p^e by ``primes.prime_factors``; x = 0 raises ValueError."""
-    return FactoredInteger(-1 if x < 0 else 1, primes.prime_factors(abs(x)))
 
 
 # -- finite fields --------------------------------------------------------------

@@ -185,6 +185,7 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
     for level in (N, *itertools.chain.from_iterable(params["divisor_checks"])):
         check_level(level, ctx.dimension, size_limit)
     b = ctx.spectral_factors(N, size_limit)
+    expanded = lambda level: ctx.spectral_factors(level, size_limit).polynomial
     return {
         "N": N,
         "degree": b.degree,
@@ -193,13 +194,7 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
             str(r): level_multiplicity(b, r) for r in dict.fromkeys(params["levels"])
         },
         "divisor_checks": [
-            {
-                "divisor_level": d,
-                "level": n,
-                "divides": divides(
-                    ctx.spectral_polynomial(d, size_limit), ctx.spectral_polynomial(n, size_limit)
-                ),
-            }
+            {"divisor_level": d, "level": n, "divides": divides(expanded(d), expanded(n))}
             for d, n in params["divisor_checks"]
         ],
         "evaluations": [
@@ -266,7 +261,7 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
         "per_class": [str(Fraction(t, k)) for k, t in enumerate(totals[:kmax], 1)],
     }
     if z is not None:
-        ok = walk_series_check(ctx.spectral_polynomial(N), totals[:K])
+        ok = walk_series_check(ctx.spectral_factors(N).polynomial, totals[:K])
         payload["series_check"] = {"z": z, "K": K, "ok": ok}
     if params["export_graph"]:
         payload["graph"] = G.adjacency()

@@ -3,10 +3,10 @@ the exact invariants read from it.
 
 Every invariant speclat computes is a reading of W on the difference
 lattice.  A context builds the lattice basis and W once, and keeps each
-exact reading it is asked for: b_N per level, as its factors g_j (expanded
-at most once, for the readers of its integer coefficients), and the moments,
-a tuple of integers read once as power sums to the largest K asked for,
-sliced below it.
+exact reading it is asked for: b_N per level, as its factors g_j (whose
+``polynomial`` expands it at most once, for the readers of its integer
+coefficients), and the moments, a tuple of integers read once as power sums
+to the largest K asked for, sliced below it.
 A context serves one job and nothing outlives it.  Float character values
 are recomputed on each call, so the Mahler ``limit`` ladder and the
 Hilbert ``spectrum-average`` ladder each build their own rungs: holding
@@ -18,7 +18,7 @@ from __future__ import annotations
 from .lattice import WeightedPointSet, difference_lattice
 from .laurent import diffraction_polynomial
 from .moments import moment_sequence
-from .specpoly import DEFAULT_SIZE_LIMIT, IntPolynomial, SpectralFactors, spectral_factors
+from .specpoly import DEFAULT_SIZE_LIMIT, SpectralFactors, check_level, spectral_factors
 
 
 class SpectralContext:
@@ -37,15 +37,12 @@ class SpectralContext:
         return self.ps.dimension
 
     def spectral_factors(self, N: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> SpectralFactors:
-        """b_N as prod_j g_j**j; each call is held to ``size_limit``, kept or not."""
-        if N not in self._factors or N**self.dimension > size_limit:
-            # over the limit, spectral_factors raises before any work
+        """b_N as prod_j g_j**j, built at most once per level; each call is
+        held to ``size_limit``, kept or not."""
+        check_level(N, self.dimension, size_limit)
+        if N not in self._factors:
             self._factors[N] = spectral_factors(self.w, N, size_limit)
         return self._factors[N]
-
-    def spectral_polynomial(self, N: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> IntPolynomial:
-        """b_N expanded, built at most once per level."""
-        return self.spectral_factors(N, size_limit).polynomial
 
     def moment_sequence(self, K: int) -> tuple[int, ...]:
         """Exact moments m_0..m_K, sliced from the longest tuple so far."""

@@ -25,7 +25,6 @@ from .errors import CosetViolation, ExplosionGuard
 from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
 from .limits import MAX_WALK_LEVEL
 from .moments import poly_log_series
-from .specpoly import IntPolynomial
 from .table import Table
 
 DEFAULT_WALK_CAP = 10**8
@@ -131,7 +130,7 @@ def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
     return total * N**n
 
 
-def walk_series_check(p: IntPolynomial, totals: list[int]) -> bool:
+def walk_series_check(p: tuple[int, ...], totals: list[int]) -> bool:
     """Closed walks reproduce the log expansion of the spectral polynomial p:
     -t_k / k, t_k the based walk total of length 2k, is g_k of the formal log of
     p(z)/z^deg in 1/z, ``poly_log_series(p, K)``, at each k <= K = len(totals)."""

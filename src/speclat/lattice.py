@@ -90,27 +90,28 @@ class LatticeBasis:
         object.__setattr__(self, "index", abs(d))
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free elimination, in place, of the n rows of m to triangular form
+    in their first n columns: the sign of its row swaps, or 0 if those are singular."""
+    n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
                 return 0
+            m[k], m[i], sign = m[i], m[k], -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant: the last pivot of ``_bareiss``, signed."""
+    m = [list(r) for r in rows]
+    return _bareiss(m) * m[-1][-1]
 
 
 def _balanced_mod(x: int, d: int) -> int:
@@ -184,22 +185,23 @@ def difference_lattice(ps: WeightedPointSet) -> LatticeBasis:
 def to_lattice_coords(v: Sequence[int], basis: LatticeBasis) -> Vector:
     """Coordinates lam with lam . rows = v, or NotInLattice.
 
-    Solved by Cramer's rule on the transposed system, exactly: each
-    coordinate is a quotient of two integer determinants and must divide
-    evenly for v to lie in the lattice.
+    The transposed system, with v as its last column, is eliminated once
+    (``_bareiss``) and solved from the last coordinate up, exactly: the
+    solution is unique, so a coordinate that does not divide evenly shows
+    that v is not in the lattice.
     """
     n = basis.dimension
     v = tuple(int(x) for x in v)
     if len(v) != n:
         raise ValueError("vector has wrong dimension")
-    d = _det(basis.rows)
-    coords = []
-    for j in range(n):
-        replaced = tuple(v if i == j else basis.rows[i] for i in range(n))
-        num = _det(replaced)
-        if num % d != 0:
+    m = [[row[j] for row in basis.rows] + [v[j]] for j in range(n)]
+    _bareiss(m)
+    coords = [0] * n
+    for i in reversed(range(n)):
+        num = m[i][n] - sum(m[i][j] * coords[j] for j in range(i + 1, n))
+        if num % m[i][i] != 0:
             raise NotInLattice(f"{v} is not in the lattice")
-        coords.append(num // d)
+        coords[i] = num // m[i][i]
     return tuple(coords)
 
 

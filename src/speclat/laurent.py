@@ -71,10 +71,6 @@ def diffraction_polynomial(ps: WeightedPointSet, basis: LatticeBasis) -> Laurent
     return LaurentPoly(ps.dimension, terms)
 
 
-def constant_term(f: LaurentPoly) -> int:
-    return f.terms.get((0,) * f.dimension, 0)
-
-
 def fold_mod_N(f: LaurentPoly, N: int) -> LaurentPoly:
     """Reduce exponents componentwise mod N, summing colliding coefficients."""
     if N < 1:

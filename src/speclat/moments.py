@@ -18,22 +18,32 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import primes
-from .errors import IntegralityViolation
+from .errors import IntegralityViolation, SizeLimit
 from .laurent import LaurentPoly, _moment_sweep, _tight_form
-from .specpoly import IntPolynomial, _character_power_sums
+from .limits import DEFAULT_FLOAT_CAP
+from .specpoly import _character_power_sums
 
 Recurrence = Sequence[tuple[int, Sequence[int]]]
 
 
 def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
     """Exact moments m_0..m_K: power sums over Z_N1 x ... x Z_Nn, N_i > K *
-    reach_i, all equal or, if fewer characters, each a multiple of the last."""
+    reach_i, all equal or, if fewer characters, each a multiple of the last.
+    Raises SizeLimit, before any work, past ``DEFAULT_FLOAT_CAP`` characters:
+    first (K + 1)^n, as every reach is at least 1, then the chosen shape."""
+    n = f.dimension
+    if (K + 1) ** n > DEFAULT_FLOAT_CAP:
+        raise SizeLimit(f"moments to k = {K} need {K + 1}^{n} characters or more, "
+                        f"past cap {DEFAULT_FLOAT_CAP}")
     g = _tight_form(f)
-    reach = [max((abs(e[i]) for e in g.terms), default=0) for i in range(f.dimension)]
-    chain, N = [1] * len(reach), 1
-    for i in sorted(range(len(reach)), key=reach.__getitem__):
+    reach = [max((abs(e[i]) for e in g.terms), default=0) for i in range(n)]
+    chain, N = [1] * n, 1
+    for i in sorted(range(n), key=reach.__getitem__):
         N = chain[i] = N * -(-(K * reach[i] + 1) // N)
-    shape = min(tuple(chain), (K * max(reach) + 1,) * len(reach), key=math.prod)
+    shape = min(tuple(chain), (K * max(reach) + 1,) * n, key=math.prod)
+    if math.prod(shape) > DEFAULT_FLOAT_CAP:
+        raise SizeLimit(f"moments to k = {K} need {math.prod(shape)} characters, "
+                        f"past cap {DEFAULT_FLOAT_CAP}")
     return tuple(_character_power_sums(g, K, shape))
 
 
@@ -131,17 +141,17 @@ def verify_recurrence(moments, rec: Recurrence) -> bool:
 # -- formal series of integer polynomials ---------------------------------------
 
 
-def poly_log_series(p: IntPolynomial, K: int) -> list[Fraction]:
+def poly_log_series(p: tuple[int, ...], K: int) -> list[Fraction]:
     """Coefficients g_1..g_K of log(p(z) / z^deg) as a series in 1/z.
 
     p must be monic; the reversed coefficient sequence is a power series
     with constant term 1 and g = log of it, computed by the exact
     quotient-rule recurrence.
     """
-    if not p.is_monic:
+    if p[-1] != 1:
         raise ValueError("polynomial must be monic")
-    deg = p.degree
-    f = [Fraction(p.coefficients[deg - j]) if j <= deg else Fraction(0) for j in range(K + 1)]
+    deg = len(p) - 1
+    f = [Fraction(p[deg - j]) if j <= deg else Fraction(0) for j in range(K + 1)]
     g: list[Fraction] = [Fraction(0)]
     for k in range(1, K + 1):
         s = k * f[k] - sum(j * g[j] * f[k - j] for j in range(1, k))

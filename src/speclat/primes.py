@@ -1,5 +1,6 @@
 """Primality testing, prime generation, and ``prime_factors``, the one
-factorization, read by roots of unity, finite fields and ``arith.factorize``.
+factorization, read by roots of unity, finite fields and the p-adic lift
+precision of ``arith``.
 
 Miller-Rabin with witness sets proven deterministic: 2, 7, 61 below 4.76e9
 (Jaeschke 1993), Sinclair's seven bases below 2**64, the primes 2..41 below

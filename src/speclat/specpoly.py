@@ -20,20 +20,20 @@ the `padic` valuations (see ``arith``); the same classes, modulo primes below
 
 The bounds come from the sign of the roots.  Every point a differs from a
 fixed point a0 by a lattice vector, so W(chi) = |sum_a c_a chi(a - a0)|**2
-lies in [0, C**2], C the total weight, and the roots of b_N have mean c0,
-the constant term of W folded mod N.  Maclaurin's inequality (Hardy,
-Littlewood and Polya, Inequalities, 2.22) bounds their elementary symmetric
-functions, e_i <= binom(m, i) c0**i, and those of the d roots of a g_j by
-binom(d, i) C**(2 i).  Each g_j is lifted by CRT past 2**32 times twice its
-bound, so a g_j that is not integral (a class split across sizes) lifts
-outside it, with odds of about 2**-32, and raises IntegralityViolation.
+lies in [0, C**2], C the total weight.  Maclaurin's inequality (Hardy,
+Littlewood and Polya, Inequalities, 2.22) bounds the elementary symmetric
+functions of the d roots of a g_j by binom(d, i) C**(2 i).  Each g_j is
+lifted by CRT past 2**32 times twice its bound, so a g_j that is not
+integral (a class split across sizes) lifts outside it, with odds of about
+2**-32, and raises IntegralityViolation.
 
 h_j(z) = +-g_j(-z) has nonnegative coefficients, and so has
-prod_j h_j**j = +-b_N(-z), each at most the bound on b_N.  Packed in base
-10**s, s one more than that bound's digits, the h_j multiply exactly in
-``decimal`` and carry into no slot: the digits of the product are b_N's
-coefficients, with alternating signs, and no integer is converted to text.
-b_N(z) is prod_j g_j(z)**j, evaluated the same way.
+prod_j h_j**j = +-b_N(-z), each at most their sum |b_N(-1)|.  Packed in
+base 10**s, s one more than the digits of |b_N(-1)|, the h_j multiply
+exactly in ``decimal`` and carry into no slot: the digits of the product are
+b_N's coefficients, with alternating signs, and no integer is converted to
+text.  b_N(z) is prod_j g_j(z)**j, evaluated the same way.  Every
+polynomial is a tuple of integer coefficients, low degree first.
 
 The walk/trace bridge of the verify suite builds its own small matrix of
 multiplication by W: its eigenvalues are the same character values.
@@ -47,13 +47,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
 
 import numpy as np
 
 from . import primes
 from .errors import IntegralityViolation, SizeLimit
-from .laurent import LaurentPoly, constant_term, fold_mod_N
+from .laurent import LaurentPoly, fold_mod_N
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT
 
 _CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
@@ -62,64 +61,28 @@ _PRIME_START = 2**62  # the split primes of the g_j descend from here
 _MARGIN_BITS = 32  # modulus bits past twice each g_j's bound
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense univariate polynomial over Python integers, low degree first."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = [int(c) for c in self.coefficients]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coefficients[-1] == 1
-
-    @staticmethod
-    def from_roots(roots: Sequence[int]) -> "IntPolynomial":
-        coeffs = [1]
-        for r in roots:
-            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        return IntPolynomial(tuple(coeffs))
-
-
-def evaluate_at_integer(p: IntPolynomial, z: int) -> int:
-    """Horner evaluation, exact."""
-    acc = 0
-    for c in reversed(p.coefficients):
-        acc = acc * z + c
-    return acc
-
-
-def divides(p: IntPolynomial, q: IntPolynomial) -> bool:
+def divides(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     """True iff the monic polynomial p divides q in Z[z]."""
-    if not p.is_monic:
+    if p[-1] != 1:
         raise ValueError("divisor must be monic")
-    d = p.degree
-    rem = list(q.coefficients)
+    d = len(p) - 1
+    rem = list(q)
     if len(rem) < d + 1:
         return not any(rem)
     for i in range(len(rem) - 1, d - 1, -1):
         f = rem[i]
         if f:
             for j in range(d + 1):
-                rem[i - d + j] -= f * p.coefficients[j]
+                rem[i - d + j] -= f * p[j]
     return not any(rem[:d])
 
 
-def integer_root_multiplicity(p: IntPolynomial, r: int) -> int:
+def integer_root_multiplicity(p: tuple[int, ...], r: int) -> int:
     """Largest m with (z - r)^m dividing p; 0 at once when r != 0 does not
     divide the lowest nonzero coefficient, as a root must."""
-    if r and next(filter(None, p.coefficients), 0) % r:
+    if r and next(filter(None, p), 0) % r:
         return 0
-    coeffs, mult = p.coefficients[::-1], 0  # high degree first
+    coeffs, mult = p[::-1], 0  # high degree first
     while len(coeffs) >= 2:
         # synthetic division by (z - r): the quotient, then the remainder p(r)
         quot, acc = [], 0
@@ -247,11 +210,10 @@ def _class_factor_lift(folded: LaurentPoly, N: int) -> "SpectralFactors":
             leaves = [[-sum(a * powers[r] for r, a in row) % p, 1] for row in rows[j]]
             residues[j].append(_tree_product(leaves, p))
         M *= p
-    factors = {j: _crt(residues[j], moduli) for j in bounds}  # each over its own primes
+    factors = {j: tuple(_crt(residues[j], moduli)) for j in bounds}  # each over its own primes
     if any(max(map(abs, g)) > bounds[j] for j, g in factors.items()):
         raise IntegralityViolation(f"a g_j of b_{N} is not integral: a class is split")
-    bound = _maclaurin_bound(N**folded.dimension, constant_term(folded))
-    return SpectralFactors({j: IntPolynomial(tuple(g)) for j, g in factors.items()}, bound, top)
+    return SpectralFactors(factors, top)
 
 
 def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]) -> list[int]:
@@ -302,13 +264,13 @@ def _exact(digits: int) -> decimal.Context:
     return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
-def _packed_product(factors: dict[int, IntPolynomial], s: int, digits: int) -> str:
+def _packed_product(factors: dict[int, tuple[int, ...]], s: int, digits: int) -> str:
     """The digits of prod_j h_j(10**s)**j, h_j(z) = +-g_j(-z), exact to ``digits`` digits."""
     ctx, product = _exact(digits), Decimal(1)
     try:
-        for j, g in sorted(factors.items(), key=lambda item: item[0] * item[1].degree):
-            d = g.degree
-            h = [c if (d - i) % 2 == 0 else -c for i, c in enumerate(g.coefficients)]
+        for j, g in sorted(factors.items(), key=lambda item: item[0] * (len(item[1]) - 1)):
+            d = len(g) - 1
+            h = [c if (d - i) % 2 == 0 else -c for i, c in enumerate(g)]
             if min(h) < 0:
                 raise IntegralityViolation(f"g_{j} has a root below 0")
             packed = Decimal("".join([str(Decimal(c)).zfill(s) for c in reversed(h)]))
@@ -321,22 +283,20 @@ def _packed_product(factors: dict[int, IntPolynomial], s: int, digits: int) -> s
 @dataclass(frozen=True)
 class SpectralFactors:
     """b_N = prod_j g_j**j: ``factors`` maps each class size j to g_j, whose
-    roots are the values of the classes of size j; ``bound`` bounds each
-    coefficient of b_N, ``top`` each root."""
+    roots are the values of the classes of size j; ``top`` bounds each root."""
 
-    factors: dict[int, IntPolynomial]
-    bound: int
+    factors: dict[int, tuple[int, ...]]
     top: int
 
     @property
     def degree(self) -> int:
-        return sum(j * g.degree for j, g in self.factors.items())
+        return sum(j * (len(g) - 1) for j, g in self.factors.items())
 
     @functools.cached_property
     def coefficient_text(self) -> list[str]:
         """b_N's coefficients as decimal text, low degree first: the slots of
         prod_j h_j(10**s)**j (module docstring), each with a zero guard digit."""
-        s, m = Decimal(self.bound).adjusted() + 2, self.degree
+        s, m = abs(factored_value(self, -1)).adjusted() + 2, self.degree
         text = _packed_product(self.factors, s, s * m + 1)
         if text[0] != "1" or len(text) != s * m + 1 or text[1::s].strip("0"):
             raise IntegralityViolation("b_N overflows its coefficient bound")
@@ -345,10 +305,10 @@ class SpectralFactors:
         return signed + ["1"]
 
     @functools.cached_property
-    def polynomial(self) -> IntPolynomial:
+    def polynomial(self) -> tuple[int, ...]:
         """b_N expanded, for the readers of its integer coefficients."""
         # through Decimal: int() of text refuses past 4300 digits (Python 3.11+)
-        return IntPolynomial(tuple(int(Decimal(t)) for t in self.coefficient_text))
+        return tuple(int(Decimal(t)) for t in self.coefficient_text)
 
 
 def level_multiplicity(b: SpectralFactors, r: int) -> int:
@@ -363,7 +323,7 @@ def factored_value(b: SpectralFactors, z: int) -> Decimal:
     Z, value = Decimal(z), Decimal(1)
     for j, g in b.factors.items():
         acc = Decimal(0)
-        for c in reversed(g.coefficients):
+        for c in reversed(g):
             acc = ctx.fma(acc, Z, c)
         value = ctx.multiply(value, ctx.power(acc, j))
     return value if value else Decimal(0)  # not -0, from a negative times a zero factor
@@ -377,13 +337,6 @@ def spectral_factors(
     diffraction polynomial: the bounds rest on its nonnegative values."""
     check_level(N, w.dimension, size_limit)
     return _class_factor_lift(fold_mod_N(w, N), N)
-
-
-def spectral_polynomial(
-    w: LaurentPoly, N: int, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> IntPolynomial:
-    """b_N of ``spectral_factors``, expanded."""
-    return spectral_factors(w, N, size_limit).polynomial
 
 
 # -- floating-point character evaluation ---------------------------------------

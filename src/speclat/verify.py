@@ -5,12 +5,13 @@ Each criterion is a function of one example's SpectralContext returning
 the example it exercises, so ``run_suite`` runs one example's suite on one
 context into the CLI's ``verify`` payload, and the acceptance tests run
 everything.  The criteria read only that context, which builds the
-lattice, W and each b_N once: the generating series checks the cached b_N
-against ``poly_log_series``, c12 averages log|6 - W| with the Mahler
-routes' ``_log_average``, and the walk/trace bridge builds its own small
-matrix of multiplication by W.  Expected values are frozen here: the
-printed value table, the factored level-6 polynomial, the finite-field
-count row, and the closed forms of the line example.
+lattice, W and each b_N once.  They read b_N through its factors g_j
+(``factored_value``, ``level_multiplicity``); only the divisibility check
+expands it.  c12 averages log|6 - W| with the Mahler routes'
+``_log_average``, and the walk/trace bridge builds its own small matrix of
+multiplication by W.  Expected values are frozen here: the printed value
+table, the factored level-6 polynomial, the finite-field count row, and
+the closed forms of the line example.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from .moments import (
     series_coefficients,
     verify_recurrence,
 )
-from .specpoly import (
-    IntPolynomial,
-    character_values,
-    divides,
-    evaluate_at_integer,
-    integer_root_multiplicity,
-)
+from .specpoly import character_values, divides, factored_value, level_multiplicity
 
 CHEB_VALUES_AT_6 = [
     2, 12, 50, 192, 722, 2700, 10082, 37632, 140450, 524172, 1956242,
@@ -59,20 +54,24 @@ HONEYCOMB_RECURRENCE = (
 # -- criteria -------------------------------------------------------------------
 
 
+def _value(ctx: SpectralContext, N: int, z: int) -> int:
+    return int(factored_value(ctx.spectral_factors(N), z))
+
+
 def check_honeycomb_level6(ctx: SpectralContext) -> tuple[bool, str]:
-    p = ctx.spectral_polynomial(6)
-    expected = IntPolynomial.from_roots(HONEYCOMB_LEVEL6_ROOTS)
-    ok = p == expected and p.degree == 36
+    # b_6 is monic of degree 36: 36 integer roots, counted, fix every coefficient
+    b, roots = ctx.spectral_factors(6), HONEYCOMB_LEVEL6_ROOTS
+    ok = b.degree == 36 and all(level_multiplicity(b, r) == roots.count(r) for r in set(roots))
     return ok, "coefficient-exact, degree 36"
 
 
 def check_cheb_value_table(ctx: SpectralContext) -> tuple[bool, str]:
-    got = [evaluate_at_integer(ctx.spectral_polynomial(N), 6) for N in range(1, 18)]
+    got = [_value(ctx, N, 6) for N in range(1, 18)]
     return got == CHEB_VALUES_AT_6, f"levels 1..17, first/last {got[0]}/{got[-1]}"
 
 
 def check_cheb_shifted_recurrence(ctx: SpectralContext) -> tuple[bool, str]:
-    s = [None] + [evaluate_at_integer(ctx.spectral_polynomial(N), 6) + 2 for N in range(1, 41)]
+    s = [None] + [_value(ctx, N, 6) + 2 for N in range(1, 41)]
     ok = all(s[N + 1] == 4 * s[N] - s[N - 1] for N in range(2, 40))
     return ok, "s(N+1) = 4 s(N) - s(N-1), N <= 40"
 
@@ -80,10 +79,10 @@ def check_cheb_shifted_recurrence(ctx: SpectralContext) -> tuple[bool, str]:
 def _check_generating_series(ctx: SpectralContext, z: int, K: int) -> tuple[bool, str]:
     # b_N(z) / N, N <= K, are the coefficients of -log(1 - (z - 4) T / (1 - T)^2)
     # = -log(1 - (z - 2) T + T^2) + 2 log(1 - T), each log a poly_log_series in T = 1/x
-    quadratic = poly_log_series(IntPolynomial((1, 2 - z, 1)), K)
-    linear = poly_log_series(IntPolynomial((-1, 1)), K)
+    quadratic = poly_log_series((1, 2 - z, 1), K)
+    linear = poly_log_series((-1, 1), K)
     ok = all(
-        Fraction(evaluate_at_integer(ctx.spectral_polynomial(N), z), N) == 2 * b - a
+        Fraction(_value(ctx, N, z), N) == 2 * b - a
         for N, a, b in zip(range(1, K + 1), quadratic, linear)
     )
     return ok, f"orders 1..{K} over exact rationals"
@@ -122,7 +121,7 @@ def _check_congruences(ctx: SpectralContext) -> tuple[bool, str]:
 
 
 def _check_divisibility(ctx: SpectralContext) -> tuple[bool, str]:
-    polys = {N: ctx.spectral_polynomial(N) for N in range(1, 9)}
+    polys = {N: ctx.spectral_factors(N).polynomial for N in range(1, 9)}
     ok = all(
         divides(polys[Np], polys[N])
         for N in range(1, 9)
@@ -161,7 +160,7 @@ def check_honeycomb_padic(ctx: SpectralContext) -> tuple[bool, str]:
 
 def check_cheb_padic_pattern(ctx: SpectralContext) -> tuple[bool, str]:
     def val(N, p):
-        return vp(evaluate_at_integer(ctx.spectral_polynomial(N), 6), p)
+        return vp(_value(ctx, N, 6), p)
 
     ok = all(
         v == 1 if p in (2, 3) else v >= 2 if p % 12 in (1, 11) else v == 0
@@ -210,12 +209,12 @@ def check_honeycomb_multiplicities(ctx: SpectralContext) -> tuple[bool, str]:
         hist = spectrum(ctx, N)
         if hist.ambiguous:
             return False, f"ambiguous clustering at N={N}"
-        poly = ctx.spectral_polynomial(N)
+        b = ctx.spectral_factors(N)
         for value, mult in hist.clusters:
             level = round(value)
             if abs(value - level) < hist.tolerance:
                 # integer levels must match the exact root multiplicity
-                ok = ok and integer_root_multiplicity(poly, level) == mult
+                ok = ok and level_multiplicity(b, level) == mult
             if abs(value - 9) < 1e-9:
                 ok = ok and mult == 1
             elif abs(value) < 1e-9:
@@ -235,12 +234,12 @@ def check_honeycomb_multiplicities(ctx: SpectralContext) -> tuple[bool, str]:
 
 def check_honeycomb_cross_validation(ctx: SpectralContext) -> tuple[bool, str]:
     hist = spectrum(ctx, 6)
-    poly = ctx.spectral_polynomial(6)
+    b = ctx.spectral_factors(6)
     ok = len(hist.clusters) == 6
     for value, mult in hist.clusters:
         level = round(value)
         ok = ok and abs(value - level) < 1e-9
-        ok = ok and integer_root_multiplicity(poly, level) == mult
+        ok = ok and level_multiplicity(b, level) == mult
     return ok, "float clusters = exact multiplicities at N=6"
 
 

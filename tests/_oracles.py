@@ -11,12 +11,16 @@ from fractions import Fraction
 import numpy as np
 
 from speclat.arith import _poly_mul_mod, _poly_pow, primitive_modulus
-from speclat.laurent import LaurentPoly, constant_term, fold_mod_N
+from speclat.laurent import LaurentPoly, fold_mod_N
 from speclat.primes import primes_below, root_of_unity
-from speclat.specpoly import IntPolynomial, _maclaurin_bound
+from speclat.specpoly import _maclaurin_bound
 
 
 # -- sparse Laurent arithmetic ----------------------------------------------------
+
+
+def constant_term(f):
+    return f.terms.get((0,) * f.dimension, 0)
 
 
 def one(dimension):
@@ -189,7 +193,26 @@ def charpoly_exact(rows, prime_start=2**62):
         if x > mod // 2:
             x -= mod
         coeffs.append(x)
-    return IntPolynomial(tuple(coeffs))
+    return tuple(coeffs)
+
+
+# -- integer polynomials as coefficient tuples, low degree first -----------------
+
+
+def from_roots(roots):
+    """prod (z - r) over the roots, one linear factor at a time."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+def evaluate_at_integer(p, z):
+    """Horner evaluation, exact."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
 
 
 # -- spectral polynomial one linear factor at a time ---------------------------
@@ -229,7 +252,7 @@ def linear_factor_lift(folded, N, prime_start=2**62):
         lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted, poly)]
         mod *= p
         if mod > need:
-            return IntPolynomial(tuple(x - mod if x > mod // 2 else x for x in lifted))
+            return tuple(x - mod if x > mod // 2 else x for x in lifted)
     raise ArithmeticError(f"primes 1 mod {N} below {prime_start} exhausted")
 
 

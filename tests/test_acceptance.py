@@ -9,7 +9,7 @@ import pytest
 from speclat.catalog import builtin_point_set
 from speclat.context import SpectralContext
 from speclat.laurent import LaurentPoly, fold_mod_N
-from speclat.specpoly import IntPolynomial
+from speclat.specpoly import factored_value
 from speclat.verify import CRITERIA, _check_generating_series
 
 
@@ -30,14 +30,11 @@ def test_criterion(cid, example, check):
 
 @pytest.mark.parametrize("N", [1, 2, 9, 17])
 def test_generating_series_fails_when_one_value_is_off_by_one(cheb_ctx, monkeypatch, N):
-    exact = cheb_ctx.spectral_polynomial
+    def off_by_one(b, z):
+        # b_N(6) + 1 at the level of degree N: the constant coefficient moves by one
+        return factored_value(b, z) + (b.degree == N)
 
-    def off_by_one(level, *args):
-        # b_N(6) + 1: the constant coefficient moves by one
-        p = exact(level, *args)
-        return IntPolynomial((p.coefficients[0] + (level == N), *p.coefficients[1:]))
-
-    monkeypatch.setattr(cheb_ctx, "spectral_polynomial", off_by_one)
+    monkeypatch.setattr("speclat.verify.factored_value", off_by_one)
     passed, _ = _check_generating_series(cheb_ctx, 6, 17)
     assert not passed
 

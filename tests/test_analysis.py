@@ -68,7 +68,7 @@ def test_spectrum_top_is_simple(honeycomb_ctx, cheb_ctx):
 
 def test_spectrum_matches_exact_multiplicities(honeycomb_ctx):
     hist = spectrum(honeycomb_ctx, 6)
-    poly = honeycomb_ctx.spectral_polynomial(6)
+    poly = honeycomb_ctx.spectral_factors(6).polynomial
     for value, mult in hist.clusters:
         level = round(value)
         assert abs(value - level) < 1e-9

@@ -7,20 +7,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speclat import arith, primes, specpoly
-from speclat.arith import (
-    FactoredInteger,
-    factorize,
-    primitive_modulus,
-    valuation_inequality_check,
-    vp,
-)
+from speclat.arith import primitive_modulus, valuation_inequality_check, vp
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet
 from speclat.laurent import fold_mod_N
-from speclat.specpoly import character_values, evaluate_at_integer
+from speclat.primes import prime_factors
+from speclat.specpoly import character_values
 
-from _oracles import crt_point_values, miller_rabin_twelve, sieve, tuple_count_points
+from _oracles import (
+    crt_point_values,
+    evaluate_at_integer,
+    miller_rabin_twelve,
+    sieve,
+    tuple_count_points,
+)
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
 
@@ -35,39 +36,36 @@ def test_vp_examples():
 
 
 def test_vp_of_spectral_value(honeycomb_ctx):
-    v = evaluate_at_integer(honeycomb_ctx.spectral_polynomial(6), 53)
+    v = evaluate_at_integer(honeycomb_ctx.spectral_factors(6).polynomial, 53)
     assert vp(v, 7) == 12
 
 
 def test_factorize_examples():
-    f = factorize(140450)
-    assert (f.sign, f.factors) == (1, {2: 1, 5: 2, 53: 2})
-    assert factorize(1) == FactoredInteger(1, {})
-    assert factorize(12).factors == {2: 2, 3: 1}
-    assert factorize(-45).sign == -1
+    assert prime_factors(140450) == {2: 1, 5: 2, 53: 2}
+    assert prime_factors(1) == {}
+    assert prime_factors(12) == {2: 2, 3: 1}
     with pytest.raises(ValueError):
-        factorize(0)
+        prime_factors(0)
 
 
 def test_factorize_spectral_value(cheb_ctx):
     # level 9 value at 6 appears in the printed series as 140450
-    assert evaluate_at_integer(cheb_ctx.spectral_polynomial(9), 6) == 140450
+    assert evaluate_at_integer(cheb_ctx.spectral_factors(9).polynomial, 6) == 140450
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_factorize_roundtrip(seed):
     rng = random.Random(seed)
     x = rng.randrange(2, 10**12)
-    f = factorize(x)
-    assert all(primes.is_prime(p) for p in f.factors)
-    assert f.sign * math.prod(p**e for p, e in f.factors.items()) == x
-    assert all(e >= 1 for e in f.factors.values())
+    f = prime_factors(x)
+    assert all(primes.is_prime(p) for p in f)
+    assert math.prod(p**e for p, e in f.items()) == x
+    assert all(e >= 1 for e in f.values())
 
 
 def test_factorize_semiprime_beyond_trial_range():
     p, q = 1_000_003, 1_000_033
-    f = factorize(p * q)
-    assert f.factors == {p: 1, q: 1}
+    assert prime_factors(p * q) == {p: 1, q: 1}
 
 
 def test_factorize_matches_smallest_factor_sieve():
@@ -85,8 +83,7 @@ def test_factorize_matches_smallest_factor_sieve():
             while m > 1:
                 expected[spf[m]] = expected.get(spf[m], 0) + 1
                 m //= spf[m]
-            f = factorize(n)
-            assert (f.sign, f.factors) == (1, expected), n
+            assert prime_factors(n) == expected, n
 
 
 @pytest.mark.parametrize(
@@ -100,8 +97,7 @@ def test_factorize_matches_smallest_factor_sieve():
     ],
 )
 def test_factorize_products_of_primes_above_trial_range(factors):
-    f = factorize(-math.prod(p**e for p, e in factors.items()))
-    assert (f.sign, f.factors) == (-1, factors)
+    assert prime_factors(math.prod(p**e for p, e in factors.items())) == factors
 
 
 @pytest.mark.parametrize("p", [1_099_511_627_791, 2**61 - 1])  # past 2^40, and 2^61 - 1
@@ -109,8 +105,8 @@ def test_factorize_products_of_primes_above_trial_range(factors):
 def test_factorize_powers_of_a_large_prime_without_rho(p, k):
     # rho would need about sqrt(p) steps to split p^k; its k-th root needs none
     with mock.patch.object(primes, "_rho", side_effect=AssertionError("rho ran")):
-        assert factorize(p**k).factors == {p: k}
-        assert factorize(-12 * p**k * 1021**2).factors == {2: 2, 3: 1, 1021: 2, p: k}
+        assert prime_factors(p**k) == {p: k}
+        assert prime_factors(12 * p**k * 1021**2) == {2: 2, 3: 1, 1021: 2, p: k}
 
 
 # primes on both sides of the trial bound 2^10, and powers of them
@@ -118,14 +114,11 @@ _FACTOR_PRIMES = (2, 3, 5, 1013, 1019, 1021, 1031, 1033, 65537, 1_000_003)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from([1, -1]),
-    st.dictionaries(st.sampled_from(_FACTOR_PRIMES), st.integers(1, 4), max_size=4),
-)
-def test_factorize_returns_the_sign_and_factors_it_was_built_from(sign, factors):
-    f = factorize(sign * math.prod(p**e for p, e in factors.items()))
-    assert (f.sign, f.factors) == (sign, factors)
-    assert list(f.factors) == sorted(f.factors)
+@given(st.dictionaries(st.sampled_from(_FACTOR_PRIMES), st.integers(1, 4), max_size=4))
+def test_factorize_returns_the_factors_it_was_built_from(factors):
+    f = prime_factors(math.prod(p**e for p, e in factors.items()))
+    assert f == factors
+    assert list(f) == sorted(f)
 
 
 # -- finite fields ----------------------------------------------------------------
@@ -303,7 +296,7 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert miller_rabin_twelve(spsp_37)  # fools the twelve prime bases 2..37
     for n in (spsp_37, 3825123056546413051, 3317044064679887385961981, 2**64 + 1):
         assert not primes.is_prime(n)
-    assert 399165290221 in factorize(7 * spsp_37).factors
+    assert 399165290221 in prime_factors(7 * spsp_37)
 
 
 def test_is_prime_matches_sieve():
@@ -401,7 +394,7 @@ def test_valuation_at_the_precision_edge(p, honeycomb_ctx, cheb_ctx):
 def test_cheb_divisibility_pattern(cheb_ctx):
     # p = 13 = 12+1: the level-12 value at 6 is divisible by 13^2;
     # p = 5: not divisible by 5 at level 4
-    v13 = evaluate_at_integer(cheb_ctx.spectral_polynomial(12), 6)
+    v13 = evaluate_at_integer(cheb_ctx.spectral_factors(12).polynomial, 6)
     assert vp(v13, 13) >= 2
-    v5 = evaluate_at_integer(cheb_ctx.spectral_polynomial(4), 6)
+    v5 = evaluate_at_integer(cheb_ctx.spectral_factors(4).polynomial, 6)
     assert vp(v5, 5) == 0

@@ -12,8 +12,9 @@ from speclat.cli import SCHEMA, COMMANDS, _build_parser, _json_text, _record_tex
 from speclat.cli import _unlimited_int_text
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
-from speclat.specpoly import evaluate_at_integer
 from speclat.table import Table, leaves
+
+from _oracles import evaluate_at_integer
 
 
 def record_of(command, config_hash, payload):
@@ -51,7 +52,7 @@ def test_bn_command(tmp_path):
     cfg["bn"] = {
         "N": 6,
         "levels": [0, 1, 3, 4, 7, 9],
-        "divisor_checks": [[2, 6], [3, 6]],
+        "divisor_checks": [[2, 6], [3, 6], [4, 6], [2, 3]],
         "evaluate_at": [53],
     }
     code, out = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg)])
@@ -63,7 +64,7 @@ def test_bn_command(tmp_path):
     assert payload["level_multiplicities"] == {
         "0": 2, "1": 15, "3": 6, "4": 6, "7": 6, "9": 1,
     }
-    assert all(check["divides"] for check in payload["divisor_checks"])
+    assert [check["divides"] for check in payload["divisor_checks"]] == [True, True, False, False]
     value = int(payload["evaluations"][0]["value"])
     assert value % 7**12 == 0
 
@@ -994,13 +995,13 @@ def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
     from test_golden_records import README_CONFIG
 
     built = []
-    original = specpoly.IntPolynomial.__post_init__
+    original = specpoly.SpectralFactors.__init__
 
-    def counted(self):
-        built.append(self)
-        original(self)
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
 
-    monkeypatch.setattr(specpoly.IntPolynomial, "__post_init__", counted)
+    monkeypatch.setattr(specpoly.SpectralFactors, "__init__", counted)
     grouped = count_calls(monkeypatch, specpoly, "_character_rows")
     lifted = count_calls(monkeypatch, specpoly, "_class_factor_lift")
     cfg = dict(HONEYCOMB_CFG, padic={"p": 31})
@@ -1125,6 +1126,35 @@ def test_every_level_capped_before_any_work(tmp_path, monkeypatch, capsys, comma
         f"speclat: resource cap: {level}^2 torsion characters exceed cap 10000\n")
 
 
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize(
+    "command, block, K",
+    [
+        ("moments", {"k_max": 2}, 2),
+        # z = 10^6 needs moments to k = 3
+        ("mahler", {"z": 1e6, "methods": ["moment-series"], "hilbert": False}, 3),
+    ],
+)
+def test_exact_moments_of_a_simplex_capped_before_any_work(
+    tmp_path, monkeypatch, capsys, n, command, block, K
+):
+    # e_1..e_n and -(e_1 + ... + e_n): every tight reach is at least 1, so the
+    # torus of the exact moments holds at least (K + 1)^n characters
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact moments worked before the torus was capped")
+
+    monkeypatch.setattr("speclat.moments._tight_form", refuse)
+    monkeypatch.setattr("speclat.moments._character_power_sums", refuse)
+    points = [{"a": [int(i == j) for j in range(n)], "c": 1} for i in range(n)]
+    cfg = {"dimension": n, "points": [*points, {"a": [-1] * n, "c": 1}], command: block}
+    start = time.perf_counter()
+    code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == (f"speclat: resource cap: moments to k = {K} need "
+                                       f"{K + 1}^{n} characters or more, past cap 10000000\n")
+
+
 @pytest.mark.parametrize(
     "command, block, message",
     [
@@ -1177,7 +1207,7 @@ def test_record_integers_past_digit_limit(tmp_path, fmt):
     assert code == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == before
     ps = WeightedPointSet(cfg["dimension"], tuple((tuple(p["a"]), p["c"]) for p in cfg["points"]))
-    poly = SpectralContext(ps).spectral_polynomial(cfg["bn"]["N"])
+    poly = SpectralContext(ps).spectral_factors(cfg["bn"]["N"]).polynomial
     with _unlimited_int_text():
         if fmt == "json":
             value = json.loads(out.read_text())["payload"]["evaluations"][0]["value"]
@@ -1185,7 +1215,7 @@ def test_record_integers_past_digit_limit(tmp_path, fmt):
             assert len(value) > 4300
         else:
             rows = out.read_text().splitlines()
-            coefficients = (f"{i},{c}" for i, c in enumerate(poly.coefficients))
+            coefficients = (f"{i},{c}" for i, c in enumerate(poly))
             assert rows == ["index,coefficient", *coefficients]
             assert max(map(len, rows)) > 4300
 

@@ -1,9 +1,10 @@
 """Byte identity of CLI records across versions.
 
-The sha256 of every record the README example config gives, as JSON and as
-CSV, pinned from the version that introduced this test.  A change that moves
-a single byte of a record (a float's last bit, key order, indentation, the
-config hash) fails here; one that means to must say so and re-pin.
+The sha256 of every record the README example config gives, and of the
+``verify`` record of each built-in example, as JSON and as CSV, each pinned
+from the version that introduced it.  A change that moves a single byte of
+a record (a float's last bit, key order, indentation, the config hash)
+fails here; one that means to must say so and re-pin.
 """
 
 import hashlib
@@ -39,6 +40,14 @@ DIGESTS = {
 }
 
 
+VERIFY_DIGESTS = {
+    ("chebyshev", "json"): "92b4506fdd831cac93207afc21230d1745c3a1d1827fb6210d6b3fdd471cb085",
+    ("chebyshev", "csv"): "30869fb463f9b131b582bb365539e327d2ffea3d31bdb17efb619abd4200ecf5",
+    ("honeycomb", "json"): "64eb6689ae0e875efabcc9921594abfb00c68df0c7cc445aaff86ab0753b66a4",
+    ("honeycomb", "csv"): "7d057edf48c5f8b0acc8832e772e9095a1cb11ab5184db2b76a9b6dbee3bc42e",
+}
+
+
 @pytest.mark.parametrize("command, fmt", sorted(DIGESTS))
 def test_readme_record_bytes_pinned(tmp_path, command, fmt):
     cfg = tmp_path / "cfg.json"
@@ -46,3 +55,10 @@ def test_readme_record_bytes_pinned(tmp_path, command, fmt):
     out = tmp_path / f"out.{fmt}"
     assert main([command, "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[command, fmt]
+
+
+@pytest.mark.parametrize("example, fmt", sorted(VERIFY_DIGESTS))
+def test_verify_record_bytes_pinned(tmp_path, example, fmt):
+    out = tmp_path / f"out.{fmt}"
+    assert main(["verify", example, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[example, fmt]

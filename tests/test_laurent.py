@@ -10,12 +10,12 @@ from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice, 
 from speclat.laurent import (
     LaurentPoly,
     _tight_coordinates,
-    constant_term,
     diffraction_polynomial,
     fold_mod_N,
 )
 
 from _oracles import (
+    constant_term,
     folded_moment_sweep,
     folded_power,
     folded_power_dense,

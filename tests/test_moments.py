@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat.errors import IntegralityViolation, RankDeficient
+from speclat.errors import IntegralityViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet, difference_lattice
-from speclat.laurent import LaurentPoly, _moment_sweep, constant_term, diffraction_polynomial
+from speclat.laurent import LaurentPoly, _moment_sweep, diffraction_polynomial
 from speclat.moments import (
     check_congruence,
     moment_sequence,
@@ -18,10 +18,11 @@ from speclat.moments import (
     series_coefficients,
     verify_recurrence,
 )
-from speclat.specpoly import _character_power_sums, spectral_polynomial
+from speclat.specpoly import _character_power_sums, spectral_factors
 from speclat.verify import _check_generating_series
 
 from _oracles import (
+    constant_term,
     convolution_matrix,
     exact_moment_sweep,
     folded_moment_sweep,
@@ -68,6 +69,24 @@ def test_moment_agrees_with_unfolded_power(w_honey, k):
 def test_moment_sequence_matches_single(w_honey):
     seq = moment_sequence(w_honey, 10)
     assert list(seq) == [moment_sequence(w_honey, k)[k] for k in range(11)]
+
+
+@pytest.mark.parametrize("K, capped", [(100, False), (200, True)])
+def test_exact_moment_torus_capped_by_its_shape(monkeypatch, K, capped):
+    # tight reaches 2 and 300: (K + 1)^2 is far below the cap, but the torus the
+    # moments need passes it at K = 200, and is refused before any power sum
+    ps = WeightedPointSet(2, (((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((300, 300), 1)))
+    shapes = []
+    monkeypatch.setattr("speclat.moments._character_power_sums",
+                        lambda g, K, shape: shapes.append(shape) or [1] * (K + 1))
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    if capped:
+        with pytest.raises(SizeLimit, match="past cap 10000000"):
+            moment_sequence(w, K)
+        assert shapes == []
+    else:
+        moment_sequence(w, K)
+        assert shapes == [(201, 30150)]
 
 
 def test_moments_basis_independent(honeycomb, w_honey):
@@ -364,7 +383,7 @@ def test_chebyshev_generating_series(cheb_ctx):
 def test_poly_log_matches_level_moments(w_honey):
     # coefficients of log(p(z)/z^deg) are -N^n m_k^(N) / k
     for N in (1, 2, 3):
-        p = spectral_polynomial(w_honey, N)
+        p = spectral_factors(w_honey, N).polynomial
         K = 6
         logs = poly_log_series(p, K)
         for k in range(1, K + 1):

@@ -15,10 +15,9 @@ from speclat.analysis import _log_average
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, IntegralityViolation, RankDeficient, SizeLimit
 from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice
-from speclat.laurent import constant_term, diffraction_polynomial, fold_mod_N
+from speclat.laurent import diffraction_polynomial, fold_mod_N
 from speclat.moments import moment_sequence, moment_sequence_N
 from speclat.specpoly import (
-    IntPolynomial,
     _character_classes,
     _character_power_sums,
     _character_rows,
@@ -27,21 +26,22 @@ from speclat.specpoly import (
     _mul_mod,
     character_values,
     divides,
-    evaluate_at_integer,
     factored_value,
     integer_root_multiplicity,
     level_multiplicity,
     spectral_factors,
-    spectral_polynomial,
 )
 
 from _oracles import (
     berkowitz_charpoly,
     charpoly_exact,
+    constant_term,
     convolution_matrix,
     crt_point_values,
+    evaluate_at_integer,
     exact_moment_sweep,
     folded_moment_sweep,
+    from_roots,
     linear_factor_lift,
     loop_character_rows,
 )
@@ -101,16 +101,16 @@ def test_matrix_trace_identity(honeycomb):
 
 
 def test_charpoly_1x1():
-    assert charpoly_exact(((9,),)).coefficients == (-9, 1)
+    assert charpoly_exact(((9,),)) == (-9, 1)
 
 
 def test_charpoly_2x2():
-    assert charpoly_exact(((2, 2), (2, 2))).coefficients == (0, -4, 1)
+    assert charpoly_exact(((2, 2), (2, 2))) == (0, -4, 1)
 
 
 def test_charpoly_honeycomb_n2(honeycomb):
     p = charpoly_exact(convolution_matrix(folded(honeycomb, 2), 2))
-    assert p == IntPolynomial.from_roots([9, 1, 1, 1])
+    assert p == from_roots([9, 1, 1, 1])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -120,7 +120,7 @@ def test_charpoly_matches_berkowitz(seed):
     rows = tuple(
         tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(m)
     )
-    assert charpoly_exact(rows).coefficients == berkowitz_charpoly(rows)
+    assert charpoly_exact(rows) == berkowitz_charpoly(rows)
 
 
 # -- split primes ---------------------------------------------------------------
@@ -156,13 +156,13 @@ def test_charpoly_prime_set_independence(honeycomb):
     for start in (2**62, 2**61, 2**31):
         with mock.patch.object(specpoly, "_PRIME_START", start):
             lifts.append(_class_factor_lift(f, 3).polynomial)
-    assert lifts[0] == lifts[1] == lifts[2] == spectral_polynomial(w_of(honeycomb), 3)
+    assert lifts[0] == lifts[1] == lifts[2] == spectral_factors(w_of(honeycomb), 3).polynomial
 
 
-def _newton_power_sums(p: IntPolynomial, K: int) -> list[int]:
+def _newton_power_sums(p: tuple[int, ...], K: int) -> list[int]:
     """p_1..p_K of the roots of a monic polynomial, by Newton's identities."""
-    m = p.degree
-    e = [(-1) ** j * p.coefficients[m - j] for j in range(m + 1)]
+    m = len(p) - 1
+    e = [(-1) ** j * p[m - j] for j in range(m + 1)]
     sums = []
     for k in range(1, K + 1):
         acc = (-1) ** (k - 1) * k * e[k] if k <= m else 0
@@ -182,11 +182,11 @@ def test_split_prime_matches_berkowitz(seed):
     N = top if seed % 2 == 0 else rng.randint(1, top)
     w = w_of(ps)
     f = fold_mod_N(w, N)
-    p = spectral_polynomial(w, N)
-    assert p.is_monic and p.degree == N**n
-    assert p.coefficients == berkowitz_charpoly(convolution_matrix(f, N))
+    p = spectral_factors(w, N).polynomial
+    assert p[-1] == 1 and len(p) - 1 == N**n
+    assert p == berkowitz_charpoly(convolution_matrix(f, N))
     bound = _maclaurin_bound(N**n, constant_term(f))
-    assert max(abs(c) for c in p.coefficients) <= bound
+    assert max(abs(c) for c in p) <= bound
     level = moment_sequence_N(w, 6, N)[1:]
     assert _newton_power_sums(p, 6) == [N**n * v for v in level]
 
@@ -194,8 +194,8 @@ def test_split_prime_matches_berkowitz(seed):
 def test_maclaurin_bound_is_tight_for_equal_roots():
     # all roots equal to the mean: the bound is the largest coefficient
     for m, c0 in ((4, 3), (7, 2), (36, 9)):
-        p = IntPolynomial.from_roots([c0] * m)
-        assert _maclaurin_bound(m, c0) == max(abs(c) for c in p.coefficients)
+        p = from_roots([c0] * m)
+        assert _maclaurin_bound(m, c0) == max(abs(c) for c in p)
     assert _maclaurin_bound(1, 9) == 9
     assert _maclaurin_bound(3, 0) == 1
 
@@ -232,7 +232,7 @@ def test_tree_matches_linear_factors_and_berkowitz(case):
     with mock.patch.object(specpoly, "_PRIME_START", start):
         tree = _class_factor_lift(f, N).polynomial
     assert tree == linear_factor_lift(f, N, start)
-    assert tree.coefficients == berkowitz_charpoly(convolution_matrix(f, N))
+    assert tree == berkowitz_charpoly(convolution_matrix(f, N))
 
 
 @settings(max_examples=60)
@@ -248,7 +248,7 @@ def test_point_values_match_horner(case, extra):
         values = crt_point_values(f, N, zs, start)
         assert values == tuple(evaluate_at_integer(poly, z) for z in zs)
         for z, v in zip(zs, values):
-            assert abs(v) <= (abs(z) + constant_term(f)) ** poly.degree
+            assert abs(v) <= (abs(z) + constant_term(f)) ** (len(poly) - 1)
 
 
 @st.composite
@@ -277,7 +277,7 @@ def test_class_factors_match_linear_factor_lift(case):
     b = spectral_factors(w, N)
     assert b.degree == N**w.dimension
     assert b.polynomial == linear_factor_lift(fold_mod_N(w, N), N)
-    assert b.coefficient_text == [str(c) for c in b.polynomial.coefficients]
+    assert b.coefficient_text == [str(c) for c in b.polynomial]
 
 
 @settings(max_examples=25)
@@ -341,7 +341,7 @@ def test_factored_readers_match_the_expanded_polynomial(case, extra):
 )
 def test_reader_follows_bound_size(w_honey, honeycomb_ctx, N, zs, reader):
     # N + 1 is prime: the padic pass at p = N + 1 gives v_p(b_N(z)) at each z
-    poly = spectral_polynomial(w_honey, N)
+    poly = spectral_factors(w_honey, N).polynomial
     checked = valuation_inequality_check(honeycomb_ctx, zs, N + 1, 1)
     assert [v for v, _, _ in checked] == [vp(evaluate_at_integer(poly, z), N + 1) for z in zs]
 
@@ -391,14 +391,14 @@ def test_packed_product_with_largest_slot_sums(start):
 
 def test_spectral_size_limit(w_honey, honeycomb_ctx, monkeypatch):
     with pytest.raises(SizeLimit):
-        spectral_polynomial(w_honey, 4, size_limit=15)
-    assert spectral_polynomial(w_honey, 4, size_limit=16).degree == 16
+        spectral_factors(w_honey, 4, size_limit=15)
+    assert spectral_factors(w_honey, 4, size_limit=16).degree == 16
     monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 15)
     with pytest.raises(SizeLimit):
         valuation_inequality_check(honeycomb_ctx, [0], 5, 1)
     monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 16)
     [(v, _, _)] = valuation_inequality_check(honeycomb_ctx, [0], 5, 1)
-    assert v == vp(spectral_polynomial(w_honey, 4).coefficients[0], 5)
+    assert v == vp(spectral_factors(w_honey, 4).polynomial[0], 5)
 
 
 # -- spectral polynomials -------------------------------------------------------
@@ -409,26 +409,26 @@ def test_level_one_is_linear(seed):
     rng = random.Random(40 + seed)
     ps = random_point_set(rng)
     C = ps.total_weight
-    assert spectral_polynomial(w_of(ps), 1).coefficients == (-C * C, 1)
+    assert spectral_factors(w_of(ps), 1).polynomial == (-C * C, 1)
 
 
 def test_honeycomb_level6_factorization(w_honey):
-    expected = IntPolynomial.from_roots(
+    expected = from_roots(
         [0] * 2 + [1] * 15 + [3] * 6 + [4] * 6 + [7] * 6 + [9]
     )
-    p = spectral_polynomial(w_honey, 6)
-    assert p.degree == 36
-    assert p.is_monic
+    p = spectral_factors(w_honey, 6).polynomial
+    assert len(p) - 1 == 36
+    assert p[-1] == 1
     assert p == expected
 
 
 def test_cheb_values_at_6(w_cheb):
-    assert evaluate_at_integer(spectral_polynomial(w_cheb, 3), 6) == 50
-    assert evaluate_at_integer(spectral_polynomial(w_cheb, 17), 6) == 5285770562
+    assert evaluate_at_integer(spectral_factors(w_cheb, 3).polynomial, 6) == 50
+    assert evaluate_at_integer(spectral_factors(w_cheb, 17).polynomial, 6) == 5285770562
 
 
 def test_honeycomb_value_53(w_honey):
-    v = evaluate_at_integer(spectral_polynomial(w_honey, 6), 53)
+    v = evaluate_at_integer(spectral_factors(w_honey, 6).polynomial, 53)
     assert v % 7**12 == 0 and v % 7**13 != 0
 
 
@@ -437,14 +437,14 @@ def test_trace_coefficient(honeycomb, chebyshev):
         f = folded(ps, N)
         rows = convolution_matrix(f, N)
         p = charpoly_exact(rows)
-        assert p.coefficients[p.degree - 1] == -sum(rows[i][i] for i in range(len(rows)))
+        assert p[-2] == -sum(rows[i][i] for i in range(len(rows)))
 
 
 def test_divides(w_honey):
-    b6 = spectral_polynomial(w_honey, 6)
+    b6 = spectral_factors(w_honey, 6).polynomial
     for Np in (1, 2, 3):
-        assert divides(spectral_polynomial(w_honey, Np), b6)
-    assert not divides(IntPolynomial((-1, 1)), IntPolynomial((0, 1)))
+        assert divides(spectral_factors(w_honey, Np).polynomial, b6)
+    assert not divides((-1, 1), (0, 1))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -455,12 +455,12 @@ def test_divides_random(seed):
     ctx = SpectralContext(random_point_set(rng, dimension=n))
     for N in range(1, 9 if n < 3 else 5):
         for d in (d for d in range(1, N) if N % d == 0):
-            assert divides(ctx.spectral_polynomial(d), ctx.spectral_polynomial(N))
+            assert divides(ctx.spectral_factors(d).polynomial, ctx.spectral_factors(N).polynomial)
 
 
 def test_sign_pattern_outside_spectrum(w_honey):
-    p = spectral_polynomial(w_honey, 4)
-    deg = p.degree
+    p = spectral_factors(w_honey, 4).polynomial
+    deg = len(p) - 1
     for z in (10, 20, 100):
         assert evaluate_at_integer(p, z) > 0
     for z in (-1, -7):
@@ -468,7 +468,7 @@ def test_sign_pattern_outside_spectrum(w_honey):
 
 
 def test_root_multiplicities(w_honey):
-    b6 = spectral_polynomial(w_honey, 6)
+    b6 = spectral_factors(w_honey, 6).polynomial
     assert integer_root_multiplicity(b6, 9) == 1
     assert integer_root_multiplicity(b6, 0) == 2
     assert integer_root_multiplicity(b6, 1) == 15
@@ -480,7 +480,7 @@ def test_root_multiplicity_counts_the_roots(seed):
     rng = random.Random(5000 + seed)
     roots = [rng.randint(-6, 6) for _ in range(rng.randint(0, 10))]
     roots += [0] * rng.randint(0, 2)
-    p = IntPolynomial.from_roots(roots)
+    p = from_roots(roots)
     for r in range(min(roots, default=0) - 3, max(roots, default=0) + 4):
         assert integer_root_multiplicity(p, r) == roots.count(r)
 
@@ -489,7 +489,7 @@ def test_root_multiplicity_answers_a_huge_level_at_once(w_honey):
     # b_30 has 0 as a double root; any other integer root divides its lowest
     # nonzero coefficient, and +-10^4000 does not.  Dividing b_30 by
     # z - 10^4000 instead takes about 50 s.
-    b30 = spectral_polynomial(w_honey, 30)
+    b30 = spectral_factors(w_honey, 30).polynomial
     start = time.perf_counter()
     assert [integer_root_multiplicity(b30, r) for r in (10**4000, -(10**4000))] == [0, 0]
     assert time.perf_counter() - start < 0.5
@@ -499,12 +499,33 @@ def test_basis_independence(honeycomb, w_honey):
     for rows in (((2, 1), (-1, -2)), ((2, 1), (1, 2)), ((1, -1), (1, 2))):
         w_alt = diffraction_polynomial(honeycomb, LatticeBasis(2, rows))
         for N in (2, 3):
-            assert spectral_polynomial(w_alt, N) == spectral_polynomial(w_honey, N)
+            assert spectral_factors(w_alt, N).polynomial == spectral_factors(w_honey, N).polynomial
 
 
 def test_evaluate_at_root(w_cheb):
-    p = spectral_polynomial(w_cheb, 1)
+    p = spectral_factors(w_cheb, 1).polynomial
     assert evaluate_at_integer(p, 4) == 0
+
+
+# -- the Kasteleyn bridge -------------------------------------------------------
+
+KASTELEYN_WEIGHTED = WeightedPointSet(2, (((0, 0), 2), ((1, 0), 1), ((0, 1), 3), ((2, 1), 1)))
+
+
+@pytest.mark.parametrize("name", ["honeycomb", "chebyshev", "weighted"])
+def test_kasteleyn_constant_term_is_a_square(request, name):
+    # W = |P|^2 for the amplitude P = sum_a c_a x^(a - a0), so |b_N(0)| = prod_chi W(chi)
+    # is R_N^2, R_N = |prod_chi P(chi)| an integer (a norm of an algebraic integer)
+    ps = KASTELEYN_WEIGHTED if name == "weighted" else request.getfixturevalue(name)
+    ctx = SpectralContext(ps)
+    roots = []
+    for N in range(1, 11):
+        value = abs(int(factored_value(ctx.spectral_factors(N), 0)))
+        roots.append(math.isqrt(value))
+        assert roots[-1] ** 2 == value, N
+    if name == "weighted":  # P(exp(i pi / 3), -1) = 0: R_N = 0 exactly when 6 | N
+        assert roots[:4] == [7, 105, 18928, 49310625]
+        assert [N for N, R in enumerate(roots, 1) if R == 0] == [6]
 
 
 # -- floating path --------------------------------------------------------------
@@ -538,7 +559,7 @@ def test_log_value_level_one(w_cheb):
 
 def test_log_value_matches_exact(w_honey):
     for N, z in ((2, 12), (3, 17)):
-        p = spectral_polynomial(w_honey, N)
+        p = spectral_factors(w_honey, N).polynomial
         logmag = log_product(w_honey, N, z)
         assert abs(logmag - math.log(evaluate_at_integer(p, z))) < 1e-8
 

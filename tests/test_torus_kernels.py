@@ -436,6 +436,6 @@ def test_float_clusters_match_exact_multiplicities(seed):
     ctx = SpectralContext(random_graph_set(rng, big=False))
     N = rng.randint(2, {1: 12, 2: 6, 3: 3}[ctx.dimension])
     hist = spectrum(ctx, N)
-    poly = ctx.spectral_polynomial(N)
+    poly = ctx.spectral_factors(N).polynomial
     for level in range(ctx.ps.total_weight**2 + 1):
         assert hist.multiplicity_near(level) == integer_root_multiplicity(poly, level), level
