@@ -48,7 +48,7 @@ Runs ``speclat.cli.main`` in process on
   ``levels``, ``evaluate_at`` and a divisor check, and ``bn`` on the
   generated weighted set at N = 20 with ``evaluate_at`` at -1 and 0 and a
   true and a false divisor check, its coefficient slots sized from
-  |b_20(-1)| (built-in sets run once);
+  |b_20(-1)| (built-in and fixed sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
   numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
@@ -144,6 +144,11 @@ LARGE_JOBS = (
      {"N": 3, "k_max": 2, "series_z": 10, "series_K": 5}),
     ("walks-honeycomb-series-empty", "honeycomb", "walks",
      {"N": 3, "k_max": 0, "series_z": 10, "series_K": 0}),
+    ("walks-honeycomb-series-60", "honeycomb", "walks",
+     {"N": 60, "k_max": 1, "series_z": 10, "series_K": 3}),
+    # every vertex and edge end in the coordinates of a Hermite basis with entries above
+    # its diagonal, on more points than the dimension plus one
+    ("walks-fcc-graph-4", "fcc", "walks", {"N": 4, "k_max": 2, "export_graph": True}),
     # float grids and moment series past their caps: exit 3
     ("spectrum-honeycomb-grid-cap", "honeycomb", "spectrum", {"N": 3000, "grid": 4000}),
     ("mahler-honeycomb-series-cap", "honeycomb", "mahler",
@@ -167,6 +172,12 @@ LARGE_JOBS = (
     ("bn-weighted-20", "weighted", "bn",
      {"N": 20, "evaluate_at": [-1, 0], "divisor_checks": [[4, 20], [3, 20]]}),
 )
+# six points of odd coordinate sum: their differences span the face-centred cubic
+# lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2)
+FIXED_SETS = {
+    "fcc": (3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1), ((1, 1, 1), 3),
+                ((2, -1, 0), 1), ((0, 2, -1), 2)]),
+}
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (
     ("bn-honeycomb-hit-json", "bn", {"N": 6, "levels": [0, 9]}, "json"),
@@ -235,14 +246,16 @@ def main() -> int:
                         print(f"{workload}/{seed}/{job['label']} cold and warm records differ")
                         return 1
                     print(f"{workload}/{seed}/{job['label']} {digest(cold)}")
+        fixed = {**gen.BUILTIN, **FIXED_SETS}
         for seed in args.seeds:
             for label, set_name, command, block in LARGE_JOBS:
-                if set_name in gen.BUILTIN and seed != args.seeds[0]:
+                if set_name in fixed and seed != args.seeds[0]:
                     continue
-                n = (gen.BUILTIN.get(set_name) or gen.TEMPLATES[set_name])[0]
+                n, points = fixed.get(set_name) or (gen.TEMPLATES[set_name][0],
+                                                    gen.generate(set_name, seed))
                 path = os.path.join(work, f"large-{seed}-{label}.json")
                 with open(path, "w") as fh:
-                    json.dump(gen._config(gen.generate(set_name, seed), n, command, block), fh)
+                    json.dump(gen._config(points, n, command, block), fh)
                 print(f"large/{seed}/{label} {digest(record([command, '--config', path]))}")
         for label, command, block, fmt in FRESH_JOBS:
             path = os.path.join(work, f"fresh-{label}.json")

@@ -251,7 +251,7 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
         raise SizeLimit(f"walks export_graph: {N}^{ctx.dimension} vertices per colour "
                         f"exceed cap {DEFAULT_SIZE_LIMIT}")
     G = build_graph(ctx.ps, ctx.basis, N)  # a CosetViolation exits 2 before the level cap
-    if z is not None:  # the series check reads b_N
+    if z is not None:  # the series check reads b_N's factors, whose lift needs N^n within the cap
         check_level(N, ctx.dimension, DEFAULT_SIZE_LIMIT)
     totals = [based_walk_weight_sum(G, k) for k in range(1, max(kmax, K) + 1)]
     payload = {
@@ -261,7 +261,7 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
         "per_class": [str(Fraction(t, k)) for k, t in enumerate(totals[:kmax], 1)],
     }
     if z is not None:
-        ok = walk_series_check(ctx.spectral_factors(N).polynomial, totals[:K])
+        ok = walk_series_check(ctx.spectral_factors(N), totals[:K])
         payload["series_check"] = {"z": z, "K": K, "ok": ok}
     if params["export_graph"]:
         payload["graph"] = G.adjacency()

@@ -10,7 +10,7 @@ convolution shortcut), so they provide the independent count that the
 convolution traces are checked against: numpy holds the folded
 displacements and weight products of all suffixes (up to 2^16 of them),
 and each prefix tests them all at once.  The log bridge compares totals
-already enumerated with the log expansion of a b_N already computed.
+already enumerated with the log expansions of the factors of a b_N.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import CosetViolation, ExplosionGuard
 from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
 from .limits import MAX_WALK_LEVEL
 from .moments import poly_log_series
+from .specpoly import SpectralFactors
 from .table import Table
 
 DEFAULT_WALK_CAP = 10**8
@@ -130,9 +131,11 @@ def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
     return total * N**n
 
 
-def walk_series_check(p: tuple[int, ...], totals: list[int]) -> bool:
-    """Closed walks reproduce the log expansion of the spectral polynomial p:
-    -t_k / k, t_k the based walk total of length 2k, is g_k of the formal log of
-    p(z)/z^deg in 1/z, ``poly_log_series(p, K)``, at each k <= K = len(totals)."""
-    logs = poly_log_series(p, len(totals))
-    return all(g == Fraction(-t, k) for k, (g, t) in enumerate(zip(logs, totals), 1))
+def walk_series_check(b: SpectralFactors, totals: list[int]) -> bool:
+    """Closed walks reproduce the log expansion of b_N = prod_j g_j**j: -t_k / k,
+    t_k the based walk total of length 2k, is g_k of the formal log of
+    b_N(z)/z^deg in 1/z at each k <= K = len(totals), the sum over j of
+    j ``poly_log_series(g_j, K)``[k]: b_N itself is never expanded."""
+    K = len(totals)
+    logs = [[j * g for g in poly_log_series(p, K)] for j, p in b.factors.items()]
+    return all(sum(gs) == Fraction(-t, k) for k, (t, *gs) in enumerate(zip(totals, *logs), 1))

@@ -11,7 +11,7 @@ All arithmetic is plain Python int, hence exact at any size.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -60,19 +60,12 @@ class WeightedPointSet:
     def total_weight(self) -> int:
         return sum(c for _, c in self.points)
 
-    def vectors(self) -> tuple[Vector, ...]:
-        return tuple(a for a, _ in self.points)
-
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """An n x n integer matrix whose rows generate a full-rank sublattice.
-
-    ``difference_lattice`` always returns the canonical Hermite normal form
-    (upper triangular, positive diagonal, off-diagonal entries balanced
-    around zero); arbitrary full-rank row sets are accepted here so that
-    alternative bases of the same lattice can be compared.
-    """
+    """The Hermite normal form ``difference_lattice`` returns: n x n integer
+    rows, upper triangular with a positive diagonal, spanning a full-rank
+    sublattice of Z^n of ``index`` the product of the diagonal."""
 
     dimension: int
     rows: tuple[Vector, ...]
@@ -84,42 +77,9 @@ class LatticeBasis:
         object.__setattr__(self, "rows", rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("basis must be a square n x n matrix")
-        d = _det(rows)
-        if d == 0:
-            raise RankDeficient("basis rows are linearly dependent")
-        object.__setattr__(self, "index", abs(d))
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination, in place, of the n rows of m to triangular form
-    in their first n columns: the sign of its row swaps, or 0 if those are singular."""
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if i is None:
-                return 0
-            m[k], m[i], sign = m[i], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(m[i])):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant: the last pivot of ``_bareiss``, signed."""
-    m = [list(r) for r in rows]
-    return _bareiss(m) * m[-1][-1]
-
-
-def _balanced_mod(x: int, d: int) -> int:
-    """Residue of x mod d in the range (-d/2, d/2], preferring +d/2."""
-    r = x % d
-    if 2 * r > d:
-        r -= d
-    return r
+        if any(r[i] <= 0 or any(r[:i]) for i, r in enumerate(rows)):
+            raise ValueError("basis must be upper triangular with a positive diagonal")
+        object.__setattr__(self, "index", math.prod(r[i] for i, r in enumerate(rows)))
 
 
 def _row_hnf(generators: Iterable[Sequence[int]], n: int) -> tuple[Vector, ...]:
@@ -154,54 +114,46 @@ def _row_hnf(generators: Iterable[Sequence[int]], n: int) -> tuple[Vector, ...]:
         basis.append(pivot)
         # every other row now has a zero in this column
         work = [r for r in work if r is not pivot and any(r[col:])]
-    # normalize entries above each diagonal into the balanced range
+    # reduce each entry x above a diagonal entry d to x - q d in (-d/2, d/2]
     for j in range(n):
         d = basis[j][j]
         for i in range(j):
-            r = _balanced_mod(basis[i][j], d)
-            q = (basis[i][j] - r) // d
-            if q:
-                for k in range(j, n):
-                    basis[i][k] -= q * basis[j][k]
+            q = -((d - 2 * basis[i][j]) // (2 * d))  # the least q with x - q d <= d/2
+            for k in range(j, n):
+                basis[i][k] -= q * basis[j][k]
     return tuple(tuple(r) for r in basis)
 
 
 def difference_lattice(ps: WeightedPointSet) -> LatticeBasis:
-    """Canonical basis of the lattice spanned by all differences a - b.
-
-    The result is in Hermite normal form, so equal point sets always give
-    the identical basis.  Raises RankDeficient when the differences do not
-    span all of Q^n (the standing full-rank assumption).
+    """Canonical basis of the lattice spanned by all differences a - b, which
+    the P - 1 differences a - a0 span, a0 the first point: a - b is
+    (a - a0) - (b - a0).  The result is in Hermite normal form, so equal
+    point sets always give the identical basis.  Raises RankDeficient when
+    the differences do not span all of Q^n (the standing full-rank assumption).
     """
-    n = ps.dimension
-    pts = ps.vectors()
-    gens = [
-        tuple(x - y for x, y in zip(a, b))
-        for a, b in itertools.permutations(pts, 2)
-    ]
-    return LatticeBasis(n, _row_hnf(gens, n))
+    a0 = ps.points[0][0]
+    gens = [tuple(x - y for x, y in zip(a, a0)) for a, _ in ps.points[1:]]
+    return LatticeBasis(ps.dimension, _row_hnf(gens, ps.dimension))
 
 
 def to_lattice_coords(v: Sequence[int], basis: LatticeBasis) -> Vector:
     """Coordinates lam with lam . rows = v, or NotInLattice.
 
-    The transposed system, with v as its last column, is eliminated once
-    (``_bareiss``) and solved from the last coordinate up, exactly: the
-    solution is unique, so a coordinate that does not divide evenly shows
-    that v is not in the lattice.
+    The rows are upper triangular, so entry j of v is the sum over i <= j of
+    lam_i rows[i][j]: forward substitution gives lam_j once the earlier ones
+    are known, exactly, and a lam_j that does not divide evenly shows that v
+    is not in the lattice.
     """
     n = basis.dimension
     v = tuple(int(x) for x in v)
     if len(v) != n:
         raise ValueError("vector has wrong dimension")
-    m = [[row[j] for row in basis.rows] + [v[j]] for j in range(n)]
-    _bareiss(m)
-    coords = [0] * n
-    for i in reversed(range(n)):
-        num = m[i][n] - sum(m[i][j] * coords[j] for j in range(i + 1, n))
-        if num % m[i][i] != 0:
+    coords: list[int] = []
+    for j, row in enumerate(basis.rows):
+        rest = v[j] - sum(c * r[j] for c, r in zip(coords, basis.rows))
+        if rest % row[j]:
             raise NotInLattice(f"{v} is not in the lattice")
-        coords[i] = num // m[i][i]
+        coords.append(rest // row[j])
     return tuple(coords)
 
 
@@ -209,10 +161,8 @@ def anchored_coords(ps: WeightedPointSet, basis: LatticeBasis) -> list[Vector]:
     """Lattice coordinates of a - a0 for each point a, a0 the first point:
     one solve per point, and the coordinates of any difference a - b are
     those of a - a0 minus those of b - a0."""
-    anchor = ps.points[0][0]
-    return [
-        to_lattice_coords(tuple(x - y for x, y in zip(a, anchor)), basis) for a, _ in ps.points
-    ]
+    a0 = ps.points[0][0]
+    return [to_lattice_coords(tuple(x - y for x, y in zip(a, a0)), basis) for a, _ in ps.points]
 
 
 def disjointness_check(ps: WeightedPointSet, basis: LatticeBasis) -> bool:

@@ -16,6 +16,60 @@ from speclat.primes import primes_below, root_of_unity
 from speclat.specpoly import _maclaurin_bound
 
 
+# -- lattices by fraction-free elimination -----------------------------------------
+
+
+def bareiss(m):
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968), in place, of the n
+    rows of m to triangular form in their first n columns: the sign of its row
+    swaps, or 0 if those are singular."""
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign
+
+
+def det(rows):
+    """Exact integer determinant: the last pivot of ``bareiss``, signed."""
+    m = [list(r) for r in rows]
+    return bareiss(m) * m[-1][-1]
+
+
+def bareiss_coords(v, rows):
+    """The integer lam with lam . rows = v, for any n full-rank rows, or None:
+    the transposed system, v its last column, eliminated once and solved from
+    the last coordinate up."""
+    n = len(rows)
+    m = [[row[j] for row in rows] + [v[j]] for j in range(n)]
+    bareiss(m)
+    coords = [0] * n
+    for i in reversed(range(n)):
+        num = m[i][n] - sum(m[i][j] * coords[j] for j in range(i + 1, n))
+        if num % m[i][i] != 0:
+            return None
+        coords[i] = num // m[i][i]
+    return tuple(coords)
+
+
+def rebased(f, basis_rows, rows):
+    """f, a Laurent polynomial in coordinates on basis_rows, in coordinates on
+    rows, another basis of the same lattice: rows = U basis_rows for the
+    unimodular U of their coordinates, and an exponent e becomes the e' with
+    e' U = e."""
+    U = [bareiss_coords(r, basis_rows) for r in rows]
+    assert None not in U and abs(det(U)) == 1, "rows span another lattice"
+    return LaurentPoly(f.dimension, {bareiss_coords(e, U): c for e, c in f.terms.items()})
+
+
 # -- sparse Laurent arithmetic ----------------------------------------------------
 
 

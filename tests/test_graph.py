@@ -1,14 +1,19 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclat.errors import CosetViolation, ExplosionGuard
 from speclat.cli import main
+from speclat.context import SpectralContext
 from speclat.graph import based_walk_weight_sum, build_graph, walk_series_check
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import diffraction_polynomial
-from speclat.moments import moment_sequence_N
+from speclat.moments import moment_sequence_N, poly_log_series
+from speclat.specpoly import character_values, factored_value
 
 from _oracles import convolution_matrix
 
@@ -140,26 +145,26 @@ def walk_totals(ctx, N, K):
 
 
 def test_walk_series_honeycomb(honeycomb_ctx):
-    assert walk_series_check(honeycomb_ctx.spectral_factors(2).polynomial, walk_totals(honeycomb_ctx, 2, 4))
+    assert walk_series_check(honeycomb_ctx.spectral_factors(2), walk_totals(honeycomb_ctx, 2, 4))
 
 
 def test_walk_series_cheb(cheb_ctx):
-    assert walk_series_check(cheb_ctx.spectral_factors(3).polynomial, walk_totals(cheb_ctx, 3, 5))
+    assert walk_series_check(cheb_ctx.spectral_factors(3), walk_totals(cheb_ctx, 3, 5))
 
 
 def test_walk_series_order_one_is_trace(cheb_ctx):
-    assert walk_series_check(cheb_ctx.spectral_factors(4).polynomial, walk_totals(cheb_ctx, 4, 1))
+    assert walk_series_check(cheb_ctx.spectral_factors(4), walk_totals(cheb_ctx, 4, 1))
 
 
 @pytest.mark.parametrize("N, K", [(2, 4), (3, 3)])
 def test_walk_series_fails_when_one_total_is_off_by_one(honeycomb_ctx, N, K):
-    p, totals = honeycomb_ctx.spectral_factors(N).polynomial, walk_totals(honeycomb_ctx, N, K)
-    assert walk_series_check(p, totals) and walk_series_check(p, [])
+    b, totals = honeycomb_ctx.spectral_factors(N), walk_totals(honeycomb_ctx, N, K)
+    assert walk_series_check(b, totals) and walk_series_check(b, [])
     for k in range(K):
         for delta in (1, -1):
             off = list(totals)
             off[k] += delta
-            assert not walk_series_check(p, off)
+            assert not walk_series_check(b, off)
 
 
 def test_adjacency_export(honeycomb):
@@ -170,3 +175,53 @@ def test_adjacency_export(honeycomb):
     assert len(adj["edges"]) == 12
     e = next(iter(adj["edges"]))
     assert set(e) == {"from", "to", "type", "weight"}
+
+
+# -- the bridge property on random weighted sets --------------------------------
+
+
+@st.composite
+def sets_avoiding_their_lattice(draw):
+    """A weighted 1-3-D set a0 + L0 that avoids its difference lattice L.
+
+    L is drawn as a Hermite basis with a diagonal entry d_j >= 2, and a0 as
+    t e_j plus a lattice vector, 0 < t < d_j: substitution on a0 - t e_j stops
+    at entry j, so a0 is not in L.  The points a0 + r_i, r_i the rows, make
+    the differences span all of L; up to two more points lie in a0 + L too."""
+    n = draw(st.integers(1, 3))
+    j = draw(st.integers(0, n - 1))
+    diag = [draw(st.integers(2, 3)) if i == j else draw(st.integers(1, 3)) for i in range(n)]
+    rows = [[0] * i + [diag[i]] + [draw(st.integers(-2, 2)) for _ in range(n - i - 1)]
+            for i in range(n)]
+    small = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+
+    def in_lattice(lam):
+        return [sum(c * r[k] for c, r in zip(lam, rows)) for k in range(n)]
+
+    t = draw(st.integers(1, diag[j] - 1))
+    a0 = [x + t * (k == j) for k, x in enumerate(in_lattice(draw(small)))]
+    offsets = [[0] * n, *rows, *(in_lattice(draw(small)) for _ in range(draw(st.integers(0, 2))))]
+    points = list(dict.fromkeys(tuple(x + y for x, y in zip(a0, off)) for off in offsets))
+    points = draw(st.permutations(points))
+    return WeightedPointSet(n, tuple((a, draw(st.integers(1, 3))) for a in points))
+
+
+@settings(max_examples=100)
+@given(sets_avoiding_their_lattice(), st.integers(1, 4))
+def test_bridge_property(ps, N):
+    # the Newton sums s_k of b_N, read from its factors as
+    # -k sum_j j poly_log_series(g_j)[k], equal N^n m_k(N), the based walk
+    # totals and the float power sums of the character values; and
+    # b_N(0) = +-(prod_chi P(chi))**2, W = |P|**2 for the amplitude P
+    K, ctx = 4, SpectralContext(ps)
+    b, n = ctx.spectral_factors(N), ps.dimension
+    logs = [[j * g for g in poly_log_series(p, K)] for j, p in b.factors.items()]
+    newton = [-k * sum(gs) for k, gs in enumerate(zip(*logs), 1)]
+    assert newton == [N**n * m for m in moment_sequence_N(ctx.w, K, N)[1:]]
+    G = build_graph(ps, ctx.basis, N)
+    assert newton == [based_walk_weight_sum(G, k) for k in range(1, K + 1)]
+    values = character_values(ctx.w, N)
+    for k, s in enumerate(newton, 1):
+        assert math.isclose(float((values**k).sum()), s, rel_tol=1e-9)
+    value = abs(int(factored_value(b, 0)))
+    assert math.isqrt(value) ** 2 == value

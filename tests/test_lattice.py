@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from speclat.errors import NotInLattice, RankDeficient
 from speclat.graph import build_graph
@@ -13,6 +15,7 @@ from speclat.lattice import (
     to_lattice_coords,
 )
 
+from _oracles import bareiss_coords, det
 from conftest import random_point_set
 
 
@@ -95,7 +98,7 @@ def test_to_lattice_coords_honeycomb(honeycomb):
 def test_all_differences_have_coords(honeycomb, chebyshev):
     for ps in (honeycomb, chebyshev):
         basis = difference_lattice(ps)
-        for a, b in itertools.permutations(ps.vectors(), 2):
+        for a, b in itertools.permutations([a for a, _ in ps.points], 2):
             diff = tuple(x - y for x, y in zip(a, b))
             lam = to_lattice_coords(diff, basis)
             recon = tuple(
@@ -137,7 +140,7 @@ def test_hnf_idempotent_under_redundant_generators(seed):
 
     gens = [
         tuple(x - y for x, y in zip(a, b))
-        for a, b in itertools.permutations(ps.vectors(), 2)
+        for a, b in itertools.permutations([a for a, _ in ps.points], 2)
     ]
     extra = []
     for _ in range(3):
@@ -163,11 +166,61 @@ def test_hnf_shape(seed):
             assert basis.rows[i][j] == 0
 
 
-def test_basis_accepts_unimodular_rows():
-    alt = LatticeBasis(2, ((2, 1), (-1, -2)))
-    assert alt.index == 3
+def test_unimodular_rows_keep_the_index(honeycomb):
+    # other bases of the honeycomb lattice are U H, H its Hermite basis and U a
+    # unimodular change of coordinates: their rows have integer coordinates on H,
+    # and |det| the index
+    basis = difference_lattice(honeycomb)
+    for rows in (((2, 1), (-1, -2)), ((2, 1), (1, 2)), ((1, -1), (1, 2))):
+        assert abs(det([to_lattice_coords(r, basis) for r in rows])) == 1
+        assert abs(det(rows)) == basis.index == 3
 
 
 def test_basis_rejects_singular_rows():
-    with pytest.raises(RankDeficient):
-        LatticeBasis(2, ((1, 2), (2, 4)))
+    # a triangular basis is singular exactly when a diagonal entry is 0
+    for rows in (((1, 2), (2, 4)), ((1, 2), (0, 0))):
+        assert det(rows) == 0
+        with pytest.raises(ValueError):
+            LatticeBasis(2, rows)
+
+
+@st.composite
+def hnf_bases(draw):
+    """An upper-triangular basis with a positive diagonal, entries above it free."""
+    n = draw(st.integers(1, 3))
+    rows = [
+        [0] * i + [draw(st.integers(1, 6))] + [draw(st.integers(-9, 9)) for _ in range(n - i - 1)]
+        for i in range(n)
+    ]
+    return LatticeBasis(n, rows)
+
+
+@given(hnf_bases(), st.data())
+def test_coords_by_substitution_match_bareiss(basis, data):
+    # forward substitution against the general elimination, on lattice members
+    # and on vectors of Z^n at large, most of them non-members
+    n = basis.dimension
+    lam = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    member = tuple(sum(c * r[j] for c, r in zip(lam, basis.rows)) for j in range(n))
+    assert to_lattice_coords(member, basis) == bareiss_coords(member, basis.rows) == tuple(lam)
+    v = tuple(data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)))
+    expected = bareiss_coords(v, basis.rows)
+    if expected is None:
+        with pytest.raises(NotInLattice):
+            to_lattice_coords(v, basis)
+    else:
+        assert to_lattice_coords(v, basis) == expected
+    assert basis.index == det(basis.rows)
+
+
+@given(hnf_bases(), st.data())
+def test_basis_refuses_rows_off_hermite_shape(basis, data):
+    n = basis.dimension
+    rows = [list(r) for r in basis.rows]
+    i = data.draw(st.integers(0, n - 1))
+    if i and data.draw(st.booleans()):  # an entry below the diagonal
+        rows[i][data.draw(st.integers(0, i - 1))] = data.draw(st.integers(1, 9) | st.integers(-9, -1))
+    else:  # a diagonal entry <= 0
+        rows[i][i] = data.draw(st.integers(-6, 0))
+    with pytest.raises(ValueError):
+        LatticeBasis(n, rows)

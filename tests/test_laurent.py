@@ -6,7 +6,7 @@ import pytest
 
 from speclat.errors import CosetViolation
 from speclat.graph import build_graph
-from speclat.lattice import LatticeBasis, WeightedPointSet, difference_lattice, to_lattice_coords
+from speclat.lattice import WeightedPointSet, difference_lattice, to_lattice_coords
 from speclat.laurent import (
     LaurentPoly,
     _tight_coordinates,
@@ -23,6 +23,7 @@ from _oracles import (
     multiply,
     one,
     power,
+    rebased,
 )
 from conftest import random_point_set
 
@@ -37,11 +38,13 @@ def test_cheb_polynomial(w_cheb):
     assert constant_term(w_cheb) == 2
 
 
-def test_honeycomb_polynomial_alternative_bases(honeycomb):
+def test_honeycomb_polynomial_alternative_bases(honeycomb, w_honey):
+    # A change of basis is a unimodular change of W's exponent coordinates.
     # With lattice rows (2,1) and (1,2) the polynomial factors as
     # (u1+u2+1)(1/u1+1/u2+1); the u2 axis flips if (1,2) is replaced by
     # its negative.
-    w = diffraction_polynomial(honeycomb, LatticeBasis(2, ((2, 1), (1, 2))))
+    rows = difference_lattice(honeycomb).rows
+    w = rebased(w_honey, rows, ((2, 1), (1, 2)))
     assert dict(w.terms) == {
         (1, 0): 1,
         (-1, 0): 1,
@@ -51,7 +54,7 @@ def test_honeycomb_polynomial_alternative_bases(honeycomb):
         (1, -1): 1,
         (0, 0): 3,
     }
-    w_flip = diffraction_polynomial(honeycomb, LatticeBasis(2, ((2, 1), (-1, -2))))
+    w_flip = rebased(w_honey, rows, ((2, 1), (-1, -2)))
     assert dict(w_flip.terms) == {
         (1, 0): 1,
         (-1, 0): 1,
