@@ -48,7 +48,10 @@ Runs ``speclat.cli.main`` in process on
   ``levels``, ``evaluate_at`` and a divisor check, and ``bn`` on the
   generated weighted set at N = 20 with ``evaluate_at`` at -1 and 0 and a
   true and a false divisor check, its coefficient slots sized from
-  |b_20(-1)| (built-in and fixed sets run once);
+  |b_20(-1)|, and ``moments`` congruence sweeps on the 3-D simplex to
+  h = 128, the last power of two under the float cap, and to h = 256,
+  past it (exit 3)
+  (built-in and fixed sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
   numpy is loaded: a warm cache hit of honeycomb ``bn`` as JSON and as CSV,
@@ -171,12 +174,20 @@ LARGE_JOBS = (
     # coefficient slots sized from |b_N(-1)| on a weighted set past the benchmark's
     ("bn-weighted-20", "weighted", "bn",
      {"N": 20, "evaluate_at": [-1, 0], "divisor_checks": [[4, 20], [3, 20]]}),
+    # a congruence sweep to h = 2^7 on the 3-D simplex, 129^3 cells under the float
+    # cap, and one to h = 2^8, past it at 257^3 cells: exit 3 before any work
+    ("moments-simplex3-sweep-128", "simplex3", "moments",
+     {"k_max": 2, "congruences": [[2, 1, 6]], "series": False}),
+    ("moments-simplex3-sweep-cap", "simplex3", "moments",
+     {"k_max": 2, "congruences": [[2, 1, 7]], "series": False}),
 )
 # six points of odd coordinate sum: their differences span the face-centred cubic
-# lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2)
+# lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2); and the 3-D simplex,
+# whose W has tight reach 1 on every axis
 FIXED_SETS = {
     "fcc": (3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1), ((1, 1, 1), 3),
                 ((2, -1, 0), 1), ((0, 2, -1), 2)]),
+    "simplex3": (3, [((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)]),
 }
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

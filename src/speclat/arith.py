@@ -47,22 +47,15 @@ def _count_factors(x: int, p: int, cap: int | float) -> int:
 
 
 def _poly_mul_mod(a, b, modulus, p):
-    """Product of coefficient tuples, reduced mod the monic modulus and the
-    integer p, prime or not; a coefficient is reduced mod p only where it
-    is read."""
-    nu = len(modulus) - 1
+    """Product of coefficient tuples, its remainder by the monic modulus
+    (``specpoly._divmod_monic``) reduced mod the integer p, prime or not."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    for i in range(len(out) - 1, nu - 1, -1):
-        f = out[i] % p
-        if f:
-            for j in range(nu):
-                out[i - nu + j] -= f * modulus[j]
-    out = [c % p for c in out[:nu]]
-    return tuple(out + [0] * (nu - len(out)))
+    out = [c % p for c in specpoly._divmod_monic(out, modulus)[1]]
+    return tuple(out + [0] * (len(modulus) - 1 - len(out)))
 
 
 def _poly_pow(base, e, modulus, m):

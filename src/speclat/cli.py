@@ -204,7 +204,8 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
 
 
 def _run_moments(ctx: SpectralContext, params: dict) -> dict:
-    from .moments import check_congruence, moment_sequence_N, product_exponents, series_coefficients
+    from .moments import _sweep_kernel, check_congruence, moment_sequence_N
+    from .moments import product_exponents, series_coefficients
 
     K = params["k_max"]
     # the job's longest moment list or congruence sweep, before any work (as
@@ -212,6 +213,9 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
     cap = DEFAULT_SERIES_CAP
     if max([K, *(k * p ** min(a + 1, cap.bit_length()) for p, k, a in params["congruences"])]) > cap:
         raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
+    for p, k, a in params["congruences"]:  # each sweep's box (k = 0 sweeps nothing)
+        if k:
+            _sweep_kernel(ctx.w, k * p ** (a + 1), p ** (a + 1))
     # the cells of the torus sweeps the level power sums replaced, so no exit code moved
     steps, n = max(1, -(-K // 2)), ctx.dimension
     N = max(params["levels"], default=0)
@@ -272,11 +276,11 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
     import numpy as np
 
     from .analysis import empirical_cdf, spectrum
-    from .specpoly import character_values, check_grid
+    from .specpoly import character_values, check_level
 
     N, m = params["N"], params["grid"]
     for level in filter(None, (N, m)):  # each float cap before any work
-        check_grid(level, ctx.dimension)
+        check_level(level, ctx.dimension, DEFAULT_FLOAT_CAP, "character values")
     hist = spectrum(ctx, N, tolerance=params["tolerance"])
     payload = {
         "N": N,
@@ -309,12 +313,12 @@ def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
 
 def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
     from .analysis import hilbert_transform, mahler_measure, sweep_series_moments
-    from .specpoly import check_grid
+    from .specpoly import check_level
 
     z, methods, tol = params["z"], params["methods"], params["tol"]
     # every cap before any work; the two moment series read one list, to the longer
     if "torus-quadrature" in methods:
-        check_grid(params["resolution"], ctx.dimension)
+        check_level(params["resolution"], ctx.dimension, DEFAULT_FLOAT_CAP, "character values")
     sweep_series_moments(
         ctx,
         z,
@@ -374,7 +378,13 @@ def _spectrum_csv(payload: dict) -> list:
 _verify_csv = _reordered("results", ("criterion", "passed", "detail"), (0, 2, 1))
 
 
+def _float_range(params: dict, C2: int):
+    if C2 >= FLOAT_OVERFLOW:
+        raise ConfigError("total_weight^2 must be below 2^1024 for float character values")
+
+
 def _mahler_above_spectrum(params: dict, C2: int):
+    _float_range(params, C2)
     # the moment series converge only outside the spectrum [0, C^2]
     if ("moment-series" in params["methods"] or params["hilbert"]) and abs(params["z"]) <= C2:
         raise ConfigError(
@@ -446,6 +456,7 @@ COMMANDS = {
         },
         _run_spectrum,
         _spectrum_csv,
+        _float_range,
     ),
     "mahler": Command(
         {
@@ -479,7 +490,7 @@ COMMANDS = {
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_BOOL = {True: "true", False: "false"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_text(obj, pad: str = "\n") -> str:
@@ -495,12 +506,8 @@ def _json_text(obj, pad: str = "\n") -> str:
     applied to the leaves.  A column of ints, or of finite floats, goes in
     as it is; others, and lists of scalars, are written by ``_column``.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or obj is True or obj is False:
+        return _JSON_CONSTANTS[obj]
     if isinstance(obj, float):  # np.float64 too, written as float.__repr__ writes it
         text = float.__repr__(obj)
         return _JSON_NONFINITE.get(text, text)
@@ -552,7 +559,7 @@ def _column(values, pad: str):
         if issubclass(kind, str):
             return map(_json_string, values)
         if kind is bool:
-            return map(_JSON_BOOL.__getitem__, values)
+            return map(_JSON_CONSTANTS.__getitem__, values)
         if issubclass(kind, int):
             return map(int.__repr__, values)
         if issubclass(kind, float) and all(map(math.isfinite, values)):

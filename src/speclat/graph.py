@@ -79,9 +79,9 @@ def build_graph(
 
 
 def check_walk_cap(npairs: int, k: int) -> None:
-    """Raise ExplosionGuard when the npairs**k type sequences of walks of
-    length 2k exceed ``DEFAULT_WALK_CAP``."""
-    if npairs**k > DEFAULT_WALK_CAP:
+    """Raise ExplosionGuard when the npairs**k >= 2**k type sequences of walks
+    of length 2k exceed ``DEFAULT_WALK_CAP``."""
+    if npairs ** min(k, DEFAULT_WALK_CAP.bit_length()) > DEFAULT_WALK_CAP:
         raise ExplosionGuard(f"{npairs}**{k} type sequences exceed the cap {DEFAULT_WALK_CAP}")
 
 

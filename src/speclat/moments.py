@@ -4,11 +4,11 @@ The level-N moment m_k(N) is the mean of W(chi)**k over the N-torsion
 characters chi; m_k, the constant term of W**k, is that mean over the
 characters of Z_N1 x ... x Z_Nn, each N_i > k * reach_i (tight coordinates),
 where no nonzero exponent of W**k folds onto 0.  Both are character power
-sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1).
-``poly_log_series`` serves the walk and generating-series checks.
+sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1),
+capped.  ``poly_log_series`` serves the walk and generating-series checks.
 
-Everything in this module is exact: Python integers and Fractions only, and
-the moments are the tuples of integers the power sums give.
+Everything in this module is exact: Python integers, Fractions and integer
+residue arrays, and the moments are the tuples of integers the power sums give.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import primes
 from .errors import IntegralityViolation, SizeLimit
-from .laurent import LaurentPoly, _moment_sweep, _tight_form
+from .laurent import LaurentPoly, _tight_form
 from .limits import DEFAULT_FLOAT_CAP
-from .specpoly import _character_power_sums
+from .specpoly import _character_power_sums, check_level
 
 Recurrence = Sequence[tuple[int, Sequence[int]]]
 
@@ -35,8 +37,7 @@ def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
     if (K + 1) ** n > DEFAULT_FLOAT_CAP:
         raise SizeLimit(f"moments to k = {K} need {K + 1}^{n} characters or more, "
                         f"past cap {DEFAULT_FLOAT_CAP}")
-    g = _tight_form(f)
-    reach = [max((abs(e[i]) for e in g.terms), default=0) for i in range(n)]
+    g, reach = _tight_form(f)
     chain, N = [1] * n, 1
     for i in sorted(range(n), key=reach.__getitem__):
         N = chain[i] = N * -(-(K * reach[i] + 1) // N)
@@ -54,12 +55,49 @@ def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     return tuple(_character_power_sums(f, K, (N,) * f.dimension))
 
 
+def _sweep_kernel(f: LaurentPoly, K: int, coeff_mod: int) -> tuple[LaurentPoly, list[int]]:
+    """``_tight_form`` of f mod ``coeff_mod`` with its reach r, once the largest box of the
+    sweep to K, prod(2 ceil(K / 2) r_i + 1), fits the float cap; (K + 1)^n is checked first."""
+    n, cap = f.dimension, DEFAULT_FLOAT_CAP
+    check_level(K + 1, n, cap, "cells of a moment sweep")
+    kernel, r = _tight_form(LaurentPoly(n, {e: c % coeff_mod for e, c in f.terms.items()}))
+    if (cells := math.prod(2 * -(-K // 2) * ri + 1 for ri in r)) > cap:
+        raise SizeLimit(f"a moment sweep to k = {K} needs {cells} cells, past cap {cap}")
+    return kernel, r
+
+
+def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int) -> list[int]:
+    """Constant terms of f**k modulo ``coeff_mod``, k = 0..K: with CT(g*h) = sum_v
+    g_v h_{-v}, m_{2j+1} pairs f^j with f^(j+1), m_{2j+2} f^(j+1) with itself, each
+    on the box -j*r .. j*r of ``_sweep_kernel``, which caps it before any work.
+    Residues below 2**15 are int64 (products below 2**30, over at most 10**7 cells)."""
+    n = f.dimension
+    kernel, r = _sweep_kernel(f, K, coeff_mod)
+    dtype = np.int64 if coeff_mod <= 2**15 else object
+
+    def ct(g, h):  # CT(g*h), g on a box no larger than h's: the centre of h, reversed
+        h = h[tuple(slice((y - x) // 2, (y + x) // 2) for x, y in zip(g.shape, h.shape))]
+        return int((g * h[(slice(None, None, -1),) * n]).sum()) % coeff_mod
+
+    out, prev = [1 % coeff_mod], np.ones((1,) * n, dtype=dtype)
+    for j in range((K + 1) // 2):
+        cur = np.zeros(tuple(2 * (j + 1) * ri + 1 for ri in r), dtype=dtype)
+        for e, c in kernel.terms.items():  # cur[i] += c * prev[i - e - r]
+            cur[tuple(slice(x + ri, x + ri + m) for x, ri, m in zip(e, r, prev.shape))] += prev * c
+        cur %= coeff_mod
+        out.append(ct(prev, cur))
+        if 2 * j + 2 <= K:
+            out.append(ct(cur, cur))
+        prev = cur
+    return out
+
+
 def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
     """True iff m_{k p^(alpha+1)} and m_{k p^alpha} agree mod p^(alpha+1).
 
     Guaranteed by the Frobenius congruence on the coefficients, so False
-    signals an implementation bug, not bad input.  Both moments are
-    computed modulo p^(alpha+1); that commutes with products.
+    signals an implementation bug, not bad input.  Both moments are computed
+    modulo p^(alpha+1), which commutes with products, by a capped sweep.
     """
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -67,11 +105,8 @@ def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
         raise ValueError("k and alpha must be >= 0")
     if k == 0:
         return True
-    modulus = p ** (alpha + 1)
-    hi = k * p ** (alpha + 1)
-    lo = k * p**alpha
-    vals = _moment_sweep(f, hi, modulus)
-    return vals[hi] == vals[lo]
+    vals = _moment_sweep(f, k * p ** (alpha + 1), p ** (alpha + 1))
+    return vals[-1] == vals[k * p**alpha]
 
 
 # -- series expansions ---------------------------------------------------------

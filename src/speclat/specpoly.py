@@ -62,20 +62,23 @@ _PRIME_START = 2**62  # the split primes of the g_j descend from here
 _MARGIN_BITS = 32  # modulus bits past twice each g_j's bound
 
 
+def _divmod_monic(q: tuple[int, ...], p: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of q by the monic p in Z[z], low degree first: the
+    remainder has the len(p) - 1 low coefficients, all of q when q is shorter."""
+    d, rem = len(p) - 1, list(q)
+    quot = [0] * (len(q) - d)
+    for i in reversed(range(len(quot))):
+        quot[i] = f = rem[i + d]
+        for j in range(d):  # rem[i + d] goes to 0 as p[d] = 1, and is read no more
+            rem[i + j] -= f * p[j]
+    return quot, rem[:d]
+
+
 def divides(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     """True iff the monic polynomial p divides q in Z[z]."""
     if p[-1] != 1:
         raise ValueError("divisor must be monic")
-    d = len(p) - 1
-    rem = list(q)
-    if len(rem) < d + 1:
-        return not any(rem)
-    for i in range(len(rem) - 1, d - 1, -1):
-        f = rem[i]
-        if f:
-            for j in range(d + 1):
-                rem[i - d + j] -= f * p[j]
-    return not any(rem[:d])
+    return not any(_divmod_monic(q, p)[1])
 
 
 def integer_root_multiplicity(p: tuple[int, ...], r: int) -> int:
@@ -83,18 +86,11 @@ def integer_root_multiplicity(p: tuple[int, ...], r: int) -> int:
     divide the lowest nonzero coefficient, as a root must."""
     if r and next(filter(None, p), 0) % r:
         return 0
-    coeffs, mult = p[::-1], 0  # high degree first
-    while len(coeffs) >= 2:
-        # synthetic division by (z - r): the quotient, then the remainder p(r)
-        quot, acc = [], 0
-        for c in coeffs:
-            acc = acc * r + c
-            quot.append(acc)
-        if acc:
-            break
-        mult += 1
-        coeffs = quot[:-1]
-    return mult
+    for mult in itertools.count():
+        quot, rem = _divmod_monic(p, (-r, 1))
+        if len(p) < 2 or any(rem):
+            return mult
+        p = quot
 
 
 # -- exact spectral polynomial by split primes ----------------------------------
@@ -250,12 +246,12 @@ def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]) -> lis
     return [s // m for s in lifted]
 
 
-def check_level(N: int, n: int, size_limit: int) -> None:
-    """Raise unless level N >= 1 has at most ``size_limit`` torsion characters, N^n."""
+def check_level(N: int, n: int, cap: int, what: str = "torsion characters") -> None:
+    """Raise unless level N >= 1 has at most ``cap`` of its N^n torsion characters (``what``)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if N**n > size_limit:
-        raise SizeLimit(f"{N}^{n} torsion characters exceed cap {size_limit}")
+    if N**n > cap:
+        raise SizeLimit(f"{N}^{n} {what} exceed cap {cap}")
 
 
 def _exact(digits: int) -> decimal.Context:
@@ -342,14 +338,6 @@ def spectral_factors(
 # -- floating-point character evaluation ---------------------------------------
 
 
-def check_grid(N: int, n: int) -> None:
-    """Raise unless the float grid of level N >= 1 has at most ``DEFAULT_FLOAT_CAP`` values, N^n."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N**n > DEFAULT_FLOAT_CAP:
-        raise SizeLimit(f"{N}^{n} character values exceed cap {DEFAULT_FLOAT_CAP}")
-
-
 def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     """Real part of f at all N-torsion characters, as an (N,)*n array.
 
@@ -367,7 +355,7 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     when the N^n values exceed ``DEFAULT_FLOAT_CAP``.
     """
     n = f.dimension
-    check_grid(N, n)
+    check_level(N, n, DEFAULT_FLOAT_CAP, "character values")
     exps, coeffs = zip(*f.sorted_terms())
     exps = [[(x + N // 2) % N - N // 2 for x in e] for e in exps]
     reach = [max(map(abs, axis)) for axis in zip(*exps)]

@@ -13,21 +13,11 @@ def leaves(row) -> list:
     return [leaf for item in row for leaf in leaves(item)] if isinstance(row, list) else [row]
 
 
-def _fill(shape, it):
-    if isinstance(shape, dict):
-        return {key: _fill(shape[key], it) for key in sorted(shape)}
-    return [_fill(item, it) for item in shape] if isinstance(shape, list) else next(it)
-
-
 class Table:
-    """The rows of shape ``row`` whose slot j holds ``columns[j]``, a leaf per
-    row; iterating rebuilds them."""
+    """The rows of shape ``row`` whose slot j holds ``columns[j]``, a leaf per row."""
 
     def __init__(self, row: list | dict, columns: tuple[list, ...]):
         self.row, self.columns = row, columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    def __iter__(self):
-        return (_fill(self.row, iter(record)) for record in zip(*self.columns))

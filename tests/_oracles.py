@@ -70,6 +70,20 @@ def rebased(f, basis_rows, rows):
     return LaurentPoly(f.dimension, {bareiss_coords(e, U): c for e, c in f.terms.items()})
 
 
+# -- record tables -----------------------------------------------------------------
+
+
+def _fill(shape, it):
+    if isinstance(shape, dict):
+        return {key: _fill(shape[key], it) for key in sorted(shape)}
+    return [_fill(item, it) for item in shape] if isinstance(shape, list) else next(it)
+
+
+def table_rows(table):
+    """The rows of a ``Table``, rebuilt: its shape with each slot filled from its column."""
+    return [_fill(table.row, iter(record)) for record in zip(*table.columns)]
+
+
 # -- sparse Laurent arithmetic ----------------------------------------------------
 
 
@@ -259,6 +273,15 @@ def from_roots(roots):
     for r in roots:
         coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
     return tuple(coeffs)
+
+
+def poly_product(a, b):
+    """a * b for coefficient tuples, low degree first, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def evaluate_at_integer(p, z):

@@ -14,7 +14,7 @@ from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
 from speclat.table import Table, leaves
 
-from _oracles import evaluate_at_integer
+from _oracles import evaluate_at_integer, table_rows
 
 
 def record_of(command, config_hash, payload):
@@ -706,7 +706,7 @@ def test_spectrum_record_matches_json_dumps(dimension, points, params):
 def rows_of(tree):
     """``tree`` with each table replaced by the list of its rows."""
     if isinstance(tree, Table):
-        return list(tree)
+        return table_rows(tree)
     if isinstance(tree, dict):
         return {key: rows_of(value) for key, value in tree.items()}
     return [rows_of(item) for item in tree] if isinstance(tree, list) else tree
@@ -737,7 +737,7 @@ def tables(draw):
 @given(tables(), st.integers(0, 3))
 def test_table_text_matches_json_dumps_of_its_rows(table, depth):
     pad = "\n" + "  " * depth
-    rows = list(table)
+    rows = table_rows(table)
     assert len(rows) == len(table)
     assert _json_text(table, pad) == json.dumps(rows, sort_keys=True, indent=2).replace("\n", pad)
     # the CSV reads a table's records and a cached record's rows alike
@@ -915,7 +915,7 @@ def count_calls(monkeypatch, module, name):
     ],
 )
 def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, levels, sweeps):
-    from speclat import graph, laurent, lattice, specpoly
+    from speclat import graph, lattice, moments, specpoly
 
     from test_golden_records import README_CONFIG
 
@@ -923,7 +923,7 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     grouped = count_calls(monkeypatch, specpoly, "_character_rows")
     lifted = count_calls(monkeypatch, specpoly, "_class_factor_lift")
     summed = count_calls(monkeypatch, specpoly, "_character_power_sums")
-    swept = count_calls(monkeypatch, laurent, "_moment_sweep")
+    swept = count_calls(monkeypatch, moments, "_moment_sweep")
     graphs = count_calls(monkeypatch, graph, "build_graph")
     walked = count_calls(monkeypatch, graph, "based_walk_weight_sum")
     assert main([command, "--config", write_cfg(tmp_path, README_CONFIG),
@@ -1153,6 +1153,54 @@ def test_exact_moments_of_a_simplex_capped_before_any_work(
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err == (f"speclat: resource cap: moments to k = {K} need "
                                        f"{K + 1}^{n} characters or more, past cap 10000000\n")
+
+
+def simplex_cfg(n, *extra):
+    """The points 0, e_1, .., e_n and ``extra``, unit weights."""
+    points = [[0] * n, *([int(i == j) for j in range(n)] for i in range(n)), *extra]
+    return {"dimension": n, "points": [{"a": list(a), "c": 1} for a in points]}
+
+
+@pytest.mark.parametrize(
+    "n, extra, congruence, message",
+    [
+        # (h + 1)^n past the cap before the tight form: h = 2^8 in 3-D, 2^6 in 4-D
+        (3, [], [2, 1, 7], "257^3 cells of a moment sweep exceed cap 10000000"),
+        (4, [], [2, 1, 5], "65^4 cells of a moment sweep exceed cap 10000000"),
+        # the tight box, reach (2, 2, 2) at h = 2^7, and reach (2, 300) at h = 2^8
+        (3, [[2, 2, 2]], [2, 1, 6],
+         "a moment sweep to k = 128 needs 16974593 cells, past cap 10000000"),
+        (2, [[300, 300]], [2, 1, 7],
+         "a moment sweep to k = 256 needs 39398913 cells, past cap 10000000"),
+    ],
+)
+def test_congruence_sweep_capped_before_any_work(
+    tmp_path, monkeypatch, capsys, n, extra, congruence, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked before the congruence sweep was capped")
+
+    for name in ("moment_sequence", "moment_sequence_N", "_moment_sweep"):
+        monkeypatch.setattr(f"speclat.moments.{name}", refuse)
+    monkeypatch.setattr("speclat.context.moment_sequence", refuse)
+    cfg = simplex_cfg(n, *extra)
+    cfg["moments"] = {"k_max": 2, "levels": [2], "congruences": [[2, 1, 1], congruence]}
+    cache = tmp_path / "cache"
+    start = time.perf_counter()
+    code = main(["moments", "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(cache)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and not list(cache.glob("*.json"))
+    assert capsys.readouterr().err == f"speclat: resource cap: {message}\n"
+
+
+def test_congruence_sweep_under_the_cap_still_runs(tmp_path):
+    # h = 2^7 on the 3-D simplex: 129^3 cells, under the cap
+    cfg = simplex_cfg(3)
+    cfg["moments"] = {"k_max": 2, "congruences": [[2, 1, 6]], "series": False}
+    code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["congruences"] == [{"alpha": 6, "holds": True, "k": 1, "p": 2}]
 
 
 @pytest.mark.parametrize(

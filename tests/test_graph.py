@@ -15,7 +15,7 @@ from speclat.laurent import diffraction_polynomial
 from speclat.moments import moment_sequence_N, poly_log_series
 from speclat.specpoly import character_values, factored_value
 
-from _oracles import convolution_matrix
+from _oracles import convolution_matrix, table_rows
 
 
 def graph_of(ps, N):
@@ -24,7 +24,7 @@ def graph_of(ps, N):
 
 def edges_of(G):
     """(black, white, type, weight) of each exported edge."""
-    edges = G.adjacency()["edges"]
+    edges = table_rows(G.adjacency()["edges"])
     return [(tuple(e["from"]), tuple(e["to"]), e["type"], e["weight"]) for e in edges]
 
 
@@ -37,7 +37,7 @@ def test_honeycomb_level3_counts(honeycomb):
 
 def test_honeycomb_level1(honeycomb):
     G = graph_of(honeycomb, 1)
-    assert list(G.adjacency()["black"]) == [[0, 0]]
+    assert table_rows(G.adjacency()["black"]) == [[0, 0]]
     edges = edges_of(G)
     assert len(edges) == 3
     # three parallel typed edges on the same vertex pair
@@ -173,7 +173,7 @@ def test_adjacency_export(honeycomb):
     assert adj["N"] == 2
     assert len(adj["black"]) == 4
     assert len(adj["edges"]) == 12
-    e = next(iter(adj["edges"]))
+    e = table_rows(adj["edges"])[0]
     assert set(e) == {"from", "to", "type", "weight"}
 
 

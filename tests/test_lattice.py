@@ -15,7 +15,7 @@ from speclat.lattice import (
     to_lattice_coords,
 )
 
-from _oracles import bareiss_coords, det
+from _oracles import bareiss_coords, det, table_rows
 from conftest import random_point_set
 
 
@@ -121,7 +121,8 @@ def test_quotient_enumeration(honeycomb):
     basis = difference_lattice(honeycomb)
 
     def reps(N):
-        return [tuple(v) for v in build_graph(honeycomb, basis, N).adjacency()["black"]]
+        black = build_graph(honeycomb, basis, N).adjacency()["black"]
+        return [tuple(v) for v in table_rows(black)]
 
     assert reps(1) == [(0, 0)]
     assert reps(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from speclat.laurent import (
     diffraction_polynomial,
     fold_mod_N,
 )
+from speclat.moments import moment_sequence
 
 from _oracles import (
     constant_term,
+    det,
     folded_moment_sweep,
     folded_power,
     folded_power_dense,
@@ -199,3 +202,21 @@ def test_tight_coordinates_reach_one(dimension, points):
     assert U.dtype.kind == "i"
     assert round(abs(np.linalg.det(U))) == 1
     assert np.abs(exponents @ U.T).max(axis=0).tolist() == [1] * dimension
+
+
+@pytest.mark.parametrize("b", [10**5, 2**40, 2**70])
+def test_tight_coordinates_of_a_skew_set(b):
+    # {0, e_1, b e_1 + e_2} is {0, e_1, e_2} under a unimodular map: reach 1 on
+    # each axis, found by multiples after 256 single steps (a step per unit of
+    # reach took 3.1 s at b = 10^5), in Python integers where int64 would overflow
+    ps = WeightedPointSet(2, [((0, 0), 1), ((1, 0), 2), ((b, 1), 3)])
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    exponents = np.array(list(w.terms), dtype=object)
+    start = time.perf_counter()
+    U = _tight_coordinates(exponents)
+    assert time.perf_counter() - start < 0.5
+    assert abs(det(U.tolist())) == 1
+    assert np.abs(exponents @ U.T).max(axis=0).tolist() == [1, 1]
+    plain = WeightedPointSet(2, [((0, 0), 1), ((1, 0), 2), ((0, 1), 3)])
+    w_plain = diffraction_polynomial(plain, difference_lattice(plain))
+    assert moment_sequence(w, 6) == moment_sequence(w_plain, 6)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from speclat.errors import IntegralityViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet, difference_lattice
-from speclat.laurent import LaurentPoly, _moment_sweep, diffraction_polynomial
+from speclat.laurent import LaurentPoly, diffraction_polynomial
 from speclat.moments import (
+    _moment_sweep,
     check_congruence,
     moment_sequence,
     moment_sequence_N,
@@ -142,6 +143,19 @@ def test_trace_cross_check(w_honey, w_cheb):
                 ]
                 tr = sum(acc[i][i] for i in range(size))
                 assert tr == N**n * moment_sequence_N(w, k, N)[k]
+
+
+def test_congruence_sweep_capped_for_library_callers(monkeypatch):
+    # {(0,0), (1,0), (0,1), (300,300)}: tight reach (2, 300), so the sweep to
+    # h = 2^8 needs 513 x 76801 cells, and is refused before any is allocated
+    ps = WeightedPointSet(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((300, 300), 1)])
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    monkeypatch.setattr("speclat.moments.np", None)  # the sweep's arrays
+    with pytest.raises(SizeLimit, match="a moment sweep to k = 256 needs 39398913 cells"):
+        check_congruence(w, 2, 1, 7)
+    monkeypatch.setattr("speclat.moments.DEFAULT_FLOAT_CAP", 1000)
+    with pytest.raises(SizeLimit, match=r"1025\^2 cells of a moment sweep exceed cap 1000"):
+        check_congruence(w, 2, 1, 9)
 
 
 # -- property sweep against the full-torus oracle ---------------------------------

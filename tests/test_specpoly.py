@@ -44,6 +44,7 @@ from _oracles import (
     from_roots,
     linear_factor_lift,
     loop_character_rows,
+    poly_product,
     rebased,
 )
 from conftest import random_point_set
@@ -457,6 +458,38 @@ def test_divides_random(seed):
     for N in range(1, 9 if n < 3 else 5):
         for d in (d for d in range(1, N) if N % d == 0):
             assert divides(ctx.spectral_factors(d).polynomial, ctx.spectral_factors(N).polynomial)
+
+
+small_ints = st.integers(-20, 20)
+monic_polys = st.lists(small_ints, max_size=5).map(lambda c: (*c, 1))
+
+
+@given(monic_polys, st.lists(small_ints, min_size=1, max_size=6), st.data())
+def test_divides_exactly_the_multiples(p, s, data):
+    # p | p s; p s + delta z^i, i < deg p, is not a multiple, nor is any nonzero
+    # q of lower degree than p; s may have zeros at the top, as q's list then has
+    q, d = poly_product(p, s), len(p) - 1
+    assert divides(p, q)
+    if d:
+        i = data.draw(st.integers(0, d - 1), label="i")
+        delta = data.draw(st.integers(-5, 5).filter(bool), label="delta")
+        assert not divides(p, tuple(c + delta * (j == i) for j, c in enumerate(q)))
+    short = data.draw(st.lists(st.integers(-3, 3), max_size=d), label="short")
+    assert divides(p, tuple(short)) == (not any(short))
+
+
+@given(
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 3)), max_size=4,
+             unique_by=lambda t: t[0]),
+    st.lists(small_ints, min_size=1, max_size=4).filter(any),
+    st.integers(-8, 8),
+)
+def test_root_multiplicity_of_a_product(roots, s, other):
+    # prod (z - r_i)^m_i s has r_i to multiplicity m_i wherever s(r_i) != 0
+    q = poly_product(from_roots([r for r, m in roots for _ in range(m)]), s)
+    for r, m in [*roots, (other, dict(roots).get(other, 0))]:
+        if evaluate_at_integer(s, r):
+            assert integer_root_multiplicity(q, r) == m
 
 
 def test_sign_pattern_outside_spectrum(w_honey):

@@ -247,7 +247,7 @@ def test_torus_quadrature_matches_fresh_grids(seed, resolution):
 def test_float_grid_below_level_one_is_refused(N):
     ctx = SpectralContext(random_graph_set(random.Random(0), big=False))
     with pytest.raises(ValueError, match="N must be >= 1"):
-        specpoly.check_grid(N, ctx.dimension)
+        specpoly.check_level(N, ctx.dimension, specpoly.DEFAULT_FLOAT_CAP, "character values")
     with pytest.raises(ValueError, match="N must be >= 1"):
         character_values(ctx.w, N)
 
