@@ -54,8 +54,8 @@ def _poly_mul_mod(a, b, modulus, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    out = [c % p for c in specpoly._divmod_monic(out, modulus)[1]]
-    return tuple(out + [0] * (len(modulus) - 1 - len(out)))
+    out = specpoly._divmod_monic(out, modulus)[1] if len(out) >= len(modulus) else out
+    return tuple([c % p for c in out] + [0] * (len(modulus) - 1 - len(out)))
 
 
 def _poly_pow(base, e, modulus, m):
