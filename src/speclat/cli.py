@@ -15,8 +15,11 @@ and each b_N once.  Results are deterministic, content-addressed by a
 hash of the effective config, and cached as JSON when a cache directory
 is given; a hit serves the cached text as it is, and the cache file name
 carries ``ALGORITHM``, so no record of a superseded algorithm is served.
-The computing layers, and numpy with them, are imported only when a job
-computes: a cache hit, a config error or ``--help`` never loads them.
+A start loads only the stdlib every job uses (``argparse``, ``json``,
+``hashlib``, ``os``), not ``dataclasses``: the job, the point set and the
+command table are named tuples.  The computing layers, and numpy with
+them, are imported only when a job computes, and ``csv`` only to write
+CSV: a cache hit, a config error or ``--help`` never loads them.
 A record is the plain dict of ``RECORD_KEYS``.  Big integers are
 serialized as decimal strings.
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
 import io
@@ -39,8 +41,6 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -64,8 +64,7 @@ RECORD_KEYS = {"schema", "command", "config_hash", "payload"}
 ALGORITHM = "alg2"
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     """One validated job: point set, command and effective parameters.
     Construction validates the point set, rejects unknown parameters and
     checks every parameter against its kind, so dispatch never sees a
@@ -244,6 +243,8 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
 
 
 def _run_walks(ctx: SpectralContext, params: dict) -> dict:
+    from fractions import Fraction
+
     from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
     from .specpoly import check_level
 
@@ -621,6 +622,8 @@ def _store_record(cache_dir: str | None, record: dict) -> str | None:
 def _emit(record: dict, out: str | None, fmt: str, text: str | None = None):
     """Write the record as ``fmt``; ``text``, if given, is its JSON text."""
     if fmt != "json":
+        import csv
+
         command = record["command"]
         table = COMMANDS[command].csv if command in COMMANDS else _verify_csv
         buf = io.StringIO()

@@ -12,7 +12,7 @@ All arithmetic is plain Python int, hence exact at any size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import NotInLattice, RankDeficient
@@ -24,23 +24,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class WeightedPointSet:
-    """Distinct points of Z^n with positive integer weights.
+class WeightedPointSet(namedtuple("WeightedPointSet", "dimension points")):
+    """Distinct points of Z^n with positive integer weights, as a checked
+    tuple of ``dimension`` and ``points``, the (point, weight) pairs:
+    immutable, and equal and hashed by value.
 
     ``total_weight`` is the sum of the weights; its square is the maximum
     the associated diffraction intensity attains.
     """
 
-    dimension: int
-    points: tuple[tuple[Vector, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.dimension
+    def __new__(cls, dimension: int, points: Iterable[tuple[Sequence[int], int]]):
+        n = dimension
         if not _is_int(n) or n < 1:
             raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
-        pts = tuple((tuple(a), c) for a, c in self.points)
-        object.__setattr__(self, "points", pts)
+        pts = tuple((tuple(a), c) for a, c in points)
         if len(pts) < 2:
             raise ValueError("need at least 2 points")
         seen = set()
@@ -55,31 +54,40 @@ class WeightedPointSet:
             if a in seen:
                 raise ValueError(f"point {a} repeated")
             seen.add(a)
+        return super().__new__(cls, n, pts)
+
+    @classmethod
+    def _make(cls, fields):  # ``_replace`` builds through it: checked too
+        return cls(*fields)
 
     @property
     def total_weight(self) -> int:
         return sum(c for _, c in self.points)
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(namedtuple("LatticeBasis", "dimension rows")):
     """The Hermite normal form ``difference_lattice`` returns: n x n integer
     rows, upper triangular with a positive diagonal, spanning a full-rank
-    sublattice of Z^n of ``index`` the product of the diagonal."""
+    sublattice of Z^n of ``index`` the product of the diagonal.  A checked
+    tuple of ``dimension`` and ``rows``, as ``WeightedPointSet`` is."""
 
-    dimension: int
-    rows: tuple[Vector, ...]
-    index: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.dimension
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
+    def __new__(cls, dimension: int, rows: Iterable[Sequence[int]]):
+        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        if len(rows) != dimension or any(len(r) != dimension for r in rows):
             raise ValueError("basis must be a square n x n matrix")
         if any(r[i] <= 0 or any(r[:i]) for i, r in enumerate(rows)):
             raise ValueError("basis must be upper triangular with a positive diagonal")
-        object.__setattr__(self, "index", math.prod(r[i] for i, r in enumerate(rows)))
+        return super().__new__(cls, dimension, rows)
+
+    @classmethod
+    def _make(cls, fields):  # ``_replace`` builds through it: checked too
+        return cls(*fields)
+
+    @property
+    def index(self) -> int:
+        return math.prod(r[i] for i, r in enumerate(self.rows))
 
 
 def _row_hnf(generators: Iterable[Sequence[int]], n: int) -> tuple[Vector, ...]:

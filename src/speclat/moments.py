@@ -37,6 +37,8 @@ def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
     if (K + 1) ** n > DEFAULT_FLOAT_CAP:
         raise SizeLimit(f"moments to k = {K} need {K + 1}^{n} characters or more, "
                         f"past cap {DEFAULT_FLOAT_CAP}")
+    if K == 0:  # one character, whatever the reach: m_0 = 1
+        return (1,)
     g, reach = _tight_form(f)
     chain, N = [1] * n, 1
     for i in sorted(range(n), key=reach.__getitem__):
@@ -52,7 +54,7 @@ def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     """Level-N moments m_0..m_K: the averages of the powers of the character
     values, integers by construction (constant-residue coefficients of the
     folded powers)."""
-    return tuple(_character_power_sums(f, K, (N,) * f.dimension))
+    return (1,) if K == 0 else tuple(_character_power_sums(f, K, (N,) * f.dimension))
 
 
 def _sweep_kernel(f: LaurentPoly, K: int, coeff_mod: int) -> tuple[LaurentPoly, list[int]]:

@@ -49,6 +49,60 @@ def test_point_set_validation():
         WeightedPointSet(2, (((1,), 1), ((0, 1), 1)))  # wrong dimension
 
 
+HONEYCOMB_POINTS = (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))
+
+
+def test_point_sets_and_bases_are_values():
+    ps = WeightedPointSet(2, HONEYCOMB_POINTS)
+    same = WeightedPointSet(points=[([1, 0], 1), ([0, 1], 1), ([-1, -1], 1)], dimension=2)
+    assert ps == same and hash(ps) == hash(same) and len({ps, same}) == 1
+    assert ps != WeightedPointSet(2, HONEYCOMB_POINTS[:2] + (((-1, -1), 2),))
+    assert same.points == HONEYCOMB_POINTS  # lists held as tuples
+    basis = LatticeBasis(2, [[1, -1], [0, 3]])
+    same_basis = LatticeBasis(rows=((1, -1), (0, 3)), dimension=2)
+    assert basis == same_basis == difference_lattice(ps) and hash(basis) == hash(same_basis)
+    assert basis != LatticeBasis(2, ((1, 1), (0, 3))) and basis.index == 3
+    for value, field in ((ps, "dimension"), (ps, "points"), (basis, "rows"), (basis, "index")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert repr(ps) == f"WeightedPointSet(dimension=2, points={HONEYCOMB_POINTS!r})"
+    # a changed copy is checked as a new value is
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        ps._replace(points=HONEYCOMB_POINTS[:1])
+    with pytest.raises(ValueError, match="upper triangular"):
+        basis._replace(rows=((1, -1), (1, 3)))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: WeightedPointSet(0, HONEYCOMB_POINTS), "dimension must be an integer >= 1, got 0"),
+        (lambda: WeightedPointSet(2.0, HONEYCOMB_POINTS),
+         "dimension must be an integer >= 1, got 2.0"),
+        (lambda: WeightedPointSet(2, HONEYCOMB_POINTS[:1]), "need at least 2 points"),
+        (lambda: WeightedPointSet(2, (((1, 0), 1), ((0, 1.0), 1))),
+         "point (0, 1.0) with weight 1 is not integral"),
+        (lambda: WeightedPointSet(2, (((1, 0), True), ((0, 1), 1))),
+         "point (1, 0) with weight True is not integral"),
+        (lambda: WeightedPointSet(2, (((1, 0), 1), ((0,), 1))),
+         "point (0,) does not have dimension 2"),
+        (lambda: WeightedPointSet(2, (((1, 0), 1), ((0, 1), 0))),
+         "weight 0 of point (0, 1) is not positive"),
+        (lambda: WeightedPointSet(2, (((1, 0), 1), ((1, 0), 2))), "point (1, 0) repeated"),
+        (lambda: LatticeBasis(2, ((1, 0),)), "basis must be a square n x n matrix"),
+        (lambda: LatticeBasis(2, ((1, 0), (0,))), "basis must be a square n x n matrix"),
+        (lambda: LatticeBasis(2, ((1, 0), (1, 1))),
+         "basis must be upper triangular with a positive diagonal"),
+        (lambda: LatticeBasis(2, ((1, 0), (0, -1))),
+         "basis must be upper triangular with a positive diagonal"),
+    ],
+)
+def test_bad_point_sets_and_bases_name_their_fault(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 def test_total_weight(honeycomb, chebyshev):
     assert honeycomb.total_weight == 3
     assert chebyshev.total_weight == 2

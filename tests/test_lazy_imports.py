@@ -1,10 +1,14 @@
-"""Cache hits, config errors and help are served without importing numpy.
+"""Cache hits, config errors and help are served on the stdlib modules
+every job uses: no numpy, and none of the heavier stdlib modules only some
+jobs need.
 
 Each job runs ``speclat.cli.main`` in a fresh interpreter, which reports on
-its last stderr line whether numpy was loaded: in the test process numpy is
-always loaded already.
+its last stderr line which of ``HEAVY`` it loaded beyond what the bare
+interpreter held before it (``site`` may hold some): in the test process
+they are all loaded already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,13 +19,18 @@ import pytest
 import speclat
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(speclat.__file__)))
-FRESH = """
+# numpy, and the stdlib a start would otherwise pay for: dataclasses imports
+# inspect (and ast, dis, tokenize), fractions imports decimal
+HEAVY = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "csv")
+REPORT = f"print(sorted(set({HEAVY!r}) & set(sys.modules) - bare), file=sys.stderr)"
+FRESH = f"""
 import sys
+bare = set(sys.modules)
 try:
     from speclat.cli import main
     sys.exit(main(sys.argv[1:]))
 finally:
-    print("numpy" in sys.modules, file=sys.stderr)
+    {REPORT}
 """
 HONEYCOMB_BN = {
     "dimension": 2,
@@ -39,15 +48,15 @@ def fresh(code, *argv):
 
 
 def fresh_main(*argv):
-    """(exit code, stdout, stderr lines before the report, numpy loaded) of ``main(argv)``."""
+    """(exit code, stdout, stderr lines before the report, the ``HEAVY`` modules
+    it loaded) of ``main(argv)``."""
     code, out, err = fresh(FRESH, *argv)
-    assert err[-1] in ("True", "False")
-    return code, out, err[:-1], err[-1] == "True"
+    return code, out, err[:-1], ast.literal_eval(err[-1])
 
 
 def test_import_cli_loads_no_numpy():
-    code, out, err = fresh("import sys, speclat.cli; print('numpy' in sys.modules)")
-    assert (code, out, err) == (0, "False\n", [])
+    code = f"import sys; bare = set(sys.modules); import speclat.cli; {REPORT}"
+    assert fresh(code) == (0, "", ["[]"])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -56,9 +65,9 @@ def test_cache_hit_loads_no_numpy(tmp_path, fmt):
     config.write_text(json.dumps(HONEYCOMB_BN))
     argv = ["bn", "--config", str(config), "--cache-dir", str(tmp_path / "cache"), "--format", fmt]
     cold = fresh_main(*argv)
-    assert cold[0] == 0 and cold[2] == [] and cold[3]  # a miss computes, with numpy
+    assert cold[0] == 0 and cold[2] == [] and "numpy" in cold[3]  # a miss computes, with numpy
     warm = fresh_main(*argv)
-    assert warm == (0, cold[1], [], False)
+    assert warm == (0, cold[1], [], ["csv"] if fmt == "csv" else [])  # a CSV hit needs csv
 
 
 @pytest.mark.parametrize(
@@ -71,14 +80,14 @@ def test_cache_hit_loads_no_numpy(tmp_path, fmt):
 def test_config_error_loads_no_numpy(tmp_path, block, message):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({**HONEYCOMB_BN, "bn": block}))
-    assert fresh_main("bn", "--config", str(config)) == (2, "", [message], False)
+    assert fresh_main("bn", "--config", str(config)) == (2, "", [message], [])
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["padic", "--help"]])
 def test_help_loads_no_numpy(argv):
-    code, out, err, numpy_loaded = fresh_main(*argv)
+    code, out, err, loaded = fresh_main(*argv)
     assert code == 0 and out.startswith("usage: speclat") and err == []
-    assert not numpy_loaded
+    assert loaded == []
 
 
 def test_public_names_resolve_lazily():

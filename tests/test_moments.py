@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,23 @@ def test_exact_moment_torus_capped_by_its_shape(monkeypatch, K, capped):
     else:
         moment_sequence(w, K)
         assert shapes == [(201, 30150)]
+
+
+def test_zeroth_moment_builds_no_torus(monkeypatch, w_honey):
+    # m_0 = 1 on any torus, so K = 0 builds no tight form and sums no powers: the
+    # 40-D simplex's tight form and the honeycomb's 3000^2 characters took seconds
+    def refuse(*args):
+        raise AssertionError("a torus built for m_0")
+
+    for modname, mod in list(sys.modules.items()):
+        for name in ("_tight_form", "_character_power_sums"):
+            if modname.split(".")[0] == "speclat" and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    n = 40
+    simplex = WeightedPointSet(n, [(tuple(int(i == j) for j in range(n)), 1) for i in range(n)]
+                               + [((-1,) * n, 1)])
+    assert moment_sequence(diffraction_polynomial(simplex, difference_lattice(simplex)), 0) == (1,)
+    assert moment_sequence_N(w_honey, 0, 3000) == (1,)
 
 
 def test_moments_basis_independent(honeycomb, w_honey):
