@@ -31,10 +31,11 @@ Runs ``speclat.cli.main`` in process on
   honeycomb ``spectrum`` at N = 100 with a grid of 100^2 = 10^4 values,
   the largest grid listed, honeycomb ``walks`` with ``export_graph`` at
   N = 100, the most vertices exported, and chebyshev ``padic`` at
-  p = 9973 over every residue; ``moments`` past the benchmark's sizes
-  (honeycomb to k = 200 with levels up to 60 and three congruences, the
-  generated cube to k = 30 at level 5, chebyshev to k = 400 at levels 7
-  and 401), a weighted moment-series ``mahler`` with ``hilbert``, a
+  p = 9973 over every residue and at two z that are W(chi) mod 9973^2,
+  one of them huge, whose lift ladder stops early; ``moments`` past the
+  benchmark's sizes (honeycomb to k = 200 with levels up to 60 and three
+  congruences, the generated cube to k = 30 at level 5, chebyshev to
+  k = 400 at levels 7 and 401), a weighted moment-series ``mahler`` with ``hilbert``, a
   ``moments`` level past the float cap, and a honeycomb ``bn`` divisor
   check and ``walks`` series check at a level past the b_N cap (these three
   exit 3); honeycomb ``walks`` series checks past ``k_max`` and with no walk
@@ -130,6 +131,9 @@ LARGE_JOBS = (
     ("spectrum-honeycomb-100", "honeycomb", "spectrum", {"N": 100, "grid": 100}),
     ("walks-honeycomb-graph-100", "honeycomb", "walks", {"N": 100, "export_graph": True}),
     ("padic-chebyshev-9973", "chebyshev", "padic", {"p": 9973}),
+    # rows equal to z mod p^k0 at a huge z: the Teichmueller ladder stops at its first rung
+    ("padic-chebyshev-9973-deep", "chebyshev", "padic",
+     {"p": 9973, "z_values": [4 + 9973**2 * 10**50, 4 + 9973**3]}),
     # moments past the benchmark's sizes: exact, level and congruence lists
     ("moments-honeycomb-200", "honeycomb", "moments",
      {"k_max": 200, "levels": [1, 2, 3, 60], "congruences": [[2, 3, 4], [3, 1, 3], [7, 2, 1]]}),

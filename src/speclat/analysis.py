@@ -39,7 +39,6 @@ class SpectrumHistogram:
     merging them.
     """
 
-    N: int
     values: np.ndarray
     means: np.ndarray
     sizes: np.ndarray
@@ -82,7 +81,6 @@ def spectrum(ctx: SpectralContext, N: int, tolerance: float | None = None) -> Sp
             means[rows] = vals[starts[rows, None] + np.arange(size)].sum(axis=1) / size
     min_gap = float(np.diff(means).min()) if len(means) > 1 else math.inf
     return SpectrumHistogram(
-        N=N,
         values=vals,
         means=means,
         sizes=sizes,

@@ -92,12 +92,12 @@ def primitive_modulus(p: int, nu: int) -> tuple[int, ...]:
             return F
 
 
-def _teichmuller(F, p: int, g, k: int):
-    """Yields (j, x) for j = 1, 2, 4, .., k, x the root of unity of order
-    q - 1 in GR(p^j, nu) = (Z/p^j)[x]/(F) that is g mod p: each Newton step
-    x <- x - x (x^(q-1) - 1) / (q - 1) doubles the precision."""
-    q, x, j = p ** (len(F) - 1), g, 1
-    yield j, x
+def _teichmuller(F, p: int, x, j: int, k: int):
+    """Yields (i, x_i) for i = 2j, 4j, .., k, from x the root of unity of order
+    q - 1 in GR(p^j, nu) = (Z/p^j)[x]/(F): x_i is that root in GR(p^i, nu), x
+    mod p^j.  Each Newton step x <- x - x (x^(q-1) - 1) / (q - 1) doubles the
+    precision."""
+    q = p ** (len(F) - 1)
     while j < k:
         j = min(2 * j, k)
         m = p**j
@@ -134,9 +134,10 @@ def valuation_inequality_check(
     """(v_p(b_N(z)), point count, holds), N = p^nu - 1, for each integer z in
     ``zs``, from one pass over the character classes held to
     ``specpoly.DEFAULT_SIZE_LIMIT`` before any work (none for an empty
-    ``zs``).  Each row is evaluated once at a precision p^k0 below 2^30; the
-    rows with z = W(chi) mod p^k0 again at doubling precision, up to the
-    p^K of the module docstring.  An infinite valuation (value 0) counts as
+    ``zs``).  Each row is evaluated once at a precision p^k0 below 2^30, at
+    the zeta one ladder climbs to; the rows with z = W(chi) mod p^k0 again
+    only at the rungs that continue it, up to the p^K of the module
+    docstring (none if k0 >= K).  An infinite valuation (value 0) counts as
     holding.  ``zs`` is iterated once, after the cap: a ``range`` of every
     residue is never held as a list."""
     if not zs:
@@ -149,8 +150,9 @@ def valuation_inequality_check(
     specpoly.check_level(N, n, cap)
     rows = specpoly._character_rows(fold_mod_N(ctx.w, N), N)
     F = primitive_modulus(p, nu)
+    # k0 >= 2, as p <= N + 1 <= cap: the ladder from g at p^1 has a rung
     g, k0 = _poly_pow((0, 1), 1, F, p), 30 // p.bit_length()
-    *_, (_, zeta) = _teichmuller(F, p, g, k0)
+    *_, (_, zeta) = _teichmuller(F, p, g, 1, k0)
     powers = [(1,) + (0,) * (nu - 1)]
     for _ in range(N - 1):
         powers.append(_poly_mul_mod(powers[-1], zeta, F, p**k0))
@@ -165,20 +167,16 @@ def valuation_inequality_check(
         count = sum(mult for _, _, mult in depths)
         val: int | float = sum(mult * d for d, _, mult in depths if d < k0)
         deep = [(row, mult) for d, row, mult in depths if d == k0]
-        # z = W(chi) mod p^k0: doubling the precision up to p^K, where only
-        # W(chi) = z is left, until each valuation shows
-        K = _lift_precision(z, ctx.ps.total_weight**2, N, p) if deep else 0
-        for j, zeta_j in _teichmuller(F, p, g, K):
-            if not deep:
+        # z = W(chi) mod p^k0: the ladder goes on from zeta at p^k0, doubling the
+        # precision up to p^K, where only W(chi) = z is left, until each valuation shows
+        K = _lift_precision(z, ctx.ps.total_weight**2, N, p) if deep else k0
+        for j, zeta_j in _teichmuller(F, p, zeta, k0, K):
+            m = p**j
+            depths = [(_depth(z, _row_value(row, lambda r: _poly_pow(zeta_j, r, F, m), m), p, j),
+                       row, mult) for row, mult in deep]
+            val += sum(mult * d for d, _, mult in depths if d < j)
+            if not (deep := [(row, mult) for d, row, mult in depths if d == j]):
                 break
-            m, left = p**j, []
-            for row, mult in deep:
-                d = _depth(z, _row_value(row, lambda r: _poly_pow(zeta_j, r, F, m), m), p, j)
-                if d < j:
-                    val += mult * d
-                else:
-                    left.append((row, mult))
-            deep = left
         if deep:
             val = math.inf
         out.append((val, count, val >= count))

@@ -23,8 +23,8 @@ CSV: a cache hit, a config error or ``--help`` never loads them.
 A record is the plain dict of ``RECORD_KEYS``.  Big integers are
 serialized as decimal strings.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+unwritable output, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -561,12 +561,8 @@ def _column(values, pad: str):
             return map(_json_string, values)
         if kind is bool:
             return map(_JSON_CONSTANTS.__getitem__, values)
-        if issubclass(kind, int):
-            return map(int.__repr__, values)
         if issubclass(kind, float) and all(map(math.isfinite, values)):
             return map(float.__repr__, values)
-        if kind is type(None):
-            return itertools.repeat("null", len(values))
     return map(_json_text, values, itertools.repeat(pad))
 
 
@@ -575,16 +571,18 @@ def _record_text(record: dict) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # named by the path written, not by the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _cache_path(cache_dir: str, command: str, cfg_hash: str) -> str:
@@ -689,7 +687,11 @@ def main(argv=None) -> int:
         payload = run_suite(args.example)
         record = {"schema": SCHEMA, "command": "verify", "config_hash": args.example,
                   "payload": payload}
-        _emit(record, args.out, args.format)
+        try:
+            _emit(record, args.out, args.format)
+        except OSError as exc:
+            print(f"speclat: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
         for r in payload["results"]:
             print(("PASS " if r["passed"] else "FAIL ") + r["criterion"], file=sys.stderr)
         return 0 if payload["passed"] else 1
@@ -701,7 +703,7 @@ def main(argv=None) -> int:
             if param.flag
         }
         job = JobConfig.from_file(args.config, args.command, overrides)
-    except (OSError, ValueError) as exc:  # not JSON, or an integer past int()'s digit limit
+    except (OSError, ValueError, RecursionError) as exc:  # not JSON, too deep, past int()'s digits
         print(f"speclat: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
@@ -720,9 +722,6 @@ def main(argv=None) -> int:
                 payload = COMMANDS[job.command].run(SpectralContext(job.point_set), job.params)
             record = {"schema": SCHEMA, "command": job.command, "config_hash": cfg_hash,
                       "payload": payload}
-            text = _store_record(args.cache_dir, record)
-        _emit(record, args.out, args.format, text)
-        return 0
     except (RankDeficient, CosetViolation) as exc:
         # found only once the lattice is built, but a fault of the point set
         print(f"speclat: config error: invalid point set for {job.command}: {exc}", file=sys.stderr)
@@ -736,6 +735,13 @@ def main(argv=None) -> int:
     except SpeclatError as exc:
         print(f"speclat: {exc}", file=sys.stderr)
         return 1
+    try:  # an --out file or --cache-dir, found perhaps only after the job has computed
+        text = text or _store_record(args.cache_dir, record)  # a hit's text is stored already
+        _emit(record, args.out, args.format, text)
+    except OSError as exc:
+        print(f"speclat: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

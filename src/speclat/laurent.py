@@ -44,9 +44,6 @@ class LaurentPoly:
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         return sorted(self.terms.items())
 
-    def __hash__(self):
-        return hash((self.dimension, tuple(self.sorted_terms())))
-
 
 def diffraction_polynomial(ps: WeightedPointSet, basis: LatticeBasis) -> LaurentPoly:
     """Squared diffraction amplitude of the point set, written on the basis.

@@ -145,17 +145,23 @@ def test_field_modulus_deterministic():
 
 
 def test_teichmuller_lift_is_the_root_of_unity_over_g():
+    # from the root x at p^j the ladder climbs 2j, 4j, .., k, each rung the root over g
     for p, nu in ((2, 1), (2, 4), (3, 2), (5, 3), (13, 1)):
         F = primitive_modulus(p, nu)
-        g = arith._poly_pow((0, 1), 1, F, p)
-        for k in (1, 2, 3, 9, 33, 100):
-            lifts = list(arith._teichmuller(F, p, g, k))
-            precisions = [j for j, _ in lifts]
-            assert precisions[0] == 1 and precisions[-1] == k
-            assert all(b == min(2 * a, k) for a, b in zip(precisions, precisions[1:]))
-            for j, x in lifts:
-                assert tuple(c % p for c in x) == g
-                assert arith._poly_pow(x, p**nu - 1, F, p**j) == (1,) + (0,) * (nu - 1)
+        g, one = arith._poly_pow((0, 1), 1, F, p), (1,) + (0,) * (nu - 1)
+        starts = [(1, g), *arith._teichmuller(F, p, g, 1, 5)]
+        assert [j for j, _ in starts] == [1, 2, 4, 5]
+        for j, x in starts:
+            for k in (1, 2, 3, 9, 33, 100):
+                rungs = [j]
+                while rungs[-1] < k:
+                    rungs.append(min(2 * rungs[-1], k))
+                lifts = list(arith._teichmuller(F, p, x, j, k))
+                assert [i for i, _ in lifts] == rungs[1:]
+                for i, y in lifts:
+                    assert tuple(c % p for c in y) == g
+                    assert tuple(c % p**j for c in y) == x
+                    assert arith._poly_pow(y, p**nu - 1, F, p**i) == one
 
 
 # -- point counts -----------------------------------------------------------------
@@ -337,6 +343,41 @@ def test_inequality_all_residues(honeycomb_ctx):
 def test_inequality_infinite_valuation(honeycomb_ctx):
     [(lhs, rhs, holds)] = valuation_inequality_check(honeycomb_ctx, [0], 7, 1)
     assert lhs == math.inf and holds
+
+
+@pytest.fixture
+def row_reads(monkeypatch):
+    """The (row, modulus) of each ``arith._row_value`` call, in order."""
+    reads, read = [], arith._row_value
+    monkeypatch.setattr(arith, "_row_value", lambda row, power, m: (
+        reads.append((row, m)) or read(row, power, m)))
+    return reads
+
+
+def test_each_row_is_read_once_below_the_first_pass_precision(
+    honeycomb_ctx, cheb_ctx, row_reads
+):
+    # honeycomb p = 11: k0 = 7 and K = 4 at z in {0, 1}, so the rows with z = W(chi)
+    # mod 11^7 are proven zero with no rung climbed: each class row is read once
+    rows = [row for row, _ in specpoly._character_rows(fold_mod_N(honeycomb_ctx.w, 10), 10)]
+    assert [v for v, _, _ in valuation_inequality_check(honeycomb_ctx, [0, 1], 11)] == [
+        18, math.inf]
+    assert row_reads == [(row, 11**7) for row in rows]
+    # honeycomb p = 31: k0 = 6 < K = 7, and the deep rows are read only at 31^7
+    row_reads.clear()
+    rows = [row for row, _ in specpoly._character_rows(fold_mod_N(honeycomb_ctx.w, 30), 30)]
+    valuation_inequality_check(honeycomb_ctx, range(31), 31)
+    assert row_reads[: len(rows)] == [(row, 31**6) for row in rows]
+    deep = row_reads[len(rows):]
+    assert deep and {m for _, m in deep} == {31**7}
+    # chebyshev p = 9973, k0 = 2: the trivial character's row, z - 4 = 9973^3 10^20,
+    # is read once more, at 9973^4, where its valuation 3 shows; K is far above
+    row_reads.clear()
+    z = 4 + 9973**3 * 10**20
+    assert valuation_inequality_check(cheb_ctx, [z], 9973) == [(3, 1, True)]
+    assert arith._lift_precision(z, 4, 9972, 9973) > 1000
+    assert {m for _, m in row_reads[:-1]} == {9973**2}
+    assert row_reads[-1][1] == 9973**4
 
 
 def _crt_valuations(ctx, zs, p, nu):

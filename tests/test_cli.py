@@ -254,6 +254,36 @@ def test_bad_config_exit_2(tmp_path):
     assert main(["bn", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("levels", [1_000, 100_000])
+def test_config_nested_past_the_recursion_limit_exit_2(tmp_path, capsys, levels):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dimension": 1, "bn": {"levels": ' + "[" * levels + "]" * levels + "}}")
+    assert main(["bn", "--config", str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("speclat: cannot read config: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bn", "--out", "{tmp}/missing/x.json"],  # FileNotFoundError
+        ["bn", "--out", "{tmp}"],  # IsADirectoryError
+        ["bn", "--cache-dir", "{tmp}/cfg.json"],  # FileExistsError
+        ["verify", "honeycomb", "--out", "{tmp}/missing/x.json"],
+    ],
+    ids=["out-in-missing-dir", "out-is-dir", "cache-dir-is-file", "verify-out-in-missing-dir"],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    # the path that cannot be written is the last argument; verify computes before it writes
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    config = [] if argv[0] == "verify" else ["--config", write_cfg(tmp_path, dict(CHEB_CFG))]
+    assert main(argv + config) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"speclat: cannot write {argv[-1]}: ")
+    # no temporary file left, nor any directory made
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if argv[0] == "verify" else ["cfg.json"])
+
+
 def test_invalid_points_exit_2(tmp_path):
     cfg = {"dimension": 2, "points": [{"a": [1, 0], "c": 0}, {"a": [0, 1], "c": 1}]}
     assert main(["bn", "--config", write_cfg(tmp_path, cfg)]) == 2
