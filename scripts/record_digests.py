@@ -32,7 +32,8 @@ Runs ``speclat.cli.main`` in process on
   the largest grid listed, honeycomb ``walks`` with ``export_graph`` at
   N = 100, the most vertices exported, and chebyshev ``padic`` at
   p = 9973 over every residue and at two z that are W(chi) mod 9973^2,
-  one of them huge, whose lift ladder stops early; ``moments`` past the
+  one of them huge, whose lift ladder stops early, and at a z whose lift
+  precision (K = 255,097) only logarithms size; ``moments`` past the
   benchmark's sizes (honeycomb to k = 200 with levels up to 60 and three
   congruences, the generated cube to k = 30 at level 5, chebyshev to
   k = 400 at levels 7 and 401), a weighted moment-series ``mahler`` with ``hilbert``, a
@@ -51,7 +52,8 @@ Runs ``speclat.cli.main`` in process on
   true and a false divisor check, its coefficient slots sized from
   |b_20(-1)|, and ``moments`` congruence sweeps on the 3-D simplex to
   h = 128, the last power of two under the float cap, and to h = 256,
-  past it (exit 3)
+  past it (exit 3), and ``moments`` on {0, 1, 2000} to k = 1000, whose
+  split primes run out (exit 3)
   (built-in and fixed sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
@@ -134,6 +136,9 @@ LARGE_JOBS = (
     # rows equal to z mod p^k0 at a huge z: the Teichmueller ladder stops at its first rung
     ("padic-chebyshev-9973-deep", "chebyshev", "padic",
      {"p": 9973, "z_values": [4 + 9973**2 * 10**50, 4 + 9973**3]}),
+    # a lift precision K = 255,097 from logarithms, past any rung the ladder climbs
+    ("padic-chebyshev-9973-far", "chebyshev", "padic",
+     {"p": 9973, "z_values": [4 + 9973**2 * 10**300]}),
     # moments past the benchmark's sizes: exact, level and congruence lists
     ("moments-honeycomb-200", "honeycomb", "moments",
      {"k_max": 200, "levels": [1, 2, 3, 60], "congruences": [[2, 3, 4], [3, 1, 3], [7, 2, 1]]}),
@@ -184,14 +189,17 @@ LARGE_JOBS = (
      {"k_max": 2, "congruences": [[2, 1, 6]], "series": False}),
     ("moments-simplex3-sweep-cap", "simplex3", "moments",
      {"k_max": 2, "congruences": [[2, 1, 7]], "series": False}),
+    # the split primes 1 mod 2000001 below 2^31 run out before the moments' modulus: exit 3
+    ("moments-line2000-primes-cap", "line2000", "moments", {"k_max": 1000, "series": False}),
 )
 # six points of odd coordinate sum: their differences span the face-centred cubic
-# lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2); and the 3-D simplex,
-# whose W has tight reach 1 on every axis
+# lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2); the 3-D simplex, whose W
+# has tight reach 1 on every axis; and {0, 1, 2000}, whose W has reach 2000
 FIXED_SETS = {
     "fcc": (3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1), ((1, 1, 1), 3),
                 ((2, -1, 0), 1), ((0, 2, -1), 2)]),
     "simplex3": (3, [((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)]),
+    "line2000": (1, [((0,), 1), ((1,), 1), ((2000,), 1)]),
 }
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

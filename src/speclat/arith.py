@@ -119,13 +119,12 @@ def _depth(z: int, v, p: int, k: int) -> int:
 
 
 def _lift_precision(z: int, c2: int, N: int, p: int) -> int:
-    """The least K with p^K > (|z| + c2)^phi(N), compared as exact integers."""
+    """The least K with p^K > (|z| + c2)^phi(N), no power formed: floor(q) + 1
+    for q = phi(N) ln(|z| + c2) / ln p.  q errs by a few ulps, far below 2^-40
+    of it, so q (1 + 2^-40) is floored: K is the least, or one more (one rung
+    at most) where q lies within a relative 2^-40 below an integer."""
     phi = math.prod((ell - 1) * ell ** (e - 1) for ell, e in primes.prime_factors(N).items())
-    bound = (abs(z) + c2) ** phi
-    K = max(int(math.log(bound, p)) - 1, 1)  # an estimate from below
-    while p**K <= bound:
-        K += 1
-    return K
+    return math.floor(phi * math.log(abs(z) + c2) / math.log(p) * (1 + 2**-40)) + 1
 
 
 def valuation_inequality_check(

@@ -152,6 +152,7 @@ def _row(*kinds: Kind) -> Kind:
 INT = Kind("an integer", _is_int)
 LEVEL = _int(1)
 WALK_LEVEL = Kind("an integer from 1 to 2^62", lambda v: LEVEL.ok(v) and v <= MAX_WALK_LEVEL)
+SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= DEFAULT_SIZE_LIMIT)
 COUNT = _int(0)
 PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
@@ -415,7 +416,7 @@ COMMANDS = {
     "bn": Command(
         {
             "N": Param(LEVEL, 1, int),
-            "size_limit": Param(LEVEL, DEFAULT_SIZE_LIMIT, int),
+            "size_limit": Param(SIZE_LIMIT, DEFAULT_SIZE_LIMIT, int),
             "levels": Param(_list(INT), []),
             "divisor_checks": Param(_list(_row(LEVEL, LEVEL)), []),
             "evaluate_at": Param(_list(INT), []),

@@ -107,6 +107,9 @@ def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
         raise ValueError("k and alpha must be >= 0")
     if k == 0:
         return True
+    cap, bits = DEFAULT_FLOAT_CAP, (alpha + 1) * (p.bit_length() - 1) + k.bit_length() - 1
+    if bits > cap.bit_length():  # h = k p^(alpha+1) >= 2^bits > cap, refused before it is formed
+        raise SizeLimit(f"a congruence sweep to h = k {p}^{alpha + 1} >= 2^{bits} passes cap {cap}")
     vals = _moment_sweep(f, k * p ** (alpha + 1), p ** (alpha + 1))
     return vals[-1] == vals[k * p**alpha]
 

@@ -51,11 +51,7 @@ def primes_below(start: int, N: int = 1) -> Iterator[int]:
     """Yield primes p < start with p = 1 (mod N) in descending order.  For
     N > 1 these are the primes whose field F_p holds the N-th roots of unity."""
     step = N if N % 2 == 0 else 2 * N  # odd p = 1 (mod N)
-    n = start - 1 - (start - 2) % step
-    while n > 2:
-        if is_prime(n):
-            yield n
-        n -= step
+    yield from filter(is_prime, range(start - 1 - (start - 2) % step, 2, -step))
     if N == 1 and start > 2:
         yield 2
 

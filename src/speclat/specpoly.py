@@ -171,12 +171,12 @@ def _tree_product(polys: list[list[int]], p: int) -> list[int]:
 
 def _split_primes(N: int, need: int, start: int) -> list[int]:
     """The fewest primes p = 1 (mod N) below ``start``, descending, whose product exceeds need."""
-    chosen: list[int] = []
+    chosen, product = [], 1
     for p in primes.primes_below(start, N):
         chosen.append(p)
-        if math.prod(chosen) > need:
+        if (product := product * p) > need:
             return chosen
-    raise ArithmeticError(f"primes 1 mod {N} below {start} exhausted")
+    raise SizeLimit(f"primes 1 mod {N} below {start} run out before {need.bit_length()} bits")
 
 
 def _crt(residues, moduli: list[int]) -> list[int]:

@@ -596,6 +596,30 @@ def miller_rabin_twelve(n):
     return True
 
 
+def exact_lift_precision(z, c2, N, p):
+    """The least K with p^K > (|z| + c2)^phi(N), phi counted by gcd, both
+    sides exact integers: K doubled past the bound, then bisected."""
+    bound = (abs(z) + c2) ** sum(math.gcd(k, N) == 1 for k in range(1, N + 1))
+    lo, hi = 0, 1  # p^lo <= bound < p^hi once the doubling stops
+    while p**hi <= bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if p**mid <= bound else (lo, mid)
+    return hi
+
+
+def split_primes(N, need, start):
+    """The fewest primes p = 1 (mod N) below start, descending, whose
+    product exceeds need, the whole product formed again for each."""
+    chosen = []
+    for p in primes_below(start, N):
+        chosen.append(p)
+        if math.prod(chosen) > need:
+            return chosen
+    raise ArithmeticError(f"primes 1 mod {N} below {start} exhausted")
+
+
 # -- the two moment series, each its own loop ---------------------------------------
 
 

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -18,6 +20,7 @@ from speclat.specpoly import character_values
 from _oracles import (
     crt_point_values,
     evaluate_at_integer,
+    exact_lift_precision,
     miller_rabin_twelve,
     sieve,
     tuple_count_points,
@@ -430,6 +433,31 @@ def test_valuation_at_the_precision_edge(p, honeycomb_ctx, cheb_ctx):
             assert [v] == _crt_valuations(ctx, [z], p, 1)
             edge += arith._lift_precision(z, C2, p - 1, p) == j + 1
         assert edge > 40
+
+
+@pytest.mark.parametrize("p, nu", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 2), (11, 1)])
+def test_lift_precision_matches_the_exact_search(p, nu):
+    # K from logarithms is the least K with p^K > (|z| + C^2)^phi(N), or one more
+    # where phi(N) log_p(|z| + C^2) lies within a relative 2^-40 below an integer
+    N, exact = p**nu - 1, decimal.Context(prec=60)
+    phi = sum(math.gcd(k, N) == 1 for k in range(1, N + 1))
+    for c2 in (1, 4, 9):
+        zs = [0, 1, -1, 10**1000, -(10**1000), 4 + p**2 * 10**500]
+        for j in range(1, 80):
+            # (|z| + c2)^phi just above p^(j phi), exactly it (q an integer), just below it
+            zs += [c2 + p**j, p**j - c2, p**j - 1 - c2]
+        for z in zs:
+            K, least = arith._lift_precision(z, c2, N, p), exact_lift_precision(z, c2, N, p)
+            q = phi * exact.divide(exact.ln(abs(z) + c2), exact.ln(p))
+            assert K == least or K == least + 1 and least - q < least * exact.power(2, -40)
+
+
+def test_lift_precision_is_one_logarithm(cheb_ctx):
+    # phi(9972) = 3312: (|z| + C^2)^3312 has 3.3 M digits, and is never formed
+    z = 4 + 9973**2 * 10**4000
+    start = time.process_time()
+    assert valuation_inequality_check(cheb_ctx, [z], 9973) == [(2, 1, True)]
+    assert time.process_time() - start < 1
 
 
 def test_cheb_divisibility_pattern(cheb_ctx):

@@ -582,6 +582,28 @@ def test_resource_cap_exit_3(tmp_path):
     assert main(["bn", "--config", write_cfg(tmp_path, cfg)]) == 3
 
 
+def test_split_primes_that_run_out_exit_3(tmp_path, capsys):
+    # m_0..m_1000 of {0, 1, 2000} need a 3192-bit modulus of primes 1 mod 2000001 below 2^31
+    cfg = {"dimension": 1, "points": [{"a": [0]}, {"a": [1]}, {"a": [2000]}],
+           "moments": {"k_max": 1000, "series": False}}
+    start = time.process_time()
+    code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
+    assert time.process_time() - start < 1
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == (
+        "speclat: resource cap: primes 1 mod 2000001 below 2147483648 run out before 3192 bits\n")
+
+
+def test_bn_size_limit_lowers_the_cap_only(tmp_path, capsys):
+    cfg = dict(HONEYCOMB_CFG, bn={"N": 1, "size_limit": 10001})
+    assert main(["bn", "--config", write_cfg(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "speclat: config error: bn size_limit must be an integer from 1 to 10^4, got 10001\n")
+    code, out = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg), "--size-limit",
+                                    "10000"])
+    assert code == 0 and json.loads(out.read_text())["payload"]["degree"] == 1
+
+
 def test_verify_unknown_example_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuch"])

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,15 @@ def test_congruence_sweep_capped_for_library_callers(monkeypatch):
     monkeypatch.setattr("speclat.moments.DEFAULT_FLOAT_CAP", 1000)
     with pytest.raises(SizeLimit, match=r"1025\^2 cells of a moment sweep exceed cap 1000"):
         check_congruence(w, 2, 1, 9)
+
+
+@pytest.mark.parametrize("alpha", [10**5, 10**9])
+def test_congruence_sweep_refused_from_bit_lengths(w_honey, alpha):
+    # h = 3^(alpha + 1) is never formed, nor written into the message
+    start = time.process_time()
+    with pytest.raises(SizeLimit, match=rf"h = k 3\^{alpha + 1} >= 2\^{alpha + 1} passes cap"):
+        check_congruence(w_honey, 3, 1, alpha)
+    assert time.process_time() - start < 1
 
 
 # -- property sweep against the full-torus oracle ---------------------------------

@@ -46,6 +46,8 @@ from _oracles import (
     loop_character_rows,
     poly_product,
     rebased,
+    sieve,
+    split_primes,
 )
 from conftest import random_point_set
 
@@ -150,6 +152,37 @@ def test_split_primes_small_start():
     # g = 2 gives -1 at p = 853669: only 2062's prime factor 1031, past trial division, rejects it
     omega = primes.root_of_unity(2062, 853669)
     assert pow(omega, 2, 853669) != 1 and pow(omega, 1031, 853669) != 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 10, 12, 2062])
+def test_primes_below_match_the_sieve(N):
+    for start in (0, 2, 3, 4, 30, 1000, 10**5):
+        expected = [p for p in reversed(sieve(start - 1)) if (p - 1) % N == 0]
+        assert list(primes.primes_below(start, N)) == expected
+
+
+@pytest.mark.parametrize("N, bits, start", [
+    (1, 1, 2**62), (12, 100, 2**62), (12, 4000, 2**31), (2062, 166, 2**31), (10, 62, 2**31),
+    (4, 3, 30), (4, 14, 30),
+])
+def test_split_primes_match_the_oracle(N, bits, start):
+    for need in (2**bits - 1, 2**bits, 3 * 2 ** (bits - 1)):
+        assert specpoly._split_primes(N, need, start) == split_primes(N, need, start)
+
+
+def test_split_primes_by_a_running_product():
+    # the first 1291 primes 1 mod 12 below 2^31, as the whole product formed for each gave
+    start = time.process_time()
+    chosen = specpoly._split_primes(12, 2**40000, 2**31)
+    assert time.process_time() - start < 0.1
+    assert chosen == list(itertools.islice(primes.primes_below(2**31, 12), 1291))
+
+
+def test_split_primes_that_run_out_are_a_size_limit():
+    # 29 * 17 * 13 * 5 = 32045: the primes 1 mod 4 below 30 lift no further
+    assert specpoly._split_primes(4, 32044, 30) == [29, 17, 13, 5]
+    with pytest.raises(SizeLimit, match="primes 1 mod 4 below 30 run out"):
+        specpoly._split_primes(4, 32045, 30)
 
 
 def test_charpoly_prime_set_independence(honeycomb):
