@@ -43,6 +43,9 @@ Runs ``speclat.cli.main`` in process on
   lengths; honeycomb ``spectrum`` with a grid past the float cap, and
   ``mahler`` with a Hilbert series past the series cap and with a
   quadrature resolution past the float cap (these three exit 3); honeycomb
+  ``mahler`` series whose tolerance times its scale leaves float range:
+  a Mahler and a Hilbert tolerance of 5e-324 (the product underflows; both
+  exit 3) and a Hilbert tolerance of 1e308 at z = 1e308 (it overflows); honeycomb
   ``bn`` at N = 20 with a repeated level and levels of 1001 digits, and
   ``mahler`` with a repeated method; ``bn`` on the generated weighted set at
   N = 12 (character classes of sizes 1 and 2 only) and on the generated cube
@@ -168,6 +171,13 @@ LARGE_JOBS = (
       "hilbert_tol": 1e-10}),
     ("mahler-honeycomb-resolution-cap", "honeycomb", "mahler",
      {"z": 12.0, "methods": ["limit", "torus-quadrature"], "resolution": 5000}),
+    # a series tolerance times its scale past float range: K from the factors' logs
+    ("mahler-honeycomb-tol-underflow", "honeycomb", "mahler",
+     {"z": 10.0, "methods": ["moment-series"], "tol": 5e-324, "hilbert": False}),
+    ("mahler-honeycomb-hilbert-tol-underflow", "honeycomb", "mahler",
+     {"z": 9.5, "methods": ["limit"], "hilbert_tol": 5e-324}),
+    ("mahler-honeycomb-hilbert-tol-overflow", "honeycomb", "mahler",
+     {"z": 1e308, "methods": ["limit"], "hilbert_tol": 1e308}),
     # repeated values, each keyed once in the record, and levels that cannot be roots
     ("bn-honeycomb-20-repeats", "honeycomb", "bn",
      {"N": 20, "levels": [0, 1, 9, 9, 10**1000, -(10**1000)]}),

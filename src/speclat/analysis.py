@@ -116,11 +116,14 @@ def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
 # -- Hilbert transform ----------------------------------------------------------
 
 
-def _series_length(ratio: float, scale: float, tol: float) -> int:
-    # smallest K with ratio^(K+1) / scale < tol, held to the series cap
+def _series_length(ratio: float, scale: float, tol: float, div: float = 1) -> int:
+    # smallest K with ratio^(K+1) / scale < tol / div, held to the series cap
     if not 0 < ratio < 1:
         raise ValueError("series method needs |z| above the spectrum top")
-    K = max(1, math.ceil(math.log(tol * scale) / math.log(ratio)) + 1)
+    bound = tol / div * scale  # past the positive floats, its log is its factors' logs summed
+    log_bound = math.log(bound) if 0 < bound < math.inf else (
+        math.log(tol) - math.log(div) + math.log(scale))
+    K = max(1, math.ceil(log_bound / math.log(ratio)) + 1)
     if K > DEFAULT_SERIES_CAP:
         raise SizeLimit(f"series needs {K} moments (cap {DEFAULT_SERIES_CAP}); z is too close "
                         "to the spectrum top for the moment series")
@@ -132,7 +135,7 @@ def _hilbert_length(C2: int, z: complex, tol: float) -> int:
 
 
 def _mahler_length(C2: int, z: complex, tol: float) -> int:
-    return _series_length(C2 / abs(z), 1 - C2 / abs(z), tol / 10)
+    return _series_length(C2 / abs(z), 1 - C2 / abs(z), tol, 10)
 
 
 def sweep_series_moments(

@@ -45,7 +45,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .catalog import BUILTIN_POINT_SETS
-from .errors import ConfigError, CosetViolation, RankDeficient, ResourceLimit, SizeLimit
+from .errors import ConfigError, CosetViolation, RankDeficient, SizeLimit
 from .errors import SpeclatError, SpectrumProximity
 from .lattice import WeightedPointSet, _is_int
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
@@ -506,7 +506,7 @@ def _json_text(obj, pad: str = "\n") -> str:
     tens of thousands of nodes.  So its long lists are tables, each written
     by one ``%`` call: the row's text, each slot ``%s``, once per row,
     applied to the leaves.  A column of ints, or of finite floats, goes in
-    as it is; others, and lists of scalars, are written by ``_column``.
+    as it is; others go in written leaf by leaf, as is every plain list.
     """
     if obj is None or obj is True or obj is False:
         return _JSON_CONSTANTS[obj]
@@ -525,13 +525,14 @@ def _json_text(obj, pad: str = "\n") -> str:
         for j, column in enumerate(obj.columns):
             kinds = set(map(type, column))
             plain = kinds == {int} or kinds == {float} and all(map(math.isfinite, column))
-            flat[j::w] = column if plain else _column(column, inner)
+            flat[j::w] = column if plain else map(_json_text, column)
         rows = ("," + inner).join(itertools.repeat(_template(obj.row, inner), len(obj)))
         return "[" + inner + rows % tuple(flat) + pad + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join(_column(obj, inner)) + pad + "]"
+        items = map(_json_text, obj, itertools.repeat(inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -551,20 +552,6 @@ def _template(row, pad: str) -> str:
         return "{" + inner + ("," + inner).join(keys) + pad + "}" if keys else "{}"
     items = [_template(item, inner) for item in row]
     return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-
-
-def _column(values, pad: str):
-    """The texts of ``values``, each at ``pad``: a lazy iterable."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        (kind,) = kinds
-        if issubclass(kind, str):
-            return map(_json_string, values)
-        if kind is bool:
-            return map(_JSON_CONSTANTS.__getitem__, values)
-        if issubclass(kind, float) and all(map(math.isfinite, values)):
-            return map(float.__repr__, values)
-    return map(_json_text, values, itertools.repeat(pad))
 
 
 def _record_text(record: dict) -> str:
@@ -727,7 +714,7 @@ def main(argv=None) -> int:
         # found only once the lattice is built, but a fault of the point set
         print(f"speclat: config error: invalid point set for {job.command}: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimit as exc:
+    except SizeLimit as exc:
         print(f"speclat: resource cap: {exc}", file=sys.stderr)
         return 3
     except SpectrumProximity as exc:  # a z on the spectrum is the config's, not a failed check

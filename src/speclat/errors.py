@@ -23,16 +23,8 @@ class IntegralityViolation(SpeclatError):
     indicates a bug, never bad input."""
 
 
-class ResourceLimit(SpeclatError):
-    """Base for configured-cap overruns (CLI exit code 3)."""
-
-
-class SizeLimit(ResourceLimit):
-    """A matrix or enumeration would exceed the configured size cap."""
-
-
-class ExplosionGuard(ResourceLimit):
-    """A brute-force walk enumeration would exceed the configured cap."""
+class SizeLimit(SpeclatError):
+    """A job would exceed a configured size cap (CLI exit code 3)."""
 
 
 class SpectrumProximity(SpeclatError):

@@ -9,22 +9,21 @@ zero.  Those sequences are enumerated literally (no matrix, torus or
 convolution shortcut), so they provide the independent count that the
 convolution traces are checked against: numpy holds the folded
 displacements and weight products of all suffixes (up to 2^16 of them),
-and each prefix tests them all at once.  The log bridge compares totals
-already enumerated with the log expansions of the factors of a b_N.
+and each prefix tests them all at once.  The series check compares totals
+already enumerated with the Newton sums of the factors of a b_N.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import CosetViolation, ExplosionGuard
+from .errors import CosetViolation, SizeLimit
 from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
 from .limits import MAX_WALK_LEVEL
-from .moments import poly_log_series
+from .moments import newton_sums
 from .specpoly import SpectralFactors
 from .table import Table
 
@@ -79,10 +78,10 @@ def build_graph(
 
 
 def check_walk_cap(npairs: int, k: int) -> None:
-    """Raise ExplosionGuard when the npairs**k >= 2**k type sequences of walks
+    """Raise SizeLimit when the npairs**k >= 2**k type sequences of walks
     of length 2k exceed ``DEFAULT_WALK_CAP``."""
     if npairs ** min(k, DEFAULT_WALK_CAP.bit_length()) > DEFAULT_WALK_CAP:
-        raise ExplosionGuard(f"{npairs}**{k} type sequences exceed the cap {DEFAULT_WALK_CAP}")
+        raise SizeLimit(f"{npairs}**{k} type sequences exceed the cap {DEFAULT_WALK_CAP}")
 
 
 def _sequence_table(deltas: np.ndarray, weights: np.ndarray, length: int, N: int):
@@ -132,10 +131,10 @@ def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
 
 
 def walk_series_check(b: SpectralFactors, totals: list[int]) -> bool:
-    """Closed walks reproduce the log expansion of b_N = prod_j g_j**j: -t_k / k,
-    t_k the based walk total of length 2k, is g_k of the formal log of
-    b_N(z)/z^deg in 1/z at each k <= K = len(totals), the sum over j of
-    j ``poly_log_series(g_j, K)``[k]: b_N itself is never expanded."""
+    """Closed walks are the Newton sums of b_N = prod_j g_j**j: t_k, the based
+    walk total of length 2k, is the k-th power sum of b_N's roots at each
+    k <= K = len(totals), the sum over j of j ``newton_sums(g_j, K)``[k]:
+    b_N itself is never expanded."""
     K = len(totals)
-    logs = [[j * g for g in poly_log_series(p, K)] for j, p in b.factors.items()]
-    return all(sum(gs) == Fraction(-t, k) for k, (t, *gs) in enumerate(zip(totals, *logs), 1))
+    sums = [[j * s for s in newton_sums(p, K)] for j, p in b.factors.items()]
+    return all(t == sum(ss) for t, *ss in zip(totals, *sums))

@@ -4,17 +4,17 @@ The level-N moment m_k(N) is the mean of W(chi)**k over the N-torsion
 characters chi; m_k, the constant term of W**k, is that mean over the
 characters of Z_N1 x ... x Z_Nn, each N_i > k * reach_i (tight coordinates),
 where no nonzero exponent of W**k folds onto 0.  Both are character power
-sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1),
-capped.  ``poly_log_series`` serves the walk and generating-series checks.
+sums (``specpoly``), level N capped by the float cap; the congruence check
+sweeps powers mod p^(alpha+1), capped.  ``newton_sums``, the power sums of a
+monic polynomial's roots, serves the walk and generating-series checks.
 
-Everything in this module is exact: Python integers, Fractions and integer
-residue arrays, and the moments are the tuples of integers the power sums give.
+Everything in this module is exact: Python integers and integer residue
+arrays, and the moments are the tuples of integers the power sums give.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,9 @@ def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
 def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     """Level-N moments m_0..m_K: the averages of the powers of the character
     values, integers by construction (constant-residue coefficients of the
-    folded powers)."""
+    folded powers).  Raises SizeLimit, before any work, past
+    ``DEFAULT_FLOAT_CAP`` characters."""
+    check_level(N, f.dimension, DEFAULT_FLOAT_CAP)
     return (1,) if K == 0 else tuple(_character_power_sums(f, K, (N,) * f.dimension))
 
 
@@ -130,7 +132,7 @@ def series_coefficients(moments) -> list[int]:
     for k in range(1, K):
         s = sum(m[j] * A[k - j] for j in range(1, k + 1))
         if s % k:
-            raise IntegralityViolation(f"A_{k} = {Fraction(s, k)} is not an integer")
+            raise IntegralityViolation(f"A_{k} = {s}/{k} is not an integer")
         A.append(s // k)
     return A[1:]
 
@@ -148,6 +150,21 @@ def product_exponents(moments) -> list[int]:
             raise IntegralityViolation(f"b_{k} = {s}/{k} is not an integer")
         b.append(s // k)
     return b
+
+
+def newton_sums(p: tuple[int, ...], K: int) -> list[int]:
+    """Power sums s_1..s_K of the roots of the monic integer polynomial p
+    (coefficients low degree first), by Newton's identities
+    s_k = -k a_k - sum_{j<k} a_j s_{k-j}, a_j the coefficient of z^(deg - j),
+    0 past deg: integers throughout, no division."""
+    if p[-1] != 1:
+        raise ValueError("polynomial must be monic")
+    deg = len(p) - 1
+    a = [p[deg - j] if j <= deg else 0 for j in range(K + 1)]
+    s = [0]
+    for k in range(1, K + 1):
+        s.append(-k * a[k] - sum(a[j] * s[k - j] for j in range(1, min(k, deg + 1))))
+    return s[1:]
 
 
 def _moment_values(moments) -> tuple[int, ...]:
@@ -177,23 +194,3 @@ def verify_recurrence(moments, rec: Recurrence) -> bool:
             return False
     return True
 
-
-# -- formal series of integer polynomials ---------------------------------------
-
-
-def poly_log_series(p: tuple[int, ...], K: int) -> list[Fraction]:
-    """Coefficients g_1..g_K of log(p(z) / z^deg) as a series in 1/z.
-
-    p must be monic; the reversed coefficient sequence is a power series
-    with constant term 1 and g = log of it, computed by the exact
-    quotient-rule recurrence.
-    """
-    if p[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    deg = len(p) - 1
-    f = [Fraction(p[deg - j]) if j <= deg else Fraction(0) for j in range(K + 1)]
-    g: list[Fraction] = [Fraction(0)]
-    for k in range(1, K + 1):
-        s = k * f[k] - sum(j * g[j] * f[k - j] for j in range(1, k))
-        g.append(s / k)
-    return g[1:]

@@ -17,7 +17,6 @@ the closed forms of the line example.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -31,7 +30,7 @@ from .laurent import fold_mod_N
 from .moments import (
     check_congruence,
     moment_sequence_N,
-    poly_log_series,
+    newton_sums,
     product_exponents,
     series_coefficients,
     verify_recurrence,
@@ -78,13 +77,11 @@ def check_cheb_shifted_recurrence(ctx: SpectralContext) -> tuple[bool, str]:
 
 def _check_generating_series(ctx: SpectralContext, z: int, K: int) -> tuple[bool, str]:
     # b_N(z) / N, N <= K, are the coefficients of -log(1 - (z - 4) T / (1 - T)^2)
-    # = -log(1 - (z - 2) T + T^2) + 2 log(1 - T), each log a poly_log_series in T = 1/x
-    quadratic = poly_log_series((1, 2 - z, 1), K)
-    linear = poly_log_series((-1, 1), K)
-    ok = all(
-        Fraction(_value(ctx, N, z), N) == 2 * b - a
-        for N, a, b in zip(range(1, K + 1), quadratic, linear)
-    )
+    # = -log(1 - (z - 2) T + T^2) + 2 log(1 - T): b_N(z) is the N-th Newton sum of
+    # x^2 + (2 - z) x + 1 less twice that of x - 1
+    quadratic = newton_sums((1, 2 - z, 1), K)
+    linear = newton_sums((-1, 1), K)
+    ok = all(_value(ctx, N, z) == a - 2 * b for N, a, b in zip(range(1, K + 1), quadratic, linear))
     return ok, f"orders 1..{K} over exact rationals"
 
 

@@ -336,6 +336,30 @@ def test_mahler_series_inside_spectrum_exit_2(tmp_path, capsys, block):
     assert "Traceback" not in err
 
 
+SERIES_CAP_TAIL = "; z is too close to the spectrum top for the moment series\n"
+
+
+@pytest.mark.parametrize(
+    "block, code, err",
+    [
+        # tol / 10 * (1 - 9/10) and tol * (9.5 - 9) underflow to 0, so K is read
+        # from the logs of the factors
+        ({"z": 10.0, "methods": ["moment-series"], "tol": 5e-324, "hilbert": False},
+         3, "speclat: resource cap: series needs 7111 moments (cap 1024)" + SERIES_CAP_TAIL),
+        ({"z": 9.5, "methods": ["limit"], "hilbert_tol": 5e-324},
+         3, "speclat: resource cap: series needs 13783 moments (cap 1024)" + SERIES_CAP_TAIL),
+        # tol * (|z| - 9) overflows to inf
+        ({"z": 1e308, "methods": ["limit"], "hilbert_tol": 1e308}, 0, ""),
+    ],
+    ids=["mahler-tol-underflow", "hilbert-tol-underflow", "hilbert-tol-overflow"],
+)
+def test_mahler_series_tolerance_past_float_range(tmp_path, capsys, block, code, err):
+    cfg = dict(HONEYCOMB_CFG, mahler=block)
+    assert main(["mahler", "--config", write_cfg(tmp_path, cfg), "--out",
+                 str(tmp_path / "out.json")]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_mahler_on_an_observed_spectrum_value_exit_2(tmp_path, capsys):
     # |x + y + 1/(xy)|^2 = |2i - 1|^2 = 5 at x = y = i, a spectrum value: a
     # fault of the config (exit 2), not a failed check (exit 1)

@@ -53,8 +53,9 @@ def mostly(draw, common, rare=st.sampled_from(LARGE), percent=85):
 level = mostly(st.integers(1, 6), st.sampled_from([0, -1, *LARGE]))
 small = mostly(st.integers(-2, 12))
 prime = mostly(st.sampled_from([2, 3, 5, 7]), st.sampled_from([4, 9, 2**61 - 1, 2**89 - 1]))
-number = mostly(st.floats(-20, 300) | st.integers(-20, 300))
-tol = mostly(st.sampled_from([1e-2, 1e-1, 0.5]), st.floats(-1, 1) | st.just(1e-300))
+number = mostly(st.floats(-20, 300) | st.integers(-20, 300), st.sampled_from([*LARGE, 1e308]))
+tol = mostly(st.sampled_from([1e-2, 1e-1, 0.5]),
+             st.floats(-1, 1) | st.sampled_from([1e-300, 5e-324, 1e308]))
 
 # for each command, each parameter's plausible values
 PARAMS = {

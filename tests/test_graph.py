@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclat.errors import CosetViolation, ExplosionGuard
+from speclat.errors import CosetViolation, SizeLimit
 from speclat.cli import main
 from speclat.context import SpectralContext
 from speclat.graph import based_walk_weight_sum, build_graph, walk_series_check
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import diffraction_polynomial
-from speclat.moments import moment_sequence_N, poly_log_series
+from speclat.moments import moment_sequence_N, newton_sums
 from speclat.specpoly import character_values, factored_value
 
 from _oracles import convolution_matrix, table_rows
@@ -117,7 +117,7 @@ def test_weighted_walks():
 def test_explosion_guard(honeycomb, monkeypatch):
     monkeypatch.setattr("speclat.graph.DEFAULT_WALK_CAP", 1000)
     G = graph_of(honeycomb, 2)
-    with pytest.raises(ExplosionGuard):
+    with pytest.raises(SizeLimit, match=r"^9\*\*5 type sequences exceed the cap 1000$"):
         based_walk_weight_sum(G, 5)
 
 
@@ -210,13 +210,13 @@ def sets_avoiding_their_lattice(draw):
 @given(sets_avoiding_their_lattice(), st.integers(1, 4))
 def test_bridge_property(ps, N):
     # the Newton sums s_k of b_N, read from its factors as
-    # -k sum_j j poly_log_series(g_j)[k], equal N^n m_k(N), the based walk
+    # sum_j j newton_sums(g_j)[k], equal N^n m_k(N), the based walk
     # totals and the float power sums of the character values; and
     # b_N(0) = +-(prod_chi P(chi))**2, W = |P|**2 for the amplitude P
     K, ctx = 4, SpectralContext(ps)
     b, n = ctx.spectral_factors(N), ps.dimension
-    logs = [[j * g for g in poly_log_series(p, K)] for j, p in b.factors.items()]
-    newton = [-k * sum(gs) for k, gs in enumerate(zip(*logs), 1)]
+    sums = [[j * s for s in newton_sums(p, K)] for j, p in b.factors.items()]
+    newton = [sum(ss) for ss in zip(*sums)]
     assert newton == [N**n * m for m in moment_sequence_N(ctx.w, K, N)[1:]]
     G = build_graph(ps, ctx.basis, N)
     assert newton == [based_walk_weight_sum(G, k) for k in range(1, K + 1)]

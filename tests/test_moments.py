@@ -16,7 +16,7 @@ from speclat.moments import (
     check_congruence,
     moment_sequence,
     moment_sequence_N,
-    poly_log_series,
+    newton_sums,
     product_exponents,
     series_coefficients,
     verify_recurrence,
@@ -29,6 +29,7 @@ from _oracles import (
     convolution_matrix,
     exact_moment_sweep,
     folded_moment_sweep,
+    from_roots,
     is_palindromic,
     power,
     rebased,
@@ -119,6 +120,14 @@ def test_moments_basis_independent(honeycomb, w_honey):
             assert moment_sequence(w_alt, k)[k] == moment_sequence(w_honey, k)[k]
         for N in (2, 3, 5):
             assert moment_sequence_N(w_alt, 4, N)[4] == moment_sequence_N(w_honey, 4, N)[4]
+
+
+def test_level_moments_refused_past_the_float_cap(w_honey):
+    # 10^8 characters: refused before any power sum, where it once ran for minutes
+    start = time.process_time()
+    with pytest.raises(SizeLimit, match=r"^10000\^2 torsion characters exceed cap 10000000$"):
+        moment_sequence_N(w_honey, 2, 10**4)
+    assert time.process_time() - start < 1
 
 
 def test_moment_N_level_one(w_honey, w_cheb):
@@ -422,14 +431,23 @@ def test_chebyshev_generating_series(cheb_ctx):
         assert _check_generating_series(cheb_ctx, z, K)[0]
 
 
-def test_poly_log_matches_level_moments(w_honey):
-    # coefficients of log(p(z)/z^deg) are -N^n m_k^(N) / k
+def test_newton_sums_match_level_moments(w_honey):
+    # the power sums of b_N's roots, the values W(chi), are N^n m_k^(N)
     for N in (1, 2, 3):
         p = spectral_factors(w_honey, N).polynomial
         K = 6
-        logs = poly_log_series(p, K)
-        for k in range(1, K + 1):
-            assert logs[k - 1] == Fraction(-(N**2) * moment_sequence_N(w_honey, k, N)[k], k)
+        assert newton_sums(p, K) == [N**2 * m for m in moment_sequence_N(w_honey, K, N)[1:]]
+
+
+@given(st.lists(st.integers(-20, 20), max_size=8), st.integers(0, 12))
+def test_newton_sums_are_root_power_sums(roots, K):
+    assert newton_sums(from_roots(roots), K) == [sum(r**k for r in roots) for k in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("p", [(1, 2), (0, 1, -1), (3,)])
+def test_newton_sums_refuse_a_non_monic_polynomial(p):
+    with pytest.raises(ValueError, match="monic"):
+        newton_sums(p, 3)
 
 
 def test_truncated_expansion_rate(w_honey):
