@@ -29,7 +29,11 @@ Runs ``speclat.cli.main`` in process on
   the top level and ``SizeLimit`` from a ``limit`` ladder at the float cap;
   and the largest tables a record lists:
   honeycomb ``spectrum`` at N = 100 with a grid of 100^2 = 10^4 values,
-  the largest grid listed, honeycomb ``walks`` with ``export_graph`` at
+  the largest grid listed, chebyshev ``spectrum`` at N = 4096 and a
+  ``spectrum`` at N = 64 with a grid of 32^2 on the honeycomb's shape with
+  weights 10^5, 2 * 10^5 and 3 * 10^5 (long float columns, written by the
+  record writer's numpy kernel, of values the benchmark does not reach),
+  honeycomb ``walks`` with ``export_graph`` at
   N = 100, the most vertices exported, and chebyshev ``padic`` at
   p = 9973 over every residue and at two z that are W(chi) mod 9973^2,
   one of them huge, whose lift ladder stops early, and at a z whose lift
@@ -134,6 +138,11 @@ LARGE_JOBS = (
      {"z": 9.5, "methods": ["limit"], "hilbert_tol": 1e-5}),
     # tables at their caps: 10^4 grid values, 10^4 vertices per colour, 9973 rows
     ("spectrum-honeycomb-100", "honeycomb", "spectrum", {"N": 100, "grid": 100}),
+    # long float columns on both of the record writer's paths: 2047 levels, some
+    # of them short or powers of two; levels and grid values of 7 to 12 digits
+    # before the point
+    ("spectrum-chebyshev-4096", "chebyshev", "spectrum", {"N": 4096}),
+    ("spectrum-heavy-64", "heavy", "spectrum", {"N": 64, "grid": 32}),
     ("walks-honeycomb-graph-100", "honeycomb", "walks", {"N": 100, "export_graph": True}),
     ("padic-chebyshev-9973", "chebyshev", "padic", {"p": 9973}),
     # rows equal to z mod p^k0 at a huge z: the Teichmueller ladder stops at its first rung
@@ -204,12 +213,14 @@ LARGE_JOBS = (
 )
 # six points of odd coordinate sum: their differences span the face-centred cubic
 # lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2); the 3-D simplex, whose W
-# has tight reach 1 on every axis; and {0, 1, 2000}, whose W has reach 2000
+# has tight reach 1 on every axis; {0, 1, 2000}, whose W has reach 2000; and the
+# honeycomb's shape with weights 10^5 to 3 * 10^5, whose W takes values up to 10^11
 FIXED_SETS = {
     "fcc": (3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1), ((1, 1, 1), 3),
                 ((2, -1, 0), 1), ((0, 2, -1), 2)]),
     "simplex3": (3, [((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)]),
     "line2000": (1, [((0,), 1), ((1,), 1), ((2000,), 1)]),
+    "heavy": (2, [((1, 0), 100000), ((0, 1), 200000), ((-1, -1), 300000)]),
 }
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

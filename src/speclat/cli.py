@@ -18,7 +18,8 @@ carries ``ALGORITHM``, so no record of a superseded algorithm is served.
 A start loads only the stdlib every job uses (``argparse``, ``json``,
 ``hashlib``, ``os``), not ``dataclasses``: the job, the point set and the
 command table are named tuples.  The computing layers, and numpy with
-them, are imported only when a job computes, and ``csv`` only to write
+them, are imported only when a job computes, the record writer's numpy
+kernel only when it writes a long float column, and ``csv`` only to write
 CSV: a cache hit, a config error or ``--help`` never loads them.
 A record is the plain dict of ``RECORD_KEYS``.  Big integers are
 serialized as decimal strings.
@@ -491,6 +492,8 @@ COMMANDS = {
 # -- record plumbing ---------------------------------------------------------------
 
 
+TABLE_BLOCK = 4096  # rows a table is written in at a time: its texts stay small
+LONG_FLOAT_COLUMN = 512  # rows from which the numpy kernel writes a float column faster
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
@@ -505,8 +508,12 @@ def _json_text(obj, pad: str = "\n") -> str:
     one makes several generator steps per node; a spectrum record holds
     tens of thousands of nodes.  So its long lists are tables, each written
     by one ``%`` call: the row's text, each slot ``%s``, once per row,
-    applied to the leaves.  A column of ints, or of finite floats, goes in
-    as it is; others go in written leaf by leaf, as is every plain list.
+    applied to the leaves, a block of ``TABLE_BLOCK`` rows at a time.  In a
+    block, a column of ints, or of finite floats, goes in as it is; a float
+    column of ``LONG_FLOAT_COLUMN`` rows or more goes in as the texts of the
+    numpy kernel ``floattext.float_texts``, which leaves the values it does
+    not decide to ``float.__repr__`` here; others go in written leaf by
+    leaf, as is every plain list.
     """
     if obj is None or obj is True or obj is False:
         return _JSON_CONSTANTS[obj]
@@ -521,13 +528,22 @@ def _json_text(obj, pad: str = "\n") -> str:
     if isinstance(obj, Table):
         if not len(obj):
             return "[]"
-        flat, w = [None] * (len(obj) * len(obj.columns)), len(obj.columns)
-        for j, column in enumerate(obj.columns):
-            kinds = set(map(type, column))
-            plain = kinds == {int} or kinds == {float} and all(map(math.isfinite, column))
-            flat[j::w] = column if plain else map(_json_text, column)
-        rows = ("," + inner).join(itertools.repeat(_template(obj.row, inner), len(obj)))
-        return "[" + inner + rows % tuple(flat) + pad + "]"
+        row, w, blocks = _template(obj.row, inner), len(obj.columns), []
+        for start in range(0, len(obj), TABLE_BLOCK):
+            block = [column[start:start + TABLE_BLOCK] for column in obj.columns]
+            flat = [None] * (len(block[0]) * w)
+            for j, column in enumerate(block):
+                kinds = set(map(type, column))
+                if kinds == {float} and len(column) >= LONG_FLOAT_COLUMN:
+                    from .floattext import float_texts
+
+                    flat[j::w] = float_texts(column, _json_text)
+                elif kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
+                    flat[j::w] = column
+                else:
+                    flat[j::w] = map(_json_text, column)
+            blocks.append(("," + inner).join(itertools.repeat(row, len(block[0]))) % tuple(flat))
+        return "[" + inner + ("," + inner).join(blocks) + pad + "]"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -1,7 +1,10 @@
 """Tables: a record's long lists of JSON rows of one shape, held as the
 shape (one row with each leaf a ``...`` slot) and one column of JSON
 scalars per slot, slots in the order a row's text lists them (dict keys
-sorted).  The record writer formats a table with one ``%`` call."""
+sorted).  The record writer formats a table with one ``%`` call; a long
+float column goes in as the texts of ``floattext.float_texts``, the numpy
+kernel that writes ``float.__repr__``'s digits, with ``float.__repr__``
+itself for the values it leaves."""
 
 from __future__ import annotations
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from speclat.cli import SCHEMA, COMMANDS, _build_parser, _json_text, _record_text, main
-from speclat.cli import _unlimited_int_text
+from speclat.cli import LONG_FLOAT_COLUMN, TABLE_BLOCK, _unlimited_int_text
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
 from speclat.table import Table, leaves
@@ -682,6 +683,8 @@ uniform_scalars = st.sampled_from([
     st.one_of(st.floats(allow_nan=False, allow_infinity=False),
               st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
     st.floats().map(np.float64),
+    st.one_of(st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e300])),
     st.integers(),
     st.one_of(st.integers(-(2**200), 2**200), st.integers(2**64, 2**70)),
     st.booleans(),
@@ -799,15 +802,17 @@ row_shapes = st.recursive(
 
 @st.composite
 def tables(draw):
-    """A table of 0, 1 or many rows, each slot's column of one scalar type or mixed."""
+    """A table of 0, 1 or many rows, each slot's column of one scalar type or
+    mixed; a column past 60 rows repeats its first 60."""
     row = draw(row_shapes)
-    count = draw(st.sampled_from([0, 1, 2, 7, 60]))
+    count = draw(st.sampled_from([0, 1, 2, 7, 60, 1500]))
+    size = min(count, 60)
     columns = [
         draw(st.lists(draw(st.one_of(uniform_scalars, st.just(json_leaves))),
-                      min_size=count, max_size=count))
+                      min_size=size, max_size=size))
         for _ in leaves(row)
     ]
-    return Table(row, tuple(columns))
+    return Table(row, tuple(list(itertools.islice(itertools.cycle(c), count)) for c in columns))
 
 
 @given(tables(), st.integers(0, 3))
@@ -820,6 +825,25 @@ def test_table_text_matches_json_dumps_of_its_rows(table, depth):
     assert list(zip(*table.columns)) == [tuple(leaves(row)) for row in rows]
     record = record_of("spectrum", "abc123", {"rows": table})
     assert _record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [LONG_FLOAT_COLUMN - 1, LONG_FLOAT_COLUMN, TABLE_BLOCK + 5,
+                                   2 * TABLE_BLOCK + LONG_FLOAT_COLUMN])
+def test_long_float_columns_go_through_the_kernel(monkeypatch, count):
+    import speclat.floattext
+
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1e300, 0.1, 2.0]
+    rng = np.random.default_rng(count)
+    values = (10 ** rng.uniform(-6, 17, count - len(specials))).tolist() + specials
+    rng.shuffle(values)
+    kernel = count_calls(monkeypatch, speclat.floattext, "float_texts")
+    table = Table({"n": ..., "x": [..., ...]}, (list(range(count)), values, values[::-1]))
+    text = _json_text(table, "\n  ")
+    assert text == json.dumps(table_rows(table), sort_keys=True, indent=2).replace("\n", "\n  ")
+    # a call per float column of each block of LONG_FLOAT_COLUMN rows or more
+    blocks = [min(count - start, TABLE_BLOCK) for start in range(0, count, TABLE_BLOCK)]
+    assert [len(column) for column, _ in kernel] == [
+        size for size in blocks if size >= LONG_FLOAT_COLUMN for _ in range(2)]
 
 
 @pytest.mark.parametrize(

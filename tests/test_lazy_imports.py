@@ -17,11 +17,13 @@ import sys
 import pytest
 
 import speclat
+from speclat.cli import LONG_FLOAT_COLUMN
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(speclat.__file__)))
-# numpy, and the stdlib a start would otherwise pay for: dataclasses imports
-# inspect (and ast, dis, tokenize), fractions imports decimal
-HEAVY = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "csv")
+# numpy and the record writer's numpy kernel, and the stdlib a start would
+# otherwise pay for: dataclasses imports inspect (and ast, dis, tokenize),
+# fractions imports decimal
+HEAVY = ("numpy", "speclat.floattext", "dataclasses", "inspect", "fractions", "decimal", "csv")
 REPORT = f"print(sorted(set({HEAVY!r}) & set(sys.modules) - bare), file=sys.stderr)"
 FRESH = f"""
 import sys
@@ -68,6 +70,21 @@ def test_cache_hit_loads_no_numpy(tmp_path, fmt):
     assert cold[0] == 0 and cold[2] == [] and "numpy" in cold[3]  # a miss computes, with numpy
     warm = fresh_main(*argv)
     assert warm == (0, cold[1], [], ["csv"] if fmt == "csv" else [])  # a CSV hit needs csv
+
+
+def test_spectrum_cache_hit_loads_no_kernel(tmp_path):
+    """A hit on a record whose grid the kernel wrote is served as its text."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**HONEYCOMB_BN, "spectrum": {"N": 6, "grid": 32}}))
+    out = tmp_path / "spectrum.json"
+    argv = ["spectrum", "--config", str(config), "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    cold = fresh_main(*argv)
+    assert cold[0] == 0 and {"numpy", "speclat.floattext"} <= set(cold[3])
+    record = out.read_bytes()
+    assert len(json.loads(record)["payload"]["grid"]["values"]) >= LONG_FLOAT_COLUMN
+    assert fresh_main(*argv) == (0, "", [], [])
+    assert out.read_bytes() == record
 
 
 @pytest.mark.parametrize(
