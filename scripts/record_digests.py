@@ -21,8 +21,12 @@ Runs ``speclat.cli.main`` in process on
   at small and large z, chebyshev ``padic`` over the fields of 2^13 and
   2063 elements, whose N = 8191 and 2062 = 2 * 1031 have a prime factor
   past trial division, ``mahler`` torus quadrature at
-  the odd resolution 255 on that set, at 2048, 4 and 2 on the honeycomb and
-  at 2 on the generated cube, ``spectrum`` at N = 64 on the generated cube, and
+  the odd resolution 255 on that set, at 2048, 1022, 4 and 2 on the
+  honeycomb, at 100 and 2 on the generated cube and at 2^17 + 6 on chebyshev
+  (torus means whose leaves of 2^16 values split rows and grids of no
+  power-of-two size), a ``mahler`` job on the 3-D simplex whose Hilbert
+  ``spectrum-average`` ladder climbs to 64^3 characters, ``spectrum`` at
+  N = 64 on the generated cube, and
   honeycomb ``mahler`` by a ``limit`` ladder of six rungs, by every
   method with ``hilbert`` on, by a spectrum-average ladder that climbs past
   the ``limit`` ladder, and two that fail: ``SpectrumProximity`` next to
@@ -114,6 +118,17 @@ LARGE_JOBS = (
      {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 255, "hilbert": False}),
     ("mahler-honeycomb-2048", "honeycomb", "mahler",
      {"z": 12.0, "methods": ["torus-quadrature"], "resolution": 2048, "hilbert": False}),
+    # torus means summed a leaf of 2^16 values at a time: 3-D rows of 10^4 values that
+    # cross leaf bounds, a 2-D grid of no power-of-two size, a 1-D grid past two
+    # leaves, and a Hilbert ladder whose last rung has 64^3 characters
+    ("mahler-cube-100", "cube", "mahler",
+     {"z": 100.0, "methods": ["torus-quadrature"], "resolution": 100, "hilbert": False}),
+    ("mahler-honeycomb-1022", "honeycomb", "mahler",
+     {"z": 12.0, "methods": ["torus-quadrature"], "resolution": 1022, "hilbert": False}),
+    ("mahler-chebyshev-131078", "chebyshev", "mahler",
+     {"z": 6.0, "methods": ["torus-quadrature"], "resolution": 2**17 + 6, "hilbert": False}),
+    ("mahler-simplex3-hilbert-ladder", "simplex3", "mahler",
+     {"z": 17.0, "methods": ["limit"], "hilbert_tol": 1e-10}),
     ("spectrum-cube-64", "cube", "spectrum", {"N": 64}),
     # inside the spectrum the ladder climbs six rungs, 16 to 512
     ("mahler-honeycomb-limit", "honeycomb", "mahler",

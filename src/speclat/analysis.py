@@ -6,8 +6,13 @@ measure, and the Mahler-measure limit of the spectral polynomials.  Each
 function reads a SpectralContext: W from it, and the exact moments the
 series routes need, so a job that asks for several readings builds W once
 and reads the moments once.  The Mahler ``limit`` and the Hilbert
-``spectrum-average`` routes climb one doubling ladder of fresh character
-grids, ``_ladder``; their ``moment-series`` routes sum one ``_series_terms``.
+``spectrum-average`` routes climb one doubling ladder of character levels,
+``_ladder``; their ``moment-series`` routes sum one ``_series_terms``.
+Every torus mean, those two ladders' rungs and the Mahler quadrature, is
+one ``_torus_means``: it reads the characters a row block at a time and
+sums them in numpy's own pairwise order, so it holds a leaf of that sum
+instead of the grid and gives ``np.mean``'s bits.  Only ``spectrum``, which
+sorts every value, holds its grid.
 
 The torus log-average, the stabilized polynomial limit and the moment
 series are three independent numerical routes to the same Mahler measure;
@@ -26,7 +31,7 @@ import numpy as np
 from .context import SpectralContext
 from .errors import SizeLimit, SpectrumProximity
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP
-from .specpoly import character_values
+from .specpoly import _VALUE_BLOCK, character_rows, character_values
 
 
 @dataclass(frozen=True)
@@ -96,16 +101,79 @@ def empirical_cdf(hist: SpectrumHistogram, r: float) -> Fraction:
     return Fraction(int((hist.values <= r).sum()), len(hist.values))
 
 
+def _pairwise(m: int, unit: int, leaf):
+    """numpy's pairwise sum of m values of ``unit`` reals each (2 for complex),
+    with ``leaf(size)`` for each node of at most ``_VALUE_BLOCK`` values, in
+    order: numpy's ``pairwise_sum`` splits a node of m unit reals at half of
+    them rounded down to a multiple of 8.  A leaf of [size] lists the leaves."""
+    if m <= _VALUE_BLOCK:
+        return leaf(m)
+    left = m * unit // 2 // 8 * 8 // unit
+    return _pairwise(left, unit, leaf) + _pairwise(m - left, unit, leaf)
+
+
+class _StreamMean:
+    """``np.mean`` of ``count`` values fed in order, bit for bit.  Reduced
+    alone, a node of numpy's pairwise tree walks the same tree below it as
+    the whole sum does, so each leaf is reduced once its values are in, and
+    the sums fold as the tree adds them.  Each leaf's reduce starts from
+    numpy's initial 0, which the whole sum adds once: that turns a -0 sum
+    into +0 and nothing else.  The quotient is numpy's, the sum's scalar
+    over an ``intp`` count.  The first values fed give the dtype; a leaf
+    that straddles feeds is gathered in one buffer."""
+
+    def __init__(self, count: int):
+        self.count, self.sizes, self.sums, self.fill = count, None, [], 0
+
+    def feed(self, values: np.ndarray) -> None:
+        if self.sizes is None:
+            self.unit = 2 if np.iscomplexobj(values) else 1
+            self.sizes = _pairwise(self.count, self.unit, lambda size: [size])[::-1]
+            self.leaf = np.empty(min(self.count, _VALUE_BLOCK), values.dtype)
+        at = 0
+        while at < values.size:
+            size = self.sizes[-1]
+            take = min(size - self.fill, values.size - at)
+            if take < size:
+                self.leaf[self.fill : self.fill + take] = values[at : at + take]
+            self.fill, at = self.fill + take, at + take
+            if self.fill == size:  # a whole leaf is reduced where it lies
+                self.sums.append(np.add.reduce(self.leaf[:size] if take < size else
+                                               values[at - size : at]))
+                self.sizes.pop()
+                self.fill = 0
+
+    def mean(self):
+        sums = iter(self.sums)
+        return _pairwise(self.count, self.unit, lambda size: next(sums)) / np.intp(self.count)
+
+
+def _torus_means(w, N: int, read, half: bool = False) -> list:
+    """[np.mean(read(character_values(w, N)))], bit for bit, then with
+    ``half`` (N even) the same over every other point, the level-N/2 grid.
+    ``read`` maps a block of rows, of at most ``_VALUE_BLOCK`` values, in
+    place where it can; the job holds a block and a leaf, not the grid."""
+    rows, n = character_rows(w, N), w.dimension  # the float cap, before any work
+    step = max(1, min(N, _VALUE_BLOCK // N ** (n - 1)))
+    buf = np.empty((step,) + (N,) * (n - 1))
+    means = [_StreamMean(N**n)] + [_StreamMean((N // 2) ** n)] * half
+    every_other = (slice(None, None, 2),) * (n - 1)
+    for r0 in range(0, N, step):
+        block = read(rows(r0, min(r0 + step, N), buf))
+        means[0].feed(block.ravel())
+        if half:
+            means[1].feed(block[(slice(r0 % 2, None, 2), *every_other)].ravel())
+    return [mean.mean() for mean in means]
+
+
 def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
-    """(reading, |difference|) at the first of the character grids
-    N = 16, 32, ... whose reading agrees within tol with the one before.
-    Each grid is fresh and handed to ``read``, which may consume it in
-    place; the next is built once ``read`` has let it go.  Raises
-    SizeLimit(failure) when N^n passes the float cap first."""
+    """(reading, |difference|) at the first of the levels N = 16, 32, ...
+    whose reading ``read(N)`` agrees within tol with the one before.
+    Raises SizeLimit(failure) when N^n passes the float cap first."""
     prev = None
     N = 16
     while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
-        cur = read(character_values(ctx.w, N))
+        cur = read(N)
         if prev is not None and abs(cur - prev) < tol:
             return cur, abs(cur - prev)
         prev = cur
@@ -167,11 +235,16 @@ def _series_terms(ctx: SpectralContext, z: complex, K: int):
         c2pow *= C2
 
 
-def _stieltjes_average(vals: np.ndarray, z) -> complex:
-    """Mean of 1/(z - v) over vals, in one complex buffer: the ufuncs and
-    order of ``np.mean(1.0 / (complex(z) - vals))``, so the same bits."""
-    buf = np.subtract(complex(z), vals)
-    return complex(np.mean(np.divide(1.0, buf, out=buf)))
+def _stieltjes_reading(z):
+    """vals -> 1/(z - v) elementwise, in one complex buffer: the ufuncs of
+    ``1.0 / (complex(z) - vals)``, so the same bits."""
+    z = complex(z)
+
+    def read(vals: np.ndarray) -> np.ndarray:
+        buf = np.subtract(z, vals)
+        return np.divide(1.0, buf, out=buf)
+
+    return read
 
 
 def hilbert_transform(
@@ -194,7 +267,7 @@ def hilbert_transform(
             acc += a * s * zinv
         return acc
     if method == "spectrum-average":
-        average = lambda vals: _stieltjes_average(vals.ravel(), z)
+        average = lambda N: complex(_torus_means(ctx.w, N, _stieltjes_reading(z))[0])
         return _ladder(ctx, average, tol, "spectrum average did not stabilize within the cap")[0]
     raise ValueError(f"unknown method {method!r}")
 
@@ -209,23 +282,27 @@ class MahlerResult:
     method: str
 
 
-def _log_average(vals: np.ndarray, z, tol_abs, out: np.ndarray | None = None) -> float:
-    """Mean of log|z - v| over vals, reduced inside one float buffer: ``out``
-    (vals itself, when the caller has no further use for it) or a fresh
-    array.  The ufuncs and their order are those of
-    ``np.mean(np.log(np.abs(z - vals)))``, so the bits are too; a real z
-    gives |complex(z) - v| = hypot(z - v, 0), the same bits, with no complex
+def _log_reading(z, tol_abs):
+    """vals -> log|z - v| elementwise, in vals itself; SpectrumProximity when
+    a |z - v| is below tol_abs.  The ufuncs are those of
+    ``np.log(np.abs(z - vals))``, so the bits are too; a real z gives
+    |complex(z) - v| = hypot(z - v, 0), the same bits, with no complex
     buffer, and a complex z takes one for z - vals."""
-    if np.iscomplexobj(z):
-        buf = np.abs(np.subtract(z, vals), out=out)
-    else:
-        buf = np.subtract(z, vals, out=out)
-        np.abs(buf, out=buf)
-    if buf.min() < tol_abs:
-        raise SpectrumProximity(
-            f"{z} is within {tol_abs} of an observed spectrum value"
-        )
-    return float(np.mean(np.log(buf, out=buf)))
+
+    def read(vals: np.ndarray) -> np.ndarray:
+        diff = np.subtract(z, vals) if np.iscomplexobj(z) else np.subtract(z, vals, out=vals)
+        buf = np.abs(diff, out=vals)
+        if buf.min() < tol_abs:
+            raise SpectrumProximity(f"{z} is within {tol_abs} of an observed spectrum value")
+        return np.log(buf, out=buf)
+
+    return read
+
+
+def _log_mean(w, N: int, z, tol_abs: float = 0.0) -> float:
+    """Mean of log|z - w(chi)| over the N-torsion characters chi, bit for bit
+    ``np.mean(np.log(np.abs(z - character_values(w, N))))``."""
+    return float(_torus_means(w, N, _log_reading(z, tol_abs))[0])
 
 
 def mahler_measure(
@@ -243,19 +320,16 @@ def mahler_measure(
     |z| > total_weight^2).  torus-quadrature: one uniform grid log-average
     at the given resolution, with the half-resolution difference as the
     error estimate.  At an even resolution R the half grid is every other
-    point of the fine one, bit for bit: 2 pi (2 k) / R and 2 pi k / (R / 2)
-    are the same double, a power-of-two scaling apart; at R = 2, the level-1 grid.
+    point of the fine one, read from the same stream; at an odd one it is
+    the level R // 2 grid, read on its own; at R = 2, the level-1 grid.
 
-    Each grid is reduced in its own memory: a ``limit`` rung and the fine
-    grid are consumed in place, after the coarse half, which takes a fresh
-    buffer of its own size (a copy of the every-other-point view, or the
-    fresh half grid at an odd resolution).  A job holds one
-    float64 per point of its largest grid, plus the coarse half.
+    Every grid is a ``_torus_means`` stream, so a ``limit`` rung or a
+    quadrature holds a block and a leaf of 2^16 values, not its grid.
     """
     C2 = ctx.ps.total_weight**2
     proximity = 1e-6 * C2
     if method == "limit":
-        estimate = lambda vals: math.exp(-_log_average(vals, z, proximity, out=vals))
+        estimate = lambda N: math.exp(-_log_mean(ctx.w, N, z, proximity))
         failure = "limit method did not stabilize within the float cap"
         return MahlerResult(*_ladder(ctx, estimate, tol, failure), method)
     if method == "moment-series":
@@ -270,12 +344,10 @@ def mahler_measure(
     if method == "torus-quadrature":
         if resolution < 2:  # the half grid needs level resolution // 2 >= 1
             raise ValueError("resolution must be >= 2")
-        grid = character_values(ctx.w, resolution)  # meets the float cap before any sweep
-        if resolution % 2:
-            half = character_values(ctx.w, resolution // 2)
-            coarse = _log_average(half, z, proximity, out=half)
-        else:
-            coarse = _log_average(grid[(slice(None, None, 2),) * ctx.dimension], z, proximity)
-        fine = math.exp(-_log_average(grid, z, proximity, out=grid))
+        # the fine level meets the float cap before any sweep
+        fine, *coarse = _torus_means(ctx.w, resolution, _log_reading(z, proximity),
+                                     half=resolution % 2 == 0)
+        fine = math.exp(-fine)
+        coarse = coarse[0] if coarse else _log_mean(ctx.w, resolution // 2, z, proximity)
         return MahlerResult(fine, abs(fine - math.exp(-coarse)), method)
     raise ValueError(f"unknown method {method!r}")

@@ -214,9 +214,9 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
     cap = DEFAULT_SERIES_CAP
     if max([K, *(k * p ** min(a + 1, cap.bit_length()) for p, k, a in params["congruences"])]) > cap:
         raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
-    for p, k, a in params["congruences"]:  # each sweep's box (k = 0 sweeps nothing)
-        if k:
-            _sweep_kernel(ctx.w, k * p ** (a + 1), p ** (a + 1))
+    # each sweep's box, its kernel kept for the sweep (k = 0 sweeps nothing)
+    kernels = [_sweep_kernel(ctx.w, k * p ** (a + 1), p ** (a + 1)) if k else None
+               for p, k, a in params["congruences"]]
     # the cells of the torus sweeps the level power sums replaced, so no exit code moved
     steps, n = max(1, -(-K // 2)), ctx.dimension
     N = max(params["levels"], default=0)
@@ -234,8 +234,8 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
             for N in dict.fromkeys(params["levels"])
         },
         "congruences": [
-            {"p": p, "k": k, "alpha": a, "holds": check_congruence(ctx.w, p, k, a)}
-            for p, k, a in params["congruences"]
+            {"p": p, "k": k, "alpha": a, "holds": check_congruence(ctx.w, p, k, a, kernel)}
+            for (p, k, a), kernel in zip(params["congruences"], kernels)
         ],
     }
     if params["series"]:

@@ -70,13 +70,14 @@ def _sweep_kernel(f: LaurentPoly, K: int, coeff_mod: int) -> tuple[LaurentPoly, 
     return kernel, r
 
 
-def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int) -> list[int]:
+def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int, kernel=None) -> list[int]:
     """Constant terms of f**k modulo ``coeff_mod``, k = 0..K: with CT(g*h) = sum_v
     g_v h_{-v}, m_{2j+1} pairs f^j with f^(j+1), m_{2j+2} f^(j+1) with itself, each
-    on the box -j*r .. j*r of ``_sweep_kernel``, which caps it before any work.
+    on the box -j*r .. j*r of ``_sweep_kernel``, which caps it before any work
+    (``kernel``: its result, when the caller has built it already).
     Residues below 2**15 are int64 (products below 2**30, over at most 10**7 cells)."""
     n = f.dimension
-    kernel, r = _sweep_kernel(f, K, coeff_mod)
+    kernel, r = kernel or _sweep_kernel(f, K, coeff_mod)
     dtype = np.int64 if coeff_mod <= 2**15 else object
 
     def ct(g, h):  # CT(g*h), g on a box no larger than h's: the centre of h, reversed
@@ -96,12 +97,14 @@ def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int) -> list[int]:
     return out
 
 
-def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
+def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int, kernel=None) -> bool:
     """True iff m_{k p^(alpha+1)} and m_{k p^alpha} agree mod p^(alpha+1).
 
     Guaranteed by the Frobenius congruence on the coefficients, so False
     signals an implementation bug, not bad input.  Both moments are computed
-    modulo p^(alpha+1), which commutes with products, by a capped sweep.
+    modulo p^(alpha+1), which commutes with products, by a capped sweep;
+    ``kernel`` is its ``_sweep_kernel``, when a caller built it to check that
+    cap before other work.
     """
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -112,7 +115,7 @@ def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
     cap, bits = DEFAULT_FLOAT_CAP, (alpha + 1) * (p.bit_length() - 1) + k.bit_length() - 1
     if bits > cap.bit_length():  # h = k p^(alpha+1) >= 2^bits > cap, refused before it is formed
         raise SizeLimit(f"a congruence sweep to h = k {p}^{alpha + 1} >= 2^{bits} passes cap {cap}")
-    vals = _moment_sweep(f, k * p ** (alpha + 1), p ** (alpha + 1))
+    vals = _moment_sweep(f, k * p ** (alpha + 1), p ** (alpha + 1), kernel)
     return vals[-1] == vals[k * p**alpha]
 
 

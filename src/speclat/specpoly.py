@@ -338,8 +338,11 @@ def spectral_factors(
 # -- floating-point character evaluation ---------------------------------------
 
 
-def character_values(f: LaurentPoly, N: int) -> np.ndarray:
-    """Real part of f at all N-torsion characters, as an (N,)*n array.
+def character_rows(f: LaurentPoly, N: int):
+    """rows(r0, r1, out=None): the real part of f at the N-torsion characters
+    k with r0 <= k_0 < r1, as an (r1 - r0, N, ..., N) array (the first rows of
+    ``out``, when given), bit for bit those rows of ``character_values(f, N)``;
+    the cos table is built once, here.
 
     Only meaningful for palindromic f (real values).  Term c x^e adds
     c cos(2 pi (e.k mod N) / N), cos the real part of exp(2 pi i r / N).  With
@@ -349,8 +352,10 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     this c share: no view moves over s = reach_0 (R - 1) + sum_{i>0} reach_i
     (N - 1) entries (reach_i the largest |e_i|; R N^(n-1) and R reach_0 stay
     within ``_VALUE_BLOCK``).  c cos(r) has the same bits wherever r is read,
-    and each value is summed from 0 in term order: bit for bit the real part
-    of the sum in complex arithmetic, and the exact coefficient sum at the
+    and each value is its first term plus the others in term order, its sum
+    from 0, as no c cos(r) is 0 (f keeps no zero c, and no double is an odd
+    multiple of pi / 2): bit for bit the real part of the sum in complex
+    arithmetic, whatever rows are asked, and the exact coefficient sum at the
     trivial character (index all zeros).  Raises SizeLimit, before any work,
     when the N^n values exceed ``DEFAULT_FLOAT_CAP``.
     """
@@ -359,15 +364,28 @@ def character_values(f: LaurentPoly, N: int) -> np.ndarray:
     exps, coeffs = zip(*f.sorted_terms())
     exps = [[(x + N // 2) % N - N // 2 for x in e] for e in exps]
     reach = [max(map(abs, axis)) for axis in zip(*exps)]
-    rows = max(1, min(N, _VALUE_BLOCK // N ** (n - 1), _VALUE_BLOCK // (reach[0] or 1)))
-    span = reach[0] * (rows - 1) + sum(reach[1:]) * (N - 1)
+    step = max(1, min(N, _VALUE_BLOCK // N ** (n - 1), _VALUE_BLOCK // (reach[0] or 1)))
+    span = reach[0] * (step - 1) + sum(reach[1:]) * (N - 1)
     table = {c: i for i, c in enumerate(dict.fromkeys(coeffs))}
     cos = np.exp(2j * np.pi * np.arange(N) / N).real[np.arange(-span, N + span) % N]
     scaled = np.array(list(table), float)[:, None] * cos
-    acc = np.zeros((N,) * n)
-    for r0 in range(0, N, rows):
-        block = acc[r0 : r0 + rows]
-        for e, c in zip(exps, coeffs):
-            offset = 8 * ((N + 2 * span) * table[c] + span + e[0] * r0 % N)
-            block += np.ndarray(block.shape, float, scaled, offset, [8 * x for x in e])
-    return acc
+
+    def rows(r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        acc = np.empty((r1 - r0,) + (N,) * (n - 1)) if out is None else out[: r1 - r0]
+        for b0 in range(r0, r1, step):
+            block = acc[b0 - r0 : b0 - r0 + step]
+            terms = (np.ndarray(block.shape, float, scaled,
+                                8 * ((N + 2 * span) * table[c] + span + e[0] * b0 % N),
+                                [8 * x for x in e]) for e, c in zip(exps, coeffs))
+            block[...] = next(terms)
+            for term in terms:
+                block += term
+        return acc
+
+    return rows
+
+
+def character_values(f: LaurentPoly, N: int) -> np.ndarray:
+    """Real part of f at all N-torsion characters, as an (N,)*n array: every
+    row of ``character_rows``, which checks the float cap before any work."""
+    return character_rows(f, N)(0, N)

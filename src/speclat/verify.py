@@ -7,8 +7,8 @@ context into the CLI's ``verify`` payload, and the acceptance tests run
 everything.  The criteria read only that context, which builds the
 lattice, W and each b_N once.  They read b_N through its factors g_j
 (``factored_value``, ``level_multiplicity``); only the divisibility check
-expands it.  c12 averages log|6 - W| with the Mahler routes'
-``_log_average``, and the walk/trace bridge builds its own small matrix of
+expands it.  c12 averages log|6 - W| with the Mahler routes' streamed
+``_log_mean``, and the walk/trace bridge builds its own small matrix of
 multiplication by W.  Expected values are frozen here: the printed value
 table, the factored level-6 polynomial, the finite-field count row, and
 the closed forms of the line example.
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import _log_average, hilbert_transform, mahler_measure, spectrum
+from .analysis import _log_mean, hilbert_transform, mahler_measure, spectrum
 from .arith import valuation_inequality_check, vp
 from .catalog import builtin_point_set
 from .context import SpectralContext
@@ -35,7 +35,7 @@ from .moments import (
     series_coefficients,
     verify_recurrence,
 )
-from .specpoly import character_values, divides, factored_value, level_multiplicity
+from .specpoly import divides, factored_value, level_multiplicity
 
 CHEB_VALUES_AT_6 = [
     2, 12, 50, 192, 722, 2700, 10082, 37632, 140450, 524172, 1956242,
@@ -170,8 +170,7 @@ def check_cheb_padic_pattern(ctx: SpectralContext) -> tuple[bool, str]:
 
 def check_cheb_mahler_limit(ctx: SpectralContext) -> tuple[bool, str]:
     target = 2 - math.sqrt(3)
-    errors = [abs(math.exp(-_log_average(character_values(ctx.w, N), 6, 0)) - target)
-              for N in range(20, 41)]
+    errors = [abs(math.exp(-_log_mean(ctx.w, N, 6)) - target) for N in range(20, 41)]
     worst = max(errors)
     return all(e < 1e-3 for e in errors), f"|est - (2 - sqrt 3)| <= {worst:.2e} for N in 20..40"
 

@@ -441,7 +441,10 @@ def test_moments_cap_checked_before_any_sweep(tmp_path, capsys, monkeypatch, blo
 
 @pytest.fixture
 def small_float_cap(monkeypatch):
-    """DEFAULT_FLOAT_CAP at 1000, wherever a speclat module binds it."""
+    """DEFAULT_FLOAT_CAP at 1000, wherever a speclat module binds it; each such
+    module is loaded first, or one loaded under the fixture would keep 1000."""
+    import speclat.analysis, speclat.moments  # noqa: F401
+
     for modname, mod in list(sys.modules.items()):
         if modname.split(".")[0] == "speclat" and hasattr(mod, "DEFAULT_FLOAT_CAP"):
             monkeypatch.setattr(mod, "DEFAULT_FLOAT_CAP", 1000)
@@ -568,7 +571,8 @@ def test_moments_levels_cap_admits_levels_up_to_it(tmp_path, small_float_cap):
 def test_moments_cap_admits_sweeps_up_to_it(tmp_path, monkeypatch):
     swept = []
     monkeypatch.setattr(
-        "speclat.moments.check_congruence", lambda w, p, k, a: swept.append((p, k, a)) or True
+        "speclat.moments.check_congruence",
+        lambda w, p, k, a, kernel: swept.append((p, k, a)) or True,
     )
     cfg = dict(HONEYCOMB_CFG)
     cfg["moments"] = {"k_max": 2, "congruences": [[2, 1, 9], [2, 0, 10**9]], "series": False}
@@ -576,6 +580,21 @@ def test_moments_cap_admits_sweeps_up_to_it(tmp_path, monkeypatch):
     assert code == 0
     assert swept == [(2, 1, 9), (2, 0, 10**9)]
     assert json.loads(out.read_text())["payload"]["moments"] == ["1", "3", "15"]
+
+
+def test_moments_builds_each_sweep_kernel_once(tmp_path, monkeypatch):
+    from speclat import moments
+
+    kernels = count_calls(monkeypatch, moments, "_sweep_kernel")
+    cfg = dict(HONEYCOMB_CFG)
+    congruences = [[2, 1, 0], [3, 0, 2], [3, 1, 1], [2, 1, 0]]
+    cfg["moments"] = {"k_max": 2, "congruences": congruences, "series": False}
+    code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    # one kernel per congruence with k > 0, built for its cap and kept for its sweep
+    assert [(K, mod) for _, K, mod in kernels] == [(2, 2), (9, 9), (2, 2)]
+    rows = json.loads(out.read_text())["payload"]["congruences"]
+    assert [row["holds"] for row in rows] == [True] * 4
 
 
 @pytest.mark.parametrize(
@@ -1138,19 +1157,20 @@ def test_walks_export_graph_capped_before_any_work(tmp_path, monkeypatch, capsys
 def test_mahler_builds_each_rung_once(tmp_path, monkeypatch, hilbert, averaged):
     from speclat import analysis
 
-    built, original = [], analysis.character_values
+    built, original = [], analysis.character_rows
 
     def recorded(w, N):
         built.append(N)
         return original(w, N)
 
-    monkeypatch.setattr(analysis, "character_values", recorded)
-    averages = count_calls(monkeypatch, analysis, "_stieltjes_average")
+    monkeypatch.setattr(analysis, "character_rows", recorded)
+    readings = count_calls(monkeypatch, analysis, "_stieltjes_reading")
     cfg = dict(HONEYCOMB_CFG, mahler={"z": 12.0, "hilbert": hilbert})
     assert run(tmp_path, cfg, ["mahler", "--config", write_cfg(tmp_path, cfg)])[0] == 0
-    # the limit ladder builds 16 and 32, the quadrature 128, the Hilbert ladder its own rungs
+    # the limit ladder streams 16 and 32, the quadrature 128 with its half, the
+    # Hilbert ladder its own rungs, each read once
     assert built == [16, 32, 128] + averaged
-    assert [len(vals) for vals, _ in averages] == [N**2 for N in averaged]
+    assert len(readings) == len(averaged)
 
 
 def test_padic_size_check_only_when_values_are_asked(tmp_path):
@@ -1324,7 +1344,8 @@ def test_every_float_cap_before_any_work(tmp_path, monkeypatch, capsys, command,
         raise AssertionError(f"{command} worked before every cap was checked")
 
     for work in ("analysis.spectrum", "analysis._ladder", "analysis.character_values",
-                 "specpoly.character_values", "context.SpectralContext.moment_sequence"):
+                 "analysis.character_rows", "specpoly.character_values",
+                 "specpoly.character_rows", "context.SpectralContext.moment_sequence"):
         monkeypatch.setattr(f"speclat.{work}", refuse)
     cfg = dict(HONEYCOMB_CFG, **{command: block})
     code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])

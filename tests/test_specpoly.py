@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from speclat import primes, specpoly
 from speclat.arith import valuation_inequality_check, vp
-from speclat.analysis import _log_average
+from speclat.analysis import _log_mean
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, IntegralityViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet, difference_lattice
@@ -612,7 +612,7 @@ def test_character_values_shapes(honeycomb):
 def log_product(w, N, z):
     """log prod |z - value| over the N-torsion characters: N^n times the
     level-N log-average."""
-    return N**w.dimension * _log_average(character_values(w, N), z, 0.0)
+    return N**w.dimension * _log_mean(w, N, z)
 
 
 def test_log_value_closed_form(w_cheb):

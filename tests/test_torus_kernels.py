@@ -5,7 +5,8 @@ random weighted point sets in dimensions 1-3, some with weights >= 10^6 so
 that the walk totals overflow int64 and take the Python-integer path.  The
 suffix table is shrunk in some cases so that the prefix loop runs too, and
 the character-value block is shrunk to one row or a few so that the sum
-runs over many blocks.
+runs over many blocks.  The streamed torus means are checked against
+``np.mean`` over the whole grid at levels past one leaf of the sum.
 """
 
 import json
@@ -20,14 +21,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speclat import analysis, graph, specpoly
-from speclat.analysis import _log_average, _stieltjes_average, mahler_measure, spectrum
+from speclat.analysis import _log_mean, _log_reading, _stieltjes_reading, _torus_means
+from speclat.analysis import mahler_measure, spectrum
 from speclat.cli import _json_text
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import LaurentPoly, diffraction_polynomial
 from speclat.moments import moment_sequence_N
-from speclat.specpoly import character_values, integer_root_multiplicity
+from speclat.specpoly import character_rows, character_values, integer_root_multiplicity
 
 from _oracles import complex_character_values, loop_adjacency, loop_clusters, tuple_walk_weight_sum
 
@@ -213,6 +215,20 @@ def test_character_values_over_blocks_property(case):
     check_values(*case)
 
 
+@settings(max_examples=60)
+@given(value_cases(), st.data())
+def test_any_rows_are_those_rows_of_the_grid_property(case, data):
+    w, N, rows = case
+    r0 = data.draw(st.integers(0, N - 1))
+    r1 = data.draw(st.integers(r0, N))
+    block = specpoly._VALUE_BLOCK if rows is None else rows * N ** (w.dimension - 1)
+    with mock.patch.object(specpoly, "_VALUE_BLOCK", block):
+        some = character_rows(w, N)(r0, r1, np.full((N,) * w.dimension, np.nan))
+    grid = character_values(w, N)[r0:r1]
+    assert some.shape == grid.shape
+    assert np.array_equal(some, grid) and np.array_equal(np.signbit(some), np.signbit(grid))
+
+
 # -- the half grid of the torus quadrature ---------------------------------------------
 
 
@@ -264,10 +280,11 @@ def test_quadrature_below_resolution_two_is_refused(resolution):
 def test_log_average_real_z_matches_complex_form(seed):
     rng = random.Random(seed)
     ps = random_graph_set(rng, big=True)
-    vals = character_values(diffraction_polynomial(ps, difference_lattice(ps)), 6)
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    vals = character_values(w, 6)
     for z in (0.3, -3, 7.25, rng.uniform(-1e6, 1e6), 1.5 * ps.total_weight**2):
         expected = float(np.mean(np.log(np.abs(complex(z) - vals.ravel()))))
-        assert _log_average(vals, z, 0.0) == expected
+        assert _log_mean(w, 6, z) == expected
 
 
 # -- averages reduced in place ------------------------------------------------------------
@@ -287,13 +304,41 @@ def test_averages_in_place_are_bitwise_property(case, z):
     w = diffraction_polynomial(ps, difference_lattice(ps))
     vals = character_values(w, N)
     assume(np.abs(complex(z) - vals).min() > 0)
-    expected = float(np.mean(np.log(np.abs(z - vals))))
-    kept = vals.copy()
-    assert _log_average(vals, z, 0.0) == expected
-    assert np.array_equal(vals, kept)
-    assert _log_average(vals, z, 0.0, out=vals) == expected
-    flat = kept.ravel()
-    assert _stieltjes_average(flat, z) == complex(np.mean(1.0 / (complex(z) - flat)))
+    expected = np.log(np.abs(z - vals))
+    buf = vals.copy()
+    assert _log_reading(z, 0.0)(buf) is buf and np.array_equal(buf, expected)
+    assert _log_mean(w, N, z) == float(np.mean(expected))
+    flat = vals.ravel()
+    average = _torus_means(w, N, _stieltjes_reading(z))[0]
+    assert complex(average) == complex(np.mean(1.0 / (complex(z) - flat)))
+
+
+# levels whose N^n values straddle the 2^16-value leaf of the streamed sum,
+# odd and even, powers of two and not (1000^2 has a node of 62500 values)
+STREAM_LEVELS = {
+    1: [2**16 - 8, 2**16, 2**16 + 1, 2**17 + 6, 131071, 100_000],
+    2: [255, 256, 257, 362, 777, 1000, 1022],
+    3: [40, 41, 50, 64, 66, 101],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_sets(), st.data(), Z_VALUES)
+def test_streamed_means_are_np_mean_past_a_leaf_property(case, data, z):
+    ps, _, _ = case
+    w = diffraction_polynomial(ps, difference_lattice(ps))
+    N = data.draw(st.sampled_from(STREAM_LEVELS[ps.dimension]))
+    vals = character_values(w, N)
+    assume(np.abs(complex(z) - vals).min() > 0)
+    logs = np.log(np.abs(z - vals))
+    fine, *coarse = _torus_means(w, N, _log_reading(z, 0.0), half=N % 2 == 0)
+    assert fine.hex() == float(np.mean(logs)).hex()
+    if N % 2 == 0:  # the quadrature's coarse half, as a grid of its own
+        half = np.log(np.abs(z - vals[(slice(None, None, 2),) * ps.dimension]))
+        assert coarse[0].hex() == float(np.mean(half)).hex()
+    average = complex(_torus_means(w, N, _stieltjes_reading(z))[0])
+    expected = complex(np.mean(1.0 / (complex(z) - vals.ravel())))
+    assert (average.real.hex(), average.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -402,15 +447,18 @@ def traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("resolution", [512, 1024])
-def test_quadrature_holds_the_fine_grid_and_a_quarter(resolution):
+LEAVES_BOUND = 4 * 2**20  # bytes: a row block and a leaf or two of 2^16 values, not a grid
+
+
+@pytest.mark.parametrize("resolution", [512, 1024, 2048])
+def test_quadrature_holds_leaves_not_the_grid(resolution):
     ctx = SpectralContext(HONEYCOMB)
     ctx.w  # W is built before tracing
     peak = traced_peak(mahler_measure, ctx, 12.0, "torus-quadrature", resolution=resolution)
-    assert peak < 1.35 * 8 * resolution**2
+    assert peak < LEAVES_BOUND
 
 
-def test_limit_rung_holds_one_grid(monkeypatch):
+def test_limit_rung_holds_leaves_not_the_grid(monkeypatch):
     ctx = SpectralContext(HONEYCOMB)
     ctx.w  # W is built before tracing
     monkeypatch.setattr(analysis, "DEFAULT_FLOAT_CAP", 2**20)  # rungs 16 to 1024
@@ -418,13 +466,13 @@ def test_limit_rung_holds_one_grid(monkeypatch):
 
     def recorded(w, N):
         sizes.append(N**w.dimension)
-        return character_values(w, N)
+        return character_rows(w, N)
 
-    monkeypatch.setattr(analysis, "character_values", recorded)
+    monkeypatch.setattr(analysis, "character_rows", recorded)
     # tol 0: no two rungs agree, so the ladder climbs to the cap
     peak = traced_peak(pytest.raises, SizeLimit, mahler_measure, ctx, 12.0, "limit", tol=0.0)
-    assert max(sizes) == 2**20
-    assert peak < 1.1 * 8 * max(sizes)
+    assert sizes == [N**2 for N in (16, 32, 64, 128, 256, 512, 1024)]
+    assert peak < LEAVES_BOUND
 
 
 # -- float clusters against exact root multiplicities ------------------------------------
