@@ -14,8 +14,10 @@ Runs ``speclat.cli.main`` in process on
   directory;
 * larger jobs than the workloads hold (``LARGE_JOBS``): honeycomb ``bn`` at
   N = 20 with ``levels`` and a divisor check, honeycomb ``padic`` at p = 31
-  over every residue and at p = 11 at large z (point values for one job,
-  Horner on b_10 for the other), ``padic`` over the 9-element field on
+  over every residue and at p = 11 at two pairs of large z (both read in
+  one p-adic pass over the class rows; their labels, ``-values`` and
+  ``-horner``, name evaluation routes of earlier versions and are kept so
+  that digests compare across versions), ``padic`` over the 9-element field on
   the generated weighted set of each seed, chebyshev ``padic`` over the
   81-element field and honeycomb ``padic`` over the 64-element field, each
   at small and large z, chebyshev ``padic`` over the fields of 2^13 and
@@ -104,7 +106,8 @@ LARGE_JOBS = (
      {"N": 20, "levels": [0, 1, 3, 4, 9], "divisor_checks": [[10, 20]]}),
     ("padic-honeycomb-31", "honeycomb", "padic", {"p": 31}),
     ("padic-weighted-3-2", "weighted", "padic", {"p": 3, "nu": 2}),
-    # large z on each side of the choice between point values and Horner on b_10
+    # large z, read in one p-adic pass; the labels are kept from earlier versions
+    # that evaluated b_10 by point values or by Horner, so digests stay comparable
     ("padic-honeycomb-11-values", "honeycomb", "padic", {"p": 11, "z_values": [10**4, -(10**4)]}),
     ("padic-honeycomb-11-horner", "honeycomb", "padic", {"p": 11, "z_values": [53, 10**6]}),
     # the Galois ring path: nu > 1 over every residue and at a large z

@@ -20,7 +20,6 @@ proves alpha = 0, a valuation of inf.
 from __future__ import annotations
 
 import math
-import random
 
 from . import primes, specpoly
 from .errors import SizeLimit
@@ -72,20 +71,21 @@ def _poly_pow(base, e, modulus, m):
 def primitive_modulus(p: int, nu: int) -> tuple[int, ...]:
     """The monic F of degree nu with F_p[x]/(F) the field of p^nu elements.
 
-    F is primitive: the first random monic polynomial (deterministic retry
-    seeded by (p, nu)) modulo which x has multiplicative order p^nu - 1.
-    That certifies F irreducible, since modulo a reducible F fewer than
-    p^nu - 1 residues are units, and x generates the multiplicative group.
+    F is primitive: the first monic polynomial, its lower coefficients
+    (a_0, .., a_{nu-1}) taken in lexicographic order, modulo which x has
+    multiplicative order p^nu - 1.  That certifies F irreducible, since
+    modulo a reducible F fewer than p^nu - 1 residues are units, and x
+    generates the multiplicative group.  The search starts at a_0 = 1: with
+    a_0 = 0, x divides F and is no unit.
     """
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if nu < 1:
         raise ValueError("nu must be >= 1")
     g_order, one = p**nu - 1, (1,) + (0,) * (nu - 1)
-    rng = random.Random(f"modulus:{p}:{nu}")
     quotients = [g_order // ell for ell in primes.prime_factors(g_order)]
-    while True:
-        F = tuple(rng.randrange(p) for _ in range(nu)) + (1,)
+    for i in range(p ** (nu - 1), p**nu):  # a_0, .., a_{nu-1}: the base-p digits of i
+        F = (*(i // p**j % p for j in reversed(range(nu))), 1)
         if _poly_pow((0, 1), g_order, F, p) == one and all(
             _poly_pow((0, 1), e, F, p) != one for e in quotients
         ):

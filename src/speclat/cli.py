@@ -5,24 +5,24 @@
     speclat verify <chebyshev|honeycomb>
 
 The config file carries the point set and one parameter block per
-command; command-line flags override scalar parameters.  ``COMMANDS`` is
-the one table of the commands: for each, its parameters (a kind, a
-default and, for a scalar a flag may override, the flag's type), its
-runner and its CSV table.  Every parameter is checked against its kind
-before the config is hashed and is kept exactly as given, so one job has
-one hash.  A job runs on one SpectralContext, which builds the lattice, W
-and each b_N once.  Results are deterministic, content-addressed by a
-hash of the effective config, and cached as JSON when a cache directory
-is given; a hit serves the cached text as it is, and the cache file name
-carries ``ALGORITHM``, so no record of a superseded algorithm is served.
+command; command-line flags override scalar parameters, each flag parsed
+into its parameter's name.  ``COMMANDS`` is the one table of the
+commands: for each, its parameters (a kind, a default and, for a scalar a
+flag may override, the flag's type), its runner and its CSV table.  Every
+parameter is checked against its kind before the config is hashed and is
+kept exactly as given, so one job has one hash.  A job runs on one
+SpectralContext, which builds the lattice, W and each b_N once.  Results
+are deterministic, content-addressed by a hash of the effective config,
+and cached as JSON when a cache directory is given; a hit serves the
+cached text as it is, and the cache file name carries ``ALGORITHM``, so
+no record of a superseded algorithm is served.  A record is the plain
+dict of ``RECORD_KEYS``, its big integers decimal strings, written by
+``table.record_text``.
 A start loads only the stdlib every job uses (``argparse``, ``json``,
 ``hashlib``, ``os``), not ``dataclasses``: the job, the point set and the
-command table are named tuples.  The computing layers, and numpy with
-them, are imported only when a job computes, the record writer's numpy
-kernel only when it writes a long float column, and ``csv`` only to write
-CSV: a cache hit, a config error or ``--help`` never loads them.
-A record is the plain dict of ``RECORD_KEYS``.  Big integers are
-serialized as decimal strings.
+command table are plain named tuples.  The computing layers, and numpy
+with them, are imported only when a job computes, and ``csv`` only to
+write CSV: a cache hit, a config error or ``--help`` never loads them.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error or
 unwritable output, 3 resource cap exceeded.
@@ -42,8 +42,8 @@ import operator
 import os
 import sys
 import tempfile
-from json.encoder import encode_basestring_ascii as _json_string
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable
 
 from .catalog import BUILTIN_POINT_SETS
 from .errors import ConfigError, CosetViolation, RankDeficient, SizeLimit
@@ -52,7 +52,7 @@ from .lattice import WeightedPointSet, _is_int
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
 from .limits import MAX_WALK_LEVEL
 from .primes import is_prime
-from .table import Table, leaves
+from .table import Table, record_text, row_leaves
 
 if TYPE_CHECKING:
     from .context import SpectralContext
@@ -65,18 +65,16 @@ RECORD_KEYS = {"schema", "command", "config_hash", "payload"}
 ALGORITHM = "alg2"
 
 
-class JobConfig(NamedTuple):
+class JobConfig(namedtuple("JobConfig", "point_set command params")):
     """One validated job: point set, command and effective parameters.
-    Construction validates the point set, rejects unknown parameters and
+    ``from_file`` validates the point set, rejects unknown parameters and
     checks every parameter against its kind, so dispatch never sees a
     malformed job."""
 
-    point_set: WeightedPointSet
-    command: str
-    params: dict
+    __slots__ = ()
 
     @staticmethod
-    def from_file(path: str, command: str, overrides: dict) -> "JobConfig":
+    def from_file(path: str, command: str, flags: dict) -> JobConfig:
         with open(path) as fh:
             cfg = json.load(fh)
         try:
@@ -94,7 +92,7 @@ class JobConfig(NamedTuple):
             raise ConfigError(f"unknown {command} parameters: {sorted(unknown)}")
         params = {key: param.default for key, param in spec.params.items()}
         params.update(block)
-        params.update((key, value) for key, value in overrides.items() if value is not None)
+        params.update(flags)
         for key, (kind, default, _) in spec.params.items():
             value = params[key]
             if not kind.ok(value):
@@ -122,11 +120,8 @@ class JobConfig(NamedTuple):
 # -- parameter kinds --------------------------------------------------------------
 
 
-class Kind(NamedTuple):
-    """What a parameter value must be: ``ok`` tests it, ``what`` names it."""
-
-    what: str
-    ok: Callable[[object], bool]
+# what a parameter value must be: ``ok`` tests it, ``what`` names it
+Kind = namedtuple("Kind", "what ok")
 
 
 def _int(least: int) -> Kind:
@@ -166,13 +161,9 @@ METHODS = Kind(f"a list of {list(MAHLER_METHODS)}",
                lambda v: isinstance(v, list) and all(m in MAHLER_METHODS for m in v))
 
 
-class Param(NamedTuple):
-    """A kind, a default (None with a kind that refuses None: required) and
-    the type of the flag that overrides the parameter, if any."""
-
-    kind: Kind
-    default: object = None
-    flag: type | None = None
+# a kind, a default (None with a kind that refuses None: required) and the
+# type of the flag that overrides the parameter, if any
+Param = namedtuple("Param", "kind default flag", defaults=(None, None))
 
 
 # -- payload builders -----------------------------------------------------------
@@ -360,22 +351,17 @@ def _run_padic(ctx: SpectralContext, params: dict) -> dict:
     return {"p": p, "nu": nu, "rows": Table(row, (counts, holds, vals, list(zs)))}
 
 
-def _records(rows):
-    """Each row's leaves, from a table or from a record's decoded JSON."""
-    return zip(*rows.columns) if isinstance(rows, Table) else map(leaves, rows)
-
-
 def _reordered(field: str, header: tuple, order: tuple) -> Callable[[dict], list]:
     """CSV table of payload[field]: header, then the leaves at ``order`` of each row."""
-    return lambda payload: [header, *map(operator.itemgetter(*order), _records(payload[field]))]
+    return lambda payload: [header, *map(operator.itemgetter(*order), row_leaves(payload[field]))]
 
 
 def _spectrum_csv(payload: dict) -> list:
     grid = payload.get("grid")
     if grid and grid["values"]:
-        rows = list(_records(grid["values"]))
+        rows = list(row_leaves(grid["values"]))
         return [(*(f"t{i}" for i in range(len(rows[0]) - 1)), "value"), *rows]
-    return [("level", "multiplicity"), *_records(payload["levels"])]
+    return [("level", "multiplicity"), *row_leaves(payload["levels"])]
 
 
 _verify_csv = _reordered("results", ("criterion", "passed", "detail"), (0, 2, 1))
@@ -403,14 +389,9 @@ def _walks_above_spectrum(params: dict, C2: int):
         raise ConfigError(f"walks series_z must be an integer > total_weight^2 = {C2}, got {z!r}")
 
 
-class Command(NamedTuple):
-    """Parameters, payload builder, CSV table (header row first) and a check
-    of the parameters against total_weight^2."""
-
-    params: dict[str, Param]
-    run: Callable[[SpectralContext, dict], dict]
-    csv: Callable[[dict], list[tuple]]
-    check: Callable[[dict, int], None] = lambda params, C2: None
+# parameters (a dict of Param), payload builder, CSV table (header row
+# first) and a check of the parameters against total_weight^2
+Command = namedtuple("Command", "params run csv check", defaults=(lambda params, C2: None,))
 
 
 COMMANDS = {
@@ -492,88 +473,6 @@ COMMANDS = {
 # -- record plumbing ---------------------------------------------------------------
 
 
-TABLE_BLOCK = 4096  # rows a table is written in at a time: its texts stay small
-LONG_FLOAT_COLUMN = 512  # rows from which the numpy kernel writes a float column faster
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_text(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
-    trees with string keys (any other key raises TypeError), a ``Table``
-    written as the list of its rows.  ``pad`` is the newline and
-    indentation that ``obj``'s lines continue from.
-
-    The stdlib has no C encoder for indented output, and its pure-Python
-    one makes several generator steps per node; a spectrum record holds
-    tens of thousands of nodes.  So its long lists are tables, each written
-    by one ``%`` call: the row's text, each slot ``%s``, once per row,
-    applied to the leaves, a block of ``TABLE_BLOCK`` rows at a time.  In a
-    block, a column of ints, or of finite floats, goes in as it is; a float
-    column of ``LONG_FLOAT_COLUMN`` rows or more goes in as the texts of the
-    numpy kernel ``floattext.float_texts``, which leaves the values it does
-    not decide to ``float.__repr__`` here; others go in written leaf by
-    leaf, as is every plain list.
-    """
-    if obj is None or obj is True or obj is False:
-        return _JSON_CONSTANTS[obj]
-    if isinstance(obj, float):  # np.float64 too, written as float.__repr__ writes it
-        text = float.__repr__(obj)
-        return _JSON_NONFINITE.get(text, text)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _json_string(obj)
-    inner = pad + "  "
-    if isinstance(obj, Table):
-        if not len(obj):
-            return "[]"
-        row, w, blocks = _template(obj.row, inner), len(obj.columns), []
-        for start in range(0, len(obj), TABLE_BLOCK):
-            block = [column[start:start + TABLE_BLOCK] for column in obj.columns]
-            flat = [None] * (len(block[0]) * w)
-            for j, column in enumerate(block):
-                kinds = set(map(type, column))
-                if kinds == {float} and len(column) >= LONG_FLOAT_COLUMN:
-                    from .floattext import float_texts
-
-                    flat[j::w] = float_texts(column, _json_text)
-                elif kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
-                    flat[j::w] = column
-                else:
-                    flat[j::w] = map(_json_text, column)
-            blocks.append(("," + inner).join(itertools.repeat(row, len(block[0]))) % tuple(flat))
-        return "[" + inner + ("," + inner).join(blocks) + pad + "]"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = map(_json_text, obj, itertools.repeat(inner))
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _template(row, pad: str) -> str:
-    """A table's row at ``pad``: each slot ``%s``, each ``%`` of a key doubled."""
-    if row is ...:
-        return "%s"
-    inner = pad + "  "
-    if isinstance(row, dict):
-        keys = [_json_string(k).replace("%", "%%") + ": " + _template(row[k], inner)
-                for k in sorted(row)]
-        return "{" + inner + ("," + inner).join(keys) + pad + "}" if keys else "{}"
-    items = [_template(item, inner) for item in row]
-    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-
-
-def _record_text(record: dict) -> str:
-    return _json_text(record) + "\n"
-
-
 def _atomic_write(path: str, text: str):
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -616,7 +515,7 @@ def _store_record(cache_dir: str | None, record: dict) -> str | None:
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    text = _record_text(record)
+    text = record_text(record)
     _atomic_write(_cache_path(cache_dir, record["command"], record["config_hash"]), text)
     return text
 
@@ -632,7 +531,7 @@ def _emit(record: dict, out: str | None, fmt: str, text: str | None = None):
         csv.writer(buf).writerows(table(record["payload"]))
         text = buf.getvalue()
     elif text is None:
-        text = _record_text(record)
+        text = record_text(record)
     if out:
         _atomic_write(out, text)
     else:
@@ -671,9 +570,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None)
         for key, param in COMMANDS[command].params.items():
             if param.flag:
-                p.add_argument(
-                    f"--{key.replace('_', '-')}", dest=f"ov_{key}", type=param.flag, default=None
-                )
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=param.flag,
+                               default=argparse.SUPPRESS)
     v = sub.add_parser("verify")
     v.add_argument("example", choices=sorted(BUILTIN_POINT_SETS))
     v.add_argument("--out", default=None)
@@ -701,12 +599,9 @@ def main(argv=None) -> int:
         return 0 if payload["passed"] else 1
 
     try:
-        overrides = {
-            key: getattr(args, f"ov_{key}")
-            for key, param in COMMANDS[args.command].params.items()
-            if param.flag
-        }
-        job = JobConfig.from_file(args.config, args.command, overrides)
+        params = COMMANDS[args.command].params
+        flags = {key: value for key, value in vars(args).items() if key in params}
+        job = JobConfig.from_file(args.config, args.command, flags)
     except (OSError, ValueError, RecursionError) as exc:  # not JSON, too deep, past int()'s digits
         print(f"speclat: cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import random
 import time
@@ -145,6 +146,34 @@ def test_field_generator_order(p, nu):
 
 def test_field_modulus_deterministic():
     assert primitive_modulus(5, 3) == primitive_modulus(5, 3)
+
+
+def _order_of_x(F, p):
+    """The multiplicative order of x modulo (F, p) by repeated multiplication,
+    None if no power of x up to p^nu - 1 is 1."""
+    nu = len(F) - 1
+    one = (1,) + (0,) * (nu - 1)
+    g = acc = arith._poly_pow((0, 1), 1, F, p)
+    for k in range(1, p**nu):
+        if acc == one:
+            return k
+        acc = arith._poly_mul_mod(acc, g, F, p)
+    return None
+
+
+@pytest.mark.parametrize("p,nu", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
+                                  (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1),
+                                  (7, 2), (11, 1), (13, 1), (31, 1)])
+def test_field_modulus_is_the_first_primitive(p, nu):
+    # brute force: x has order p^nu - 1 modulo F, and modulo no monic polynomial
+    # whose lower coefficients come first in lexicographic order
+    F = primitive_modulus(p, nu)
+    assert len(F) == nu + 1 and F[-1] == 1
+    assert _order_of_x(F, p) == p**nu - 1
+    for low in itertools.product(range(p), repeat=nu):
+        if low == F[:-1]:
+            break
+        assert _order_of_x(low + (1,), p) != p**nu - 1, low
 
 
 def test_teichmuller_lift_is_the_root_of_unity_over_g():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speclat.cli import SCHEMA, COMMANDS, _build_parser, _json_text, _record_text, main
-from speclat.cli import LONG_FLOAT_COLUMN, TABLE_BLOCK, _unlimited_int_text
+from speclat.cli import SCHEMA, COMMANDS, JobConfig, _build_parser, _unlimited_int_text, main
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
-from speclat.table import Table, leaves
+from speclat.table import LONG_FLOAT_COLUMN, TABLE_BLOCK, Table, _json_text, leaves, record_text
+from speclat.table import row_leaves
 
 from _oracles import evaluate_at_integer, table_rows
 
@@ -24,7 +24,7 @@ def record_of(command, config_hash, payload):
 
 def test_record_round_trip():
     record = record_of("bn", "abc123", {"degree": 4, "coefficients": ["1", "-9"]})
-    assert json.loads(_record_text(record)) == record
+    assert json.loads(record_text(record)) == record
 
 HONEYCOMB_CFG = {
     "dimension": 2,
@@ -236,9 +236,8 @@ def test_cache_hit_serves_the_stored_text(tmp_path, monkeypatch):
         code, out = run(tmp_path, cfg, argv + extra + ["--format", fmt], name=f"cold.{fmt}")
         assert code == 0
         cold[fmt] = out.read_bytes()
-    cli = sys.modules["speclat.cli"]
-    written = count_calls(monkeypatch, cli, "_record_text")
-    serialised = count_calls(monkeypatch, cli, "_json_text")
+    written = count_calls(monkeypatch, sys.modules["speclat.cli"], "record_text")
+    serialised = count_calls(monkeypatch, sys.modules["speclat.table"], "_json_text")
     for fmt in ("json", "csv"):
         code, out = run(tmp_path, cfg, argv + cache + ["--format", fmt], name=f"warm.{fmt}")
         assert code == 0
@@ -759,7 +758,7 @@ json_trees = st.recursive(
 def test_record_writer_matches_json_dumps(tree):
     assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
     record = record_of("spectrum", "abc123", {"tree": tree})
-    assert _record_text(record) == json.dumps(record, sort_keys=True, indent=2) + "\n"
+    assert record_text(record) == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("leaf", [{1, 2}, object()])
@@ -798,7 +797,7 @@ def test_spectrum_record_matches_json_dumps(dimension, points, params):
     payload = spec.run(SpectralContext(ps), {key: p.default for key, p in spec.params.items()} | params)
     assert len(payload["levels"]) > 1000 and len(payload["grid"]["values"]) == 4096
     record = record_of("spectrum", "abc123", payload)
-    assert _record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
+    assert record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
 
 
 def rows_of(tree):
@@ -841,9 +840,9 @@ def test_table_text_matches_json_dumps_of_its_rows(table, depth):
     assert len(rows) == len(table)
     assert _json_text(table, pad) == json.dumps(rows, sort_keys=True, indent=2).replace("\n", pad)
     # the CSV reads a table's records and a cached record's rows alike
-    assert list(zip(*table.columns)) == [tuple(leaves(row)) for row in rows]
+    assert list(row_leaves(table)) == list(map(tuple, row_leaves(rows)))
     record = record_of("spectrum", "abc123", {"rows": table})
-    assert _record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
+    assert record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("count", [LONG_FLOAT_COLUMN - 1, LONG_FLOAT_COLUMN, TABLE_BLOCK + 5,
@@ -1417,6 +1416,67 @@ def test_parser_built_once_and_overrides_do_not_leak(tmp_path):
     assert _build_parser() is _build_parser()
 
 
+# (command, parameter, the config's block, the flag's value) for every flag; a
+# block value of None is the config's null, which an absent flag keeps
+FLAG_CASES = [
+    ("bn", "N", {"N": 4}, 6),
+    ("bn", "size_limit", {"N": 4, "size_limit": 100}, 50),
+    ("moments", "k_max", {"k_max": 4, "congruences": [[3, 1, 0]]}, 6),
+    ("walks", "N", {"N": 3, "series_z": 5}, 4),
+    ("walks", "k_max", {"k_max": 2}, 3),
+    ("walks", "series_z", {"series_z": 5}, 7),
+    ("walks", "series_z", {"series_z": None}, 7),
+    ("walks", "series_K", {"series_z": 5, "series_K": 2}, 4),
+    ("spectrum", "N", {"N": 4, "grid": 3}, 6),
+    ("spectrum", "grid", {"grid": 3}, 4),
+    ("spectrum", "grid", {"grid": None}, 4),
+    ("spectrum", "tolerance", {"tolerance": 1e-9}, 1e-06),
+    ("spectrum", "tolerance", {"tolerance": None}, 0.5),
+    ("mahler", "z", {"z": 5.0, "methods": ["limit", "torus-quadrature"]}, 6.5),
+    ("mahler", "tol", {"z": 5.0, "tol": 0.01, "hilbert": False}, 0.001),
+    ("mahler", "resolution", {"z": 5.0, "methods": ["torus-quadrature"], "resolution": 8}, 16),
+    ("padic", "p", {"p": 5}, 7),
+    ("padic", "nu", {"p": 3, "nu": 1}, 2),
+]
+
+
+def effective_hash(cfg, command, block):
+    """The config hash of ``command``'s defaults updated with ``block``."""
+    ps = WeightedPointSet(cfg["dimension"], [(p["a"], p.get("c", 1)) for p in cfg["points"]])
+    params = {key: param.default for key, param in COMMANDS[command].params.items()}
+    return JobConfig(ps, command, params | block).hash()
+
+
+@pytest.mark.parametrize("command, key, block, value", FLAG_CASES)
+def test_each_flag_overrides_its_parameter(tmp_path, command, key, block, value):
+    cfg = dict(CHEB_CFG, **{command: block})
+    held = dict(CHEB_CFG, **{command: {**block, key: value}})
+    flag = [f"--{key.replace('_', '-')}", str(value)]
+    records = {}
+    for name, config, extra in (("kept", cfg, []), ("given", cfg, flag), ("held", held, [])):
+        argv = [command, "--config", write_cfg(tmp_path, config, name=f"{name}-cfg.json")]
+        code, out = run(tmp_path, config, argv + extra, name=f"{name}.json")
+        assert code == 0, name
+        records[name] = out.read_bytes()
+    # an absent flag keeps the config's value, a given one replaces it, and the
+    # record is the one of a config that holds the flag's value
+    assert json.loads(records["kept"])["config_hash"] == effective_hash(cfg, command, block)
+    assert json.loads(records["given"])["config_hash"] == effective_hash(held, command, held[command])
+    assert records["given"] == records["held"] != records["kept"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_names_each_flag_after_its_parameter(capsys, command):
+    flagged = [key for key, param in COMMANDS[command].params.items() if param.flag]
+    assert flagged == list(dict.fromkeys(key for c, key, *_ in FLAG_CASES if c == command))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert "OV_" not in text
+    for key in flagged:
+        assert f"--{key.replace('_', '-')} {key.upper()}\n" in text
+
+
 @pytest.mark.parametrize("command", [None, *COMMANDS, "verify"])
 def test_help_text_equals_a_fresh_parser(capsys, command):
     argv = ["--help"] if command is None else [command, "--help"]
@@ -1434,7 +1494,7 @@ def test_help_text_equals_a_fresh_parser(capsys, command):
 
 
 def test_cache_miss_serialises_record_once(tmp_path, monkeypatch):
-    texts = count_calls(monkeypatch, sys.modules["speclat.cli"], "_record_text")
+    texts = count_calls(monkeypatch, sys.modules["speclat.cli"], "record_text")
     cfg = dict(CHEB_CFG)
     cfg["bn"] = {"N": 4}
     cache = tmp_path / "cache"

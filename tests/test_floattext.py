@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speclat.cli import TABLE_BLOCK
+from speclat.table import TABLE_BLOCK
 from speclat.floattext import float_texts
 
 

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import speclat
-from speclat.cli import LONG_FLOAT_COLUMN
+from speclat.table import LONG_FLOAT_COLUMN
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(speclat.__file__)))
 # numpy and the record writer's numpy kernel, and the stdlib a start would

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from speclat import analysis, graph, specpoly
 from speclat.analysis import _log_mean, _log_reading, _stieltjes_reading, _torus_means
 from speclat.analysis import mahler_measure, spectrum
-from speclat.cli import _json_text
+from speclat.table import _json_text
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet, difference_lattice
