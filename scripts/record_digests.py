@@ -1,13 +1,14 @@
 """sha256 digests of CLI records, for byte-identity checks across versions.
 
-    PYTHONPATH=src python3 scripts/record_digests.py [--seeds 0 1 2] > digests.txt
+    PYTHONPATH=src python3 scripts/record_digests.py > tests/record_digests.txt
 
 Runs ``speclat.cli.main`` in process on
 
-* the README example config: ``walks``, ``spectrum`` and ``mahler``, each as
+* the README example config: every command it configures (``bn``,
+  ``moments``, ``walks``, ``spectrum``, ``mahler`` and ``padic``), each as
   JSON and as CSV, and ``walks`` with ``export_graph`` on;
 * ``verify`` on each built-in example, as JSON and as CSV;
-* every benchmark workload's jobs (``perfbench/gen.py``) for each seed:
+* every benchmark workload's jobs (``perfbench/gen.py``) for seeds 0, 1 and 2:
   ``exact-bn`` (big-integer coefficient strings), ``moment-series`` (moment
   lists), ``torus-float`` (spectra and grids) and ``cli-cache`` (every command,
   as JSON and as CSV), each run cold and then warm on an empty cache
@@ -75,8 +76,14 @@ Runs ``speclat.cli.main`` in process on
   2^61 - 1, past the cap (each run cold, then warm, on one cache directory);
 
 and prints one ``label digest`` line per record, digested with its exit
-code and its stderr, so error messages are compared too.  Run it against two
-checkouts (each with its own ``PYTHONPATH``) and ``diff`` the outputs.
+code and its stderr, so error messages are compared too.
+
+The output is pinned in ``tests/record_digests.txt``, and
+``tests/test_record_digests.py`` fails on any changed, missing or extra
+line.  Re-pin with the command above only in a change that means to change
+a record, or that changes a benchmark job (``perfbench/gen.py``), and say so
+in CHANGES.md.  A new job adds its label with its digest in the change that
+adds it.
 """
 
 from __future__ import annotations
@@ -99,7 +106,8 @@ import gen  # noqa: E402  (perfbench/gen.py)
 from speclat import cli  # noqa: E402
 from speclat.catalog import BUILTIN_POINT_SETS  # noqa: E402
 
-README_COMMANDS = ("walks", "spectrum", "mahler")
+README_COMMANDS = ("bn", "moments", "walks", "spectrum", "mahler", "padic")
+SEEDS = (0, 1, 2)
 BENCH_WORKLOADS = tuple(gen.WORKLOADS)
 LARGE_JOBS = (
     ("bn-honeycomb-20", "honeycomb", "bn",
@@ -276,9 +284,7 @@ def digest(text: str) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
     with tempfile.TemporaryDirectory() as work:
         cfg = readme_config()
         cfg_path = os.path.join(work, "readme.json")
@@ -298,7 +304,7 @@ def main() -> int:
                 text = record(["verify", example, "--format", fmt])
                 print(f"verify/{example}/{fmt} {digest(text)}")
         for workload in BENCH_WORKLOADS:
-            for seed in args.seeds:
+            for seed in SEEDS:
                 manifest = gen.write_inputs(os.path.join(work, f"{workload}-{seed}"), workload, seed)
                 for i, job in enumerate(manifest["jobs"]):
                     cache = os.path.join(work, "cache", f"{workload}-{seed}-{i}")
@@ -309,9 +315,9 @@ def main() -> int:
                         return 1
                     print(f"{workload}/{seed}/{job['label']} {digest(cold)}")
         fixed = {**gen.BUILTIN, **FIXED_SETS}
-        for seed in args.seeds:
+        for seed in SEEDS:
             for label, set_name, command, block in LARGE_JOBS:
-                if set_name in fixed and seed != args.seeds[0]:
+                if set_name in fixed and seed != SEEDS[0]:
                     continue
                 n, points = fixed.get(set_name) or (gen.TEMPLATES[set_name][0],
                                                     gen.generate(set_name, seed))

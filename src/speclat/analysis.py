@@ -188,6 +188,8 @@ def _series_length(ratio: float, scale: float, tol: float, div: float = 1) -> in
     # smallest K with ratio^(K+1) / scale < tol / div, held to the series cap
     if not 0 < ratio < 1:
         raise ValueError("series method needs |z| above the spectrum top")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
     bound = tol / div * scale  # past the positive floats, its log is its factors' logs summed
     log_bound = math.log(bound) if 0 < bound < math.inf else (
         math.log(tol) - math.log(div) + math.log(scale))
@@ -199,11 +201,13 @@ def _series_length(ratio: float, scale: float, tol: float, div: float = 1) -> in
 
 
 def _hilbert_length(C2: int, z: complex, tol: float) -> int:
-    return _series_length(C2 / abs(z), abs(z) - C2, tol)
+    ratio = C2 / abs(z) if z else math.inf  # z = 0 is refused with the rest of |z| <= C2
+    return _series_length(ratio, abs(z) - C2, tol)
 
 
 def _mahler_length(C2: int, z: complex, tol: float) -> int:
-    return _series_length(C2 / abs(z), 1 - C2 / abs(z), tol, 10)
+    ratio = C2 / abs(z) if z else math.inf
+    return _series_length(ratio, 1 - ratio, tol, 10)
 
 
 def sweep_series_moments(
@@ -261,9 +265,10 @@ def hilbert_transform(
     """
     C2 = ctx.ps.total_weight**2
     if method == "moment-series":
+        K = _hilbert_length(C2, z, tol)  # refuses |z| <= C2 before 1 / z
         zinv = 1 / complex(z)
         acc = 0j
-        for _, a, s in _series_terms(ctx, z, _hilbert_length(C2, z, tol)):
+        for _, a, s in _series_terms(ctx, z, K):
             acc += a * s * zinv
         return acc
     if method == "spectrum-average":
@@ -333,8 +338,8 @@ def mahler_measure(
         failure = "limit method did not stabilize within the float cap"
         return MahlerResult(*_ladder(ctx, estimate, tol, failure), method)
     if method == "moment-series":
+        K = _mahler_length(C2, z, tol)  # refuses |z| <= C2 before C2 / |z|
         ratio = C2 / abs(z)
-        K = _mahler_length(C2, z, tol)
         acc = 0j
         for k, a, s in itertools.islice(_series_terms(ctx, z, K), 1, None):
             acc += a / k * s

@@ -76,7 +76,10 @@ def primitive_modulus(p: int, nu: int) -> tuple[int, ...]:
     multiplicative order p^nu - 1.  That certifies F irreducible, since
     modulo a reducible F fewer than p^nu - 1 residues are units, and x
     generates the multiplicative group.  The search starts at a_0 = 1: with
-    a_0 = 0, x divides F and is no unit.
+    a_0 = 0, x divides F and is no unit.  It skips each a_0 whose (-1)^nu a_0
+    does not generate F_p^*, as that is the norm of x, x^((p^nu - 1) / (p - 1)),
+    which generates F_p^* when x generates F_q^*: so the p^(nu-1) candidates
+    with a_0 = 1 (norm +-1) are never tried for p > 3.
     """
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -84,12 +87,16 @@ def primitive_modulus(p: int, nu: int) -> tuple[int, ...]:
         raise ValueError("nu must be >= 1")
     g_order, one = p**nu - 1, (1,) + (0,) * (nu - 1)
     quotients = [g_order // ell for ell in primes.prime_factors(g_order)]
-    for i in range(p ** (nu - 1), p**nu):  # a_0, .., a_{nu-1}: the base-p digits of i
-        F = (*(i // p**j % p for j in reversed(range(nu))), 1)
-        if _poly_pow((0, 1), g_order, F, p) == one and all(
-            _poly_pow((0, 1), e, F, p) != one for e in quotients
-        ):
-            return F
+    base_quotients = [(p - 1) // ell for ell in primes.prime_factors(p - 1)]
+    for a0 in range(1, p):
+        if any(pow((-1) ** nu * a0, e, p) == 1 for e in base_quotients):
+            continue
+        for i in range(p ** (nu - 1)):  # a_1, .., a_{nu-1}: the base-p digits of i
+            F = (a0, *(i // p**j % p for j in reversed(range(nu - 1))), 1)
+            if _poly_pow((0, 1), g_order, F, p) == one and all(
+                _poly_pow((0, 1), e, F, p) != one for e in quotients
+            ):
+                return F
 
 
 def _teichmuller(F, p: int, x, j: int, k: int):

@@ -47,6 +47,6 @@ class SpectralContext:
 
     def moment_sequence(self, K: int) -> tuple[int, ...]:
         """Exact moments m_0..m_K, sliced from the longest tuple so far."""
-        if len(self._moments) <= K:
+        if not 0 <= K < len(self._moments):  # moment_sequence refuses K < 0
             self._moments = moment_sequence(self.w, K)
         return self._moments[: K + 1]

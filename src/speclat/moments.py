@@ -34,6 +34,8 @@ def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
     Raises SizeLimit, before any work, past ``DEFAULT_FLOAT_CAP`` characters:
     first (K + 1)^n, as every reach is at least 1, then the chosen shape."""
     n = f.dimension
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     if (K + 1) ** n > DEFAULT_FLOAT_CAP:
         raise SizeLimit(f"moments to k = {K} need {K + 1}^{n} characters or more, "
                         f"past cap {DEFAULT_FLOAT_CAP}")
@@ -55,6 +57,8 @@ def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     values, integers by construction (constant-residue coefficients of the
     folded powers).  Raises SizeLimit, before any work, past
     ``DEFAULT_FLOAT_CAP`` characters."""
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     check_level(N, f.dimension, DEFAULT_FLOAT_CAP)
     return (1,) if K == 0 else tuple(_character_power_sums(f, K, (N,) * f.dimension))
 

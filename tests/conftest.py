@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet, difference_lattice
@@ -10,6 +12,34 @@ from speclat.laurent import diffraction_polynomial
 # same examples on every run, no example database, no wall-clock deadline
 settings.register_profile("speclat", derandomize=True, database=None, deadline=None)
 settings.load_profile("speclat")
+
+# every DEFAULT_* cap a speclat module binds, and its value under ``small_caps``
+SMALL_CAPS = {
+    "DEFAULT_SIZE_LIMIT": 200,
+    "DEFAULT_FLOAT_CAP": 5000,
+    "DEFAULT_SERIES_CAP": 64,
+    "DEFAULT_WALK_CAP": 10**4,
+}
+
+
+@st.composite
+def mostly(draw, common, rare, percent=85):
+    """A value from ``common`` ``percent`` times in 100, from ``rare`` otherwise."""
+    return draw(common if draw(st.integers(0, 99)) < percent else rare)
+
+
+@pytest.fixture(scope="module")
+def small_caps():
+    """Each cap of ``SMALL_CAPS`` patched low in every speclat module loaded,
+    so the jobs a fuzz test runs stay small: a module imports every
+    computing layer first, so each binding is patched before a job runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "speclat":
+                for name, cap in SMALL_CAPS.items():
+                    if hasattr(mod, name):
+                        mp.setattr(mod, name, cap)
+        yield mp
 
 
 @pytest.fixture

@@ -161,9 +161,9 @@ def _order_of_x(F, p):
     return None
 
 
-@pytest.mark.parametrize("p,nu", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
-                                  (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1),
-                                  (7, 2), (11, 1), (13, 1), (31, 1)])
+# every field of at most 200 elements over a prime p < 80
+@pytest.mark.parametrize("p,nu", [(p, nu) for p in range(80) if primes.is_prime(p)
+                                  for nu in range(1, 8) if p**nu <= 200])
 def test_field_modulus_is_the_first_primitive(p, nu):
     # brute force: x has order p^nu - 1 modulo F, and modulo no monic polynomial
     # whose lower coefficients come first in lexicographic order
@@ -174,6 +174,29 @@ def test_field_modulus_is_the_first_primitive(p, nu):
         if low == F[:-1]:
             break
         assert _order_of_x(low + (1,), p) != p**nu - 1, low
+
+
+def test_field_modulus_over_a_large_prime():
+    # each of the p candidates with a_0 = 1 has norm 1, no generator of F_p^*: a search
+    # that tries them never ends here.  A bound on the powers taken fails it fast.
+    p, powers, original = 2**61 - 1, itertools.count(1), arith._poly_pow
+
+    def bounded(*args):
+        assert next(powers) <= 100, "more than 100 powers taken"
+        return original(*args)
+
+    with mock.patch.object(arith, "_poly_pow", side_effect=bounded):
+        F = primitive_modulus(p, 2)
+    assert F == (37, 2, 1)
+    q, one = p**2, (1, 0)
+    quotients = [(q - 1) // ell for ell in prime_factors(q - 1)]
+    order_is_q_minus_1 = lambda F: arith._poly_pow((0, 1), q - 1, F, p) == one and all(
+        arith._poly_pow((0, 1), e, F, p) != one for e in quotients)
+    assert order_is_q_minus_1(F)
+    assert not any(order_is_q_minus_1((37, a1, 1)) for a1 in range(2))
+    # the norm a_0 of every earlier candidate is no generator of F_p^*
+    assert all(any(pow(a0, (p - 1) // ell, p) == 1 for ell in prime_factors(p - 1))
+               for a0 in range(1, 37))
 
 
 def test_teichmuller_lift_is_the_root_of_unity_over_g():

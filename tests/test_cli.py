@@ -1,8 +1,10 @@
 import itertools
 import json
 import math
+import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,12 @@ CHEB_CFG = {
     "dimension": 1,
     "points": [{"a": [-1], "c": 1}, {"a": [1], "c": 1}],
 }
+
+
+def readme_config():
+    """The example config of README.md, its one JSON block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -1035,8 +1043,6 @@ def count_calls(monkeypatch, module, name):
 def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, levels, sweeps):
     from speclat import graph, lattice, moments, specpoly
 
-    from test_golden_records import README_CONFIG
-
     lattices = count_calls(monkeypatch, lattice, "difference_lattice")
     grouped = count_calls(monkeypatch, specpoly, "_character_rows")
     lifted = count_calls(monkeypatch, specpoly, "_class_factor_lift")
@@ -1044,7 +1050,7 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     swept = count_calls(monkeypatch, moments, "_moment_sweep")
     graphs = count_calls(monkeypatch, graph, "build_graph")
     walked = count_calls(monkeypatch, graph, "based_walk_weight_sum")
-    assert main([command, "--config", write_cfg(tmp_path, README_CONFIG),
+    assert main([command, "--config", write_cfg(tmp_path, readme_config()),
                  "--out", str(tmp_path / "out.json")]) == 0
     assert len(lattices) == 1
     assert len(grouped) == levels
@@ -1110,8 +1116,6 @@ def test_a_repeated_value_is_computed_once(tmp_path, monkeypatch, command, block
 def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
     from speclat import specpoly
 
-    from test_golden_records import README_CONFIG
-
     built = []
     original = specpoly.SpectralFactors.__init__
 
@@ -1125,7 +1129,7 @@ def test_padic_builds_no_polynomial(tmp_path, monkeypatch):
     cfg = dict(HONEYCOMB_CFG, padic={"p": 31})
     code, out = run(tmp_path, cfg, ["padic", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0 and len(json.loads(out.read_text())["payload"]["rows"]) == 31
-    assert main(["padic", "--config", write_cfg(tmp_path, README_CONFIG, "readme.json"),
+    assert main(["padic", "--config", write_cfg(tmp_path, readme_config(), "readme.json"),
                  "--out", str(tmp_path / "readme-out.json")]) == 0
     assert [N for _, N in grouped] == [30, 6]
     assert lifted == [] and built == []

@@ -11,23 +11,19 @@ import contextlib
 import io
 import json
 import os
-import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+# every computing layer, imported first, so that small_caps patches each cap it binds
 from speclat import analysis, arith, cli, context, graph, moments, specpoly  # noqa: F401
 
-# every DEFAULT_* cap a speclat module binds, patched low, so accepted jobs stay small
-SMALL_CAPS = {
-    "DEFAULT_SIZE_LIMIT": 200,
-    "DEFAULT_FLOAT_CAP": 5000,
-    "DEFAULT_SERIES_CAP": 64,
-    "DEFAULT_WALK_CAP": 10**4,
-}
+from conftest import SMALL_CAPS, mostly
+
 LARGE = [300, 10**4, 10**6, 2**31, 2**62, 2**63, 2**64 + 1, 10**40, -(10**30), 2**1100]
+large = st.sampled_from(LARGE)
 
 junk = st.recursive(
     st.one_of(
@@ -44,14 +40,8 @@ junk = st.recursive(
 )
 
 
-@st.composite
-def mostly(draw, common, rare=st.sampled_from(LARGE), percent=85):
-    """A value from ``common`` ``percent`` times in 100, from ``rare`` otherwise."""
-    return draw(common if draw(st.integers(0, 99)) < percent else rare)
-
-
 level = mostly(st.integers(1, 6), st.sampled_from([0, -1, *LARGE]))
-small = mostly(st.integers(-2, 12))
+small = mostly(st.integers(-2, 12), large)
 prime = mostly(st.sampled_from([2, 3, 5, 7]), st.sampled_from([4, 9, 2**61 - 1, 2**89 - 1]))
 number = mostly(st.floats(-20, 300) | st.integers(-20, 300), st.sampled_from([*LARGE, 1e308]))
 tol = mostly(st.sampled_from([1e-2, 1e-1, 0.5]),
@@ -67,7 +57,7 @@ PARAMS = {
         "evaluate_at": st.lists(small, max_size=3),
     },
     "moments": {
-        "k_max": mostly(st.integers(0, 12)),
+        "k_max": mostly(st.integers(0, 12), large),
         "levels": st.lists(level, max_size=3),
         "congruences": st.lists(st.lists(st.one_of(prime, st.integers(0, 3), st.integers(0, 9)),
                                          min_size=3, max_size=3)
@@ -77,14 +67,14 @@ PARAMS = {
     },
     "walks": {
         "N": level,
-        "k_max": mostly(st.integers(0, 4)),
-        "series_z": st.none() | mostly(st.integers(-5, 300)),
-        "series_K": mostly(st.integers(0, 4)),
+        "k_max": mostly(st.integers(0, 4), large),
+        "series_z": st.none() | mostly(st.integers(-5, 300), large),
+        "series_K": mostly(st.integers(0, 4), large),
         "export_graph": st.booleans(),
     },
     "spectrum": {
         "N": level,
-        "grid": st.none() | mostly(st.integers(1, 40)),
+        "grid": st.none() | mostly(st.integers(1, 40), large),
         "cdf_at": st.lists(number, max_size=3),
         "tolerance": st.none() | tol,
     },
@@ -93,7 +83,7 @@ PARAMS = {
         "methods": st.lists(st.sampled_from(["limit", "moment-series", "torus-quadrature"]),
                             max_size=3),
         "tol": tol,
-        "resolution": mostly(st.integers(1, 40)),
+        "resolution": mostly(st.integers(1, 40), large),
         "hilbert": st.booleans(),
         "hilbert_tol": tol,
     },
@@ -112,7 +102,7 @@ def point_sets(draw):
     a0 + scale v, in any order; now and then a large coordinate or weight, or
     a malformed key."""
     n, scale = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2]))
-    coordinate = mostly(st.integers(-3, 3), percent=90)
+    coordinate = mostly(st.integers(-3, 3), large, percent=90)
     a0 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     a0[0] += scale == 2 and a0[0] % 2 == 0  # at scale 2, a0 is off the lattice: walks run
     steps = draw(st.lists(st.sampled_from([1, 2, -1, 3]), min_size=n, max_size=n))
@@ -120,7 +110,7 @@ def point_sets(draw):
     offsets += draw(st.lists(st.lists(coordinate, min_size=n, max_size=n), max_size=2))
     coords = [[x + scale * y for x, y in zip(a0, v)] for v in offsets if any(v)]
     coords = draw(st.permutations([a0, *coords]))
-    weight = mostly(st.integers(1, 4), st.sampled_from(LARGE) | junk, percent=90)
+    weight = mostly(st.integers(1, 4), large | junk, percent=90)
     points = [{"a": a, **({"c": draw(weight)} if draw(st.booleans()) else {})} for a in coords]
     cfg = {"dimension": n, "points": points}
     if draw(st.integers(0, 99)) >= 95:  # malformed: a key replaced by junk or dropped
@@ -153,19 +143,12 @@ def configs(draw):
 
 
 @pytest.fixture(scope="module")
-def small_caps():
-    # every computing layer is imported above, so each binding is patched before a job runs
-    with pytest.MonkeyPatch.context() as mp:
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "speclat":
-                for name, cap in SMALL_CAPS.items():
-                    if hasattr(mod, name):
-                        mp.setattr(mod, name, cap)
-        # the bn size_limit default was bound when the command table was built
-        bn = cli.COMMANDS["bn"].params
-        default = SMALL_CAPS["DEFAULT_SIZE_LIMIT"]
-        mp.setitem(bn, "size_limit", bn["size_limit"]._replace(default=default))
-        yield
+def small_caps(small_caps):
+    # the bn size_limit default was bound when the command table was built
+    bn = cli.COMMANDS["bn"].params
+    default = SMALL_CAPS["DEFAULT_SIZE_LIMIT"]
+    small_caps.setitem(bn, "size_limit", bn["size_limit"]._replace(default=default))
+    return small_caps
 
 
 def run_job(command, cfg):
