@@ -64,7 +64,8 @@ Runs ``speclat.cli.main`` in process on
   ``levels``, ``evaluate_at`` and a divisor check, and ``bn`` on the
   generated weighted set at N = 20 with ``evaluate_at`` at -1 and 0 and a
   true and a false divisor check, its coefficient slots sized from
-  |b_20(-1)|, and ``moments`` congruence sweeps on the 3-D simplex to
+  |b_20(-1)|, and at N = 24, whose g_j lift over 27 split moduli, and
+  ``moments`` congruence sweeps on the 3-D simplex to
   h = 128, the last power of two under the float cap, and to h = 256,
   past it (exit 3), and ``moments`` on {0, 1, 2000} to k = 1000, whose
   split primes run out (exit 3)
@@ -228,13 +229,15 @@ LARGE_JOBS = (
     # coefficient slots sized from |b_N(-1)| on a weighted set past the benchmark's
     ("bn-weighted-20", "weighted", "bn",
      {"N": 20, "evaluate_at": [-1, 0], "divisor_checks": [[4, 20], [3, 20]]}),
+    # a g_j lifted over 27 split moduli from 2^62
+    ("bn-weighted-24", "weighted", "bn", {"N": 24}),
     # a congruence sweep to h = 2^7 on the 3-D simplex, 129^3 cells under the float
     # cap, and one to h = 2^8, past it at 257^3 cells: exit 3 before any work
     ("moments-simplex3-sweep-128", "simplex3", "moments",
      {"k_max": 2, "congruences": [[2, 1, 6]], "series": False}),
     ("moments-simplex3-sweep-cap", "simplex3", "moments",
      {"k_max": 2, "congruences": [[2, 1, 7]], "series": False}),
-    # the split primes 1 mod 2000001 below 2^31 run out before the moments' modulus: exit 3
+    # the split moduli 1 mod 2000001 below 2^31 run out before the moments' modulus: exit 3
     ("moments-line2000-primes-cap", "line2000", "moments", {"k_max": 1000, "series": False}),
 )
 # six points of odd coordinate sum: their differences span the face-centred cubic

@@ -30,8 +30,15 @@ import numpy as np
 
 from .context import SpectralContext
 from .errors import SizeLimit, SpectrumProximity
-from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP
+from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, FLOAT_OVERFLOW
 from .specpoly import _VALUE_BLOCK, character_rows, character_values
+
+
+def _top(ctx: SpectralContext) -> int:
+    """C^2, the spectrum's top, if a float holds it (ValueError if not)."""
+    if (C2 := ctx.ps.total_weight**2) >= FLOAT_OVERFLOW:
+        raise ValueError("total_weight^2 must be below 2^1024 for float character values")
+    return C2
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ def spectrum(ctx: SpectralContext, N: int, tolerance: float | None = None) -> Sp
     / L``, which reduces every contiguous row with numpy's pairwise sum,
     the same order ``mean`` uses.  A singleton keeps its value.
     """
-    C2 = ctx.ps.total_weight**2
+    C2 = _top(ctx)
     tol = 1e-6 * C2 if tolerance is None else tolerance
     vals = np.sort(character_values(ctx.w, N).ravel())
     starts = np.flatnonzero(np.r_[True, np.diff(vals) > tol])
@@ -217,7 +224,7 @@ def sweep_series_moments(
     routes of mahler_measure and hilbert_transform will read at these tolerances
     (None: that route is not taken).  Raises SizeLimit before any work when a
     length passes ``DEFAULT_SERIES_CAP``, Mahler's checked first."""
-    C2 = ctx.ps.total_weight**2
+    C2 = _top(ctx)
     K = max(
         _mahler_length(C2, z, mahler_tol) if mahler_tol is not None else 0,
         _hilbert_length(C2, z, hilbert_tol) if hilbert_tol is not None else 0,
@@ -239,13 +246,15 @@ def _series_terms(ctx: SpectralContext, z: complex, K: int):
         c2pow *= C2
 
 
-def _stieltjes_reading(z):
+def _stieltjes_reading(z, tol_abs):
     """vals -> 1/(z - v) elementwise, in one complex buffer: the ufuncs of
-    ``1.0 / (complex(z) - vals)``, so the same bits."""
-    z = complex(z)
+    ``1.0 / (complex(z) - vals)``, so the same bits; SpectrumProximity, read
+    in vals, when a |z - v| is below tol_abs, as ``_log_reading``."""
 
     def read(vals: np.ndarray) -> np.ndarray:
-        buf = np.subtract(z, vals)
+        buf = np.subtract(complex(z), vals)
+        if np.abs(buf, out=vals).min() < tol_abs:
+            raise SpectrumProximity(f"{z} is within {tol_abs} of an observed spectrum value")
         return np.divide(1.0, buf, out=buf)
 
     return read
@@ -261,9 +270,10 @@ def hilbert_transform(
 
     moment-series: sum of m_k / z^(k+1) with a geometric tail bound below
     tol (requires |z| > total_weight^2).  spectrum-average: average of
-    1/(z - value) over the characters, level doubled until stable.
+    1/(z - value) over the characters, level doubled until stable; as in
+    ``mahler_measure``, SpectrumProximity within 1e-6 total_weight^2 of a value.
     """
-    C2 = ctx.ps.total_weight**2
+    C2 = _top(ctx)
     if method == "moment-series":
         K = _hilbert_length(C2, z, tol)  # refuses |z| <= C2 before 1 / z
         zinv = 1 / complex(z)
@@ -272,7 +282,7 @@ def hilbert_transform(
             acc += a * s * zinv
         return acc
     if method == "spectrum-average":
-        average = lambda N: complex(_torus_means(ctx.w, N, _stieltjes_reading(z))[0])
+        average = lambda N: complex(_torus_means(ctx.w, N, _stieltjes_reading(z, 1e-6 * C2))[0])
         return _ladder(ctx, average, tol, "spectrum average did not stabilize within the cap")[0]
     raise ValueError(f"unknown method {method!r}")
 
@@ -331,7 +341,7 @@ def mahler_measure(
     Every grid is a ``_torus_means`` stream, so a ``limit`` rung or a
     quadrature holds a block and a leaf of 2^16 values, not its grid.
     """
-    C2 = ctx.ps.total_weight**2
+    C2 = _top(ctx)
     proximity = 1e-6 * C2
     if method == "limit":
         estimate = lambda N: math.exp(-_log_mean(ctx.w, N, z, proximity))

@@ -50,7 +50,7 @@ from .errors import ConfigError, CosetViolation, RankDeficient, SizeLimit
 from .errors import SpeclatError, SpectrumProximity
 from .lattice import WeightedPointSet, _is_int
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
-from .limits import MAX_WALK_LEVEL
+from .limits import FLOAT_OVERFLOW, MAX_WALK_LEVEL
 from .primes import is_prime
 from .table import Table, record_text, row_leaves
 
@@ -152,7 +152,6 @@ SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= DE
 COUNT = _int(0)
 PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
-FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() overflows on
 NUMBER = Kind("a finite number", lambda v: _is_int(v) and abs(v) < FLOAT_OVERFLOW
               or isinstance(v, float) and math.isfinite(v))
 POSITIVE = Kind("a number > 0", lambda v: NUMBER.ok(v) and v > 0)

@@ -1,6 +1,7 @@
-"""Primality testing, prime generation, and ``prime_factors``, the one
-factorization, read by roots of unity, finite fields and the p-adic lift
-precision of ``arith``.
+"""Primality testing, for the primes a user gives (``padic``'s p, a
+congruence's p), and ``prime_factors``, the one factorization, read by the
+finite fields and lift precision of ``arith`` and the split moduli of
+``specpoly``, which need no primality test (see its docstring).
 
 Miller-Rabin with witness sets proven deterministic: 2, 7, 61 below 4.76e9
 (Jaeschke 1993), Sinclair's seven bases below 2**64, the primes 2..41 below
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
@@ -45,15 +45,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_below(start: int, N: int = 1) -> Iterator[int]:
-    """Yield primes p < start with p = 1 (mod N) in descending order.  For
-    N > 1 these are the primes whose field F_p holds the N-th roots of unity."""
-    step = N if N % 2 == 0 else 2 * N  # odd p = 1 (mod N)
-    yield from filter(is_prime, range(start - 1 - (start - 2) % step, 2, -step))
-    if N == 1 and start > 2:
-        yield 2
 
 
 def _rho(n: int, rng: random.Random) -> int:
@@ -105,14 +96,3 @@ def prime_factors(n: int) -> dict[int, int]:
             stack += (f, m // f)
     return dict(sorted(factors.items()))
 
-
-def root_of_unity(N: int, p: int) -> int:
-    """An element of exact multiplicative order N modulo a prime p = 1 (mod N)."""
-    if (p - 1) % N:
-        raise ValueError(f"{p} is not 1 mod {N}")
-    quotients = [N // q for q in prime_factors(N)]
-    for g in range(2, p):
-        omega = pow(g, (p - 1) // N, p)
-        if all(pow(omega, e, p) != 1 for e in quotients):
-            return omega
-    return 1  # N = 1 (or p = 2)

@@ -8,25 +8,37 @@ among equal coefficients c_e) form one class, read once as the row of its
 W(chi_k) = sum_e c_e omega**(e.k).  A unit a of Z_N maps the class of k onto
 that of a k, of the same size, and W(chi_k) onto its conjugate W(chi_ak), so
 g_j = prod_{|C| = j} (z - W(chi_C)) lies in Z[z] and b_N = prod_j g_j**j.
-Modulo primes p = 1 (mod N) below 2**62, whose F_p holds an omega of exact
-order N, each row gives one value v, a leaf z - v, and each g_j is the
-product of its leaves in a balanced tree (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 10) whose nodes are big-integer products of
-Kronecker-packed coefficients (ibid. 8.4): a slot sums at most
-L = min(len a, len b) products of residues, so slots of s bytes with
-2**(8 s) > L (p - 1)**2 never carry.  The same rows, read p-adically, give
-the `padic` valuations (see ``arith``); the same classes, modulo primes below
-2**31, give every exact and level moment as a power sum.
+
+Modulo each split modulus M = 1 (mod N) below 2**62, each row gives one
+value v, a leaf z - v, and each g_j is the product of its leaves in a
+balanced tree (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 10)
+whose nodes are big-integer products of Kronecker-packed coefficients
+(ibid. 8.4): a slot sums at most L = min(len a, len b) products of
+residues, so slots of s bytes with 2**(8 s) > L (M - 1)**2 never carry.  No
+M need be prime.  The rows are read through the ring map Z[zeta_N] =
+Z[x]/(Phi_N) -> Z/M, x -> omega, which exists when omega**N = 1 and each
+omega**(N/q) - 1, q a prime factor of N, is a unit mod M: each Phi_d(omega),
+d a proper divisor of N, divides one of them, and x**N - 1 = prod_{d | N}
+Phi_d(x) leaves Phi_N(omega) = 0 (Washington, Introduction to Cyclotomic
+Fields, ch. 2).  ``_split_moduli`` takes omega = g**((M - 1)/N) for the
+first g = 2, 3, ... whose omega**(N/q) all differ from 1: for a prime M, the
+omega of exact order N.  It drops M when 2 is a Fermat witness or that
+omega fails.  A composite that passes, as 3319 * 647011 does for N = 79, is
+as good a modulus, and only such a one can share a factor with another, so
+the moduli are checked pairwise coprime once, by a product tree.  The same
+rows, read p-adically, give the `padic` valuations (see ``arith``); the same
+classes, modulo such M below 2**31, give every exact and level moment as a
+power sum.
 
 The bounds come from the sign of the roots.  Every point a differs from a
 fixed point a0 by a lattice vector, so W(chi) = |sum_a c_a chi(a - a0)|**2
 lies in [0, C**2], C the total weight.  Maclaurin's inequality (Hardy,
 Littlewood and Polya, Inequalities, 2.22) bounds the elementary symmetric
 functions of the d roots of a g_j by binom(d, i) C**(2 i).  Every g_j is
-lifted by CRT over one list of split primes, past 2**32 times twice the
-largest bound, so a g_j that is not integral (a class split across sizes)
-lifts outside its own bound, with odds of at most about 2**-32, and raises
-IntegralityViolation.
+lifted by CRT over one list of pairwise coprime split moduli, past 2**32
+times twice the largest bound, so a g_j that is not integral (a class split
+across sizes) lifts outside its own bound, with odds of at most about
+2**-32, and raises IntegralityViolation.
 
 h_j(z) = +-g_j(-z) has nonnegative coefficients, and so has
 prod_j h_j**j = +-b_N(-z), each at most their sum |b_N(-1)|.  Packed in
@@ -58,7 +70,10 @@ from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT
 
 _CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
 _VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
-_PRIME_START = 2**62  # the split primes of the g_j descend from here
+_PRIME_START = 2**62  # the split moduli of the g_j descend from here
+# the least factor of each base g < 2**8 that _split_moduli tries, below 16 for a composite g
+_LEAST_FACTOR = [next((d for d in (2, 3, 5, 7, 11, 13) if d < g and g % d == 0), g)
+                 for g in range(2**8)]
 _MARGIN_BITS = 32  # modulus bits past twice each g_j's bound
 
 
@@ -93,7 +108,7 @@ def integer_root_multiplicity(p: tuple[int, ...], r: int) -> int:
         p = quot
 
 
-# -- exact spectral polynomial by split primes ----------------------------------
+# -- exact spectral polynomial by split moduli ----------------------------------
 
 
 def _character_classes(f: LaurentPoly, shape: tuple[int, ...]):
@@ -131,7 +146,7 @@ def _character_rows(folded: LaurentPoly, N: int) -> list:
     across blocks, so each is a whole class: the row ((r_t, c_t), ...) of one
     character k of the class, r_t = e_t.k mod N, so
     W(chi_k) = sum_t c_t omega**r_t for omega of exact order N.  The characters
-    of a class share their row, hence their value modulo every prime."""
+    of a class share their row, hence their value modulo every split modulus."""
     sizes: dict[tuple, int] = {}
     for coeffs, phases, mult in _character_classes(folded, (N,) * folded.dimension):
         for column, count in zip(map(tuple, phases.T.tolist()), mult.tolist()):
@@ -161,28 +176,53 @@ def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [int.from_bytes(out[i : i + s], "little") % p for i in range(0, len(out), s)]
 
 
-def _tree_product(polys: list[list[int]], p: int) -> list[int]:
-    """Product of the polynomials mod p in a balanced tree, pairing neighbours."""
-    while len(polys) > 1:
-        pairs = zip(polys[::2], polys[1::2])
-        polys = [_mul_mod(a, b, p) for a, b in pairs] + polys[len(polys) & ~1 :]
-    return polys[0]
+def _tree(items: list, pair):
+    """``pair`` folded over the items in a balanced tree, pairing neighbours."""
+    while len(items) > 1:
+        items = [pair(a, b) for a, b in zip(items[::2], items[1::2])] + items[len(items) & ~1 :]
+    return items[0]
 
 
-def _split_primes(N: int, need: int, start: int) -> list[int]:
-    """The fewest primes p = 1 (mod N) below ``start``, descending, whose product exceeds need."""
+def _split_moduli(N: int, need: int, start: int) -> list[tuple[int, int]]:
+    """(M, omega) for the fewest pairwise coprime odd M = 1 (mod N) below ``start``,
+    descending, with no prime factor below 48 but M, whose product exceeds need:
+    omega = g**((M - 1)/N) for the first g < 2**8 whose omega**(N/q) all differ
+    from 1, if it certifies M (module docstring)."""
+    quotients = [N // q for q in primes.prime_factors(N)]
+    step = N if N % 2 == 0 else 2 * N  # odd M = 1 (mod N)
     chosen, product = [], 1
-    for p in primes.primes_below(start, N):
-        chosen.append(p)
-        if (product := product * p) > need:
+    for M in range(start - 1 - (start - 2) % step, 2, -step):
+        if math.gcd(M, primes._PRIMORIAL) not in (1, M):
+            continue
+        omegas = [0, 1]  # g**((M - 1)/N) for each g, a product of two for a composite g
+        for g in range(2, len(_LEAST_FACTOR)):
+            d = _LEAST_FACTOR[g]
+            omega = omegas[d] * omegas[g // d] % M if d < g else pow(g, (M - 1) // N, M)
+            omegas.append(omega)
+            if g == 2 and pow(omega, N, M) != 1:  # 2 is a Fermat witness
+                break
+            units = [pow(omega, e, M) - 1 for e in quotients]  # one gcd shows them all units
+            if all(units):
+                if (g == 2 or pow(omega, N, M) == 1) and math.gcd(math.prod(units), M) == 1:
+                    chosen.append((M, omega))
+                    product *= M
+                break
+        # only a composite shares a factor with another M, so this is checked once, by a
+        # product tree that reads 0 once two halves do; then each M prime to all before it stays
+        if product > need and not _tree([m for m, _ in chosen],
+                                        lambda a, b: a * b * (math.gcd(a, b) == 1)):
+            chosen = [(m, w) for i, (m, w) in enumerate(chosen) if math.gcd(m, math.prod(
+                k for k, _ in chosen[:i])) == 1]
+            product = math.prod(m for m, _ in chosen)
+        if product > need:
             return chosen
     raise SizeLimit(f"primes 1 mod {N} below {start} run out before {need.bit_length()} bits")
 
 
-def _crt(residues, moduli: list[int]) -> list[int]:
-    """Each column's x, |x| < prod(moduli) / 2, from its residues r = x mod p: one row per p."""
+def _crt(residues, moduli: list[tuple[int, int]]) -> list[int]:
+    """Each column's x, |x| < prod(M) / 2, from its residues r = x mod M: a row per (M, omega)."""
     lifted, mod = [], 1
-    for row, p in zip(residues, moduli):
+    for row, (p, _) in zip(residues, moduli):
         inv = pow(mod, -1, p)
         lifted = [x + mod * ((r - x) * inv % p) for x, r in zip(lifted or [0] * len(row), row)]
         mod *= p
@@ -191,20 +231,19 @@ def _crt(residues, moduli: list[int]) -> list[int]:
 
 def _class_factor_lift(folded: LaurentPoly, N: int) -> "SpectralFactors":
     """The g_j of the module docstring, all lifted by CRT over one list of
-    split primes past 2**_MARGIN_BITS times twice the largest bound."""
+    split moduli past 2**_MARGIN_BITS times twice the largest bound."""
     top = sum(folded.terms.values())  # W at the trivial character, C**2: every root is in [0, top]
     rows: dict[int, list] = {}
     for row, size in _character_rows(folded, N):
         rows.setdefault(size, []).append(row)
     bounds = {j: _maclaurin_bound(len(rs), top) for j, rs in sorted(rows.items())}
-    moduli = _split_primes(N, (2 * max(bounds.values()) + 1) << _MARGIN_BITS, _PRIME_START)
+    moduli = _split_moduli(N, (2 * max(bounds.values()) + 1) << _MARGIN_BITS, _PRIME_START)
     residues: dict[int, list] = {j: [] for j in bounds}
-    for p in moduli:
-        omega = primes.root_of_unity(N, p)
-        powers = [pow(omega, r, p) for r in range(N)]
+    for p, omega in moduli:
+        powers = list(itertools.accumulate([omega] * (N - 1), lambda x, w: x * w % p, initial=1))
         for j in bounds:
             leaves = [[-sum(a * powers[r] for r, a in row) % p, 1] for row in rows[j]]
-            residues[j].append(_tree_product(leaves, p))
+            residues[j].append(_tree(leaves, lambda a, b: _mul_mod(a, b, p)))
     factors = {j: tuple(_crt(residues[j], moduli)) for j in bounds}
     if any(max(map(abs, g)) > bounds[j] for j, g in factors.items()):
         raise IntegralityViolation(f"a g_j of b_{N} is not integral: a class is split")
@@ -215,7 +254,7 @@ def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]) -> lis
     """m^-1 sum_chi f(chi)**k, k = 0..K, over the m = prod(shape) characters of
     ``_character_classes``: the constant-residue coefficients of f**k folded
     mod shape (its constant terms when each N_i > k max|e_i|), exactly.  Modulo
-    primes p = 1 (mod lcm(shape)) below 2**31, rows of int64 arrays, a class
+    split moduli p = 1 (mod lcm(shape)) below 2**31, rows of int64 arrays, a class
     of value v adds w = mult * v**k, one step per k.  |f(chi)| <= S = sum |c_e|:
     the CRT lifts past 2 m S^K; IntegralityViolation where m does not divide.
     No int64 overflow, whatever the weights: c_e enters reduced mod p, a product
@@ -223,14 +262,14 @@ def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]) -> lis
     residues below 2**63, of w over 2**20 classes below 2**51."""
     N, m = math.lcm(*shape), math.prod(shape)
     folded = fold_mod_N(f, N)
-    moduli = _split_primes(N, 2 * m * max(1, sum(map(abs, folded.terms.values()))) ** K, 2**31)
-    p = np.array(moduli, dtype=np.int64)[:, None]
-    powers, omega = np.ones_like(p), np.array([[primes.root_of_unity(N, q)] for q in moduli])
+    moduli = _split_moduli(N, 2 * m * max(1, sum(map(abs, folded.terms.values()))) ** K, 2**31)
+    p, omega = np.array(moduli, dtype=np.int64).T[:, :, None]
+    powers = np.ones_like(p)
     while powers.shape[1] < N:  # omega**r for r < N, by doubling
         powers = np.concatenate([powers, powers * (powers[:, -1:] * omega % p) % p], axis=1)
     sums = np.zeros((len(moduli), K + 1), dtype=np.int64)
     for coeffs, phases, mult in _character_classes(folded, shape):
-        residues = np.array([[c % q for c in coeffs] for q in moduli], dtype=np.int64)[:, :, None]
+        residues = np.array([[c % q for c in coeffs] for q, _ in moduli], dtype=np.int64)[..., None]
         batch = _CHAR_BLOCK // phases.size or 1
         for at in (slice(i, i + batch) for i in range(0, len(moduli), batch)):
             q = p[at]

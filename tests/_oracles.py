@@ -12,7 +12,7 @@ import numpy as np
 
 from speclat.arith import _poly_mul_mod, _poly_pow, primitive_modulus
 from speclat.laurent import LaurentPoly, fold_mod_N
-from speclat.primes import primes_below, root_of_unity
+from speclat.primes import is_prime, prime_factors
 from speclat.specpoly import _maclaurin_bound
 
 
@@ -607,6 +607,29 @@ def exact_lift_precision(z, c2, N, p):
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if p**mid <= bound else (lo, mid)
     return hi
+
+
+def primes_below(start, N=1):
+    """Yield primes p < start with p = 1 (mod N) in descending order, each
+    passing Miller-Rabin.  For N > 1 these are the primes whose field F_p
+    holds the N-th roots of unity."""
+    step = N if N % 2 == 0 else 2 * N  # odd p = 1 (mod N)
+    yield from filter(is_prime, range(start - 1 - (start - 2) % step, 2, -step))
+    if N == 1 and start > 2:
+        yield 2
+
+
+def root_of_unity(N, p):
+    """An element of exact multiplicative order N modulo a prime p = 1 (mod N):
+    g**((p - 1) / N) for the first g = 2, 3, ... that gives one."""
+    if (p - 1) % N:
+        raise ValueError(f"{p} is not 1 mod {N}")
+    quotients = [N // q for q in prime_factors(N)]
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // N, p)
+        if all(pow(omega, e, p) != 1 for e in quotients):
+            return omega
+    return 1  # N = 1 (or p = 2)
 
 
 def split_primes(N, need, start):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,15 @@ def test_hilbert_rejects_small_z(cheb_ctx, monkeypatch):
         hilbert_transform(cheb_ctx, 4.000001)
     with pytest.raises(ValueError):
         hilbert_transform(cheb_ctx, 3, method="moment-series")
+
+
+@pytest.mark.parametrize("z", [1.0, 9.0, 9 + 1e-7, 4 + 1e-6j])
+def test_hilbert_spectrum_average_at_a_spectrum_value(honeycomb_ctx, z):
+    # 1/(z - v) divided by zero at every rung and ended in "did not stabilize"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumProximity, match="within 9e-06 of an observed spectrum value"):
+            hilbert_transform(honeycomb_ctx, z, method="spectrum-average")
 
 
 def test_hilbert_unknown_method(cheb_ctx):

@@ -165,3 +165,19 @@ def test_calls_the_fuzz_found(honeycomb_ctx, call, message):
     with pytest.raises(ValueError) as caught:
         call(honeycomb_ctx)
     assert message in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx: speclat.spectrum(ctx, 4),
+        lambda ctx: speclat.mahler_measure(ctx, 5.0),
+        lambda ctx: speclat.hilbert_transform(ctx, 2.0**1000, "spectrum-average"),
+    ],
+    ids=["spectrum", "mahler", "hilbert-spectrum-average"],
+)
+def test_float_readers_past_float_range(call):
+    # the honeycomb with one weight of 2^600: float(C^2) raised OverflowError
+    heavy = speclat.WeightedPointSet(2, (((1, 0), 2**600), ((0, 1), 1), ((-1, -1), 1)))
+    with pytest.raises(ValueError, match=r"total_weight\^2 must be below 2\^1024"):
+        call(speclat.SpectralContext(heavy))

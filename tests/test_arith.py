@@ -28,6 +28,8 @@ from _oracles import (
 )
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
+# (1 +- 2 +- 3)^2 and 0: the bad fibres of the weighted triangle
+WEIGHTED_TRIANGLE = (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))
 
 
 def test_vp_examples():
@@ -305,11 +307,52 @@ def test_count_points_matches_tuple_oracle(case, block):
     assert sum(found[:p]) <= (p**nu - 1) ** ctx.dimension
 
 
+# -- the p-adic counts against b_N's factors ------------------------------------------
+
+
+def root_multiplicity_mod(g, z, p):
+    """The multiplicity of z as a root of the monic g mod p, low degree first:
+    synthetic division by z - z until a remainder is nonzero."""
+    g, mult = [c % p for c in g], 0
+    while True:
+        acc, quot = 0, []
+        for c in reversed(g):
+            acc = (acc * z + c) % p
+            quot.append(acc)
+        if acc:  # the last is the remainder, g(z)
+            return mult
+        g, mult = quot[-2::-1], mult + 1
+
+
+def check_counts_against_factors(ctx, p):
+    """For N = p - 1, the point count at each z in F_p is the number of characters
+    with W(chi) = z mod p: the multiplicity of z as a root of b_N = prod_j g_j**j
+    mod p, read off the g_j that ``specpoly`` lifts over its split moduli."""
+    b = ctx.spectral_factors(p - 1)
+    assert counts(ctx, range(p), p) == [
+        sum(j * root_multiplicity_mod(g, z, p) for j, g in b.factors.items()) for z in range(p)
+    ]
+
+
+@pytest.mark.parametrize("points, p", [
+    *((WEIGHTED_TRIANGLE, p) for p in (5, 7, 11, 13)),
+    *(((((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)), p) for p in (5, 7, 11)),
+], ids=["weighted-5", "weighted-7", "weighted-11", "weighted-13",
+        "honeycomb-5", "honeycomb-7", "honeycomb-11"])
+def test_padic_counts_are_the_roots_of_the_factors(points, p):
+    check_counts_against_factors(SpectralContext(WeightedPointSet(2, points)), p)
+
+
+@settings(max_examples=150)
+@given(count_cases(max_tuples=10**6), st.data())
+def test_padic_counts_are_the_roots_of_the_factors_property(case, data):
+    # weighted sets of 1-3 dimensions, p <= 13 in 1 and 2 and p <= 7 in 3
+    ctx = case[0]
+    check_counts_against_factors(ctx, data.draw(st.sampled_from(
+        [2, 3, 5, 7, 11, 13] if ctx.dimension < 3 else [2, 3, 5, 7])))
+
+
 # -- Hasse-Weil: the smooth fibres of W = z are genus-1 curves ------------------------
-
-# (1 +- 2 +- 3)^2 and 0: the bad fibres of the weighted triangle
-WEIGHTED_TRIANGLE = (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))
-
 
 def frobenius_traces(ctx, p, bad):
     """{z: [a_0, a_1, ...]} for each residue z mod p outside ``bad``, where

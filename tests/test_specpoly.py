@@ -46,6 +46,8 @@ from _oracles import (
     loop_character_rows,
     poly_product,
     rebased,
+    primes_below,
+    root_of_unity,
     sieve,
     split_primes,
 )
@@ -127,17 +129,30 @@ def test_charpoly_matches_berkowitz(seed):
     assert charpoly_exact(rows) == berkowitz_charpoly(rows)
 
 
-# -- split primes ---------------------------------------------------------------
+# -- split moduli ---------------------------------------------------------------
+
+
+def certified(M, N, omega):
+    """The certificate of the specpoly docstring, read afresh: omega**N = 1 and
+    omega**(N/q) - 1 a unit mod M for each prime q | N."""
+    return pow(omega, N, M) == 1 and all(
+        math.gcd(pow(omega, N // q, M) - 1, M) == 1 for q in primes.prime_factors(N))
+
+
+def crt_root(N, p, q):
+    """(p q, omega) for primes p, q = 1 (mod N): omega the CRT of their roots of unity."""
+    wp, wq = root_of_unity(N, p), root_of_unity(N, q)
+    return p * q, wp + p * ((wq - wp) * pow(p, -1, q) % q)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 8, 9, 12, 17, 30, 64, 210, 2062])
 def test_split_primes_and_roots_of_unity(N):
-    found = list(itertools.islice(primes.primes_below(2**62, N), 4))
-    found += list(itertools.islice(primes.primes_below(2**20, N), 4))
+    found = list(itertools.islice(primes_below(2**62, N), 4))
+    found += list(itertools.islice(primes_below(2**20, N), 4))
     assert len(found) == 8
     for p in found:
         assert primes.is_prime(p) and (p - 1) % N == 0
-        omega = primes.root_of_unity(N, p)
+        omega = root_of_unity(N, p)
         assert pow(omega, N, p) == 1
         assert all(pow(omega, d, p) != 1 for d in range(1, N))
     assert found[:4] == sorted(found[:4], reverse=True)
@@ -145,12 +160,12 @@ def test_split_primes_and_roots_of_unity(N):
 
 
 def test_split_primes_small_start():
-    assert list(primes.primes_below(12)) == [11, 7, 5, 3, 2]
-    assert list(primes.primes_below(30, 4)) == [29, 17, 13, 5]
+    assert list(primes_below(12)) == [11, 7, 5, 3, 2]
+    assert list(primes_below(30, 4)) == [29, 17, 13, 5]
     with pytest.raises(ValueError):
-        primes.root_of_unity(4, 7)
+        root_of_unity(4, 7)
     # g = 2 gives -1 at p = 853669: only 2062's prime factor 1031, past trial division, rejects it
-    omega = primes.root_of_unity(2062, 853669)
+    omega = root_of_unity(2062, 853669)
     assert pow(omega, 2, 853669) != 1 and pow(omega, 1031, 853669) != 1
 
 
@@ -158,7 +173,7 @@ def test_split_primes_small_start():
 def test_primes_below_match_the_sieve(N):
     for start in (0, 2, 3, 4, 30, 1000, 10**5):
         expected = [p for p in reversed(sieve(start - 1)) if (p - 1) % N == 0]
-        assert list(primes.primes_below(start, N)) == expected
+        assert list(primes_below(start, N)) == expected
 
 
 @pytest.mark.parametrize("N, bits, start", [
@@ -167,22 +182,95 @@ def test_primes_below_match_the_sieve(N):
 ])
 def test_split_primes_match_the_oracle(N, bits, start):
     for need in (2**bits - 1, 2**bits, 3 * 2 ** (bits - 1)):
-        assert specpoly._split_primes(N, need, start) == split_primes(N, need, start)
+        moduli = specpoly._split_moduli(N, need, start)
+        assert [M for M, _ in moduli] == split_primes(N, need, start)
+        assert all(omega == root_of_unity(N, M) for M, omega in moduli)
 
 
 def test_split_primes_by_a_running_product():
     # the first 1291 primes 1 mod 12 below 2^31, as the whole product formed for each gave
     start = time.process_time()
-    chosen = specpoly._split_primes(12, 2**40000, 2**31)
+    chosen = specpoly._split_moduli(12, 2**40000, 2**31)
     assert time.process_time() - start < 0.1
-    assert chosen == list(itertools.islice(primes.primes_below(2**31, 12), 1291))
+    assert [M for M, _ in chosen] == list(itertools.islice(primes_below(2**31, 12), 1291))
 
 
 def test_split_primes_that_run_out_are_a_size_limit():
     # 29 * 17 * 13 * 5 = 32045: the primes 1 mod 4 below 30 lift no further
-    assert specpoly._split_primes(4, 32044, 30) == [29, 17, 13, 5]
+    assert [M for M, _ in specpoly._split_moduli(4, 32044, 30)] == [29, 17, 13, 5]
     with pytest.raises(SizeLimit, match="primes 1 mod 4 below 30 run out"):
-        specpoly._split_primes(4, 32045, 30)
+        specpoly._split_moduli(4, 32045, 30)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 300), st.sampled_from([2**62, 2**31]), st.integers(1, 1500),
+       st.integers(-1, 1))
+def test_split_moduli_are_certified_and_the_oracles_primes(N, start, bits, shift):
+    need = 2**bits + shift
+    moduli = specpoly._split_moduli(N, need, start)
+    found = [M for M, _ in moduli]
+    assert found == sorted(found, reverse=True) and found[-1] < start
+    for M, omega in moduli:
+        assert M % 2 == 1 and (M - 1) % N == 0 and certified(M, N, omega)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(found, 2))
+    assert math.prod(found) > need >= math.prod(found[:-1])
+    # every prime down to the last modulus, each with its root of unity; a composite
+    # that passes has omega of order N modulo each of its primes, all 1 mod N
+    oracle = list(itertools.takewhile(lambda p: p >= found[-1], primes_below(start, N)))
+    assert [M for M in found if primes.is_prime(M)] == oracle
+    for M, omega in moduli:
+        if primes.is_prime(M):
+            assert omega == root_of_unity(N, M)
+        else:
+            assert all((r - 1) % N == 0 for r in primes.prime_factors(M))
+
+
+def oracle_moduli(N, need, start):
+    """The split primes with their roots of unity, by Miller-Rabin."""
+    return [(p, root_of_unity(N, p)) for p in split_primes(N, need, start)]
+
+
+def test_the_search_meets_a_composite_and_lifts_through_it(monkeypatch, chebyshev):
+    # 3319 * 647011 passes: both factors are 1 mod 79, and 2 is no Fermat witness.  It is
+    # the 28th modulus of level 79 from 2^31 and the 13th of level 237, which the power
+    # sums of W to k = 200 read; over the primes alone they lift the same
+    M = 3319 * 647011
+    for N, at in ((79, 27), (237, 12)):
+        moduli = specpoly._split_moduli(N, 2**1200, 2**31)
+        assert moduli[at][0] == M and certified(M, N, moduli[at][1])
+        assert [m for m, _ in moduli if not primes.is_prime(m)] == [M]
+    f = w_of(chebyshev)
+    assert M in [m for m, _ in specpoly._split_moduli(237, 2 * 237 * 4**200, 2**31)]
+    through = _character_power_sums(f, 200, (237,))
+    monkeypatch.setattr(specpoly, "_split_moduli", oracle_moduli)
+    assert through == _character_power_sums(f, 200, (237,))
+
+
+@pytest.mark.parametrize("N", [2, 4, 5, 6])
+def test_a_composite_modulus_lifts_as_the_primes_do(monkeypatch, honeycomb, N):
+    # M = p q below 2^31, omega by CRT: were the g_j or the power sums mod M not the
+    # primes', the lift over M and the usual moduli would move or raise
+    composite = crt_root(N, *itertools.islice(primes_below(2**15, N), 2))
+    assert certified(composite[0], N, composite[1])
+    sets = (honeycomb, WeightedPointSet(2, (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))))
+
+    def lifts():
+        return [(_class_factor_lift(folded(s, N), N).factors,
+                 _character_power_sums(w_of(s), 6, (N, N))) for s in sets]
+
+    want, search = lifts(), specpoly._split_moduli
+    monkeypatch.setattr(specpoly, "_split_moduli",
+                        lambda N, need, start: [composite, *search(N, need, start)])
+    assert lifts() == want
+
+
+def test_split_moduli_are_pairwise_coprime():
+    # N = 1 takes each odd M that 2 is no Fermat witness for: 23377 = 97 * 241 and
+    # 18721 = 97 * 193 are base-2 pseudoprimes, and the second shares 97 with the first
+    found = [M for M, _ in specpoly._split_moduli(1, 2**10000, 23378)]
+    assert found[0] == 23377 and found[-1] < 18721
+    assert not {18721, 97, 193, 241} & set(found)
+    assert math.prod(found) == math.lcm(*found)
 
 
 def test_charpoly_prime_set_independence(honeycomb):
@@ -414,7 +502,7 @@ def test_character_rows_match_loop(seed, monkeypatch):
 def test_packed_product_with_largest_slot_sums(start):
     # every coefficient p - 1 makes the middle slot sum exactly
     # min(len a, len b) * (p - 1)**2, the largest the slot width allows
-    p = next(primes.primes_below(start))
+    p = next(primes_below(start))
     for la, lb in ((1, 1), (1, 9), (2, 3), (16, 17), (40, 40), (129, 64), (300, 257)):
         a, b = [p - 1] * la, [p - 1] * lb
         expect = [0] * (la + lb - 1)

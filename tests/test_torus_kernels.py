@@ -309,7 +309,7 @@ def test_averages_in_place_are_bitwise_property(case, z):
     assert _log_reading(z, 0.0)(buf) is buf and np.array_equal(buf, expected)
     assert _log_mean(w, N, z) == float(np.mean(expected))
     flat = vals.ravel()
-    average = _torus_means(w, N, _stieltjes_reading(z))[0]
+    average = _torus_means(w, N, _stieltjes_reading(z, 0.0))[0]
     assert complex(average) == complex(np.mean(1.0 / (complex(z) - flat)))
 
 
@@ -336,7 +336,7 @@ def test_streamed_means_are_np_mean_past_a_leaf_property(case, data, z):
     if N % 2 == 0:  # the quadrature's coarse half, as a grid of its own
         half = np.log(np.abs(z - vals[(slice(None, None, 2),) * ps.dimension]))
         assert coarse[0].hex() == float(np.mean(half)).hex()
-    average = complex(_torus_means(w, N, _stieltjes_reading(z))[0])
+    average = complex(_torus_means(w, N, _stieltjes_reading(z, 0.0))[0])
     expected = complex(np.mean(1.0 / (complex(z) - vals.ravel())))
     assert (average.real.hex(), average.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
@@ -411,18 +411,23 @@ def test_ladders_match_a_doubling_loop_over_fresh_grids(seed, monkeypatch):
     def average(z, tol):
         return analysis.hilbert_transform(ctx, z, "spectrum-average", tol=tol)
 
+    def near(z, gaps):
+        if gaps.min() < proximity:
+            raise SpectrumProximity(f"{z} is within {proximity} of an observed spectrum value")
+
     def log_estimate(z):
         def reading(vals):
-            gaps = np.abs(z - vals)
-            if gaps.min() < proximity:
-                raise SpectrumProximity(f"{z} is within {proximity} of an observed spectrum value")
+            near(z, gaps := np.abs(z - vals))
             return math.exp(-np.mean(np.log(gaps)))
         return reading
 
     def stieltjes(z):
-        return lambda vals: complex(np.mean(1.0 / (complex(z) - vals.ravel())))
+        def reading(vals):
+            near(z, np.abs(complex(z) - vals))
+            return complex(np.mean(1.0 / (complex(z) - vals.ravel())))
+        return reading
 
-    # z next to the top level C2 fails the limit ladder at its first rung; tol 0
+    # z next to the top level C2 fails both ladders at their first rung; tol 0
     # climbs both ladders to the cap
     for z in (C2 + 0.5, 3 * C2, C2 + 1e-9, 0.5 + 1j):
         for tol in (1e-3, 1e-9, 0.0):
@@ -434,6 +439,7 @@ def test_ladders_match_a_doubling_loop_over_fresh_grids(seed, monkeypatch):
             assert outcome(average, z, tol) == expected
     message = f"{C2 + 1e-9} is within {proximity} of an observed spectrum value"
     assert outcome(limit, C2 + 1e-9, 1e-3) == (SpectrumProximity, message)
+    assert outcome(average, C2 + 1e-9, 1e-3) == (SpectrumProximity, message)
     assert outcome(limit, 3 * C2, 0.0) == (SizeLimit, LIMIT_FAILURE)
     assert outcome(average, 3 * C2, 0.0) == (SizeLimit, AVERAGE_FAILURE)
 
