@@ -31,8 +31,8 @@ _MODULES = {
     "lattice": "LatticeBasis WeightedPointSet difference_lattice disjointness_check "
     "to_lattice_coords",
     "laurent": "LaurentPoly diffraction_polynomial fold_mod_N",
-    "moments": "check_congruence moment_sequence moment_sequence_N "
-    "product_exponents series_coefficients verify_recurrence",
+    "moments": "check_congruence moment_sequence moment_sequence_N product_exponents "
+    "series_coefficients",
     "specpoly": "SpectralFactors divides factored_value integer_root_multiplicity "
     "level_multiplicity spectral_factors",
 }

@@ -382,7 +382,8 @@ def _mahler_above_spectrum(params: dict, C2: int):
 
 
 def _walks_above_spectrum(params: dict, C2: int):
-    # the log expansion the walks are checked against converges only above the spectrum
+    # series_z only switches on the series check (integer Newton sums, nothing read at z) and
+    # is echoed; it stays above the spectrum, where log b_N's series in 1/z converges
     z = params["series_z"]
     if z is not None and z <= C2:
         raise ConfigError(f"walks series_z must be an integer > total_weight^2 = {C2}, got {z!r}")

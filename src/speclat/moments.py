@@ -15,7 +15,6 @@ arrays, and the moments are the tuples of integers the power sums give.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .errors import IntegralityViolation, SizeLimit
 from .laurent import LaurentPoly, _tight_form
 from .limits import DEFAULT_FLOAT_CAP
 from .specpoly import _character_power_sums, check_level
-
-Recurrence = Sequence[tuple[int, Sequence[int]]]
 
 
 def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
@@ -179,25 +176,3 @@ def _moment_values(moments) -> tuple[int, ...]:
     if not vals or vals[0] != 1:
         raise ValueError("moment list must start with m_0 = 1")
     return vals
-
-
-def verify_recurrence(moments, rec: Recurrence) -> bool:
-    """Check a linear recurrence with polynomial-in-k coefficients.
-
-    ``rec`` is a sequence of (offset, poly) pairs, poly given by ascending
-    integer coefficients in k; the claim is
-    sum_j poly_j(k) * m_{k+offset_j} = 0 for every k where all the indices
-    are in range.
-    """
-    m = _moment_values(moments)
-    offsets = [off for off, _ in rec]
-    lo, hi = min(offsets), max(offsets)
-    for k in range(max(0, -lo), len(m) - hi):
-        total = 0
-        for off, poly in rec:
-            pk = sum(c * k**i for i, c in enumerate(poly))
-            total += pk * m[k + off]
-        if total != 0:
-            return False
-    return True
-

@@ -33,7 +33,6 @@ from .moments import (
     newton_sums,
     product_exponents,
     series_coefficients,
-    verify_recurrence,
 )
 from .specpoly import divides, factored_value, level_multiplicity
 
@@ -43,6 +42,7 @@ CHEB_VALUES_AT_6 = [
 ]
 HONEYCOMB_LEVEL6_ROOTS = [0] * 2 + [1] * 15 + [3] * 6 + [4] * 6 + [7] * 6 + [9]
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
+# sum over (offset, q) of q(k) m_{k + offset} = 0, q by ascending coefficients in k
 HONEYCOMB_RECURRENCE = (
     (-1, (0, 0, 9)),
     (0, (-3, -10, -10)),
@@ -91,7 +91,10 @@ def check_honeycomb_moments(ctx: SpectralContext) -> tuple[bool, str]:
         seq[k] == sum(math.comb(k, j) ** 2 * math.comb(2 * j, j) for j in range(k + 1))
         for k in range(42)
     )
-    rec_ok = verify_recurrence(seq, HONEYCOMB_RECURRENCE)
+    rec_ok = not any(
+        sum(seq[k + off] * sum(c * k**i for i, c in enumerate(q)) for off, q in HONEYCOMB_RECURRENCE)
+        for k in range(1, 41)
+    )
     return formula_ok and rec_ok, "binomial formula and three-term recurrence, k <= 40"
 
 

@@ -436,36 +436,6 @@ def exact_moment_sweep(f, K, coeff_mod=None):
     return folded_moment_sweep(f, K, _stable_modulus(f, max(K, 1)), coeff_mod)
 
 
-def charpoly_from_eigen_product(values, z):
-    """prod(z - v) for a float check."""
-    acc = 1.0
-    for v in values:
-        acc *= z - v
-    return acc
-
-
-def series_inverse(coeffs, K):
-    """Reciprocal of a rational power series with nonzero constant term,
-    truncated to K+1 coefficients."""
-    c0 = Fraction(coeffs[0])
-    inv = [1 / c0]
-    for k in range(1, K + 1):
-        s = Fraction(0)
-        for j in range(1, min(k, len(coeffs) - 1) + 1):
-            s += Fraction(coeffs[j]) * inv[k - j]
-        inv.append(-s / c0)
-    return inv
-
-
-def series_multiply(a, b, K):
-    out = [Fraction(0)] * (K + 1)
-    for i, ai in enumerate(a[: K + 1]):
-        if ai:
-            for j, bj in enumerate(b[: K + 1 - i]):
-                out[i + j] += Fraction(ai) * Fraction(bj)
-    return out
-
-
 # -- per-item loops of the torus-float kernels ---------------------------------
 
 

@@ -21,6 +21,12 @@ SMALL_CAPS = {
     "DEFAULT_WALK_CAP": 10**4,
 }
 
+# the fibres W = z that are not smooth genus-1 curves, and the roots of the moments'
+# recurrence with 0: the honeycomb's, and the weighted triangle's (1 +- 2 +- 3)^2 and 0
+HONEYCOMB_BAD_FIBRES = (0, 1, 9)
+WEIGHTED_TRIANGLE = (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))
+WEIGHTED_BAD_FIBRES = (0, 4, 16, 36)
+
 
 @st.composite
 def mostly(draw, common, rare, percent=85):

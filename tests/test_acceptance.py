@@ -58,3 +58,12 @@ def test_walk_bridge_fails_on_a_matrix_of_a_perturbed_w(monkeypatch, example, at
     monkeypatch.setattr("speclat.verify.fold_mod_N", perturbed)
     passed, _ = check(SpectralContext(builtin_point_set(example)))
     assert not passed
+
+
+def test_honeycomb_moments_fail_on_a_wrong_recurrence_coefficient(honeycomb_ctx, monkeypatch):
+    # (k + 1)^2 m_{k+1} read as (k^2 + 2k + 2) m_{k+1}: the binomial formula still holds
+    [check] = [check for c, _, check in CRITERIA if c == "c05-honeycomb-moments"]
+    wrong = ((-1, (0, 0, 9)), (0, (-3, -10, -10)), (1, (2, 2, 1)))
+    monkeypatch.setattr("speclat.verify.HONEYCOMB_RECURRENCE", wrong)
+    passed, detail = check(honeycomb_ctx)
+    assert not passed and detail == "binomial formula and three-term recurrence, k <= 40"

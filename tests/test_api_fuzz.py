@@ -84,9 +84,6 @@ def moment_lists(ctx, draw):
     if m := attempt(ctx.moment_sequence, draw(count)):
         attempt(speclat.series_coefficients, m)
         attempt(speclat.product_exponents, m)
-        rec = draw(st.lists(st.tuples(st.integers(-2, 2), st.lists(integer, max_size=3)),
-                            min_size=1, max_size=3))
-        attempt(speclat.verify_recurrence, m, rec)
     attempt(speclat.moment_sequence_N, ctx.w, draw(count), draw(level))
     p, k, alpha = draw(prime), draw(st.integers(-1, 4)), draw(st.integers(-1, 3))
     attempt(speclat.check_congruence, ctx.w, p, k, alpha)

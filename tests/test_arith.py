@@ -15,6 +15,7 @@ from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet
 from speclat.laurent import fold_mod_N
+from speclat.moments import moment_sequence_N
 from speclat.primes import prime_factors
 from speclat.specpoly import character_values
 
@@ -26,10 +27,9 @@ from _oracles import (
     sieve,
     tuple_count_points,
 )
+from conftest import HONEYCOMB_BAD_FIBRES, WEIGHTED_BAD_FIBRES, WEIGHTED_TRIANGLE
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
-# (1 +- 2 +- 3)^2 and 0: the bad fibres of the weighted triangle
-WEIGHTED_TRIANGLE = (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))
 
 
 def test_vp_examples():
@@ -352,6 +352,38 @@ def test_padic_counts_are_the_roots_of_the_factors_property(case, data):
         [2, 3, 5, 7, 11, 13] if ctx.dimension < 3 else [2, 3, 5, 7])))
 
 
+# -- the p-adic counts against the level moments ----------------------------------------
+
+
+def check_counts_against_moments(ctx, p):
+    """For N = p - 1, count(z) = (-1)^n (1 - sum_{j < p} M_j z^(p-1-j)) mod p, M_j the
+    level-N moments: on F_p, [W(x) = z] = 1 - (W(x) - z)^(p-1) (Chevalley-Warning),
+    (W - z)^(p-1) = sum_j W^j z^(p-1-j) as C(p-1, j) = (-1)^j, and the sum of W^j over
+    the torus (F_p^x)^n is (p-1)^n M_j."""
+    M, sign = moment_sequence_N(ctx.w, p - 1, p - 1), (-1) ** ctx.dimension
+    expect = [sign * (1 - sum(m * pow(z, p - 1 - j, p) for j, m in enumerate(M))) % p
+              for z in range(p)]  # pow(0, 0, p) = 1
+    assert [count % p for count in counts(ctx, range(p), p)] == expect
+
+
+@pytest.mark.parametrize("dimension, points, p", [
+    (2, (((1, 0), 1), ((0, 1), 2), ((-1, -1), 3)), 7),
+    *((2, WEIGHTED_TRIANGLE, p) for p in (11, 13)),
+    (3, (((0, 0, 0), 1), ((1, 0, 0), 2), ((0, 1, 0), 3), ((0, 0, 1), 5)), 5),
+], ids=["honeycomb-123-7", "weighted-11", "weighted-13", "simplex-1235-5"])
+def test_padic_counts_are_the_level_moments_mod_p(dimension, points, p):
+    check_counts_against_moments(SpectralContext(WeightedPointSet(dimension, points)), p)
+
+
+@settings(max_examples=100)
+@given(count_cases(max_tuples=10**6), st.data())
+def test_padic_counts_are_the_level_moments_mod_p_property(case, data):
+    # weighted sets of 1-3 dimensions, p <= 13 in 1 and 2 and p <= 7 in 3
+    ctx = case[0]
+    check_counts_against_moments(ctx, data.draw(st.sampled_from(
+        [2, 3, 5, 7, 11, 13] if ctx.dimension < 3 else [2, 3, 5, 7])))
+
+
 # -- Hasse-Weil: the smooth fibres of W = z are genus-1 curves ------------------------
 
 def frobenius_traces(ctx, p, bad):
@@ -376,7 +408,7 @@ def check_hasse_weil(traces, p):
 
 @pytest.mark.parametrize("p, levels", [(3, 4), (5, 2), (7, 2), (11, 1), (13, 1)])
 def test_honeycomb_smooth_fibres_satisfy_hasse_weil(honeycomb_ctx, p, levels):
-    traces = frobenius_traces(honeycomb_ctx, p, (0, 1, 9))
+    traces = frobenius_traces(honeycomb_ctx, p, HONEYCOMB_BAD_FIBRES)
     assert traces and all(len(a) == levels + 1 for a in traces.values())
     check_hasse_weil(traces, p)
 
@@ -385,7 +417,7 @@ def test_weighted_triangle_smooth_fibres_satisfy_hasse_weil():
     ctx = SpectralContext(WeightedPointSet(2, WEIGHTED_TRIANGLE))
     smooth = 0
     for p in (5, 7, 11, 13, 17, 19):
-        traces = frobenius_traces(ctx, p, (0, 4, 16, 36))
+        traces = frobenius_traces(ctx, p, WEIGHTED_BAD_FIBRES)
         check_hasse_weil(traces, p)
         smooth += len(traces)
     assert smooth == 49

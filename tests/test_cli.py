@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from speclat import specpoly
 from speclat.cli import SCHEMA, COMMANDS, JobConfig, _build_parser, _unlimited_int_text, main
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet
@@ -643,6 +644,17 @@ def test_split_primes_that_run_out_exit_3(tmp_path, capsys):
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err == (
         "speclat: resource cap: primes 1 mod 2000001 below 2147483648 run out before 3192 bits\n")
+
+
+def test_a_failed_certificate_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # power sums lifted over one split modulus too few: m no longer divides them
+    search = specpoly._split_moduli
+    monkeypatch.setattr(specpoly, "_split_moduli", lambda *args: search(*args)[:-1])
+    cfg = dict(HONEYCOMB_CFG, moments={"k_max": 20})
+    code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "speclat: power sums over (21, 21) are not all divisible by 441\n")
 
 
 def test_bn_size_limit_lowers_the_cap_only(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from speclat.context import SpectralContext
 from speclat.errors import IntegralityViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import LaurentPoly, diffraction_polynomial
@@ -19,14 +20,14 @@ from speclat.moments import (
     newton_sums,
     product_exponents,
     series_coefficients,
-    verify_recurrence,
 )
 from speclat.specpoly import _character_power_sums, spectral_factors
-from speclat.verify import _check_generating_series
+from speclat.verify import HONEYCOMB_RECURRENCE, _check_generating_series
 
 from _oracles import (
     constant_term,
     convolution_matrix,
+    evaluate_at_integer,
     exact_moment_sweep,
     folded_moment_sweep,
     from_roots,
@@ -34,12 +35,11 @@ from _oracles import (
     power,
     rebased,
 )
-from conftest import random_point_set
-
-HONEYCOMB_RECURRENCE = (
-    (-1, (0, 0, 9)),  # 9 k^2 m_{k-1}
-    (0, (-3, -10, -10)),  # -(10k^2+10k+3) m_k
-    (1, (1, 2, 1)),  # (k+1)^2 m_{k+1}
+from conftest import (
+    HONEYCOMB_BAD_FIBRES,
+    WEIGHTED_BAD_FIBRES,
+    WEIGHTED_TRIANGLE,
+    random_point_set,
 )
 
 
@@ -400,6 +400,8 @@ def test_product_expansion_matches_series(w_honey):
 def test_integrality_violation_raised():
     with pytest.raises(IntegralityViolation):
         series_coefficients([1, 1, 2, 1])  # 2 E_2 = 1*1 + 2 -> 3/2
+    with pytest.raises(IntegralityViolation, match="b_2 = 1/2"):
+        product_exponents((1, 0, 1))  # b_1 = m_1 = 0, 2 b_2 = m_2 - b_1 = 1
 
 
 def test_moment_sequence_validation():
@@ -407,19 +409,109 @@ def test_moment_sequence_validation():
         series_coefficients((2, 3))
 
 
-# -- recurrences -----------------------------------------------------------------
+# -- recurrences: guessed modulo a word-sized prime, then proved over Z --------------
+
+GUESS_PRIME = 2**61 - 1
+HONEYCOMB = (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))
 
 
-def test_honeycomb_recurrence_small(w_honey):
-    assert 4 * 15 == 23 * 3 - 9 * 1  # k = 1 instance
-    seq = moment_sequence(w_honey, 41)
-    assert verify_recurrence(seq, HONEYCOMB_RECURRENCE)
+def kernel_mod(rows, p):
+    """A basis of the right kernel of the integer matrix ``rows`` modulo the prime p,
+    by Gauss-Jordan elimination: one vector per free column."""
+    rows, pivots = [[x % p for x in row] for row in rows], []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [0] * len(rows[0])
+        v[free] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free] % p
+        basis.append(v)
+    return basis
 
 
-def test_recurrence_rejects_wrong_coefficients(w_honey):
-    seq = moment_sequence(w_honey, 8)
-    wrong = ((-1, (0, 0, 9)), (0, (-3, -10, -10)), (1, (2, 2, 1)))
-    assert not verify_recurrence(seq, wrong)
+def rational(a, p):
+    """n/d = a mod p, n the first remainder below sqrt(p/2) of the extended Euclidean
+    algorithm on (p, a) and d its cofactor (Wang, SYMSAC 1981): a guess, which the
+    exact check that follows decides."""
+    r0, r1, t0, t1 = p, a % p, 0, 1
+    while 2 * r1 * r1 > p:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
+
+
+def primitive(c):
+    """The integer vector c over the gcd of its entries, its first nonzero entry positive."""
+    g = math.gcd(*c)
+    return [x // g for x in c] if next(x for x in c if x) > 0 else [-x // g for x in c]
+
+
+def guess_recurrence(m, budget=6):
+    """(r, d, [q_0, .., q_r]) with sum_i q_i(k) m_{k+i} = 0 for every k that m reaches,
+    each q_i of degree at most d by ascending integer coefficients, for the least
+    order r >= 1 and then the least degree d with r + d <= budget; None if there is
+    none, since an integer kernel vector made primitive survives modulo the prime.
+    Its kernel modulo ``GUESS_PRIME`` must be one vector; reconstructed over Q, it is
+    checked over Z on every row, the rows past the (r + 1)(d + 1) unknowns spare."""
+    for r in range(1, budget + 1):
+        for d in range(budget + 1 - r):
+            rows = [[k**j * m[k + i] for i in range(r + 1) for j in range(d + 1)]
+                    for k in range(len(m) - r)]
+            if kernel := kernel_mod(rows, GUESS_PRIME):
+                [v] = kernel
+                assert len(rows) >= 2 * len(v)  # as many spare rows as unknowns
+                q = [rational(x, GUESS_PRIME) for x in v]
+                scale = math.lcm(*(x.denominator for x in q))
+                c = primitive([int(x * scale) for x in q])
+                assert all(sum(a * b for a, b in zip(row, c)) == 0 for row in rows)
+                return r, d, [tuple(c[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(r + 1)]
+    return None
+
+
+def test_the_found_honeycomb_recurrence_is_the_frozen_one(honeycomb_ctx):
+    # c05 states sum over (offset, q) of q(k) m_{k + offset} = 0, offsets -1..1: at
+    # k + 1, offsets 0..2, each q(k + 1) expanded by the binomial theorem
+    r, d, found = guess_recurrence(honeycomb_ctx.moment_sequence(40))
+    frozen = [tuple(sum(c * math.comb(i, j) for i, c in enumerate(q)) for j in range(len(q)))
+              for _, q in sorted(HONEYCOMB_RECURRENCE)]
+    assert (r, d) == (2, 2)
+    assert list(sum(found, ())) == primitive(sum(frozen, ()))
+
+
+@pytest.mark.parametrize("points, order, degree, bad", [
+    (HONEYCOMB, 2, 2, HONEYCOMB_BAD_FIBRES),
+    (WEIGHTED_TRIANGLE, 3, 3, WEIGHTED_BAD_FIBRES),
+], ids=["honeycomb", "weighted"])
+def test_the_recurrence_roots_are_the_bad_fibres(points, order, degree, bad):
+    # the characteristic polynomial sum_i [k^d] q_i x^i splits over Z, and its roots
+    # with 0 are the fibres W = z that the Hasse-Weil tests skip (test_arith.py)
+    m = SpectralContext(WeightedPointSet(2, points)).moment_sequence(40)
+    r, d, q = guess_recurrence(m)
+    assert (r, d) == (order, degree)
+    chi = [qi[d] for qi in q]
+    bound = 2 + max(map(abs, chi)) // abs(chi[-1])  # Cauchy's
+    roots = [x for x in range(-bound, bound) if evaluate_at_integer(chi, x) == 0]
+    assert chi == [chi[-1] * c for c in from_roots(roots)]
+    assert {0, *roots} == set(bad)
+
+
+@pytest.mark.parametrize("points", [HONEYCOMB, WEIGHTED_TRIANGLE], ids=["honeycomb", "weighted"])
+def test_one_moment_off_by_one_leaves_no_recurrence(points):
+    m = list(SpectralContext(WeightedPointSet(2, points)).moment_sequence(40))
+    m[20] += 1
+    assert guess_recurrence(m) is None
 
 
 # -- generating series and formal logs ---------------------------------------------

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -432,6 +433,30 @@ def test_a_class_split_across_sizes_is_refused(w_honey, monkeypatch, N):
     monkeypatch.setattr(specpoly, "_character_rows", lambda folded, level: split)
     with pytest.raises(IntegralityViolation):
         spectral_factors(w_honey, N).coefficient_text
+
+
+def test_power_sums_over_one_split_modulus_too_few_are_refused(w_honey, monkeypatch):
+    # the CRT past too small a product wraps, and m no longer divides the lifted sums
+    search = specpoly._split_moduli
+    monkeypatch.setattr(specpoly, "_split_moduli", lambda *args: search(*args)[:-1])
+    with pytest.raises(IntegralityViolation, match="are not all divisible by 441"):
+        moment_sequence(w_honey, 20)
+
+
+def test_a_factor_with_a_negative_root_is_refused():
+    # g = z + 1: h(z) = -g(-z) = z - 1 has a coefficient below 0, which no slot holds
+    with pytest.raises(IntegralityViolation, match="g_1 has a root below 0"):
+        specpoly.SpectralFactors({1: (1, 1)}, 1).coefficient_text
+
+
+@pytest.mark.parametrize("root, overflow", [(99, False), (12345, True)])
+def test_slots_narrower_than_a_coefficient_are_refused(monkeypatch, root, overflow):
+    # |b_N(-1)| understated as 1 gives slots of 2 digits: the coefficient root of z - root
+    # fills the guard digit of its slot, or the product passes the digits of its context
+    monkeypatch.setattr(specpoly, "factored_value", lambda b, z: decimal.Decimal(1))
+    with pytest.raises(IntegralityViolation, match="b_N overflows its coefficient bound") as exc:
+        specpoly.SpectralFactors({1: (-root, 1)}, root).coefficient_text
+    assert isinstance(exc.value.__context__, decimal.Inexact) == overflow
 
 
 @settings(max_examples=30)
