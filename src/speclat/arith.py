@@ -79,7 +79,9 @@ def primitive_modulus(p: int, nu: int) -> tuple[int, ...]:
     a_0 = 0, x divides F and is no unit.  It skips each a_0 whose (-1)^nu a_0
     does not generate F_p^*, as that is the norm of x, x^((p^nu - 1) / (p - 1)),
     which generates F_p^* when x generates F_q^*: so the p^(nu-1) candidates
-    with a_0 = 1 (norm +-1) are never tried for p > 3.
+    with a_0 = 1 (norm +-1) are never tried for p > 3.  Trial division splits
+    p^nu - 1 and p - 1 (``primes.prime_factors``), raising ``ValueError`` if
+    either has two prime factors above 2^20: none does under the ``padic`` cap.
     """
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -1,7 +1,9 @@
 """Primality testing, for the primes a user gives (``padic``'s p, a
 congruence's p), and ``prime_factors``, the one factorization, read by the
 finite fields and lift precision of ``arith`` and the split moduli of
-``specpoly``, which need no primality test (see its docstring).
+``specpoly``, which need no primality test (see its docstring).  It is trial
+division alone: what it factors is a level N or a field order p^nu - 1, at
+most 10^7 under the caps.
 
 Miller-Rabin with one witness set proven deterministic, the primes 2..41
 below 3.3e24 (Sorenson and Webster, Math. Comp. 2017; 2..37 suffice only
@@ -12,7 +14,6 @@ Every n that reaches it is prime to 2..47, so at least 53, above each base.
 from __future__ import annotations
 
 import math
-import random
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
@@ -43,52 +44,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of an odd composite n: Pollard rho, Floyd's cycle."""
-    g = n
-    while g == n:
-        c, x = rng.randrange(1, n - 2), rng.randrange(n)  # c = 0, -2 are degenerate
-        y, g = x, 1
-        while g == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            g = math.gcd(x - y, n)
-    return g
-
-
-def _root(m: int, k: int) -> int:
-    """The integer k-th root of m >= 1, rounded down: Newton's method from above."""
-    r = 1 << -(-m.bit_length() // k)
-    while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
-        r = s
-    return r
-
-
 def prime_factors(n: int) -> dict[int, int]:
     """{p: e}, ascending, with n = prod p^e for an integer n >= 1: trial
-    division by d < 2^10, alone enough below 2^20 (a composite left has two
-    factors >= 1031), then, for each factor that fails ``is_prime``, its
-    k-th root if it is a perfect k-th power (k <= log_1031 of it), else
-    Pollard rho, which would need about sqrt(p) steps to split p^k."""
+    division by 2 and the odd d with d^2 <= n, ended past d = 2^10 by a
+    cofactor that ``is_prime`` (each tested once).  A composite cofactor with
+    no prime factor below 2^20 raises ``ValueError``."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     factors: dict[int, int] = {}
-    d = 2
-    while d < 1 << 10 and d * d <= n:
-        while n % d == 0:
+    m, d, tested = n, 2, 1
+    while d * d <= m:
+        if d > 1 << 10 and m != tested:
+            if is_prime(m):
+                break
+            tested = m
+        if d > 1 << 20:
+            raise ValueError(f"cannot factor {n}: a composite factor has no prime factor below 2^20")
+        while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
-            n //= d
+            m //= d
         d += 1 if d == 2 else 2
-    stack, rng = [n] if n > 1 else [], None
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        elif k := next((k for k in range(2, m.bit_length() // 10 + 1) if _root(m, k) ** k == m), 0):
-            stack += [_root(m, k)] * k
-        else:
-            f = _rho(m, rng := rng or random.Random(n))  # made only if rho runs
-            stack += (f, m // f)
-    return dict(sorted(factors.items()))
-
+    if m > 1:
+        factors[m] = 1  # a prime above every d tried
+    return factors

@@ -27,7 +27,7 @@ from _oracles import (
     sieve,
     tuple_count_points,
 )
-from conftest import HONEYCOMB_BAD_FIBRES, WEIGHTED_BAD_FIBRES, WEIGHTED_TRIANGLE
+from conftest import HONEYCOMB_BAD_FIBRES, SMALL_CAPS, WEIGHTED_BAD_FIBRES, WEIGHTED_TRIANGLE
 
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
 
@@ -50,6 +50,7 @@ def test_factorize_examples():
     assert prime_factors(140450) == {2: 1, 5: 2, 53: 2}
     assert prime_factors(1) == {}
     assert prime_factors(12) == {2: 2, 3: 1}
+    assert prime_factors(3137 * 3163) == {3137: 1, 3163: 1}  # near a moment shape's cap 10^7
     with pytest.raises(ValueError):
         prime_factors(0)
 
@@ -75,7 +76,6 @@ def test_factorize_semiprime_beyond_trial_range():
 
 
 def test_factorize_matches_smallest_factor_sieve():
-    # trial division by d < 2^10 alone finishes every n < 2^20: rho must not run
     limit = 10**5
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
@@ -83,13 +83,12 @@ def test_factorize_matches_smallest_factor_sieve():
             for m in range(p * p, limit + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    with mock.patch.object(primes, "_rho", side_effect=AssertionError("rho ran")):
-        for n in range(2, limit + 1):
-            expected, m = {}, n
-            while m > 1:
-                expected[spf[m]] = expected.get(spf[m], 0) + 1
-                m //= spf[m]
-            assert prime_factors(n) == expected, n
+    for n in range(2, limit + 1):
+        expected, m = {}, n
+        while m > 1:
+            expected[spf[m]] = expected.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert prime_factors(n) == expected, n
 
 
 @pytest.mark.parametrize(
@@ -109,10 +108,17 @@ def test_factorize_products_of_primes_above_trial_range(factors):
 @pytest.mark.parametrize("p", [1_099_511_627_791, 2**61 - 1])  # past 2^40, and 2^61 - 1
 @pytest.mark.parametrize("k", [2, 3])
 def test_factorize_powers_of_a_large_prime_without_rho(p, k):
-    # rho would need about sqrt(p) steps to split p^k; its k-th root needs none
-    with mock.patch.object(primes, "_rho", side_effect=AssertionError("rho ran")):
-        assert prime_factors(p**k) == {p: k}
-        assert prime_factors(12 * p**k * 1021**2) == {2: 2, 3: 1, 1021: 2, p: k}
+    # with no rho and no root search, p^k (p past 2^20) is refused, not split
+    for n in (p**k, 12 * p**k * 1021**2):
+        with pytest.raises(ValueError, match=f"cannot factor {n}: a composite factor"):
+            prime_factors(n)
+
+
+def test_factorize_refuses_two_prime_factors_past_2_20():
+    # trial division stops at 2^20; no level or field order under the caps gets there
+    n = (2**31 - 1) * (2**61 - 1)
+    with pytest.raises(ValueError, match=f"cannot factor {n}: a composite factor"):
+        prime_factors(n)
 
 
 # primes on both sides of the trial bound 2^10, and powers of them
@@ -324,12 +330,13 @@ def root_multiplicity_mod(g, z, p):
         g, mult = quot[-2::-1], mult + 1
 
 
-def check_counts_against_factors(ctx, p):
-    """For N = p - 1, the point count at each z in F_p is the number of characters
-    with W(chi) = z mod p: the multiplicity of z as a root of b_N = prod_j g_j**j
-    mod p, read off the g_j that ``specpoly`` lifts over its split moduli."""
-    b = ctx.spectral_factors(p - 1)
-    assert counts(ctx, range(p), p) == [
+def check_counts_against_factors(ctx, p, nu=1):
+    """For N = p^nu - 1, the point count at each z in F_p is the number of characters
+    with W(chi) = z mod a prime over p, as the N-th roots of unity reduce to F_(p^nu)^x:
+    the multiplicity of z as a root of b_N = prod_j g_j**j mod p, read off the g_j
+    that ``specpoly`` lifts over its split moduli."""
+    b = ctx.spectral_factors(p**nu - 1)
+    assert counts(ctx, range(p), p, nu) == [
         sum(j * root_multiplicity_mod(g, z, p) for j, g in b.factors.items()) for z in range(p)
     ]
 
@@ -343,13 +350,34 @@ def test_padic_counts_are_the_roots_of_the_factors(points, p):
     check_counts_against_factors(SpectralContext(WeightedPointSet(2, points)), p)
 
 
+EXTENSION_SETS = {
+    "weighted": (2, WEIGHTED_TRIANGLE),
+    "honeycomb": (2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))),
+    "line-142": (1, (((0,), 1), ((1,), 4), ((5,), 2))),
+    "simplex-1235": (3, (((0, 0, 0), 1), ((1, 0, 0), 2), ((0, 1, 0), 3), ((0, 0, 1), 5))),
+}
+
+
+# the weighted triangle's b_48, for q = 49, alone takes about 2 s: its classes are small
+@pytest.mark.parametrize("name, p, nu", [
+    *((name, p, nu) for name in ("weighted", "honeycomb", "line-142")
+      for p, nu in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)) if (name, p) != ("weighted", 7)),
+    *(("simplex-1235", p, nu) for p, nu in ((2, 2), (3, 2), (2, 3))),
+])
+def test_padic_counts_are_the_roots_of_the_factors_over_extensions(name, p, nu):
+    check_counts_against_factors(SpectralContext(WeightedPointSet(*EXTENSION_SETS[name])), p, nu)
+
+
 @settings(max_examples=150)
 @given(count_cases(max_tuples=10**6), st.data())
 def test_padic_counts_are_the_roots_of_the_factors_property(case, data):
-    # weighted sets of 1-3 dimensions, p <= 13 in 1 and 2 and p <= 7 in 3
-    ctx = case[0]
-    check_counts_against_factors(ctx, data.draw(st.sampled_from(
-        [2, 3, 5, 7, 11, 13] if ctx.dimension < 3 else [2, 3, 5, 7])))
+    # weighted sets of 1-3 dimensions, p <= 13 in 1 and 2 and p <= 7 in 3, and
+    # nu = 2, 3 where the (p^nu - 1)^n characters are within the small size cap
+    ctx, n = case[0], case[0].dimension
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13] if n < 3 else [2, 3, 5, 7]))
+    nu = data.draw(st.sampled_from(
+        [1, *(nu for nu in (2, 3) if (p**nu - 1) ** n <= SMALL_CAPS["DEFAULT_SIZE_LIMIT"])]))
+    check_counts_against_factors(ctx, p, nu)
 
 
 # -- the p-adic counts against the level moments ----------------------------------------
@@ -432,7 +460,8 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert miller_rabin_twelve(spsp_37)  # fools the twelve prime bases 2..37
     for n in (spsp_37, 3825123056546413051, 3317044064679887385961981, 2**64 + 1):
         assert not primes.is_prime(n)
-    assert 399165290221 in prime_factors(7 * spsp_37)
+    with pytest.raises(ValueError, match="no prime factor below 2\\^20"):
+        prime_factors(7 * spsp_37)  # its two factors are about 4e11
 
 
 def test_is_prime_matches_sieve():

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import speclat
 from speclat import specpoly
 from speclat.cli import SCHEMA, COMMANDS, JobConfig, _build_parser, _unlimited_int_text, main
 from speclat.context import SpectralContext
+from speclat.errors import ConfigError, CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet
 from speclat.table import LONG_FLOAT_COLUMN, TABLE_BLOCK, Table, _json_text, leaves, record_text
 from speclat.table import row_leaves
@@ -43,6 +45,15 @@ def readme_config():
     """The example config of README.md, its one JSON block."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
     return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+def test_readme_counts_match_the_code():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    digests = (Path(__file__).parent / "record_digests.txt").read_text().splitlines()
+    names = re.search(r"the package's\s+(\d+)\s+public\s+names", text)
+    jobs = re.search(r"`scripts/record_digests.py`\s+runs\s+(\d+)\s+jobs", text)
+    assert int(names.group(1)) == len(speclat.__all__)
+    assert int(jobs.group(1)) == sum(1 for line in digests if line.strip())
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -1562,3 +1573,91 @@ def test_walks_on_point_set_meeting_its_lattice_exit_2(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["payload"]["N"] == 1
     assert len(list(cache.glob("bn-*.json"))) == 1
+
+
+# -- every reading invariant under a unimodular change of coordinates ----------------
+
+# each command's block, as a config gives it; walks' series_z is C^2 + 1
+INVARIANT_BLOCKS = {
+    "bn": {"N": 3, "levels": [0, 1, 4], "divisor_checks": [[1, 3]]},
+    "moments": {"k_max": 6, "levels": [2, 3], "congruences": [[2, 1, 1]]},
+    "walks": {"N": 2, "k_max": 3},
+    "padic": {"p": 5},
+    "spectrum": {"N": 6},
+}
+
+
+def readings(ps):
+    """{command: payload} for the jobs of ``INVARIANT_BLOCKS`` that would exit 0 on ``ps``."""
+    ctx, out = SpectralContext(ps), {}
+    for command, block in INVARIANT_BLOCKS.items():
+        spec = COMMANDS[command]
+        params = {key: param.default for key, param in spec.params.items()}
+        params.update(block)
+        if command == "walks":
+            params["series_z"] = ps.total_weight**2 + 1
+        try:
+            spec.check(params, ps.total_weight**2)
+            out[command] = spec.run(ctx, params)
+        except (ConfigError, RankDeficient, CosetViolation, SizeLimit, SpectrumProximity):
+            pass
+    return out
+
+
+def same_readings(a, b):
+    """The commands read on both sides, each with the same payload: spectrum
+    levels with equal multiplicities and values within the tolerance."""
+    both = a.keys() & b.keys()
+    for command in both - {"spectrum"}:
+        assert _json_text(a[command]) == _json_text(b[command]), command
+    if "spectrum" in both:
+        (means, sizes), (means_b, sizes_b) = (x["spectrum"]["levels"].columns for x in (a, b))
+        assert sizes == sizes_b
+        assert np.abs(np.subtract(means, means_b)).max() <= a["spectrum"]["tolerance"]
+    return both
+
+
+@st.composite
+def unimodular_images(draw):
+    """(set, image): a weighted 1-3-D set, a0 + scale s_i e_i for each axis and
+    up to two more points a0 + scale v, and its image under x -> M x + t, with
+    M a product of elementary matrices (entries <= 3) and sign flips and t in
+    [-3, 3]^n."""
+    n, scale = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+    a0 = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    a0[0] += scale == 2 and a0[0] % 2 == 0  # at scale 2, a0 is off the lattice: walks run
+    steps = draw(st.lists(st.sampled_from([1, 2, -1, 3]), min_size=n, max_size=n))
+    offsets = [[s * (i == j) for j in range(n)] for i, s in enumerate(steps)]
+    offsets += draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=2))
+    coords = sorted({tuple(x + scale * y for x, y in zip(a0, v)) for v in offsets} | {tuple(a0)})
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(coords), max_size=len(coords)))
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        M[i] = [x + c * y for x, y in zip(M[i], M[j])]  # row i += c row j
+    M = [[-x for x in row] if draw(st.booleans()) else row for row in M]
+    t = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    image = [tuple(sum(m * x for m, x in zip(row, a)) + s for row, s in zip(M, t)) for a in coords]
+    return WeightedPointSet(n, tuple(zip(coords, weights))), WeightedPointSet(n, tuple(zip(image, weights)))
+
+
+@settings(max_examples=60)
+@given(unimodular_images())
+def test_readings_are_invariant_under_a_unimodular_map(pair):
+    # a unimodular map permutes the characters.  Exit codes are out of scope: the greedy
+    # tight coordinates may refuse one side only, and a translation can move a set onto
+    # its difference lattice, where walks refuses it
+    ps, image = pair
+    same_readings(readings(ps), readings(image))
+
+
+def test_readings_differ_when_a_weight_of_the_image_moves(honeycomb):
+    # the honeycomb with weights 1, 2, 3 under [[3, 7], [2, 5]] plus (4, -9), and that image
+    # with one weight moved: the payloads that the property compares differ
+    weighted = WeightedPointSet(2, tuple((a, c) for (a, _), c in zip(honeycomb.points, (1, 2, 3))))
+    image = [((3 * x + 7 * y + 4, 2 * x + 5 * y - 9), c) for (x, y), c in weighted.points]
+    moved = [image[0], image[1], (image[2][0], 4)]
+    assert same_readings(readings(weighted), readings(WeightedPointSet(2, image))) == INVARIANT_BLOCKS.keys()
+    with pytest.raises(AssertionError):
+        same_readings(readings(WeightedPointSet(2, image)), readings(WeightedPointSet(2, moved)))

@@ -507,6 +507,23 @@ def test_the_recurrence_roots_are_the_bad_fibres(points, order, degree, bad):
     assert {0, *roots} == set(bad)
 
 
+@settings(max_examples=25)
+@given(st.tuples(*[st.integers(1, 6)] * 3))
+def test_the_recurrence_roots_are_the_bad_fibres_of_weighted_triangles(weights):
+    # W = |a + b x + c y|^2 meets its singular fibres at 0 and the (a +- b +- c)^2; with
+    # four distinct nonzero ones the recurrence needs order 4 and degree 4
+    a, b, c = weights
+    m = SpectralContext(WeightedPointSet(2, (((0, 0), a), ((1, 0), b), ((0, 1), c)))).moment_sequence(60)
+    found = guess_recurrence(m, budget=8)
+    assert found is not None
+    r, d, q = found
+    chi = [qi[d] for qi in q]
+    bad = {0} | {(a + s * b + t * c) ** 2 for s in (1, -1) for t in (1, -1)}
+    roots = [x for x in bad if evaluate_at_integer(chi, x) == 0]
+    assert chi == [chi[-1] * x for x in from_roots(roots)]  # it splits, over these roots
+    assert {0, *roots} == bad
+
+
 @pytest.mark.parametrize("points", [HONEYCOMB, WEIGHTED_TRIANGLE], ids=["honeycomb", "weighted"])
 def test_one_moment_off_by_one_leaves_no_recurrence(points):
     m = list(SpectralContext(WeightedPointSet(2, points)).moment_sequence(40))
