@@ -195,19 +195,16 @@ def _run_bn(ctx: SpectralContext, params: dict) -> dict:
 
 
 def _run_moments(ctx: SpectralContext, params: dict) -> dict:
-    from .moments import _sweep_kernel, check_congruence, moment_sequence_N
+    from .moments import _congruence_sweep, moment_sequence_N
     from .moments import product_exponents, series_coefficients
 
     K = params["k_max"]
-    # the job's longest moment list or congruence sweep, before any work (as
-    # p >= 2, a power past the cap's bit length is past the cap)
-    cap = DEFAULT_SERIES_CAP
-    if max([K, *(k * p ** min(a + 1, cap.bit_length()) for p, k, a in params["congruences"])]) > cap:
-        raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
-    # each sweep's box, its kernel kept for the sweep (k = 0 sweeps nothing)
-    kernels = [_sweep_kernel(ctx.w, k * p ** (a + 1), p ** (a + 1)) if k else None
-               for p, k, a in params["congruences"]]
-    # the cells of the torus sweeps the level power sums replaced, so no exit code moved
+    if K > DEFAULT_SERIES_CAP:  # the job's longest moment list, before any work
+        raise SizeLimit(f"moments need a sweep past k = {DEFAULT_SERIES_CAP}, the series cap")
+    # each congruence's sweep, its caps checked before any work (k = 0 sweeps nothing)
+    sweeps = [_congruence_sweep(ctx.w, p, k, a) if k else None
+              for p, k, a in params["congruences"]]
+    # a cost proxy for the level power sums, until one work budget prices them
     steps, n = max(1, -(-K // 2)), ctx.dimension
     N = max(params["levels"], default=0)
     if N**n * steps > DEFAULT_FLOAT_CAP:
@@ -224,8 +221,8 @@ def _run_moments(ctx: SpectralContext, params: dict) -> dict:
             for N in dict.fromkeys(params["levels"])
         },
         "congruences": [
-            {"p": p, "k": k, "alpha": a, "holds": check_congruence(ctx.w, p, k, a, kernel)}
-            for (p, k, a), kernel in zip(params["congruences"], kernels)
+            {"p": p, "k": k, "alpha": a, "holds": sweep() if sweep else True}
+            for (p, k, a), sweep in zip(params["congruences"], sweeps)
         ],
     }
     if params["series"]:

@@ -5,8 +5,9 @@ characters chi; m_k, the constant term of W**k, is that mean over the
 characters of Z_N1 x ... x Z_Nn, each N_i > k * reach_i (tight coordinates),
 where no nonzero exponent of W**k folds onto 0.  Both are character power
 sums (``specpoly``), level N capped by the float cap; the congruence check
-sweeps powers mod p^(alpha+1), capped.  ``newton_sums``, the power sums of a
-monic polynomial's roots, serves the walk and generating-series checks.
+sweeps powers mod p^(alpha+1) under the three caps of ``check_congruence``,
+for the CLI too.  ``newton_sums``, the power sums of a monic polynomial's
+roots, serves the walk and generating-series checks.
 
 Everything in this module is exact: Python integers and integer residue
 arrays, and the moments are the tuples of integers the power sums give.
@@ -15,13 +16,14 @@ arrays, and the moments are the tuples of integers the power sums give.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from . import primes
 from .errors import IntegralityViolation, SizeLimit
 from .laurent import LaurentPoly, _tight_form
-from .limits import DEFAULT_FLOAT_CAP
+from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP
 from .specpoly import _character_power_sums, check_level
 
 
@@ -60,37 +62,40 @@ def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     return (1,) if K == 0 else tuple(_character_power_sums(f, K, (N,) * f.dimension))
 
 
-def _sweep_kernel(f: LaurentPoly, K: int, coeff_mod: int) -> tuple[LaurentPoly, list[int]]:
-    """``_tight_form`` of f mod ``coeff_mod`` with its reach r, once the largest box of the
-    sweep to K, prod(2 ceil(K / 2) r_i + 1), fits the float cap; (K + 1)^n is checked first."""
-    n, cap = f.dimension, DEFAULT_FLOAT_CAP
-    check_level(K + 1, n, cap, "cells of a moment sweep")
-    kernel, r = _tight_form(LaurentPoly(n, {e: c % coeff_mod for e, c in f.terms.items()}))
-    if (cells := math.prod(2 * -(-K // 2) * ri + 1 for ri in r)) > cap:
-        raise SizeLimit(f"a moment sweep to k = {K} needs {cells} cells, past cap {cap}")
-    return kernel, r
+def _congruence_sweep(f: LaurentPoly, p: int, k: int, alpha: int) -> Callable[[], bool]:
+    """The sweep of one congruence, k > 0, to h = k p^(alpha+1) modulo q = p^(alpha+1),
+    returned to run once every cap of it holds, each checked before any work: first h
+    past ``DEFAULT_SERIES_CAP``, refused before q is formed, then (h + 1)^n cells, then
+    its largest box prod(2 ceil(h / 2) r_i + 1), r the tight reach of f mod q."""
+    n, series, cap = f.dimension, DEFAULT_SERIES_CAP, DEFAULT_FLOAT_CAP
+    if k * p ** min(alpha + 1, series.bit_length()) > series:  # p >= 2: p^bit_length > series
+        raise SizeLimit(f"moments need a sweep past k = {series}, the series cap")
+    q = p ** (alpha + 1)
+    h = k * q
+    check_level(h + 1, n, cap, "cells of a moment sweep")
+    kernel, r = _tight_form(LaurentPoly(n, {e: c % q for e, c in f.terms.items()}))
+    if (cells := math.prod(2 * -(-h // 2) * ri + 1 for ri in r)) > cap:
+        raise SizeLimit(f"a moment sweep to k = {h} needs {cells} cells, past cap {cap}")
+    return lambda: (m := _moment_sweep(kernel, r, h, q))[h] == m[h // p]
 
 
-def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int, kernel=None) -> list[int]:
-    """Constant terms of f**k modulo ``coeff_mod``, k = 0..K: with CT(g*h) = sum_v
-    g_v h_{-v}, m_{2j+1} pairs f^j with f^(j+1), m_{2j+2} f^(j+1) with itself, each
-    on the box -j*r .. j*r of ``_sweep_kernel``, which caps it before any work
-    (``kernel``: its result, when the caller has built it already).
-    Residues below 2**15 are int64 (products below 2**30, over at most 10**7 cells)."""
-    n = f.dimension
-    kernel, r = kernel or _sweep_kernel(f, K, coeff_mod)
-    dtype = np.int64 if coeff_mod <= 2**15 else object
+def _moment_sweep(kernel: LaurentPoly, r: list[int], K: int, q: int) -> list[int]:
+    """Constant terms of f**k modulo q, k = 0..K, from the kernel f mod q in tight
+    form and its reach r: with CT(g*h) = sum_v g_v h_{-v}, m_{2j+1} pairs f^j with
+    f^(j+1), m_{2j+2} f^(j+1) with itself, each on the box -j*r .. j*r.  Residues
+    are int64: a congruence sweep has q <= K <= ``DEFAULT_SERIES_CAP`` = 1024, so
+    products stay below 2**20 and sums over at most 10**7 cells below 2**44."""
 
     def ct(g, h):  # CT(g*h), g on a box no larger than h's: the centre of h, reversed
         h = h[tuple(slice((y - x) // 2, (y + x) // 2) for x, y in zip(g.shape, h.shape))]
-        return int((g * h[(slice(None, None, -1),) * n]).sum()) % coeff_mod
+        return int((g * np.flip(h)).sum()) % q
 
-    out, prev = [1 % coeff_mod], np.ones((1,) * n, dtype=dtype)
+    out, prev = [1], np.ones((1,) * kernel.dimension, dtype=np.int64)
     for j in range((K + 1) // 2):
-        cur = np.zeros(tuple(2 * (j + 1) * ri + 1 for ri in r), dtype=dtype)
+        cur = np.zeros(tuple(2 * (j + 1) * ri + 1 for ri in r), dtype=np.int64)
         for e, c in kernel.terms.items():  # cur[i] += c * prev[i - e - r]
             cur[tuple(slice(x + ri, x + ri + m) for x, ri, m in zip(e, r, prev.shape))] += prev * c
-        cur %= coeff_mod
+        cur %= q
         out.append(ct(prev, cur))
         if 2 * j + 2 <= K:
             out.append(ct(cur, cur))
@@ -98,26 +103,20 @@ def _moment_sweep(f: LaurentPoly, K: int, coeff_mod: int, kernel=None) -> list[i
     return out
 
 
-def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int, kernel=None) -> bool:
+def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
     """True iff m_{k p^(alpha+1)} and m_{k p^alpha} agree mod p^(alpha+1).
 
     Guaranteed by the Frobenius congruence on the coefficients, so False
     signals an implementation bug, not bad input.  Both moments are computed
-    modulo p^(alpha+1), which commutes with products, by a capped sweep;
-    ``kernel`` is its ``_sweep_kernel``, when a caller built it to check that
-    cap before other work.
-    """
+    modulo p^(alpha+1), which commutes with products, by ``_congruence_sweep``,
+    whose caps, the CLI's too, raise SizeLimit before any work: h = k p^(alpha+1)
+    past the series cap of 1024 (the power unformed), (h + 1)^n or the tight box
+    past 10**7 cells."""
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 0 or alpha < 0:
         raise ValueError("k and alpha must be >= 0")
-    if k == 0:
-        return True
-    cap, bits = DEFAULT_FLOAT_CAP, (alpha + 1) * (p.bit_length() - 1) + k.bit_length() - 1
-    if bits > cap.bit_length():  # h = k p^(alpha+1) >= 2^bits > cap, refused before it is formed
-        raise SizeLimit(f"a congruence sweep to h = k {p}^{alpha + 1} >= 2^{bits} passes cap {cap}")
-    vals = _moment_sweep(f, k * p ** (alpha + 1), p ** (alpha + 1), kernel)
-    return vals[-1] == vals[k * p**alpha]
+    return k == 0 or _congruence_sweep(f, p, k, alpha)()
 
 
 # -- series expansions ---------------------------------------------------------

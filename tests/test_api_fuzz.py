@@ -8,8 +8,12 @@ primes p, non-primes and degrees nu.  Whatever the input, each call
 returns, or raises a SpeclatError or a ValueError with a message: never a
 ZeroDivisionError, OverflowError, MemoryError or RecursionError, nor any
 other exception.  K stays within the series cap and nu log2 p small, as
-the API puts no cost cap on either.
+the API puts no cost cap on a series of K moments or on p^nu; a
+congruence sweep past the series cap raises SizeLimit, however large
+its alpha.
 """
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,11 +22,12 @@ from hypothesis import strategies as st
 import speclat
 # every computing layer, imported first, so that small_caps patches each cap it binds
 from speclat import analysis, arith, context, graph, moments, specpoly  # noqa: F401
-from speclat.errors import SpeclatError
+from speclat.errors import SizeLimit, SpeclatError
 
 from conftest import SMALL_CAPS, mostly
 
 SIZE = SMALL_CAPS["DEFAULT_SIZE_LIMIT"]  # spectral_factors binds its default at definition
+SERIES = SMALL_CAPS["DEFAULT_SERIES_CAP"]
 
 level = mostly(st.integers(1, 8), st.integers(-1, 0))
 count = mostly(st.integers(0, 12), st.sampled_from([-2, -1, 40, 64]))  # within the series cap
@@ -87,6 +92,12 @@ def moment_lists(ctx, draw):
     attempt(speclat.moment_sequence_N, ctx.w, draw(count), draw(level))
     p, k, alpha = draw(prime), draw(st.integers(-1, 4)), draw(st.integers(-1, 3))
     attempt(speclat.check_congruence, ctx.w, p, k, alpha)
+    # a congruence past the series cap, alpha up to 10^9: refused, not swept
+    p, k = draw(st.sampled_from([2, 3, 5, 7, 11, 13])), draw(st.integers(1, 4))
+    alpha = next(a for a in itertools.count() if k * p ** (a + 1) > SERIES)
+    alpha += draw(mostly(st.integers(0, 3), st.just(10**9)))
+    with pytest.raises(SizeLimit, match="the series cap"):
+        speclat.check_congruence(ctx.w, p, k, alpha)
 
 
 def spectrum(ctx, draw):

@@ -121,8 +121,10 @@ def test_factorize_refuses_two_prime_factors_past_2_20():
         prime_factors(n)
 
 
-# primes on both sides of the trial bound 2^10, and powers of them
-_FACTOR_PRIMES = (2, 3, 5, 1013, 1019, 1021, 1031, 1033, 65537, 1_000_003)
+# primes on both sides of the trial bound 2^10, and powers of them; 3163, the least
+# prime whose square passes 10^7, stands in for the largest trial divisor a number
+# under the caps needs (the cases above keep the primes near 2^20)
+_FACTOR_PRIMES = (2, 3, 5, 1013, 1019, 1021, 1031, 1033, 3163, 65537)
 
 
 @settings(max_examples=200, deadline=None)

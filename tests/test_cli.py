@@ -588,30 +588,39 @@ def test_moments_levels_cap_admits_levels_up_to_it(tmp_path, small_float_cap):
 
 
 def test_moments_cap_admits_sweeps_up_to_it(tmp_path, monkeypatch):
-    swept = []
-    monkeypatch.setattr(
-        "speclat.moments.check_congruence",
-        lambda w, p, k, a, kernel: swept.append((p, k, a)) or True,
-    )
+    from speclat import moments
+
+    plan, planned = moments._congruence_sweep, []
+
+    def checked(*args):
+        planned.append(args[1:])
+        plan(*args)  # every cap of the sweep checked, the sweep itself left out
+        return lambda: True
+
+    monkeypatch.setattr(moments, "_congruence_sweep", checked)
     cfg = dict(HONEYCOMB_CFG)
     cfg["moments"] = {"k_max": 2, "congruences": [[2, 1, 9], [2, 0, 10**9]], "series": False}
     code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0
-    assert swept == [(2, 1, 9), (2, 0, 10**9)]
-    assert json.loads(out.read_text())["payload"]["moments"] == ["1", "3", "15"]
+    assert planned == [(2, 1, 9)]  # h = 2^10, the cap; k = 0 sweeps nothing
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["moments"] == ["1", "3", "15"]
+    assert [row["holds"] for row in payload["congruences"]] == [True, True]
 
 
 def test_moments_builds_each_sweep_kernel_once(tmp_path, monkeypatch):
     from speclat import moments
 
-    kernels = count_calls(monkeypatch, moments, "_sweep_kernel")
+    plans = count_calls(monkeypatch, moments, "_congruence_sweep")
+    sweeps = count_calls(monkeypatch, moments, "_moment_sweep")
     cfg = dict(HONEYCOMB_CFG)
     congruences = [[2, 1, 0], [3, 0, 2], [3, 1, 1], [2, 1, 0]]
     cfg["moments"] = {"k_max": 2, "congruences": congruences, "series": False}
     code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0
-    # one kernel per congruence with k > 0, built for its cap and kept for its sweep
-    assert [(K, mod) for _, K, mod in kernels] == [(2, 2), (9, 9), (2, 2)]
+    # one plan per congruence with k > 0, its kernel built for its caps and run once
+    assert [args[1:] for args in plans] == [(2, 1, 0), (3, 1, 1), (2, 1, 0)]
+    assert [(K, q) for _, _, K, q in sweeps] == [(2, 2), (9, 9), (2, 2)]
     rows = json.loads(out.read_text())["payload"]["congruences"]
     assert [row["holds"] for row in rows] == [True] * 4
 
@@ -1573,6 +1582,27 @@ def test_walks_on_point_set_meeting_its_lattice_exit_2(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["payload"]["N"] == 1
     assert len(list(cache.glob("bn-*.json"))) == 1
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        [((10, 0), 1), ((28, 6), 3), ((12, 0), 4)],  # under x -> [[1, 3], [0, 1]] x + (1, -2)
+        [((10, 0), 1), ((10, 6), 3), ((12, 0), 4)],  # the translate by (7, -2)
+    ],
+)
+def test_walks_exit_code_is_not_translation_invariant(tmp_path, image):
+    # the white vertices are the coset a0 + L: the set is off its difference lattice
+    # L = 2Z x 6Z, and both images land on theirs, where the bipartite model has no graph
+    codes = []
+    for points in ([((3, 2), 1), ((3, 8), 3), ((5, 2), 4)], image):
+        cfg = {"dimension": 2, "points": [{"a": list(a), "c": c} for a, c in points],
+               "walks": {"N": 2}}
+        code, out = run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)])
+        codes.append(code)
+        if code == 0:
+            assert json.loads(out.read_text())["payload"]["walk_totals"] == ["104", "5408", "308864"]
+    assert codes == [0, 2]
 
 
 # -- every reading invariant under a unimodular change of coordinates ----------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from speclat.context import SpectralContext
 from speclat.errors import IntegralityViolation, RankDeficient, SizeLimit
 from speclat.lattice import WeightedPointSet, difference_lattice
-from speclat.laurent import LaurentPoly, diffraction_polynomial
+from speclat.laurent import LaurentPoly, _tight_form, diffraction_polynomial
 from speclat.moments import (
     _moment_sweep,
     check_congruence,
@@ -187,15 +187,31 @@ def test_congruence_sweep_capped_for_library_callers(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [10**5, 10**9])
-def test_congruence_sweep_refused_from_bit_lengths(w_honey, alpha):
-    # h = 3^(alpha + 1) is never formed, nor written into the message
+def test_congruence_sweep_refused_from_bit_lengths(w_honey, monkeypatch, alpha):
+    # h = 3^(alpha + 1) passes the series cap: refused before the power is formed
+    # or the kernel built, with the CLI's message
+    monkeypatch.setattr("speclat.moments._tight_form", None)
     start = time.process_time()
-    with pytest.raises(SizeLimit, match=rf"h = k 3\^{alpha + 1} >= 2\^{alpha + 1} passes cap"):
+    with pytest.raises(SizeLimit, match=r"^moments need a sweep past k = 1024, the series cap$"):
         check_congruence(w_honey, 3, 1, alpha)
     assert time.process_time() - start < 1
 
 
+@pytest.mark.parametrize("p, alpha", [(1021, 0), (2, 9)])  # h = q = 1021, and 1024 = the cap
+def test_congruence_at_the_largest_sweeps(w_cheb, p, alpha):
+    q = p ** (alpha + 1)
+    exact = exact_moment_sweep(w_cheb, q, coeff_mod=q)
+    assert swept(w_cheb, q, q) == exact
+    assert check_congruence(w_cheb, p, 1, alpha) == (exact[q] == exact[q // p])
+
+
 # -- property sweep against the full-torus oracle ---------------------------------
+
+
+def swept(f: LaurentPoly, K: int, q: int) -> list[int]:
+    """``_moment_sweep`` of f to K modulo q, on the kernel a congruence sweep builds."""
+    kernel, r = _tight_form(LaurentPoly(f.dimension, {e: c % q for e, c in f.terms.items()}))
+    return _moment_sweep(kernel, r, K, q)
 
 
 def check_against_full_torus(f: LaurentPoly, K: int):
@@ -205,9 +221,9 @@ def check_against_full_torus(f: LaurentPoly, K: int):
     reach = max(abs(x) for e in f.terms for x in e)
     assert _character_power_sums(f, K, (K * reach + 1,) * f.dimension) == exact
     assert list(moment_sequence(f, K)) == exact
-    assert [_moment_sweep(f, k, 9)[k] for k in range(K + 1)] == [m % 9 for m in exact]
-    for mod in (9, 2**61 - 1):  # int64 and object residues
-        assert _moment_sweep(f, K, coeff_mod=mod) == [m % mod for m in exact]
+    assert [swept(f, k, 9)[k] for k in range(K + 1)] == [m % 9 for m in exact]
+    for q in (9, 1021, 1024):  # up to the largest moduli a congruence sweep has
+        assert swept(f, K, q) == [m % q for m in exact]
     for N in (1, 2, 3, 5):
         level = folded_moment_sweep(f, K, N)
         assert _character_power_sums(f, K, (N,) * f.dimension) == level
