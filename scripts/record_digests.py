@@ -68,7 +68,11 @@ Runs ``speclat.cli.main`` in process on
   ``moments`` congruence sweeps on the 3-D simplex to
   h = 128, the last power of two under the float cap, and to h = 256,
   past it (exit 3), and ``moments`` on {0, 1, 2000} to k = 1000, whose
-  split primes run out (exit 3)
+  split primes run out (exit 3), ``moments`` on {0, 1} with weights 2^2000
+  at level 625000, whose split moduli run out (exit 3, planned before the
+  exact moments), and ``mahler`` on the 6-D simplex with ``limit`` and
+  ``hilbert``, whose ladders have no rung within the float cap (exit 3,
+  planned before the moment series)
   (built-in and fixed sets run once);
 * jobs in fresh interpreters (``FRESH_JOBS``, run as ``python -m
   speclat.cli``), the only way to reach the paths that serve a job before
@@ -239,17 +243,28 @@ LARGE_JOBS = (
      {"k_max": 2, "congruences": [[2, 1, 7]], "series": False}),
     # the split moduli 1 mod 2000001 below 2^31 run out before the moments' modulus: exit 3
     ("moments-line2000-primes-cap", "line2000", "moments", {"k_max": 1000, "series": False}),
+    # the level's split moduli run out, found in the plan before the exact moments: exit 3
+    ("moments-heavy-line-levels-primes-cap", "heavy-line", "moments",
+     {"k_max": 32, "levels": [625000], "series": False}),
+    # 16^6 characters: no rung of the limit ladder within the float cap, refused in the
+    # plan before the moment series reads m_0..m_11: exit 3
+    ("mahler-simplex6-ladder-cap", "simplex6", "mahler",
+     {"z": 130, "methods": ["moment-series", "limit"], "hilbert": True, "hilbert_tol": 1e-6}),
 )
 # six points of odd coordinate sum: their differences span the face-centred cubic
 # lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2); the 3-D simplex, whose W
 # has tight reach 1 on every axis; {0, 1, 2000}, whose W has reach 2000; and the
-# honeycomb's shape with weights 10^5 to 3 * 10^5, whose W takes values up to 10^11
+# honeycomb's shape with weights 10^5 to 3 * 10^5, whose W takes values up to 10^11;
+# {0, 1} with both weights 2^2000; and the 6-D simplex, whose first ladder rung has
+# 16^6 characters
 FIXED_SETS = {
     "fcc": (3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1), ((1, 1, 1), 3),
                 ((2, -1, 0), 1), ((0, 2, -1), 2)]),
     "simplex3": (3, [((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)]),
     "line2000": (1, [((0,), 1), ((1,), 1), ((2000,), 1)]),
     "heavy": (2, [((1, 0), 100000), ((0, 1), 200000), ((-1, -1), 300000)]),
+    "heavy-line": (1, [((0,), 2**2000), ((1,), 2**2000)]),
+    "simplex6": (6, [((0,) * 6, 1), *(((*(int(i == j) for j in range(6)),), 1) for i in range(6))]),
 }
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

@@ -7,7 +7,8 @@ function reads a SpectralContext: W from it, and the exact moments the
 series routes need, so a job that asks for several readings builds W once
 and reads the moments once.  The Mahler ``limit`` and the Hilbert
 ``spectrum-average`` routes climb one doubling ladder of character levels,
-``_ladder``; their ``moment-series`` routes sum one ``_series_terms``.
+``_ladder``, planned by ``_first_rung`` (for the CLI too); their
+``moment-series`` routes sum one ``_series_terms``.
 Every torus mean, those two ladders' rungs and the Mahler quadrature, is
 one ``_torus_means``: it reads the characters a row block at a time and
 sums them in numpy's own pairwise order, so it holds a leaf of that sum
@@ -31,7 +32,7 @@ import numpy as np
 from .context import SpectralContext
 from .errors import SizeLimit, SpectrumProximity
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, FLOAT_OVERFLOW
-from .specpoly import _VALUE_BLOCK, character_rows, character_values
+from .specpoly import _VALUE_BLOCK, character_rows, character_values, check_level
 
 
 def _top(ctx: SpectralContext) -> int:
@@ -173,10 +174,18 @@ def _torus_means(w, N: int, read, half: bool = False) -> list:
     return [mean.mean() for mean in means]
 
 
+def _first_rung(n: int) -> None:
+    """The plan of ``_ladder`` in n dimensions: SizeLimit, before any work, when
+    its first rung, level 16, passes the float cap."""
+    check_level(16, n, DEFAULT_FLOAT_CAP, "character values")
+
+
 def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
     """(reading, |difference|) at the first of the levels N = 16, 32, ...
     whose reading ``read(N)`` agrees within tol with the one before.
-    Raises SizeLimit(failure) when N^n passes the float cap first."""
+    Raises SizeLimit(failure) when N^n passes the float cap first, after
+    reading at least one rung (``_first_rung``)."""
+    _first_rung(ctx.dimension)
     prev = None
     N = 16
     while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
@@ -215,22 +224,6 @@ def _hilbert_length(C2: int, z: complex, tol: float) -> int:
 def _mahler_length(C2: int, z: complex, tol: float) -> int:
     ratio = C2 / abs(z) if z else math.inf
     return _series_length(ratio, 1 - ratio, tol, 10)
-
-
-def sweep_series_moments(
-    ctx: SpectralContext, z: complex, mahler_tol: float | None, hilbert_tol: float | None
-) -> None:
-    """Read the moments once, to the longer of the series that the moment-series
-    routes of mahler_measure and hilbert_transform will read at these tolerances
-    (None: that route is not taken).  Raises SizeLimit before any work when a
-    length passes ``DEFAULT_SERIES_CAP``, Mahler's checked first."""
-    C2 = _top(ctx)
-    K = max(
-        _mahler_length(C2, z, mahler_tol) if mahler_tol is not None else 0,
-        _hilbert_length(C2, z, hilbert_tol) if hilbert_tol is not None else 0,
-    )
-    if K:
-        ctx.moment_sequence(K)
 
 
 def _series_terms(ctx: SpectralContext, z: complex, K: int):

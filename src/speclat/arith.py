@@ -5,9 +5,9 @@ F_q is its primitive modulus F: tuples mod (F, p) under ``_poly_mul_mod`` and
 ``_poly_pow``, which the Galois rings GR(p^k, nu) use mod (F, p^k).
 
 Both sides come from one pass over the character classes of level N, one
-row each (``specpoly._character_rows``).  Let zeta, a root of unity of
-order N, be the Teichmueller lift of a generator g of F_q^* to
-GR(p^k, nu) = (Z/p^k)[x]/(F) (Serre, Local Fields, II 4-5); in the
+row each (``specpoly._character_rows``), planned by ``_valuations``.  Let
+zeta, a root of unity of order N, be the Teichmueller lift of a generator g
+of F_q^* to GR(p^k, nu) = (Z/p^k)[x]/(F) (Serre, Local Fields, II 4-5); in the
 unramified ring W(F_q) the least v_p of the coefficients, v, is the
 valuation at one prime above p, and W(chi_k) = W(g^k) mod p.  So
 v_p(b_N(z)) = sum_classes mult v(z - W(chi)) >= sum of mult over v >= 1, the
@@ -136,26 +136,36 @@ def _lift_precision(z: int, c2: int, N: int, p: int) -> int:
     return math.floor(phi * math.log(abs(z) + c2) / math.log(p) * (1 + 2**-40)) + 1
 
 
-def valuation_inequality_check(
-    ctx: SpectralContext, zs, p: int, nu: int = 1
-) -> list[tuple[int | float, int, bool]]:
-    """(v_p(b_N(z)), point count, holds), N = p^nu - 1, for each integer z in
-    ``zs``, from one pass over the character classes held to
-    ``specpoly.DEFAULT_SIZE_LIMIT`` before any work (none for an empty
-    ``zs``).  Each row is evaluated once at a precision p^k0 below 2^30, at
-    the zeta one ladder climbs to; the rows with z = W(chi) mod p^k0 again
-    only at the rungs that continue it, up to the p^K of the module
-    docstring (none if k0 >= K).  An infinite valuation (value 0) counts as
-    holding.  ``zs`` is iterated once, after the cap: a ``range`` of every
-    residue is never held as a list."""
+def _valuations(ctx: SpectralContext, zs, p: int, nu: int):
+    """The run of ``valuation_inequality_check``, its cap checked first: (p^nu - 1)^n
+    past ``specpoly.DEFAULT_SIZE_LIMIT`` characters, none for an empty ``zs``."""
     if not zs:
-        return []
+        return lambda: []
     n, cap = ctx.dimension, specpoly.DEFAULT_SIZE_LIMIT
     # (p^nu - 1)^n >= 2^(n (nu (bitlen p - 1) - 1)): a huge nu is refused before p^nu is formed
     if n * (nu * (p.bit_length() - 1) - 1) >= cap.bit_length():
         raise SizeLimit(f"({p}^{nu} - 1)^{n} torsion characters exceed cap {cap}")
     N = p**nu - 1
     specpoly.check_level(N, n, cap)
+    return lambda: _valuation_rows(ctx, zs, p, nu, N)
+
+
+def valuation_inequality_check(
+    ctx: SpectralContext, zs, p: int, nu: int = 1
+) -> list[tuple[int | float, int, bool]]:
+    """(v_p(b_N(z)), point count, holds), N = p^nu - 1, for each integer z in
+    ``zs``, from one pass over the character classes held to
+    ``specpoly.DEFAULT_SIZE_LIMIT`` before any work (``_valuations``).  Each
+    row is evaluated once at a precision p^k0 below 2^30, at the zeta one
+    ladder climbs to; the rows with z = W(chi) mod p^k0 again only at the
+    rungs that continue it, up to the p^K of the module docstring (none if
+    k0 >= K).  An infinite valuation (value 0) counts as holding.  ``zs`` is
+    iterated once, after the cap: a ``range`` of every residue is never held
+    as a list."""
+    return _valuations(ctx, zs, p, nu)()
+
+
+def _valuation_rows(ctx: SpectralContext, zs, p: int, nu: int, N: int) -> list:
     rows = specpoly._character_rows(fold_mod_N(ctx.w, N), N)
     F = primitive_modulus(p, nu)
     # k0 >= 2, as p <= N + 1 <= cap: the ladder from g at p^1 has a rung

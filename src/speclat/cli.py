@@ -8,10 +8,13 @@ The config file carries the point set and one parameter block per
 command; command-line flags override scalar parameters, each flag parsed
 into its parameter's name.  ``COMMANDS`` is the one table of the
 commands: for each, its parameters (a kind, a default and, for a scalar a
-flag may override, the flag's type), its runner and its CSV table.  Every
+flag may override, the flag's type), its plan and its CSV table.  Every
 parameter is checked against its kind before the config is hashed and is
 kept exactly as given, so one job has one hash.  A job runs on one
-SpectralContext, which builds the lattice, W and each b_N once.  Results
+SpectralContext, which builds the lattice, W and each b_N once.  The
+command's plan raises every SizeLimit of the job before any work and
+returns the run, which computes the payload from what the plan built and
+raises none, but for a ladder that read a rung and did not settle.  Results
 are deterministic, content-addressed by a hash of the effective config,
 and cached as JSON when a cache directory is given; a hit serves the
 cached text as it is, and the cache file name carries ``ALGORITHM``, so
@@ -165,73 +168,77 @@ METHODS = Kind(f"a list of {list(MAHLER_METHODS)}",
 Param = namedtuple("Param", "kind default flag", defaults=(None, None))
 
 
-# -- payload builders -----------------------------------------------------------
+# -- plans ------------------------------------------------------------------------
 
 
-def _run_bn(ctx: SpectralContext, params: dict) -> dict:
+def _plan_bn(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
     from .specpoly import check_level, divides, factored_value, level_multiplicity
 
-    N, size_limit = params["N"], params["size_limit"]
-    # every level the job reads, in the order it reads them, before any b_N
+    N = params["N"]
+    # every level the job reads, in the order it reads them
     for level in (N, *itertools.chain.from_iterable(params["divisor_checks"])):
-        check_level(level, ctx.dimension, size_limit)
-    b = ctx.spectral_factors(N, size_limit)
-    expanded = lambda level: ctx.spectral_factors(level, size_limit).polynomial
-    return {
-        "N": N,
-        "degree": b.degree,
-        "coefficients": b.coefficient_text,
-        "level_multiplicities": {
-            str(r): level_multiplicity(b, r) for r in dict.fromkeys(params["levels"])
-        },
-        "divisor_checks": [
-            {"divisor_level": d, "level": n, "divides": divides(expanded(d), expanded(n))}
-            for d, n in params["divisor_checks"]
-        ],
-        "evaluations": [
-            {"z": z, "value": str(factored_value(b, z))} for z in params["evaluate_at"]
-        ],
-    }
+        check_level(level, ctx.dimension, params["size_limit"])
+
+    def run():
+        b = ctx.spectral_factors(N)
+        expanded = lambda level: ctx.spectral_factors(level).polynomial
+        return {
+            "N": N,
+            "degree": b.degree,
+            "coefficients": b.coefficient_text,
+            "level_multiplicities": {
+                str(r): level_multiplicity(b, r) for r in dict.fromkeys(params["levels"])
+            },
+            "divisor_checks": [
+                {"divisor_level": d, "level": n, "divides": divides(expanded(d), expanded(n))}
+                for d, n in params["divisor_checks"]
+            ],
+            "evaluations": [
+                {"z": z, "value": str(factored_value(b, z))} for z in params["evaluate_at"]
+            ],
+        }
+
+    return run
 
 
-def _run_moments(ctx: SpectralContext, params: dict) -> dict:
-    from .moments import _congruence_sweep, moment_sequence_N
-    from .moments import product_exponents, series_coefficients
+def _plan_moments(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
+    from .moments import _congruence_sweep, product_exponents, series_coefficients
+    from .specpoly import _character_power_sums
 
     K = params["k_max"]
-    if K > DEFAULT_SERIES_CAP:  # the job's longest moment list, before any work
+    if K > DEFAULT_SERIES_CAP:  # the job's longest moment list
         raise SizeLimit(f"moments need a sweep past k = {DEFAULT_SERIES_CAP}, the series cap")
-    # each congruence's sweep, its caps checked before any work (k = 0 sweeps nothing)
-    sweeps = [_congruence_sweep(ctx.w, p, k, a) if k else None
+    sweeps = [_congruence_sweep(ctx.w, p, k, a) if k else None  # k = 0 sweeps nothing
               for p, k, a in params["congruences"]]
     # a cost proxy for the level power sums, until one work budget prices them
     steps, n = max(1, -(-K // 2)), ctx.dimension
     N = max(params["levels"], default=0)
     if N**n * steps > DEFAULT_FLOAT_CAP:
-        raise SizeLimit(
-            f"moments levels need {N}^{n} x {steps} cells, "
-            f"past the float cap {DEFAULT_FLOAT_CAP}"
-        )
-    seq = ctx.moment_sequence(K)
-    payload = {
-        "k_max": K,
-        "moments": [str(v) for v in seq],
-        "level_moments": {
-            str(N): [str(v) for v in moment_sequence_N(ctx.w, K, N)]
-            for N in dict.fromkeys(params["levels"])
-        },
-        "congruences": [
-            {"p": p, "k": k, "alpha": a, "holds": sweep() if sweep else True}
-            for (p, k, a), sweep in zip(params["congruences"], sweeps)
-        ],
-    }
-    if params["series"]:
-        payload["series_coefficients"] = [str(a) for a in series_coefficients(seq)]
-        payload["product_exponents"] = [str(b) for b in product_exponents(seq)]
-    return payload
+        raise SizeLimit(f"moments levels need {N}^{n} x {steps} cells, "
+                        f"past the float cap {DEFAULT_FLOAT_CAP}")
+    exact = ctx.plan_moments(K)  # then each level's split moduli
+    levels = {N: _character_power_sums(ctx.w, K, (N,) * n) for N in dict.fromkeys(params["levels"])}
+
+    def run():
+        seq = exact()
+        payload = {
+            "k_max": K,
+            "moments": [str(v) for v in seq],
+            "level_moments": {str(N): [str(v) for v in level()] for N, level in levels.items()},
+            "congruences": [
+                {"p": p, "k": k, "alpha": a, "holds": sweep() if sweep else True}
+                for (p, k, a), sweep in zip(params["congruences"], sweeps)
+            ],
+        }
+        if params["series"]:
+            payload["series_coefficients"] = [str(a) for a in series_coefficients(seq)]
+            payload["product_exponents"] = [str(b) for b in product_exponents(seq)]
+        return payload
+
+    return run
 
 
-def _run_walks(ctx: SpectralContext, params: dict) -> dict:
+def _plan_walks(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
     from fractions import Fraction
 
     from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
@@ -239,7 +246,7 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
 
     N, kmax, z = params["N"], params["k_max"], params["series_z"]
     K = params["series_K"] if z is not None else 0  # the walk lengths the series check reads
-    # the job's longest enumeration, over (points)^2 type pairs, before any work
+    # the job's longest enumeration, over (points)^2 type pairs
     check_walk_cap(len(ctx.ps.points) ** 2, max(kmax, K))
     if params["export_graph"] and N**ctx.dimension > DEFAULT_SIZE_LIMIT:
         raise SizeLimit(f"walks export_graph: {N}^{ctx.dimension} vertices per colour "
@@ -247,104 +254,121 @@ def _run_walks(ctx: SpectralContext, params: dict) -> dict:
     G = build_graph(ctx.ps, ctx.basis, N)  # a CosetViolation exits 2 before the level cap
     if z is not None:  # the series check reads b_N's factors, whose lift needs N^n within the cap
         check_level(N, ctx.dimension, DEFAULT_SIZE_LIMIT)
-    totals = [based_walk_weight_sum(G, k) for k in range(1, max(kmax, K) + 1)]
-    payload = {
-        "N": N,
-        "k_max": kmax,
-        "walk_totals": [str(t) for t in totals[:kmax]],
-        "per_class": [str(Fraction(t, k)) for k, t in enumerate(totals[:kmax], 1)],
-    }
-    if z is not None:
-        ok = walk_series_check(ctx.spectral_factors(N), totals[:K])
-        payload["series_check"] = {"z": z, "K": K, "ok": ok}
-    if params["export_graph"]:
-        payload["graph"] = G.adjacency()
-    return payload
+
+    def run():
+        totals = [based_walk_weight_sum(G, k) for k in range(1, max(kmax, K) + 1)]
+        payload = {
+            "N": N,
+            "k_max": kmax,
+            "walk_totals": [str(t) for t in totals[:kmax]],
+            "per_class": [str(Fraction(t, k)) for k, t in enumerate(totals[:kmax], 1)],
+        }
+        if z is not None:
+            ok = walk_series_check(ctx.spectral_factors(N), totals[:K])
+            payload["series_check"] = {"z": z, "K": K, "ok": ok}
+        if params["export_graph"]:
+            payload["graph"] = G.adjacency()
+        return payload
+
+    return run
 
 
-def _run_spectrum(ctx: SpectralContext, params: dict) -> dict:
+def _plan_spectrum(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
     import numpy as np
 
     from .analysis import empirical_cdf, spectrum
     from .specpoly import character_values, check_level
 
-    N, m = params["N"], params["grid"]
-    for level in filter(None, (N, m)):  # each float cap before any work
-        check_level(level, ctx.dimension, DEFAULT_FLOAT_CAP, "character values")
-    hist = spectrum(ctx, N, tolerance=params["tolerance"])
-    payload = {
-        "N": N,
-        "levels": Table([..., ...], (hist.means.tolist(), hist.sizes.tolist())),
-        "support": list(hist.support),
-        "tolerance": hist.tolerance,
-        "min_gap": None if hist.min_gap == float("inf") else hist.min_gap,
-        "ambiguous": hist.ambiguous,
-        "cdf": [
-            {"r": float(r), "value": str(empirical_cdf(hist, float(r)))}
-            for r in params["cdf_at"]
-        ],
-    }
-    if m is not None:
-        grid = character_values(ctx.w, m)
-        n = ctx.dimension
-        values = None
-        if m**n <= 10_000:
-            # ravel's C order is the order np.indices lists the grid points in
-            t = np.indices(grid.shape).reshape(n, -1).tolist()
-            values = Table({"t": [...] * n, "value": ...}, (*t, grid.ravel().tolist()))
-        payload["grid"] = {
-            "resolution": m,
-            "min": float(grid.min()),
-            "max": float(grid.max()),
-            "values": values,
+    N, m, n = params["N"], params["grid"], ctx.dimension
+    for level in filter(None, (N, m)):
+        check_level(level, n, DEFAULT_FLOAT_CAP, "character values")
+
+    def run():
+        hist = spectrum(ctx, N, tolerance=params["tolerance"])
+        payload = {
+            "N": N,
+            "levels": Table([..., ...], (hist.means.tolist(), hist.sizes.tolist())),
+            "support": list(hist.support),
+            "tolerance": hist.tolerance,
+            "min_gap": None if hist.min_gap == float("inf") else hist.min_gap,
+            "ambiguous": hist.ambiguous,
+            "cdf": [
+                {"r": float(r), "value": str(empirical_cdf(hist, float(r)))}
+                for r in params["cdf_at"]
+            ],
         }
-    return payload
+        if m is not None:
+            grid = character_values(ctx.w, m)
+            values = None
+            if m**n <= 10_000:
+                # ravel's C order is the order np.indices lists the grid points in
+                t = np.indices(grid.shape).reshape(n, -1).tolist()
+                values = Table({"t": [...] * n, "value": ...}, (*t, grid.ravel().tolist()))
+            payload["grid"] = {
+                "resolution": m,
+                "min": float(grid.min()),
+                "max": float(grid.max()),
+                "values": values,
+            }
+        return payload
+
+    return run
 
 
-def _run_mahler(ctx: SpectralContext, params: dict) -> dict:
-    from .analysis import hilbert_transform, mahler_measure, sweep_series_moments
+def _plan_mahler(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
+    from .analysis import _first_rung, _hilbert_length, _mahler_length, hilbert_transform
+    from .analysis import mahler_measure
     from .specpoly import check_level
 
-    z, methods, tol = params["z"], params["methods"], params["tol"]
-    # every cap before any work; the two moment series read one list, to the longer
+    z, methods, tol, hilbert = params["z"], params["methods"], params["tol"], params["hilbert"]
     if "torus-quadrature" in methods:
         check_level(params["resolution"], ctx.dimension, DEFAULT_FLOAT_CAP, "character values")
-    sweep_series_moments(
-        ctx,
-        z,
-        tol if "moment-series" in methods else None,
-        params["hilbert_tol"] if params["hilbert"] else None,
-    )
-    results = {}
-    for method in dict.fromkeys(methods):
-        res = mahler_measure(ctx, z, method=method, tol=tol, resolution=params["resolution"])
-        results[method] = {"value": res.value, "error": res.error}
-    deltas = {
-        f"{a}|{b}": abs(results[a]["value"] - results[b]["value"])
-        for a, b in itertools.combinations(results, 2)
-    }
-    payload = {"z": z, "mahler": results, "deltas": deltas}
-    if params["hilbert"]:
-        hs = hilbert_transform(ctx, z, method="moment-series", tol=params["hilbert_tol"])
-        ha = hilbert_transform(ctx, z, method="spectrum-average", tol=params["hilbert_tol"])
-        payload["hilbert"] = {
-            "moment-series": [hs.real, hs.imag],
-            "spectrum-average": [ha.real, ha.imag],
-            "delta": abs(hs - ha),
+    # the two moment series read one list, to the longer, Mahler's length checked first
+    C2 = ctx.ps.total_weight**2
+    K = max(_mahler_length(C2, z, tol) if "moment-series" in methods else 0,
+            _hilbert_length(C2, z, params["hilbert_tol"]) if hilbert else 0)
+    moments = ctx.plan_moments(K)
+    if "limit" in methods or hilbert:
+        _first_rung(ctx.dimension)
+
+    def run():
+        moments()
+        results = {}
+        for method in dict.fromkeys(methods):
+            res = mahler_measure(ctx, z, method=method, tol=tol, resolution=params["resolution"])
+            results[method] = {"value": res.value, "error": res.error}
+        deltas = {
+            f"{a}|{b}": abs(results[a]["value"] - results[b]["value"])
+            for a, b in itertools.combinations(results, 2)
         }
-    return payload
+        payload = {"z": z, "mahler": results, "deltas": deltas}
+        if hilbert:
+            hs = hilbert_transform(ctx, z, method="moment-series", tol=params["hilbert_tol"])
+            ha = hilbert_transform(ctx, z, method="spectrum-average", tol=params["hilbert_tol"])
+            payload["hilbert"] = {
+                "moment-series": [hs.real, hs.imag],
+                "spectrum-average": [ha.real, ha.imag],
+                "delta": abs(hs - ha),
+            }
+        return payload
+
+    return run
 
 
-def _run_padic(ctx: SpectralContext, params: dict) -> dict:
-    from .arith import valuation_inequality_check
+def _plan_padic(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
+    from .arith import _valuations
 
     p, nu, z_values = params["p"], params["nu"], params["z_values"]
     zs = range(p) if z_values is None else z_values
-    checks = valuation_inequality_check(ctx, zs, p, nu)
-    vals, counts, holds = zip(*checks) if checks else ((), (), ())
-    vals = ["inf" if v == math.inf else v for v in vals]
-    row = {"count": ..., "holds": ..., "valuation": ..., "z": ...}
-    return {"p": p, "nu": nu, "rows": Table(row, (counts, holds, vals, list(zs)))}
+    checks = _valuations(ctx, zs, p, nu)
+
+    def run():
+        vals, counts, holds = zip(*rows) if (rows := checks()) else ((), (), ())
+        vals = ["inf" if v == math.inf else v for v in vals]
+        row = {"count": ..., "holds": ..., "valuation": ..., "z": ...}
+        return {"p": p, "nu": nu, "rows": Table(row, (counts, holds, vals, list(zs)))}
+
+    return run
 
 
 def _reordered(field: str, header: tuple, order: tuple) -> Callable[[dict], list]:
@@ -386,9 +410,9 @@ def _walks_above_spectrum(params: dict, C2: int):
         raise ConfigError(f"walks series_z must be an integer > total_weight^2 = {C2}, got {z!r}")
 
 
-# parameters (a dict of Param), payload builder, CSV table (header row
-# first) and a check of the parameters against total_weight^2
-Command = namedtuple("Command", "params run csv check", defaults=(lambda params, C2: None,))
+# parameters (a dict of Param), plan (which returns the payload's run), CSV
+# table (header row first) and a check of the parameters against total_weight^2
+Command = namedtuple("Command", "params plan csv check", defaults=(lambda params, C2: None,))
 
 
 COMMANDS = {
@@ -400,7 +424,7 @@ COMMANDS = {
             "divisor_checks": Param(_list(_row(LEVEL, LEVEL)), []),
             "evaluate_at": Param(_list(INT), []),
         },
-        _run_bn,
+        _plan_bn,
         lambda payload: [("index", "coefficient"), *enumerate(payload["coefficients"])],
     ),
     "moments": Command(
@@ -410,7 +434,7 @@ COMMANDS = {
             "congruences": Param(_list(_row(PRIME, COUNT, COUNT)), []),
             "series": Param(BOOL, True),
         },
-        _run_moments,
+        _plan_moments,
         lambda payload: [("k", "moment"), *enumerate(payload["moments"])],
     ),
     "walks": Command(
@@ -421,7 +445,7 @@ COMMANDS = {
             "series_K": Param(COUNT, 3, int),
             "export_graph": Param(BOOL, False),
         },
-        _run_walks,
+        _plan_walks,
         lambda payload: [
             ("k", "based_total", "per_class"),
             *((k, *row) for k, row in enumerate(zip(payload["walk_totals"], payload["per_class"]), 1)),
@@ -435,7 +459,7 @@ COMMANDS = {
             "cdf_at": Param(_list(NUMBER), []),
             "tolerance": Param(_optional(NONNEGATIVE), None, float),
         },
-        _run_spectrum,
+        _plan_spectrum,
         _spectrum_csv,
         _float_range,
     ),
@@ -448,7 +472,7 @@ COMMANDS = {
             "hilbert": Param(BOOL, True),
             "hilbert_tol": Param(POSITIVE, 1e-10),
         },
-        _run_mahler,
+        _plan_mahler,
         lambda payload: [
             ("method", "value", "error"),
             *((m, r["value"], r["error"]) for m, r in payload["mahler"].items()),
@@ -461,7 +485,7 @@ COMMANDS = {
             "nu": Param(LEVEL, 1, int),
             "z_values": Param(_optional(_list(INT))),
         },
-        _run_padic,
+        _plan_padic,
         _reordered("rows", ("z", "valuation", "count", "holds"), (3, 2, 0, 1)),
     ),
 }
@@ -614,8 +638,9 @@ def main(argv=None) -> int:
             from . import analysis, arith, graph  # noqa: F401
             from .context import SpectralContext
 
-            with _unlimited_int_text():
-                payload = COMMANDS[job.command].run(SpectralContext(job.point_set), job.params)
+            with _unlimited_int_text():  # every cap in the plan, before the run does any work
+                run = COMMANDS[job.command].plan(SpectralContext(job.point_set), job.params)
+                payload = run()
             record = {"schema": SCHEMA, "command": job.command, "config_hash": cfg_hash,
                       "payload": payload}
     except (RankDeficient, CosetViolation) as exc:

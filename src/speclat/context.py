@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .lattice import WeightedPointSet, difference_lattice
 from .laurent import diffraction_polynomial
-from .moments import moment_sequence
-from .specpoly import DEFAULT_SIZE_LIMIT, SpectralFactors, check_level, spectral_factors
+from .moments import _moments
+from .specpoly import SpectralFactors, spectral_factors
 
 
 class SpectralContext:
@@ -37,16 +37,25 @@ class SpectralContext:
     def dimension(self) -> int:
         return self.ps.dimension
 
-    def spectral_factors(self, N: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> SpectralFactors:
-        """b_N as prod_j g_j**j, built at most once per level; each call is
-        held to ``size_limit``, kept or not."""
-        check_level(N, self.dimension, size_limit)
+    def spectral_factors(self, N: int) -> SpectralFactors:
+        """b_N as prod_j g_j**j, built at most once per level."""
         if N not in self._factors:
-            self._factors[N] = spectral_factors(self.w, N, size_limit)
+            self._factors[N] = spectral_factors(self.w, N)
         return self._factors[N]
+
+    def plan_moments(self, K: int):
+        """The run of ``moment_sequence(K)``, planned by ``moments._moments`` unless
+        the moments are kept; a run keeps its moments for later readers."""
+        if 0 <= K < len(self._moments):  # moment_sequence refuses K < 0
+            return lambda: self._moments[: K + 1]
+        run = _moments(self.w, K)
+
+        def keep():
+            self._moments = run()
+            return self._moments
+
+        return keep
 
     def moment_sequence(self, K: int) -> tuple[int, ...]:
         """Exact moments m_0..m_K, sliced from the longest tuple so far."""
-        if not 0 <= K < len(self._moments):  # moment_sequence refuses K < 0
-            self._moments = moment_sequence(self.w, K)
-        return self._moments[: K + 1]
+        return self.plan_moments(K)()

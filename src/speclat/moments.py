@@ -4,10 +4,12 @@ The level-N moment m_k(N) is the mean of W(chi)**k over the N-torsion
 characters chi; m_k, the constant term of W**k, is that mean over the
 characters of Z_N1 x ... x Z_Nn, each N_i > k * reach_i (tight coordinates),
 where no nonzero exponent of W**k folds onto 0.  Both are character power
-sums (``specpoly``), level N capped by the float cap; the congruence check
-sweeps powers mod p^(alpha+1) under the three caps of ``check_congruence``,
-for the CLI too.  ``newton_sums``, the power sums of a monic polynomial's
-roots, serves the walk and generating-series checks.
+sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1).
+Each is planned (``_moments``, ``_character_power_sums``,
+``_congruence_sweep``) before any work, for the CLI too: every cap checked
+and the split moduli found, the plan returns the run, which raises no
+SizeLimit.  ``newton_sums``, the power sums of a monic polynomial's roots,
+serves the walk and generating-series checks.
 
 Everything in this module is exact: Python integers and integer residue
 arrays, and the moments are the tuples of integers the power sums give.
@@ -27,11 +29,10 @@ from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP
 from .specpoly import _character_power_sums, check_level
 
 
-def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
-    """Exact moments m_0..m_K: power sums over Z_N1 x ... x Z_Nn, N_i > K *
-    reach_i, all equal or, if fewer characters, each a multiple of the last.
-    Raises SizeLimit, before any work, past ``DEFAULT_FLOAT_CAP`` characters:
-    first (K + 1)^n, as every reach is at least 1, then the chosen shape."""
+def _moments(f: LaurentPoly, K: int) -> Callable[[], tuple[int, ...]]:
+    """The run of ``moment_sequence(f, K)``, every cap of it checked and its split moduli
+    found here, before any work: K >= 0, then ``DEFAULT_FLOAT_CAP`` characters, first
+    (K + 1)^n, as every reach is at least 1, then the chosen shape."""
     n = f.dimension
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
@@ -39,7 +40,7 @@ def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
         raise SizeLimit(f"moments to k = {K} need {K + 1}^{n} characters or more, "
                         f"past cap {DEFAULT_FLOAT_CAP}")
     if K == 0:  # one character, whatever the reach: m_0 = 1
-        return (1,)
+        return lambda: (1,)
     g, reach = _tight_form(f)
     chain, N = [1] * n, 1
     for i in sorted(range(n), key=reach.__getitem__):
@@ -48,18 +49,26 @@ def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
     if math.prod(shape) > DEFAULT_FLOAT_CAP:
         raise SizeLimit(f"moments to k = {K} need {math.prod(shape)} characters, "
                         f"past cap {DEFAULT_FLOAT_CAP}")
-    return tuple(_character_power_sums(g, K, shape))
+    run = _character_power_sums(g, K, shape)
+    return lambda: tuple(run())
+
+
+def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
+    """Exact moments m_0..m_K: power sums over Z_N1 x ... x Z_Nn, N_i > K *
+    reach_i, all equal or, if fewer characters, each a multiple of the last.
+    Raises SizeLimit before any work (``_moments``)."""
+    return _moments(f, K)()
 
 
 def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     """Level-N moments m_0..m_K: the averages of the powers of the character
     values, integers by construction (constant-residue coefficients of the
     folded powers).  Raises SizeLimit, before any work, past
-    ``DEFAULT_FLOAT_CAP`` characters."""
+    ``DEFAULT_FLOAT_CAP`` characters, or when the split moduli run out."""
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
     check_level(N, f.dimension, DEFAULT_FLOAT_CAP)
-    return (1,) if K == 0 else tuple(_character_power_sums(f, K, (N,) * f.dimension))
+    return (1,) if K == 0 else tuple(_character_power_sums(f, K, (N,) * f.dimension)())
 
 
 def _congruence_sweep(f: LaurentPoly, p: int, k: int, alpha: int) -> Callable[[], bool]:

@@ -247,3 +247,20 @@ def test_mahler_proximity(cheb_ctx):
 def test_mahler_unknown_method(cheb_ctx):
     with pytest.raises(ValueError):
         mahler_measure(cheb_ctx, 6, method="other")
+
+
+def test_a_ladder_with_no_rung_in_the_float_cap_reads_none(monkeypatch):
+    # the 6-D simplex: 16^6 characters at the first rung, refused before any torus mean,
+    # where both ladders once read nothing and said they did not stabilize
+    n = 6
+    ctx = SpectralContext(WeightedPointSet(n, [((0,) * n, 1)] + [
+        (tuple(int(i == j) for j in range(n)), 1) for i in range(n)]))
+
+    def refuse(*args):
+        raise AssertionError("a rung was read")
+
+    monkeypatch.setattr("speclat.analysis._torus_means", refuse)
+    for call in (lambda: mahler_measure(ctx, 130.0, method="limit"),
+                 lambda: hilbert_transform(ctx, 130.0, method="spectrum-average")):
+        with pytest.raises(SizeLimit, match=r"^16\^6 character values exceed cap 10000000$"):
+            call()

@@ -136,7 +136,7 @@ def walks(ctx, draw):
     if G := attempt(speclat.build_graph, ctx.ps, ctx.basis, N):
         totals = [attempt(speclat.based_walk_weight_sum, G, k)
                   for k in range(draw(st.integers(-1, 4)), 5)]
-        if b := attempt(ctx.spectral_factors, N, SIZE):
+        if b := attempt(speclat.spectral_factors, ctx.w, N, SIZE):
             attempt(speclat.walk_series_check, b, [t for t in totals if t is not None])
 
 

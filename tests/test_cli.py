@@ -834,7 +834,8 @@ def test_record_writer_rejects_non_json_in_uniform_column(tree):
 def test_spectrum_record_matches_json_dumps(dimension, points, params):
     ps = WeightedPointSet(dimension, [(p["a"], p["c"]) for p in points])
     spec = COMMANDS["spectrum"]
-    payload = spec.run(SpectralContext(ps), {key: p.default for key, p in spec.params.items()} | params)
+    defaults = {key: p.default for key, p in spec.params.items()}
+    payload = spec.plan(SpectralContext(ps), defaults | params)()
     assert len(payload["levels"]) > 1000 and len(payload["grid"]["values"]) == 4096
     record = record_of("spectrum", "abc123", payload)
     assert record_text(record) == json.dumps(rows_of(record), sort_keys=True, indent=2) + "\n"
@@ -926,7 +927,7 @@ def test_csv_of_computed_payload_equals_csv_of_cached_record(tmp_path, monkeypat
         raise AssertionError("the cached record was not read")
 
     cli = sys.modules["speclat.cli"]
-    monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]._replace(run=recompute))
+    monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]._replace(plan=recompute))
     code, cached = run(tmp_path, cfg, argv + cache + ["--format", "csv"], name="cached.csv")
     assert code == 0 and cached.read_bytes() == computed.read_bytes()
 
@@ -1337,7 +1338,7 @@ def test_congruence_sweep_capped_before_any_work(
 
     for name in ("moment_sequence", "moment_sequence_N", "_moment_sweep"):
         monkeypatch.setattr(f"speclat.moments.{name}", refuse)
-    monkeypatch.setattr("speclat.context.moment_sequence", refuse)
+    monkeypatch.setattr("speclat.context._moments", refuse)
     cfg = simplex_cfg(n, *extra)
     cfg["moments"] = {"k_max": 2, "levels": [2], "congruences": [[2, 1, 1], congruence]}
     cache = tmp_path / "cache"
@@ -1345,6 +1346,67 @@ def test_congruence_sweep_capped_before_any_work(
     code = main(["moments", "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(cache)])
     assert time.perf_counter() - start < 1.0
     assert code == 3 and not list(cache.glob("*.json"))
+    assert capsys.readouterr().err == f"speclat: resource cap: {message}\n"
+
+
+HEAVY_LINE = {"dimension": 1, "points": [{"a": [0], "c": 2**2000}, {"a": [1], "c": 2**2000}]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        # the level's split moduli run out: found once the exact moments were summed (5 s, 37 s)
+        ("moments", dict(HEAVY_LINE, moments={"k_max": 32, "levels": [625000], "series": False}),
+         "primes 1 mod 625000 below 2147483648 run out before 128085 bits"),
+        ("moments", dict(HEAVY_LINE, moments={"k_max": 64, "levels": [312500], "series": False}),
+         "primes 1 mod 312500 below 2147483648 run out before 256148 bits"),
+        # 16^6 characters: no rung of either ladder within the float cap, found once the
+        # moment series had read m_0..m_11 (3 s), as "limit method did not stabilize"
+        ("mahler", dict(simplex_cfg(6), mahler={"z": 130, "methods": ["moment-series", "limit"],
+                                                "hilbert": True, "hilbert_tol": 1e-6}),
+         "16^6 character values exceed cap 10000000"),
+    ],
+    ids=["moments-32", "moments-64", "mahler-simplex6"],
+)
+def test_refused_in_the_plan_before_any_power_sum(tmp_path, monkeypatch, capsys, command, cfg,
+                                                  message):
+    plan, planned, ran = specpoly._character_power_sums, [], []
+
+    def watched(f, K, shape):
+        planned.append(shape)
+        run = plan(f, K, shape)
+        return lambda: ran.append(shape) or run()
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "speclat" and getattr(mod, "_character_power_sums", 0) is plan:
+            monkeypatch.setattr(mod, "_character_power_sums", watched)
+    start = time.process_time()
+    code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])
+    assert time.process_time() - start < 1
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == f"speclat: resource cap: {message}\n"
+    assert planned and not ran  # the exact moments are planned, and no power summed
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"z": 49.5, "methods": ["limit", "moment-series"], "hilbert": False},
+         "series needs 1361 moments (cap 1024); z is too close to the spectrum top for the "
+         "moment series"),
+        ({"z": 130, "methods": ["limit", "torus-quadrature"], "resolution": 20, "hilbert": False},
+         "20^6 character values exceed cap 10000000"),
+        ({"z": 60, "methods": ["limit", "moment-series"], "hilbert": False},
+         "moments to k = 55 need 56^6 characters or more, past cap 10000000"),
+    ],
+    ids=["series", "resolution", "moments"],
+)
+def test_the_first_rung_is_checked_after_every_older_cap(tmp_path, capsys, block, message):
+    # the 6-D simplex's ladders have no rung within the float cap, but a job that fails
+    # another cap as well keeps that cap's message
+    cfg = dict(simplex_cfg(6), mahler=block)
+    code, out = run(tmp_path, cfg, ["mahler", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 3 and not out.exists()
     assert capsys.readouterr().err == f"speclat: resource cap: {message}\n"
 
 
@@ -1628,7 +1690,7 @@ def readings(ps):
             params["series_z"] = ps.total_weight**2 + 1
         try:
             spec.check(params, ps.total_weight**2)
-            out[command] = spec.run(ctx, params)
+            out[command] = spec.plan(ctx, params)()
         except (ConfigError, RankDeficient, CosetViolation, SizeLimit, SpectrumProximity):
             pass
     return out

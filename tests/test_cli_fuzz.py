@@ -4,10 +4,14 @@ Every job command gets point sets of 1-4 dimensions and parameter blocks
 that vary types, ranges, missing and unknown keys, huge integers and nested
 values.  Most configs are valid, so most jobs compute.  Whatever the
 config, the CLI exits 0, 2 or 3, writes exactly one stderr line when it
-refuses a job and none when it runs it, and caches only what it ran.
+refuses a job and none when it runs it, and caches only what it ran.  And
+every cap is in the plan: the only SizeLimit a command's run raises is a
+ladder's that read a rung and did not settle.
 """
 
 import contextlib
+import functools
+import importlib.util
 import io
 import json
 import os
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 # every computing layer, imported first, so that small_caps patches each cap it binds
 from speclat import analysis, arith, cli, context, graph, moments, specpoly  # noqa: F401
+from speclat.errors import SizeLimit
 
 from conftest import SMALL_CAPS, mostly
 
@@ -163,6 +168,75 @@ def run_job(command, cfg):
         return code, err.getvalue(), os.listdir(cache) if os.path.isdir(cache) else []
 
 
+def run_planned_job(command, cfg):
+    """``run_job``, each run that a plan returns watched: (exit code, stderr, and
+    (message, rungs read) of each SizeLimit that escaped a run)."""
+    escaped, rungs, climb = [], [], analysis._ladder
+
+    def ladder(ctx, read, tol, failure):
+        return climb(ctx, lambda N: rungs.append(N) or read(N), tol, failure)
+
+    def watch(run):
+        try:
+            return run()
+        except SizeLimit as exc:
+            escaped.append((str(exc), len(rungs)))
+            raise
+
+    def watched(plan):
+        return lambda ctx, params: functools.partial(watch, plan(ctx, params))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_ladder", ladder)
+        for name, spec in cli.COMMANDS.items():
+            mp.setitem(cli.COMMANDS, name, spec._replace(plan=watched(spec.plan)))
+        code, err, _ = run_job(command, cfg)
+    return code, err, escaped
+
+
+def only_ladders_escape(escaped):
+    return all("did not stabilize" in message and rungs for message, rungs in escaped)
+
+
+# the jobs of scripts/record_digests.py's LARGE_JOBS that exit 3, all on fixed or built-in sets
+LARGE_EXIT_3 = (
+    "mahler-simplex3-hilbert-ladder", "mahler-honeycomb-limit-cap", "moments-honeycomb-levels-cap",
+    "bn-honeycomb-divisor-cap", "walks-honeycomb-series-cap", "spectrum-honeycomb-grid-cap",
+    "mahler-honeycomb-series-cap", "mahler-honeycomb-resolution-cap",
+    "mahler-honeycomb-tol-underflow", "mahler-honeycomb-hilbert-tol-underflow",
+    "moments-simplex3-sweep-cap", "moments-line2000-primes-cap",
+    "moments-heavy-line-levels-primes-cap", "mahler-simplex6-ladder-cap",
+)
+
+
+@functools.cache
+def digest_script():
+    """scripts/record_digests.py, loaded once."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "record_digests.py")
+    spec = importlib.util.spec_from_file_location("record_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def large_job(label):
+    """(command, config) of the LARGE_JOBS entry ``label`` of scripts/record_digests.py."""
+    script = digest_script()
+    [(set_name, command, block)] = [job[1:] for job in script.LARGE_JOBS if job[0] == label]
+    n, points = {**script.gen.BUILTIN, **script.FIXED_SETS}[set_name]
+    return command, script.gen._config(points, n, command, block)
+
+
+# at the CLI's own caps, before the fuzz tests: small_caps, once set up, holds
+# for the rest of the module
+@pytest.mark.parametrize("label", LARGE_EXIT_3)
+def test_large_refusals_are_planned(label):
+    code, err, escaped = run_planned_job(*large_job(label))
+    assert code == 3 and err.startswith("speclat: resource cap: ")
+    assert only_ladders_escape(escaped), escaped
+
+
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(configs())
 def test_cli_fuzz(small_caps, job):
@@ -174,6 +248,14 @@ def test_cli_fuzz(small_caps, job):
         assert not cached
     else:
         assert err == "" and len(cached) == 1
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_every_cap_is_planned(small_caps, job):
+    code, err, escaped = run_planned_job(*job)
+    assert code in (0, 2, 3), err
+    assert only_ladders_escape(escaped), escaped
 
 
 HONEYCOMB = [{"a": [1, 0]}, {"a": [0, 1]}, {"a": [-1, -1]}]

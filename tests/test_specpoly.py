@@ -242,9 +242,9 @@ def test_the_search_meets_a_composite_and_lifts_through_it(monkeypatch, chebyshe
         assert [m for m, _ in moduli if not primes.is_prime(m)] == [M]
     f = w_of(chebyshev)
     assert M in [m for m, _ in specpoly._split_moduli(237, 2 * 237 * 4**200, 2**31)]
-    through = _character_power_sums(f, 200, (237,))
+    through = _character_power_sums(f, 200, (237,))()
     monkeypatch.setattr(specpoly, "_split_moduli", oracle_moduli)
-    assert through == _character_power_sums(f, 200, (237,))
+    assert through == _character_power_sums(f, 200, (237,))()
 
 
 @pytest.mark.parametrize("N", [2, 4, 5, 6])
@@ -257,7 +257,7 @@ def test_a_composite_modulus_lifts_as_the_primes_do(monkeypatch, honeycomb, N):
 
     def lifts():
         return [(_class_factor_lift(folded(s, N), N).factors,
-                 _character_power_sums(w_of(s), 6, (N, N))) for s in sets]
+                 _character_power_sums(w_of(s), 6, (N, N))()) for s in sets]
 
     want, search = lifts(), specpoly._split_moduli
     monkeypatch.setattr(specpoly, "_split_moduli",
@@ -760,10 +760,10 @@ def test_character_power_sums_match_oracles(seed, monkeypatch):
     if seed % 4 == 3:  # blocks of a few character classes, and of a few primes
         monkeypatch.setattr("speclat.specpoly._CHAR_BLOCK", rng.randint(1, 40))
     for N in (1, 2, 3, 5, 8):
-        assert _character_power_sums(w, K, (N,) * n) == folded_moment_sweep(w, K, N)
+        assert _character_power_sums(w, K, (N,) * n)() == folded_moment_sweep(w, K, N)
     reach = [max(abs(e[i]) for e in w.terms) for i in range(n)]
     exact = exact_moment_sweep(w, K)
-    assert _character_power_sums(w, K, tuple(K * r + 1 for r in reach)) == exact
+    assert _character_power_sums(w, K, tuple(K * r + 1 for r in reach))() == exact
     assert moment_sequence(w, K) == tuple(exact)
 
 
@@ -800,11 +800,11 @@ def test_character_classes_pair_each_k_with_its_negation(seed, monkeypatch):
     w = w_of(random_point_set(rng, dimension=n))
     shape = tuple(rng.randint(*[(8, 40), (3, 12), (2, 6)][n - 1]) for _ in range(n))
     m, K, f = math.prod(shape), rng.randint(1, 8), fold_mod_N(w, math.lcm(*shape))
-    one_block = _character_power_sums(w, K, shape)
+    one_block = _character_power_sums(w, K, shape)()
     monkeypatch.setattr("speclat.specpoly._CHAR_BLOCK", 2 * len(f.terms) * max(m // 10, 1))
     blocks = list(_character_classes(f, shape))
     assert len(blocks) >= 4
     assert sum(int(mult.sum()) for _, _, mult in blocks) == m
     self_negating = math.prod(2 if N % 2 == 0 else 1 for N in shape)
     assert sum(phases.shape[1] for _, phases, _ in blocks) <= (m + self_negating) // 2
-    assert _character_power_sums(w, K, shape) == one_block
+    assert _character_power_sums(w, K, shape)() == one_block
