@@ -20,7 +20,8 @@ and cached as JSON when a cache directory is given; a hit serves the
 cached text as it is, and the cache file name carries ``ALGORITHM``, so
 no record of a superseded algorithm is served.  A record is the plain
 dict of ``RECORD_KEYS``, its big integers decimal strings, written by
-``table.record_text``.
+``table.record_parts`` in parts, which stdout, ``--out`` and the cache
+each take by ``writelines``: no record is held as one string.
 A start loads only the stdlib every job uses (``argparse``, ``json``,
 ``hashlib``, ``os``), not ``dataclasses``: the job, the point set and the
 command table are plain named tuples.  The computing layers, and numpy
@@ -37,7 +38,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -45,6 +45,7 @@ import operator
 import os
 import sys
 import tempfile
+import types
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
@@ -55,7 +56,7 @@ from .lattice import WeightedPointSet, _is_int
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
 from .limits import FLOAT_OVERFLOW, MAX_WALK_LEVEL
 from .primes import is_prime
-from .table import Table, record_text, row_leaves
+from .table import Table, record_parts, row_leaves
 
 if TYPE_CHECKING:
     from .context import SpectralContext
@@ -287,7 +288,7 @@ def _plan_spectrum(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
         hist = spectrum(ctx, N, tolerance=params["tolerance"])
         payload = {
             "N": N,
-            "levels": Table([..., ...], (hist.means.tolist(), hist.sizes.tolist())),
+            "levels": Table([..., ...], (hist.means, hist.sizes)),
             "support": list(hist.support),
             "tolerance": hist.tolerance,
             "min_gap": None if hist.min_gap == float("inf") else hist.min_gap,
@@ -302,8 +303,8 @@ def _plan_spectrum(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
             values = None
             if m**n <= 10_000:
                 # ravel's C order is the order np.indices lists the grid points in
-                t = np.indices(grid.shape).reshape(n, -1).tolist()
-                values = Table({"t": [...] * n, "value": ...}, (*t, grid.ravel().tolist()))
+                t = np.indices(grid.shape).reshape(n, -1)
+                values = Table({"t": [...] * n, "value": ...}, (*t, grid.ravel()))
             payload["grid"] = {
                 "resolution": m,
                 "min": float(grid.min()),
@@ -494,12 +495,12 @@ COMMANDS = {
 # -- record plumbing ---------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, text: list[str]):
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -514,7 +515,7 @@ def _cache_path(cache_dir: str, command: str, cfg_hash: str) -> str:
 
 
 def _cached_record(cache_dir: str | None, command: str, cfg_hash: str):
-    """(record, the file's text) of the cached record, or None: a missing,
+    """(record, [the file's text]) of the cached record, or None: a missing,
     corrupt or stale entry is recomputed."""
     if not cache_dir:
         return None
@@ -528,35 +529,34 @@ def _cached_record(cache_dir: str | None, command: str, cfg_hash: str):
         return None
     if record["schema"] != SCHEMA or record["config_hash"] != cfg_hash:
         return None
-    return record, text
+    return record, [text]
 
 
-def _store_record(cache_dir: str | None, record: dict) -> str | None:
-    """Write the record to the cache, if any, and return its text."""
+def _store_record(cache_dir: str | None, record: dict) -> list[str] | None:
+    """Write the record to the cache, if any, and return its text in parts."""
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    text = record_text(record)
+    text = record_parts(record)
     _atomic_write(_cache_path(cache_dir, record["command"], record["config_hash"]), text)
     return text
 
 
-def _emit(record: dict, out: str | None, fmt: str, text: str | None = None):
-    """Write the record as ``fmt``; ``text``, if given, is its JSON text."""
+def _emit(record: dict, out: str | None, fmt: str, text: list[str] | None = None):
+    """Write the record as ``fmt``; ``text``, if given, is its JSON text in parts."""
     if fmt != "json":
         import csv
 
         command = record["command"]
         table = COMMANDS[command].csv if command in COMMANDS else _verify_csv
-        buf = io.StringIO()
-        csv.writer(buf).writerows(table(record["payload"]))
-        text = buf.getvalue()
+        text = []  # a part per row
+        csv.writer(types.SimpleNamespace(write=text.append)).writerows(table(record["payload"]))
     elif text is None:
-        text = record_text(record)
+        text = record_parts(record)
     if out:
         _atomic_write(out, text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 @contextlib.contextmanager

@@ -49,9 +49,9 @@ def _scaled(x, k):
     return hi.astype(np.int64) + whole.astype(np.int64), lo - whole
 
 
-def float_texts(values: list, fallback) -> list[str]:
-    """``[float.__repr__(x) for x in values]`` for the x the kernel decides,
-    ``fallback(x)`` for the rest.
+def float_texts(values: np.ndarray, fallback) -> list[str]:
+    """``[float.__repr__(x) for x in values]``, of a float64 array, for the
+    x the kernel decides, ``fallback(x)`` for the rest.
 
     It decides x in [1e-4, 1e15) that is not a power of two, whose repr has
     no exponent.  With k <= 20 such that V = x 10^k is in [1e16, 1e17), V's
@@ -76,9 +76,8 @@ def float_texts(values: list, fallback) -> list[str]:
     The temporaries take about 150 bytes a value, so the record writer
     passes a few thousand values at a time.
     """
-    x = np.fromiter(values, np.float64, len(values))
-    sure = (x >= 1e-4) & (x < 1e15) & (np.frexp(x)[0] != 0.5)  # NaN compares False
-    x = np.where(sure, x, 1.0)  # the rest go to fallback: any value in range will do
+    sure = (values >= 1e-4) & (values < 1e15) & (np.frexp(values)[0] != 0.5)  # NaN: False
+    x = np.where(sure, values, 1.0)  # the rest go to fallback: any value in range will do
     k = 16 - np.floor(np.log10(x)).astype(np.int64)  # off by one next to 10^j
     F, f = _scaled(x, k)
     low, high = F < 10**16, F >= 10**17

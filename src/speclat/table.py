@@ -1,21 +1,22 @@
 """The record writer and its tables.
 
-``record_text`` writes a record as ``json.dumps(record, sort_keys=True,
-indent=2)`` does, byte for byte, plus a newline.  The stdlib has no C
-encoder for indented output, and its pure-Python one makes several
-generator steps per node; a spectrum record holds tens of thousands of
-nodes.  So a record's long lists of rows of one shape are ``Table``s: the
-shape (one row with each leaf a ``...`` slot) and one column of JSON
-scalars per slot, slots in the order a row's text lists them (dict keys
-sorted).  The writer formats a table with one ``%`` call: the row's text,
-each slot ``%s``, once per row, applied to the leaves, a block of
-``TABLE_BLOCK`` rows at a time.  In a block, a column of ints, or of
-finite floats, goes in as it is; a float column of ``LONG_FLOAT_COLUMN``
-rows or more goes in as the texts of the numpy kernel
-``floattext.float_texts``, imported only then, which leaves the values it
-does not decide to ``float.__repr__`` here; others go in written leaf by
-leaf, as is every plain list.  The CSV reads the same columns, through
-``row_leaves``.
+``record_parts`` writes a record as ``json.dumps(record, sort_keys=True,
+indent=2)`` does, byte for byte, plus a newline, as parts for
+``writelines``: no container's text is ever joined into one string.  The
+stdlib has no C encoder for indented output, and its pure-Python one
+makes several generator steps per node; a spectrum record holds tens of
+thousands of nodes.  So a record's long lists of rows of one shape are
+``Table``s: the shape (one row with each leaf a ``...`` slot) and one
+column of JSON scalars per slot, a list or a numpy array, slots in the
+order a row's text lists them (dict keys sorted).  The writer formats a
+block of ``TABLE_BLOCK`` rows with one ``%`` call: the row's text, each
+slot ``%s``, once per row, applied to the leaves.  A float64 array column
+of ``LONG_FLOAT_COLUMN`` rows or more goes in as the texts of the numpy
+kernel ``floattext.float_texts``, imported only then; any other column,
+an array as its ``tolist``, as it is if its leaves are all ints or all
+finite floats, else leaf by leaf.  A list of strings (``bn``
+coefficients, moments) goes into the parts with one C-level ``extend``.
+The CSV reads the same columns, as Python scalars, through ``row_leaves``.
 """
 
 from __future__ import annotations
@@ -37,30 +38,34 @@ def leaves(row) -> list:
     return [leaf for item in row for leaf in leaves(item)] if isinstance(row, list) else [row]
 
 
+def _plain(column):
+    """A column as Python scalars: an array's ``tolist``, a list or tuple as it is."""
+    return column.tolist() if hasattr(column, "tolist") else column
+
+
 def row_leaves(rows):
     """Each row's leaves, from a table or from a record's decoded JSON."""
-    return zip(*rows.columns) if isinstance(rows, Table) else map(leaves, rows)
+    return zip(*map(_plain, rows.columns)) if isinstance(rows, Table) else map(leaves, rows)
 
 
 class Table:
     """The rows of shape ``row`` whose slot j holds ``columns[j]``, a leaf per row."""
 
-    def __init__(self, row: list | dict, columns: tuple[list, ...]):
+    def __init__(self, row: list | dict, columns: tuple):
         self.row, self.columns = row, columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
 
-def record_text(record: dict) -> str:
-    return _json_text(record) + "\n"
+def record_parts(record: dict) -> list[str]:
+    """The record's text, in parts to be written in turn."""
+    _write(record, "\n", parts := [])
+    return parts + ["\n"]
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
-    trees with string keys (any other key raises TypeError), a ``Table``
-    written as the list of its rows.  ``pad`` is the newline and
-    indentation that ``obj``'s lines continue from."""
+def _scalar(obj) -> str:
+    """A JSON scalar's text; any other object raises TypeError."""
     if obj is None or obj is True or obj is False:
         return _JSON_CONSTANTS[obj]
     if isinstance(obj, float):  # np.float64 too, written as float.__repr__ writes it
@@ -70,37 +75,53 @@ def _json_text(obj, pad: str = "\n") -> str:
         return int.__repr__(obj)
     if isinstance(obj, str):
         return _json_string(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write(obj, pad: str, parts: list):
+    """Append the text of ``json.dumps(obj, sort_keys=True, indent=2)`` to
+    ``parts``, byte for byte, for trees with string keys (any other key
+    raises TypeError), a ``Table`` written as the list of its rows.  ``pad``
+    is the newline and indentation that ``obj``'s lines continue from."""
+    if not isinstance(obj, (list, tuple, dict, Table)):
+        return parts.append(_scalar(obj))
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not len(obj):
+        return parts.append(brackets)
     inner = pad + "  "
+    opened = itertools.chain((brackets[0] + inner,), itertools.repeat("," + inner))
     if isinstance(obj, Table):
-        if not len(obj):
-            return "[]"
-        row, w, blocks = _template(obj.row, inner), len(obj.columns), []
-        for start in range(0, len(obj), TABLE_BLOCK):
-            block = [column[start:start + TABLE_BLOCK] for column in obj.columns]
+        row, w, size = _template(obj.row, inner), len(obj.columns), TABLE_BLOCK
+        for sep, start in zip(opened, range(0, len(obj), size)):
+            block = [_block_leaves(column[start:start + size]) for column in obj.columns]
             flat = [None] * (len(block[0]) * w)
             for j, column in enumerate(block):
-                kinds = set(map(type, column))
-                if kinds == {float} and len(column) >= LONG_FLOAT_COLUMN:
-                    from .floattext import float_texts
+                flat[j::w] = column
+            parts += sep, ("," + inner).join(itertools.repeat(row, len(block[0]))) % tuple(flat)
+    elif isinstance(obj, dict):
+        for sep, (key, value) in zip(opened, sorted(obj.items())):
+            parts.append(sep + _json_string(key) + ": ")
+            _write(value, inner, parts)
+    elif set(map(type, obj)) == {str}:  # in C: a part for each separator and each item
+        parts += itertools.chain.from_iterable(zip(opened, map(_json_string, obj)))
+    else:
+        for sep, item in zip(opened, obj):
+            parts.append(sep)
+            _write(item, inner, parts)
+    parts.append(pad + brackets[1])
 
-                    flat[j::w] = float_texts(column, _json_text)
-                elif kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
-                    flat[j::w] = column
-                else:
-                    flat[j::w] = map(_json_text, column)
-            blocks.append(("," + inner).join(itertools.repeat(row, len(block[0]))) % tuple(flat))
-        return "[" + inner + ("," + inner).join(blocks) + pad + "]"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = map(_json_text, obj, itertools.repeat(inner))
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_string(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+def _block_leaves(column):
+    """A block of a table's column, as its ``%s`` slots take it."""
+    if getattr(column, "dtype", None) == "float64" and len(column) >= LONG_FLOAT_COLUMN:
+        from .floattext import float_texts
+
+        return float_texts(column, _scalar)
+    column = _plain(column)
+    kinds = set(map(type, column))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, column)):
+        return column
+    return list(map(_scalar, column))
 
 
 def _template(row, pad: str) -> str:

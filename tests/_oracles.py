@@ -14,6 +14,7 @@ from speclat.arith import _poly_mul_mod, _poly_pow, primitive_modulus
 from speclat.laurent import LaurentPoly, fold_mod_N
 from speclat.primes import is_prime, prime_factors
 from speclat.specpoly import _maclaurin_bound
+from speclat.table import _write, row_leaves
 
 
 # -- lattices by fraction-free elimination -----------------------------------------
@@ -81,7 +82,14 @@ def _fill(shape, it):
 
 def table_rows(table):
     """The rows of a ``Table``, rebuilt: its shape with each slot filled from its column."""
-    return [_fill(table.row, iter(record)) for record in zip(*table.columns)]
+    return [_fill(table.row, iter(record)) for record in row_leaves(table)]
+
+
+def json_text(obj, pad="\n"):
+    """The record writer's text of ``obj``, its parts joined."""
+    parts = []
+    _write(obj, pad, parts)
+    return "".join(parts)
 
 
 # -- sparse Laurent arithmetic ----------------------------------------------------

@@ -17,10 +17,13 @@ from speclat.cli import SCHEMA, COMMANDS, JobConfig, _build_parser, _unlimited_i
 from speclat.context import SpectralContext
 from speclat.errors import ConfigError, CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet
-from speclat.table import LONG_FLOAT_COLUMN, TABLE_BLOCK, Table, _json_text, leaves, record_text
-from speclat.table import row_leaves
+from speclat.table import LONG_FLOAT_COLUMN, TABLE_BLOCK, Table, leaves, record_parts, row_leaves
 
-from _oracles import evaluate_at_integer, table_rows
+from _oracles import evaluate_at_integer, json_text, table_rows
+
+
+def record_text(record):
+    return "".join(record_parts(record))
 
 
 def record_of(command, config_hash, payload):
@@ -256,8 +259,8 @@ def test_cache_hit_serves_the_stored_text(tmp_path, monkeypatch):
         code, out = run(tmp_path, cfg, argv + extra + ["--format", fmt], name=f"cold.{fmt}")
         assert code == 0
         cold[fmt] = out.read_bytes()
-    written = count_calls(monkeypatch, sys.modules["speclat.cli"], "record_text")
-    serialised = count_calls(monkeypatch, sys.modules["speclat.table"], "_json_text")
+    written = count_calls(monkeypatch, sys.modules["speclat.cli"], "record_parts")
+    serialised = count_calls(monkeypatch, sys.modules["speclat.table"], "_write")
     for fmt in ("json", "csv"):
         code, out = run(tmp_path, cfg, argv + cache + ["--format", fmt], name=f"warm.{fmt}")
         assert code == 0
@@ -796,7 +799,7 @@ json_trees = st.recursive(
 
 @given(json_trees)
 def test_record_writer_matches_json_dumps(tree):
-    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
     record = record_of("spectrum", "abc123", {"tree": tree})
     assert record_text(record) == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
@@ -804,7 +807,7 @@ def test_record_writer_matches_json_dumps(tree):
 @pytest.mark.parametrize("leaf", [{1, 2}, object()])
 def test_record_writer_rejects_non_json(leaf):
     with pytest.raises(TypeError):
-        _json_text({"payload": [1.5, leaf]})
+        json_text({"payload": [1.5, leaf]})
 
 
 @pytest.mark.parametrize(
@@ -820,7 +823,7 @@ def test_record_writer_rejects_non_json(leaf):
 )
 def test_record_writer_rejects_non_json_in_uniform_column(tree):
     with pytest.raises(TypeError):
-        _json_text({"payload": tree})
+        json_text({"payload": tree})
 
 
 @pytest.mark.parametrize(
@@ -879,7 +882,7 @@ def test_table_text_matches_json_dumps_of_its_rows(table, depth):
     pad = "\n" + "  " * depth
     rows = table_rows(table)
     assert len(rows) == len(table)
-    assert _json_text(table, pad) == json.dumps(rows, sort_keys=True, indent=2).replace("\n", pad)
+    assert json_text(table, pad) == json.dumps(rows, sort_keys=True, indent=2).replace("\n", pad)
     # the CSV reads a table's records and a cached record's rows alike
     assert list(row_leaves(table)) == list(map(tuple, row_leaves(rows)))
     record = record_of("spectrum", "abc123", {"rows": table})
@@ -896,13 +899,88 @@ def test_long_float_columns_go_through_the_kernel(monkeypatch, count):
     values = (10 ** rng.uniform(-6, 17, count - len(specials))).tolist() + specials
     rng.shuffle(values)
     kernel = count_calls(monkeypatch, speclat.floattext, "float_texts")
-    table = Table({"n": ..., "x": [..., ...]}, (list(range(count)), values, values[::-1]))
-    text = _json_text(table, "\n  ")
+    # float64 arrays, and a list, which the kernel never reads
+    table = Table({"n": ..., "x": [..., ...], "y": ...},
+                  (np.arange(count), np.array(values), np.array(values[::-1]), values))
+    text = json_text(table, "\n  ")
     assert text == json.dumps(table_rows(table), sort_keys=True, indent=2).replace("\n", "\n  ")
-    # a call per float column of each block of LONG_FLOAT_COLUMN rows or more
+    # a call per float64 array column of each block of LONG_FLOAT_COLUMN rows or more
     blocks = [min(count - start, TABLE_BLOCK) for start in range(0, count, TABLE_BLOCK)]
     assert [len(column) for column, _ in kernel] == [
         size for size in blocks if size >= LONG_FLOAT_COLUMN for _ in range(2)]
+
+
+# floats the kernel leaves to the scalar writer, and short reprs it may
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 1e300, 0.1, 2.5, 1e-5]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([TABLE_BLOCK - 1, TABLE_BLOCK, TABLE_BLOCK + 1,
+                        LONG_FLOAT_COLUMN - 1, LONG_FLOAT_COLUMN, LONG_FLOAT_COLUMN + 1]),
+       st.lists(st.floats() | st.sampled_from(FLOAT_EDGES), min_size=1, max_size=30),
+       st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=30),
+       st.integers(0, 3))
+def test_array_columns_are_written_as_their_lists(count, floats, ints, depth):
+    x, n = np.resize(np.array(floats), count), np.resize(np.array(ints, dtype=np.int64), count)
+    table = Table({"n": ..., "x": [..., ...]}, (n, x, x[::-1]))
+    lists = Table(table.row, tuple(column.tolist() for column in table.columns))
+    pad = "\n" + "  " * depth
+    rows = [{"n": a, "x": [b, c]} for a, b, c in zip(*lists.columns)]
+    assert json_text(table, pad) == json.dumps(rows, sort_keys=True, indent=2).replace("\n", pad)
+    # the CSV reads the same Python scalars from an array as from its list (repr: NaN too)
+    assert [list(map(repr, row)) for row in row_leaves(table)] == [
+        list(map(repr, row)) for row in row_leaves(lists)]
+
+
+def test_bn_record_is_json_dumps_through_every_writer(tmp_path, capsys):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["bn"] = {"N": 12, "levels": [0, 1, 9], "divisor_checks": [[4, 12]],
+                 "evaluate_at": [10, -3, 10**30]}
+    path = write_cfg(tmp_path, cfg)
+    job = JobConfig.from_file(path, "bn", {})
+    payload = COMMANDS["bn"].plan(SpectralContext(job.point_set), job.params)()
+    expected = json.dumps(record_of("bn", job.hash(), payload), sort_keys=True, indent=2) + "\n"
+    argv, cache, out = ["bn", "--config", path], tmp_path / "cache", tmp_path / "out.json"
+    assert main(argv + ["--cache-dir", str(cache)]) == 0  # stdout, and the cache file
+    assert capsys.readouterr().out == expected
+    [cached] = cache.glob("bn-*.json")
+    assert cached.read_bytes() == expected.encode()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert main(argv + ["--cache-dir", str(cache)]) == 0  # a hit, on stdout
+    assert capsys.readouterr().out == expected
+
+
+class RecordingStream:
+    """A stdout that keeps what it is handed, and the length of its longest string."""
+
+    def __init__(self):
+        self.parts, self.longest = [], 0
+
+    def write(self, text):
+        self.parts.append(text)
+        self.longest = max(self.longest, len(text))
+
+    def writelines(self, parts):
+        for text in parts:
+            self.write(text)
+
+
+def test_no_string_written_is_longer_than_a_table_block(tmp_path, monkeypatch):
+    cfg = dict(HONEYCOMB_CFG)
+    cfg["spectrum"] = {"N": 384, "grid": 64}  # 12150 levels (3 blocks), 4096 grid values
+    stream = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    argv = ["spectrum", "--config", write_cfg(tmp_path, cfg), "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    payload = json.loads("".join(stream.parts))["payload"]
+    tables = [(payload["levels"], "\n    "), (payload["grid"]["values"], "\n      ")]
+    assert len(tables[0][0]) > 2 * TABLE_BLOCK
+    # the longest text of a block of rows, its brackets included
+    block = max(len(json.dumps(rows[start:start + TABLE_BLOCK], sort_keys=True, indent=2)
+                    .replace("\n", pad))
+                for rows, pad in tables for start in range(0, len(rows), TABLE_BLOCK))
+    assert 0 < stream.longest <= block
 
 
 @pytest.mark.parametrize(
@@ -1592,7 +1670,7 @@ def test_help_text_equals_a_fresh_parser(capsys, command):
 
 
 def test_cache_miss_serialises_record_once(tmp_path, monkeypatch):
-    texts = count_calls(monkeypatch, sys.modules["speclat.cli"], "record_text")
+    texts = count_calls(monkeypatch, sys.modules["speclat.cli"], "record_parts")
     cfg = dict(CHEB_CFG)
     cfg["bn"] = {"N": 4}
     cache = tmp_path / "cache"
@@ -1701,9 +1779,10 @@ def same_readings(a, b):
     levels with equal multiplicities and values within the tolerance."""
     both = a.keys() & b.keys()
     for command in both - {"spectrum"}:
-        assert _json_text(a[command]) == _json_text(b[command]), command
+        assert json_text(a[command]) == json_text(b[command]), command
     if "spectrum" in both:
-        (means, sizes), (means_b, sizes_b) = (x["spectrum"]["levels"].columns for x in (a, b))
+        (means, sizes), (means_b, sizes_b) = (zip(*row_leaves(x["spectrum"]["levels"]))
+                                              for x in (a, b))
         assert sizes == sizes_b
         assert np.abs(np.subtract(means, means_b)).max() <= a["spectrum"]["tolerance"]
     return both

@@ -63,11 +63,17 @@ PARAMS = {
     },
     "moments": {
         "k_max": mostly(st.integers(0, 12), large),
-        "levels": st.lists(level, max_size=3),
-        "congruences": st.lists(st.lists(st.one_of(prime, st.integers(0, 3), st.integers(0, 9)),
-                                         min_size=3, max_size=3)
-                                | st.tuples(prime, st.integers(0, 3), st.integers(0, 9)).map(list),
-                                max_size=2),
+        # a level past the levels rule, often with no congruence refused before it
+        "levels": mostly(st.lists(level, max_size=3),
+                         st.lists(st.sampled_from([300, 1000, 10**4]), min_size=1, max_size=2),
+                         percent=70),
+        "congruences": mostly(st.lists(st.lists(st.one_of(prime, st.integers(0, 3),
+                                                          st.integers(0, 9)),
+                                                min_size=3, max_size=3)
+                                       | st.tuples(prime, st.integers(0, 3),
+                                                   st.integers(0, 9)).map(list),
+                                       max_size=2),
+                              st.just([]), percent=60),
         "series": st.booleans(),
     },
     "walks": {

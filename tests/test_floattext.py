@@ -20,7 +20,7 @@ def written(values):
         left.append(x)
         return json.dumps(x)
 
-    return float_texts(values, fallback), left
+    return float_texts(np.array(values, dtype=np.float64), fallback), left
 
 
 def assert_written(values):

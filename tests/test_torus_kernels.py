@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from speclat import analysis, graph, specpoly
 from speclat.analysis import _log_mean, _log_reading, _stieltjes_reading, _torus_means
 from speclat.analysis import mahler_measure, spectrum
-from speclat.table import _json_text
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet, difference_lattice
@@ -31,7 +30,8 @@ from speclat.laurent import LaurentPoly, diffraction_polynomial
 from speclat.moments import moment_sequence_N
 from speclat.specpoly import character_rows, character_values, integer_root_multiplicity
 
-from _oracles import complex_character_values, loop_adjacency, loop_clusters, tuple_walk_weight_sum
+from _oracles import complex_character_values, json_text, loop_adjacency, loop_clusters
+from _oracles import tuple_walk_weight_sum
 
 MAX_LEVEL = {1: 30, 2: 12, 3: 5}
 ORACLE_SEQUENCES = 4096  # most type sequences one oracle walk count enumerates
@@ -53,7 +53,7 @@ def check_kernels(ps: WeightedPointSet, N: int, suffix_rows: int, tolerance=None
             assert walks == tuple_walk_weight_sum(G, k)
             assert walks == N**ps.dimension * level[k]
     adjacency = json.dumps(loop_adjacency(G), sort_keys=True, indent=2)
-    assert _json_text(G.adjacency()) == adjacency
+    assert json_text(G.adjacency()) == adjacency
 
     values = character_values(w, N)
     reference = complex_character_values(w, N)
