@@ -56,7 +56,7 @@ from .lattice import WeightedPointSet, _is_int
 from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
 from .limits import FLOAT_OVERFLOW, MAX_WALK_LEVEL
 from .primes import is_prime
-from .table import Table, record_parts, row_leaves
+from .table import TABLE_BLOCK, Table, record_parts, row_leaves
 
 if TYPE_CHECKING:
     from .context import SpectralContext
@@ -549,8 +549,9 @@ def _emit(record: dict, out: str | None, fmt: str, text: list[str] | None = None
 
         command = record["command"]
         table = COMMANDS[command].csv if command in COMMANDS else _verify_csv
-        text = []  # a part per row
-        csv.writer(types.SimpleNamespace(write=text.append)).writerows(table(record["payload"]))
+        # writerow returns what write returns: here the row's text, joined a block at a time
+        rows = map(csv.writer(types.SimpleNamespace(write=str)).writerow, table(record["payload"]))
+        text = list(iter(lambda: "".join(itertools.islice(rows, TABLE_BLOCK)), ""))
     elif text is None:
         text = record_parts(record)
     if out:

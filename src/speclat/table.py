@@ -14,9 +14,9 @@ slot ``%s``, once per row, applied to the leaves.  A float64 array column
 of ``LONG_FLOAT_COLUMN`` rows or more goes in as the texts of the numpy
 kernel ``floattext.float_texts``, imported only then; any other column,
 an array as its ``tolist``, as it is if its leaves are all ints or all
-finite floats, else leaf by leaf.  A list of strings (``bn``
-coefficients, moments) goes into the parts with one C-level ``extend``.
-The CSV reads the same columns, as Python scalars, through ``row_leaves``.
+finite floats, else leaf by leaf.  A list that is not a table is written
+item by item.  The CSV reads the same columns, as Python scalars, through
+``row_leaves``.
 """
 
 from __future__ import annotations
@@ -102,8 +102,6 @@ def _write(obj, pad: str, parts: list):
         for sep, (key, value) in zip(opened, sorted(obj.items())):
             parts.append(sep + _json_string(key) + ": ")
             _write(value, inner, parts)
-    elif set(map(type, obj)) == {str}:  # in C: a part for each separator and each item
-        parts += itertools.chain.from_iterable(zip(opened, map(_json_string, obj)))
     else:
         for sep, item in zip(opened, obj):
             parts.append(sep)

@@ -983,6 +983,16 @@ def test_no_string_written_is_longer_than_a_table_block(tmp_path, monkeypatch):
     assert 0 < stream.longest <= block
 
 
+def test_csv_goes_out_a_block_of_rows_at_a_time(tmp_path, monkeypatch):
+    # neither the whole CSV as one string nor a string per row
+    cfg = dict(HONEYCOMB_CFG, spectrum={"N": 384})  # a header and 12150 levels
+    stream = RecordingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg), "--format", "csv"]) == 0
+    rows = [part.count("\r\n") for part in stream.parts]
+    assert rows == [TABLE_BLOCK, TABLE_BLOCK, 12151 - 2 * TABLE_BLOCK]
+
+
 @pytest.mark.parametrize(
     "command, block",
     [
