@@ -14,7 +14,8 @@ kept exactly as given, so one job has one hash.  A job runs on one
 SpectralContext, which builds the lattice, W and each b_N once.  The
 command's plan raises every SizeLimit of the job before any work and
 returns the run, which computes the payload from what the plan built and
-raises none, but for a ladder that read a rung and did not settle.  Results
+raises none, but for a ladder that read a rung and did not settle; the
+``moments`` plan states no cap, but runs the planners of ``moments``.  Results
 are deterministic, content-addressed by a hash of the effective config,
 and cached as JSON when a cache directory is given; a hit serves the
 cached text as it is, and the cache file name carries ``ALGORITHM``, so
@@ -53,7 +54,7 @@ from .catalog import BUILTIN_POINT_SETS
 from .errors import ConfigError, CosetViolation, RankDeficient, SizeLimit
 from .errors import SpeclatError, SpectrumProximity
 from .lattice import WeightedPointSet, _is_int
-from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
+from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
 from .limits import FLOAT_OVERFLOW, MAX_WALK_LEVEL
 from .primes import is_prime
 from .table import TABLE_BLOCK, Table, record_parts, row_leaves
@@ -203,22 +204,13 @@ def _plan_bn(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
 
 
 def _plan_moments(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
-    from .moments import _congruence_sweep, product_exponents, series_coefficients
-    from .specpoly import _character_power_sums
+    from .moments import _congruence_sweep, _moments, product_exponents, series_coefficients
 
     K = params["k_max"]
-    if K > DEFAULT_SERIES_CAP:  # the job's longest moment list
-        raise SizeLimit(f"moments need a sweep past k = {DEFAULT_SERIES_CAP}, the series cap")
     sweeps = [_congruence_sweep(ctx.w, p, k, a) if k else None  # k = 0 sweeps nothing
               for p, k, a in params["congruences"]]
-    # a cost proxy for the level power sums, until one work budget prices them
-    steps, n = max(1, -(-K // 2)), ctx.dimension
-    N = max(params["levels"], default=0)
-    if N**n * steps > DEFAULT_FLOAT_CAP:
-        raise SizeLimit(f"moments levels need {N}^{n} x {steps} cells, "
-                        f"past the float cap {DEFAULT_FLOAT_CAP}")
-    exact = ctx.plan_moments(K)  # then each level's split moduli
-    levels = {N: _character_power_sums(ctx.w, K, (N,) * n) for N in dict.fromkeys(params["levels"])}
+    exact = ctx.plan_moments(K)  # then each level, every cap of each in ``moments``
+    levels = {N: _moments(ctx.w, K, N) for N in dict.fromkeys(params["levels"])}
 
     def run():
         seq = exact()

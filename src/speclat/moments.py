@@ -5,11 +5,11 @@ characters chi; m_k, the constant term of W**k, is that mean over the
 characters of Z_N1 x ... x Z_Nn, each N_i > k * reach_i (tight coordinates),
 where no nonzero exponent of W**k folds onto 0.  Both are character power
 sums (``specpoly``); the congruence check sweeps powers mod p^(alpha+1).
-Each is planned (``_moments``, ``_character_power_sums``,
-``_congruence_sweep``) before any work, for the CLI too: every cap checked
-and the split moduli found, the plan returns the run, which raises no
-SizeLimit.  ``newton_sums``, the power sums of a monic polynomial's roots,
-serves the walk and generating-series checks.
+Each is planned (``_moments``, exact or at a level, ``_congruence_sweep``)
+before any work, for the public functions and the CLI alike: every cap
+checked and the split moduli found, the plan returns the run, which raises
+no SizeLimit.  ``newton_sums``, the power sums of a monic polynomial's
+roots, serves the walk and generating-series checks.
 
 Everything in this module is exact: Python integers and integer residue
 arrays, and the moments are the tuples of integers the power sums give.
@@ -29,26 +29,38 @@ from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP
 from .specpoly import _character_power_sums, check_level
 
 
-def _moments(f: LaurentPoly, K: int) -> Callable[[], tuple[int, ...]]:
-    """The run of ``moment_sequence(f, K)``, every cap of it checked and its split moduli
-    found here, before any work: K >= 0, then ``DEFAULT_FLOAT_CAP`` characters, first
-    (K + 1)^n, as every reach is at least 1, then the chosen shape."""
-    n = f.dimension
+def _series_cap(K: int) -> None:
+    """Raise unless a moment list or sweep to k = K is within ``DEFAULT_SERIES_CAP``."""
+    if K > DEFAULT_SERIES_CAP:
+        raise SizeLimit(f"moments need a sweep past k = {DEFAULT_SERIES_CAP}, the series cap")
+
+
+def _moments(f: LaurentPoly, K: int, N: int | None = None) -> Callable[[], tuple[int, ...]]:
+    """The run of m_0..m_K, exact or at level N >= 1, every cap of it checked and its split
+    moduli found here, before any work: K >= 0 within the series cap, then at most
+    ``DEFAULT_FLOAT_CAP`` level cells N^n max(1, ceil(K/2)), a cost proxy, or exact
+    characters, first (K + 1)^n, as every reach is at least 1, then the chosen shape."""
+    n, cap = f.dimension, DEFAULT_FLOAT_CAP
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    if (K + 1) ** n > DEFAULT_FLOAT_CAP:
-        raise SizeLimit(f"moments to k = {K} need {K + 1}^{n} characters or more, "
-                        f"past cap {DEFAULT_FLOAT_CAP}")
-    if K == 0:  # one character, whatever the reach: m_0 = 1
+    if N is not None and N < 1:
+        raise ValueError("N must be >= 1")
+    _series_cap(K)
+    if N is not None and N**n * (steps := max(1, -(-K // 2))) > cap:
+        raise SizeLimit(f"moments levels need {N}^{n} x {steps} cells, past the float cap {cap}")
+    if N is None and (K + 1) ** n > cap:
+        raise SizeLimit(f"moments to k = {K} need {K + 1}^{n} characters or more, past cap {cap}")
+    if K == 0:  # one character, whatever the torus: m_0 = 1
         return lambda: (1,)
-    g, reach = _tight_form(f)
-    chain, N = [1] * n, 1
-    for i in sorted(range(n), key=reach.__getitem__):
-        N = chain[i] = N * -(-(K * reach[i] + 1) // N)
-    shape = min(tuple(chain), (K * max(reach) + 1,) * n, key=math.prod)
-    if math.prod(shape) > DEFAULT_FLOAT_CAP:
-        raise SizeLimit(f"moments to k = {K} need {math.prod(shape)} characters, "
-                        f"past cap {DEFAULT_FLOAT_CAP}")
+    g, shape = f, (N,) * n
+    if N is None:
+        g, reach = _tight_form(f)
+        chain, M = [1] * n, 1
+        for i in sorted(range(n), key=reach.__getitem__):
+            M = chain[i] = M * -(-(K * reach[i] + 1) // M)
+        shape = min(tuple(chain), (K * max(reach) + 1,) * n, key=math.prod)
+        if (m := math.prod(shape)) > cap:
+            raise SizeLimit(f"moments to k = {K} need {m} characters, past cap {cap}")
     run = _character_power_sums(g, K, shape)
     return lambda: tuple(run())
 
@@ -56,19 +68,15 @@ def _moments(f: LaurentPoly, K: int) -> Callable[[], tuple[int, ...]]:
 def moment_sequence(f: LaurentPoly, K: int) -> tuple[int, ...]:
     """Exact moments m_0..m_K: power sums over Z_N1 x ... x Z_Nn, N_i > K *
     reach_i, all equal or, if fewer characters, each a multiple of the last.
-    Raises SizeLimit before any work (``_moments``)."""
+    Raises SizeLimit before any work (``_moments``), as the CLI does."""
     return _moments(f, K)()
 
 
 def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
     """Level-N moments m_0..m_K: the averages of the powers of the character
     values, integers by construction (constant-residue coefficients of the
-    folded powers).  Raises SizeLimit, before any work, past
-    ``DEFAULT_FLOAT_CAP`` characters, or when the split moduli run out."""
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
-    check_level(N, f.dimension, DEFAULT_FLOAT_CAP)
-    return (1,) if K == 0 else tuple(_character_power_sums(f, K, (N,) * f.dimension)())
+    folded powers).  Raises SizeLimit before any work (``_moments``), as the CLI does."""
+    return _moments(f, K, N)()
 
 
 def _congruence_sweep(f: LaurentPoly, p: int, k: int, alpha: int) -> Callable[[], bool]:
@@ -76,9 +84,9 @@ def _congruence_sweep(f: LaurentPoly, p: int, k: int, alpha: int) -> Callable[[]
     returned to run once every cap of it holds, each checked before any work: first h
     past ``DEFAULT_SERIES_CAP``, refused before q is formed, then (h + 1)^n cells, then
     its largest box prod(2 ceil(h / 2) r_i + 1), r the tight reach of f mod q."""
-    n, series, cap = f.dimension, DEFAULT_SERIES_CAP, DEFAULT_FLOAT_CAP
-    if k * p ** min(alpha + 1, series.bit_length()) > series:  # p >= 2: p^bit_length > series
-        raise SizeLimit(f"moments need a sweep past k = {series}, the series cap")
+    n, cap = f.dimension, DEFAULT_FLOAT_CAP
+    # p >= 2: p^bit_length passes the cap, so the power is never formed past it
+    _series_cap(k * p ** min(alpha + 1, DEFAULT_SERIES_CAP.bit_length()))
     q = p ** (alpha + 1)
     h = k * q
     check_level(h + 1, n, cap, "cells of a moment sweep")

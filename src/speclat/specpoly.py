@@ -260,13 +260,12 @@ def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]):
     split moduli p = 1 (mod lcm(shape)) below 2**31, rows of int64 arrays, a class
     of value v adds w = mult * v**k, one step per k.  |f(chi)| <= S = sum |c_e|:
     the CRT lifts past 2 m S^K; IntegralityViolation where m does not divide.
-    A plan runs the search for the moduli here, cheap (about 45 ms for 1291 of
-    them), so that their SizeLimit comes before any work.
+    ``moments._moments``, the one caller, checks every other cap first and
+    serves K = 0 itself; the search for the moduli runs here, cheap (about
+    45 ms for 1291 of them), so that their SizeLimit too comes before any work.
     No int64 overflow, whatever the weights: c_e enters reduced mod p, a product
     of two entries is below 2**62 (mult <= 2**20, p < 2**31), a sum of under 2**32
     residues below 2**63, of w over 2**20 classes below 2**51."""
-    if K == 0:  # m_0 = 1, whatever the characters
-        return lambda: [1]
     N, m = math.lcm(*shape), math.prod(shape)
     folded = fold_mod_N(f, N)
     moduli = _split_moduli(N, 2 * m * max(1, sum(map(abs, folded.terms.values()))) ** K, 2**31)
@@ -375,13 +374,12 @@ def factored_value(b: SpectralFactors, z: int) -> Decimal:
     return value if value else Decimal(0)  # not -0, from a negative times a zero factor
 
 
-def spectral_factors(
-    w: LaurentPoly, N: int, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> SpectralFactors:
+def spectral_factors(w: LaurentPoly, N: int) -> SpectralFactors:
     """b_N, the monic integer polynomial of degree N^n whose roots are the
-    values of w at all N-torsion characters, as prod_j g_j**j.  w must be a
-    diffraction polynomial: the bounds rest on its nonnegative values."""
-    check_level(N, w.dimension, size_limit)
+    values of w at all N-torsion characters, as prod_j g_j**j, within
+    ``DEFAULT_SIZE_LIMIT`` characters.  w must be a diffraction polynomial:
+    the bounds rest on its nonnegative values."""
+    check_level(N, w.dimension, DEFAULT_SIZE_LIMIT)
     return _class_factor_lift(fold_mod_N(w, N), N)
 
 

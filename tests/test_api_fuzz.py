@@ -7,10 +7,9 @@ inside the spectrum and above it), tolerances (0 and negative among them),
 primes p, non-primes and degrees nu.  Whatever the input, each call
 returns, or raises a SpeclatError or a ValueError with a message: never a
 ZeroDivisionError, OverflowError, MemoryError or RecursionError, nor any
-other exception.  K stays within the series cap and nu log2 p small, as
-the API puts no cost cap on a series of K moments or on p^nu; a
-congruence sweep past the series cap raises SizeLimit, however large
-its alpha.
+other exception.  nu log2 p stays small, as the API puts no cost cap on
+p^nu; a moment list or a congruence sweep past the series cap raises
+SizeLimit, however large its K or alpha.
 """
 
 import itertools
@@ -26,11 +25,10 @@ from speclat.errors import SizeLimit, SpeclatError
 
 from conftest import SMALL_CAPS, mostly
 
-SIZE = SMALL_CAPS["DEFAULT_SIZE_LIMIT"]  # spectral_factors binds its default at definition
 SERIES = SMALL_CAPS["DEFAULT_SERIES_CAP"]
 
 level = mostly(st.integers(1, 8), st.integers(-1, 0))
-count = mostly(st.integers(0, 12), st.sampled_from([-2, -1, 40, 64]))  # within the series cap
+count = mostly(st.integers(0, 12), st.sampled_from([-2, -1, 40, SERIES, SERIES + 1, 10**9]))
 integer = mostly(st.integers(-20, 60), st.sampled_from([10**6, -(10**12), 10**40]))
 prime = mostly(st.sampled_from([2, 3, 5, 7, 11, 13]), st.sampled_from([-3, 0, 1, 4, 9]))
 nu = mostly(st.integers(1, 3), st.integers(-1, 0))
@@ -76,7 +74,7 @@ def attempt(f, *args):
 
 
 def exact(ctx, draw):
-    if b := attempt(speclat.spectral_factors, ctx.w, draw(level), SIZE):
+    if b := attempt(speclat.spectral_factors, ctx.w, draw(level)):
         r = draw(integer)
         attempt(speclat.level_multiplicity, b, r)
         attempt(speclat.factored_value, b, draw(integer))
@@ -136,7 +134,7 @@ def walks(ctx, draw):
     if G := attempt(speclat.build_graph, ctx.ps, ctx.basis, N):
         totals = [attempt(speclat.based_walk_weight_sum, G, k)
                   for k in range(draw(st.integers(-1, 4)), 5)]
-        if b := attempt(speclat.spectral_factors, ctx.w, N, SIZE):
+        if b := attempt(speclat.spectral_factors, ctx.w, N):
             attempt(speclat.walk_series_check, b, [t for t in totals if t is not None])
 
 

@@ -59,6 +59,15 @@ def test_readme_counts_match_the_code():
     assert int(jobs.group(1)) == sum(1 for line in digests if line.strip())
 
 
+def test_readme_parameter_table_matches_the_command_table():
+    # each row: command, `parameter`, kind, default, `--flag` or nothing
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (\w+) \| `(\w+)` \|.*\| (?:`(--[\w-]+)`)? ?\|$", text, re.M)
+    table = [(command, key, f"--{key.replace('_', '-')}" if param.flag else "")
+             for command, spec in COMMANDS.items() for key, param in spec.params.items()]
+    assert rows == table
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))

@@ -6,7 +6,8 @@ values.  Most configs are valid, so most jobs compute.  Whatever the
 config, the CLI exits 0, 2 or 3, writes exactly one stderr line when it
 refuses a job and none when it runs it, and caches only what it ran.  And
 every cap is in the plan: the only SizeLimit a command's run raises is a
-ladder's that read a rung and did not settle.
+ladder's that read a rung and did not settle.  The moments plan refuses
+exactly what the public moment functions refuse, with their message.
 """
 
 import contextlib
@@ -26,6 +27,7 @@ from speclat import analysis, arith, cli, context, graph, moments, specpoly  # n
 from speclat.errors import SizeLimit
 
 from conftest import SMALL_CAPS, mostly
+from test_api_fuzz import point_sets as weighted_point_sets
 
 LARGE = [300, 10**4, 10**6, 2**31, 2**62, 2**63, 2**64 + 1, 10**40, -(10**30), 2**1100]
 large = st.sampled_from(LARGE)
@@ -302,3 +304,22 @@ def test_configs_the_fuzz_found(small_caps, command, cfg, code, message):
     got, err, cached = run_job(command, cfg)
     assert (got, err) == (code, f"speclat: {message}\n" if message else "")
     assert len(cached) == (code == 0)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(weighted_point_sets(),
+       mostly(st.integers(0, 12), st.integers(13, 80) | st.just(10**6)),
+       mostly(st.integers(1, 12), st.integers(13, 3000) | st.just(10**9)))
+def test_moments_caps_match_the_api(small_caps, ps, K, N):
+    # the CLI refuses a moments job exactly when the public functions refuse its lists
+    cfg = {"dimension": ps.dimension,
+           "points": [{"a": list(a), "c": c} for a, c in ps.points],
+           "moments": {"k_max": K, "levels": [N], "series": False}}
+    w = context.SpectralContext(ps).w
+    try:
+        moments.moment_sequence(w, K)
+        moments.moment_sequence_N(w, K, N)
+        expected = (0, "")
+    except SizeLimit as exc:
+        expected = (3, f"speclat: resource cap: {exc}\n")
+    assert run_job("moments", cfg)[:2] == expected

@@ -123,11 +123,36 @@ def test_moments_basis_independent(honeycomb, w_honey):
 
 
 def test_level_moments_refused_past_the_float_cap(w_honey):
-    # 10^8 characters: refused before any power sum, where it once ran for minutes
+    # by the CLI's levels rule, with its message, before any power sum: 10^8 characters
+    # once ran for minutes, and 2000^2 are within the cap, but not 5 power steps over each
+    for K, N, steps in ((2, 10**4, 1), (10, 2000, 5)):
+        start = time.process_time()
+        with pytest.raises(SizeLimit, match=rf"^moments levels need {N}\^2 x {steps} cells, "
+                                            r"past the float cap 10000000$"):
+            moment_sequence_N(w_honey, K, N)
+        assert time.process_time() - start < 1
+
+
+@pytest.mark.parametrize("call", [lambda w: moment_sequence(w, 5000),
+                                  lambda w: moment_sequence_N(w, 5000, 3)],
+                         ids=["exact", "level"])
+def test_moment_lists_refused_past_the_series_cap(w_cheb, call):
+    # the CLI's k_max cap: the exact list to K = 5000 once ran past 15 s
     start = time.process_time()
-    with pytest.raises(SizeLimit, match=r"^10000\^2 torsion characters exceed cap 10000000$"):
-        moment_sequence_N(w_honey, 2, 10**4)
+    with pytest.raises(SizeLimit, match=r"^moments need a sweep past k = 1024, the series cap$"):
+        call(w_cheb)
     assert time.process_time() - start < 1
+
+
+def test_the_series_cap_admits_its_longest_list(w_cheb):
+    assert moment_sequence(w_cheb, 1024)[1024] == math.comb(2048, 1024)
+
+
+@pytest.mark.parametrize("K", [0, 3])
+def test_level_zero_is_refused(w_honey, K):
+    # at K = 0 the cost proxy alone would pass N = 0 and give (1,)
+    with pytest.raises(ValueError, match="^N must be >= 1$"):
+        moment_sequence_N(w_honey, K, 0)
 
 
 def test_moment_N_level_one(w_honey, w_cheb):
