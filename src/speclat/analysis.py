@@ -29,9 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import limits
 from .context import SpectralContext
 from .errors import SizeLimit, SpectrumProximity
-from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP, FLOAT_OVERFLOW
+from .limits import FLOAT_OVERFLOW
 from .specpoly import _VALUE_BLOCK, character_rows, character_values, check_level
 
 
@@ -177,7 +178,7 @@ def _torus_means(w, N: int, read, half: bool = False) -> list:
 def _first_rung(n: int) -> None:
     """The plan of ``_ladder`` in n dimensions: SizeLimit, before any work, when
     its first rung, level 16, passes the float cap."""
-    check_level(16, n, DEFAULT_FLOAT_CAP, "character values")
+    check_level(16, n, limits.DEFAULT_FLOAT_CAP, "character values")
 
 
 def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
@@ -186,9 +187,8 @@ def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
     Raises SizeLimit(failure) when N^n passes the float cap first, after
     reading at least one rung (``_first_rung``)."""
     _first_rung(ctx.dimension)
-    prev = None
-    N = 16
-    while N**ctx.dimension <= DEFAULT_FLOAT_CAP:
+    prev, N, cap = None, 16, limits.DEFAULT_FLOAT_CAP
+    while N**ctx.dimension <= cap:
         cur = read(N)
         if prev is not None and abs(cur - prev) < tol:
             return cur, abs(cur - prev)
@@ -210,8 +210,8 @@ def _series_length(ratio: float, scale: float, tol: float, div: float = 1) -> in
     log_bound = math.log(bound) if 0 < bound < math.inf else (
         math.log(tol) - math.log(div) + math.log(scale))
     K = max(1, math.ceil(log_bound / math.log(ratio)) + 1)
-    if K > DEFAULT_SERIES_CAP:
-        raise SizeLimit(f"series needs {K} moments (cap {DEFAULT_SERIES_CAP}); z is too close "
+    if K > (cap := limits.DEFAULT_SERIES_CAP):
+        raise SizeLimit(f"series needs {K} moments (cap {cap}); z is too close "
                         "to the spectrum top for the moment series")
     return K
 

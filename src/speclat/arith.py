@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from . import primes, specpoly
+from . import limits, primes, specpoly
 from .errors import SizeLimit
 from .context import SpectralContext
 from .laurent import fold_mod_N
@@ -138,10 +138,10 @@ def _lift_precision(z: int, c2: int, N: int, p: int) -> int:
 
 def _valuations(ctx: SpectralContext, zs, p: int, nu: int):
     """The run of ``valuation_inequality_check``, its cap checked first: (p^nu - 1)^n
-    past ``specpoly.DEFAULT_SIZE_LIMIT`` characters, none for an empty ``zs``."""
+    past ``limits.DEFAULT_SIZE_LIMIT`` characters, none for an empty ``zs``."""
     if not zs:
         return lambda: []
-    n, cap = ctx.dimension, specpoly.DEFAULT_SIZE_LIMIT
+    n, cap = ctx.dimension, limits.DEFAULT_SIZE_LIMIT
     # (p^nu - 1)^n >= 2^(n (nu (bitlen p - 1) - 1)): a huge nu is refused before p^nu is formed
     if n * (nu * (p.bit_length() - 1) - 1) >= cap.bit_length():
         raise SizeLimit(f"({p}^{nu} - 1)^{n} torsion characters exceed cap {cap}")
@@ -155,7 +155,7 @@ def valuation_inequality_check(
 ) -> list[tuple[int | float, int, bool]]:
     """(v_p(b_N(z)), point count, holds), N = p^nu - 1, for each integer z in
     ``zs``, from one pass over the character classes held to
-    ``specpoly.DEFAULT_SIZE_LIMIT`` before any work (``_valuations``).  Each
+    ``limits.DEFAULT_SIZE_LIMIT`` before any work (``_valuations``).  Each
     row is evaluated once at a precision p^k0 below 2^30, at the zeta one
     ladder climbs to; the rows with z = W(chi) mod p^k0 again only at the
     rungs that continue it, up to the p^K of the module docstring (none if

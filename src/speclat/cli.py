@@ -50,12 +50,12 @@ import types
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
+from . import limits
 from .catalog import BUILTIN_POINT_SETS
 from .errors import ConfigError, CosetViolation, RankDeficient, SizeLimit
 from .errors import SpeclatError, SpectrumProximity
 from .lattice import WeightedPointSet, _is_int
-from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT, MAHLER_METHODS
-from .limits import FLOAT_OVERFLOW, MAX_WALK_LEVEL
+from .limits import FLOAT_OVERFLOW, MAHLER_METHODS, MAX_WALK_LEVEL
 from .primes import is_prime
 from .table import TABLE_BLOCK, Table, record_parts, row_leaves
 
@@ -153,7 +153,7 @@ def _row(*kinds: Kind) -> Kind:
 INT = Kind("an integer", _is_int)
 LEVEL = _int(1)
 WALK_LEVEL = Kind("an integer from 1 to 2^62", lambda v: LEVEL.ok(v) and v <= MAX_WALK_LEVEL)
-SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= DEFAULT_SIZE_LIMIT)
+SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= limits.DEFAULT_SIZE_LIMIT)
 COUNT = _int(0)
 PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
@@ -234,19 +234,19 @@ def _plan_moments(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
 def _plan_walks(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
     from fractions import Fraction
 
-    from .graph import based_walk_weight_sum, build_graph, check_walk_cap, walk_series_check
+    from .graph import based_walk_weight_sum, build_graph, check_export_cap, check_walk_cap
+    from .graph import walk_series_check
     from .specpoly import check_level
 
     N, kmax, z = params["N"], params["k_max"], params["series_z"]
     K = params["series_K"] if z is not None else 0  # the walk lengths the series check reads
     # the job's longest enumeration, over (points)^2 type pairs
     check_walk_cap(len(ctx.ps.points) ** 2, max(kmax, K))
-    if params["export_graph"] and N**ctx.dimension > DEFAULT_SIZE_LIMIT:
-        raise SizeLimit(f"walks export_graph: {N}^{ctx.dimension} vertices per colour "
-                        f"exceed cap {DEFAULT_SIZE_LIMIT}")
+    if params["export_graph"]:
+        check_export_cap(N, ctx.dimension)
     G = build_graph(ctx.ps, ctx.basis, N)  # a CosetViolation exits 2 before the level cap
     if z is not None:  # the series check reads b_N's factors, whose lift needs N^n within the cap
-        check_level(N, ctx.dimension, DEFAULT_SIZE_LIMIT)
+        check_level(N, ctx.dimension, limits.DEFAULT_SIZE_LIMIT)
 
     def run():
         totals = [based_walk_weight_sum(G, k) for k in range(1, max(kmax, K) + 1)]
@@ -274,7 +274,7 @@ def _plan_spectrum(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
 
     N, m, n = params["N"], params["grid"], ctx.dimension
     for level in filter(None, (N, m)):
-        check_level(level, n, DEFAULT_FLOAT_CAP, "character values")
+        check_level(level, n, limits.DEFAULT_FLOAT_CAP, "character values")
 
     def run():
         hist = spectrum(ctx, N, tolerance=params["tolerance"])
@@ -315,7 +315,8 @@ def _plan_mahler(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
 
     z, methods, tol, hilbert = params["z"], params["methods"], params["tol"], params["hilbert"]
     if "torus-quadrature" in methods:
-        check_level(params["resolution"], ctx.dimension, DEFAULT_FLOAT_CAP, "character values")
+        check_level(params["resolution"], ctx.dimension, limits.DEFAULT_FLOAT_CAP,
+                    "character values")
     # the two moment series read one list, to the longer, Mahler's length checked first
     C2 = ctx.ps.total_weight**2
     K = max(_mahler_length(C2, z, tol) if "moment-series" in methods else 0,
@@ -412,7 +413,7 @@ COMMANDS = {
     "bn": Command(
         {
             "N": Param(LEVEL, 1, int),
-            "size_limit": Param(SIZE_LIMIT, DEFAULT_SIZE_LIMIT, int),
+            "size_limit": Param(SIZE_LIMIT, limits.DEFAULT_SIZE_LIMIT, int),
             "levels": Param(_list(INT), []),
             "divisor_checks": Param(_list(_row(LEVEL, LEVEL)), []),
             "evaluate_at": Param(_list(INT), []),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import CosetViolation, SizeLimit
 from .lattice import LatticeBasis, WeightedPointSet, anchored_coords, disjointness_check
 from .limits import MAX_WALK_LEVEL
@@ -27,7 +28,6 @@ from .moments import newton_sums
 from .specpoly import SpectralFactors
 from .table import Table
 
-DEFAULT_WALK_CAP = 10**8
 SUFFIX_ROWS = 2**16  # most type sequences held in one suffix table
 
 
@@ -43,9 +43,11 @@ class TorusBipartiteGraph:
     pair_deltas: tuple[tuple[tuple[int, ...], int], ...]
 
     def adjacency(self) -> dict:
-        """JSON-ready adjacency description for external visualization: tables
-        of the residues mod N and of the edges v -> v + offset_t, each v, each t."""
+        """Adjacency description for external visualization, which ``table.record_parts``
+        writes: tables of the residues mod N and of the edges v -> v + offset_t, each v,
+        each t.  Raises SizeLimit before any work past the export cap (``check_export_cap``)."""
         n, N, P = self.dimension, self.N, len(self.points)
+        check_export_cap(N, n)
         black = np.indices((N,) * n).reshape(n, -1)
         offsets = np.array([[x % N for x in off] for off, _ in self.points])
         white = (black[:, :, None] + offsets.T[:, None, :]) % N  # axis, vertex, type
@@ -79,9 +81,16 @@ def build_graph(
 
 def check_walk_cap(npairs: int, k: int) -> None:
     """Raise SizeLimit when the npairs**k >= 2**k type sequences of walks
-    of length 2k exceed ``DEFAULT_WALK_CAP``."""
-    if npairs ** min(k, DEFAULT_WALK_CAP.bit_length()) > DEFAULT_WALK_CAP:
-        raise SizeLimit(f"{npairs}**{k} type sequences exceed the cap {DEFAULT_WALK_CAP}")
+    of length 2k exceed ``limits.DEFAULT_WALK_CAP``."""
+    if npairs ** min(k, (cap := limits.DEFAULT_WALK_CAP).bit_length()) > cap:
+        raise SizeLimit(f"{npairs}**{k} type sequences exceed the cap {cap}")
+
+
+def check_export_cap(N: int, n: int) -> None:
+    """Raise SizeLimit when the N^n vertices of each colour of a level-N graph in n
+    dimensions exceed ``limits.DEFAULT_SIZE_LIMIT``, the most an export lists."""
+    if N**n > (cap := limits.DEFAULT_SIZE_LIMIT):
+        raise SizeLimit(f"walks export_graph: {N}^{n} vertices per colour exceed cap {cap}")
 
 
 def _sequence_table(deltas: np.ndarray, weights: np.ndarray, length: int, N: int):

@@ -22,25 +22,24 @@ from typing import Callable
 
 import numpy as np
 
-from . import primes
+from . import limits, primes
 from .errors import IntegralityViolation, SizeLimit
 from .laurent import LaurentPoly, _tight_form
-from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SERIES_CAP
 from .specpoly import _character_power_sums, check_level
 
 
 def _series_cap(K: int) -> None:
-    """Raise unless a moment list or sweep to k = K is within ``DEFAULT_SERIES_CAP``."""
-    if K > DEFAULT_SERIES_CAP:
-        raise SizeLimit(f"moments need a sweep past k = {DEFAULT_SERIES_CAP}, the series cap")
+    """Raise unless a moment list or sweep to k = K is within ``limits.DEFAULT_SERIES_CAP``."""
+    if K > (cap := limits.DEFAULT_SERIES_CAP):
+        raise SizeLimit(f"moments need a sweep past k = {cap}, the series cap")
 
 
 def _moments(f: LaurentPoly, K: int, N: int | None = None) -> Callable[[], tuple[int, ...]]:
     """The run of m_0..m_K, exact or at level N >= 1, every cap of it checked and its split
     moduli found here, before any work: K >= 0 within the series cap, then at most
-    ``DEFAULT_FLOAT_CAP`` level cells N^n max(1, ceil(K/2)), a cost proxy, or exact
+    ``limits.DEFAULT_FLOAT_CAP`` level cells N^n max(1, ceil(K/2)), a cost proxy, or exact
     characters, first (K + 1)^n, as every reach is at least 1, then the chosen shape."""
-    n, cap = f.dimension, DEFAULT_FLOAT_CAP
+    n, cap = f.dimension, limits.DEFAULT_FLOAT_CAP
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
     if N is not None and N < 1:
@@ -82,11 +81,11 @@ def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
 def _congruence_sweep(f: LaurentPoly, p: int, k: int, alpha: int) -> Callable[[], bool]:
     """The sweep of one congruence, k > 0, to h = k p^(alpha+1) modulo q = p^(alpha+1),
     returned to run once every cap of it holds, each checked before any work: first h
-    past ``DEFAULT_SERIES_CAP``, refused before q is formed, then (h + 1)^n cells, then
-    its largest box prod(2 ceil(h / 2) r_i + 1), r the tight reach of f mod q."""
-    n, cap = f.dimension, DEFAULT_FLOAT_CAP
+    past ``limits.DEFAULT_SERIES_CAP``, refused before q is formed, then (h + 1)^n cells,
+    then its largest box prod(2 ceil(h / 2) r_i + 1), r the tight reach of f mod q."""
+    n, cap = f.dimension, limits.DEFAULT_FLOAT_CAP
     # p >= 2: p^bit_length passes the cap, so the power is never formed past it
-    _series_cap(k * p ** min(alpha + 1, DEFAULT_SERIES_CAP.bit_length()))
+    _series_cap(k * p ** min(alpha + 1, limits.DEFAULT_SERIES_CAP.bit_length()))
     q = p ** (alpha + 1)
     h = k * q
     check_level(h + 1, n, cap, "cells of a moment sweep")
@@ -100,7 +99,7 @@ def _moment_sweep(kernel: LaurentPoly, r: list[int], K: int, q: int) -> list[int
     """Constant terms of f**k modulo q, k = 0..K, from the kernel f mod q in tight
     form and its reach r: with CT(g*h) = sum_v g_v h_{-v}, m_{2j+1} pairs f^j with
     f^(j+1), m_{2j+2} f^(j+1) with itself, each on the box -j*r .. j*r.  Residues
-    are int64: a congruence sweep has q <= K <= ``DEFAULT_SERIES_CAP`` = 1024, so
+    are int64: a congruence sweep has q <= K <= ``limits.DEFAULT_SERIES_CAP`` = 1024, so
     products stay below 2**20 and sums over at most 10**7 cells below 2**44."""
 
     def ct(g, h):  # CT(g*h), g on a box no larger than h's: the centre of h, reversed

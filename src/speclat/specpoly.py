@@ -63,10 +63,9 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import primes
+from . import limits, primes
 from .errors import IntegralityViolation, SizeLimit
 from .laurent import LaurentPoly, fold_mod_N
-from .limits import DEFAULT_FLOAT_CAP, DEFAULT_SIZE_LIMIT
 
 _CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
 _VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
@@ -377,9 +376,9 @@ def factored_value(b: SpectralFactors, z: int) -> Decimal:
 def spectral_factors(w: LaurentPoly, N: int) -> SpectralFactors:
     """b_N, the monic integer polynomial of degree N^n whose roots are the
     values of w at all N-torsion characters, as prod_j g_j**j, within
-    ``DEFAULT_SIZE_LIMIT`` characters.  w must be a diffraction polynomial:
+    ``limits.DEFAULT_SIZE_LIMIT`` characters.  w must be a diffraction polynomial:
     the bounds rest on its nonnegative values."""
-    check_level(N, w.dimension, DEFAULT_SIZE_LIMIT)
+    check_level(N, w.dimension, limits.DEFAULT_SIZE_LIMIT)
     return _class_factor_lift(fold_mod_N(w, N), N)
 
 
@@ -405,10 +404,10 @@ def character_rows(f: LaurentPoly, N: int):
     multiple of pi / 2): bit for bit the real part of the sum in complex
     arithmetic, whatever rows are asked, and the exact coefficient sum at the
     trivial character (index all zeros).  Raises SizeLimit, before any work,
-    when the N^n values exceed ``DEFAULT_FLOAT_CAP``.
+    when the N^n values exceed ``limits.DEFAULT_FLOAT_CAP``.
     """
     n = f.dimension
-    check_level(N, n, DEFAULT_FLOAT_CAP, "character values")
+    check_level(N, n, limits.DEFAULT_FLOAT_CAP, "character values")
     exps, coeffs = zip(*f.sorted_terms())
     exps = [[(x + N // 2) % N - N // 2 for x in e] for e in exps]
     reach = [max(map(abs, axis)) for axis in zip(*exps)]

@@ -1,10 +1,10 @@
 import random
-import sys
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from speclat import limits
 from speclat.context import SpectralContext
 from speclat.lattice import WeightedPointSet, difference_lattice
 from speclat.laurent import diffraction_polynomial
@@ -13,7 +13,7 @@ from speclat.laurent import diffraction_polynomial
 settings.register_profile("speclat", derandomize=True, database=None, deadline=None)
 settings.load_profile("speclat")
 
-# every DEFAULT_* cap a speclat module binds, and its value under ``small_caps``
+# every cap of ``speclat.limits``, and its value under ``small_caps``
 SMALL_CAPS = {
     "DEFAULT_SIZE_LIMIT": 200,
     "DEFAULT_FLOAT_CAP": 5000,
@@ -36,15 +36,11 @@ def mostly(draw, common, rare, percent=85):
 
 @pytest.fixture(scope="module")
 def small_caps():
-    """Each cap of ``SMALL_CAPS`` patched low in every speclat module loaded,
-    so the jobs a fuzz test runs stay small: a module imports every
-    computing layer first, so each binding is patched before a job runs."""
+    """Each cap of ``SMALL_CAPS`` patched low in ``speclat.limits``, its one binding,
+    so the jobs a fuzz test runs stay small."""
     with pytest.MonkeyPatch.context() as mp:
-        for modname, mod in list(sys.modules.items()):
-            if modname.split(".")[0] == "speclat":
-                for name, cap in SMALL_CAPS.items():
-                    if hasattr(mod, name):
-                        mp.setattr(mod, name, cap)
+        for name, cap in SMALL_CAPS.items():
+            mp.setattr(limits, name, cap)
         yield mp
 
 

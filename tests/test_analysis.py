@@ -99,7 +99,7 @@ def test_spectrum_ambiguity_flag(honeycomb_ctx):
 
 
 def test_spectrum_cap(honeycomb_ctx, monkeypatch):
-    monkeypatch.setattr("speclat.specpoly.DEFAULT_FLOAT_CAP", 100)
+    monkeypatch.setattr("speclat.limits.DEFAULT_FLOAT_CAP", 100)
     with pytest.raises(SizeLimit):
         spectrum(honeycomb_ctx, 100)
 
@@ -148,7 +148,7 @@ def test_hilbert_methods_agree(honeycomb_ctx):
 
 
 def test_hilbert_rejects_small_z(cheb_ctx, monkeypatch):
-    monkeypatch.setattr("speclat.analysis.DEFAULT_SERIES_CAP", 64)
+    monkeypatch.setattr("speclat.limits.DEFAULT_SERIES_CAP", 64)
     with pytest.raises(SizeLimit):
         hilbert_transform(cheb_ctx, 4.000001)
     with pytest.raises(ValueError):
@@ -207,7 +207,7 @@ def test_series_with_huge_moments(monkeypatch):
     # overflows float64 at k = 81); the scaled summation must not care
     from speclat.lattice import WeightedPointSet
 
-    monkeypatch.setattr("speclat.analysis.DEFAULT_SERIES_CAP", 2048)
+    monkeypatch.setattr("speclat.limits.DEFAULT_SERIES_CAP", 2048)
     ps = SpectralContext(WeightedPointSet(1, (((-1,), 40), ((1,), 41))))
     h = hilbert_transform(ps, 9000.0, tol=1e-16)
     ha = hilbert_transform(ps, 9000.0, method="spectrum-average", tol=1e-13)

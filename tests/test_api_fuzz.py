@@ -19,8 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import speclat
-# every computing layer, imported first, so that small_caps patches each cap it binds
-from speclat import analysis, arith, context, graph, moments, specpoly  # noqa: F401
 from speclat.errors import SizeLimit, SpeclatError
 
 from conftest import SMALL_CAPS, mostly

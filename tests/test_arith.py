@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat import arith, primes, specpoly
+from speclat import arith, limits, primes, specpoly
 from speclat.arith import primitive_modulus, valuation_inequality_check, vp
 from speclat.context import SpectralContext
 from speclat.errors import CosetViolation, RankDeficient, SizeLimit
@@ -273,7 +273,7 @@ def test_count_extension_field(cheb_ctx):
 
 
 def test_count_cap(monkeypatch):
-    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 50)
+    monkeypatch.setattr("speclat.limits.DEFAULT_SIZE_LIMIT", 50)
     ctx = SpectralContext(WeightedPointSet(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1))))
     with pytest.raises(SizeLimit):
         valuation_inequality_check(ctx, [1], 11, 1)
@@ -421,7 +421,7 @@ def frobenius_traces(ctx, p, bad):
     a_nu = p^nu - 5 - N_nu, N_nu the torus points of W = z over F_{p^nu}, for
     every nu the size cap admits, and a_0 = 2."""
     zs = [z for z in range(p) if z not in {b % p for b in bad}]
-    top = max(nu for nu in range(1, 20) if (p**nu - 1) ** 2 <= specpoly.DEFAULT_SIZE_LIMIT)
+    top = max(nu for nu in range(1, 20) if (p**nu - 1) ** 2 <= limits.DEFAULT_SIZE_LIMIT)
     columns = [[p**nu - 5 - c for c in counts(ctx, zs, p, nu)] for nu in range(1, top + 1)]
     return {z: [2, *a] for z, a in zip(zs, zip(*columns))}
 

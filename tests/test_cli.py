@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speclat
-from speclat import specpoly
+from speclat import limits, specpoly
 from speclat.cli import SCHEMA, COMMANDS, JobConfig, _build_parser, _unlimited_int_text, main
 from speclat.context import SpectralContext
 from speclat.errors import ConfigError, CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
@@ -472,13 +472,8 @@ def test_moments_cap_checked_before_any_sweep(tmp_path, capsys, monkeypatch, blo
 
 @pytest.fixture
 def small_float_cap(monkeypatch):
-    """DEFAULT_FLOAT_CAP at 1000, wherever a speclat module binds it; each such
-    module is loaded first, or one loaded under the fixture would keep 1000."""
-    import speclat.analysis, speclat.moments  # noqa: F401
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.split(".")[0] == "speclat" and hasattr(mod, "DEFAULT_FLOAT_CAP"):
-            monkeypatch.setattr(mod, "DEFAULT_FLOAT_CAP", 1000)
+    """DEFAULT_FLOAT_CAP at 1000 in ``speclat.limits``, which every layer reads."""
+    monkeypatch.setattr(limits, "DEFAULT_FLOAT_CAP", 1000)
 
 
 @pytest.mark.parametrize(

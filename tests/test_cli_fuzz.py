@@ -22,8 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-# every computing layer, imported first, so that small_caps patches each cap it binds
-from speclat import analysis, arith, cli, context, graph, moments, specpoly  # noqa: F401
+from speclat import analysis, cli, context, moments
 from speclat.errors import SizeLimit
 
 from conftest import SMALL_CAPS, mostly

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,7 +116,7 @@ def test_weighted_walks():
 
 
 def test_explosion_guard(honeycomb, monkeypatch):
-    monkeypatch.setattr("speclat.graph.DEFAULT_WALK_CAP", 1000)
+    monkeypatch.setattr("speclat.limits.DEFAULT_WALK_CAP", 1000)
     G = graph_of(honeycomb, 2)
     with pytest.raises(SizeLimit, match=r"^9\*\*5 type sequences exceed the cap 1000$"):
         based_walk_weight_sum(G, 5)
@@ -175,6 +176,16 @@ def test_adjacency_export(honeycomb):
     assert len(adj["edges"]) == 12
     e = table_rows(adj["edges"])[0]
     assert set(e) == {"from", "to", "type", "weight"}
+
+
+def test_adjacency_export_capped_before_any_work(chebyshev):
+    # the walks plan's export cap, 10^4 vertices per colour, holds in the API too
+    start = time.process_time()
+    with pytest.raises(SizeLimit, match=r"^walks export_graph: 20001\^1 vertices per colour "
+                       r"exceed cap 10000$"):
+        graph_of(chebyshev, 20001).adjacency()
+    assert time.process_time() - start < 1
+    assert len(graph_of(chebyshev, 10**4).adjacency()["black"]) == 10**4
 
 
 # -- the bridge property on random weighted sets --------------------------------

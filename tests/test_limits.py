@@ -1,0 +1,77 @@
+"""Each cap has one binding, in ``speclat.limits``, which every layer reads at
+each check: a cap set there bounds every public call it guards, and no other
+module binds a copy of it."""
+
+import ast
+import os
+
+import pytest
+
+import speclat
+from speclat import limits
+from speclat.analysis import hilbert_transform, mahler_measure, spectrum
+from speclat.arith import valuation_inequality_check
+from speclat.context import SpectralContext
+from speclat.errors import SizeLimit
+from speclat.graph import based_walk_weight_sum, build_graph
+from speclat.moments import check_congruence, moment_sequence, moment_sequence_N
+from speclat.specpoly import spectral_factors
+
+PACKAGE = os.path.dirname(os.path.abspath(speclat.__file__))
+
+# (cap, its lowered value, a call on the honeycomb's context that passes under the
+# default cap and is refused under the lowered one)
+BOUNDED_CALLS = {
+    "spectrum": ("DEFAULT_FLOAT_CAP", 100, lambda ctx: spectrum(ctx, 11)),
+    "mahler-torus-quadrature": ("DEFAULT_FLOAT_CAP", 100, lambda ctx: mahler_measure(
+        ctx, 20.0, "torus-quadrature", resolution=11)),
+    "moments-exact": ("DEFAULT_FLOAT_CAP", 100, lambda ctx: moment_sequence(ctx.w, 10)),
+    "moments-level": ("DEFAULT_FLOAT_CAP", 100, lambda ctx: moment_sequence_N(ctx.w, 2, 11)),
+    "congruence": ("DEFAULT_FLOAT_CAP", 100, lambda ctx: check_congruence(ctx.w, 3, 1, 1)),
+    "spectral-factors": ("DEFAULT_SIZE_LIMIT", 100, lambda ctx: spectral_factors(ctx.w, 11)),
+    "valuations": ("DEFAULT_SIZE_LIMIT", 100,
+                   lambda ctx: valuation_inequality_check(ctx, [0], 13)),
+    "graph-export": ("DEFAULT_SIZE_LIMIT", 100,
+                     lambda ctx: build_graph(ctx.ps, ctx.basis, 11).adjacency()),
+    "moments-series": ("DEFAULT_SERIES_CAP", 10, lambda ctx: moment_sequence(ctx.w, 11)),
+    "hilbert-series": ("DEFAULT_SERIES_CAP", 10,
+                       lambda ctx: hilbert_transform(ctx, 12.0, tol=1e-10)),
+    "walks": ("DEFAULT_WALK_CAP", 100,
+              lambda ctx: based_walk_weight_sum(build_graph(ctx.ps, ctx.basis, 2), 3)),
+}
+
+
+@pytest.mark.parametrize("cap, value, call", BOUNDED_CALLS.values(), ids=BOUNDED_CALLS)
+def test_a_cap_set_in_limits_bounds_every_layer(honeycomb, monkeypatch, cap, value, call):
+    call(SpectralContext(honeycomb))
+    monkeypatch.setattr(limits, cap, value)
+    with pytest.raises(SizeLimit):
+        call(SpectralContext(honeycomb))
+
+
+def cap_copies(source: str) -> list[str]:
+    """The lines of a module that bind a ``DEFAULT_*`` name: an assignment to
+    one, or an import of one by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [name for alias in node.names for name in (alias.name, alias.asname or "")]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names if name.startswith("DEFAULT_")]
+    return found
+
+
+def test_no_module_but_limits_binds_a_cap():
+    copies = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "limits.py":
+            with open(os.path.join(PACKAGE, name)) as fh:
+                if found := cap_copies(fh.read()):
+                    copies[name] = found
+    assert not copies
+

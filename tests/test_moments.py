@@ -206,7 +206,7 @@ def test_congruence_sweep_capped_for_library_callers(monkeypatch):
     monkeypatch.setattr("speclat.moments.np", None)  # the sweep's arrays
     with pytest.raises(SizeLimit, match="a moment sweep to k = 256 needs 39398913 cells"):
         check_congruence(w, 2, 1, 7)
-    monkeypatch.setattr("speclat.moments.DEFAULT_FLOAT_CAP", 1000)
+    monkeypatch.setattr("speclat.limits.DEFAULT_FLOAT_CAP", 1000)
     with pytest.raises(SizeLimit, match=r"1025\^2 cells of a moment sweep exceed cap 1000"):
         check_congruence(w, 2, 1, 9)
 

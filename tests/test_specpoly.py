@@ -539,12 +539,12 @@ def test_packed_product_with_largest_slot_sums(start):
 
 def test_spectral_size_limit(w_honey, honeycomb_ctx, monkeypatch):
     # the cap is read at each call, so patching it is the one way to lower it
-    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 15)
+    monkeypatch.setattr("speclat.limits.DEFAULT_SIZE_LIMIT", 15)
     with pytest.raises(SizeLimit, match=r"^4\^2 torsion characters exceed cap 15$"):
         spectral_factors(w_honey, 4)
     with pytest.raises(SizeLimit):
         valuation_inequality_check(honeycomb_ctx, [0], 5, 1)
-    monkeypatch.setattr("speclat.specpoly.DEFAULT_SIZE_LIMIT", 16)
+    monkeypatch.setattr("speclat.limits.DEFAULT_SIZE_LIMIT", 16)
     assert spectral_factors(w_honey, 4).degree == 16
     [(v, _, _)] = valuation_inequality_check(honeycomb_ctx, [0], 5, 1)
     assert v == vp(spectral_factors(w_honey, 4).polynomial[0], 5)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speclat import analysis, graph, specpoly
+from speclat import analysis, graph, limits, specpoly
 from speclat.analysis import _log_mean, _log_reading, _stieltjes_reading, _torus_means
 from speclat.analysis import mahler_measure, spectrum
 from speclat.context import SpectralContext
@@ -263,7 +263,7 @@ def test_torus_quadrature_matches_fresh_grids(seed, resolution):
 def test_float_grid_below_level_one_is_refused(N):
     ctx = SpectralContext(random_graph_set(random.Random(0), big=False))
     with pytest.raises(ValueError, match="N must be >= 1"):
-        specpoly.check_level(N, ctx.dimension, specpoly.DEFAULT_FLOAT_CAP, "character values")
+        specpoly.check_level(N, ctx.dimension, limits.DEFAULT_FLOAT_CAP, "character values")
     with pytest.raises(ValueError, match="N must be >= 1"):
         character_values(ctx.w, N)
 
@@ -402,7 +402,7 @@ def test_ladders_match_a_doubling_loop_over_fresh_grids(seed, monkeypatch):
     C2 = ctx.ps.total_weight**2
     proximity = 1e-6 * C2
     cap = 2**14
-    monkeypatch.setattr(analysis, "DEFAULT_FLOAT_CAP", cap)
+    monkeypatch.setattr(limits, "DEFAULT_FLOAT_CAP", cap)
 
     def limit(z, tol):
         res = mahler_measure(ctx, z, "limit", tol=tol)
@@ -467,7 +467,7 @@ def test_quadrature_holds_leaves_not_the_grid(resolution):
 def test_limit_rung_holds_leaves_not_the_grid(monkeypatch):
     ctx = SpectralContext(HONEYCOMB)
     ctx.w  # W is built before tracing
-    monkeypatch.setattr(analysis, "DEFAULT_FLOAT_CAP", 2**20)  # rungs 16 to 1024
+    monkeypatch.setattr(limits, "DEFAULT_FLOAT_CAP", 2**20)  # rungs 16 to 1024
     sizes = []
 
     def recorded(w, N):
