@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import limits
 from .catalog import BUILTIN_POINT_SETS
-from .errors import ConfigError, CosetViolation, RankDeficient, SizeLimit
+from .errors import ConfigError, ConfigUnreadable, CosetViolation, RankDeficient, SizeLimit
 from .errors import SpeclatError, SpectrumProximity
 from .lattice import WeightedPointSet, _is_int
 from .limits import FLOAT_OVERFLOW, MAHLER_METHODS, MAX_WALK_LEVEL
@@ -80,8 +80,11 @@ class JobConfig(namedtuple("JobConfig", "point_set command params")):
 
     @staticmethod
     def from_file(path: str, command: str, flags: dict) -> JobConfig:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:  # not JSON, too deep, an int too long
+            raise ConfigUnreadable(exc) from exc
         try:
             dim = cfg["dimension"]
             points = tuple((tuple(p["a"]), p.get("c", 1)) for p in cfg["points"])
@@ -153,7 +156,7 @@ def _row(*kinds: Kind) -> Kind:
 INT = Kind("an integer", _is_int)
 LEVEL = _int(1)
 WALK_LEVEL = Kind("an integer from 1 to 2^62", lambda v: LEVEL.ok(v) and v <= MAX_WALK_LEVEL)
-SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= limits.DEFAULT_SIZE_LIMIT)
+SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= 10**4)
 COUNT = _int(0)
 PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
@@ -176,10 +179,10 @@ Param = namedtuple("Param", "kind default flag", defaults=(None, None))
 def _plan_bn(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
     from .specpoly import check_level, divides, factored_value, level_multiplicity
 
-    N = params["N"]
+    N, cap = params["N"], min(params["size_limit"], limits.DEFAULT_SIZE_LIMIT)
     # every level the job reads, in the order it reads them
     for level in (N, *itertools.chain.from_iterable(params["divisor_checks"])):
-        check_level(level, ctx.dimension, params["size_limit"])
+        check_level(level, ctx.dimension, cap)
 
     def run():
         b = ctx.spectral_factors(N)
@@ -413,7 +416,7 @@ COMMANDS = {
     "bn": Command(
         {
             "N": Param(LEVEL, 1, int),
-            "size_limit": Param(SIZE_LIMIT, limits.DEFAULT_SIZE_LIMIT, int),
+            "size_limit": Param(SIZE_LIMIT, 10**4, int),
             "levels": Param(_list(INT), []),
             "divisor_checks": Param(_list(_row(LEVEL, LEVEL)), []),
             "evaluate_at": Param(_list(INT), []),
@@ -518,11 +521,10 @@ def _cached_record(cache_dir: str | None, command: str, cfg_hash: str):
         record = json.loads(text)
     except (OSError, ValueError):  # ValueError: undecodable bytes or not JSON
         return None
-    if not (isinstance(record, dict) and RECORD_KEYS <= record.keys()):
-        return None
-    if record["schema"] != SCHEMA or record["config_hash"] != cfg_hash:
-        return None
-    return record, [text]
+    if (isinstance(record, dict) and RECORD_KEYS <= record.keys()
+            and record["schema"] == SCHEMA and record["config_hash"] == cfg_hash):
+        return record, [text]
+    return None
 
 
 def _store_record(cache_dir: str | None, record: dict) -> list[str] | None:
@@ -591,72 +593,57 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("example", choices=sorted(BUILTIN_POINT_SETS))
     v.add_argument("--out", default=None)
     v.add_argument("--format", default="json", choices=("json", "csv"))
+    v.set_defaults(cache_dir=None)  # verify caches nothing
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:  # verify and each command build one record, written once
+        if args.command == "verify":
+            from .verify import run_suite
 
-    if args.command == "verify":
-        from .verify import run_suite
+            cfg_hash, cached, payload = args.example, None, run_suite(args.example)
+        else:
+            flags = {k: v for k, v in vars(args).items() if k in COMMANDS[args.command].params}
+            job = JobConfig.from_file(args.config, args.command, flags)
+            cfg_hash = job.hash()
+            cached = _cached_record(args.cache_dir, job.command, cfg_hash)
+            if cached is None:
+                # every layer, whatever the job: perfbench's tracer wraps them all
+                from . import analysis, arith, graph  # noqa: F401
+                from .context import SpectralContext
 
-        payload = run_suite(args.example)
-        record = {"schema": SCHEMA, "command": "verify", "config_hash": args.example,
-                  "payload": payload}
-        try:
-            _emit(record, args.out, args.format)
-        except OSError as exc:
-            print(f"speclat: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-            return 2
-        for r in payload["results"]:
-            print(("PASS " if r["passed"] else "FAIL ") + r["criterion"], file=sys.stderr)
-        return 0 if payload["passed"] else 1
-
-    try:
-        params = COMMANDS[args.command].params
-        flags = {key: value for key, value in vars(args).items() if key in params}
-        job = JobConfig.from_file(args.config, args.command, flags)
-    except (OSError, ValueError, RecursionError) as exc:  # not JSON, too deep, past int()'s digits
+                with _unlimited_int_text():  # every cap in the plan, before the run does any work
+                    run = COMMANDS[job.command].plan(SpectralContext(job.point_set), job.params)
+                    payload = run()
+        record, text = cached or ({"schema": SCHEMA, "command": args.command,
+                                   "config_hash": cfg_hash, "payload": payload}, None)
+        # a hit is in the cache already; an --out or --cache-dir may fail after the job computed
+        _emit(record, args.out, args.format, text or _store_record(args.cache_dir, record))
+    except ConfigUnreadable as exc:
         print(f"speclat: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"speclat: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        cfg_hash = job.hash()
-        record, text = _cached_record(args.cache_dir, job.command, cfg_hash) or (None, None)
-        if record is None:
-            # every layer, whatever the job: perfbench's tracer wraps them all
-            from . import analysis, arith, graph  # noqa: F401
-            from .context import SpectralContext
-
-            with _unlimited_int_text():  # every cap in the plan, before the run does any work
-                run = COMMANDS[job.command].plan(SpectralContext(job.point_set), job.params)
-                payload = run()
-            record = {"schema": SCHEMA, "command": job.command, "config_hash": cfg_hash,
-                      "payload": payload}
-    except (RankDeficient, CosetViolation) as exc:
-        # found only once the lattice is built, but a fault of the point set
-        print(f"speclat: config error: invalid point set for {job.command}: {exc}", file=sys.stderr)
+    except (ConfigError, SpectrumProximity, RankDeficient, CosetViolation) as exc:
+        # a z on the spectrum is the config's, a lattice fault (found once built) the point set's
+        lattice = isinstance(exc, (RankDeficient, CosetViolation))
+        where = f"invalid point set for {args.command}: " if lattice else ""
+        print(f"speclat: config error: {where}{exc}", file=sys.stderr)
         return 2
     except SizeLimit as exc:
         print(f"speclat: resource cap: {exc}", file=sys.stderr)
         return 3
-    except SpectrumProximity as exc:  # a z on the spectrum is the config's, not a failed check
-        print(f"speclat: config error: {exc}", file=sys.stderr)
-        return 2
     except SpeclatError as exc:
         print(f"speclat: {exc}", file=sys.stderr)
         return 1
-    try:  # an --out file or --cache-dir, found perhaps only after the job has computed
-        text = text or _store_record(args.cache_dir, record)  # a hit's text is stored already
-        _emit(record, args.out, args.format, text)
     except OSError as exc:
         print(f"speclat: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
-    return 0
+    if args.command != "verify":
+        return 0
+    for r in payload["results"]:
+        print(("PASS " if r["passed"] else "FAIL ") + r["criterion"], file=sys.stderr)
+    return 0 if payload["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -33,3 +33,7 @@ class SpectrumProximity(SpeclatError):
 
 class ConfigError(SpeclatError):
     """Invalid CLI configuration (exit code 2)."""
+
+
+class ConfigUnreadable(ConfigError):
+    """A CLI config file that cannot be read: missing, not JSON, or nested too deep."""

@@ -15,7 +15,8 @@ import speclat
 from speclat import limits, specpoly
 from speclat.cli import SCHEMA, COMMANDS, JobConfig, _build_parser, _unlimited_int_text, main
 from speclat.context import SpectralContext
-from speclat.errors import ConfigError, CosetViolation, RankDeficient, SizeLimit, SpectrumProximity
+from speclat.errors import ConfigError, CosetViolation, IntegralityViolation, RankDeficient
+from speclat.errors import SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet
 from speclat.table import LONG_FLOAT_COLUMN, TABLE_BLOCK, Table, leaves, record_parts, row_leaves
 
@@ -692,6 +693,36 @@ def test_bn_size_limit_lowers_the_cap_only(tmp_path, capsys):
     code, out = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg), "--size-limit",
                                     "10000"])
     assert code == 0 and json.loads(out.read_text())["payload"]["degree"] == 1
+
+
+@pytest.mark.parametrize("block, code, err", [
+    ({"N": 3}, 0, ""),
+    ({"N": 3, "size_limit": 500}, 0, ""),
+    ({"N": 15}, 3, "speclat: resource cap: 15^2 torsion characters exceed cap 200\n"),
+    ({"N": 15, "size_limit": 100}, 3,
+     "speclat: resource cap: 15^2 torsion characters exceed cap 100\n"),
+], ids=["default", "above-the-cap", "past-the-cap", "below-the-cap"])
+def test_bn_checks_the_lower_of_size_limit_and_the_size_cap(tmp_path, capsys, monkeypatch,
+                                                            block, code, err):
+    # the size cap lowered in limits after the CLI is imported: the default size_limit
+    # (10^4) and a size_limit above the cap both meet the cap, the lower one
+    monkeypatch.setattr(limits, "DEFAULT_SIZE_LIMIT", 200)
+    cfg = dict(HONEYCOMB_CFG, bn=block)
+    assert run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg)])[0] == code
+    assert capsys.readouterr().err == err
+
+
+def test_a_verify_criterion_that_raises_exits_1_with_one_line(capsys, monkeypatch):
+    from speclat import verify
+
+    def broken(ctx):
+        raise IntegralityViolation("b_6 overflows its coefficient bound")
+
+    (cid, example, _), *rest = verify.CRITERIA
+    monkeypatch.setattr(verify, "CRITERIA", [(cid, example, broken), *rest])
+    assert main(["verify", "honeycomb"]) == 1
+    # no record, and no PASS or FAIL line: the one line of the failure
+    assert capsys.readouterr() == ("", "speclat: b_6 overflows its coefficient bound\n")
 
 
 def test_verify_unknown_example_usage_error(capsys):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from speclat import analysis, cli, context, moments
 from speclat.errors import SizeLimit
 
-from conftest import SMALL_CAPS, mostly
+from conftest import mostly
 from test_api_fuzz import point_sets as weighted_point_sets
 
 LARGE = [300, 10**4, 10**6, 2**31, 2**62, 2**63, 2**64 + 1, 10**40, -(10**30), 2**1100]
@@ -152,15 +152,6 @@ def configs(draw):
     cfg = draw(point_sets())
     cfg[command] = draw(junk) if draw(st.integers(0, 99)) >= 97 else block
     return command, cfg
-
-
-@pytest.fixture(scope="module")
-def small_caps(small_caps):
-    # the bn size_limit default was bound when the command table was built
-    bn = cli.COMMANDS["bn"].params
-    default = SMALL_CAPS["DEFAULT_SIZE_LIMIT"]
-    small_caps.setitem(bn, "size_limit", bn["size_limit"]._replace(default=default))
-    return small_caps
 
 
 def run_job(command, cfg):

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import json
 import math
 import time
@@ -11,7 +13,7 @@ from speclat.errors import CosetViolation, SizeLimit
 from speclat.cli import main
 from speclat.context import SpectralContext
 from speclat.graph import based_walk_weight_sum, build_graph, walk_series_check
-from speclat.lattice import WeightedPointSet, difference_lattice
+from speclat.lattice import WeightedPointSet, anchored_coords, difference_lattice
 from speclat.laurent import diffraction_polynomial
 from speclat.moments import moment_sequence_N, newton_sums
 from speclat.specpoly import character_values, factored_value
@@ -186,6 +188,63 @@ def test_adjacency_export_capped_before_any_work(chebyshev):
         graph_of(chebyshev, 20001).adjacency()
     assert time.process_time() - start < 1
     assert len(graph_of(chebyshev, 10**4).adjacency()["black"]) == 10**4
+
+
+# -- the dimer bridge (Kenyon, Okounkov and Sheffield, Ann. Math. 2006) ----------
+
+
+def perfect_matchings(G):
+    """The weighted count of perfect matchings of G's export, by backtracking over the
+    edges of each black vertex in turn, each to a white vertex not yet matched."""
+    edges = {}
+    for e in table_rows(G.adjacency()["edges"]):
+        edges.setdefault(tuple(e["from"]), []).append((tuple(e["to"]), e["weight"]))
+    black = list(edges.values())
+
+    def count(i, used):
+        if i == len(black):
+            return 1
+        return sum(w * count(i + 1, used | {to}) for to, w in black[i] if to not in used)
+
+    return count(0, frozenset())
+
+
+def twisted_determinants(ctx, N):
+    """|D_N(u, v)|, u, v = +-1, for D_N(u, v) the product of P(x, y) over x^N = u and
+    y^N = v, P = sum c_a x^a1 y^a2 over the anchored lattice coordinates of the points:
+    each from complex products, within 1e-6 of its integer, and rounded to it."""
+    terms = list(zip(anchored_coords(ctx.ps, ctx.basis), (c for _, c in ctx.ps.points)))
+    dets = []
+    for u, v in itertools.product((1, -1), repeat=2):
+        xs, ys = ([cmath.exp(1j * math.pi * (2 * k + (s < 0)) / N) for k in range(N)]
+                  for s in (u, v))
+        D = math.prod(sum(c * x**a * y**b for (a, b), c in terms) for x in xs for y in ys)
+        assert abs(abs(D) - round(abs(D))) < 1e-6
+        dets.append(round(abs(D)))
+    return dets
+
+
+HONEYCOMB_MATCHINGS = {1: 3, 2: 9, 3: 42, 4: 417}
+
+
+@pytest.mark.parametrize("N", HONEYCOMB_MATCHINGS)
+def test_honeycomb_perfect_matchings(honeycomb_ctx, N):
+    G = build_graph(honeycomb_ctx.ps, honeycomb_ctx.basis, N)
+    assert perfect_matchings(G) == HONEYCOMB_MATCHINGS[N]
+
+
+@pytest.mark.parametrize("N", HONEYCOMB_MATCHINGS)
+def test_honeycomb_matchings_are_half_the_twisted_determinants(honeycomb_ctx, N):
+    # Z = (1/2) sum over u, v = +-1 of |D_N(u, v)|: the honeycomb needs no Kasteleyn signs
+    assert sum(twisted_determinants(honeycomb_ctx, N)) == 2 * HONEYCOMB_MATCHINGS[N]
+
+
+@pytest.mark.parametrize("N", HONEYCOMB_MATCHINGS)
+def test_twisted_determinants_square_to_b_2N_at_0(honeycomb_ctx, N):
+    # the 2N-torsion characters split by (x^N, y^N), and b_2N(0) is +- the product of
+    # W = |P|^2 over them; 0 at N = 3, where 1 + w + w^2 = 0 at a cube root of unity w
+    b = honeycomb_ctx.spectral_factors(2 * N)
+    assert math.prod(twisted_determinants(honeycomb_ctx, N)) ** 2 == abs(factored_value(b, 0))
 
 
 # -- the bridge property on random weighted sets --------------------------------
