@@ -80,34 +80,34 @@ class JobConfig(namedtuple("JobConfig", "point_set command params")):
 
     @staticmethod
     def from_file(path: str, command: str, flags: dict) -> JobConfig:
-        try:
+        try:  # not JSON, too deep, or an int past int()'s digits, read or put in a message
             with open(path) as fh:
                 cfg = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:  # not JSON, too deep, an int too long
+            try:
+                dim = cfg["dimension"]
+                points = tuple((tuple(p["a"]), p.get("c", 1)) for p in cfg["points"])
+                ps = WeightedPointSet(dim, points)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid point set: {exc}") from exc
+            spec = COMMANDS[command]
+            block = cfg.get(command, {})
+            if not isinstance(block, dict):
+                raise ConfigError(f"config block {command!r} must be an object")
+            unknown = set(block) - set(spec.params)
+            if unknown:
+                raise ConfigError(f"unknown {command} parameters: {sorted(unknown)}")
+            params = {key: param.default for key, param in spec.params.items()}
+            params.update(block)
+            params.update(flags)
+            for key, (kind, default, _) in spec.params.items():
+                value = params[key]
+                if not kind.ok(value):
+                    if value is None and default is None:
+                        raise ConfigError(f"{command} requires {kind.what} {key}")
+                    raise ConfigError(f"{command} {key} must be {kind.what}, got {value!r}")
+            spec.check(params, ps.total_weight**2)
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigUnreadable(exc) from exc
-        try:
-            dim = cfg["dimension"]
-            points = tuple((tuple(p["a"]), p.get("c", 1)) for p in cfg["points"])
-            ps = WeightedPointSet(dim, points)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid point set: {exc}") from exc
-        spec = COMMANDS[command]
-        block = cfg.get(command, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"config block {command!r} must be an object")
-        unknown = set(block) - set(spec.params)
-        if unknown:
-            raise ConfigError(f"unknown {command} parameters: {sorted(unknown)}")
-        params = {key: param.default for key, param in spec.params.items()}
-        params.update(block)
-        params.update(flags)
-        for key, (kind, default, _) in spec.params.items():
-            value = params[key]
-            if not kind.ok(value):
-                if value is None and default is None:
-                    raise ConfigError(f"{command} requires {kind.what} {key}")
-                raise ConfigError(f"{command} {key} must be {kind.what}, got {value!r}")
-        spec.check(params, ps.total_weight**2)
         return JobConfig(ps, command, params)
 
     def hash(self) -> str:
@@ -156,7 +156,8 @@ def _row(*kinds: Kind) -> Kind:
 INT = Kind("an integer", _is_int)
 LEVEL = _int(1)
 WALK_LEVEL = Kind("an integer from 1 to 2^62", lambda v: LEVEL.ok(v) and v <= MAX_WALK_LEVEL)
-SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= 10**4)
+MAX_SIZE_LIMIT = 10**4  # bn's size_limit default and its most; its plan also reads the size cap
+SIZE_LIMIT = Kind("an integer from 1 to 10^4", lambda v: LEVEL.ok(v) and v <= MAX_SIZE_LIMIT)
 COUNT = _int(0)
 PRIME = Kind("a prime", lambda v: _is_int(v) and is_prime(v))
 BOOL = Kind("true or false", lambda v: isinstance(v, bool))
@@ -416,7 +417,7 @@ COMMANDS = {
     "bn": Command(
         {
             "N": Param(LEVEL, 1, int),
-            "size_limit": Param(SIZE_LIMIT, 10**4, int),
+            "size_limit": Param(SIZE_LIMIT, MAX_SIZE_LIMIT, int),
             "levels": Param(_list(INT), []),
             "divisor_checks": Param(_list(_row(LEVEL, LEVEL)), []),
             "evaluate_at": Param(_list(INT), []),
@@ -521,10 +522,11 @@ def _cached_record(cache_dir: str | None, command: str, cfg_hash: str):
         record = json.loads(text)
     except (OSError, ValueError):  # ValueError: undecodable bytes or not JSON
         return None
-    if (isinstance(record, dict) and RECORD_KEYS <= record.keys()
-            and record["schema"] == SCHEMA and record["config_hash"] == cfg_hash):
-        return record, [text]
-    return None
+    if not (isinstance(record, dict) and RECORD_KEYS <= record.keys()):
+        return None
+    if record["schema"] != SCHEMA or record["config_hash"] != cfg_hash:
+        return None
+    return record, [text]
 
 
 def _store_record(cache_dir: str | None, record: dict) -> list[str] | None:

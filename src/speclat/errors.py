@@ -36,4 +36,5 @@ class ConfigError(SpeclatError):
 
 
 class ConfigUnreadable(ConfigError):
-    """A CLI config file that cannot be read: missing, not JSON, or nested too deep."""
+    """A CLI config file that cannot be read: missing, not JSON, nested too deep, or with an
+    integer past Python's int-to-text digit limit, as read or as put in a message."""

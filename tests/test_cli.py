@@ -1581,6 +1581,16 @@ def test_config_integer_past_digit_limit_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_config_message_past_digit_limit_exit_2(tmp_path, capsys):
+    # a weight of 4001 digits reads, but total_weight^2, about 8000, is put in the message
+    points = [dict(HONEYCOMB_CFG["points"][0], c=10**4000), *HONEYCOMB_CFG["points"][1:]]
+    cfg = dict(HONEYCOMB_CFG, points=points, walks={"series_z": 1})
+    code, out = run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 2 and not out.exists()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("speclat: cannot read config: Exceeds the limit (4300 digits)")
+
+
 HEAVY_CFG = {"dimension": 1, "points": [{"a": [-1], "c": 10**300}, {"a": [1], "c": 1}]}
 
 
