@@ -65,7 +65,10 @@ Runs ``speclat.cli.main`` in process on
   generated weighted set at N = 20 with ``evaluate_at`` at -1 and 0 and a
   true and a false divisor check, its coefficient slots sized from
   |b_20(-1)|, and at N = 24, whose g_j lift over 27 split moduli, and
-  ``moments`` congruence sweeps on the 3-D simplex to
+  honeycomb ``bn`` at N = 12 and chebyshev ``bn`` at N = 60 with divisor
+  checks that end at each step of the packed division (a divisor past
+  |b_N(-1)|, a nonzero remainder, a true check), ``moments`` congruence
+  sweeps on the 3-D simplex to
   h = 128, the last power of two under the float cap, and to h = 256,
   past it (exit 3), and ``moments`` on {0, 1, 2000} to k = 1000, whose
   split primes run out (exit 3), ``moments`` on {0, 1} with weights 2^2000
@@ -233,6 +236,12 @@ LARGE_JOBS = (
     # coefficient slots sized from |b_N(-1)| on a weighted set past the benchmark's
     ("bn-weighted-20", "weighted", "bn",
      {"N": 20, "evaluate_at": [-1, 0], "divisor_checks": [[4, 20], [3, 20]]}),
+    # divisor checks that end at each step of the packed division: a divisor whose
+    # |b_d(-1)| passes |b_N(-1)|, a nonzero remainder, and a true check
+    ("bn-honeycomb-12-divisors", "honeycomb", "bn",
+     {"N": 12, "divisor_checks": [[24, 12], [5, 12], [6, 12]]}),
+    ("bn-chebyshev-60-divisors", "chebyshev", "bn",
+     {"N": 60, "divisor_checks": [[30, 60], [7, 60], [120, 60]]}),
     # a g_j lifted over 27 split moduli from 2^62
     ("bn-weighted-24", "weighted", "bn", {"N": 24}),
     # a congruence sweep to h = 2^7 on the 3-D simplex, 129^3 cells under the float

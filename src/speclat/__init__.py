@@ -33,7 +33,7 @@ _MODULES = {
     "laurent": "LaurentPoly diffraction_polynomial fold_mod_N",
     "moments": "check_congruence moment_sequence moment_sequence_N product_exponents "
     "series_coefficients",
-    "specpoly": "SpectralFactors divides factored_value integer_root_multiplicity "
+    "specpoly": "SpectralFactors factored_value integer_root_multiplicity "
     "level_multiplicity spectral_factors",
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names.split()}

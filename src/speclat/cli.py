@@ -178,7 +178,7 @@ Param = namedtuple("Param", "kind default flag", defaults=(None, None))
 
 
 def _plan_bn(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
-    from .specpoly import check_level, divides, factored_value, level_multiplicity
+    from .specpoly import check_level, factored_value, level_multiplicity
 
     N, cap = params["N"], min(params["size_limit"], limits.DEFAULT_SIZE_LIMIT)
     # every level the job reads, in the order it reads them
@@ -186,8 +186,7 @@ def _plan_bn(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
         check_level(level, ctx.dimension, cap)
 
     def run():
-        b = ctx.spectral_factors(N)
-        expanded = lambda level: ctx.spectral_factors(level).polynomial
+        b, read = ctx.spectral_factors(N), ctx.spectral_factors
         return {
             "N": N,
             "degree": b.degree,
@@ -196,7 +195,7 @@ def _plan_bn(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
                 str(r): level_multiplicity(b, r) for r in dict.fromkeys(params["levels"])
             },
             "divisor_checks": [
-                {"divisor_level": d, "level": n, "divides": divides(expanded(d), expanded(n))}
+                {"divisor_level": d, "level": n, "divides": read(d).divides(read(n))}
                 for d, n in params["divisor_checks"]
             ],
             "evaluations": [

@@ -3,11 +3,9 @@ the exact invariants read from it.
 
 Every invariant speclat computes is a reading of W on the difference
 lattice.  A context builds the lattice basis and W once, and keeps each
-exact reading it is asked for: b_N per level, as its factors g_j (whose
-``polynomial`` expands it at most once, for the divisor checks, the only
-readers of its integer coefficients: the walk series check reads the g_j),
-and the moments, a tuple of integers read once as power sums
-to the largest K asked for, sliced below it.
+exact reading it is asked for: b_N per level, as its factors g_j and, once
+read, its one packed product, and the moments, a tuple of integers read
+once as power sums to the largest K asked for, sliced below it.
 A context serves one job and nothing outlives it.  Float character values
 are recomputed on each call, so the Mahler ``limit`` ladder and the
 Hilbert ``spectrum-average`` ladder each build their own rungs: holding

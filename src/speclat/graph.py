@@ -142,8 +142,7 @@ def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
 def walk_series_check(b: SpectralFactors, totals: list[int]) -> bool:
     """Closed walks are the Newton sums of b_N = prod_j g_j**j: t_k, the based
     walk total of length 2k, is the k-th power sum of b_N's roots at each
-    k <= K = len(totals), the sum over j of j ``newton_sums(g_j, K)``[k]:
-    b_N itself is never expanded."""
+    k <= K = len(totals), the sum over j of j ``newton_sums(g_j, K)``[k]."""
     K = len(totals)
     sums = [[j * s for s in newton_sums(p, K)] for j, p in b.factors.items()]
     return all(t == sum(ss) for t, *ss in zip(totals, *sums))

@@ -41,15 +41,18 @@ first passes 2**32 times twice its own bound, so a g_j that is not integral
 about 2**-32, and raises IntegralityViolation.
 
 h_j(z) = +-g_j(-z) has nonnegative coefficients, and so has
-prod_j h_j**j = +-b_N(-z), each at most their sum |b_N(-1)|.  Packed in
-base 10**s, s one more than the digits of |b_N(-1)|, the h_j multiply
-exactly in ``decimal`` and carry into no slot: the digits of the product are
-b_N's coefficients, with alternating signs, and no integer is converted to
-text.  b_N(z) is prod_j g_j(z)**j, evaluated the same way.  Every
-polynomial is a tuple of integer coefficients, low degree first.
-
-The walk/trace bridge of the verify suite builds its own small matrix of
-multiplication by W: its eigenvalues are the same character values.
+H = prod_j h_j**j = +-b_N(-z), each at most their sum H(1) = |b_N(-1)|.
+Packed in base 10**s, s one more than the digits of H(1), the h_j multiply
+exactly in ``decimal`` and carry into no slot: the digits of H(10**s),
+b_N's one packed form, are its coefficients, with alternating signs, and
+no integer is converted to text.  They decide b_d | b_N (ibid. 8.4): not
+if H_d(1) > H_N(1), as a quotient's roots are >= 0; else iff
+q, r = divmod(H_N(10**s), H_d(10**s)), at b_N's s, has r = 0 and
+H_d(1) Q(1) < 10**s, Q(1) the sum of q's slots.  Then H_d Q carries into
+no slot, so it is H_N; and a true quotient's slots sum to H_N(1) / H_d(1).
+The division runs in base 10**k, k = s deg b_d, so that no operand is much
+longer than H_d(10**s).  b_N(z) is prod_j g_j(z)**j, evaluated the same
+way.  Every polynomial is a tuple of integer coefficients, low degree first.
 """
 
 from __future__ import annotations
@@ -86,13 +89,6 @@ def _divmod_monic(q: tuple[int, ...], p: tuple[int, ...]) -> tuple[list[int], li
         for j in range(d):  # rem[i + d] goes to 0 as p[d] = 1, and is read no more
             rem[i + j] -= f * p[j]
     return quot, rem[:d]
-
-
-def divides(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    """True iff the monic polynomial p divides q in Z[z]."""
-    if p[-1] != 1:
-        raise ValueError("divisor must be monic")
-    return not any(_divmod_monic(q, p)[1])
 
 
 def integer_root_multiplicity(p: tuple[int, ...], r: int) -> int:
@@ -307,22 +303,6 @@ def _exact(digits: int) -> decimal.Context:
     return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
-def _packed_product(factors: dict[int, tuple[int, ...]], s: int, digits: int) -> str:
-    """The digits of prod_j h_j(10**s)**j, h_j(z) = +-g_j(-z), exact to ``digits`` digits."""
-    ctx, product = _exact(digits), Decimal(1)
-    try:
-        for j, g in sorted(factors.items(), key=lambda item: item[0] * (len(item[1]) - 1)):
-            d = len(g) - 1
-            h = [c if (d - i) % 2 == 0 else -c for i, c in enumerate(g)]
-            if min(h) < 0:
-                raise IntegralityViolation(f"g_{j} has a root below 0")
-            packed = Decimal("".join([str(Decimal(c)).zfill(s) for c in reversed(h)]))
-            product = ctx.multiply(product, ctx.power(packed, j))
-    except decimal.Inexact:
-        raise IntegralityViolation("b_N overflows its coefficient bound") from None
-    return str(product)
-
-
 @dataclass(frozen=True)
 class SpectralFactors:
     """b_N = prod_j g_j**j: ``factors`` maps each class size j to g_j, whose
@@ -335,24 +315,52 @@ class SpectralFactors:
     def degree(self) -> int:
         return sum(j * (len(g) - 1) for j, g in self.factors.items())
 
-    @functools.cached_property
-    def coefficient_text(self) -> list[str]:
-        """b_N's coefficients as decimal text, low degree first: the slots of
-        prod_j h_j(10**s)**j (module docstring), each with a zero guard digit."""
-        s, m = abs(factored_value(self, -1)).adjusted() + 2, self.degree
-        text = _packed_product(self.factors, s, s * m + 1)
-        if text[0] != "1" or len(text) != s * m + 1 or text[1::s].strip("0"):
+    def _pack(self, s: int) -> str:
+        """The digits of H(10**s), s past those of H(1), each guard digit checked to be 0."""
+        ctx, product = _exact(s * self.degree + 1), Decimal(1)
+        try:
+            for j, g in sorted(self.factors.items(), key=lambda item: item[0] * (len(item[1]) - 1)):
+                h = [c if (len(g) - 1 - i) % 2 == 0 else -c for i, c in enumerate(g)]
+                if min(h) < 0:
+                    raise IntegralityViolation(f"g_{j} has a root below 0")
+                packed = Decimal("".join([str(Decimal(c)).zfill(s) for c in reversed(h)]))
+                product = ctx.multiply(product, ctx.power(packed, j))
+        except decimal.Inexact:
+            raise IntegralityViolation("b_N overflows its coefficient bound") from None
+        text = str(product)
+        if text[0] != "1" or len(text) != ctx.prec or text[1::s].strip("0"):
             raise IntegralityViolation("b_N overflows its coefficient bound")
-        digits = (text[at : at + s].lstrip("0") or "0" for at in range(s * m + 1 - s, 0, -s))
-        signed = [t if (m - i) % 2 == 0 or t == "0" else "-" + t for i, t in enumerate(digits)]
-        return signed + ["1"]
+        return text
 
     @functools.cached_property
-    def polynomial(self) -> tuple[int, ...]:
-        """b_N expanded, for the divisor checks (``bn`` and verify c08), the
-        only readers of its integer coefficients; the rest read the g_j."""
-        # through Decimal: int() of text refuses past 4300 digits (Python 3.11+)
-        return tuple(int(Decimal(t)) for t in self.coefficient_text)
+    def _packed(self) -> tuple[Decimal, int, str]:
+        """H(1) = |b_N(-1)|, s one past its digits, and ``_pack(s)``: b_N's one packed form."""
+        at_one = factored_value(self, -1).copy_abs()  # abs() would round to 28 digits
+        return at_one, at_one.adjusted() + 2, self._pack(at_one.adjusted() + 2)
+
+    @property
+    def coefficient_text(self) -> list[str]:
+        """b_N's coefficients as decimal text, low degree first: the slots of
+        its packed form, signs restored."""
+        _, s, text = self._packed
+        m = self.degree
+        slots = (text[max(at, 0) : at + s].lstrip("0") or "0" for at in range(len(text) - s, -s, -s))
+        return [t if (m - i) % 2 == 0 or t == "0" else "-" + t for i, t in enumerate(slots)]
+
+    def divides(self, other: SpectralFactors) -> bool:
+        """True iff b_d = self divides b_N = other in Z[z], read exactly from
+        b_N's packed form (module docstring)."""
+        h_d, (h_n, s, text) = factored_value(self, -1).copy_abs(), other._packed
+        if h_d > h_n:  # a quotient's roots are >= 0, so |Q(-1)| >= 1
+            return False
+        divisor, k = Decimal(self._pack(s)), s * max(self.degree, 1)
+        r = at_one = Decimal(0)  # the remainder so far, and Q(1) so far
+        with decimal.localcontext(_exact(len(text) + 2 * k)):
+            for at in range((len(text) - 1) % k + 1 - k, len(text), k):  # base 10**k, top first
+                q, r = divmod(r.scaleb(k) + Decimal(text[max(at, 0) : at + k]), divisor)
+                q = str(q).zfill(k)  # q < 10**k: k // s slots of Q
+                at_one += sum(Decimal(q[i : i + s]) for i in range(0, k, s))
+            return not r and (h_d * at_one).adjusted() < s
 
 
 def level_multiplicity(b: SpectralFactors, r: int) -> int:

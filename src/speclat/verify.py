@@ -5,13 +5,13 @@ Each criterion is a function of one example's SpectralContext returning
 the example it exercises, so ``run_suite`` runs one example's suite on one
 context into the CLI's ``verify`` payload, and the acceptance tests run
 everything.  The criteria read only that context, which builds the
-lattice, W and each b_N once.  They read b_N through its factors g_j
-(``factored_value``, ``level_multiplicity``); only the divisibility check
-expands it.  c12 averages log|6 - W| with the Mahler routes' streamed
-``_log_mean``, and the walk/trace bridge builds its own small matrix of
-multiplication by W.  Expected values are frozen here: the printed value
-table, the factored level-6 polynomial, the finite-field count row, and
-the closed forms of the line example.
+lattice, W and each b_N once, as its factors g_j (``factored_value``,
+``level_multiplicity``) and, for divisibility, its packed product.  c12
+averages log|6 - W| with the Mahler routes' streamed ``_log_mean``, and
+the walk/trace bridge builds its own small matrix of multiplication by W.
+Expected values are frozen here: the printed value table, the factored
+level-6 polynomial, the finite-field count row, and the closed forms of
+the line example.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .analysis import _log_mean, hilbert_transform, mahler_measure, spectrum
 from .arith import valuation_inequality_check, vp
 from .catalog import builtin_point_set
 from .context import SpectralContext
+from .errors import IntegralityViolation
 from .graph import based_walk_weight_sum, build_graph
 from .laurent import fold_mod_N
 from .moments import (
@@ -34,7 +35,7 @@ from .moments import (
     product_exponents,
     series_coefficients,
 )
-from .specpoly import divides, factored_value, level_multiplicity
+from .specpoly import factored_value, level_multiplicity
 
 CHEB_VALUES_AT_6 = [
     2, 12, 50, 192, 722, 2700, 10082, 37632, 140450, 524172, 1956242,
@@ -121,13 +122,8 @@ def _check_congruences(ctx: SpectralContext) -> tuple[bool, str]:
 
 
 def _check_divisibility(ctx: SpectralContext) -> tuple[bool, str]:
-    polys = {N: ctx.spectral_factors(N).polynomial for N in range(1, 9)}
-    ok = all(
-        divides(polys[Np], polys[N])
-        for N in range(1, 9)
-        for Np in range(1, N)
-        if N % Np == 0
-    )
+    b = ctx.spectral_factors  # each level built once, by the context
+    ok = all(b(Np).divides(b(N)) for N in range(1, 9) for Np in range(1, N) if N % Np == 0)
     return ok, "all divisor pairs N' | N <= 8"
 
 
@@ -196,7 +192,7 @@ def _check_series_integrality(ctx: SpectralContext) -> tuple[bool, str]:
     try:
         A = series_coefficients(seq)
         b = product_exponents(seq)
-    except Exception as exc:  # IntegralityViolation counts as failure
+    except IntegralityViolation as exc:  # a failure; any other error escapes
         return False, repr(exc)
     ok = len(A) >= 30 and len(b) >= 30 and A[0] == b[0] == seq[1]
     return ok, "A_k, b_k integral, k <= 30"

@@ -6,6 +6,7 @@ These stay deliberately separate from the package code paths they check.
 import itertools
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from speclat.arith import _poly_mul_mod, _poly_pow, primitive_modulus
 from speclat.laurent import LaurentPoly, fold_mod_N
 from speclat.primes import is_prime, prime_factors
-from speclat.specpoly import _maclaurin_bound
+from speclat.specpoly import _divmod_monic, _maclaurin_bound
 from speclat.table import _write, row_leaves
 
 
@@ -298,6 +299,19 @@ def evaluate_at_integer(p, z):
     for c in reversed(p):
         acc = acc * z + c
     return acc
+
+
+def divides(p, q):
+    """True iff the monic polynomial p divides q in Z[z], by schoolbook long division."""
+    if p[-1] != 1:
+        raise ValueError("divisor must be monic")
+    return not any(_divmod_monic(q, p)[1])
+
+
+def expanded(b):
+    """b_N of the SpectralFactors b as a coefficient tuple, low degree first: its
+    coefficient text read through Decimal, as int() of text refuses past 4300 digits."""
+    return tuple(int(Decimal(t)) for t in b.coefficient_text)
 
 
 # -- spectral polynomial one linear factor at a time ---------------------------

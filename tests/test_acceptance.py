@@ -8,9 +8,10 @@ import pytest
 
 from speclat.catalog import builtin_point_set
 from speclat.context import SpectralContext
+from speclat.errors import IntegralityViolation
 from speclat.laurent import LaurentPoly, fold_mod_N
 from speclat.specpoly import factored_value
-from speclat.verify import CRITERIA, _check_generating_series
+from speclat.verify import CRITERIA, _check_generating_series, run_suite
 
 
 @pytest.mark.parametrize(
@@ -67,3 +68,21 @@ def test_honeycomb_moments_fail_on_a_wrong_recurrence_coefficient(honeycomb_ctx,
     monkeypatch.setattr("speclat.verify.HONEYCOMB_RECURRENCE", wrong)
     passed, detail = check(honeycomb_ctx)
     assert not passed and detail == "binomial formula and three-term recurrence, k <= 40"
+
+
+def test_series_integrality_fails_only_on_an_integrality_violation(monkeypatch):
+    # c14 reports a series that is not integral as a failure, with the exception's
+    # repr; any other error is a fault of the program and escapes the suite
+    def raising(exc):
+        def series_coefficients(seq):
+            raise exc
+        return series_coefficients
+
+    violation = IntegralityViolation("A_3 is not an integer")
+    monkeypatch.setattr("speclat.verify.series_coefficients", raising(violation))
+    [c14] = [r for r in run_suite("honeycomb")["results"]
+             if r["criterion"] == "c14-series-integrality-honeycomb"]
+    assert (c14["passed"], c14["detail"]) == (False, repr(violation))
+    monkeypatch.setattr("speclat.verify.series_coefficients", raising(ZeroDivisionError("x")))
+    with pytest.raises(ZeroDivisionError):
+        run_suite("honeycomb")

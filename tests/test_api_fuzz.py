@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import speclat
 from speclat.errors import SizeLimit, SpeclatError
 
+from _oracles import expanded
 from conftest import SMALL_CAPS, mostly
 
 SERIES = SMALL_CAPS["DEFAULT_SERIES_CAP"]
@@ -76,8 +77,9 @@ def exact(ctx, draw):
         r = draw(integer)
         attempt(speclat.level_multiplicity, b, r)
         attempt(speclat.factored_value, b, draw(integer))
-        attempt(speclat.integer_root_multiplicity, b.polynomial, r)
-        attempt(speclat.divides, draw(st.sampled_from(list(b.factors.values()))), b.polynomial)
+        attempt(speclat.integer_root_multiplicity, expanded(b), r)
+        if d := attempt(speclat.spectral_factors, ctx.w, draw(level)):
+            attempt(d.divides, b)
 
 
 def moment_lists(ctx, draw):

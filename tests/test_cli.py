@@ -20,7 +20,7 @@ from speclat.errors import SizeLimit, SpectrumProximity
 from speclat.lattice import WeightedPointSet
 from speclat.table import LONG_FLOAT_COLUMN, TABLE_BLOCK, Table, leaves, record_parts, row_leaves
 
-from _oracles import evaluate_at_integer, json_text, table_rows
+from _oracles import evaluate_at_integer, expanded, json_text, table_rows
 
 
 def record_text(record):
@@ -1606,7 +1606,7 @@ def test_record_integers_past_digit_limit(tmp_path, fmt):
     assert code == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == before
     ps = WeightedPointSet(cfg["dimension"], tuple((tuple(p["a"]), p["c"]) for p in cfg["points"]))
-    poly = SpectralContext(ps).spectral_factors(cfg["bn"]["N"]).polynomial
+    poly = expanded(SpectralContext(ps).spectral_factors(cfg["bn"]["N"]))
     with _unlimited_int_text():
         if fmt == "json":
             value = json.loads(out.read_text())["payload"]["evaluations"][0]["value"]
@@ -1617,6 +1617,22 @@ def test_record_integers_past_digit_limit(tmp_path, fmt):
             coefficients = (f"{i},{c}" for i, c in enumerate(poly))
             assert rows == ["index,coefficient", *coefficients]
             assert max(map(len, rows)) > 4300
+
+
+def test_divides_past_the_digit_limit():
+    # b_8 of the weight-10^300 set packs in slots of s = 4802 digits, past int()'s
+    # default 4300: the packed division reads no integer from text
+    ps = WeightedPointSet(1, tuple((tuple(p["a"]), p["c"]) for p in HEAVY_CFG["points"]))
+    ctx = SpectralContext(ps)
+    before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if before:
+        sys.set_int_max_str_digits(4300)
+    try:
+        assert ctx.spectral_factors(8)._packed[1] == 4802
+        assert ctx.spectral_factors(4).divides(ctx.spectral_factors(8))
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
 
 
 def test_bn_value_at_a_huge_z_without_int_text(tmp_path):

@@ -26,7 +26,6 @@ from speclat.specpoly import (
     _maclaurin_bound,
     _mul_mod,
     character_values,
-    divides,
     factored_value,
     integer_root_multiplicity,
     level_multiplicity,
@@ -39,7 +38,9 @@ from _oracles import (
     constant_term,
     convolution_matrix,
     crt_point_values,
+    divides,
     evaluate_at_integer,
+    expanded,
     exact_moment_sweep,
     folded_moment_sweep,
     from_roots,
@@ -279,8 +280,8 @@ def test_charpoly_prime_set_independence(honeycomb):
     lifts = []
     for start in (2**62, 2**61, 2**31):
         with mock.patch.object(specpoly, "_PRIME_START", start):
-            lifts.append(_class_factor_lift(f, 3).polynomial)
-    assert lifts[0] == lifts[1] == lifts[2] == spectral_factors(w_of(honeycomb), 3).polynomial
+            lifts.append(expanded(_class_factor_lift(f, 3)))
+    assert lifts[0] == lifts[1] == lifts[2] == expanded(spectral_factors(w_of(honeycomb), 3))
 
 
 def _newton_power_sums(p: tuple[int, ...], K: int) -> list[int]:
@@ -306,7 +307,7 @@ def test_split_prime_matches_berkowitz(seed):
     N = top if seed % 2 == 0 else rng.randint(1, top)
     w = w_of(ps)
     f = fold_mod_N(w, N)
-    p = spectral_factors(w, N).polynomial
+    p = expanded(spectral_factors(w, N))
     assert p[-1] == 1 and len(p) - 1 == N**n
     assert p == berkowitz_charpoly(convolution_matrix(f, N))
     bound = _maclaurin_bound(N**n, constant_term(f))
@@ -354,7 +355,7 @@ def test_tree_matches_linear_factors_and_berkowitz(case):
     w, N, start = case
     f = fold_mod_N(w, N)
     with mock.patch.object(specpoly, "_PRIME_START", start):
-        tree = _class_factor_lift(f, N).polynomial
+        tree = expanded(_class_factor_lift(f, N))
     assert tree == linear_factor_lift(f, N, start)
     assert tree == berkowitz_charpoly(convolution_matrix(f, N))
 
@@ -366,7 +367,7 @@ def test_point_values_match_horner(case, extra):
     w, N, start = case
     f = fold_mod_N(w, N)
     with mock.patch.object(specpoly, "_PRIME_START", start):
-        poly = _class_factor_lift(f, N).polynomial
+        poly = expanded(_class_factor_lift(f, N))
     C2 = sum(w.terms.values())
     for zs in ((0, -1, -C2, C2, C2 + 1, *range(C2 + 1)), (10**6, -(10**9), *extra)):
         values = crt_point_values(f, N, zs, start)
@@ -400,8 +401,8 @@ def test_class_factors_match_linear_factor_lift(case):
     w, N = case
     b = spectral_factors(w, N)
     assert b.degree == N**w.dimension
-    assert b.polynomial == linear_factor_lift(fold_mod_N(w, N), N)
-    assert b.coefficient_text == [str(c) for c in b.polynomial]
+    assert expanded(b) == linear_factor_lift(fold_mod_N(w, N), N)
+    assert b.coefficient_text == [str(c) for c in expanded(b)]
 
 
 @settings(max_examples=25)
@@ -416,7 +417,7 @@ def test_class_factors_match_linear_factor_lift_when_classes_span_blocks(case, r
         blocks = list(_character_classes(f, (N,) * f.dimension))
         b = spectral_factors(w, N)
     assert sum(int(mult.sum()) for *_, mult in blocks) == N**f.dimension
-    assert b.polynomial == linear_factor_lift(f, N)
+    assert expanded(b) == linear_factor_lift(f, N)
 
 
 @pytest.mark.parametrize("N", [5, 7, 8])
@@ -465,7 +466,7 @@ def test_factored_readers_match_the_expanded_polynomial(case, extra):
     # levels and values read from the g_j against the expanded b_N
     w, N = case
     b = spectral_factors(w, N)
-    p = b.polynomial
+    p = expanded(b)
     C2 = sum(w.terms.values())
     roots = {round(v) for v in character_values(w, N).ravel().tolist() if abs(v - round(v)) < 1e-6}
     for z in (*roots, -1, 0, 1, 2, C2, C2 + 1, -C2, 10**100, -(10**100), *extra):
@@ -489,7 +490,7 @@ def test_factored_readers_match_the_expanded_polynomial(case, extra):
 )
 def test_reader_follows_bound_size(w_honey, honeycomb_ctx, N, zs, reader):
     # N + 1 is prime: the padic pass at p = N + 1 gives v_p(b_N(z)) at each z
-    poly = spectral_factors(w_honey, N).polynomial
+    poly = expanded(spectral_factors(w_honey, N))
     checked = valuation_inequality_check(honeycomb_ctx, zs, N + 1, 1)
     assert [v for v, _, _ in checked] == [vp(evaluate_at_integer(poly, z), N + 1) for z in zs]
 
@@ -499,7 +500,7 @@ def test_rows_with_multiplicity_and_level_values(w_honey, honeycomb_ctx):
     rows = merged_rows(_character_rows(f, 6))
     assert rows == loop_character_rows(f, 6)
     assert sum(rows.values()) == 36 and max(rows.values()) > 1
-    poly = _class_factor_lift(f, 6).polynomial
+    poly = expanded(_class_factor_lift(f, 6))
     assert poly == linear_factor_lift(f, 6)
     # at the spectrum levels the value is exactly 0: valuation inf
     levels = (0, 1, 3, 4, 7, 9)
@@ -547,7 +548,7 @@ def test_spectral_size_limit(w_honey, honeycomb_ctx, monkeypatch):
     monkeypatch.setattr("speclat.limits.DEFAULT_SIZE_LIMIT", 16)
     assert spectral_factors(w_honey, 4).degree == 16
     [(v, _, _)] = valuation_inequality_check(honeycomb_ctx, [0], 5, 1)
-    assert v == vp(spectral_factors(w_honey, 4).polynomial[0], 5)
+    assert v == vp(expanded(spectral_factors(w_honey, 4))[0], 5)
 
 
 # -- spectral polynomials -------------------------------------------------------
@@ -558,26 +559,26 @@ def test_level_one_is_linear(seed):
     rng = random.Random(40 + seed)
     ps = random_point_set(rng)
     C = ps.total_weight
-    assert spectral_factors(w_of(ps), 1).polynomial == (-C * C, 1)
+    assert expanded(spectral_factors(w_of(ps), 1)) == (-C * C, 1)
 
 
 def test_honeycomb_level6_factorization(w_honey):
     expected = from_roots(
         [0] * 2 + [1] * 15 + [3] * 6 + [4] * 6 + [7] * 6 + [9]
     )
-    p = spectral_factors(w_honey, 6).polynomial
+    p = expanded(spectral_factors(w_honey, 6))
     assert len(p) - 1 == 36
     assert p[-1] == 1
     assert p == expected
 
 
 def test_cheb_values_at_6(w_cheb):
-    assert evaluate_at_integer(spectral_factors(w_cheb, 3).polynomial, 6) == 50
-    assert evaluate_at_integer(spectral_factors(w_cheb, 17).polynomial, 6) == 5285770562
+    assert evaluate_at_integer(expanded(spectral_factors(w_cheb, 3)), 6) == 50
+    assert evaluate_at_integer(expanded(spectral_factors(w_cheb, 17)), 6) == 5285770562
 
 
 def test_honeycomb_value_53(w_honey):
-    v = evaluate_at_integer(spectral_factors(w_honey, 6).polynomial, 53)
+    v = evaluate_at_integer(expanded(spectral_factors(w_honey, 6)), 53)
     assert v % 7**12 == 0 and v % 7**13 != 0
 
 
@@ -590,9 +591,9 @@ def test_trace_coefficient(honeycomb, chebyshev):
 
 
 def test_divides(w_honey):
-    b6 = spectral_factors(w_honey, 6).polynomial
+    b6 = expanded(spectral_factors(w_honey, 6))
     for Np in (1, 2, 3):
-        assert divides(spectral_factors(w_honey, Np).polynomial, b6)
+        assert divides(expanded(spectral_factors(w_honey, Np)), b6)
     assert not divides((-1, 1), (0, 1))
 
 
@@ -604,7 +605,7 @@ def test_divides_random(seed):
     ctx = SpectralContext(random_point_set(rng, dimension=n))
     for N in range(1, 9 if n < 3 else 5):
         for d in (d for d in range(1, N) if N % d == 0):
-            assert divides(ctx.spectral_factors(d).polynomial, ctx.spectral_factors(N).polynomial)
+            assert divides(expanded(ctx.spectral_factors(d)), expanded(ctx.spectral_factors(N)))
 
 
 small_ints = st.integers(-20, 20)
@@ -625,6 +626,31 @@ def test_divides_exactly_the_multiples(p, s, data):
     assert divides(p, tuple(short)) == (not any(short))
 
 
+@settings(max_examples=40)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_packed_divides_agrees_with_the_schoolbook(seed, n):
+    # every ordered pair of levels up to 8 (4 in 3-D), divisors or not, both ways round
+    ctx = SpectralContext(random_point_set(random.Random(seed), dimension=n))
+    levels = range(1, 9 if n < 3 else 5)
+    for d, N in itertools.product(levels, repeat=2):
+        b_d, b_N = ctx.spectral_factors(d), ctx.spectral_factors(N)
+        assert b_d.divides(b_N) == divides(expanded(b_d), expanded(b_N))
+
+
+roots_at_least_0 = st.lists(st.integers(0, 12), max_size=6)
+
+
+@settings(max_examples=300)
+@given(roots_at_least_0, roots_at_least_0, roots_at_least_0)
+def test_packed_divides_is_root_inclusion(common, only_d, only_N):
+    # prod (z - r) over a multiset R_d of integers r >= 0 divides that over R_N
+    # exactly when R_d lies in R_N: past |b_N(-1)| at once, or by the division,
+    # whose remainder is nonzero or whose quotient is read back
+    R_d, R_N = common + only_d, common + only_N
+    b_d, b_N = (specpoly.SpectralFactors({1: from_roots(R)}, max(R, default=0)) for R in (R_d, R_N))
+    assert b_d.divides(b_N) == (not Counter(R_d) - Counter(R_N))
+
+
 @given(
     st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 3)), max_size=4,
              unique_by=lambda t: t[0]),
@@ -640,7 +666,7 @@ def test_root_multiplicity_of_a_product(roots, s, other):
 
 
 def test_sign_pattern_outside_spectrum(w_honey):
-    p = spectral_factors(w_honey, 4).polynomial
+    p = expanded(spectral_factors(w_honey, 4))
     deg = len(p) - 1
     for z in (10, 20, 100):
         assert evaluate_at_integer(p, z) > 0
@@ -649,7 +675,7 @@ def test_sign_pattern_outside_spectrum(w_honey):
 
 
 def test_root_multiplicities(w_honey):
-    b6 = spectral_factors(w_honey, 6).polynomial
+    b6 = expanded(spectral_factors(w_honey, 6))
     assert integer_root_multiplicity(b6, 9) == 1
     assert integer_root_multiplicity(b6, 0) == 2
     assert integer_root_multiplicity(b6, 1) == 15
@@ -670,7 +696,7 @@ def test_root_multiplicity_answers_a_huge_level_at_once(w_honey):
     # b_30 has 0 as a double root; any other integer root divides its lowest
     # nonzero coefficient, and +-10^4000 does not.  Dividing b_30 by
     # z - 10^4000 instead takes about 50 s.
-    b30 = spectral_factors(w_honey, 30).polynomial
+    b30 = expanded(spectral_factors(w_honey, 30))
     start = time.perf_counter()
     assert [integer_root_multiplicity(b30, r) for r in (10**4000, -(10**4000))] == [0, 0]
     assert time.perf_counter() - start < 0.5
@@ -682,11 +708,11 @@ def test_basis_independence(honeycomb, w_honey):
     for rows in (((2, 1), (-1, -2)), ((2, 1), (1, 2)), ((1, -1), (1, 2))):
         w_alt = rebased(w_honey, hnf, rows)
         for N in (2, 3):
-            assert spectral_factors(w_alt, N).polynomial == spectral_factors(w_honey, N).polynomial
+            assert expanded(spectral_factors(w_alt, N)) == expanded(spectral_factors(w_honey, N))
 
 
 def test_evaluate_at_root(w_cheb):
-    p = spectral_factors(w_cheb, 1).polynomial
+    p = expanded(spectral_factors(w_cheb, 1))
     assert evaluate_at_integer(p, 4) == 0
 
 
@@ -742,7 +768,7 @@ def test_log_value_level_one(w_cheb):
 
 def test_log_value_matches_exact(w_honey):
     for N, z in ((2, 12), (3, 17)):
-        p = spectral_factors(w_honey, N).polynomial
+        p = expanded(spectral_factors(w_honey, N))
         logmag = log_product(w_honey, N, z)
         assert abs(logmag - math.log(evaluate_at_integer(p, z))) < 1e-8
 

@@ -31,7 +31,7 @@ from speclat.moments import moment_sequence_N
 from speclat.specpoly import character_rows, character_values, integer_root_multiplicity
 
 from _oracles import complex_character_values, json_text, loop_adjacency, loop_clusters
-from _oracles import tuple_walk_weight_sum
+from _oracles import expanded, tuple_walk_weight_sum
 
 MAX_LEVEL = {1: 30, 2: 12, 3: 5}
 ORACLE_SEQUENCES = 4096  # most type sequences one oracle walk count enumerates
@@ -490,6 +490,6 @@ def test_float_clusters_match_exact_multiplicities(seed):
     ctx = SpectralContext(random_graph_set(rng, big=False))
     N = rng.randint(2, {1: 12, 2: 6, 3: 3}[ctx.dimension])
     hist = spectrum(ctx, N)
-    poly = ctx.spectral_factors(N).polynomial
+    poly = expanded(ctx.spectral_factors(N))
     for level in range(ctx.ps.total_weight**2 + 1):
         assert hist.multiplicity_near(level) == integer_root_multiplicity(poly, level), level
