@@ -51,7 +51,9 @@ Runs ``speclat.cli.main`` in process on
   ``moments`` level past the float cap, and a honeycomb ``bn`` divisor
   check and ``walks`` series check at a level past the b_N cap (these three
   exit 3); honeycomb ``walks`` series checks past ``k_max`` and with no walk
-  lengths; honeycomb ``spectrum`` with a grid past the float cap, and
+  lengths; ``walks`` on the weighted template at N = 5 to k = 6 (16^6
+  sequences), on the honeycomb at N = 7 to k = 8 (9^8) and on {-1, 1} with
+  weights 10^6 and 2^40 at N = 2 to k = 6 (totals past int64); honeycomb ``spectrum`` with a grid past the float cap, and
   ``mahler`` with a Hilbert series past the series cap and with a
   quadrature resolution past the float cap (these three exit 3); honeycomb
   ``mahler`` series whose tolerance times its scale leaves float range:
@@ -207,6 +209,12 @@ LARGE_JOBS = (
     # every vertex and edge end in the coordinates of a Hermite basis with entries above
     # its diagonal, on more points than the dimension plus one
     ("walks-fcc-graph-4", "fcc", "walks", {"N": 4, "k_max": 2, "export_graph": True}),
+    # walk totals joined from two halves of every length: 16^6 sequences of the
+    # weighted template, 9^8 of the honeycomb, and totals past int64 on {-1, 1}
+    # with weights 10^6 and 2^40
+    ("walks-weighted4-5-6", "weighted4", "walks", {"N": 5, "k_max": 6}),
+    ("walks-honeycomb-7-8", "honeycomb", "walks", {"N": 7, "k_max": 8}),
+    ("walks-big-line-2-6", "big-line", "walks", {"N": 2, "k_max": 6}),
     # float grids and moment series past their caps: exit 3
     ("spectrum-honeycomb-grid-cap", "honeycomb", "spectrum", {"N": 3000, "grid": 4000}),
     ("mahler-honeycomb-series-cap", "honeycomb", "mahler",
@@ -264,8 +272,9 @@ LARGE_JOBS = (
 # lattice, Hermite basis (1, 0, 1), (0, 1, 1), (0, 0, 2); the 3-D simplex, whose W
 # has tight reach 1 on every axis; {0, 1, 2000}, whose W has reach 2000; and the
 # honeycomb's shape with weights 10^5 to 3 * 10^5, whose W takes values up to 10^11;
-# {0, 1} with both weights 2^2000; and the 6-D simplex, whose first ladder rung has
-# 16^6 characters
+# {0, 1} with both weights 2^2000; the 6-D simplex, whose first ladder rung has
+# 16^6 characters; the weighted template itself; and {-1, 1} with weights 10^6
+# and 2^40
 FIXED_SETS = {
     "fcc": (3, [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 1), ((1, 1, 1), 3),
                 ((2, -1, 0), 1), ((0, 2, -1), 2)]),
@@ -274,6 +283,8 @@ FIXED_SETS = {
     "heavy": (2, [((1, 0), 100000), ((0, 1), 200000), ((-1, -1), 300000)]),
     "heavy-line": (1, [((0,), 2**2000), ((1,), 2**2000)]),
     "simplex6": (6, [((0,) * 6, 1), *(((*(int(i == j) for j in range(6)),), 1) for i in range(6))]),
+    "weighted4": gen.TEMPLATES["weighted"],
+    "big-line": (1, [((-1,), 10**6), ((1,), 2**40)]),
 }
 # (label, command, block, format) of honeycomb jobs, each run in a fresh interpreter
 FRESH_JOBS = (

@@ -237,8 +237,8 @@ def _plan_moments(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
 def _plan_walks(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
     from fractions import Fraction
 
-    from .graph import based_walk_weight_sum, build_graph, check_export_cap, check_walk_cap
-    from .graph import walk_series_check
+    from .graph import build_graph, check_export_cap, check_walk_cap, walk_series_check
+    from .graph import walk_totals
     from .specpoly import check_level
 
     N, kmax, z = params["N"], params["k_max"], params["series_z"]
@@ -252,7 +252,7 @@ def _plan_walks(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
         check_level(N, ctx.dimension, limits.DEFAULT_SIZE_LIMIT)
 
     def run():
-        totals = [based_walk_weight_sum(G, k) for k in range(1, max(kmax, K) + 1)]
+        totals = walk_totals(G, max(kmax, K))
         payload = {
             "N": N,
             "k_max": kmax,

@@ -7,10 +7,12 @@ closed walk alternates black-to-white and white-to-black steps, so a walk
 of length 2k is a sequence of k type pairs whose difference sum folds to
 zero.  Those sequences are enumerated literally (no matrix, torus or
 convolution shortcut), so they provide the independent count that the
-convolution traces are checked against: numpy holds the folded
-displacements and weight products of all suffixes (up to 2^16 of them),
-and each prefix tests them all at once.  The series check compares totals
-already enumerated with the Newton sums of the factors of a b_N.
+convolution traces are checked against: a sequence of k pairs closes iff
+its halves of floor(k/2) and ceil(k/2) pairs have opposite displacements,
+so one pass over about P^ceil(K/2) halves (P type pairs) reads every
+length k <= K, while the walk cap counts all P^K sequences.  The series
+check compares totals already enumerated with the Newton sums of the
+factors of a b_N.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .limits import MAX_WALK_LEVEL
 from .moments import newton_sums
 from .specpoly import SpectralFactors
 from .table import Table
-
-SUFFIX_ROWS = 2**16  # most type sequences held in one suffix table
 
 
 @dataclass(frozen=True)
@@ -93,50 +93,51 @@ def check_export_cap(N: int, n: int) -> None:
         raise SizeLimit(f"walks export_graph: {N}^{n} vertices per colour exceed cap {cap}")
 
 
-def _sequence_table(deltas: np.ndarray, weights: np.ndarray, length: int, N: int):
-    """Folded displacement sums (one column per sequence, one row per
-    axis) and weight products of every type-pair sequence of the given
-    length; ``deltas`` holds one column per type pair."""
-    disp = np.zeros((deltas.shape[0], 1), dtype=np.int64)
-    prod = np.ones(1, dtype=weights.dtype)
-    for _ in range(length):
-        disp = ((disp[:, :, None] + deltas[:, None, :]) % N).reshape(deltas.shape[0], -1)
-        prod = (prod[:, None] * weights[None, :]).reshape(-1)
-    return disp, prod
+def walk_totals(G: TorusBipartiteGraph, K: int) -> list[int]:
+    """[t_1, ..., t_K]: t_k is the total weight of based closed walks of
+    length 2k, all start vertices, each type sequence joined from two halves
+    (meet in the middle).  The halves of 0 to ceil(K/2) pairs are tabled
+    once, each table extended from the last by one pair and sorted by folded
+    displacement with a running weight sum, and each head of floor(k/2)
+    pairs reads the weight of the tails at minus its displacement by a
+    binary search.  Weights are int64 while the weight total of all P^K
+    sequences fits, Python integers above.  Translation invariance
+    contributes the factor of N^n start vertices.
+    """
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    check_walk_cap(len(G.pair_deltas), K)
+    N, n = G.N, G.dimension
+    deltas = np.array([[x % N for x in d] for d, _ in G.pair_deltas], dtype=np.int64)
+    # every partial total is at most the weight total of all P^K sequences
+    fits_int64 = sum(w for _, w in G.pair_deltas) ** K < 2**63
+    weights = np.array([w for _, w in G.pair_deltas], dtype=np.int64 if fits_int64 else object)
+    row = np.dtype((np.void, 8 * n))  # a displacement row as one sortable key
+    disp, prod = np.zeros((1, n), dtype=np.int64), np.ones(1, dtype=weights.dtype)
+    heads, tails = [], []  # by length: (displacements, weights), (sorted keys, running sums)
+    for length in range((K + 1) // 2 + 1):
+        if length:
+            disp = ((disp[:, None, :] + deltas[None, :, :]) % N).reshape(-1, n)
+            prod = (prod[:, None] * weights[None, :]).reshape(-1)
+        heads.append((disp, prod))
+        order = np.argsort(disp.view(row).ravel())
+        running = np.zeros(len(prod) + 1, dtype=prod.dtype)
+        np.cumsum(prod[order], out=running[1:])
+        tails.append((disp[order].view(row).ravel(), running))
+    totals = []
+    for k in range(1, K + 1):
+        (disp, prod), (keys, running) = heads[k // 2], tails[k - k // 2]
+        want = (-disp % N).view(row).ravel()
+        closing = running[keys.searchsorted(want, "right")] - running[keys.searchsorted(want)]
+        totals.append(int((prod * closing).sum()) * N**n)
+    return totals
 
 
 def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
-    """Total weight of based closed walks of length 2k, all start vertices.
-
-    Literal enumeration over all k-sequences of (out-type, back-type)
-    pairs; a sequence closes iff its folded displacement sum vanishes.
-    Each sequence is a prefix of k - s pairs and a suffix of s pairs, with
-    s as large as P^s <= 2^16 allows (P the number of type pairs): every
-    prefix tests the whole suffix table at once, closing exactly with the
-    suffixes whose displacement is minus its own.  Weights are int64
-    while the weight total of all P^k sequences fits, Python integers
-    above.  Translation invariance contributes the factor of N^n start
-    vertices.
-    """
+    """Total weight of based closed walks of length 2k: ``walk_totals(G, k)[-1]``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    npairs = len(G.pair_deltas)
-    check_walk_cap(npairs, k)
-    N, n = G.N, G.dimension
-    deltas = np.array([[d[j] % N for d, _ in G.pair_deltas] for j in range(n)], dtype=np.int64)
-    # every partial total is at most the weight total of all P^k sequences
-    fits_int64 = sum(w for _, w in G.pair_deltas) ** k < 2**63
-    weights = np.array([w for _, w in G.pair_deltas], dtype=np.int64 if fits_int64 else object)
-    s = 1
-    while s < k and npairs ** (s + 1) <= SUFFIX_ROWS:
-        s += 1
-    tail_disp, tail_prod = _sequence_table(deltas, weights, s, N)
-    head_disp, head_prod = _sequence_table(deltas, weights, k - s, N)
-    total = 0
-    for want, weight in zip(-head_disp.T % N, head_prod):
-        closed = (tail_disp == want[:, None]).all(axis=0)
-        total += int(weight) * int(tail_prod[closed].sum())
-    return total * N**n
+    return walk_totals(G, k)[-1]
 
 
 def walk_series_check(b: SpectralFactors, totals: list[int]) -> bool:

@@ -26,7 +26,7 @@ from .arith import valuation_inequality_check, vp
 from .catalog import builtin_point_set
 from .context import SpectralContext
 from .errors import IntegralityViolation
-from .graph import based_walk_weight_sum, build_graph
+from .graph import build_graph, walk_totals
 from .laurent import fold_mod_N
 from .moments import (
     check_congruence,
@@ -140,8 +140,7 @@ def _check_walk_bridge(ctx: SpectralContext, nmax: int, kmax: int) -> tuple[bool
             M[np.arange(size), columns] += c
         level = moment_sequence_N(ctx.w, kmax, N)
         acc = M
-        for k in range(1, kmax + 1):
-            walks = based_walk_weight_sum(G, k)
+        for k, walks in enumerate(walk_totals(G, kmax), 1):
             ok = ok and walks == acc.trace() == size * level[k]
             acc = acc.dot(M)
     return ok, f"walks = traces = level moments, N <= {nmax}, k <= {kmax}"

@@ -432,7 +432,7 @@ def test_walk_cap_checked_before_enumeration(tmp_path, capsys, monkeypatch, bloc
     def refuse(*args, **kwargs):
         raise AssertionError("walks enumerated past the job's cap")
 
-    monkeypatch.setattr("speclat.graph.based_walk_weight_sum", refuse)
+    monkeypatch.setattr("speclat.graph.walk_totals", refuse)
     monkeypatch.setattr("speclat.graph.walk_series_check", refuse)
     cfg = dict(HONEYCOMB_CFG)
     cfg["walks"] = block
@@ -1205,7 +1205,7 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     summed = count_calls(monkeypatch, specpoly, "_character_power_sums")
     swept = count_calls(monkeypatch, moments, "_moment_sweep")
     graphs = count_calls(monkeypatch, graph, "build_graph")
-    walked = count_calls(monkeypatch, graph, "based_walk_weight_sum")
+    walked = count_calls(monkeypatch, graph, "walk_totals")
     assert main([command, "--config", write_cfg(tmp_path, readme_config()),
                  "--out", str(tmp_path / "out.json")]) == 0
     assert len(lattices) == 1
@@ -1213,9 +1213,9 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     assert len({N for _, N in grouped}) == levels
     assert len(lifted) == (0 if command == "padic" else levels)
     assert len(summed) + len(swept) == sweeps
-    # walks: one graph, each length 2k, k <= max(k_max, series_K) = 4, enumerated once
+    # walks: one graph, and every length 2k, k <= max(k_max, series_K) = 4, read in one pass
     assert len(graphs) == (command == "walks")
-    assert [k for _, k in walked] == ([1, 2, 3, 4] if command == "walks" else [])
+    assert [K for _, K in walked] == ([4] if command == "walks" else [])
 
 
 @pytest.mark.parametrize(
@@ -1232,11 +1232,12 @@ def test_walks_enumerates_each_length_once(tmp_path, monkeypatch, block, K):
     from speclat import graph
 
     graphs = count_calls(monkeypatch, graph, "build_graph")
-    walked = count_calls(monkeypatch, graph, "based_walk_weight_sum")
+    walked = count_calls(monkeypatch, graph, "walk_totals")
     cfg = dict(HONEYCOMB_CFG, walks=block)
     code, out = run(tmp_path, cfg, ["walks", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0
-    assert len(graphs) == 1 and [k for _, k in walked] == list(range(1, K + 1))
+    # one pass reads every length to K = max(k_max, series_K)
+    assert len(graphs) == 1 and [k for _, k in walked] == [K]
     payload = json.loads(out.read_text())["payload"]
     assert len(payload["walk_totals"]) == len(payload["per_class"]) == block["k_max"]
     assert payload.get("series_check", {"ok": True})["ok"] is True
@@ -1375,7 +1376,7 @@ def test_bn_huge_level_cap_message(tmp_path, capsys):
 
 
 # the first computation each job would reach: a b_N, or a walk total
-WORK = {"bn": "speclat.specpoly._class_factor_lift", "walks": "speclat.graph.based_walk_weight_sum"}
+WORK = {"bn": "speclat.specpoly._class_factor_lift", "walks": "speclat.graph.walk_totals"}
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from speclat.errors import CosetViolation, SizeLimit
 from speclat.cli import main
 from speclat.context import SpectralContext
+from speclat import graph
 from speclat.graph import based_walk_weight_sum, build_graph, walk_series_check
 from speclat.lattice import WeightedPointSet, anchored_coords, difference_lattice
 from speclat.laurent import diffraction_polynomial
@@ -122,6 +123,17 @@ def test_explosion_guard(honeycomb, monkeypatch):
     G = graph_of(honeycomb, 2)
     with pytest.raises(SizeLimit, match=r"^9\*\*5 type sequences exceed the cap 1000$"):
         based_walk_weight_sum(G, 5)
+    with pytest.raises(SizeLimit, match=r"^9\*\*5 type sequences exceed the cap 1000$"):
+        graph.walk_totals(G, 5)
+
+
+def test_walk_totals_read_no_length_below_one(honeycomb):
+    G = graph_of(honeycomb, 2)
+    assert graph.walk_totals(G, 0) == []
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        graph.walk_totals(G, -1)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        based_walk_weight_sum(G, 0)
 
 
 def test_per_class_weight(honeycomb, tmp_path):

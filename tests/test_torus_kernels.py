@@ -3,9 +3,8 @@
 Walk enumeration, character values and spectrum clustering are checked on
 random weighted point sets in dimensions 1-3, some with weights >= 10^6 so
 that the walk totals overflow int64 and take the Python-integer path.  The
-suffix table is shrunk in some cases so that the prefix loop runs too, and
-the character-value block is shrunk to one row or a few so that the sum
-runs over many blocks.  The streamed torus means are checked against
+walk totals are read to odd and even K, and the character-value block is
+shrunk to one row or a few so that the sum runs over many blocks.  The streamed torus means are checked against
 ``np.mean`` over the whole grid at levels past one leaf of the sum.
 """
 
@@ -38,7 +37,7 @@ ORACLE_SEQUENCES = 4096  # most type sequences one oracle walk count enumerates
 BIG_WEIGHTS = (10**6, 10**6 + 3, 2**40)
 
 
-def check_kernels(ps: WeightedPointSet, N: int, suffix_rows: int, tolerance=None):
+def check_kernels(ps: WeightedPointSet, N: int, tolerance=None):
     basis = difference_lattice(ps)
     w = diffraction_polynomial(ps, basis)
     G = graph.build_graph(ps, basis, N)
@@ -47,11 +46,11 @@ def check_kernels(ps: WeightedPointSet, N: int, suffix_rows: int, tolerance=None
     while K < 4 and npairs ** (K + 1) <= ORACLE_SEQUENCES:
         K += 1
     level = moment_sequence_N(w, K, N)
-    with mock.patch.object(graph, "SUFFIX_ROWS", suffix_rows):
-        for k in range(1, K + 1):
-            walks = graph.based_walk_weight_sum(G, k)
-            assert walks == tuple_walk_weight_sum(G, k)
-            assert walks == N**ps.dimension * level[k]
+    expected = [tuple_walk_weight_sum(G, k) for k in range(1, K + 1)]
+    assert graph.walk_totals(G, K) == expected
+    assert expected == [N**ps.dimension * level[k] for k in range(1, K + 1)]
+    # the last total of each K <= 4, odd and even
+    assert [graph.based_walk_weight_sum(G, k) for k in range(1, K + 1)] == expected
     adjacency = json.dumps(loop_adjacency(G), sort_keys=True, indent=2)
     assert json_text(G.adjacency()) == adjacency
 
@@ -86,7 +85,7 @@ def test_torus_kernels_match_loops_random(seed):
     ps = random_graph_set(rng, big=seed % 3 == 0)
     N = rng.randint(1, MAX_LEVEL[ps.dimension])
     tolerance = rng.choice([None, 0.0, 0.25])
-    check_kernels(ps, N, rng.choice([1, 16, graph.SUFFIX_ROWS]), tolerance)
+    check_kernels(ps, N, tolerance)
 
 
 @st.composite
@@ -101,14 +100,13 @@ def graph_sets(draw, big=True):
         graph.build_graph(ps, difference_lattice(ps), 1)
     except (RankDeficient, CosetViolation):
         assume(False)
-    return ps, draw(st.integers(1, MAX_LEVEL[n])), draw(st.sampled_from([1, 16, 2**16]))
+    return ps, draw(st.integers(1, MAX_LEVEL[n]))
 
 
 @settings(max_examples=50)
 @given(graph_sets())
 def test_torus_kernels_match_loops_property(case):
-    ps, N, suffix_rows = case
-    check_kernels(ps, N, suffix_rows)
+    check_kernels(*case)
 
 
 HONEYCOMB = WeightedPointSet(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)))
@@ -300,7 +298,7 @@ Z_VALUES = st.one_of(
 @settings(max_examples=60)
 @given(graph_sets(), Z_VALUES)
 def test_averages_in_place_are_bitwise_property(case, z):
-    ps, N, _ = case
+    ps, N = case
     w = diffraction_polynomial(ps, difference_lattice(ps))
     vals = character_values(w, N)
     assume(np.abs(complex(z) - vals).min() > 0)
@@ -325,7 +323,7 @@ STREAM_LEVELS = {
 @settings(max_examples=30, deadline=None)
 @given(graph_sets(), st.data(), Z_VALUES)
 def test_streamed_means_are_np_mean_past_a_leaf_property(case, data, z):
-    ps, _, _ = case
+    ps, _ = case
     w = diffraction_polynomial(ps, difference_lattice(ps))
     N = data.draw(st.sampled_from(STREAM_LEVELS[ps.dimension]))
     vals = character_values(w, N)
@@ -359,7 +357,7 @@ def test_spectrum_average_matches_fresh_grids(seed):
 @settings(max_examples=40)
 @given(graph_sets(big=False))
 def test_quadrature_meets_a_value_held_only_by_the_fine_grid(case):
-    ps, N, _ = case
+    ps, N = case
     ctx = SpectralContext(ps)
     R = 2 * max(N, 2)
     proximity = 1e-6 * ps.total_weight**2
