@@ -6,8 +6,10 @@ lattice.  A context builds the lattice basis and W once, and keeps each
 exact reading it is asked for: b_N per level, as its factors g_j and, once
 read, its one packed product, and the moments, a tuple of integers read
 once as power sums to the largest K asked for, sliced below it.
-A context serves one job and nothing outlives it.  Float character values
-are recomputed on each call, so the Mahler ``limit`` ladder and the
+A context serves one job and nothing of it outlives the job; ``specpoly``'s
+table of split moduli does, as it holds constants of a level, not of a point
+set: a one-shot CLI process pays one search per level.  Float character
+values are recomputed on each call, so the Mahler ``limit`` ladder and the
 Hilbert ``spectrum-average`` ladder each build their own rungs: holding
 them would cost memory for no exact gain.
 """

@@ -20,15 +20,18 @@ Z[x]/(Phi_N) -> Z/M, x -> omega, which exists when omega**N = 1 and each
 omega**(N/q) - 1, q a prime factor of N, is a unit mod M: each Phi_d(omega),
 d a proper divisor of N, divides one of them, and x**N - 1 = prod_{d | N}
 Phi_d(x) leaves Phi_N(omega) = 0 (Washington, Introduction to Cyclotomic
-Fields, ch. 2).  ``_split_moduli`` takes omega = g**((M - 1)/N) for the
+Fields, ch. 2).  ``_certified_moduli`` takes omega = g**((M - 1)/N) for the
 first g = 2, 3, ... whose omega**(N/q) all differ from 1: for a prime M, the
 omega of exact order N.  It drops M when 2 is a Fermat witness or that
 omega fails.  A composite that passes, as 3319 * 647011 does for N = 79, is
 as good a modulus, and only such a one can share a factor with another, so
-the moduli are checked pairwise coprime once, by a product tree.  The same
-rows, read p-adically, give the `padic` valuations (see ``arith``); the same
-classes, modulo such M below 2**31, give every exact and level moment as a
-power sum.
+``_split_moduli`` checks its moduli pairwise coprime once, by a product tree.
+They are constants of N and the start, so ``_MODULI`` keeps those certified
+so far for each, and a call runs the search on only when it needs more: a
+process certifies each candidate at most once, whatever its point sets.
+The same rows, read p-adically, give the `padic` valuations (see
+``arith``); the same classes, modulo such M below 2**31, give every exact
+and level moment as a power sum.
 
 The bounds come from the sign of the roots.  Every point a differs from a
 fixed point a0 by a lattice vector, so W(chi) = |sum_a c_a chi(a - a0)|**2
@@ -73,10 +76,12 @@ from .laurent import LaurentPoly, fold_mod_N
 _CHAR_BLOCK = 2**20  # cells per block: terms x characters, or primes x terms x classes
 _VALUE_BLOCK = 2**16  # cells per block of the float character-value sum
 _PRIME_START = 2**62  # the split moduli of the g_j descend from here
-# the least factor of each base g < 2**8 that _split_moduli tries, below 16 for a composite g
+# the least factor of each base g < 2**8 that _certified_moduli tries, below 16 for a composite g
 _LEAST_FACTOR = [next((d for d in (2, 3, 5, 7, 11, 13) if d < g and g % d == 0), g)
                  for g in range(2**8)]
 _MARGIN_BITS = 32  # modulus bits past twice each g_j's bound
+# (N, start) -> a tee of _certified_moduli(N, start) that no call advances: it keeps all yielded
+_MODULI: dict = {}
 
 
 def _divmod_monic(q: tuple[int, ...], p: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -178,14 +183,12 @@ def _tree(items: list, pair):
     return items[0]
 
 
-def _split_moduli(N: int, need: int, start: int) -> list[tuple[int, int]]:
-    """(M, omega) for the fewest pairwise coprime odd M = 1 (mod N) below ``start``,
-    descending, with no prime factor below 48 but M, whose product exceeds need:
-    omega = g**((M - 1)/N) for the first g < 2**8 whose omega**(N/q) all differ
-    from 1, if it certifies M (module docstring)."""
+def _certified_moduli(N: int, start: int):
+    """Each (M, omega), M descending, for the odd M = 1 (mod N) below ``start`` with no
+    prime factor below 48 but M: omega = g**((M - 1)/N) for the first g < 2**8 whose
+    omega**(N/q) all differ from 1, if it certifies M (module docstring)."""
     quotients = [N // q for q in primes.prime_factors(N)]
     step = N if N % 2 == 0 else 2 * N  # odd M = 1 (mod N)
-    chosen, product = [], 1
     for M in range(start - 1 - (start - 2) % step, 2, -step):
         if math.gcd(M, primes._PRIMORIAL) not in (1, M):
             continue
@@ -199,9 +202,19 @@ def _split_moduli(N: int, need: int, start: int) -> list[tuple[int, int]]:
             units = [pow(omega, e, M) - 1 for e in quotients]  # one gcd shows them all units
             if all(units):
                 if (g == 2 or pow(omega, N, M) == 1) and math.gcd(math.prod(units), M) == 1:
-                    chosen.append((M, omega))
-                    product *= M
+                    yield M, omega
                 break
+
+
+def _split_moduli(N: int, need: int, start: int) -> list[tuple[int, int]]:
+    """(M, omega) for the fewest pairwise coprime ``_certified_moduli(N, start)``,
+    descending, whose product exceeds need.  They are read from ``_MODULI``: a level's
+    search runs at most once per process, and only as far as the calls need."""
+    table = _MODULI.pop((N, start), None) or itertools.tee(_certified_moduli(N, start), 1)[0]
+    chosen, product = [], 1
+    for M, omega in table.__copy__():  # a new reader from the first modulus; spares `import copy`
+        chosen.append((M, omega))
+        product *= M
         # only a composite shares a factor with another M, so this is checked once, by a
         # product tree that reads 0 once two halves do; then each M prime to all before it stays
         if product > need and not _tree([m for m, _ in chosen],
@@ -210,7 +223,10 @@ def _split_moduli(N: int, need: int, start: int) -> list[tuple[int, int]]:
                 k for k, _ in chosen[:i])) == 1]
             product = math.prod(m for m, _ in chosen)
         if product > need:
-            return chosen
+            break
+    _MODULI[N, start] = table  # not when the search raised: a later call runs it afresh
+    if product > need:
+        return chosen
     raise SizeLimit(f"primes 1 mod {N} below {start} run out before {need.bit_length()} bits")
 
 
@@ -256,8 +272,9 @@ def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]):
     of value v adds w = mult * v**k, one step per k.  |f(chi)| <= S = sum |c_e|:
     the CRT lifts past 2 m S^K; IntegralityViolation where m does not divide.
     ``moments._moments``, the one caller, checks every other cap first and
-    serves K = 0 itself; the search for the moduli runs here, cheap (about
-    45 ms for 1291 of them), so that their SizeLimit too comes before any work.
+    serves K = 0 itself; the moduli are found here, so that their SizeLimit too
+    comes before any work: a search is cheap (about 50 ms for 1291 of them), and
+    at a level already searched in the process ``_MODULI`` serves them.
     No int64 overflow, whatever the weights: c_e enters reduced mod p, a product
     of two entries is below 2**62 (mult <= 2**20, p < 2**31), a sum of under 2**32
     residues below 2**63, of w over 2**20 classes below 2**51."""

@@ -189,19 +189,105 @@ def test_split_primes_match_the_oracle(N, bits, start):
         assert all(omega == root_of_unity(N, M) for M, omega in moduli)
 
 
-def test_split_primes_by_a_running_product():
-    # the first 1291 primes 1 mod 12 below 2^31, as the whole product formed for each gave
+def cold_moduli(N, need, start):
+    """``_split_moduli`` on an empty table: a search that no call before it has served."""
+    with mock.patch.object(specpoly, "_MODULI", {}):
+        return specpoly._split_moduli(N, need, start)
+
+
+def test_split_primes_by_a_running_product(monkeypatch):
+    # the first 1291 primes 1 mod 12 below 2^31, as the whole product formed for each gave,
+    # timed on an empty table so that the search itself runs
+    monkeypatch.setattr(specpoly, "_MODULI", {})
     start = time.process_time()
     chosen = specpoly._split_moduli(12, 2**40000, 2**31)
     assert time.process_time() - start < 0.1
     assert [M for M, _ in chosen] == list(itertools.islice(primes_below(2**31, 12), 1291))
 
 
-def test_split_primes_that_run_out_are_a_size_limit():
-    # 29 * 17 * 13 * 5 = 32045: the primes 1 mod 4 below 30 lift no further
-    assert [M for M, _ in specpoly._split_moduli(4, 32044, 30)] == [29, 17, 13, 5]
-    with pytest.raises(SizeLimit, match="primes 1 mod 4 below 30 run out"):
-        specpoly._split_moduli(4, 32045, 30)
+def test_split_primes_that_run_out_are_a_size_limit(monkeypatch):
+    # 29 * 17 * 13 * 5 = 32045: the primes 1 mod 4 below 30 lift no further.  The table
+    # keeps the search run out: the same SizeLimit on every call, also after 32044 is served
+    monkeypatch.setattr(specpoly, "_MODULI", {})
+    for _ in range(2):
+        with pytest.raises(SizeLimit, match="primes 1 mod 4 below 30 run out before 15 bits"):
+            specpoly._split_moduli(4, 32045, 30)
+        assert [M for M, _ in specpoly._split_moduli(4, 32044, 30)] == [29, 17, 13, 5]
+
+
+def test_a_served_list_is_the_callers_own(monkeypatch):
+    # each call returns a new list: what one caller does to it no later call sees
+    monkeypatch.setattr(specpoly, "_MODULI", {})
+    want = list(cold_moduli(12, 2**400, 2**31))
+    first = specpoly._split_moduli(12, 2**400, 2**31)
+    first.pop()
+    first[0] = (7, 1)
+    first.append((5, 1))
+    assert specpoly._split_moduli(12, 2**400, 2**31) == want
+    assert specpoly._split_moduli(12, 2**200, 2**31) == cold_moduli(12, 2**200, 2**31)
+
+
+def test_an_interrupted_search_is_not_kept(monkeypatch):
+    # a search stopped by an exception, an interrupt say, leaves the table: a later
+    # call searches afresh instead of reading the level as one whose moduli ran out
+    search = specpoly._certified_moduli
+
+    def interrupted(N, start):
+        yield from itertools.islice(search(N, start), 3)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(specpoly, "_MODULI", {})
+    monkeypatch.setattr(specpoly, "_certified_moduli", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        specpoly._split_moduli(12, 2**400, 2**31)
+    monkeypatch.setattr(specpoly, "_certified_moduli", search)
+    assert specpoly._split_moduli(12, 2**400, 2**31) == cold_moduli(12, 2**400, 2**31)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 300), st.sampled_from([2**62, 2**31]), st.integers(1, 1500),
+       st.integers(1, 1500), st.integers(-1, 1))
+def test_a_served_search_is_a_cold_one(N, start, a, b, shift):
+    # two needs asked of one table, in either order, each get what a cold search gives
+    needs = (2**a + shift, 2**b + shift)
+    cold = [cold_moduli(N, need, start) for need in needs]
+    for order in (needs, needs[::-1]):
+        with mock.patch.object(specpoly, "_MODULI", {}):
+            served = [specpoly._split_moduli(N, need, start) for need in order]
+        assert served == (cold if order == needs else cold[::-1])
+
+
+def test_a_level_searched_once_certifies_no_new_candidate(monkeypatch, honeycomb):
+    # a second lift or power-sum plan at a level already searched, for another point
+    # set, reads the level's table: its search yields no new modulus.  The first goes
+    # only as far as it needs
+    sets = [WeightedPointSet(2, (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))), honeycomb]
+    jobs = [(w, N) for w in map(w_of, sets) for N in (4, 5)]
+    want = [(spectral_factors(w, N), _character_power_sums(w, 6, (N, N))()) for w, N in jobs]
+    pulled, lengths = Counter(), Counter()
+    search, serve = specpoly._certified_moduli, specpoly._split_moduli
+
+    def counted(N, start):
+        for item in search(N, start):
+            pulled[N, start] += 1
+            yield item
+
+    def served(N, need, start):
+        moduli = serve(N, need, start)
+        lengths[N, start] = max(lengths[N, start], len(moduli))
+        return moduli
+
+    monkeypatch.setattr(specpoly, "_MODULI", {})
+    monkeypatch.setattr(specpoly, "_certified_moduli", counted)
+    monkeypatch.setattr(specpoly, "_split_moduli", served)
+    got = [(spectral_factors(w, N), _character_power_sums(w, 6, (N, N))()) for w, N in jobs]
+    assert got == want
+    assert pulled == lengths and len(pulled) == 4 and all(pulled.values())
+    before = pulled.copy()
+    for w, N in jobs[::-1]:
+        spectral_factors(w, N)
+        _character_power_sums(w, 3, (N, N))
+    assert pulled == before
 
 
 @settings(max_examples=60)
