@@ -27,7 +27,7 @@ _MODULES = {
     "arith": "primitive_modulus valuation_inequality_check vp",
     "catalog": "builtin_point_set chebyshev_point_set honeycomb_point_set",
     "context": "SpectralContext",
-    "graph": "TorusBipartiteGraph based_walk_weight_sum build_graph walk_series_check",
+    "graph": "TorusBipartiteGraph build_graph walk_series_check walk_totals",
     "lattice": "LatticeBasis WeightedPointSet difference_lattice disjointness_check "
     "to_lattice_coords",
     "laurent": "LaurentPoly diffraction_polynomial fold_mod_N",

@@ -210,8 +210,7 @@ def _plan_moments(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
     from .moments import _congruence_sweep, _moments, product_exponents, series_coefficients
 
     K = params["k_max"]
-    sweeps = [_congruence_sweep(ctx.w, p, k, a) if k else None  # k = 0 sweeps nothing
-              for p, k, a in params["congruences"]]
+    sweeps = [_congruence_sweep(ctx.w, p, k, a) for p, k, a in params["congruences"]]
     exact = ctx.plan_moments(K)  # then each level, every cap of each in ``moments``
     levels = {N: _moments(ctx.w, K, N) for N in dict.fromkeys(params["levels"])}
 
@@ -222,7 +221,7 @@ def _plan_moments(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
             "moments": [str(v) for v in seq],
             "level_moments": {str(N): [str(v) for v in level()] for N, level in levels.items()},
             "congruences": [
-                {"p": p, "k": k, "alpha": a, "holds": sweep() if sweep else True}
+                {"p": p, "k": k, "alpha": a, "holds": sweep()}
                 for (p, k, a), sweep in zip(params["congruences"], sweeps)
             ],
         }

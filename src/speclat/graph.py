@@ -9,15 +9,14 @@ zero.  Those sequences are enumerated literally (no matrix, torus or
 convolution shortcut), so they provide the independent count that the
 convolution traces are checked against: a sequence of k pairs closes iff
 its halves of floor(k/2) and ceil(k/2) pairs have opposite displacements,
-so one pass over about P^ceil(K/2) halves (P type pairs) reads every
-length k <= K, while the walk cap counts all P^K sequences.  The series
-check compares totals already enumerated with the Newton sums of the
-factors of a b_N.
+so one pass over about P^ceil(K/2) halves (P type pairs, read from the
+points) reads every length k <= K, while the walk cap counts all P^K
+sequences.  The series check compares totals already enumerated with the
+Newton sums of the factors of a b_N.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +32,13 @@ from .table import Table
 
 @dataclass(frozen=True)
 class TorusBipartiteGraph:
-    """Level-N quotient graph.  Vertices are lattice-coordinate tuples;
-    edges run black -> white and carry the type (index of the point) and
-    its weight."""
+    """Level-N quotient graph, held as its points ((offset from the first, in lattice
+    coordinates), weight): edge type t runs black v -> white v + offset_t mod N with
+    weight c_t, and ``walk_totals`` reads the walks' type pairs from the points."""
 
     N: int
     dimension: int
     points: tuple[tuple[tuple[int, ...], int], ...]
-    pair_deltas: tuple[tuple[tuple[int, ...], int], ...]
 
     def adjacency(self) -> dict:
         """Adjacency description for external visualization, which ``table.record_parts``
@@ -70,13 +68,8 @@ def build_graph(
         raise ValueError(f"N must be from 1 to 2^62, got {N}")
     if not disjointness_check(ps, basis):
         raise CosetViolation("point set meets its difference lattice")
-    # offsets of each point against the first, in lattice coordinates
-    offsets = tuple(zip(anchored_coords(ps, basis), (c for _, c in ps.points)))
-    pair_deltas = tuple(
-        (tuple(x - y for x, y in zip(a, b)), ca * cb)
-        for (a, ca), (b, cb) in itertools.product(offsets, repeat=2)
-    )
-    return TorusBipartiteGraph(N, ps.dimension, offsets, pair_deltas)
+    points = tuple(zip(anchored_coords(ps, basis), (c for _, c in ps.points)))
+    return TorusBipartiteGraph(N, ps.dimension, points)
 
 
 def check_walk_cap(npairs: int, k: int) -> None:
@@ -94,24 +87,27 @@ def check_export_cap(N: int, n: int) -> None:
 
 
 def walk_totals(G: TorusBipartiteGraph, K: int) -> list[int]:
-    """[t_1, ..., t_K]: t_k is the total weight of based closed walks of
-    length 2k, all start vertices, each type sequence joined from two halves
-    (meet in the middle).  The halves of 0 to ceil(K/2) pairs are tabled
-    once, each table extended from the last by one pair and sorted by folded
-    displacement with a running weight sum, and each head of floor(k/2)
-    pairs reads the weight of the tails at minus its displacement by a
-    binary search.  Weights are int64 while the weight total of all P^K
-    sequences fits, Python integers above.  Translation invariance
-    contributes the factor of N^n start vertices.
+    """[t_1, ..., t_K]: t_k is the total weight of based closed walks of length 2k,
+    all start vertices, each type sequence joined from two halves (meet in the
+    middle); t_K alone is ``walk_totals(G, K)[-1]``.  The P^2 type pairs (a, b) of
+    the graph's P points, in ``itertools.product`` order, step by a - b mod N with
+    weight c_a c_b.  The halves of 0 to ceil(K/2) pairs are tabled once, each table
+    extended from the last by one pair and sorted by folded displacement with a
+    running weight sum, and each head of floor(k/2) pairs reads the weight of the
+    tails at minus its displacement by a binary search.  Weights are int64 while the
+    weight total of all P^2K sequences fits, Python integers above.  Translation
+    invariance contributes the factor of N^n start vertices.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    check_walk_cap(len(G.pair_deltas), K)
+    check_walk_cap(len(G.points) ** 2, K)
     N, n = G.N, G.dimension
-    deltas = np.array([[x % N for x in d] for d, _ in G.pair_deltas], dtype=np.int64)
-    # every partial total is at most the weight total of all P^K sequences
-    fits_int64 = sum(w for _, w in G.pair_deltas) ** K < 2**63
-    weights = np.array([w for _, w in G.pair_deltas], dtype=np.int64 if fits_int64 else object)
+    offsets = np.array([[x % N for x in a] for a, _ in G.points], dtype=np.int64)
+    deltas = ((offsets[:, None, :] - offsets[None, :, :]) % N).reshape(-1, n)
+    # each pair weight and every partial total is at most (sum c)^(2 max(K, 1))
+    fits_int64 = sum(c for _, c in G.points) ** (2 * max(K, 1)) < 2**63
+    w = np.array([c for _, c in G.points], dtype=np.int64 if fits_int64 else object)
+    weights = np.multiply.outer(w, w).reshape(-1)
     row = np.dtype((np.void, 8 * n))  # a displacement row as one sortable key
     disp, prod = np.zeros((1, n), dtype=np.int64), np.ones(1, dtype=weights.dtype)
     heads, tails = [], []  # by length: (displacements, weights), (sorted keys, running sums)
@@ -131,13 +127,6 @@ def walk_totals(G: TorusBipartiteGraph, K: int) -> list[int]:
         closing = running[keys.searchsorted(want, "right")] - running[keys.searchsorted(want)]
         totals.append(int((prod * closing).sum()) * N**n)
     return totals
-
-
-def based_walk_weight_sum(G: TorusBipartiteGraph, k: int) -> int:
-    """Total weight of based closed walks of length 2k: ``walk_totals(G, k)[-1]``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return walk_totals(G, k)[-1]
 
 
 def walk_series_check(b: SpectralFactors, totals: list[int]) -> bool:

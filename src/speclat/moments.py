@@ -79,10 +79,12 @@ def moment_sequence_N(f: LaurentPoly, K: int, N: int) -> tuple[int, ...]:
 
 
 def _congruence_sweep(f: LaurentPoly, p: int, k: int, alpha: int) -> Callable[[], bool]:
-    """The sweep of one congruence, k > 0, to h = k p^(alpha+1) modulo q = p^(alpha+1),
-    returned to run once every cap of it holds, each checked before any work: first h
-    past ``limits.DEFAULT_SERIES_CAP``, refused before q is formed, then (h + 1)^n cells,
-    then its largest box prod(2 ceil(h / 2) r_i + 1), r the tight reach of f mod q."""
+    """The sweep of one congruence to h = k p^(alpha+1) modulo q = p^(alpha+1), returned
+    to run once every cap of it holds, each checked before any work: first h past
+    ``limits.DEFAULT_SERIES_CAP``, refused before q is formed, then (h + 1)^n cells, then
+    its largest box prod(2 ceil(h / 2) r_i + 1), r the tight reach of f mod q."""
+    if not k:  # both sides are m_0: no sweep, and no cap
+        return lambda: True
     n, cap = f.dimension, limits.DEFAULT_FLOAT_CAP
     # p >= 2: p^bit_length passes the cap, so the power is never formed past it
     _series_cap(k * p ** min(alpha + 1, limits.DEFAULT_SERIES_CAP.bit_length()))
@@ -132,7 +134,7 @@ def check_congruence(f: LaurentPoly, p: int, k: int, alpha: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if k < 0 or alpha < 0:
         raise ValueError("k and alpha must be >= 0")
-    return k == 0 or _congruence_sweep(f, p, k, alpha)()
+    return _congruence_sweep(f, p, k, alpha)()
 
 
 # -- series expansions ---------------------------------------------------------

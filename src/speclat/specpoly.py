@@ -38,10 +38,10 @@ fixed point a0 by a lattice vector, so W(chi) = |sum_a c_a chi(a - a0)|**2
 lies in [0, C**2], C the total weight.  Maclaurin's inequality (Hardy,
 Littlewood and Polya, Inequalities, 2.22) bounds the elementary symmetric
 functions of the d roots of a g_j by binom(d, i) C**(2 i).  Each g_j is
-lifted by CRT over the leading pairwise coprime split moduli whose product
-first passes 2**32 times twice its own bound, so a g_j that is not integral
-(a class split across sizes) lifts outside that bound, with odds of at most
-about 2**-32, and raises IntegralityViolation.
+lifted by CRT over its own ``_split_moduli``: the leading pairwise coprime
+split moduli whose product first passes 2**32 times twice its bound.  A g_j
+that is not integral (a class split across sizes) lifts outside that bound,
+with odds of at most about 2**-32, and raises IntegralityViolation.
 
 h_j(z) = +-g_j(-z) has nonnegative coefficients, and so has
 H = prod_j h_j**j = +-b_N(-z), each at most their sum H(1) = |b_N(-1)|.
@@ -241,26 +241,24 @@ def _crt(residues, moduli: list[tuple[int, int]]) -> list[int]:
 
 
 def _class_factor_lift(folded: LaurentPoly, N: int) -> "SpectralFactors":
-    """The g_j of the module docstring, each lifted by CRT over the leading
-    split moduli past 2**_MARGIN_BITS times twice its own bound."""
+    """The g_j of the module docstring, each lifted by CRT over the moduli of its
+    own ``_split_moduli`` call, past 2**_MARGIN_BITS times twice its own bound."""
     top = sum(folded.terms.values())  # W at the trivial character, C**2: every root is in [0, top]
     rows: dict[int, list] = {}
     for row, size in _character_rows(folded, N):
         rows.setdefault(size, []).append(row)
-    bounds = {j: _maclaurin_bound(len(rs), top) for j, rs in sorted(rows.items())}
-    needs = {j: (2 * b + 1) << _MARGIN_BITS for j, b in bounds.items()}
-    moduli = _split_moduli(N, max(needs.values()), _PRIME_START)
-    residues: dict[int, list] = {j: [] for j in bounds}
-    read = 1  # the product of the moduli before p: g_j reads p while it is within needs[j]
-    for p, omega in moduli:
-        powers = list(itertools.accumulate([omega] * (N - 1), lambda x, w: x * w % p, initial=1))
-        for j in (j for j in bounds if read <= needs[j]):
-            leaves = [[-sum(a * powers[r] for r, a in row) % p, 1] for row in rows[j]]
-            residues[j].append(_tree(leaves, lambda a, b: _mul_mod(a, b, p)))
-        read *= p
-    factors = {j: tuple(_crt(residues[j], moduli)) for j in bounds}
-    if any(max(map(abs, g)) > bounds[j] for j, g in factors.items()):
-        raise IntegralityViolation(f"a g_j of b_{N} is not integral: a class is split")
+    factors = {}
+    for j, rs in sorted(rows.items()):
+        bound = _maclaurin_bound(len(rs), top)
+        moduli = _split_moduli(N, (2 * bound + 1) << _MARGIN_BITS, _PRIME_START)
+        residues = []
+        for p, omega in moduli:
+            powers = list(itertools.accumulate([omega] * (N - 1), lambda x, w: x * w % p, initial=1))
+            leaves = [[-sum(a * powers[r] for r, a in row) % p, 1] for row in rs]
+            residues.append(_tree(leaves, lambda a, b: _mul_mod(a, b, p)))
+        factors[j] = tuple(_crt(residues, moduli))
+        if max(map(abs, factors[j])) > bound:
+            raise IntegralityViolation(f"a g_j of b_{N} is not integral: a class is split")
     return SpectralFactors(factors, top)
 
 

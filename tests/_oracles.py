@@ -463,12 +463,15 @@ def exact_moment_sweep(f, K, coeff_mod=None):
 
 def tuple_walk_weight_sum(G, k):
     """Based closed-walk weight total of length 2k, one type sequence at a
-    time: a sequence of (out-type, back-type) pairs closes iff its folded
-    displacement sum vanishes; N^n start vertices."""
+    time: a sequence of (out-type, back-type) pairs (a, b), each of
+    displacement a - b and weight c_a c_b, closes iff its folded displacement
+    sum vanishes; N^n start vertices.  Reads only G's N, dimension and points."""
     N, n = G.N, G.dimension
     zero = (0,) * n
+    pairs = [(tuple(x - y for x, y in zip(a, b)), ca * cb)
+             for (a, ca), (b, cb) in itertools.product(G.points, repeat=2)]
     total = 0
-    for seq in itertools.product(G.pair_deltas, repeat=k):
+    for seq in itertools.product(pairs, repeat=k):
         disp = zero
         weight = 1
         for delta, w in seq:

@@ -4,8 +4,11 @@ frozen expected values) live in speclat.verify, so the CLI's verify
 command runs exactly the same checks; here each runs on a fresh context
 of its example."""
 
+import dataclasses
+
 import pytest
 
+import speclat.verify
 from speclat.catalog import builtin_point_set
 from speclat.context import SpectralContext
 from speclat.errors import IntegralityViolation
@@ -26,7 +29,22 @@ def test_criterion(cid, example, check):
     assert passed, line
 
 
+def test_an_unknown_example_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^unknown example 'cube'; available: "
+                                         r"\['chebyshev', 'honeycomb'\]$"):
+        builtin_point_set("cube")
+
+
 # -- mutations the rewritten criteria must catch ----------------------------------
+
+
+def test_honeycomb_multiplicities_fail_on_an_ambiguous_clustering(honeycomb_ctx, monkeypatch):
+    # c15 reads no multiplicity from a histogram whose clusters approach each other
+    [check] = [check for c, _, check in CRITERIA if c == "c15-honeycomb-multiplicities"]
+    spectrum = speclat.verify.spectrum
+    monkeypatch.setattr("speclat.verify.spectrum", lambda ctx, N: dataclasses.replace(
+        spectrum(ctx, N), ambiguous=N == 3))
+    assert check(honeycomb_ctx) == (False, "ambiguous clustering at N=3")
 
 
 @pytest.mark.parametrize("N", [1, 2, 9, 17])

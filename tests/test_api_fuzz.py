@@ -132,10 +132,9 @@ def walks(ctx, draw):
     attempt(speclat.fold_mod_N, ctx.w, draw(level))
     N = draw(level)
     if G := attempt(speclat.build_graph, ctx.ps, ctx.basis, N):
-        totals = [attempt(speclat.based_walk_weight_sum, G, k)
-                  for k in range(draw(st.integers(-1, 4)), 5)]
+        totals = attempt(speclat.walk_totals, G, draw(st.integers(-1, 4)))
         if b := attempt(speclat.spectral_factors, ctx.w, N):
-            attempt(speclat.walk_series_check, b, [t for t in totals if t is not None])
+            attempt(speclat.walk_series_check, b, totals or [])
 
 
 CALLS = {f.__name__: f for f in (exact, moment_lists, spectrum, hilbert, mahler, padic, walks)}

@@ -33,6 +33,12 @@ from conftest import HONEYCOMB_BAD_FIBRES, SMALL_CAPS, WEIGHTED_BAD_FIBRES, WEIG
 F7_COUNT_ROW = [8, 15, 1, 6, 6, 0, 0]
 
 
+@pytest.mark.parametrize("p, nu, message", [(4, 1, "4 is not prime"), (5, 0, "nu must be >= 1")])
+def test_primitive_modulus_refuses_a_composite_p_and_nu_below_one(p, nu, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        primitive_modulus(p, nu)
+
+
 def test_vp_examples():
     assert vp(722, 19) == 2  # 722 = 2 * 19^2
     assert vp(0, 5) == math.inf

@@ -610,7 +610,8 @@ def test_moments_cap_admits_sweeps_up_to_it(tmp_path, monkeypatch):
     cfg["moments"] = {"k_max": 2, "congruences": [[2, 1, 9], [2, 0, 10**9]], "series": False}
     code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0
-    assert planned == [(2, 1, 9)]  # h = 2^10, the cap; k = 0 sweeps nothing
+    # h = 2^10, the cap; k = 0 is planned too, but checks no cap and forms no 2^(10^9 + 1)
+    assert planned == [(2, 1, 9), (2, 0, 10**9)]
     payload = json.loads(out.read_text())["payload"]
     assert payload["moments"] == ["1", "3", "15"]
     assert [row["holds"] for row in payload["congruences"]] == [True, True]
@@ -626,8 +627,8 @@ def test_moments_builds_each_sweep_kernel_once(tmp_path, monkeypatch):
     cfg["moments"] = {"k_max": 2, "congruences": congruences, "series": False}
     code, out = run(tmp_path, cfg, ["moments", "--config", write_cfg(tmp_path, cfg)])
     assert code == 0
-    # one plan per congruence with k > 0, its kernel built for its caps and run once
-    assert [args[1:] for args in plans] == [(2, 1, 0), (3, 1, 1), (2, 1, 0)]
+    # one plan per congruence, and for k > 0 its kernel built for its caps and run once
+    assert [args[1:] for args in plans] == [(2, 1, 0), (3, 0, 2), (3, 1, 1), (2, 1, 0)]
     assert [(K, q) for _, _, K, q in sweeps] == [(2, 2), (9, 9), (2, 2)]
     rows = json.loads(out.read_text())["payload"]["congruences"]
     assert [row["holds"] for row in rows] == [True] * 4

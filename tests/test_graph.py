@@ -13,7 +13,7 @@ from speclat.errors import CosetViolation, SizeLimit
 from speclat.cli import main
 from speclat.context import SpectralContext
 from speclat import graph
-from speclat.graph import based_walk_weight_sum, build_graph, walk_series_check
+from speclat.graph import build_graph, walk_series_check
 from speclat.lattice import WeightedPointSet, anchored_coords, difference_lattice
 from speclat.laurent import diffraction_polynomial
 from speclat.moments import moment_sequence_N, newton_sums
@@ -24,6 +24,11 @@ from _oracles import convolution_matrix, table_rows
 
 def graph_of(ps, N):
     return build_graph(ps, difference_lattice(ps), N)
+
+
+def walk_total(G, k):
+    """The weight of based closed walks of length 2k alone: the last of ``walk_totals``."""
+    return graph.walk_totals(G, k)[-1]
 
 
 def edges_of(G):
@@ -66,20 +71,27 @@ def test_coset_violation():
         build_graph(ps, difference_lattice(ps), 2)
 
 
+@pytest.mark.parametrize("N", [0, 2**62 + 1])
+def test_a_level_outside_1_to_2_62_is_refused(honeycomb, N):
+    # a residue plus a folded delta, both below N, must stay in int64
+    with pytest.raises(ValueError, match=rf"^N must be from 1 to 2\^62, got {N}$"):
+        graph_of(honeycomb, N)
+
+
 def test_walk_sums_honeycomb_k1(honeycomb):
     # only a == b closes for N >= 2, giving 3 walks per start vertex
     for N in (2, 3):
         G = graph_of(honeycomb, N)
-        assert based_walk_weight_sum(G, 1) == 3 * N**2
+        assert walk_total(G, 1) == 3 * N**2
     # at level 1 all nine type pairs close
-    assert based_walk_weight_sum(graph_of(honeycomb, 1), 1) == 9
+    assert walk_total(graph_of(honeycomb, 1), 1) == 9
 
 
 def test_walk_sum_cheb(chebyshev):
     G = graph_of(chebyshev, 2)
     # level-2 moment at k=2 is binom(4,0)+binom(4,2)+binom(4,4) = 8,
     # times the 2 start vertices
-    assert based_walk_weight_sum(G, 2) == 2 * 8
+    assert walk_total(G, 2) == 2 * 8
 
 
 def test_walk_sum_matches_trace_and_moments(honeycomb, chebyshev):
@@ -98,7 +110,7 @@ def test_walk_sum_matches_trace_and_moments(honeycomb, chebyshev):
                     ]
                     for i in range(size)
                 ]
-                walks = based_walk_weight_sum(G, k)
+                walks = walk_total(G, k)
                 assert walks == sum(acc[i][i] for i in range(size))
                 assert walks == N**n * moment_sequence_N(w, k, N)[k]
 
@@ -106,8 +118,8 @@ def test_walk_sum_matches_trace_and_moments(honeycomb, chebyshev):
 def test_walks_invariant_under_relabeling(honeycomb):
     shuffled = WeightedPointSet(2, (((0, 1), 1), ((-1, -1), 1), ((1, 0), 1)))
     for N, k in ((2, 3), (3, 2)):
-        a = based_walk_weight_sum(graph_of(honeycomb, N), k)
-        b = based_walk_weight_sum(graph_of(shuffled, N), k)
+        a = walk_total(graph_of(honeycomb, N), k)
+        b = walk_total(graph_of(shuffled, N), k)
         assert a == b
 
 
@@ -115,14 +127,12 @@ def test_weighted_walks():
     ps = WeightedPointSet(1, (((-1,), 2), ((1,), 3)))
     G = graph_of(ps, 2)
     # k=1: closing pairs are (a,a) and (b,b): weights 4 + 9, times N^n = 2
-    assert based_walk_weight_sum(G, 1) == 2 * 13
+    assert walk_total(G, 1) == 2 * 13
 
 
 def test_explosion_guard(honeycomb, monkeypatch):
     monkeypatch.setattr("speclat.limits.DEFAULT_WALK_CAP", 1000)
     G = graph_of(honeycomb, 2)
-    with pytest.raises(SizeLimit, match=r"^9\*\*5 type sequences exceed the cap 1000$"):
-        based_walk_weight_sum(G, 5)
     with pytest.raises(SizeLimit, match=r"^9\*\*5 type sequences exceed the cap 1000$"):
         graph.walk_totals(G, 5)
 
@@ -130,10 +140,12 @@ def test_explosion_guard(honeycomb, monkeypatch):
 def test_walk_totals_read_no_length_below_one(honeycomb):
     G = graph_of(honeycomb, 2)
     assert graph.walk_totals(G, 0) == []
+    # no length, whatever the weights: a pair weight past int64 is no OverflowError
+    heavy = graph_of(WeightedPointSet(1, (((-1,), 10**20), ((1,), 1))), 3)
+    assert graph.walk_totals(heavy, 0) == []
+    assert graph.walk_totals(heavy, 1) == [3 * (10**40 + 1)]
     with pytest.raises(ValueError, match="K must be >= 0"):
         graph.walk_totals(G, -1)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        based_walk_weight_sum(G, 0)
 
 
 def test_per_class_weight(honeycomb, tmp_path):
@@ -149,14 +161,14 @@ def test_per_class_weight(honeycomb, tmp_path):
     payload = json.loads(out.read_text())["payload"]
     G = graph_of(honeycomb, 2)
     for k in (1, 2, 3):
-        total = based_walk_weight_sum(G, k)
+        total = walk_total(G, k)
         assert payload["walk_totals"][k - 1] == str(total)
         assert payload["per_class"][k - 1] == str(Fraction(total, k))
 
 
 def walk_totals(ctx, N, K):
     G = build_graph(ctx.ps, ctx.basis, N)
-    return [based_walk_weight_sum(G, k) for k in range(1, K + 1)]
+    return [walk_total(G, k) for k in range(1, K + 1)]
 
 
 def test_walk_series_honeycomb(honeycomb_ctx):
@@ -301,7 +313,7 @@ def test_bridge_property(ps, N):
     newton = [sum(ss) for ss in zip(*sums)]
     assert newton == [N**n * m for m in moment_sequence_N(ctx.w, K, N)[1:]]
     G = build_graph(ps, ctx.basis, N)
-    assert newton == [based_walk_weight_sum(G, k) for k in range(1, K + 1)]
+    assert newton == [walk_total(G, k) for k in range(1, K + 1)]
     values = character_values(ctx.w, N)
     for k, s in enumerate(newton, 1):
         assert math.isclose(float((values**k).sum()), s, rel_tol=1e-9)

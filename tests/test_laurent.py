@@ -36,6 +36,16 @@ def test_no_zero_coefficients_stored():
     assert f.terms == {(1,): 2}
 
 
+def test_an_exponent_of_the_wrong_dimension_is_refused():
+    with pytest.raises(ValueError, match=r"^exponent \(1,\) has wrong dimension$"):
+        LaurentPoly(2, {(0, 0): 1, (1,): 1})
+
+
+def test_fold_mod_N_refuses_a_level_below_one(w_honey):
+    with pytest.raises(ValueError, match="^N must be >= 1$"):
+        fold_mod_N(w_honey, 0)
+
+
 def test_cheb_polynomial(w_cheb):
     assert dict(w_cheb.terms) == {(1,): 1, (-1,): 1, (0,): 2}
     assert constant_term(w_cheb) == 2
@@ -109,7 +119,8 @@ def test_anchored_coordinates_match_per_pair_solves(seed):
         G = build_graph(ps, basis, 2)
     except CosetViolation:
         return
-    assert G.pair_deltas == tuple(pairs)
+    assert [(tuple(x - y for x, y in zip(a, b)), ca * cb)
+            for (a, ca), (b, cb) in itertools.product(G.points, repeat=2)] == pairs
 
 
 def test_multiply_identity(w_honey):

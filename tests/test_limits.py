@@ -13,7 +13,7 @@ from speclat.analysis import hilbert_transform, mahler_measure, spectrum
 from speclat.arith import valuation_inequality_check
 from speclat.context import SpectralContext
 from speclat.errors import SizeLimit
-from speclat.graph import based_walk_weight_sum, build_graph
+from speclat.graph import build_graph, walk_totals
 from speclat.moments import check_congruence, moment_sequence, moment_sequence_N
 from speclat.specpoly import spectral_factors
 
@@ -37,7 +37,7 @@ BOUNDED_CALLS = {
     "hilbert-series": ("DEFAULT_SERIES_CAP", 10,
                        lambda ctx: hilbert_transform(ctx, 12.0, tol=1e-10)),
     "walks": ("DEFAULT_WALK_CAP", 100,
-              lambda ctx: based_walk_weight_sum(build_graph(ctx.ps, ctx.basis, 2), 3)),
+              lambda ctx: walk_totals(build_graph(ctx.ps, ctx.basis, 2), 3)),
 }
 
 
@@ -64,6 +64,36 @@ def cap_copies(source: str) -> list[str]:
             continue
         found += [f"{node.lineno}: {name}" for name in names if name.startswith("DEFAULT_")]
     return found
+
+
+def moduli_names(source: str, exempt: bool) -> list[str]:
+    """The lines of a module that name ``_certified_moduli`` or ``_MODULI``, by name, as an
+    attribute or in an import; if exempt, not inside ``_split_moduli`` or the table's own
+    module-level binding."""
+    found = []
+    for stmt in ast.parse(source).body:
+        binding = isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "_MODULI"
+        if exempt and (binding or getattr(stmt, "name", None) == "_split_moduli"):
+            continue
+        for node in ast.walk(stmt):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name in ("_certified_moduli", "_MODULI"):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_only_split_moduli_reads_the_moduli_table():
+    # the rule "the fewest leading certified moduli past the need" is written once
+    copies = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                if found := moduli_names(fh.read(), exempt=name == "specpoly.py"):
+                    copies[name] = found
+    assert not copies
+    with open(os.path.join(PACKAGE, "specpoly.py")) as fh:
+        assert len(moduli_names(fh.read(), exempt=False)) == 4  # the guard sees them
 
 
 def test_no_module_but_limits_binds_a_cap():

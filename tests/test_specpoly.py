@@ -56,6 +56,9 @@ from _oracles import (
 from conftest import random_point_set
 
 
+CUBE = WeightedPointSet(3, (((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((-1, -1, -1), 1)))
+
+
 def w_of(ps):
     return diffraction_polynomial(ps, difference_lattice(ps))
 
@@ -260,10 +263,13 @@ def test_a_served_search_is_a_cold_one(N, start, a, b, shift):
 def test_a_level_searched_once_certifies_no_new_candidate(monkeypatch, honeycomb):
     # a second lift or power-sum plan at a level already searched, for another point
     # set, reads the level's table: its search yields no new modulus.  The first goes
-    # only as far as it needs
+    # only as far as it needs: the cube's lift at N = 6 asks once for each of its seven
+    # class sizes, and certifies only as many candidates as its largest factor's list
     sets = [WeightedPointSet(2, (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))), honeycomb]
-    jobs = [(w, N) for w in map(w_of, sets) for N in (4, 5)]
-    want = [(spectral_factors(w, N), _character_power_sums(w, 6, (N, N))()) for w, N in jobs]
+    jobs = [(w, N) for w in map(w_of, sets) for N in (4, 5)] + [(w_of(CUBE), 6)]
+    want = [(spectral_factors(w, N), _character_power_sums(w, 6, (N,) * w.dimension)())
+            for w, N in jobs]
+    assert len(want[-1][0].factors) == 7
     pulled, lengths = Counter(), Counter()
     search, serve = specpoly._certified_moduli, specpoly._split_moduli
 
@@ -280,13 +286,14 @@ def test_a_level_searched_once_certifies_no_new_candidate(monkeypatch, honeycomb
     monkeypatch.setattr(specpoly, "_MODULI", {})
     monkeypatch.setattr(specpoly, "_certified_moduli", counted)
     monkeypatch.setattr(specpoly, "_split_moduli", served)
-    got = [(spectral_factors(w, N), _character_power_sums(w, 6, (N, N))()) for w, N in jobs]
+    got = [(spectral_factors(w, N), _character_power_sums(w, 6, (N,) * w.dimension)())
+           for w, N in jobs]
     assert got == want
-    assert pulled == lengths and len(pulled) == 4 and all(pulled.values())
+    assert pulled == lengths and len(pulled) == 6 and all(pulled.values())
     before = pulled.copy()
     for w, N in jobs[::-1]:
         spectral_factors(w, N)
-        _character_power_sums(w, 3, (N, N))
+        _character_power_sums(w, 3, (N,) * w.dimension)
     assert pulled == before
 
 
@@ -489,6 +496,33 @@ def test_class_factors_match_linear_factor_lift(case):
     assert b.degree == N**w.dimension
     assert expanded(b) == linear_factor_lift(fold_mod_N(w, N), N)
     assert b.coefficient_text == [str(c) for c in expanded(b)]
+
+
+@settings(max_examples=30)
+@given(weighted_cases())
+def test_each_factor_lifts_over_its_own_moduli(case):
+    # one ``_split_moduli`` call per class size, for the need of that g_j's own bound,
+    # and g_j's CRT reads exactly that call's moduli, no fewer and no more
+    w, N = case
+    split, crt, calls, reads = specpoly._split_moduli, specpoly._crt, [], []
+
+    def split_recorded(N, need, start):
+        calls.append((need, start, split(N, need, start)))
+        return calls[-1][-1]
+
+    def crt_recorded(residues, moduli):
+        reads.append([M for _, (M, _) in zip(residues, moduli)])
+        return crt(residues, moduli)
+
+    with mock.patch.object(specpoly, "_split_moduli", split_recorded), \
+            mock.patch.object(specpoly, "_crt", crt_recorded):
+        b = spectral_factors(w, N)
+    needs = [(2 * _maclaurin_bound(len(g) - 1, b.top) + 1) << specpoly._MARGIN_BITS
+             for g in b.factors.values()]
+    assert [(need, start) for need, start, _ in calls] == [
+        (need, specpoly._PRIME_START) for need in needs]
+    assert reads == [[M for M, _ in moduli] for *_, moduli in calls]
+    assert expanded(b) == linear_factor_lift(fold_mod_N(w, N), N)
 
 
 @settings(max_examples=25)
