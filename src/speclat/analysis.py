@@ -5,15 +5,17 @@ the torsion characters, the Hilbert transform of the level-density
 measure, and the Mahler-measure limit of the spectral polynomials.  Each
 function reads a SpectralContext: W from it, and the exact moments the
 series routes need, so a job that asks for several readings builds W once
-and reads the moments once.  The Mahler ``limit`` and the Hilbert
-``spectrum-average`` routes climb one doubling ladder of character levels,
-``_ladder``, planned by ``_first_rung`` (for the CLI too); their
-``moment-series`` routes sum one ``_series_terms``.
-Every torus mean, those two ladders' rungs and the Mahler quadrature, is
-one ``_torus_means``: it reads the characters a row block at a time and
-sums them in numpy's own pairwise order, so it holds a leaf of that sum
-instead of the grid and gives ``np.mean``'s bits.  Only ``spectrum``, which
-sorts every value, holds its grid.
+and reads the moments once.  ``_plan`` checks every cap of the Mahler and
+Hilbert routes a call or a CLI ``mahler`` job asks for, once, before any
+work; each public call begins with it, so both raise the same messages.
+The Mahler ``limit`` and the Hilbert ``spectrum-average`` routes climb one
+doubling ladder of character levels, ``_ladder``; their ``moment-series``
+routes sum one ``_series_terms``.  Every torus mean, those two ladders'
+rungs and the Mahler quadrature, is one ``_torus_means`` of one
+``_reading``, of log|z - v| or 1/(z - v): it reads the characters a row
+block at a time and sums them in numpy's own pairwise order, so it holds a
+leaf of that sum instead of the grid and gives ``np.mean``'s bits.  Only
+``spectrum``, which sorts every value, holds its grid.
 
 The torus log-average, the stabilized polynomial limit and the moment
 series are three independent numerical routes to the same Mahler measure;
@@ -175,18 +177,11 @@ def _torus_means(w, N: int, read, half: bool = False) -> list:
     return [mean.mean() for mean in means]
 
 
-def _first_rung(n: int) -> None:
-    """The plan of ``_ladder`` in n dimensions: SizeLimit, before any work, when
-    its first rung, level 16, passes the float cap."""
-    check_level(16, n, limits.DEFAULT_FLOAT_CAP, "character values")
-
-
 def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
     """(reading, |difference|) at the first of the levels N = 16, 32, ...
     whose reading ``read(N)`` agrees within tol with the one before.
     Raises SizeLimit(failure) when N^n passes the float cap first, after
-    reading at least one rung (``_first_rung``)."""
-    _first_rung(ctx.dimension)
+    reading at least one rung: ``_plan`` checked the first."""
     prev, N, cap = None, 16, limits.DEFAULT_FLOAT_CAP
     while N**ctx.dimension <= cap:
         cur = read(N)
@@ -197,11 +192,15 @@ def _ladder(ctx: SpectralContext, read, tol: float, failure: str):
     raise SizeLimit(failure)
 
 
-# -- Hilbert transform ----------------------------------------------------------
+# -- the plan -------------------------------------------------------------------
 
 
-def _series_length(ratio: float, scale: float, tol: float, div: float = 1) -> int:
-    # smallest K with ratio^(K+1) / scale < tol / div, held to the series cap
+def _series_length(C2: int, z: complex, tol: float, mahler: bool) -> int:
+    """The moments the Mahler (``mahler``) or the Hilbert moment series needs at z: the
+    smallest K with ratio^(K+1) / scale < tol / div, ratio = C2 / |z|, held to the series
+    cap; the Mahler series has scale 1 - ratio and div 10, the Hilbert |z| - C2 and 1."""
+    ratio = C2 / abs(z) if z else math.inf  # z = 0 is refused with the rest of |z| <= C2
+    scale, div = (1 - ratio, 10) if mahler else (abs(z) - C2, 1)
     if not 0 < ratio < 1:
         raise ValueError("series method needs |z| above the spectrum top")
     if not 0 < tol < math.inf:
@@ -216,39 +215,57 @@ def _series_length(ratio: float, scale: float, tol: float, div: float = 1) -> in
     return K
 
 
-def _hilbert_length(C2: int, z: complex, tol: float) -> int:
-    ratio = C2 / abs(z) if z else math.inf  # z = 0 is refused with the rest of |z| <= C2
-    return _series_length(ratio, abs(z) - C2, tol)
+def _plan(ctx: SpectralContext, z, methods=(), tol: float = 1e-3, resolution: int = 128,
+          hilbert=(), hilbert_tol: float = 1e-10):
+    """(K_mahler, K_hilbert, the run of the moments to the longer) of the Mahler routes
+    ``methods`` and the Hilbert routes ``hilbert`` at z, each K 0 for no series, every
+    cap checked once, before any work, in the order of the README's ``mahler`` row:
+    with ``torus-quadrature``, resolution >= 2 (ValueError) and resolution^n within the
+    float cap; the Mahler series length, then the Hilbert one; the moments' own caps;
+    with ``limit`` or ``spectrum-average``, the ladders' first rung, 16^n."""
+    C2, n = _top(ctx), ctx.dimension
+    if "torus-quadrature" in methods:
+        if resolution < 2:  # the half grid needs level resolution // 2 >= 1
+            raise ValueError("resolution must be >= 2")
+        check_level(resolution, n, limits.DEFAULT_FLOAT_CAP, "character values")
+    K = [_series_length(C2, z, t, mahler) if "moment-series" in routes else 0
+         for routes, t, mahler in ((methods, tol, True), (hilbert, hilbert_tol, False))]
+    moments = ctx.plan_moments(max(K))
+    if {"limit", "spectrum-average"} & {*methods, *hilbert}:
+        check_level(16, n, limits.DEFAULT_FLOAT_CAP, "character values")
+    return (*K, moments)
 
 
-def _mahler_length(C2: int, z: complex, tol: float) -> int:
-    ratio = C2 / abs(z) if z else math.inf
-    return _series_length(ratio, 1 - ratio, tol, 10)
+# -- Hilbert transform ----------------------------------------------------------
 
 
-def _series_terms(ctx: SpectralContext, z: complex, K: int):
-    """(k, m_k / C2^k, (C2/z)^k), k = 0..K, the terms both moment series sum: each
-    factor stays bounded however large the integer moments get, m_k / C2^k in (0, 1]."""
-    C2 = ctx.ps.total_weight**2
-    m = ctx.moment_sequence(K)
+def _series_terms(C2: int, z: complex, m: tuple[int, ...]):
+    """(k, m_k / C2^k, (C2/z)^k) for each moment m_k of m, the terms both moment series
+    sum: each factor stays bounded however large the integer moments get, m_k / C2^k in (0, 1]."""
     base = C2 * (1 / complex(z))
     scaled, c2pow = 1 + 0j, 1
-    for k in range(K + 1):
-        yield k, m[k] / c2pow, scaled
+    for k, mk in enumerate(m):
+        yield k, mk / c2pow, scaled
         scaled *= base
         c2pow *= C2
 
 
-def _stieltjes_reading(z, tol_abs):
-    """vals -> 1/(z - v) elementwise, in one complex buffer: the ufuncs of
-    ``1.0 / (complex(z) - vals)``, so the same bits; SpectrumProximity, read
-    in vals, when a |z - v| is below tol_abs, as ``_log_reading``."""
+def _reading(z, tol_abs: float, log: bool):
+    """vals -> log|z - v| (``log``) or 1/(z - v) elementwise: the ufuncs of
+    ``np.log(np.abs(z - vals))`` or ``1.0 / (complex(z) - vals)``, so the same
+    bits; SpectrumProximity, read in vals, when a |z - v| is below tol_abs.
+    A real z's log reading works in vals itself, as |complex(z) - v| =
+    hypot(z - v, 0) has the same bits; any other takes one complex buffer."""
 
     def read(vals: np.ndarray) -> np.ndarray:
-        buf = np.subtract(complex(z), vals)
-        if np.abs(buf, out=vals).min() < tol_abs:
+        if log and not np.iscomplexobj(z):
+            diff = np.subtract(z, vals, out=vals)
+        else:
+            diff = np.subtract(complex(z), vals)
+        size = np.abs(diff, out=vals)
+        if size.min() < tol_abs:
             raise SpectrumProximity(f"{z} is within {tol_abs} of an observed spectrum value")
-        return np.divide(1.0, buf, out=buf)
+        return np.log(size, out=size) if log else np.divide(1.0, diff, out=diff)
 
     return read
 
@@ -266,16 +283,16 @@ def hilbert_transform(
     1/(z - value) over the characters, level doubled until stable; as in
     ``mahler_measure``, SpectrumProximity within 1e-6 total_weight^2 of a value.
     """
-    C2 = _top(ctx)
+    moments = _plan(ctx, z, hilbert=(method,), hilbert_tol=tol)[2]
+    C2 = ctx.ps.total_weight**2
     if method == "moment-series":
-        K = _hilbert_length(C2, z, tol)  # refuses |z| <= C2 before 1 / z
         zinv = 1 / complex(z)
         acc = 0j
-        for _, a, s in _series_terms(ctx, z, K):
+        for _, a, s in _series_terms(C2, z, moments()):
             acc += a * s * zinv
         return acc
     if method == "spectrum-average":
-        average = lambda N: complex(_torus_means(ctx.w, N, _stieltjes_reading(z, 1e-6 * C2))[0])
+        average = lambda N: complex(_torus_means(ctx.w, N, _reading(z, 1e-6 * C2, False))[0])
         return _ladder(ctx, average, tol, "spectrum average did not stabilize within the cap")[0]
     raise ValueError(f"unknown method {method!r}")
 
@@ -290,27 +307,10 @@ class MahlerResult:
     method: str
 
 
-def _log_reading(z, tol_abs):
-    """vals -> log|z - v| elementwise, in vals itself; SpectrumProximity when
-    a |z - v| is below tol_abs.  The ufuncs are those of
-    ``np.log(np.abs(z - vals))``, so the bits are too; a real z gives
-    |complex(z) - v| = hypot(z - v, 0), the same bits, with no complex
-    buffer, and a complex z takes one for z - vals."""
-
-    def read(vals: np.ndarray) -> np.ndarray:
-        diff = np.subtract(z, vals) if np.iscomplexobj(z) else np.subtract(z, vals, out=vals)
-        buf = np.abs(diff, out=vals)
-        if buf.min() < tol_abs:
-            raise SpectrumProximity(f"{z} is within {tol_abs} of an observed spectrum value")
-        return np.log(buf, out=buf)
-
-    return read
-
-
 def _log_mean(w, N: int, z, tol_abs: float = 0.0) -> float:
     """Mean of log|z - w(chi)| over the N-torsion characters chi, bit for bit
     ``np.mean(np.log(np.abs(z - character_values(w, N))))``."""
-    return float(_torus_means(w, N, _log_reading(z, tol_abs))[0])
+    return float(_torus_means(w, N, _reading(z, tol_abs, True))[0])
 
 
 def mahler_measure(
@@ -334,26 +334,23 @@ def mahler_measure(
     Every grid is a ``_torus_means`` stream, so a ``limit`` rung or a
     quadrature holds a block and a leaf of 2^16 values, not its grid.
     """
-    C2 = _top(ctx)
+    K, _, moments = _plan(ctx, z, (method,), tol, resolution)
+    C2 = ctx.ps.total_weight**2
     proximity = 1e-6 * C2
     if method == "limit":
         estimate = lambda N: math.exp(-_log_mean(ctx.w, N, z, proximity))
         failure = "limit method did not stabilize within the float cap"
         return MahlerResult(*_ladder(ctx, estimate, tol, failure), method)
     if method == "moment-series":
-        K = _mahler_length(C2, z, tol)  # refuses |z| <= C2 before C2 / |z|
         ratio = C2 / abs(z)
         acc = 0j
-        for k, a, s in itertools.islice(_series_terms(ctx, z, K), 1, None):
+        for k, a, s in itertools.islice(_series_terms(C2, z, moments()), 1, None):
             acc += a / k * s
         value = abs(1 / complex(z) * np.exp(acc))
         tail = ratio ** (K + 1) / ((K + 1) * (1 - ratio))
         return MahlerResult(float(value), float(value * tail), method)
     if method == "torus-quadrature":
-        if resolution < 2:  # the half grid needs level resolution // 2 >= 1
-            raise ValueError("resolution must be >= 2")
-        # the fine level meets the float cap before any sweep
-        fine, *coarse = _torus_means(ctx.w, resolution, _log_reading(z, proximity),
+        fine, *coarse = _torus_means(ctx.w, resolution, _reading(z, proximity, True),
                                      half=resolution % 2 == 0)
         fine = math.exp(-fine)
         coarse = coarse[0] if coarse else _log_mean(ctx.w, resolution // 2, z, proximity)

@@ -15,14 +15,15 @@ SpectralContext, which builds the lattice, W and each b_N once.  The
 command's plan raises every SizeLimit of the job before any work and
 returns the run, which computes the payload from what the plan built and
 raises none, but for a ladder that read a rung and did not settle; the
-``moments`` plan states no cap, but runs the planners of ``moments``.  Results
-are deterministic, content-addressed by a hash of the effective config,
-and cached as JSON when a cache directory is given; a hit serves the
-cached text as it is, and the cache file name carries ``ALGORITHM``, so
-no record of a superseded algorithm is served.  A record is the plain
-dict of ``RECORD_KEYS``, its big integers decimal strings, written by
-``table.record_parts`` in parts, which stdout, ``--out`` and the cache
-each take by ``writelines``: no record is held as one string.
+``moments`` plan states no cap, but runs the planners of ``moments``, and
+the ``mahler`` plan runs ``analysis._plan``, as does each public call its
+run makes.  Results are deterministic, content-addressed by a hash of the
+effective config, and cached as JSON when a cache directory is given; a
+hit serves the cached text as it is, and the cache file name carries
+``ALGORITHM``, so no record of a superseded algorithm is served.  A record
+is the plain dict of ``RECORD_KEYS``, its big integers decimal strings,
+written by ``table.record_parts`` in parts, which stdout, ``--out`` and
+the cache each take by ``writelines``: no record is held as one string.
 A start loads only the stdlib every job uses (``argparse``, ``json``,
 ``hashlib``, ``os``), not ``dataclasses``: the job, the point set and the
 command table are plain named tuples.  The computing layers, and numpy
@@ -311,21 +312,12 @@ def _plan_spectrum(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
 
 
 def _plan_mahler(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
-    from .analysis import _first_rung, _hilbert_length, _mahler_length, hilbert_transform
-    from .analysis import mahler_measure
-    from .specpoly import check_level
+    from .analysis import _plan, hilbert_transform, mahler_measure
 
-    z, methods, tol, hilbert = params["z"], params["methods"], params["tol"], params["hilbert"]
-    if "torus-quadrature" in methods:
-        check_level(params["resolution"], ctx.dimension, limits.DEFAULT_FLOAT_CAP,
-                    "character values")
-    # the two moment series read one list, to the longer, Mahler's length checked first
-    C2 = ctx.ps.total_weight**2
-    K = max(_mahler_length(C2, z, tol) if "moment-series" in methods else 0,
-            _hilbert_length(C2, z, params["hilbert_tol"]) if hilbert else 0)
-    moments = ctx.plan_moments(K)
-    if "limit" in methods or hilbert:
-        _first_rung(ctx.dimension)
+    z, methods, tol = params["z"], params["methods"], params["tol"]
+    routes = ("moment-series", "spectrum-average") if params["hilbert"] else ()
+    # every cap of every route, the two moment series reading one list, to the longer
+    moments = _plan(ctx, z, methods, tol, params["resolution"], routes, params["hilbert_tol"])[2]
 
     def run():
         moments()
@@ -338,9 +330,8 @@ def _plan_mahler(ctx: SpectralContext, params: dict) -> Callable[[], dict]:
             for a, b in itertools.combinations(results, 2)
         }
         payload = {"z": z, "mahler": results, "deltas": deltas}
-        if hilbert:
-            hs = hilbert_transform(ctx, z, method="moment-series", tol=params["hilbert_tol"])
-            ha = hilbert_transform(ctx, z, method="spectrum-average", tol=params["hilbert_tol"])
+        if routes:
+            hs, ha = (hilbert_transform(ctx, z, route, params["hilbert_tol"]) for route in routes)
             payload["hilbert"] = {
                 "moment-series": [hs.real, hs.imag],
                 "spectrum-average": [ha.real, ha.imag],

@@ -11,7 +11,6 @@ All arithmetic is plain Python int, hence exact at any size.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from typing import Iterable, Sequence
 
@@ -84,10 +83,6 @@ class LatticeBasis(namedtuple("LatticeBasis", "dimension rows")):
     @classmethod
     def _make(cls, fields):  # ``_replace`` builds through it: checked too
         return cls(*fields)
-
-    @property
-    def index(self) -> int:
-        return math.prod(r[i] for i, r in enumerate(self.rows))
 
 
 def _row_hnf(generators: Iterable[Sequence[int]], n: int) -> tuple[Vector, ...]:

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from speclat.analysis import (
-    _hilbert_length,
-    _mahler_length,
+    _series_length,
     empirical_cdf,
     hilbert_transform,
     mahler_measure,
@@ -234,9 +233,10 @@ def test_moment_series_routes_equal_the_two_loops(seed):
     for z in zs:
         for tol in (1e-3, 1e-6):
             h = hilbert_transform(ctx, z, method="moment-series", tol=tol)
-            assert h == hilbert_moment_series(ctx, z, _hilbert_length(C2, z, tol))
+            assert h == hilbert_moment_series(ctx, z, _series_length(C2, z, tol, False))
             res = mahler_measure(ctx, z, method="moment-series", tol=tol)
-            assert (res.value, res.error) == mahler_moment_series(ctx, z, _mahler_length(C2, z, tol))
+            K = _series_length(C2, z, tol, True)
+            assert (res.value, res.error) == mahler_moment_series(ctx, z, K)
 
 
 def test_mahler_proximity(cheb_ctx):

@@ -1325,13 +1325,13 @@ def test_mahler_builds_each_rung_once(tmp_path, monkeypatch, hilbert, averaged):
         return original(w, N)
 
     monkeypatch.setattr(analysis, "character_rows", recorded)
-    readings = count_calls(monkeypatch, analysis, "_stieltjes_reading")
+    readings = count_calls(monkeypatch, analysis, "_reading")
     cfg = dict(HONEYCOMB_CFG, mahler={"z": 12.0, "hilbert": hilbert})
     assert run(tmp_path, cfg, ["mahler", "--config", write_cfg(tmp_path, cfg)])[0] == 0
     # the limit ladder streams 16 and 32, the quadrature 128 with its half, the
     # Hilbert ladder its own rungs, each read once
     assert built == [16, 32, 128] + averaged
-    assert len(readings) == len(averaged)
+    assert sum(not log for _, _, log in readings) == len(averaged)  # 1 / (z - v) readings
 
 
 def test_padic_size_check_only_when_values_are_asked(tmp_path):
@@ -1513,19 +1513,19 @@ def test_refused_in_the_plan_before_any_power_sum(tmp_path, monkeypatch, capsys,
     assert planned and not ran  # the exact moments are planned, and no power summed
 
 
-@pytest.mark.parametrize(
-    "block, message",
-    [
-        ({"z": 49.5, "methods": ["limit", "moment-series"], "hilbert": False},
-         "series needs 1361 moments (cap 1024); z is too close to the spectrum top for the "
-         "moment series"),
-        ({"z": 130, "methods": ["limit", "torus-quadrature"], "resolution": 20, "hilbert": False},
-         "20^6 character values exceed cap 10000000"),
-        ({"z": 60, "methods": ["limit", "moment-series"], "hilbert": False},
-         "moments to k = 55 need 56^6 characters or more, past cap 10000000"),
-    ],
-    ids=["series", "resolution", "moments"],
-)
+# the 6-D simplex's mahler jobs that fail a cap older than the ladders' first rung
+OLDER_CAPS = {
+    "series": ({"z": 49.5, "methods": ["limit", "moment-series"], "hilbert": False},
+               "series needs 1361 moments (cap 1024); z is too close to the spectrum top for "
+               "the moment series"),
+    "resolution": ({"z": 130, "methods": ["limit", "torus-quadrature"], "resolution": 20,
+                    "hilbert": False}, "20^6 character values exceed cap 10000000"),
+    "moments": ({"z": 60, "methods": ["limit", "moment-series"], "hilbert": False},
+                "moments to k = 55 need 56^6 characters or more, past cap 10000000"),
+}
+
+
+@pytest.mark.parametrize("block, message", OLDER_CAPS.values(), ids=OLDER_CAPS)
 def test_the_first_rung_is_checked_after_every_older_cap(tmp_path, capsys, block, message):
     # the 6-D simplex's ladders have no rung within the float cap, but a job that fails
     # another cap as well keeps that cap's message
@@ -1545,22 +1545,24 @@ def test_congruence_sweep_under_the_cap_still_runs(tmp_path):
     assert payload["congruences"] == [{"alpha": 6, "holds": True, "k": 1, "p": 2}]
 
 
-@pytest.mark.parametrize(
-    "command, block, message",
-    [
-        # the 3000^2 spectrum would be computed before the grid is refused
-        ("spectrum", {"N": 3000, "grid": 4000}, "4000^2 character values exceed cap 10000000"),
-        # both routes would run before the Hilbert series is refused
-        ("mahler", {"z": 9.02, "methods": ["limit", "torus-quadrature"], "resolution": 3000,
-                    "hilbert_tol": 1e-10},
-         "series needs 12137 moments (cap 1024); z is too close to the spectrum top for the "
-         "moment series"),
-        # the limit ladder would climb before the quadrature grid is refused
-        ("mahler", {"z": 12.0, "methods": ["limit", "torus-quadrature"], "resolution": 5000},
-         "5000^2 character values exceed cap 10000000"),
-    ],
-    ids=["spectrum-grid", "mahler-series", "mahler-resolution"],
-)
+# honeycomb jobs whose last cap would be reached only after work
+FLOAT_CAPS = {
+    # the 3000^2 spectrum would be computed before the grid is refused
+    "spectrum-grid": ("spectrum", {"N": 3000, "grid": 4000},
+                      "4000^2 character values exceed cap 10000000"),
+    # both routes would run before the Hilbert series is refused
+    "mahler-series": ("mahler", {"z": 9.02, "methods": ["limit", "torus-quadrature"],
+                                 "resolution": 3000, "hilbert_tol": 1e-10},
+                      "series needs 12137 moments (cap 1024); z is too close to the spectrum "
+                      "top for the moment series"),
+    # the limit ladder would climb before the quadrature grid is refused
+    "mahler-resolution": ("mahler", {"z": 12.0, "methods": ["limit", "torus-quadrature"],
+                                     "resolution": 5000},
+                          "5000^2 character values exceed cap 10000000"),
+}
+
+
+@pytest.mark.parametrize("command, block, message", FLOAT_CAPS.values(), ids=FLOAT_CAPS)
 def test_every_float_cap_before_any_work(tmp_path, monkeypatch, capsys, command, block, message):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{command} worked before every cap was checked")
@@ -1573,6 +1575,55 @@ def test_every_float_cap_before_any_work(tmp_path, monkeypatch, capsys, command,
     code, out = run(tmp_path, cfg, [command, "--config", write_cfg(tmp_path, cfg)])
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err == f"speclat: resource cap: {message}\n"
+
+
+# each mahler job above: its config and, from those tests, the CLI's message
+PUBLIC_CAPS = {
+    **{name: (simplex_cfg(6), block, message) for name, (block, message) in OLDER_CAPS.items()},
+    **{name: (HONEYCOMB_CFG, block, message)
+       for name, (command, block, message) in FLOAT_CAPS.items() if command == "mahler"},
+}
+
+
+@pytest.mark.parametrize("cfg, block, message", PUBLIC_CAPS.values(), ids=PUBLIC_CAPS)
+def test_public_calls_hold_the_clis_caps(monkeypatch, cfg, block, message):
+    # mahler_measure and hilbert_transform plan as the CLI does: called route by route in
+    # the CLI's order of checks, the first call refused raises the CLI's message; a call
+    # whose caps hold stops at its first torus mean or moment
+    from speclat import analysis
+    from speclat.analysis import hilbert_transform, mahler_measure
+
+    class Worked(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Worked
+
+    plan_moments = SpectralContext.plan_moments
+
+    def planned(self, K):  # the moments' caps are checked, and their run refused
+        return plan_moments(self, K) and refuse
+
+    monkeypatch.setattr(analysis, "_torus_means", refuse)
+    monkeypatch.setattr(SpectralContext, "plan_moments", planned)
+    params = {name: param.default for name, param in COMMANDS["mahler"].params.items()}
+    params.update(block)
+    methods, hilbert = params["methods"], params["hilbert"]
+    routes = [(mahler_measure, m) for m in ("torus-quadrature", "moment-series") if m in methods]
+    routes += [(hilbert_transform, "moment-series")] * hilbert
+    routes += [(mahler_measure, "limit")] * ("limit" in methods)
+    routes += [(hilbert_transform, "spectrum-average")] * hilbert
+    tols = {mahler_measure: (params["tol"], params["resolution"]),
+            hilbert_transform: (params["hilbert_tol"],)}
+    ps = WeightedPointSet(cfg["dimension"], tuple((tuple(p["a"]), p["c"]) for p in cfg["points"]))
+    ctx = SpectralContext(ps)
+    with pytest.raises(SizeLimit) as refused:
+        for route, method in routes:
+            try:
+                route(ctx, params["z"], method, *tols[route])
+            except Worked:
+                pass
+    assert str(refused.value) == message
 
 
 def test_config_integer_past_digit_limit_exit_2(tmp_path, capsys):

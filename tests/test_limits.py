@@ -96,6 +96,34 @@ def test_only_split_moduli_reads_the_moduli_table():
         assert len(moduli_names(fh.read(), exempt=False)) == 4  # the guard sees them
 
 
+def analysis_names(source: str) -> set[str]:
+    """The names a module reads from ``analysis``: those of a ``from .analysis import``
+    and the attributes of a name ``analysis``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "analysis":
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "analysis":
+            found.add(node.attr)
+    return found
+
+
+def test_only_analysis_plans_its_routes():
+    # every cap of a Mahler or Hilbert route is checked in ``analysis._plan``: no other
+    # module reads a private name of ``analysis`` but the plan and c12's ``_log_mean``
+    read = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "analysis.py":
+            with open(os.path.join(PACKAGE, name)) as fh:
+                read[name] = analysis_names(fh.read())
+    private = {f"{module}: {name}" for module, names in read.items() for name in names
+               if name.startswith("_") and name not in ("_plan", "_log_mean")}
+    assert not private
+    assert read["cli.py"] <= {"_plan", "empirical_cdf", "hilbert_transform", "mahler_measure",
+                              "spectrum"}
+    assert "_plan" in read["cli.py"] and "_log_mean" in read["verify.py"]  # the guard sees them
+
+
 def test_no_module_but_limits_binds_a_cap():
     copies = {}
     for name in sorted(os.listdir(PACKAGE)):
