@@ -3,9 +3,9 @@ the exact invariants read from it.
 
 Every invariant speclat computes is a reading of W on the difference
 lattice.  A context builds the lattice basis and W once, and keeps each
-exact reading it is asked for: b_N per level, as its factors g_j and, once
-read, its one packed product, and the moments, a tuple of integers read
-once as power sums to the largest K asked for, sliced below it.
+exact reading it is asked for: each stratum Psi_d, lifted once for every
+level b_N that d divides, each b_N with its packed product once read, and
+the moments, read once as power sums to the largest K, sliced below it.
 A context serves one job and nothing of it outlives the job; ``specpoly``'s
 table of split moduli does, as it holds constants of a level, not of a point
 set: a one-shot CLI process pays one search per level.  Float character
@@ -38,9 +38,10 @@ class SpectralContext:
         return self.ps.dimension
 
     def spectral_factors(self, N: int) -> SpectralFactors:
-        """b_N as prod_j g_j**j, built at most once per level."""
+        """b_N as prod_{d | N} Psi_d, built at most once per level, each Psi_d once: a
+        level reads the strata of the levels built before it."""
         if N not in self._factors:
-            self._factors[N] = spectral_factors(self.w, N)
+            self._factors[N] = spectral_factors(self.w, N, self._factors.values())
         return self._factors[N]
 
     def plan_moments(self, K: int):

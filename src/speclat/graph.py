@@ -130,9 +130,9 @@ def walk_totals(G: TorusBipartiteGraph, K: int) -> list[int]:
 
 
 def walk_series_check(b: SpectralFactors, totals: list[int]) -> bool:
-    """Closed walks are the Newton sums of b_N = prod_j g_j**j: t_k, the based
+    """Closed walks are the Newton sums of b_N = prod g_{d,j}**j: t_k, the based
     walk total of length 2k, is the k-th power sum of b_N's roots at each
-    k <= K = len(totals), the sum over j of j ``newton_sums(g_j, K)``[k]."""
+    k <= K = len(totals), the sum over d and j of j ``newton_sums(g_{d,j}, K)``[k]."""
     K = len(totals)
-    sums = [[j * s for s in newton_sums(p, K)] for j, p in b.factors.items()]
+    sums = [[j * s for s in newton_sums(p, K)] for (_, j), p in b.factors.items()]
     return all(t == sum(ss) for t, *ss in zip(totals, *sums))

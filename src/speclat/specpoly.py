@@ -5,12 +5,15 @@ polynomial of degree m = N^n with one root W(chi) for each N-torsion
 character chi of the difference lattice.  One pass per level computes it
 without any matrix.  Characters with the same phases e.k mod N (up to order
 among equal coefficients c_e) form one class, read once as the row of its
-W(chi_k) = sum_e c_e omega**(e.k).  A unit a of Z_N maps the class of k onto
-that of a k, of the same size, and W(chi_k) onto its conjugate W(chi_ak), so
-g_j = prod_{|C| = j} (z - W(chi_C)) lies in Z[z] and b_N = prod_j g_j**j.
+W(chi_k) = sum_e c_e omega**(e.k).  Its characters share the exact order
+d = N / gcd(N, r_1, ..., r_T), r_t = e_t.k, as W's exponents e_t span the
+lattice.  A unit a of Z_N maps the class of k onto that of a k, of the same
+size and order, and W(chi_k) onto its conjugate W(chi_ak), so g_{d,j} =
+prod (z - W(chi_C)) over the classes of order d and size j lies in Z[z], and
+b_N = prod_{d | N} Psi_d, Psi_d = prod_j g_{d,j}**j the same at each level.
 
 Modulo each split modulus M = 1 (mod N) below 2**62, each row gives one
-value v, a leaf z - v, and each g_j is the product of its leaves in a
+value v, a leaf z - v, and each g_{d,j} is the product of its leaves in a
 balanced tree (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 10)
 whose nodes are big-integer products of Kronecker-packed coefficients
 (ibid. 8.4): a slot sums at most L = min(len a, len b) products of
@@ -37,25 +40,26 @@ The bounds come from the sign of the roots.  Every point a differs from a
 fixed point a0 by a lattice vector, so W(chi) = |sum_a c_a chi(a - a0)|**2
 lies in [0, C**2], C the total weight.  Maclaurin's inequality (Hardy,
 Littlewood and Polya, Inequalities, 2.22) bounds the elementary symmetric
-functions of the d roots of a g_j by binom(d, i) C**(2 i).  Each g_j is
-lifted by CRT over its own ``_split_moduli``: the leading pairwise coprime
-split moduli whose product first passes 2**32 times twice its bound.  A g_j
+functions of the D roots of a g_{d,j} by binom(D, i) C**(2 i).  Each g_{d,j}
+is lifted by CRT over its own ``_split_moduli``: the leading pairwise coprime
+split moduli whose product first passes 2**32 times twice its bound.  One
 that is not integral (a class split across sizes) lifts outside that bound,
 with odds of at most about 2**-32, and raises IntegralityViolation.
 
-h_j(z) = +-g_j(-z) has nonnegative coefficients, and so has
-H = prod_j h_j**j = +-b_N(-z), each at most their sum H(1) = |b_N(-1)|.
-Packed in base 10**s, s one more than the digits of H(1), the h_j multiply
-exactly in ``decimal`` and carry into no slot: the digits of H(10**s),
-b_N's one packed form, are its coefficients, with alternating signs, and
-no integer is converted to text.  They decide b_d | b_N (ibid. 8.4): not
-if H_d(1) > H_N(1), as a quotient's roots are >= 0; else iff
-q, r = divmod(H_N(10**s), H_d(10**s)), at b_N's s, has r = 0 and
-H_d(1) Q(1) < 10**s, Q(1) the sum of q's slots.  Then H_d Q carries into
-no slot, so it is H_N; and a true quotient's slots sum to H_N(1) / H_d(1).
-The division runs in base 10**k, k = s deg b_d, so that no operand is much
-longer than H_d(10**s).  b_N(z) is prod_j g_j(z)**j, evaluated the same
-way.  Every polynomial is a tuple of integer coefficients, low degree first.
+h_{d,j}(z) = +-g_{d,j}(-z) has nonnegative coefficients, and so has
+H = prod h_{d,j}**j = +-b_N(-z), each at most their sum H(1) = |b_N(-1)|.
+Packed in base 10**s, s one more than the digits of H(1), the h_{d,j} of one
+j multiply into h_j, and the h_j**j into H, exactly in ``decimal`` and carry
+into no slot: the digits of H(10**s), b_N's one packed form, are its
+coefficients, with alternating signs, and no integer is converted to text.
+b_d | b_N if b_N holds each stratum of b_d, as when d | N.  Else, by
+``_packed_divides`` (ibid. 8.4), not if H_d(1) > H_N(1), as a quotient's
+roots are >= 0; else iff q, r = divmod(H_N(10**s), H_d(10**s)), at b_N's s,
+has r = 0 and H_d(1) Q(1) < 10**s, Q(1) the sum of q's slots.  Then H_d Q
+carries into no slot, so it is H_N; and a true quotient's slots sum to
+H_N(1) / H_d(1).  The division runs in base 10**k, k = s deg b_d, so that no
+operand is much longer than H_d(10**s).  b_N(z) is prod g_{d,j}(z)**j,
+evaluated the same way.  Polynomials are tuples of integers, low degree first.
 """
 
 from __future__ import annotations
@@ -240,15 +244,17 @@ def _crt(residues, moduli: list[tuple[int, int]]) -> list[int]:
     return [x - mod if x > mod // 2 else x for x in lifted]
 
 
-def _class_factor_lift(folded: LaurentPoly, N: int) -> "SpectralFactors":
-    """The g_j of the module docstring, each lifted by CRT over the moduli of its
-    own ``_split_moduli`` call, past 2**_MARGIN_BITS times twice its own bound."""
+def _class_factor_lift(folded: LaurentPoly, N: int, held=()) -> "SpectralFactors":
+    """The g_{d,j} of the module docstring: those of the levels ``held`` with d | N as they are, each
+    other by CRT over its own ``_split_moduli`` call, past 2**_MARGIN_BITS times twice its bound."""
     top = sum(folded.terms.values())  # W at the trivial character, C**2: every root is in [0, top]
-    rows: dict[int, list] = {}
+    factors = {(d, j): g for b in held for (d, j), g in b.factors.items() if N % d == 0}
+    orders, rows = {d for d, _ in factors}, {}
     for row, size in _character_rows(folded, N):
-        rows.setdefault(size, []).append(row)
-    factors = {}
-    for j, rs in sorted(rows.items()):
+        d = N // math.gcd(N, *(r for r, _ in row))  # the exact order of the class's characters
+        if d not in orders:
+            rows.setdefault((d, size), []).append(row)
+    for (d, j), rs in sorted(rows.items()):
         bound = _maclaurin_bound(len(rs), top)
         moduli = _split_moduli(N, (2 * bound + 1) << _MARGIN_BITS, _PRIME_START)
         residues = []
@@ -256,10 +262,10 @@ def _class_factor_lift(folded: LaurentPoly, N: int) -> "SpectralFactors":
             powers = list(itertools.accumulate([omega] * (N - 1), lambda x, w: x * w % p, initial=1))
             leaves = [[-sum(a * powers[r] for r, a in row) % p, 1] for row in rs]
             residues.append(_tree(leaves, lambda a, b: _mul_mod(a, b, p)))
-        factors[j] = tuple(_crt(residues, moduli))
-        if max(map(abs, factors[j])) > bound:
+        factors[d, j] = tuple(_crt(residues, moduli))
+        if max(map(abs, factors[d, j])) > bound:
             raise IntegralityViolation(f"a g_j of b_{N} is not integral: a class is split")
-    return SpectralFactors(factors, top)
+    return SpectralFactors(dict(sorted(factors.items())), top)
 
 
 def _character_power_sums(f: LaurentPoly, K: int, shape: tuple[int, ...]):
@@ -320,25 +326,33 @@ def _exact(digits: int) -> decimal.Context:
 
 @dataclass(frozen=True)
 class SpectralFactors:
-    """b_N = prod_j g_j**j: ``factors`` maps each class size j to g_j, whose
-    roots are the values of the classes of size j; ``top`` bounds each root."""
+    """b_N = prod_{d | N} Psi_d: ``factors`` maps each exact order d | N and class
+    size j to g_{d,j}, whose roots are the values of those classes: the strata
+    Psi_d = prod_j g_{d,j}**j, d ascending.  ``top`` bounds each root."""
 
-    factors: dict[int, tuple[int, ...]]
+    factors: dict[tuple[int, int], tuple[int, ...]]
     top: int
 
     @property
     def degree(self) -> int:
-        return sum(j * (len(g) - 1) for j, g in self.factors.items())
+        return sum(j * (len(g) - 1) for (_, j), g in self.factors.items())
 
     def _pack(self, s: int) -> str:
-        """The digits of H(10**s), s past those of H(1), each guard digit checked to be 0."""
+        """The digits of H(10**s), s past those of H(1), each guard digit checked to be 0: the
+        h_{d,j} of one j multiply, shortest first, in slots past h_j(1), which bounds each product."""
         ctx, product = _exact(s * self.degree + 1), Decimal(1)
+        by_size = {j: sorted((g for (_, i), g in self.factors.items() if i == j), key=len)
+                   for _, j in self.factors}
         try:
-            for j, g in sorted(self.factors.items(), key=lambda item: item[0] * (len(item[1]) - 1)):
-                h = [c if (len(g) - 1 - i) % 2 == 0 else -c for i, c in enumerate(g)]
-                if min(h) < 0:
+            for j, gs in sorted(by_size.items(), key=lambda jg: jg[0] * sum(len(g) - 1 for g in jg[1])):
+                hs = [[c if (len(g) - 1 - i) % 2 == 0 else -c for i, c in enumerate(g)] for g in gs]
+                if min(map(min, hs)) < 0:
                     raise IntegralityViolation(f"g_{j} has a root below 0")
-                packed = Decimal("".join([str(Decimal(c)).zfill(s) for c in reversed(h)]))
+                w = min(s, Decimal(math.prod(map(sum, hs))).adjusted() + 2)
+                text = str(functools.reduce(ctx.multiply, [
+                    Decimal("".join([str(Decimal(c)).zfill(w) for c in reversed(h)])) for h in hs]))
+                packed = Decimal("".join([text[max(at, 0) : at + w].zfill(s)
+                                          for at in range((len(text) - 1) % w + 1 - w, len(text), w)]))
                 product = ctx.multiply(product, ctx.power(packed, j))
         except decimal.Inexact:
             raise IntegralityViolation("b_N overflows its coefficient bound") from None
@@ -363,32 +377,36 @@ class SpectralFactors:
         return [t if (m - i) % 2 == 0 or t == "0" else "-" + t for i, t in enumerate(slots)]
 
     def divides(self, other: SpectralFactors) -> bool:
-        """True iff b_d = self divides b_N = other in Z[z], read exactly from
-        b_N's packed form (module docstring)."""
-        h_d, (h_n, s, text) = factored_value(self, -1).copy_abs(), other._packed
-        if h_d > h_n:  # a quotient's roots are >= 0, so |Q(-1)| >= 1
-            return False
-        divisor, k = Decimal(self._pack(s)), s * max(self.degree, 1)
-        r = at_one = Decimal(0)  # the remainder so far, and Q(1) so far
-        with decimal.localcontext(_exact(len(text) + 2 * k)):
-            for at in range((len(text) - 1) % k + 1 - k, len(text), k):  # base 10**k, top first
-                q, r = divmod(r.scaleb(k) + Decimal(text[max(at, 0) : at + k]), divisor)
-                q = str(q).zfill(k)  # q < 10**k: k // s slots of Q
-                at_one += sum(Decimal(q[i : i + s]) for i in range(0, k, s))
-            return not r and (h_d * at_one).adjusted() < s
+        """True iff self divides other in Z[z]: at once if other holds each factor of self."""
+        return self.factors.items() <= other.factors.items() or _packed_divides(self, other)
+
+
+def _packed_divides(b_d: SpectralFactors, b_N: SpectralFactors) -> bool:
+    """True iff b_d divides b_N in Z[z], read exactly from b_N's packed form (module docstring)."""
+    h_d, (h_n, s, text) = factored_value(b_d, -1).copy_abs(), b_N._packed
+    if h_d > h_n:  # a quotient's roots are >= 0, so |Q(-1)| >= 1
+        return False
+    divisor, k = Decimal(b_d._pack(s)), s * max(b_d.degree, 1)
+    r = at_one = Decimal(0)  # the remainder so far, and Q(1) so far
+    with decimal.localcontext(_exact(len(text) + 2 * k)):
+        for at in range((len(text) - 1) % k + 1 - k, len(text), k):  # base 10**k, top first
+            q, r = divmod(r.scaleb(k) + Decimal(text[max(at, 0) : at + k]), divisor)
+            q = str(q).zfill(k)  # q < 10**k: k // s slots of Q
+            at_one += sum(Decimal(q[i : i + s]) for i in range(0, k, s))
+        return not r and (h_d * at_one).adjusted() < s
 
 
 def level_multiplicity(b: SpectralFactors, r: int) -> int:
-    """The multiplicity of the integer r as a root of b_N = prod_j g_j**j."""
-    return sum(j * integer_root_multiplicity(g, r) for j, g in b.factors.items())
+    """The multiplicity of the integer r as a root of b_N = prod g_{d,j}**j."""
+    return sum(j * integer_root_multiplicity(g, r) for (_, j), g in b.factors.items())
 
 
 def factored_value(b: SpectralFactors, z: int) -> Decimal:
-    """b_N(z) = prod_j g_j(z)**j, exactly, by Horner in ``decimal``: each
+    """b_N(z) = prod g_{d,j}(z)**j, exactly, by Horner in ``decimal``: each
     Horner step and partial product is at most (|z| + 1 + top)**deg b_N."""
     ctx = _exact(b.degree * (Decimal(abs(z) + 1 + b.top).adjusted() + 1) + 1)
     Z, value = Decimal(z), Decimal(1)
-    for j, g in b.factors.items():
+    for (_, j), g in b.factors.items():
         acc = Decimal(0)
         for c in reversed(g):
             acc = ctx.fma(acc, Z, c)
@@ -396,13 +414,13 @@ def factored_value(b: SpectralFactors, z: int) -> Decimal:
     return value if value else Decimal(0)  # not -0, from a negative times a zero factor
 
 
-def spectral_factors(w: LaurentPoly, N: int) -> SpectralFactors:
-    """b_N, the monic integer polynomial of degree N^n whose roots are the
-    values of w at all N-torsion characters, as prod_j g_j**j, within
-    ``limits.DEFAULT_SIZE_LIMIT`` characters.  w must be a diffraction polynomial:
-    the bounds rest on its nonnegative values."""
+def spectral_factors(w: LaurentPoly, N: int, held=()) -> SpectralFactors:
+    """b_N, the monic integer polynomial of degree N^n whose roots are the values of w
+    at all N-torsion characters, as prod_{d | N} Psi_d, within ``limits.DEFAULT_SIZE_LIMIT``
+    characters, reading as they are the g_{d,j} of ``held``, earlier levels b_d of w.
+    w must be a diffraction polynomial: the bounds rest on its nonnegative values."""
     check_level(N, w.dimension, limits.DEFAULT_SIZE_LIMIT)
-    return _class_factor_lift(fold_mod_N(w, N), N)
+    return _class_factor_lift(fold_mod_N(w, N), N, held)
 
 
 # -- floating-point character evaluation ---------------------------------------

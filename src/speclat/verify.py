@@ -5,9 +5,9 @@ Each criterion is a function of one example's SpectralContext returning
 the example it exercises, so ``run_suite`` runs one example's suite on one
 context into the CLI's ``verify`` payload, and the acceptance tests run
 everything.  The criteria read only that context, which builds the
-lattice, W and each b_N once, as its factors g_j (``factored_value``,
-``level_multiplicity``) and, for divisibility, its packed product.  c12
-averages log|6 - W| with the Mahler routes' streamed ``_log_mean``, and
+lattice, W and each b_N once, as its factors g_{d,j} (``factored_value``,
+``level_multiplicity``) and, for c08's ``_packed_divides``, its packed
+product.  c12 averages log|6 - W| with the Mahler routes' ``_log_mean``, and
 the walk/trace bridge builds its own small matrix of multiplication by W.
 Expected values are frozen here: the printed value table, the factored
 level-6 polynomial, the finite-field count row, and the closed forms of
@@ -35,7 +35,7 @@ from .moments import (
     product_exponents,
     series_coefficients,
 )
-from .specpoly import factored_value, level_multiplicity
+from .specpoly import _packed_divides, factored_value, level_multiplicity
 
 CHEB_VALUES_AT_6 = [
     2, 12, 50, 192, 722, 2700, 10082, 37632, 140450, 524172, 1956242,
@@ -123,7 +123,8 @@ def _check_congruences(ctx: SpectralContext) -> tuple[bool, str]:
 
 def _check_divisibility(ctx: SpectralContext) -> tuple[bool, str]:
     b = ctx.spectral_factors  # each level built once, by the context
-    ok = all(b(Np).divides(b(N)) for N in range(1, 9) for Np in range(1, N) if N % Np == 0)
+    ok = all(_packed_divides(b(Np), b(N)) and not _packed_divides(b(N), b(Np))
+             for N in range(1, 9) for Np in range(1, N) if N % Np == 0)
     return ok, "all divisor pairs N' | N <= 8"
 
 

@@ -1219,6 +1219,31 @@ def test_readme_job_computes_each_object_once(tmp_path, monkeypatch, command, le
     assert [K for _, K in walked] == ([4] if command == "walks" else [])
 
 
+def test_divisor_checks_lift_each_stratum_once(tmp_path, monkeypatch):
+    # b_8's strata Psi_1, Psi_2, Psi_4, Psi_8 serve b_4 and b_1 whole and b_3 its Psi_1:
+    # only Psi_3 is lifted after them, and only [3, 8], as 3 does not divide 8, runs
+    # the packed division
+    lift, lifted = specpoly._class_factor_lift, []
+
+    def recorded(folded, N, held=()):
+        held = list(held)
+        b = lift(folded, N, held)
+        lifted.append((N, sorted({d for d, _ in b.factors} - {d for h in held for d, _ in h.factors})))
+        return b
+
+    monkeypatch.setattr(specpoly, "_class_factor_lift", recorded)
+    split = count_calls(monkeypatch, specpoly, "_split_moduli")
+    divided = count_calls(monkeypatch, specpoly, "_packed_divides")
+    cfg = dict(HONEYCOMB_CFG, bn={"N": 8, "divisor_checks": [[4, 8], [1, 8], [3, 8]]})
+    code, out = run(tmp_path, cfg, ["bn", "--config", write_cfg(tmp_path, cfg)])
+    assert code == 0
+    checks = json.loads(out.read_text())["payload"]["divisor_checks"]
+    assert [check["divides"] for check in checks] == [True, True, False]
+    assert lifted == [(8, [1, 2, 4, 8]), (4, []), (1, []), (3, [3])]
+    assert sorted({N for N, *_ in split}) == [3, 8]
+    assert [(b_d.degree, b_N.degree) for b_d, b_N in divided] == [(9, 64)]
+
+
 @pytest.mark.parametrize(
     "block, K",
     [
@@ -1674,15 +1699,19 @@ def test_record_integers_past_digit_limit(tmp_path, fmt):
 
 def test_divides_past_the_digit_limit():
     # b_8 of the weight-10^300 set packs in slots of s = 4802 digits, past int()'s
-    # default 4300: the packed division reads no integer from text
+    # default 4300: the packed division reads no integer from text.  It runs itself,
+    # as ``divides`` answers 4 | 8 from the strata; b_3, with the root
+    # 10^600 - 10^300 + 1 of no character of order dividing 8, passes H_3(1) < H_8(1)
     ps = WeightedPointSet(1, tuple((tuple(p["a"]), p["c"]) for p in HEAVY_CFG["points"]))
     ctx = SpectralContext(ps)
     before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if before:
         sys.set_int_max_str_digits(4300)
     try:
-        assert ctx.spectral_factors(8)._packed[1] == 4802
-        assert ctx.spectral_factors(4).divides(ctx.spectral_factors(8))
+        b8 = ctx.spectral_factors(8)
+        assert b8._packed[1] == 4802
+        assert specpoly._packed_divides(ctx.spectral_factors(4), b8)
+        assert not specpoly._packed_divides(ctx.spectral_factors(3), b8)
     finally:
         if before:
             sys.set_int_max_str_digits(before)

@@ -304,12 +304,12 @@ def sets_avoiding_their_lattice(draw):
 @given(sets_avoiding_their_lattice(), st.integers(1, 4))
 def test_bridge_property(ps, N):
     # the Newton sums s_k of b_N, read from its factors as
-    # sum_j j newton_sums(g_j)[k], equal N^n m_k(N), the based walk
+    # sum_{d,j} j newton_sums(g_{d,j})[k], equal N^n m_k(N), the based walk
     # totals and the float power sums of the character values; and
     # b_N(0) = +-(prod_chi P(chi))**2, W = |P|**2 for the amplitude P
     K, ctx = 4, SpectralContext(ps)
     b, n = ctx.spectral_factors(N), ps.dimension
-    sums = [[j * s for s in newton_sums(p, K)] for j, p in b.factors.items()]
+    sums = [[j * s for s in newton_sums(p, K)] for (_, j), p in b.factors.items()]
     newton = [sum(ss) for ss in zip(*sums)]
     assert newton == [N**n * m for m in moment_sequence_N(ctx.w, K, N)[1:]]
     G = build_graph(ps, ctx.basis, N)

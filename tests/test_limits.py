@@ -96,6 +96,36 @@ def test_only_split_moduli_reads_the_moduli_table():
         assert len(moduli_names(fh.read(), exempt=False)) == 4  # the guard sees them
 
 
+def lift_names(source: str, exempt: tuple[str, ...]) -> list[str]:
+    """The lines of a module that name ``_class_factor_lift``, by name, as an attribute
+    or in an import, outside its top-level functions named in ``exempt``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if getattr(stmt, "name", None) in exempt:
+            continue
+        for node in ast.walk(stmt):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name == "_class_factor_lift":
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_only_spectral_factors_and_the_context_lift():
+    # a context lifts each stratum Psi_d once, as it passes the strata it holds to
+    # ``specpoly.spectral_factors``: a lift elsewhere would lift them again
+    copies = {}
+    for name in sorted(set(os.listdir(PACKAGE)) - {"context.py"}):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                exempt = ("spectral_factors",) if name == "specpoly.py" else ()
+                if found := lift_names(fh.read(), exempt):
+                    copies[name] = found
+    assert not copies
+    with open(os.path.join(PACKAGE, "specpoly.py")) as fh:
+        assert len(lift_names(fh.read(), ())) == 1  # the guard sees it
+
+
 def analysis_names(source: str) -> set[str]:
     """The names a module reads from ``analysis``: those of a ``from .analysis import``
     and the attributes of a name ``analysis``."""

@@ -25,6 +25,7 @@ from speclat.specpoly import (
     _class_factor_lift,
     _maclaurin_bound,
     _mul_mod,
+    _packed_divides,
     character_values,
     factored_value,
     integer_root_multiplicity,
@@ -278,13 +279,13 @@ def test_a_served_search_is_a_cold_one(N, start, a, b, shift):
 def test_a_level_searched_once_certifies_no_new_candidate(monkeypatch, honeycomb):
     # a second lift or power-sum plan at a level already searched, for another point
     # set, reads the level's table: its search yields no new modulus.  The first goes
-    # only as far as it needs: the cube's lift at N = 6 asks once for each of its seven
-    # class sizes, and certifies only as many candidates as its largest factor's list
+    # only as far as it needs: the cube's lift at N = 6 asks once for each of its ten
+    # factors g_{d,j}, and certifies only as many candidates as its largest factor's list
     sets = [WeightedPointSet(2, (((0, 0), 1), ((1, 0), 2), ((0, 1), 3))), honeycomb]
     jobs = [(w, N) for w in map(w_of, sets) for N in (4, 5)] + [(w_of(CUBE), 6)]
     want = [(spectral_factors(w, N), _character_power_sums(w, 6, (N,) * w.dimension)())
             for w, N in jobs]
-    assert len(want[-1][0].factors) == 7
+    assert len(want[-1][0].factors) == 10
     pulled, lengths = Counter(), Counter()
     search, serve = specpoly._certified_moduli, specpoly._split_moduli
 
@@ -513,11 +514,33 @@ def test_class_factors_match_linear_factor_lift(case):
     assert b.coefficient_text == [str(c) for c in expanded(b)]
 
 
+@settings(max_examples=40)
+@given(weighted_cases())
+def test_strata_multiply_to_b_N_and_are_one_at_every_level(case):
+    # b_N = prod_{d | N} Psi_d, Psi_d over the J_n(d) characters of exact order d; at
+    # level N these are the characters of level d, their phases times N / d, so Psi_d
+    # read at N is Psi_d lifted at d.  Its split by class size may differ: folding W
+    # mod d can merge terms that stay apart mod N, and with them classes
+    w, N = case
+    b = spectral_factors(w, N)
+    assert expanded(b) == linear_factor_lift(fold_mod_N(w, N), N)
+    assert sorted({d for d, _ in b.factors}) == [d for d in range(1, N + 1) if N % d == 0]
+
+    def psi(b, d):
+        return expanded(specpoly.SpectralFactors(
+            {key: g for key, g in b.factors.items() if key[0] == d}, b.top))
+
+    for d in {d for d, _ in b.factors}:
+        exact = sum(math.gcd(d, *k) == 1 for k in itertools.product(range(d), repeat=w.dimension))
+        assert len(psi(b, d)) - 1 == exact
+        assert psi(b, d) == psi(spectral_factors(w, d), d)
+
+
 @settings(max_examples=30)
 @given(weighted_cases())
 def test_each_factor_lifts_over_its_own_moduli(case):
-    # one ``_split_moduli`` call per class size, for the need of that g_j's own bound,
-    # and g_j's CRT reads exactly that call's moduli, no fewer and no more
+    # one ``_split_moduli`` call per factor g_{d,j}, for the need of its own bound,
+    # and its CRT reads exactly that call's moduli, no fewer and no more
     w, N = case
     split, crt, calls, reads = specpoly._split_moduli, specpoly._crt, [], []
 
@@ -582,7 +605,7 @@ def test_power_sums_over_one_split_modulus_too_few_are_refused(w_honey, monkeypa
 def test_a_factor_with_a_negative_root_is_refused():
     # g = z + 1: h(z) = -g(-z) = z - 1 has a coefficient below 0, which no slot holds
     with pytest.raises(IntegralityViolation, match="g_1 has a root below 0"):
-        specpoly.SpectralFactors({1: (1, 1)}, 1).coefficient_text
+        specpoly.SpectralFactors({(1, 1): (1, 1)}, 1).coefficient_text
 
 
 @pytest.mark.parametrize("root, overflow", [(99, False), (12345, True)])
@@ -591,7 +614,7 @@ def test_slots_narrower_than_a_coefficient_are_refused(monkeypatch, root, overfl
     # fills the guard digit of its slot, or the product passes the digits of its context
     monkeypatch.setattr(specpoly, "factored_value", lambda b, z: decimal.Decimal(1))
     with pytest.raises(IntegralityViolation, match="b_N overflows its coefficient bound") as exc:
-        specpoly.SpectralFactors({1: (-root, 1)}, root).coefficient_text
+        specpoly.SpectralFactors({(1, 1): (-root, 1)}, root).coefficient_text
     assert isinstance(exc.value.__context__, decimal.Inexact) == overflow
 
 
@@ -764,12 +787,14 @@ def test_divides_exactly_the_multiples(p, s, data):
 @settings(max_examples=40)
 @given(st.integers(0, 2**32), st.integers(1, 3))
 def test_packed_divides_agrees_with_the_schoolbook(seed, n):
-    # every ordered pair of levels up to 8 (4 in 3-D), divisors or not, both ways round
+    # every ordered pair of levels up to 8 (4 in 3-D), divisors or not, both ways round:
+    # the packed division itself, and ``divides``, which answers d | N from the strata
     ctx = SpectralContext(random_point_set(random.Random(seed), dimension=n))
     levels = range(1, 9 if n < 3 else 5)
     for d, N in itertools.product(levels, repeat=2):
         b_d, b_N = ctx.spectral_factors(d), ctx.spectral_factors(N)
-        assert b_d.divides(b_N) == divides(expanded(b_d), expanded(b_N))
+        want = divides(expanded(b_d), expanded(b_N))
+        assert _packed_divides(b_d, b_N) == b_d.divides(b_N) == want
 
 
 roots_at_least_0 = st.lists(st.integers(0, 12), max_size=6)
@@ -782,8 +807,9 @@ def test_packed_divides_is_root_inclusion(common, only_d, only_N):
     # exactly when R_d lies in R_N: past |b_N(-1)| at once, or by the division,
     # whose remainder is nonzero or whose quotient is read back
     R_d, R_N = common + only_d, common + only_N
-    b_d, b_N = (specpoly.SpectralFactors({1: from_roots(R)}, max(R, default=0)) for R in (R_d, R_N))
-    assert b_d.divides(b_N) == (not Counter(R_d) - Counter(R_N))
+    b_d, b_N = (specpoly.SpectralFactors({(1, 1): from_roots(R)}, max(R, default=0))
+                for R in (R_d, R_N))
+    assert _packed_divides(b_d, b_N) == b_d.divides(b_N) == (not Counter(R_d) - Counter(R_N))
 
 
 @given(
@@ -827,11 +853,20 @@ def test_root_multiplicity_counts_the_roots(seed):
         assert integer_root_multiplicity(p, r) == roots.count(r)
 
 
-def test_root_multiplicity_answers_a_huge_level_at_once(w_honey):
+def test_root_multiplicity_answers_a_huge_level_at_once(w_honey, monkeypatch):
     # b_30 has 0 as a double root; any other integer root divides its lowest
     # nonzero coefficient, and +-10^4000 does not.  Dividing b_30 by
-    # z - 10^4000 instead takes about 50 s.
+    # z - 10^4000 instead takes about 50 s.  The time bound guards that lowest-
+    # coefficient test; the sentinel shows it without a clock: no division runs
     b30 = expanded(spectral_factors(w_honey, 30))
+    divmod_monic, huge = specpoly._divmod_monic, {(-(10**4000), 1), (10**4000, 1)}
+
+    def sentinel(q, p):
+        if tuple(p) in huge:
+            raise AssertionError("b_30 divided by z -+ 10^4000")
+        return divmod_monic(q, p)
+
+    monkeypatch.setattr(specpoly, "_divmod_monic", sentinel)
     start = time.perf_counter()
     assert [integer_root_multiplicity(b30, r) for r in (10**4000, -(10**4000))] == [0, 0]
     assert time.perf_counter() - start < 0.5
