@@ -250,7 +250,7 @@ def _class_factor_lift(folded: LaurentPoly, N: int, held=()) -> "SpectralFactors
     top = sum(folded.terms.values())  # W at the trivial character, C**2: every root is in [0, top]
     factors = {(d, j): g for b in held for (d, j), g in b.factors.items() if N % d == 0}
     orders, rows = {d for d, _ in factors}, {}
-    for row, size in _character_rows(folded, N):
+    for row, size in _character_rows(folded, N) if {d for d in range(1, N + 1) if N % d == 0} - orders else ():
         d = N // math.gcd(N, *(r for r, _ in row))  # the exact order of the class's characters
         if d not in orders:
             rows.setdefault((d, size), []).append(row)
