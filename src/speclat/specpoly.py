@@ -245,14 +245,19 @@ def _crt(residues, moduli: list[tuple[int, int]]) -> list[int]:
 
 
 def _class_factor_lift(folded: LaurentPoly, N: int, held=()) -> "SpectralFactors":
-    """The g_{d,j} of the module docstring: those of the levels ``held`` with d | N as they are, each
-    other by CRT over its own ``_split_moduli`` call, past 2**_MARGIN_BITS times twice its bound."""
+    """The g_{d,j} of the module docstring: each Psi_d, d | N, whole from the first level
+    ``held`` that holds it, and each other g_{d,j} by CRT over its own ``_split_moduli``
+    call, past 2**_MARGIN_BITS times twice its bound."""
     top = sum(folded.terms.values())  # W at the trivial character, C**2: every root is in [0, top]
-    factors = {(d, j): g for b in held for (d, j), g in b.factors.items() if N % d == 0}
-    orders, rows = {d for d, _ in factors}, {}
-    for row, size in _character_rows(folded, N) if {d for d in range(1, N + 1) if N % d == 0} - orders else ():
+    factors: dict[tuple[int, int], tuple[int, ...]] = {}
+    for b in held:  # a level's Psi_d is whole, though its split by class size may differ at another
+        taken = {d for d, _ in b.factors if N % d == 0} - {d for d, _ in factors}
+        factors.update({(d, j): g for (d, j), g in b.factors.items() if d in taken})
+    missing = {d for d in range(1, N + 1) if N % d == 0} - {d for d, _ in factors}
+    rows: dict[tuple[int, int], list] = {}
+    for row, size in _character_rows(folded, N) if missing else ():  # no class to read if none is missing
         d = N // math.gcd(N, *(r for r, _ in row))  # the exact order of the class's characters
-        if d not in orders:
+        if d in missing:
             rows.setdefault((d, size), []).append(row)
     for (d, j), rs in sorted(rows.items()):
         bound = _maclaurin_bound(len(rs), top)
@@ -338,22 +343,23 @@ class SpectralFactors:
         return sum(j * (len(g) - 1) for (_, j), g in self.factors.items())
 
     def _pack(self, s: int) -> str:
-        """The digits of H(10**s), s past those of H(1), each guard digit checked to be 0: the
-        h_{d,j} of one j multiply, shortest first, in slots past h_j(1), which bounds each product."""
+        """The digits of H(10**s), s past those of H(1), each guard digit checked to be 0.  The
+        h_{d,j} of one j multiply, shortest first, into h_j in slots of w <= s digits, w past
+        those of h_j(1), which bounds every partial product; h_j**j is taken in slots of s."""
         ctx, product = _exact(s * self.degree + 1), Decimal(1)
-        by_size = {j: sorted((g for (_, i), g in self.factors.items() if i == j), key=len)
-                   for _, j in self.factors}
+        by_size: dict[int, list[list[int]]] = {}
+        for (_, j), g in sorted(self.factors.items(), key=lambda item: len(item[1])):
+            by_size.setdefault(j, []).append([c if (len(g) - 1 - i) % 2 == 0 else -c for i, c in enumerate(g)])
         try:
-            for j, gs in sorted(by_size.items(), key=lambda jg: jg[0] * sum(len(g) - 1 for g in jg[1])):
-                hs = [[c if (len(g) - 1 - i) % 2 == 0 else -c for i, c in enumerate(g)] for g in gs]
+            for j, hs in sorted(by_size.items(), key=lambda jh: jh[0] * sum(len(h) - 1 for h in jh[1])):
                 if min(map(min, hs)) < 0:
                     raise IntegralityViolation(f"g_{j} has a root below 0")
                 w = min(s, Decimal(math.prod(map(sum, hs))).adjusted() + 2)
-                text = str(functools.reduce(ctx.multiply, [
-                    Decimal("".join([str(Decimal(c)).zfill(w) for c in reversed(h)])) for h in hs]))
-                packed = Decimal("".join([text[max(at, 0) : at + w].zfill(s)
-                                          for at in range((len(text) - 1) % w + 1 - w, len(text), w)]))
-                product = ctx.multiply(product, ctx.power(packed, j))
+                narrow = [Decimal("".join([str(Decimal(c)).zfill(w) for c in reversed(h)])) for h in hs]
+                text = str(functools.reduce(ctx.multiply, narrow))  # h_j(10**w)
+                slots = [text[max(at, 0) : at + w] for at in range((len(text) - 1) % w + 1 - w, len(text), w)]
+                h_j = Decimal("".join([slot.zfill(s) for slot in slots]))
+                product = ctx.multiply(product, ctx.power(h_j, j))
         except decimal.Inexact:
             raise IntegralityViolation("b_N overflows its coefficient bound") from None
         text = str(product)
@@ -417,10 +423,13 @@ def factored_value(b: SpectralFactors, z: int) -> Decimal:
 def spectral_factors(w: LaurentPoly, N: int, held=()) -> SpectralFactors:
     """b_N, the monic integer polynomial of degree N^n whose roots are the values of w
     at all N-torsion characters, as prod_{d | N} Psi_d, within ``limits.DEFAULT_SIZE_LIMIT``
-    characters, reading as they are the g_{d,j} of ``held``, earlier levels b_d of w.
+    characters, each Psi_d read whole from the first of ``held``, earlier levels of w, with d.
     w must be a diffraction polynomial: the bounds rest on its nonnegative values."""
     check_level(N, w.dimension, limits.DEFAULT_SIZE_LIMIT)
-    return _class_factor_lift(fold_mod_N(w, N), N, held)
+    b = _class_factor_lift(fold_mod_N(w, N), N, held)
+    if b.degree != N**w.dimension:  # a stratum held that is not one of w's
+        raise ValueError(f"b_{N} of degree {b.degree}, not {N}^{w.dimension}: a level held is not w's")
+    return b
 
 
 # -- floating-point character evaluation ---------------------------------------

@@ -536,6 +536,25 @@ def test_strata_multiply_to_b_N_and_are_one_at_every_level(case):
         assert psi(b, d) == psi(spectral_factors(w, d), d)
 
 
+def test_a_level_reads_each_stratum_whole_from_the_first_level_held():
+    # Psi_2 of this set is (z - 4)**3: g_{2,1} g_{2,2}**2 at level 4, g_{2,3}**3 at
+    # level 2, so a b_8 that took g_{2,j} from both would hold (z - 4)**6
+    w = w_of(WeightedPointSet(2, (((-1, 1), 2), ((2, 0), 1), ((-1, -2), 2), ((2, -2), 1))))
+    b4, b2 = spectral_factors(w, 4), spectral_factors(w, 2)
+    assert [k for k in b4.factors if k[0] == 2] == [(2, 1), (2, 2)]
+    assert [k for k in b2.factors if k[0] == 2] == [(2, 3)]
+    for held in ((b4, b2), (b2, b4)):
+        b8 = spectral_factors(w, 8, held)
+        assert expanded(b8) == linear_factor_lift(fold_mod_N(w, 8), 8)
+        for d, first in ((1, held[0]), (2, held[0]), (4, b4)):
+            assert {k: g for k, g in b8.factors.items() if k[0] == d} == \
+                {k: g for k, g in first.factors.items() if k[0] == d}
+    # a level held that lacks part of a stratum leaves b_N short of degree N^n
+    part = specpoly.SpectralFactors({k: g for k, g in b4.factors.items() if k != (2, 2)}, b4.top)
+    with pytest.raises(ValueError, match=r"b_8 of degree 62, not 8\^2"):
+        spectral_factors(w, 8, [part])
+
+
 @settings(max_examples=30)
 @given(weighted_cases())
 def test_each_factor_lifts_over_its_own_moduli(case):
