@@ -343,23 +343,15 @@ class SpectralFactors:
         return sum(j * (len(g) - 1) for (_, j), g in self.factors.items())
 
     def _pack(self, s: int) -> str:
-        """The digits of H(10**s), s past those of H(1), each guard digit checked to be 0.  The
-        h_{d,j} of one j multiply, shortest first, into h_j in slots of w <= s digits, w past
-        those of h_j(1), which bounds every partial product; h_j**j is taken in slots of s."""
+        """The digits of H(10**s), s past those of H(1), each guard digit checked to be 0:
+        H = prod_j h_j**j, h_j = prod_d h_{d,j}, each h_j(10**s) by ``_packed_size_product``."""
         ctx, product = _exact(s * self.degree + 1), Decimal(1)
-        by_size: dict[int, list[list[int]]] = {}
-        for (_, j), g in sorted(self.factors.items(), key=lambda item: len(item[1])):
-            by_size.setdefault(j, []).append([c if (len(g) - 1 - i) % 2 == 0 else -c for i, c in enumerate(g)])
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for (_, j), g in self.factors.items():
+            by_size.setdefault(j, []).append(g)
         try:
-            for j, hs in sorted(by_size.items(), key=lambda jh: jh[0] * sum(len(h) - 1 for h in jh[1])):
-                if min(map(min, hs)) < 0:
-                    raise IntegralityViolation(f"g_{j} has a root below 0")
-                w = min(s, Decimal(math.prod(map(sum, hs))).adjusted() + 2)
-                narrow = [Decimal("".join([str(Decimal(c)).zfill(w) for c in reversed(h)])) for h in hs]
-                text = str(functools.reduce(ctx.multiply, narrow))  # h_j(10**w)
-                slots = [text[max(at, 0) : at + w] for at in range((len(text) - 1) % w + 1 - w, len(text), w)]
-                h_j = Decimal("".join([slot.zfill(s) for slot in slots]))
-                product = ctx.multiply(product, ctx.power(h_j, j))
+            for j, gs in sorted(by_size.items(), key=lambda jg: jg[0] * sum(len(g) - 1 for g in jg[1])):
+                product = ctx.multiply(product, ctx.power(_packed_size_product(j, gs, s, ctx), j))
         except decimal.Inexact:
             raise IntegralityViolation("b_N overflows its coefficient bound") from None
         text = str(product)
@@ -385,6 +377,20 @@ class SpectralFactors:
     def divides(self, other: SpectralFactors) -> bool:
         """True iff self divides other in Z[z]: at once if other holds each factor of self."""
         return self.factors.items() <= other.factors.items() or _packed_divides(self, other)
+
+
+def _packed_size_product(j: int, gs: list[tuple[int, ...]], s: int, ctx: decimal.Context) -> Decimal:
+    """h_j(10**s), h_j = prod h_{d,j} over the g_{d,j} in ``gs``: they multiply, shortest
+    first, in slots of w <= s digits, w past those of h_j(1), which bounds every partial
+    product, and the slots of the product then move to slots of s digits."""
+    hs = [[c if (len(g) - 1 - i) % 2 == 0 else -c for i, c in enumerate(g)] for g in sorted(gs, key=len)]
+    if min(map(min, hs)) < 0:
+        raise IntegralityViolation(f"g_{j} has a root below 0")
+    w = min(s, Decimal(math.prod(map(sum, hs))).adjusted() + 2)
+    narrow = (Decimal("".join([str(Decimal(c)).zfill(w) for c in reversed(h)])) for h in hs)
+    text = str(functools.reduce(ctx.multiply, narrow))  # h_j(10**w)
+    slots = (text[max(at, 0) : at + w] for at in range((len(text) - 1) % w + 1 - w, len(text), w))
+    return Decimal("".join([slot.zfill(s) for slot in slots]))
 
 
 def _packed_divides(b_d: SpectralFactors, b_N: SpectralFactors) -> bool:
